@@ -6,6 +6,7 @@
 //	runjob -workload per-user-count -engine hadoop -ssd
 //	runjob -workload sessionization -engine hash-hotkey -trace run.json
 //	runjob -workload per-user-count -engine resident -delta 0.01
+//	runjob -workload sessionization -engine hadoop -cpuprofile cpu.pprof
 package main
 
 import (
@@ -14,6 +15,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -51,6 +54,8 @@ func main() {
 	deltaFrac := flag.Float64("delta", 0,
 		"evolve this fraction of the input (seeded updates+deletes+appends) and compare the incremental re-run against a full re-run (click workloads only)")
 	deltaSeed := flag.Uint64("delta-seed", 42, "delta derivation seed (with -delta)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the job run(s) to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile, taken after the job run(s), to this file")
 	flag.Parse()
 
 	cfg := onepass.DefaultConfig()
@@ -122,7 +127,9 @@ func main() {
 		if !clicks {
 			log.Fatalf("-delta requires a click workload, not %q", *workload)
 		}
+		stopProfiles := startProfiles(*cpuProfile, *memProfile)
 		runDeltaCompare(cfg, data, w.Job, onepass.DefaultDelta(cc, *deltaSeed, *deltaFrac))
+		stopProfiles()
 		return
 	}
 	job := w.Job
@@ -147,7 +154,9 @@ func main() {
 		cfg.Faults = onepass.ChaosFaults(*faultSeed, *nodes, base.Makespan)
 		fmt.Fprintf(os.Stderr, "chaos schedule (seed %d): %s\n", *faultSeed, cfg.Faults.String())
 	}
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	res, err := onepass.Run(cfg, data, job)
+	stopProfiles()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -273,6 +282,44 @@ func main() {
 // full re-run over the evolved dataset on a fresh cluster. The report is
 // deterministic — same flags, same bytes — and the process exits non-zero
 // if the outputs diverge, so CI can gate on it directly.
+// startProfiles begins the host-clock profiles asked for (an empty path
+// skips one) and returns the function that ends them: it stops the CPU
+// profile and writes the allocation profile, so both cover exactly the
+// calls made in between — the job, not input set-up or report rendering.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		var err error
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}
+		if memPath != "" {
+			f, err := os.Create(memPath)
+			if err != nil {
+				log.Fatalf("-memprofile: %v", err)
+			}
+			runtime.GC() // flush recent allocations into the profile
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				log.Fatalf("-memprofile: %v", err)
+			}
+			if err := f.Close(); err != nil {
+				log.Fatalf("-memprofile: %v", err)
+			}
+		}
+	}
+}
+
 func runDeltaCompare(cfg onepass.Config, data onepass.Dataset, job onepass.Job, d onepass.Delta) {
 	cfg.DiscardOutput = false
 	dr, err := onepass.RunDelta(cfg, data, job, d)

@@ -228,6 +228,7 @@ func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *en
 			rt.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
 		}
 	}
+	rt.ReleaseBuffer(buf) // every chunk is an encoded copy
 	return chunks
 }
 

@@ -324,6 +324,40 @@ func TestExecuteMapCountsAndCharges(t *testing.T) {
 	}
 }
 
+// Map-output buffers recycle from a finished task to the next one only
+// while unstarted blocks remain: 6 blocks on 2 slots reuse 2 buffers, and
+// once the queue drains nothing is retained for the reduce phase.
+func TestMapBuffersRecycleWhileBlocksRemain(t *testing.T) {
+	rt := testRuntime(1)
+	const blockSize = 64 << 10
+	rt.DFS.RegisterGenerated("in", 6*blockSize, func(b int, s int64) []byte { return make([]byte, s) })
+	blocks, _ := rt.DFS.Blocks("in")
+	job := &Job{Name: "t", MapSlotsPerNode: 2}
+	seen := map[*kv.Buffer]bool{}
+	retained := -1
+	wg := rt.RunMaps(job, blocks, func(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
+		buf := rt.AcquireBuffer(16)
+		if buf.Len() != 0 || buf.Bytes() != 0 {
+			t.Errorf("block %d: acquired buffer holds %d pairs", b.Index, buf.Len())
+		}
+		seen[buf] = true
+		buf.Add(0, []byte("k"), []byte("v"))
+		p.Sleep(sim.Second)
+		rt.ReleaseBuffer(buf)
+	})
+	rt.Env.Go("ctl", func(p *sim.Proc) {
+		wg.Wait(p)
+		retained = len(rt.freeBufs)
+	})
+	rt.Env.Run()
+	if len(seen) != 2 {
+		t.Fatalf("6 tasks on 2 slots used %d distinct buffers, want 2", len(seen))
+	}
+	if retained != 0 {
+		t.Fatalf("%d buffers retained after the last block started", retained)
+	}
+}
+
 func TestCombineSorted(t *testing.T) {
 	job := &Job{
 		Combine: func(key []byte, vals [][]byte, emit Emit) {
@@ -340,7 +374,8 @@ func TestCombineSorted(t *testing.T) {
 	buf.Add(1, []byte("a"), []byte{5})
 	buf.Add(1, []byte("b"), []byte{7})
 	buf.SortByPartitionKey(nil)
-	out, inputs := CombineSorted(job, buf)
+	out := kv.NewBuffer(0)
+	inputs := CombineSorted(job, buf, out)
 	if inputs != 4 {
 		t.Fatalf("inputs = %d", inputs)
 	}
@@ -354,15 +389,6 @@ func TestCombineSorted(t *testing.T) {
 	}
 	if vals["0/a"] != 3 || vals["1/a"] != 5 || vals["1/b"] != 7 {
 		t.Fatalf("vals = %v", vals)
-	}
-}
-
-func TestCombineSortedWithoutCombiner(t *testing.T) {
-	buf := kv.NewBuffer(0)
-	buf.Add(0, []byte("k"), []byte("v"))
-	out, inputs := CombineSorted(&Job{}, buf)
-	if out != buf || inputs != 0 {
-		t.Fatal("no-combiner case must return input unchanged")
 	}
 }
 

@@ -18,7 +18,8 @@ type Partitioner func(key []byte, n int) int
 // engine: read the block (DFS I/O), iterate its records (parse CPU), run
 // the map function (CPU), and partition the emitted pairs into a buffer
 // (hash CPU). Sorting/combining/writing are engine-specific and happen on
-// the returned buffer.
+// the returned buffer, which the caller hands back with ReleaseBuffer once it
+// has been encoded.
 func (rt *Runtime) ExecuteMap(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner) (*kv.Buffer, error) {
 	return rt.ExecuteMapWith(p, node, job, b, part, nil)
 }
@@ -45,7 +46,7 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	// overlapping the parse charge below, which depends only on len(data).
 	// Serially the closure runs inline here — either way it executes zero
 	// virtual operations, so the event schedule is identical in both modes.
-	buf := kv.NewBuffer(len(data))
+	buf := rt.AcquireBuffer(len(data))
 	records := 0
 	var outBytes int64
 	var delta metrics.Delta
@@ -93,15 +94,11 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 
 // CombineSorted applies the job's effective combiner (explicit Combine or
 // one derived from a declared Monoid) to each (partition, key) group of an
-// already-sorted buffer and returns the combined buffer plus the number of
-// input values consumed (for CPU charging). Without a combiner it returns
-// the input unchanged.
-func CombineSorted(job *Job, buf *kv.Buffer) (*kv.Buffer, int) {
+// already-sorted buffer, adding the combined pairs to out, and returns the
+// number of input values consumed (for CPU charging). The job must have a
+// combiner (HasCombiner).
+func CombineSorted(job *Job, buf, out *kv.Buffer) int {
 	combine := job.EffectiveCombine()
-	if combine == nil || buf.Len() == 0 {
-		return buf, 0
-	}
-	out := kv.NewBuffer(int(buf.Bytes()))
 	inputs := 0
 	i := 0
 	var vals [][]byte // reused across groups; the combiner must not retain it
@@ -120,7 +117,7 @@ func CombineSorted(job *Job, buf *kv.Buffer) (*kv.Buffer, int) {
 		combine(key, vals, func(k, v []byte) { out.Add(p, k, v) })
 		i = j
 	}
-	return out, inputs
+	return inputs
 }
 
 // WriteMapOutput persists a (sorted or partition-grouped) buffer as one

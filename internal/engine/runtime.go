@@ -5,6 +5,7 @@ import (
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
+	"onepass/internal/kv"
 	"onepass/internal/metrics"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
@@ -42,6 +43,14 @@ type Runtime struct {
 	// cancels instead of extending virtual time.
 	jobDone  *sim.Trigger
 	finished bool
+
+	// freeBufs recycles map-output buffers (data, refs and sort scratch)
+	// from one map task to the next; see AcquireBuffer. It never holds more
+	// buffers than unstartedMaps, the number of blocks RunMaps has yet to
+	// hand to a task: a buffer no task is left to reuse would only inflate
+	// the heap through the reduce phase.
+	freeBufs      []*kv.Buffer
+	unstartedMaps int
 
 	CPUUtil      *metrics.Series
 	Iowait       *metrics.Series
@@ -178,6 +187,31 @@ func (rt *Runtime) StartJobWork(p *sim.Proc, job *Job, fn func()) *sim.Work {
 		return sim.Do(fn)
 	}
 	return p.StartWork(fn)
+}
+
+// AcquireBuffer returns an empty map-output buffer, recycled from the free
+// list when one is available (capBytes only sizes a fresh one). The list is
+// unlocked: acquire and release on the event loop only — a pooled closure
+// may fill and sort a buffer it was handed, never fetch or return one.
+func (rt *Runtime) AcquireBuffer(capBytes int) *kv.Buffer {
+	if n := len(rt.freeBufs); n > 0 {
+		b := rt.freeBufs[n-1]
+		rt.freeBufs = rt.freeBufs[:n-1]
+		b.Reset()
+		return b
+	}
+	return kv.NewBuffer(capBytes)
+}
+
+// ReleaseBuffer hands b back: to the free list while unstarted map tasks
+// outnumber it, to the collector otherwise. The caller must be done with
+// every slice aliasing it (Key, Val): the next map task overwrites them.
+// Encoded chunks and map-output files are copies, so releasing after the
+// buffer has been encoded is safe. A nil b is ignored.
+func (rt *Runtime) ReleaseBuffer(b *kv.Buffer) {
+	if b != nil && len(rt.freeBufs) < rt.unstartedMaps {
+		rt.freeBufs = append(rt.freeBufs, b)
+	}
 }
 
 // InputBlocks resolves a job's input: a registered file's blocks, or — for

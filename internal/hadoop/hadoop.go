@@ -163,11 +163,18 @@ func executeMapAttempt(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job 
 	var cmps int64
 	var rawBytes int64
 	var combined *kv.Buffer
+	if job.HasCombiner() {
+		// Taken here, on the event loop: the closure below may not touch the
+		// runtime's free list.
+		combined = rt.AcquireBuffer(0)
+	}
 	combineInputs := 0
 	buf, err := rt.ExecuteMapWith(p, node, tj, b, partition, func(buf *kv.Buffer) {
 		buf.SortByPartitionKey(&cmps)
 		rawBytes = buf.Bytes()
-		combined, combineInputs = engine.CombineSorted(tj, buf)
+		if combined != nil {
+			combineInputs = engine.CombineSorted(tj, buf, combined)
+		}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("hadoop: %v", err))
@@ -175,22 +182,26 @@ func executeMapAttempt(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job 
 	node.Compute(p, engine.Dur(float64(cmps), costs.CompareNs), engine.PhaseSort)
 	rt.Counters.Add(engine.CtrSortComparisons, float64(cmps))
 
-	if job.HasCombiner() {
+	final := buf
+	if combined != nil {
 		node.Compute(p, engine.Dur(float64(combineInputs), costs.CombineNsPerRecord), engine.PhaseCombine)
-		buf = combined
+		final = combined
 		if rt.Auditing() {
-			rt.Audit.CombineSaved(b.Index, rawBytes-buf.Bytes())
+			rt.Audit.CombineSaved(b.Index, rawBytes-final.Bytes())
 		}
 	}
-	out := rt.WriteMapOutput(p, node, job, b.Index, buf)
+	out := rt.WriteMapOutput(p, node, job, b.Index, final)
 	if rt.Auditing() {
-		rt.Audit.MapFinalPairs(b.Index, buf.Bytes())
+		rt.Audit.MapFinalPairs(b.Index, final.Bytes())
 		// Pull shuffle moves whole partitions: record each as one unit so
 		// FetchPart deliveries must balance against it.
 		for r, n := range out.PartLen {
 			rt.Audit.ShuffleProduced(node.ID, b.Index, r, -1, n)
 		}
 	}
+	// The output file holds copies; both buffers can serve the next task.
+	rt.ReleaseBuffer(buf)
+	rt.ReleaseBuffer(combined)
 	return out
 }
 

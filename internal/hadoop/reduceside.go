@@ -101,7 +101,9 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 			out = kv.AppendPair(out, k, v)
 		}
 		if rs.combine != nil {
-			var g kv.Grouper
+			// The segments are fixed in-memory buffers, so groups may alias
+			// them instead of copying every value.
+			g := kv.Grouper{Alias: true}
 			combine := func(key []byte, vals [][]byte) {
 				rs.combine(key, vals, emit)
 				combineInputs += len(vals)
@@ -234,8 +236,11 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 
 // MergeGroupReduce merges sorted streams, groups equal keys, and applies
 // the job's reduce function, returning comparison and input-value counts.
+// Groups alias the streams' bytes when all of them are in-memory slices (the
+// final merge) and copy when any refills its buffer as it advances (HOP's
+// snapshot re-merges over on-disk runs).
 func MergeGroupReduce(streams []kv.PairStream, job *engine.Job, emit engine.Emit) (cmps int64, inputs int) {
-	var g kv.Grouper
+	g := kv.Grouper{Alias: kv.AllSliceStreams(streams)}
 	reduce := func(key []byte, vals [][]byte) {
 		job.Reduce(key, vals, emit)
 		inputs += len(vals)

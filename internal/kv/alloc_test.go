@@ -1,6 +1,9 @@
 package kv
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Allocation budgets: these hot paths run once per record in every engine,
 // so a single stray allocation multiplies into millions per run. The
@@ -58,5 +61,37 @@ func TestAllocBudgetGrouper(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Grouper allocates %.1f/op, budget 0", avg)
+	}
+}
+
+// A recycled buffer (Reset after a first sort of at least this size) keeps
+// its sort scratch, so steady-state map tasks sort without allocating.
+func TestAllocBudgetSortRecycledBuffer(t *testing.T) {
+	keys := make([][]byte, 512)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("u%07d", (i*7919)%4096))
+	}
+	val := []byte("869769600 /en/page/123")
+	b := NewBuffer(1 << 16)
+	fill := func() {
+		b.Reset()
+		for i, k := range keys {
+			b.Add(i&3, k, val)
+		}
+	}
+	var cmps int64
+	fill()
+	b.SortByPartitionKey(&cmps)
+	idxs := make([]int, 128)
+	avg := testing.AllocsPerRun(100, func() {
+		fill()
+		b.SortByPartitionKey(&cmps)
+		for i := range idxs {
+			idxs[i] = len(idxs) - 1 - i
+		}
+		b.SortIndices(idxs, &cmps)
+	})
+	if avg != 0 {
+		t.Fatalf("sorting a recycled buffer allocates %.1f/op, budget 0", avg)
 	}
 }

@@ -1,6 +1,12 @@
 package kv
 
-import "sort"
+import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
+	"slices"
+	"sort"
+)
 
 // Buffer is the map-side output buffer: raw pair bytes in one flat array
 // plus one reference per pair carrying its partition — the byte-array
@@ -9,12 +15,43 @@ import "sort"
 type Buffer struct {
 	data []byte
 	refs []ref
+
+	// ents is the sort scratch, built at sort time and kept across Reset so
+	// a recycled buffer sorts without allocating; engines that never sort
+	// never pay for it.
+	ents []sortEntry
 }
 
 type ref struct {
 	part       int32
 	off        int32
 	klen, vlen int32
+}
+
+// sortEntry is the 16-byte sort element: the pair's partition, its key's
+// first eight bytes as a big-endian integer (the "normalized key"), and the
+// pair's index in refs. (part, prefix) decides almost every comparison as
+// two integer compares; the key bytes behind idx are read only when both
+// tie.
+type sortEntry struct {
+	prefix uint64
+	part   int32
+	idx    int32
+}
+
+// keyPrefix returns k's first eight bytes as a big-endian integer, zero-
+// padded on the right. Unequal prefixes order exactly as the keys do under
+// bytes.Compare; equal prefixes decide nothing (a key may end in the zero
+// bytes the padding adds), so the caller falls back to the full keys.
+func keyPrefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var p uint64
+	for i, c := range k {
+		p |= uint64(c) << (56 - 8*uint(i))
+	}
+	return p
 }
 
 // NewBuffer returns an empty buffer with an initial byte capacity hint.
@@ -54,7 +91,8 @@ func (b *Buffer) Val(i int) []byte {
 // Partition returns the i-th pair's partition.
 func (b *Buffer) Partition(i int) int { return int(b.refs[i].part) }
 
-// Reset clears the buffer for reuse, keeping capacity.
+// Reset clears the buffer for reuse, keeping capacity (sort scratch
+// included).
 func (b *Buffer) Reset() {
 	b.data = b.data[:0]
 	b.refs = b.refs[:0]
@@ -62,23 +100,87 @@ func (b *Buffer) Reset() {
 
 // SortByPartitionKey sorts pairs by (partition, key), counting key
 // comparisons into counter — the CPU the paper's Table II attributes to
-// map-side sorting.
+// map-side sorting. Pairs equal on both keep insertion order.
 func (b *Buffer) SortByPartitionKey(counter *int64) {
-	// sort.Slice with an offset tiebreak gives the same order as a stable
-	// sort (offsets increase in insertion order) at a fraction of the cost.
-	sort.Slice(b.refs, func(i, j int) bool {
-		if counter != nil {
-			*counter++
+	es := b.entries(len(b.refs))
+	for i := range es {
+		es[i] = b.entry(i)
+	}
+	b.sortEntries(es, counter)
+	// Apply the permutation in place: position i takes the ref at es[i].idx.
+	// Each cycle is walked once; a visited entry is marked by pointing it at
+	// itself.
+	for i := range es {
+		if int(es[i].idx) == i {
+			continue
 		}
-		ri, rj := b.refs[i], b.refs[j]
-		if ri.part != rj.part {
-			return ri.part < rj.part
+		first := b.refs[i]
+		for j := i; ; {
+			src := int(es[j].idx)
+			es[j].idx = int32(j)
+			if src == i {
+				b.refs[j] = first
+				break
+			}
+			b.refs[j] = b.refs[src]
+			j = src
 		}
-		if c := Compare(b.data[ri.off:ri.off+ri.klen], b.data[rj.off:rj.off+rj.klen], nil); c != 0 {
-			return c < 0
+	}
+}
+
+// SortIndices sorts idxs — pair indices, normally all of one partition —
+// the way SortByPartitionKey orders the whole buffer, leaving the buffer
+// itself untouched: MapReduce Online's per-chunk sort.
+func (b *Buffer) SortIndices(idxs []int, counter *int64) {
+	es := b.entries(len(idxs))
+	for i, idx := range idxs {
+		es[i] = b.entry(idx)
+	}
+	b.sortEntries(es, counter)
+	for i, e := range es {
+		idxs[i] = int(e.idx)
+	}
+}
+
+// entry builds pair i's sort entry.
+func (b *Buffer) entry(i int) sortEntry {
+	r := b.refs[i]
+	return sortEntry{prefix: keyPrefix(b.data[r.off : r.off+r.klen]), part: r.part, idx: int32(i)}
+}
+
+// entries returns n sort entries of scratch, grown to the refs capacity so
+// a recycled buffer stops allocating after its first sort.
+func (b *Buffer) entries(n int) []sortEntry {
+	if cap(b.ents) < n {
+		b.ents = make([]sortEntry, n, max(n, cap(b.refs)))
+	}
+	return b.ents[:n]
+}
+
+// sortEntries is the one comparator of the sort-merge path's map side. The
+// comparator call sequence is the cost model (one charged comparison per
+// call), so it must stay the pdqsort that sort.Slice and slices.SortFunc
+// are both stamped from; only what one call costs may change. The index
+// tie-break makes the order total, hence equal to a stable sort's.
+func (b *Buffer) sortEntries(es []sortEntry, counter *int64) {
+	var calls int64
+	slices.SortFunc(es, func(x, y sortEntry) int {
+		calls++
+		if x.part != y.part {
+			return cmp.Compare(x.part, y.part)
 		}
-		return ri.off < rj.off
+		if x.prefix != y.prefix {
+			return cmp.Compare(x.prefix, y.prefix)
+		}
+		rx, ry := b.refs[x.idx], b.refs[y.idx]
+		if c := bytes.Compare(b.data[rx.off:rx.off+rx.klen], b.data[ry.off:ry.off+ry.klen]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.idx, y.idx)
 	})
+	if counter != nil {
+		*counter += calls
+	}
 }
 
 // PartitionRange returns the index range [lo, hi) of pairs in partition p.
@@ -103,26 +205,3 @@ func (b *Buffer) EncodeRange(lo, hi int) []byte {
 	}
 	return out
 }
-
-// RangeStream streams pairs [lo, hi) of the buffer in index order.
-type RangeStream struct {
-	buf *Buffer
-	cur int
-	end int
-}
-
-// NewRangeStream returns a stream over pairs [lo, hi).
-func (b *Buffer) NewRangeStream(lo, hi int) *RangeStream {
-	return &RangeStream{buf: b, cur: lo, end: hi}
-}
-
-// Peek implements PairStream.
-func (s *RangeStream) Peek() ([]byte, []byte, bool) {
-	if s.cur >= s.end {
-		return nil, nil, false
-	}
-	return s.buf.Key(s.cur), s.buf.Val(s.cur), true
-}
-
-// Advance implements PairStream.
-func (s *RangeStream) Advance() { s.cur++ }

@@ -68,14 +68,10 @@ func CountPairs(buf []byte) int {
 	return n
 }
 
-// Compare compares two byte-string keys, incrementing *counter by the
-// byte positions examined (a proxy for real comparison cost, charged to
-// virtual CPU by the engines). A nil counter is allowed.
+// Compare compares two byte-string keys, incrementing *counter once per
+// call (a proxy for real comparison cost, charged to virtual CPU by the
+// engines). A nil counter is allowed.
 func Compare(a, b []byte, counter *int64) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
 	if counter != nil {
 		// Cost model: one comparison operation; byte-length effects are
 		// second-order, so count operations, not bytes.
@@ -141,26 +137,46 @@ func (s *SliceStream) Peek() ([]byte, []byte, bool) {
 // Advance implements PairStream.
 func (s *SliceStream) Advance() { s.valid = false }
 
+// mergeHead caches one stream's current pair for the merge heap, so a heap
+// comparison reads two cached prefixes instead of making two interface Peek
+// calls. key and val alias the stream and stay valid until that stream is
+// advanced and peeked again — which happens only when its head is replaced.
+type mergeHead struct {
+	prefix   uint64
+	key, val []byte
+}
+
 // MergeStreams merges sorted streams into emit in ascending key order,
 // using a tournament among current heads; comparisons are counted into
 // counter. Ties are broken by stream index, so merging is stable across
 // runs — the order Hadoop's merge produces.
 func MergeStreams(streams []PairStream, counter *int64, emit func(key, val []byte)) {
-	type head struct {
-		idx int
-	}
-	// Simple binary heap over stream indices keyed by their peeked key.
+	// Binary heap over stream indices keyed by their cached heads. The sift
+	// sequence is the cost model (one charged comparison per less call) and
+	// must not change; only what one call costs may.
+	heads := make([]mergeHead, len(streams))
 	h := make([]int, 0, len(streams))
+	var calls int64
 	less := func(a, b int) bool {
-		ka, _, _ := streams[a].Peek()
-		kb, _, _ := streams[b].Peek()
-		if c := Compare(ka, kb, counter); c != 0 {
+		calls++
+		ha, hb := &heads[a], &heads[b]
+		if ha.prefix != hb.prefix {
+			return ha.prefix < hb.prefix
+		}
+		if c := bytes.Compare(ha.key, hb.key); c != 0 {
 			return c < 0
 		}
 		return a < b
 	}
-	var down func(i int)
-	down = func(i int) {
+	// load caches stream i's current pair, reporting false at end of stream.
+	load := func(i int) bool {
+		k, v, ok := streams[i].Peek()
+		if ok {
+			heads[i] = mergeHead{prefix: keyPrefix(k), key: k, val: v}
+		}
+		return ok
+	}
+	down := func(i int) {
 		for {
 			l, r := 2*i+1, 2*i+2
 			small := i
@@ -187,18 +203,17 @@ func MergeStreams(streams []PairStream, counter *int64, emit func(key, val []byt
 			i = parent
 		}
 	}
-	for i, s := range streams {
-		if _, _, ok := s.Peek(); ok {
+	for i := range streams {
+		if load(i) {
 			h = append(h, i)
 			up(len(h) - 1)
 		}
 	}
 	for len(h) > 0 {
 		top := h[0]
-		k, v, _ := streams[top].Peek()
-		emit(k, v)
+		emit(heads[top].key, heads[top].val)
 		streams[top].Advance()
-		if _, _, ok := streams[top].Peek(); ok {
+		if load(top) {
 			down(0)
 		} else {
 			h[0] = h[len(h)-1]
@@ -208,21 +223,41 @@ func MergeStreams(streams []PairStream, counter *int64, emit func(key, val []byt
 			}
 		}
 	}
+	if counter != nil {
+		*counter += calls
+	}
 }
 
-// Grouper accumulates consecutive equal-key pairs into reused staging
-// buffers and hands each completed group to a callback. It replaces the
-// per-pair key/value copies the reduce-side group-by used to make: the key
-// and value payloads are copied once into buffers owned by the Grouper (so
-// they survive the source stream advancing), and those buffers are recycled
-// from one group to the next. Callbacks must not retain key or vals past
-// their return.
+// Grouper accumulates consecutive equal-key pairs and hands each completed
+// group to a callback. The zero value copies: key and value payloads go
+// once into staging buffers owned by the Grouper (so they survive the
+// source stream advancing), recycled from one group to the next. Callbacks
+// must not retain key or vals past their return.
 type Grouper struct {
-	key      []byte // current group's key, copied out of the stream
-	valBytes []byte // concatenated value payloads of the current group
-	bounds   []int  // value i spans valBytes[bounds[i]:bounds[i+1]]
+	// Alias makes the Grouper keep the slices it is handed instead of
+	// copying them. Set it, before the first Add, only when every key and
+	// value stays valid and unmoved until its group is flushed — true of
+	// SliceStreams (see AllSliceStreams), false of streams that refill a
+	// buffer as they advance.
+	Alias bool
+
+	key      []byte // current group's key
+	valBytes []byte // copy mode: concatenated value payloads of the group
+	bounds   []int  // copy mode: value i spans valBytes[bounds[i-1]:bounds[i]]
 	vals     [][]byte
 	have     bool
+}
+
+// AllSliceStreams reports whether every stream decodes a fixed in-memory
+// buffer, so the pairs a merge over them emits stay valid for the whole
+// merge and a Grouper may alias them.
+func AllSliceStreams(streams []PairStream) bool {
+	for _, s := range streams {
+		if _, ok := s.(*SliceStream); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // Add feeds one pair in sorted order. When k starts a new group, the
@@ -231,8 +266,16 @@ type Grouper struct {
 func (g *Grouper) Add(k, v []byte, counter *int64, fn func(key []byte, vals [][]byte)) {
 	if !g.have || Compare(g.key, k, counter) != 0 {
 		g.Flush(fn)
-		g.key = append(g.key[:0], k...)
+		if g.Alias {
+			g.key = k
+		} else {
+			g.key = append(g.key[:0], k...)
+		}
 		g.have = true
+	}
+	if g.Alias {
+		g.vals = append(g.vals, v)
+		return
 	}
 	g.valBytes = append(g.valBytes, v...)
 	g.bounds = append(g.bounds, len(g.valBytes))
@@ -243,33 +286,18 @@ func (g *Grouper) Flush(fn func(key []byte, vals [][]byte)) {
 	if !g.have {
 		return
 	}
-	// Materialize vals only now: valBytes may have been reallocated by
-	// growth while the group was accumulating.
-	g.vals = g.vals[:0]
-	start := 0
-	for _, end := range g.bounds {
-		g.vals = append(g.vals, g.valBytes[start:end])
-		start = end
+	if !g.Alias {
+		// Materialize vals only now: valBytes may have been reallocated by
+		// growth while the group was accumulating.
+		start := 0
+		for _, end := range g.bounds {
+			g.vals = append(g.vals, g.valBytes[start:end])
+			start = end
+		}
 	}
 	fn(g.key, g.vals)
+	g.vals = g.vals[:0]
 	g.valBytes = g.valBytes[:0]
 	g.bounds = g.bounds[:0]
 	g.have = false
-}
-
-// GroupSorted walks a sorted stream and invokes fn once per distinct key
-// with all its values, in order — the reduce-side grouping over a merged
-// run. Keys and values are staged in buffers reused from one group to the
-// next (see Grouper): fn must not retain key or vals past its return.
-func GroupSorted(s PairStream, counter *int64, fn func(key []byte, vals [][]byte)) {
-	var g Grouper
-	for {
-		k, v, ok := s.Peek()
-		if !ok {
-			break
-		}
-		g.Add(k, v, counter, fn)
-		s.Advance()
-	}
-	g.Flush(fn)
 }

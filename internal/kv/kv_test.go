@@ -172,26 +172,6 @@ func TestEncodeRangeAndSliceStream(t *testing.T) {
 	}
 }
 
-func TestRangeStream(t *testing.T) {
-	b := NewBuffer(0)
-	b.Add(0, []byte("x"), []byte("1"))
-	b.Add(0, []byte("y"), []byte("2"))
-	b.Add(0, []byte("z"), []byte("3"))
-	s := b.NewRangeStream(1, 3)
-	var keys []string
-	for {
-		k, _, ok := s.Peek()
-		if !ok {
-			break
-		}
-		keys = append(keys, string(k))
-		s.Advance()
-	}
-	if !reflect.DeepEqual(keys, []string{"y", "z"}) {
-		t.Fatalf("keys = %v", keys)
-	}
-}
-
 func encodeSorted(pairs map[string]string) []byte {
 	keys := make([]string, 0, len(pairs))
 	for k := range pairs {
@@ -230,28 +210,57 @@ func TestMergeStreamsEmptyInput(t *testing.T) {
 	}
 }
 
-func TestGroupSorted(t *testing.T) {
+// groupStream feeds a sorted stream through g, as the reduce side does.
+func groupStream(g *Grouper, s PairStream, fn func(key []byte, vals [][]byte)) {
+	MergeStreams([]PairStream{s}, nil, func(k, v []byte) { g.Add(k, v, nil, fn) })
+	g.Flush(fn)
+}
+
+func TestGrouperGroupsConsecutiveKeys(t *testing.T) {
 	var buf []byte
 	buf = AppendPair(buf, []byte("a"), []byte("1"))
 	buf = AppendPair(buf, []byte("a"), []byte("2"))
 	buf = AppendPair(buf, []byte("b"), []byte("3"))
-	groups := map[string][]string{}
-	GroupSorted(NewSliceStream(buf), nil, func(k []byte, vals [][]byte) {
-		var vs []string
-		for _, v := range vals {
-			vs = append(vs, string(v))
+	for _, alias := range []bool{false, true} {
+		groups := map[string][]string{}
+		groupStream(&Grouper{Alias: alias}, NewSliceStream(buf), func(k []byte, vals [][]byte) {
+			var vs []string
+			for _, v := range vals {
+				vs = append(vs, string(v))
+			}
+			groups[string(k)] = vs
+		})
+		if !reflect.DeepEqual(groups["a"], []string{"1", "2"}) || !reflect.DeepEqual(groups["b"], []string{"3"}) {
+			t.Fatalf("alias=%v: groups = %v", alias, groups)
 		}
-		groups[string(k)] = vs
-	})
-	if !reflect.DeepEqual(groups["a"], []string{"1", "2"}) || !reflect.DeepEqual(groups["b"], []string{"3"}) {
-		t.Fatalf("groups = %v", groups)
 	}
 }
 
-func TestGroupSortedEmpty(t *testing.T) {
-	GroupSorted(NewSliceStream(nil), nil, func(k []byte, vals [][]byte) {
+func TestGrouperEmptyStream(t *testing.T) {
+	groupStream(&Grouper{}, NewSliceStream(nil), func(k []byte, vals [][]byte) {
 		t.Fatal("no groups expected")
 	})
+}
+
+// The zero-value Grouper copies, so a group survives the caller reusing the
+// buffers it passed to Add; alias mode hands the caller's slices through.
+func TestGrouperCopyVersusAlias(t *testing.T) {
+	for _, alias := range []bool{false, true} {
+		g := Grouper{Alias: alias}
+		k, v := []byte("k"), []byte("v1")
+		var got string
+		fn := func(key []byte, vals [][]byte) { got = fmt.Sprintf("%s=%s", key, vals[0]) }
+		g.Add(k, v, nil, fn)
+		copy(v, "XX") // the source moves on before the group is flushed
+		g.Flush(fn)
+		want := "k=v1"
+		if alias {
+			want = "k=XX"
+		}
+		if got != want {
+			t.Fatalf("alias=%v: group = %q, want %q", alias, got, want)
+		}
+	}
 }
 
 // Property: encode/decode round-trips arbitrary pair sequences.

@@ -211,7 +211,7 @@ type resChunk struct {
 // and the caller charges serialization at each chunk's delivery point.
 func buildChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
 	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner,
-	opts *Options) (chunks []resChunk, sealed []int, buf *kv.Buffer, folded bool) {
+	opts *Options) (chunks []resChunk, sealed []int, rawBytes int64, folded bool) {
 
 	tj := rt.TaskJob(job)
 	tAgg := jobAggregator(tj)
@@ -272,7 +272,9 @@ func buildChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engin
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord), engine.PhaseCombine)
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
 	}
-	return chunks, sealed, buf, tAgg != nil
+	rawBytes = buf.Bytes()
+	rt.ReleaseBuffer(buf) // every chunk is an encoded copy
+	return chunks, sealed, rawBytes, tAgg != nil
 }
 
 // mapTable is the map side's insertion-ordered fold table: key order is the
@@ -322,7 +324,7 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner,
 	channels []*engine.PushChannel, opts *Options, reg *engine.Registry) {
 
-	chunks, sealed, buf, folded := buildChunks(rt, p, node, job, costs, b, partition, opts)
+	chunks, sealed, rawBytes, folded := buildChunks(rt, p, node, job, costs, b, partition, opts)
 	if rt.Auditing() {
 		var finalPairBytes int64
 		for i := range chunks {
@@ -330,7 +332,7 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 		}
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		if folded {
-			rt.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
+			rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
 		}
 	}
 	delivered := make([]int, job.Reducers)

@@ -194,17 +194,6 @@ func (m *Merger) MergePass(p *sim.Proc) *Run {
 	return merged
 }
 
-// FinalStreams opens every remaining run for the final merge feeding the
-// reduce function. The runs stay registered; callers should DeleteAll when
-// the reduce scan completes.
-func (m *Merger) FinalStreams(p *sim.Proc) []kv.PairStream {
-	out := make([]kv.PairStream, len(m.runs))
-	for i, r := range m.runs {
-		out[i] = NewStream(p, r)
-	}
-	return out
-}
-
 // ReadRuns streams every remaining run fully into memory (charging the
 // reads) and returns one encoded byte slice per run, oldest first. The runs
 // stay registered for DeleteAll. The final merge uses it so the merge and
@@ -287,15 +276,6 @@ func (a *Accumulator) Segments() int { return len(a.segs) }
 // limit.
 func (a *Accumulator) Over() bool {
 	return a.bytes > a.Budget || (a.SegmentLimit > 0 && len(a.segs) >= a.SegmentLimit)
-}
-
-// Streams opens the in-memory segments as pair streams and clears the
-// accumulator (the caller owns the merge).
-func (a *Accumulator) Streams() []kv.PairStream {
-	out := a.PeekStreams()
-	a.segs = nil
-	a.bytes = 0
-	return out
 }
 
 // TakeSegments returns the raw buffered segments and clears the

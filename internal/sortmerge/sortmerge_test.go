@@ -15,6 +15,16 @@ func newStore(env *sim.Env) *disk.Store {
 	return disk.NewStore(disk.NewDevice(env, "scratch", disk.SSD))
 }
 
+// runStreams opens every remaining run of m as a lazily refilled Stream —
+// the snapshot re-merge's view of the runs.
+func runStreams(p *sim.Proc, m *Merger) []kv.PairStream {
+	var out []kv.PairStream
+	for _, r := range m.RunList() {
+		out = append(out, NewStream(p, r))
+	}
+	return out
+}
+
 func encodeKeys(keys []string) []byte {
 	var out []byte
 	for _, k := range keys {
@@ -104,7 +114,7 @@ func TestMergerMultiPass(t *testing.T) {
 		}
 		// Final merge must produce the global sorted order.
 		var got []string
-		kv.MergeStreams(m.FinalStreams(p), nil, func(k, v []byte) { got = append(got, string(k)) })
+		kv.MergeStreams(runStreams(p, m), nil, func(k, v []byte) { got = append(got, string(k)) })
 		sort.Strings(all)
 		if len(got) != len(all) {
 			t.Fatalf("merged %d records, want %d", len(got), len(all))
@@ -178,12 +188,14 @@ func TestAccumulatorSpillCycle(t *testing.T) {
 	if a.Segments() != 2 || a.Bytes() != 120 {
 		t.Fatalf("segments=%d bytes=%d", a.Segments(), a.Bytes())
 	}
-	streams := a.Streams()
-	if len(streams) != 2 {
-		t.Fatalf("streams = %d", len(streams))
+	if streams := a.PeekStreams(); len(streams) != 2 || a.Segments() != 2 {
+		t.Fatalf("PeekStreams = %d streams, %d segments left", len(streams), a.Segments())
+	}
+	if segs := a.TakeSegments(); len(segs) != 2 {
+		t.Fatalf("segments taken = %d", len(segs))
 	}
 	if a.Segments() != 0 || a.Bytes() != 0 || a.Over() {
-		t.Fatal("Streams must clear the accumulator")
+		t.Fatal("TakeSegments must clear the accumulator")
 	}
 	a.Add(nil) // empty segments ignored
 	if a.Segments() != 0 {
@@ -216,7 +228,7 @@ func TestMergerPermutationProperty(t *testing.T) {
 				}
 			}
 			var prev string
-			kv.MergeStreams(m.FinalStreams(p), nil, func(k, v []byte) {
+			kv.MergeStreams(runStreams(p, m), nil, func(k, v []byte) {
 				ks := string(k)
 				if ks < prev {
 					t.Errorf("trial %d: order violated", trial)

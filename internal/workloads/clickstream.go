@@ -2,7 +2,8 @@ package workloads
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 
 	"onepass/internal/engine"
 	"onepass/internal/gen"
@@ -71,11 +72,11 @@ func sessionizeReducer() engine.ReduceFunc {
 			}
 			clicks = append(clicks, sessionClick{ts: parseUint(v[:sp]), url: v[sp+1:]})
 		}
-		sort.Slice(clicks, func(i, j int) bool {
-			if clicks[i].ts != clicks[j].ts {
-				return clicks[i].ts < clicks[j].ts
+		slices.SortFunc(clicks, func(a, b sessionClick) int {
+			if a.ts != b.ts {
+				return cmp.Compare(a.ts, b.ts)
 			}
-			return bytes.Compare(clicks[i].url, clicks[j].url) < 0
+			return bytes.Compare(a.url, b.url)
 		})
 		out = out[:0]
 		for i, c := range clicks {
@@ -91,6 +92,9 @@ func sessionizeReducer() engine.ReduceFunc {
 			out = append(out, c.url...)
 		}
 		emit(key, out)
+		// vals may alias the reduce side's input buffers; stale url slices
+		// left in the scratch would keep those alive long after their merge.
+		clear(clicks)
 	}
 }
 

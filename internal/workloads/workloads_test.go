@@ -78,6 +78,24 @@ func TestSessionizationReduceSortsByTime(t *testing.T) {
 	}
 }
 
+// The reducer runs once per user on the sort-merge path; in steady state
+// (scratch grown to the largest group) a group must cost no allocation —
+// sort.Slice used to cost two per call.
+func TestAllocBudgetSessionizeReducer(t *testing.T) {
+	var vals [][]byte
+	for i := 0; i < 40; i++ {
+		vals = append(vals, []byte(fmt.Sprintf("%d /page/%d", 1000+(i*7919)%5000, i)))
+	}
+	reduce := sessionizeReducer()
+	key := []byte("u1")
+	sink := func(k, v []byte) {}
+	reduce(key, vals, sink)
+	avg := testing.AllocsPerRun(200, func() { reduce(key, vals, sink) })
+	if avg != 0 {
+		t.Fatalf("sessionizeReducer allocates %.1f per group, budget 0", avg)
+	}
+}
+
 func TestCountingWorkloadsAgainstManualCount(t *testing.T) {
 	for _, mk := range []func(gen.ClickConfig) *Workload{PageFrequency, PerUserCount} {
 		w := mk(smallClickCfg())
