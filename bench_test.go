@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"onepass"
 	"onepass/internal/experiments"
 )
 
@@ -125,4 +126,32 @@ func BenchmarkAblation_HOPChunkSize(b *testing.B) {
 
 func BenchmarkAblation_HotKeyMemory(b *testing.B) {
 	runReport(b, (*experiments.Session).AblationHotKeyMemory)
+}
+
+// BenchmarkHashSmallBlocks runs the small-job fleet's job shape uncached —
+// not through the shared session — so bench-smoke's B/op ratchet covers the
+// regime every other benchmark here misses: blocks far smaller than a push
+// chunk (16 KB against 512 KB) over 10 reducers, where a buffer sized to an
+// option's default instead of to the data costs 20-80x the bytes it holds.
+func BenchmarkHashSmallBlocks(b *testing.B) {
+	cfg := onepass.DefaultConfig()
+	cfg.BlockSize = 16 << 10
+	cfg.Reducers = 10
+	cfg.DiscardOutput = true
+	clicks := onepass.DefaultClickConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, j := range []struct {
+			engine onepass.Engine
+			w      *onepass.Workload
+		}{
+			{onepass.HashIncremental, onepass.PerUserCount(clicks)},
+			{onepass.HashHotKey, onepass.Sessionization(clicks)},
+		} {
+			cfg.Engine = j.engine
+			if _, err := onepass.RunWorkload(cfg, j.w, 128<<10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

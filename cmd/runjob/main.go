@@ -16,6 +16,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -154,9 +155,11 @@ func main() {
 		cfg.Faults = onepass.ChaosFaults(*faultSeed, *nodes, base.Makespan)
 		fmt.Fprintf(os.Stderr, "chaos schedule (seed %d): %s\n", *faultSeed, cfg.Faults.String())
 	}
+	stopMeter := startHostMeter()
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	res, err := onepass.Run(cfg, data, job)
 	stopProfiles()
+	host := stopMeter()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -204,16 +207,17 @@ func main() {
 
 	if *jsonOut {
 		// The deterministic Result lives under "result"; the real-time pool
-		// stats (wall-clock, hence nondeterministic) live under
-		// "diagnostics" so determinism checks can select one key.
+		// and host-memory stats (wall-clock and GC-paced, hence
+		// nondeterministic) live under "diagnostics" so determinism checks
+		// can select one key.
 		out := struct {
 			Result      *onepass.Result `json:"result"`
 			Diagnostics diagnostics     `json:"diagnostics"`
-		}{res, diagnostics{poolStats{
+		}{res, diagnostics{Pool: poolStats{
 			Dispatched:  res.Pool.Dispatched,
 			MaxInFlight: res.Pool.MaxInFlight,
 			BusyMS:      float64(res.Pool.Busy) / float64(time.Millisecond),
-		}}}
+		}, hostStats: host}}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", " ")
 		if err := enc.Encode(out); err != nil {
@@ -383,6 +387,58 @@ func sameOutput(a, b map[string]string) bool {
 // runs still serialize byte-identically once this key is stripped.
 type diagnostics struct {
 	Pool poolStats `json:"pool"`
+	hostStats
+}
+
+// hostStats is what the job run cost the host process: heap bytes and
+// objects allocated while it ran, and the high-water mark of live heap
+// bytes. Set against the result's map.input.bytes it is the allocation
+// ratio the benchmark reports as alloc_bytes_per_record.
+type hostStats struct {
+	AllocBytes    uint64 `json:"alloc_bytes"`
+	Allocs        uint64 `json:"allocs"`
+	HeapPeakBytes uint64 `json:"heap_peak_bytes"`
+}
+
+// startHostMeter starts measuring; the returned function stops and reports.
+// Allocation totals are exact runtime counters; the heap peak is a 10 ms
+// poll of runtime/metrics (which does not stop the world), so a spike
+// between two polls is missed.
+func startHostMeter() (stop func() hostStats) {
+	samples := []rtmetrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/memory/classes/heap/objects:bytes"},
+	}
+	rtmetrics.Read(samples)
+	bytes0, objs0 := samples[0].Value.Uint64(), samples[1].Value.Uint64()
+	peak := samples[2].Value.Uint64()
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(10 * time.Millisecond)
+		defer tick.Stop()
+		heap := samples[2:] // the caller reads samples again only after done
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				rtmetrics.Read(heap)
+				peak = max(peak, heap[0].Value.Uint64())
+			}
+		}
+	}()
+	return func() hostStats {
+		close(quit)
+		<-done
+		rtmetrics.Read(samples)
+		return hostStats{
+			AllocBytes:    samples[0].Value.Uint64() - bytes0,
+			Allocs:        samples[1].Value.Uint64() - objs0,
+			HeapPeakBytes: max(peak, samples[2].Value.Uint64()),
+		}
+	}
 }
 
 // poolStats mirrors sim.WorkStats for JSON consumers.

@@ -97,22 +97,40 @@ type stateTable struct {
 // stateSliceOverhead approximates per-state slice bookkeeping.
 const stateSliceOverhead = 24
 
-func newStateTable(h *hashlib.Func, agg engine.Aggregator, mapCombined bool) *stateTable {
+// tableSlots is every state table's initial slot count. Iteration is slot
+// order, and a map task's chunk contents are its tables' iteration order, so
+// a table that is reused where a fresh one used to be built must come back
+// at this capacity and grow through the same doublings (restart), or a
+// re-executed map attempt stops matching the attempt it replaces.
+const tableSlots = 64
+
+// newStateTable returns an empty table whose keys live in arena. Tables of
+// one task share an arena; the arena's owner resets it, never the table.
+func newStateTable(h *hashlib.Func, arena *memtable.Arena, agg engine.Aggregator, mapCombined bool) *stateTable {
 	return &stateTable{
-		tbl:     memtable.NewTable(h, memtable.NewArena(0), 64),
+		tbl:     memtable.NewTable(h, arena, tableSlots),
 		agg:     agg,
 		mapComb: mapCombined,
 	}
 }
 
-// reset empties the table for reuse: slots and arena slabs are recycled in
-// place, so a table that is flushed and refilled (the map-side combine
-// cycle) stops allocating once it reaches steady state.
+// reset empties the table for a refill at its grown capacity (the map-side
+// combine cycle): slots are cleared in place, so a table that is flushed
+// and refilled stops allocating once it reaches steady state.
 func (st *stateTable) reset() {
 	st.tbl.Reset()
-	for i := range st.states {
-		st.states[i] = nil
-	}
+	st.dropStates()
+}
+
+// restart empties the table back to what newStateTable returns — tableSlots
+// empty slots — for reuse where a fresh table used to be built.
+func (st *stateTable) restart() {
+	st.tbl.Restart()
+	st.dropStates()
+}
+
+func (st *stateTable) dropStates() {
+	clear(st.states)
 	st.states = st.states[:0]
 	st.stateBytes = 0
 	st.keyBytes = 0

@@ -8,6 +8,7 @@ import (
 
 	"onepass/internal/engine"
 	"onepass/internal/hashlib"
+	"onepass/internal/memtable"
 	"onepass/internal/workloads"
 )
 
@@ -94,7 +95,7 @@ func TestJobAggregatorSelection(t *testing.T) {
 
 func newTestStateTable(mapComb bool) *stateTable {
 	agg := engine.Aggregator(workloads.CountAgg{})
-	return newStateTable(hashlib.NewAt(1, 0), agg, mapComb)
+	return newStateTable(hashlib.NewAt(1, 0), memtable.NewArena(0), agg, mapComb)
 }
 
 func TestStateTableFoldRawValues(t *testing.T) {

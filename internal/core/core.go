@@ -10,6 +10,7 @@ import (
 	"onepass/internal/hadoop"
 	"onepass/internal/hashlib"
 	"onepass/internal/kv"
+	"onepass/internal/memtable"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
 )
@@ -211,6 +212,11 @@ type reduceCtx struct {
 	// hashAt returns the hash function for recursion level l (level 0 is
 	// the in-memory grouping hash).
 	hashAt func(l int) *hashlib.Func
+	// external holds the external-hash pass's state tables, indexed by the
+	// hash level they group on. The recursion is depth-first and a table is
+	// drained before anything deeper starts, so one per level serves every
+	// bucket of every spill set at that level.
+	external []externalTable
 	// pending is the in-flight pooled fold, if any. The push and pull
 	// arrival paths share the single-threaded reducer state, so any access
 	// to that state must join first.
@@ -233,6 +239,30 @@ func newReduceCtx(rt *engine.Runtime, job *engine.Job, costs engine.CostModel,
 			return f
 		},
 	}
+}
+
+// externalTable is one recursion level's state table and the arena its keys
+// live in.
+type externalTable struct {
+	st    *stateTable
+	arena *memtable.Arena
+}
+
+// externalTable returns the empty state table for hash level l: built on
+// first use, restarted (tableSlots slots, recycled arena) afterwards.
+func (rc *reduceCtx) externalTable(l int) *stateTable {
+	for len(rc.external) <= l {
+		rc.external = append(rc.external, externalTable{})
+	}
+	e := &rc.external[l]
+	if e.st == nil {
+		e.arena = memtable.NewArena(0)
+		e.st = newStateTable(rc.hashAt(l), e.arena, rc.agg, rc.mapComb)
+		return e.st
+	}
+	e.st.restart()
+	e.arena.Reset()
+	return e.st
 }
 
 // join waits out any in-flight pooled fold. Both arrival paths (push and

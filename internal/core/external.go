@@ -14,8 +14,8 @@ import (
 // spillSet is the on-disk side of all three hash techniques: K bucket files
 // of tagged (key, payload) entries, written through small write-behind
 // buffers, and an external-hash processor that loads one bucket at a time
-// into a fresh state table, recursively splitting any bucket that does not
-// fit the memory budget (classic Hybrid Hash / Grace recursion).
+// into a state table, recursively splitting any bucket that does not fit
+// the memory budget (classic Hybrid Hash / Grace recursion).
 type spillSet struct {
 	rc     *reduceCtx
 	level  int
@@ -50,10 +50,7 @@ func (ss *spillSet) bucketOf(key []byte) int {
 
 // add spills one tagged entry into bucket b.
 func (ss *spillSet) add(p *sim.Proc, b int, key, payload []byte, f form) {
-	entry := make([]byte, 0, len(payload)+1)
-	entry = append(entry, byte(f))
-	entry = append(entry, payload...)
-	ss.bufs[b] = kv.AppendPair(ss.bufs[b], key, entry)
+	ss.bufs[b] = kv.AppendTaggedPair(ss.bufs[b], key, byte(f), payload)
 	if len(ss.bufs[b]) >= spillBufSize {
 		ss.flushBucket(p, b)
 	}
@@ -69,8 +66,8 @@ func (ss *spillSet) flushBucket(p *sim.Proc, b int) {
 	}
 	n := int64(len(ss.bufs[b]))
 	ss.rc.node.Compute(p, engine.Dur(float64(n), ss.rc.costs.SerializeNsPerByte), engine.PhaseHash)
-	store.Append(p, ss.files[b], ss.bufs[b])
-	ss.bufs[b] = nil
+	store.Append(p, ss.files[b], ss.bufs[b]) // copies: the buffer refills in place
+	ss.bufs[b] = ss.bufs[b][:0]
 	ss.Bytes += n
 	ss.rc.rt.Counters.Add(engine.CtrReduceSpillBytes, float64(n))
 	if ss.rc.rt.Auditing() {
@@ -105,11 +102,11 @@ type entry struct {
 	f       form
 }
 
-// processBucket loads bucket b plus the given in-memory entries into a
-// fresh state table at the next hash level and calls final for every key.
-// If the table outgrows the budget mid-load, the remainder (and the table)
-// divert into a child spill set one level down, which is then processed
-// recursively.
+// processBucket loads bucket b plus the given in-memory entries into the
+// reducer's state table for the next hash level — restarted, so it behaves
+// as a freshly built one — and calls final for every key. If the table
+// outgrows the budget mid-load, the remainder (and the table) divert into a
+// child spill set one level down, which is then processed recursively.
 func (ss *spillSet) processBucket(p *sim.Proc, b int, extra []entry, final func(key, state []byte)) {
 	ss.flushBucket(p, b)
 	if ss.rc.rt.Tracing() {
@@ -117,18 +114,19 @@ func (ss *spillSet) processBucket(p *sim.Proc, b int, extra []entry, final func(
 			trace.Num("bucket", float64(b)), trace.Num("level", float64(ss.level)))
 	}
 	nextLevel := ss.level + 1
-	st := newStateTable(ss.rc.hashAt(nextLevel), ss.rc.agg, ss.rc.mapComb)
+	st := ss.rc.externalTable(nextLevel)
 
 	var child *spillSet
 	divert := func(key, payload []byte, f form) {
 		if child == nil {
 			child = newSpillSet(ss.rc, nextLevel, fmt.Sprintf("%s/b%02d", ss.prefix, b))
-			// The resident table moves down with everything else.
+			// The resident table moves down with everything else, which
+			// leaves it free for this set's next bucket once the children
+			// (on the tables of deeper levels) are done.
 			st.iterate(func(k, s []byte) bool {
 				child.add(p, child.bucketOf(k), k, s, formState)
 				return true
 			})
-			st = nil
 		}
 		child.add(p, child.bucketOf(key), key, payload, f)
 	}
@@ -179,14 +177,6 @@ func (ss *spillSet) processBucket(p *sim.Proc, b int, extra []entry, final func(
 		ss.files[b] = nil
 	}
 	if child != nil {
-		// The resident table went down into the child when it was created
-		// ... except entries folded before `over` flipped. Move them now.
-		if st != nil {
-			st.iterate(func(k, s []byte) bool {
-				child.add(p, child.bucketOf(k), k, s, formState)
-				return true
-			})
-		}
 		for cb := 0; cb < ss.rc.opts.SpillBuckets; cb++ {
 			if child.hasData(cb) {
 				child.processBucket(p, cb, nil, final)

@@ -9,6 +9,7 @@ import (
 	"onepass/internal/engine"
 	"onepass/internal/hashlib"
 	"onepass/internal/kv"
+	"onepass/internal/memtable"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
 )
@@ -25,25 +26,15 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 	channels []*engine.PushChannel, reg *engine.Registry, opts *Options,
 	agg engine.Aggregator, mapCombined bool) {
 
-	chunks := buildMapChunks(rt, p, node, job, costs, b, partition, opts, agg, mapCombined)
+	frame := buildMapChunks(rt, p, node, job, costs, b, partition, opts, agg, mapCombined)
 	R := job.Reducers
 	// Persist the map output for fault tolerance as one indexed file
-	// (charging the synchronous write), then push.
+	// (charging the synchronous write), then push. The file adopts the frame
+	// and the pushed chunks alias it: one copy of the output serves both.
 	store := node.ScratchStore()
 	out := engine.NewMapOutput(p, store,
 		fmt.Sprintf("%s/hashmap-%05d/file.out", job.Name, b.Index),
-		b.Index, node.ID, R,
-		func(r int) []byte {
-			total := 0
-			for _, c := range chunks[r] {
-				total += len(c)
-			}
-			enc := make([]byte, 0, total)
-			for _, c := range chunks[r] {
-				enc = append(enc, c...)
-			}
-			return enc
-		})
+		b.Index, node.ID, frame.Data, frame.PartLen)
 	outBytes := out.File.Size()
 	node.Compute(p, engine.Dur(float64(outBytes), costs.SerializeNsPerByte), engine.PhaseMapFn)
 	rt.Counters.Add(engine.CtrMapWrittenBytes, float64(outBytes))
@@ -67,32 +58,35 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 		return
 	}
 	// Eager push with a non-blocking fallback: the moment a reducer's queue
-	// refuses a chunk, the rest of that partition is staged as a "leftover"
-	// file the reducer pulls later. The mapper never stalls — unlike HOP's
-	// adaptive wait, the hash engine's push is best-effort because the
-	// persisted copy already guarantees delivery.
+	// refuses a chunk, the rest of that partition — a contiguous tail of the
+	// frame — is staged as a "leftover" file the reducer pulls later. The
+	// mapper never stalls — unlike HOP's adaptive wait, the hash engine's
+	// push is best-effort because the persisted copy already guarantees
+	// delivery.
 	out.Leftover = make([]*disk.File, R)
+	chunks := make([][][]byte, R)
+	for _, c := range frame.Chunks {
+		chunks[c.Part] = append(chunks[c.Part], c.Data)
+	}
 	for r := 0; r < R; r++ {
 		toNode := rt.ReducerNode(r).ID
-		var leftover []byte
-		for i, c := range chunks[r] {
-			if leftover == nil && channels[r].TryPush(p, node.ID, toNode, b.Index, i, c) {
-				// Delivered counts gate what a re-execution regenerates: a
-				// recovered output serves only the undelivered tail.
-				out.Delivered[r] = i + 1
-				continue
+		// Delivered counts gate what a re-execution regenerates: a recovered
+		// output serves only the undelivered tail.
+		sent := int64(0)
+		for _, c := range chunks[r] {
+			if !channels[r].TryPush(p, node.ID, toNode, b.Index, out.Delivered[r], c) {
+				break
 			}
-			if leftover == nil {
-				leftover = make([]byte, 0, int64(len(chunks[r])-i)*opts.ChunkBytes)
-			}
-			leftover = append(leftover, c...)
+			out.Delivered[r]++
+			sent += int64(len(c))
 		}
-		if leftover == nil {
+		if out.Delivered[r] == len(chunks[r]) {
 			out.Pushed[r] = true
 			continue
 		}
+		leftover := frame.Data[out.PartOff[r]+sent : out.PartOff[r]+out.PartLen[r]]
 		lf := store.Create(fmt.Sprintf("%s/hashmap-%05d/leftover-%05d", job.Name, b.Index, r), false)
-		store.Append(p, lf, leftover)
+		store.Put(p, lf, leftover)
 		rt.Counters.Add(engine.CtrMapSpillBytes, float64(len(leftover)))
 		if rt.Auditing() {
 			// The staged tail reaches its reducer through a pull fetch, so it
@@ -112,44 +106,17 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 	out.ReleaseFile()
 }
 
-// buildMapChunks runs the map-side data path and returns the per-partition
-// chunk lists. It is deterministic in the block and options, so a recovery
-// attempt on another node reproduces the exact chunk boundaries and
-// contents of the lost attempt.
+// buildMapChunks runs the map-side data path and returns the task's output
+// as a packed partition frame. It is deterministic in the block and options,
+// so a recovery attempt on another node reproduces the exact chunk
+// boundaries and contents of the lost attempt.
 func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
 	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner, opts *Options,
-	agg engine.Aggregator, mapCombined bool) [][][]byte {
-
-	R := job.Reducers
-	chunks := make([][][]byte, R) // per partition: encoded chunks <= ChunkBytes
-	cur := make([][]byte, R)
-	auditing := rt.Auditing()
-	var finalPairBytes int64
-	// The plain partitioning scan copies the whole record stream through, so
-	// nearly every chunk fills to ChunkBytes and exact sizing avoids the
-	// doubling reallocations; combined output is usually far below one chunk
-	// per partition, so it keeps plain append growth.
-	var chunkPrealloc int64
-	if !mapCombined {
-		chunkPrealloc = opts.ChunkBytes + 1<<10
-	}
-	addPair := func(r int, key, val []byte) {
-		if auditing {
-			finalPairBytes += int64(len(key) + len(val))
-		}
-		if cur[r] == nil && chunkPrealloc > 0 {
-			cur[r] = make([]byte, 0, chunkPrealloc)
-		}
-		cur[r] = kv.AppendPair(cur[r], key, val)
-		if int64(len(cur[r])) >= opts.ChunkBytes {
-			chunks[r] = append(chunks[r], cur[r])
-			cur[r] = nil
-		}
-	}
+	agg engine.Aggregator, mapCombined bool) *kv.PartitionFrame {
 
 	// Everything the chunk-building walk needs from the runtime is resolved
-	// before dispatch: the walk itself (hash folds, flush sweeps, chunk
-	// sealing) is pure data work, so it rides inside the map task's pooled
+	// before dispatch: the walk itself (hash folds, flush sweeps, frame
+	// packing) is pure data work, so it rides inside the map task's pooled
 	// closure and overlaps the parse charge. The CPU charges and the
 	// CombineFlush trace events land after the join.
 	tj := rt.TaskJob(job)
@@ -157,56 +124,22 @@ func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *en
 	if tj != job {
 		tAgg, _ = jobAggregator(tj)
 	}
+	R := job.Reducers
 	grouping := rt.TaskMemory(job)
 	var n int
 	var flushCounts []int
+	var frame *kv.PartitionFrame
+	var finalPairBytes int64
 	buf, err := rt.ExecuteMapWith(p, node, tj, b, partition, func(buf *kv.Buffer) {
+		// Option (1), no combiner: the frame's single partitioning scan, no
+		// grouping at all. Option (2): the same scan over the combined pairs.
+		out := buf
 		if mapCombined {
-			// Map-side hash aggregation: real hash tables, real states.
-			tables := make([]*stateTable, R)
-			for r := range tables {
-				tables[r] = newStateTable(hashAtShared(1), tAgg, false)
-			}
-			used := func() int64 {
-				var t int64
-				for _, tb := range tables {
-					t += tb.usedBytes()
-				}
-				return t
-			}
-			flushTables := func() {
-				flushed := 0
-				for r, tb := range tables {
-					tb.iterate(func(k, s []byte) bool {
-						addPair(r, k, s)
-						flushed++
-						return true
-					})
-					tb.reset()
-				}
-				flushCounts = append(flushCounts, flushed)
-			}
 			n = buf.Len()
-			for i := 0; i < n; i++ {
-				r := buf.Partition(i)
-				tables[r].fold(buf.Key(i), buf.Val(i), formIncoming)
-				if i%1024 == 1023 && used() > grouping {
-					flushTables()
-				}
-			}
-			flushTables()
-		} else {
-			// Option (1): single partitioning scan, no grouping at all.
-			for i := 0; i < buf.Len(); i++ {
-				addPair(buf.Partition(i), buf.Key(i), buf.Val(i))
-			}
+			out, flushCounts = combineMapOutput(buf, R, tAgg, grouping)
 		}
-		for r := 0; r < R; r++ {
-			if len(cur[r]) > 0 {
-				chunks[r] = append(chunks[r], cur[r])
-				cur[r] = nil
-			}
-		}
+		finalPairBytes = out.Bytes()
+		frame = kv.PackPartitions(out, R, opts.ChunkBytes)
 	})
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
@@ -222,14 +155,58 @@ func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *en
 			}
 		}
 	}
-	if auditing {
+	if rt.Auditing() {
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		if mapCombined {
 			rt.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
 		}
 	}
-	rt.ReleaseBuffer(buf) // every chunk is an encoded copy
-	return chunks
+	rt.ReleaseBuffer(buf) // the frame is an encoded copy
+	return frame
+}
+
+// combineMapOutput is map-side hash aggregation: real hash tables, real
+// states, one table per partition on one task-scoped arena. It folds buf's
+// pairs and returns the (key, state) pairs the tables flushed — whenever
+// they outgrew the grouping budget, and at the end — with each flush's
+// state count. Hybrid hash thus degrades to streaming flushes rather than
+// failing when the block's key set does not fit.
+func combineMapOutput(buf *kv.Buffer, R int, agg engine.Aggregator, grouping int64) (*kv.Buffer, []int) {
+	arena := memtable.NewArena(0)
+	tables := make([]*stateTable, R)
+	for r := range tables {
+		tables[r] = newStateTable(hashAtShared(1), arena, agg, false)
+	}
+	used := func() int64 {
+		var t int64
+		for _, tb := range tables {
+			t += tb.usedBytes()
+		}
+		return t
+	}
+	out := kv.NewBuffer(0)
+	var flushCounts []int
+	flushTables := func() {
+		flushed := 0
+		for r, tb := range tables {
+			tb.iterate(func(k, s []byte) bool {
+				out.Add(r, k, s)
+				flushed++
+				return true
+			})
+			tb.reset()
+		}
+		arena.Reset()
+		flushCounts = append(flushCounts, flushed)
+	}
+	for i, n := 0, buf.Len(); i < n; i++ {
+		tables[buf.Partition(i)].fold(buf.Key(i), buf.Val(i), formIncoming)
+		if i%1024 == 1023 && used() > grouping {
+			flushTables()
+		}
+	}
+	flushTables()
+	return out, flushCounts
 }
 
 // reexecMapOutput re-runs a lost map task's data path on node and builds a
@@ -240,28 +217,30 @@ func reexecMapOutput(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *e
 	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner, opts *Options,
 	agg engine.Aggregator, mapCombined bool, lost *engine.MapOutput) *engine.MapOutput {
 
-	chunks := buildMapChunks(rt, p, node, job, costs, b, partition, opts, agg, mapCombined)
+	frame := buildMapChunks(rt, p, node, job, costs, b, partition, opts, agg, mapCombined)
+	// Each partition's delivered chunks are a prefix of its run in the frame;
+	// the recovered file is the remaining tails, packed.
+	skip := make([]int64, job.Reducers)
+	for _, c := range frame.Chunks {
+		if lost.WasPushed(c.Part) || c.Seq < lost.Delivered[c.Part] {
+			skip[c.Part] += int64(len(c.Data))
+		}
+	}
+	partLen := make([]int64, job.Reducers)
+	var total int64
+	for r := range partLen {
+		partLen[r] = frame.PartLen[r] - skip[r]
+		total += partLen[r]
+	}
+	tails := make([]byte, 0, total)
+	var off int64
+	for r := range partLen {
+		tails = append(tails, frame.Data[off+skip[r]:off+frame.PartLen[r]]...)
+		off += frame.PartLen[r]
+	}
 	fresh := engine.NewMapOutput(p, node.ScratchStore(),
 		fmt.Sprintf("%s/hashmap-%05d/reexec", job.Name, lost.TaskID),
-		lost.TaskID, node.ID, job.Reducers,
-		func(r int) []byte {
-			if lost.WasPushed(r) {
-				return nil
-			}
-			skip := lost.Delivered[r]
-			if skip > len(chunks[r]) {
-				skip = len(chunks[r])
-			}
-			total := 0
-			for _, c := range chunks[r][skip:] {
-				total += len(c)
-			}
-			enc := make([]byte, 0, total)
-			for _, c := range chunks[r][skip:] {
-				enc = append(enc, c...)
-			}
-			return enc
-		})
+		lost.TaskID, node.ID, tails, partLen)
 	node.Compute(p, engine.Dur(float64(fresh.File.Size()), costs.SerializeNsPerByte), engine.PhaseMapFn)
 	// Chunks delivered before the failure stay delivered; the pull fetch of
 	// the recovered partition covers exactly the rest.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"onepass/internal/kv"
+	"onepass/internal/memtable"
 	"onepass/internal/sim"
 	"onepass/internal/sketch"
 	"onepass/internal/trace"
@@ -28,8 +29,12 @@ func newHybridReducer(rc *reduceCtx) *hybridReducer {
 		tables: make([]*stateTable, rc.opts.SpillBuckets),
 		spill:  newSpillSet(rc, 0, fmt.Sprintf("%s/red-%04d/hybrid", rc.job.Name, rc.r)),
 	}
+	// The bucket tables share one arena; a demoted bucket's key bytes stay
+	// in it until the reducer finishes (budgets read live bytes, not arena
+	// footprint).
+	arena := memtable.NewArena(0)
 	for b := range h.tables {
-		h.tables[b] = newStateTable(rc.hashAt(1), rc.agg, rc.mapComb)
+		h.tables[b] = newStateTable(rc.hashAt(1), arena, rc.agg, rc.mapComb)
 	}
 	return h
 }
@@ -141,7 +146,7 @@ type incReducer struct {
 func newIncReducer(rc *reduceCtx) *incReducer {
 	return &incReducer{
 		rc:    rc,
-		st:    newStateTable(rc.hashAt(1), rc.agg, rc.mapComb),
+		st:    newStateTable(rc.hashAt(1), memtable.NewArena(0), rc.agg, rc.mapComb),
 		spill: newSpillSet(rc, 0, fmt.Sprintf("%s/red-%04d/inc", rc.job.Name, rc.r)),
 	}
 }
@@ -281,7 +286,7 @@ type hotReducer struct {
 func newHotReducer(rc *reduceCtx) *hotReducer {
 	return &hotReducer{
 		rc:    rc,
-		st:    newStateTable(rc.hashAt(1), rc.agg, rc.mapComb),
+		st:    newStateTable(rc.hashAt(1), memtable.NewArena(0), rc.agg, rc.mapComb),
 		sk:    sketch.NewSpaceSaving(rc.opts.HotKeyCounters),
 		spill: newSpillSet(rc, 0, fmt.Sprintf("%s/red-%04d/hot", rc.job.Name, rc.r)),
 	}

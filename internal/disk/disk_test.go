@@ -128,6 +128,46 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+func TestStorePutAdoptsAtAppendCharge(t *testing.T) {
+	// Put must cost exactly what Append costs and hand back the caller's own
+	// bytes, with capacity clipped so a later Append cannot grow into the
+	// slab the slice was cut from.
+	slab := []byte("frame-bytes|neighbour")
+	data := slab[:11]
+	elapsed := func(write func(s *Store, p *sim.Proc, f *File)) (sim.Time, *File) {
+		env := sim.New()
+		s := NewStore(NewDevice(env, "d0", HDD))
+		var f *File
+		env.Go("w", func(p *sim.Proc) {
+			f = s.Create("out", false)
+			write(s, p, f)
+		})
+		env.Run()
+		return env.Now(), f
+	}
+	tAppend, _ := elapsed(func(s *Store, p *sim.Proc, f *File) { s.Append(p, f, data) })
+	tPut, f := elapsed(func(s *Store, p *sim.Proc, f *File) {
+		s.Put(p, f, data)
+		if &f.Data()[0] != &slab[0] {
+			t.Error("Put copied the slice instead of adopting it")
+		}
+		s.Append(p, f, []byte("+tail"))
+	})
+	tBoth, _ := elapsed(func(s *Store, p *sim.Proc, f *File) {
+		s.Append(p, f, data)
+		s.Append(p, f, []byte("+tail"))
+	})
+	if tPut != tBoth || tAppend >= tBoth {
+		t.Fatalf("Put+Append took %v, Append+Append %v (one Append %v)", tPut, tBoth, tAppend)
+	}
+	if string(f.Data()) != "frame-bytes+tail" || f.Size() != 16 {
+		t.Fatalf("file = %q (%d bytes)", f.Data(), f.Size())
+	}
+	if string(slab) != "frame-bytes|neighbour" {
+		t.Fatalf("Append after Put wrote through into the caller's slab: %q", slab)
+	}
+}
+
 func TestStoreOpenMissing(t *testing.T) {
 	s := NewStore(NewDevice(sim.New(), "d", HDD))
 	if _, err := s.Open("nope"); err == nil {

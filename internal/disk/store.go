@@ -62,6 +62,23 @@ func (s *Store) Append(p *sim.Proc, f *File, data []byte) {
 	}
 }
 
+// Put writes data as the whole contents of the still-empty file f at the
+// same device charge as Append, but adopts the slice instead of copying it:
+// the caller built data for this file (or shares it read-only, as the hash
+// engine's push chunks share their map-output frame) and nobody may write
+// through it afterwards. Capacity is clipped, so a later Append reallocates
+// rather than growing into the caller's backing array.
+func (s *Store) Put(p *sim.Proc, f *File, data []byte) {
+	if f.size != 0 {
+		panic(fmt.Sprintf("disk: Put on non-empty file %q", f.name))
+	}
+	s.dev.Write(p, int64(len(data)), true)
+	f.size = int64(len(data))
+	if !f.discard {
+		f.data = data[:len(data):len(data)]
+	}
+}
+
 // AppendSize accounts a write of n bytes of already-stored data (used when
 // the caller assembled the file contents itself via AppendNoIO and wants a
 // single accounted flush).

@@ -60,9 +60,13 @@ func TestMapOutputSingleFileIndex(t *testing.T) {
 	rt := testRuntime(2)
 	rt.Env.Go("w", func(p *sim.Proc) {
 		store := rt.Cluster.Node(0).ScratchStore()
-		out := NewMapOutput(p, store, "job/map-0/file.out", 0, 0, 3, func(r int) []byte {
-			return bytes.Repeat([]byte{byte('a' + r)}, (r+1)*10)
-		})
+		var data []byte
+		partLen := make([]int64, 3)
+		for r := range partLen {
+			partLen[r] = int64(r+1) * 10
+			data = append(data, bytes.Repeat([]byte{byte('a' + r)}, (r+1)*10)...)
+		}
+		out := NewMapOutput(p, store, "job/map-0/file.out", 0, 0, data, partLen)
 		if out.Parts() != 3 {
 			t.Errorf("parts = %d", out.Parts())
 		}
@@ -110,9 +114,7 @@ func TestRegistryPullFlow(t *testing.T) {
 		rt.Env.Go(fmt.Sprintf("mapper%d", i), func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i+1) * sim.Second)
 			store := rt.Cluster.Node(i).ScratchStore()
-			out := NewMapOutput(p, store, fmt.Sprintf("m%d", i), i, i, 1, func(int) []byte {
-				return []byte{byte('0' + i)}
-			})
+			out := NewMapOutput(p, store, fmt.Sprintf("m%d", i), i, i, []byte{byte('0' + i)}, []int64{1})
 			reg.Complete(out)
 		})
 	}
@@ -132,9 +134,7 @@ func TestRegistryFreshWindowSkipsSourceDisk(t *testing.T) {
 		reg := rt.NewRegistry(1)
 		rt.Env.Go("mapper", func(p *sim.Proc) {
 			store := rt.Cluster.Node(0).ScratchStore()
-			out := NewMapOutput(p, store, "m0", 0, 0, 1, func(int) []byte {
-				return make([]byte, 100<<10)
-			})
+			out := NewMapOutput(p, store, "m0", 0, 0, make([]byte, 100<<10), []int64{100 << 10})
 			reg.Complete(out)
 		})
 		rt.Env.Go("reducer", func(p *sim.Proc) {
@@ -161,13 +161,13 @@ func TestFetchPartRetriesWhenSourceDiesMidTransfer(t *testing.T) {
 	payload := bytes.Repeat([]byte{'x'}, 4<<20) // ~30ms transfer: room to die mid-flight
 	reg.Reexec = func(p *sim.Proc, readerNode int, lost *MapOutput) *MapOutput {
 		node := rt.Cluster.Node(2)
-		return NewMapOutput(p, node.ScratchStore(), "m0/reexec", lost.TaskID, node.ID, 1,
-			func(int) []byte { return payload })
+		return NewMapOutput(p, node.ScratchStore(), "m0/reexec", lost.TaskID, node.ID,
+			payload, []int64{int64(len(payload))})
 	}
 	var fetched []byte
 	rt.Env.Go("mapper", func(p *sim.Proc) {
 		store := rt.Cluster.Node(0).ScratchStore()
-		out := NewMapOutput(p, store, "m0", 0, 0, 1, func(int) []byte { return payload })
+		out := NewMapOutput(p, store, "m0", 0, 0, payload, []int64{int64(len(payload))})
 		reg.Complete(out)
 	})
 	rt.Env.Go("reducer", func(p *sim.Proc) {

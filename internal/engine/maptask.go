@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
@@ -127,13 +128,11 @@ func CombineSorted(job *Job, buf, out *kv.Buffer) int {
 func (rt *Runtime) WriteMapOutput(p *sim.Proc, node *cluster.Node, job *Job, taskID int, buf *kv.Buffer) *MapOutput {
 	writeStart := p.Now()
 	costs := job.Costs.merged()
+	// One chunk per partition: only the frame's layout is wanted here.
+	frame := kv.PackPartitions(buf, job.Reducers, math.MaxInt64)
 	out := NewMapOutput(p, node.ScratchStore(),
 		fmt.Sprintf("%s/map-%05d/file.out", job.Name, taskID),
-		taskID, node.ID, job.Reducers,
-		func(r int) []byte {
-			lo, hi := buf.PartitionRange(r)
-			return buf.EncodeRange(lo, hi)
-		})
+		taskID, node.ID, frame.Data, frame.PartLen)
 	total := out.File.Size()
 	node.Compute(p, Dur(float64(total), costs.SerializeNsPerByte), PhaseMapFn)
 	rt.Counters.Add(CtrMapWrittenBytes, float64(total))

@@ -42,33 +42,27 @@ type MapOutput struct {
 	consumed int
 }
 
-// NewMapOutput writes buf's partitions (already grouped by partition) as
-// one file on node's scratch store and returns the indexed output.
+// NewMapOutput persists data — the task's partitions laid out back to back,
+// partLen[r] bytes each (a kv.PartitionFrame's Data and PartLen) — as one
+// indexed file on node's scratch store. The file adopts data rather than
+// copying it, so the caller must not write through the slice afterwards.
 // Callers charge serialization CPU themselves.
-func NewMapOutput(p *sim.Proc, store *disk.Store, name string, taskID, node, parts int,
-	encoded func(part int) []byte) *MapOutput {
+func NewMapOutput(p *sim.Proc, store *disk.Store, name string, taskID, node int,
+	data []byte, partLen []int64) *MapOutput {
+	parts := len(partLen)
 	out := &MapOutput{
 		TaskID: taskID, Node: node, Store: store,
-		PartOff: make([]int64, parts), PartLen: make([]int64, parts),
+		PartOff: make([]int64, parts), PartLen: partLen,
 		Pushed: make([]bool, parts), Delivered: make([]int, parts),
 	}
-	// Collect the partitions first so the concatenated file is allocated at
-	// its exact size instead of doubling up to it.
-	encs := make([][]byte, parts)
-	total := 0
-	for r := 0; r < parts; r++ {
-		encs[r] = encoded(r)
-		total += len(encs[r])
-	}
-	all := make([]byte, 0, total)
-	for r := 0; r < parts; r++ {
-		out.PartOff[r] = int64(len(all))
-		out.PartLen[r] = int64(len(encs[r]))
-		all = append(all, encs[r]...)
+	var off int64
+	for r, n := range partLen {
+		out.PartOff[r] = off
+		off += n
 	}
 	out.File = store.Create(name, false)
-	if len(all) > 0 {
-		store.Append(p, out.File, all)
+	if len(data) > 0 {
+		store.Put(p, out.File, data)
 	}
 	return out
 }

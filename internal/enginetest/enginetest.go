@@ -5,11 +5,14 @@
 package enginetest
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
 	"onepass/internal/engine"
+	"onepass/internal/faults"
 	"onepass/internal/sim"
 	"onepass/internal/workloads"
 )
@@ -102,5 +105,67 @@ func (f *Fixture) CheckOutput(t *testing.T, w *workloads.Workload, res *engine.R
 		if bad > 5 {
 			t.Fatal("too many mismatches")
 		}
+	}
+}
+
+// CheckFaultedMatchesClean runs the workload clean, then again on a fresh
+// fixture with the invariant audits armed and node 1 failing a quarter of
+// the way through the clean makespan — mid-map, with outputs already
+// completed on it. The faulted run must re-execute at least one map task,
+// keep every conservation ledger balanced, and produce the reference output
+// under the clean run's checksum. mk must build a fresh workload per call.
+func CheckFaultedMatchesClean(t *testing.T, mk func() *workloads.Workload, cfg Config,
+	run func(f *Fixture, sched faults.Schedule) (*engine.Result, error)) {
+	t.Helper()
+	clean, err := run(New(t, mk(), cfg), faults.Schedule{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := faults.Parse(fmt.Sprintf("fail@%.4fs:n1", clean.Makespan.Seconds()/4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := mk()
+	f := New(t, w, cfg)
+	f.RT.Audit = engine.NewAudit()
+	faulted, err := run(f, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.CheckOutput(t, w, faulted)
+	if faulted.Counters.Get(engine.CtrTasksReexecuted) == 0 {
+		t.Fatal("the fault landed on no completed map output: nothing was re-executed")
+	}
+	if faulted.OutputChecksum != clean.OutputChecksum {
+		t.Fatalf("faulted checksum %x, clean %x", faulted.OutputChecksum, clean.OutputChecksum)
+	}
+	if len(faulted.AuditFailures) > 0 {
+		t.Fatalf("audit:\n%s", engine.FormatAuditFailures(faulted.AuditFailures))
+	}
+}
+
+// CheckAllocationProportional runs the workload once (output discarded)
+// and fails if the run allocated more than bound times its input plus
+// map-output bytes — the regression where a buffer is sized to an option's
+// default instead of to the data in hand, which no throughput benchmark over
+// chunk-filling blocks can see.
+func CheckAllocationProportional(t *testing.T, w *workloads.Workload, cfg Config, bound float64,
+	run func(f *Fixture) (*engine.Result, error)) {
+	t.Helper()
+	f := New(t, w, cfg)
+	f.Job.RetainOutput = false
+	f.Job.DiscardOutput = true
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := run(f)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := res.Counters.Get(engine.CtrMapInputBytes) + res.Counters.Get(engine.CtrMapOutputBytes)
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("allocated %.0f bytes for %.0f bytes of input + map output: %.1fx", alloc, data, alloc/data)
+	if alloc > bound*data {
+		t.Fatalf("allocated %.1fx the input + map-output bytes, bound %.0fx", alloc/data, bound)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"slices"
-	"sort"
 )
 
 // Buffer is the map-side output buffer: raw pair bytes in one flat array
@@ -181,27 +180,4 @@ func (b *Buffer) sortEntries(es []sortEntry, counter *int64) {
 	if counter != nil {
 		*counter += calls
 	}
-}
-
-// PartitionRange returns the index range [lo, hi) of pairs in partition p.
-// The buffer must already be sorted by partition (SortByPartitionKey).
-func (b *Buffer) PartitionRange(p int) (lo, hi int) {
-	lo = sort.Search(len(b.refs), func(i int) bool { return int(b.refs[i].part) >= p })
-	hi = sort.Search(len(b.refs), func(i int) bool { return int(b.refs[i].part) > p })
-	return lo, hi
-}
-
-// EncodeRange returns the encoded bytes of pairs [lo, hi), sized exactly up
-// front so the result carries no append-growth slack.
-func (b *Buffer) EncodeRange(lo, hi int) []byte {
-	size := 0
-	for i := lo; i < hi; i++ {
-		r := b.refs[i]
-		size += EncodedSize(b.data[r.off:r.off+r.klen], b.data[r.off+r.klen:r.off+r.klen+r.vlen])
-	}
-	out := make([]byte, 0, size)
-	for i := lo; i < hi; i++ {
-		out = AppendPair(out, b.Key(i), b.Val(i))
-	}
-	return out
 }

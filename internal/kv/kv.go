@@ -22,12 +22,22 @@ func AppendPair(dst, key, val []byte) []byte {
 	return dst
 }
 
+// AppendTaggedPair appends the encoding of (key, tag+payload) — a pair whose
+// value is payload behind a one-byte tag — without first materialising the
+// tagged value.
+func AppendTaggedPair(dst, key []byte, tag byte, payload []byte) []byte {
+	var hdr [2 * binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(key)))
+	n += binary.PutUvarint(hdr[n:], uint64(len(payload)+1))
+	dst = append(dst, hdr[:n]...)
+	dst = append(dst, key...)
+	dst = append(dst, tag)
+	return append(dst, payload...)
+}
+
 // EncodedSize returns the encoded size of (key, val).
 func EncodedSize(key, val []byte) int {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(key)))
-	n += binary.PutUvarint(hdr[:], uint64(len(val)))
-	return n + len(key) + len(val)
+	return uvarintLen(uint64(len(key))) + uvarintLen(uint64(len(val))) + len(key) + len(val)
 }
 
 // DecodePair decodes one pair from the front of buf. It returns n=0 when

@@ -45,6 +45,16 @@ func TestEncodedSizeMatches(t *testing.T) {
 	}
 }
 
+func TestAppendTaggedPairMatchesAppendPair(t *testing.T) {
+	for _, n := range []int{0, 1, 126, 127, 128, 300} {
+		key, payload := []byte("k"), bytes.Repeat([]byte("p"), n)
+		want := AppendPair([]byte("x"), key, append([]byte{7}, payload...))
+		if got := AppendTaggedPair([]byte("x"), key, 7, payload); !bytes.Equal(got, want) {
+			t.Fatalf("payload of %d bytes: got %q, want %q", n, got, want)
+		}
+	}
+}
+
 func TestDecodePairPartialInput(t *testing.T) {
 	var buf []byte
 	buf = AppendPair(buf, []byte("abcdef"), []byte("0123456789"))
@@ -122,35 +132,9 @@ func TestBufferSortStableForEqualKeys(t *testing.T) {
 	}
 }
 
-func TestBufferPartitionRange(t *testing.T) {
-	b := NewBuffer(0)
-	for i := 0; i < 10; i++ {
-		b.Add(i%3, []byte(fmt.Sprintf("k%d", i)), []byte("v"))
-	}
-	b.SortByPartitionKey(nil)
-	total := 0
-	for p := 0; p < 3; p++ {
-		lo, hi := b.PartitionRange(p)
-		for i := lo; i < hi; i++ {
-			if b.Partition(i) != p {
-				t.Fatalf("index %d in range of p%d has partition %d", i, p, b.Partition(i))
-			}
-		}
-		total += hi - lo
-	}
-	if total != 10 {
-		t.Fatalf("ranges cover %d pairs", total)
-	}
-	if lo, hi := b.PartitionRange(99); lo != hi {
-		t.Fatal("missing partition must have empty range")
-	}
-}
-
-func TestEncodeRangeAndSliceStream(t *testing.T) {
-	b := NewBuffer(0)
-	b.Add(0, []byte("a"), []byte("1"))
-	b.Add(0, []byte("b"), []byte("2"))
-	enc := b.EncodeRange(0, 2)
+func TestSliceStream(t *testing.T) {
+	enc := AppendPair(nil, []byte("a"), []byte("1"))
+	enc = AppendPair(enc, []byte("b"), []byte("2"))
 	s := NewSliceStream(enc)
 	k, v, ok := s.Peek()
 	if !ok || string(k) != "a" || string(v) != "1" {

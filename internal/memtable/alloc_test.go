@@ -20,20 +20,24 @@ func allocKeys(n int) [][]byte {
 }
 
 func TestAllocBudgetInsertResetCycle(t *testing.T) {
-	keys := allocKeys(128)
-	tb := NewTable(hashlib.NewFamily(1).New(), NewArena(0), 256)
-	fill := func() {
+	// 4096 keys take the arena through several geometric slabs and the
+	// table through several growths: after one warm-up cycle every slab size
+	// and the grown slot array must come back from Reset.
+	keys := allocKeys(4096)
+	arena := NewArena(0)
+	tb := NewTable(hashlib.NewFamily(1).New(), arena, 64)
+	cycle := func() {
 		for _, k := range keys {
 			tb.Add(k, 1)
 		}
-	}
-	fill() // warm-up allocates the slab and settles the slot array
-	tb.Reset()
-	avg := testing.AllocsPerRun(100, func() {
-		fill()
 		tb.Reset()
-	})
-	if avg != 0 {
+		arena.Reset()
+	}
+	cycle() // warm-up allocates the slabs and settles the slot array
+	if len(arena.free) < 3 {
+		t.Fatalf("warm-up left %d recycled slabs; the cycle no longer spans the geometric sizes", len(arena.free))
+	}
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
 		t.Fatalf("insert+reset cycle allocates %.1f/op, budget 0", avg)
 	}
 }

@@ -9,14 +9,20 @@ package memtable
 
 // Arena is a slab allocator. Allocations are never freed individually;
 // Reset recycles all slabs at once (the lifetime pattern of a task's
-// in-memory state).
+// in-memory state). Slabs start at minSlabSize and double up to the
+// arena's slab size, so an arena that ends up holding a few keys costs a few
+// kilobytes and one that holds a task's whole working set still amortizes
+// its slab overhead.
 type Arena struct {
 	slabSize int
+	next     int // size of the next slab to come from the host
 	slabs    [][]byte
 	cur      []byte
 	used     int64
-	// free holds standard-size slabs recycled by Reset, already zeroed so
-	// Alloc's zeroed-slice contract holds without touching them again.
+	// free is a stack of slabs recycled by Reset with the earliest-allocated
+	// (smallest) on top, so a refill walks the same sizes in the same order
+	// as the fill that created them. Recycled slabs are dirty: Alloc zeroes
+	// what it hands out, Copy overwrites it.
 	free [][]byte
 }
 
@@ -24,17 +30,34 @@ type Arena struct {
 // enough that a nearly-empty arena doesn't distort memory accounting.
 const DefaultSlabSize = 256 << 10
 
-// NewArena returns an arena with the given slab size (DefaultSlabSize if
-// slabSize <= 0).
+// minSlabSize is the first slab of a fresh arena.
+const minSlabSize = 4 << 10
+
+// NewArena returns an arena whose slabs grow up to slabSize
+// (DefaultSlabSize if slabSize <= 0).
 func NewArena(slabSize int) *Arena {
 	if slabSize <= 0 {
 		slabSize = DefaultSlabSize
 	}
-	return &Arena{slabSize: slabSize}
+	return &Arena{slabSize: slabSize, next: min(minSlabSize, slabSize)}
 }
 
 // Alloc returns a zeroed n-byte slice inside the arena.
 func (a *Arena) Alloc(n int) []byte {
+	out := a.grab(n)
+	clear(out)
+	return out
+}
+
+// Copy allocates and fills a copy of b.
+func (a *Arena) Copy(b []byte) []byte {
+	out := a.grab(len(b))
+	copy(out, b)
+	return out
+}
+
+// grab returns n bytes of arena memory with arbitrary contents.
+func (a *Arena) grab(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
@@ -45,13 +68,19 @@ func (a *Arena) Alloc(n int) []byte {
 		a.slabs = append(a.slabs, slab)
 		return slab
 	}
-	if len(a.cur) < n {
+	// A recycled slab too small for n is passed over but stays in slabs, so
+	// the next Reset puts it back where it was.
+	for len(a.cur) < n {
 		if k := len(a.free); k > 0 {
 			a.cur = a.free[k-1]
 			a.free[k-1] = nil
 			a.free = a.free[:k-1]
 		} else {
-			a.cur = make([]byte, a.slabSize)
+			for a.next < n {
+				a.next = min(2*a.next, a.slabSize)
+			}
+			a.cur = make([]byte, a.next)
+			a.next = min(2*a.next, a.slabSize)
 		}
 		a.slabs = append(a.slabs, a.cur)
 	}
@@ -60,20 +89,10 @@ func (a *Arena) Alloc(n int) []byte {
 	return out
 }
 
-// Copy allocates and fills a copy of b.
-func (a *Arena) Copy(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	out := a.Alloc(len(b))
-	copy(out, b)
-	return out
-}
-
 // Used returns total bytes handed out since the last Reset.
 func (a *Arena) Used() int64 { return a.used }
 
-// Footprint returns total bytes reserved from the host (slab capacity).
+// Footprint returns the capacity of the slabs in use since the last Reset.
 func (a *Arena) Footprint() int64 {
 	var t int64
 	for _, s := range a.slabs {
@@ -83,14 +102,12 @@ func (a *Arena) Footprint() int64 {
 }
 
 // Reset discards all allocations. Previously returned slices must no longer
-// be used. Standard-size slabs are zeroed and kept for reuse; oversized
-// dedicated slabs are released to the garbage collector.
+// be used. Every slab up to the arena's slab size is kept for reuse, as it
+// is — nothing is zeroed; oversized dedicated slabs are released to the
+// garbage collector.
 func (a *Arena) Reset() {
-	for i, s := range a.slabs {
-		if len(s) == a.slabSize {
-			for j := range s {
-				s[j] = 0
-			}
+	for i := len(a.slabs) - 1; i >= 0; i-- {
+		if s := a.slabs[i]; len(s) <= a.slabSize {
 			a.free = append(a.free, s)
 		}
 		a.slabs[i] = nil

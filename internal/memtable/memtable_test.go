@@ -3,6 +3,7 @@ package memtable
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,143 @@ func TestArenaReset(t *testing.T) {
 	a.Reset()
 	if a.Used() != 0 || a.Footprint() != 0 {
 		t.Fatal("reset must clear accounting")
+	}
+}
+
+func TestArenaSlabsGrowGeometrically(t *testing.T) {
+	// A near-empty arena must cost kilobytes, not a full slab, and a full
+	// one must still reach the standard slab size.
+	a := NewArena(0)
+	a.Copy([]byte("one key"))
+	if a.Footprint() != minSlabSize {
+		t.Fatalf("first slab is %d bytes, want %d", a.Footprint(), minSlabSize)
+	}
+	for a.Used() < 4*DefaultSlabSize {
+		a.Alloc(100)
+	}
+	sizes := map[int]int{}
+	for _, s := range a.slabs {
+		sizes[len(s)]++
+	}
+	for n := minSlabSize; n < DefaultSlabSize; n *= 2 {
+		if sizes[n] != 1 {
+			t.Fatalf("%d slabs of %d bytes, want exactly one on the way up: %v", sizes[n], n, sizes)
+		}
+	}
+	if sizes[DefaultSlabSize] < 2 || a.Footprint() > 2*a.Used() {
+		t.Fatalf("slabs %v hold %d bytes for %d used", sizes, a.Footprint(), a.Used())
+	}
+}
+
+func TestArenaResetRecyclesDirtySlabsInOrder(t *testing.T) {
+	a := NewArena(1 << 10) // slabs of 1 KB from the start
+	first := a.Alloc(600)
+	for i := range first {
+		first[i] = 0xEE
+	}
+	a.Alloc(600) // second slab
+	big := a.Alloc(5000)
+	a.Reset()
+	if len(a.free) != 2 {
+		t.Fatalf("%d slabs recycled, want the two standard ones (oversized dropped)", len(a.free))
+	}
+	// Refill: the same slabs come back in the same order, dirty for Copy
+	// (which overwrites) and zeroed by Alloc.
+	again := a.Alloc(600)
+	if &again[0] != &first[0] {
+		t.Fatal("refill did not start in the slab the fill started in")
+	}
+	for _, c := range again {
+		if c != 0 {
+			t.Fatal("Alloc handed out dirty bytes from a recycled slab")
+		}
+	}
+	if next := a.Alloc(5000); &next[0] == &big[0] {
+		t.Fatal("oversized slab was recycled")
+	}
+}
+
+func TestArenaSkipsRecycledSlabTooSmall(t *testing.T) {
+	// Fill with small allocations, reset, refill with allocations that do
+	// not fit the small early slabs: they are passed over, not lost — the
+	// next reset still holds every slab.
+	a := NewArena(0)
+	for a.Footprint() < 64<<10 {
+		a.Alloc(64)
+	}
+	n := len(a.slabs)
+	a.Reset()
+	a.Alloc(10 << 10)
+	a.Reset()
+	if len(a.free) != n {
+		t.Fatalf("%d slabs after a refill that skipped some, want %d", len(a.free), n)
+	}
+	sizes := func() (out []int) {
+		for i := len(a.free) - 1; i >= 0; i-- {
+			out = append(out, len(a.free[i]))
+		}
+		return out
+	}()
+	for i := 1; i < len(sizes); i++ {
+		if sizes[i] < sizes[i-1] {
+			t.Fatalf("recycled slabs out of allocation order: %v", sizes)
+		}
+	}
+}
+
+func TestTablesShareOneArena(t *testing.T) {
+	a := NewArena(0)
+	h := hashlib.NewFamily(1).New()
+	t1, t2 := NewTable(h, a, 16), NewTable(h, a, 16)
+	t1.Put([]byte("alpha"), 1)
+	t2.Put([]byte("beta"), 2)
+	// Resetting one table must leave the other's keys intact: the arena
+	// belongs to whoever owns both.
+	t1.Reset()
+	t1.Put([]byte("gamma"), 3)
+	if v, ok := t2.Get([]byte("beta")); !ok || v != 2 {
+		t.Fatalf("beta = %d,%v after the other table's reset", v, ok)
+	}
+	var keys []string
+	t2.Iterate(func(k []byte, _ uint64) bool { keys = append(keys, string(k)); return true })
+	if len(keys) != 1 || keys[0] != "beta" {
+		t.Fatalf("t2 keys = %q", keys)
+	}
+	if a.Used() != int64(len("alpha")+len("beta")+len("gamma")) {
+		t.Fatalf("arena used = %d", a.Used())
+	}
+}
+
+func TestTableRestartIteratesLikeAFreshTable(t *testing.T) {
+	// Iteration is slot order, and slot order depends on the capacities the
+	// table grew through. Reset keeps the grown capacity; Restart must not,
+	// or a recycled table's iteration order — which is a map task's chunk
+	// contents — differs from a newly built one's.
+	h := hashlib.NewFamily(1).New()
+	order := func(tb *Table, n int) (keys []string) {
+		for i := 0; i < n; i++ {
+			tb.Put([]byte(fmt.Sprintf("key-%d", i)), uint64(i))
+		}
+		tb.Iterate(func(k []byte, _ uint64) bool { keys = append(keys, string(k)); return true })
+		return keys
+	}
+	fresh := order(NewTable(h, NewArena(0), 64), 100)
+
+	recycled := NewTable(h, NewArena(0), 64)
+	order(recycled, 5000) // grow well past what 100 keys need
+	recycled.Restart()
+	if recycled.Len() != 0 {
+		t.Fatalf("restarted table holds %d keys", recycled.Len())
+	}
+	if got := order(recycled, 100); !reflect.DeepEqual(got, fresh) {
+		t.Fatal("restarted table iterates in a different order than a fresh one")
+	}
+
+	kept := NewTable(h, NewArena(0), 64)
+	order(kept, 5000)
+	kept.Reset()
+	if got := order(kept, 100); reflect.DeepEqual(got, fresh) {
+		t.Fatal("Reset was expected to keep the grown capacity (and so a different slot order); the test no longer tells Restart from Reset")
 	}
 }
 
@@ -202,17 +340,6 @@ func TestTableIterateVisitsAllLiveKeys(t *testing.T) {
 	tb.Iterate(func(k []byte, v uint64) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("early stop visited %d", calls)
-	}
-}
-
-func TestTableUsedBytesGrows(t *testing.T) {
-	tb := newTable(4)
-	before := tb.UsedBytes()
-	for i := 0; i < 100; i++ {
-		tb.Put([]byte(fmt.Sprintf("key-%d", i)), 0)
-	}
-	if tb.UsedBytes() <= before {
-		t.Fatal("UsedBytes must grow with inserts")
 	}
 }
 

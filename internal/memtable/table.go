@@ -1,6 +1,8 @@
 package memtable
 
 import (
+	"bytes"
+
 	"onepass/internal/hashlib"
 )
 
@@ -15,6 +17,9 @@ type Table struct {
 	entries []entry
 	live    int
 	tombs   int
+	// initial is the slot array the table was created with, kept so Restart
+	// can return to it after growth.
+	initial []entry
 }
 
 type entryState uint8
@@ -32,25 +37,19 @@ type entry struct {
 	state entryState
 }
 
-const entryOverhead = 8 + 24 + 8 + 1 // approximate per-slot bytes for accounting
-
-// NewTable returns a table using hash function h and key storage in arena.
+// NewTable returns a table using hash function h and key storage in arena,
+// which several tables may share.
 func NewTable(h *hashlib.Func, arena *Arena, initialCap int) *Table {
 	capacity := 16
 	for capacity < initialCap {
 		capacity *= 2
 	}
-	return &Table{h: h, arena: arena, entries: make([]entry, capacity)}
+	entries := make([]entry, capacity)
+	return &Table{h: h, arena: arena, entries: entries, initial: entries}
 }
 
 // Len returns the number of live keys.
 func (t *Table) Len() int { return t.live }
-
-// UsedBytes approximates the table's memory footprint: slot array plus key
-// bytes in the arena. Engines compare this against the task memory budget.
-func (t *Table) UsedBytes() int64 {
-	return int64(len(t.entries))*entryOverhead + t.arena.Used()
-}
 
 func (t *Table) probe(hash uint64, key []byte) (idx int, found bool) {
 	mask := uint64(len(t.entries) - 1)
@@ -69,24 +68,12 @@ func (t *Table) probe(hash uint64, key []byte) (idx int, found bool) {
 				firstTomb = int(i)
 			}
 		case occupied:
-			if e.hash == hash && bytesEqual(e.key, key) {
+			if e.hash == hash && bytes.Equal(e.key, key) {
 				return int(i), true
 			}
 		}
 		i = (i + 1) & mask
 	}
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Get returns the value for key.
@@ -171,15 +158,23 @@ func (t *Table) SetValue(key []byte, val uint64) bool {
 	return true
 }
 
-// Reset empties the table in place: the slot array is cleared and kept, and
-// the arena's slabs are recycled, so a reused table refills without
-// reallocating. Keys previously returned by Iterate must not be retained.
+// Reset empties the table in place: the slot array is cleared and kept at
+// its grown capacity, so a reused table refills without reallocating. The
+// arena is not touched — tables may share one, so whoever owns it calls
+// Arena.Reset once every table drawing on it has been reset. Keys
+// previously returned by Iterate must not be retained.
 func (t *Table) Reset() {
-	for i := range t.entries {
-		t.entries[i] = entry{}
-	}
+	clear(t.entries)
 	t.live, t.tombs = 0, 0
-	t.arena.Reset()
+}
+
+// Restart empties the table back to its initial capacity, dropping any
+// grown slot array. Iteration is slot order, so a restarted table visits
+// the keys of a given insert sequence exactly as a newly built one does —
+// which Reset, keeping the grown capacity, does not.
+func (t *Table) Restart() {
+	t.entries = t.initial
+	t.Reset()
 }
 
 func (t *Table) maybeGrow() {

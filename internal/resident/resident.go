@@ -190,53 +190,26 @@ func jobAggregator(job *engine.Job) engine.Aggregator {
 	return nil
 }
 
-// resChunk is one sealed, serialized chunk of (folded) map output awaiting
-// push delivery under its (partition, seq) identity.
-type resChunk struct {
-	r, seq int
-	enc    []byte
-	// pairBytes is the chunk's key+val byte volume after map-side folding
-	// (equal to the raw volume without an aggregator) — the unit of the
-	// combine-conservation ledger.
-	pairBytes int64
-}
-
 // buildChunks runs the map-side data path: with an aggregator, records are
 // folded into per-partition insertion-ordered state tables and the tables'
 // (key, state) pairs are chunked; without one, raw pairs are chunked in
-// production order. Everything is deterministic in the block, so a recovery
-// attempt regenerates byte-identical chunks under the same (partition, seq)
-// identities. The fold and chunking are pure data work riding the map
-// task's pooled closure; the hash/update charges land here after the join,
-// and the caller charges serialization at each chunk's delivery point.
+// production order. Either way the pairs are packed once into a partition
+// frame whose chunks — sub-slices, in seal order — are the push units.
+// Everything is deterministic in the block, so a recovery attempt
+// regenerates byte-identical chunks under the same (partition, seq)
+// identities. The fold and packing are pure data work riding the map task's
+// pooled closure; the hash/update charges land here after the join, and the
+// caller charges serialization at each chunk's delivery point.
 func buildChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
 	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner,
-	opts *Options) (chunks []resChunk, sealed []int, rawBytes int64, folded bool) {
+	opts *Options) (chunks []kv.Chunk, rawBytes, finalPairBytes int64, folded bool) {
 
 	tj := rt.TaskJob(job)
 	tAgg := jobAggregator(tj)
 	R := job.Reducers
-	sealed = make([]int, R)
-	cur := make([][]byte, R)
-	curPairBytes := make([]int64, R)
-	seal := func(r int) {
-		if len(cur[r]) == 0 {
-			return
-		}
-		chunks = append(chunks, resChunk{r: r, seq: sealed[r], enc: cur[r], pairBytes: curPairBytes[r]})
-		sealed[r]++
-		cur[r] = nil
-		curPairBytes[r] = 0
-	}
-	addPair := func(r int, key, val []byte) {
-		cur[r] = kv.AppendPair(cur[r], key, val)
-		curPairBytes[r] += int64(len(key) + len(val))
-		if int64(len(cur[r])) >= opts.ChunkBytes {
-			seal(r)
-		}
-	}
 	var n int
 	buf, err := rt.ExecuteMapWith(p, node, tj, b, partition, func(buf *kv.Buffer) {
+		out := buf
 		if tAgg != nil {
 			// Map-side folding: per-partition insertion-ordered hash tables
 			// of aggregator states — the resident analogue of the hash
@@ -250,19 +223,15 @@ func buildChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engin
 			for i := 0; i < n; i++ {
 				tables[buf.Partition(i)].fold(buf.Key(i), buf.Val(i))
 			}
+			out = kv.NewBuffer(0)
 			for r, tb := range tables {
 				for i, k := range tb.keys {
-					addPair(r, k, tb.states[i])
+					out.Add(r, k, tb.states[i])
 				}
 			}
-		} else {
-			for i := 0; i < buf.Len(); i++ {
-				addPair(buf.Partition(i), buf.Key(i), buf.Val(i))
-			}
 		}
-		for r := 0; r < R; r++ {
-			seal(r)
-		}
+		finalPairBytes = out.Bytes()
+		chunks = kv.PackPartitions(out, R, opts.ChunkBytes).Chunks
 	})
 	if err != nil {
 		panic(fmt.Sprintf("resident: %v", err))
@@ -273,8 +242,8 @@ func buildChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engin
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
 	}
 	rawBytes = buf.Bytes()
-	rt.ReleaseBuffer(buf) // every chunk is an encoded copy
-	return chunks, sealed, rawBytes, tAgg != nil
+	rt.ReleaseBuffer(buf) // the frame is an encoded copy
+	return chunks, rawBytes, finalPairBytes, tAgg != nil
 }
 
 // mapTable is the map side's insertion-ordered fold table: key order is the
@@ -305,15 +274,15 @@ func (t *mapTable) fold(key, val []byte) {
 // backpressure refuses the push (no disk staging — the whole point of the
 // engine). It returns false if the node fails before delivery succeeds.
 func pushChunk(rt *engine.Runtime, p *sim.Proc, node *cluster.Node,
-	channels []*engine.PushChannel, c *resChunk, taskID int) bool {
+	channels []*engine.PushChannel, c kv.Chunk, taskID int) bool {
 
-	toNode := rt.ReducerNode(c.r).ID
-	for !channels[c.r].TryPush(p, node.ID, toNode, taskID, c.seq, c.enc) {
+	toNode := rt.ReducerNode(c.Part).ID
+	for !channels[c.Part].TryPush(p, node.ID, toNode, taskID, c.Seq, c.Data) {
 		if node.Failed() {
 			rt.Counters.Add("push.chunks.lost", 1)
 			return false
 		}
-		channels[c.r].WaitSpace(p)
+		channels[c.Part].WaitSpace(p)
 	}
 	return true
 }
@@ -324,29 +293,26 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner,
 	channels []*engine.PushChannel, opts *Options, reg *engine.Registry) {
 
-	chunks, sealed, rawBytes, folded := buildChunks(rt, p, node, job, costs, b, partition, opts)
+	chunks, rawBytes, finalPairBytes, folded := buildChunks(rt, p, node, job, costs, b, partition, opts)
 	if rt.Auditing() {
-		var finalPairBytes int64
-		for i := range chunks {
-			finalPairBytes += chunks[i].pairBytes
-		}
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		if folded {
 			rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
 		}
 	}
+	sealed := make([]int, job.Reducers)
 	delivered := make([]int, job.Reducers)
-	for i := range chunks {
-		c := &chunks[i]
+	for _, c := range chunks {
+		sealed[c.Part] = c.Seq + 1
 		if node.Failed() {
 			// Dead NIC: the chunk cannot leave the machine. The recovery
 			// pass re-pushes it from a surviving node after the map wave.
 			rt.Counters.Add("push.chunks.lost", 1)
 			continue
 		}
-		node.Compute(p, engine.Dur(float64(len(c.enc)), costs.SerializeNsPerByte), engine.PhaseMapFn)
+		node.Compute(p, engine.Dur(float64(len(c.Data)), costs.SerializeNsPerByte), engine.PhaseMapFn)
 		if pushChunk(rt, p, node, channels, c, b.Index) {
-			delivered[c.r] = c.seq + 1
+			delivered[c.Part] = c.Seq + 1
 		}
 	}
 	// Register completion (progress signal plus recovery bookkeeping); the
@@ -354,7 +320,7 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 	// bytes — just the zero-size progress marker.
 	out := engine.NewMapOutput(p, node.ScratchStore(),
 		fmt.Sprintf("%s/res-map-%05d/progress", job.Name, b.Index),
-		b.Index, node.ID, job.Reducers, func(int) []byte { return nil })
+		b.Index, node.ID, nil, make([]int64, job.Reducers))
 	out.Delivered = delivered
 	for r := range out.Pushed {
 		out.Pushed[r] = delivered[r] == sealed[r]
@@ -379,17 +345,16 @@ func recoverMapTask(rt *engine.Runtime, p *sim.Proc, job *engine.Job, costs engi
 		rt.Emit(trace.TaskStart, engine.SpanMap, node.ID, out.TaskID, attempt)
 		chunks, _, _, _ := buildChunks(rt, p, node, job, costs, b, partition, opts)
 		failedMid := false
-		for i := range chunks {
-			c := &chunks[i]
-			if c.seq < out.Delivered[c.r] {
+		for _, c := range chunks {
+			if c.Seq < out.Delivered[c.Part] {
 				continue
 			}
-			node.Compute(p, engine.Dur(float64(len(c.enc)), costs.SerializeNsPerByte), engine.PhaseMapFn)
+			node.Compute(p, engine.Dur(float64(len(c.Data)), costs.SerializeNsPerByte), engine.PhaseMapFn)
 			if !pushChunk(rt, p, node, channels, c, out.TaskID) {
 				failedMid = true
 				break
 			}
-			out.Delivered[c.r] = c.seq + 1
+			out.Delivered[c.Part] = c.Seq + 1
 		}
 		span.End(p.Now())
 		rt.Emit(trace.TaskFinish, engine.SpanMap, node.ID, out.TaskID, attempt)

@@ -119,6 +119,40 @@ func TestNodeFailureRepushesLostChunks(t *testing.T) {
 	}
 }
 
+// A faulted run over blocks far smaller than a chunk: the recovery pass
+// rebuilds the lost task's frame on a surviving node and re-pushes exactly
+// the chunks the dead node never delivered, under their original (task,
+// seq) identities.
+func TestSmallBlockFaultedRunMatchesClean(t *testing.T) {
+	enginetest.CheckFaultedMatchesClean(t,
+		func() *workloads.Workload { return workloads.PerUserCount(smallClicks()) },
+		enginetest.Config{Nodes: 4, BlockSize: 16 << 10, InputSize: 96 * 16 << 10, Reducers: 10},
+		func(f *enginetest.Fixture, sched faults.Schedule) (*engine.Result, error) {
+			return Run(f.RT, f.Job, Options{Faults: sched})
+		})
+}
+
+// The resident engine's map side shares the packed partition frame with the
+// hash engines: its allocation must follow the data, not ChunkBytes. These
+// cases measure 3-6x their input plus map-output bytes.
+func TestAllocationProportionalToData(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		w        *workloads.Workload
+		block    int64
+		reducers int
+	}{
+		{"per-user-count/16KB/10", workloads.PerUserCount(smallClicks()), 16 << 10, 10},
+		{"sessionization/128KB/20", workloads.Sessionization(smallClicks()), 128 << 10, 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enginetest.CheckAllocationProportional(t, tc.w, enginetest.Config{
+				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, 12,
+				func(f *enginetest.Fixture) (*engine.Result, error) { return Run(f.RT, f.Job, Options{}) })
+		})
+	}
+}
+
 func TestDeterministicAcrossRuns(t *testing.T) {
 	var sums []uint64
 	for i := 0; i < 2; i++ {

@@ -58,10 +58,13 @@ type SpaceSaving struct {
 	k     int
 	items map[string]*item
 	heap  itemHeap
-	// slots preallocates all k counters: the sketch's footprint is fixed by
-	// construction, so after warm-up no item structs are ever allocated —
-	// evictions recycle the minimum counter in place.
+	// slots is the unused tail of the newest block of counters. Blocks
+	// double up to k in total, so a sketch costs what the keys it has seen
+	// need, not what k allows; once k keys are tracked the footprint is fixed
+	// and no item structs are ever allocated — evictions recycle the minimum
+	// counter in place.
 	slots []item
+	block int // size of the newest block
 	// intern caches owned strings for keys that have been tracked, so a key
 	// that churns in and out of the counter set (the moderately hot tail)
 	// does not reallocate its string on every re-entry. Bounded: cleared
@@ -69,6 +72,9 @@ type SpaceSaving struct {
 	intern map[string]string
 	n      uint64
 }
+
+// minBlock is the first block of counters a sketch allocates.
+const minBlock = 64
 
 // NewSpaceSaving returns a sketch with k counters. The frequency guarantee
 // threshold is N/k where N is the stream length so far.
@@ -78,10 +84,8 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	}
 	return &SpaceSaving{
 		k:      k,
-		items:  make(map[string]*item, k),
-		heap:   make(itemHeap, 0, k),
-		slots:  make([]item, k),
-		intern: make(map[string]string, k),
+		items:  make(map[string]*item),
+		intern: make(map[string]string),
 	}
 }
 
@@ -92,7 +96,7 @@ func (s *SpaceSaving) internKey(key []byte) string {
 		return v
 	}
 	if len(s.intern) >= 4*s.k {
-		s.intern = make(map[string]string, s.k)
+		clear(s.intern)
 	}
 	v := string(key)
 	s.intern[v] = v
@@ -121,7 +125,12 @@ func (s *SpaceSaving) Offer(key []byte, weight uint64) {
 		return
 	}
 	if len(s.items) < s.k {
-		it := &s.slots[len(s.heap)]
+		if len(s.slots) == 0 {
+			s.block = min(max(2*s.block, minBlock), s.k-len(s.items))
+			s.slots = make([]item, s.block)
+		}
+		it := &s.slots[0]
+		s.slots = s.slots[1:]
 		*it = item{key: s.internKey(key), count: weight}
 		s.items[it.key] = it
 		heap.Push(&s.heap, it)
