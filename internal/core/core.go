@@ -221,6 +221,12 @@ type reduceCtx struct {
 	// arrival paths share the single-threaded reducer state, so any access
 	// to that state must join first.
 	pending *sim.Work
+	// emit is emitFinal's output callback, bound to emitProc. Finalization
+	// calls emitFinal once per key, nearly always from one process (a
+	// threshold emit on the pull path is the exception), so the closure is
+	// rebuilt only when the calling process changes, not per key.
+	emit     func(k, v []byte)
+	emitProc *sim.Proc
 }
 
 func newReduceCtx(rt *engine.Runtime, job *engine.Job, costs engine.CostModel,
@@ -313,9 +319,11 @@ func (rc *reduceCtx) noteProgress(p *sim.Proc, pairs int) {
 
 // emitFinal emits one key's result and charges finalization CPU.
 func (rc *reduceCtx) emitFinal(p *sim.Proc, key, state []byte) {
-	rc.agg.Final(key, state, func(k, v []byte) {
-		rc.oc.Emit(p, rc.r, rc.node.ID, k, v)
-	})
+	if rc.emitProc != p {
+		rc.emitProc = p
+		rc.emit = func(k, v []byte) { rc.oc.Emit(p, rc.r, rc.node.ID, k, v) }
+	}
+	rc.agg.Final(key, state, rc.emit)
 	rc.node.Compute(p, engine.Dur(1, rc.costs.ReduceNsPerRecord)+
 		engine.Dur(float64(len(state)), rc.costs.SerializeNsPerByte), engine.PhaseReduce)
 }

@@ -201,3 +201,22 @@ func TestSpillAddAllocatesNothing(t *testing.T) {
 	})
 	env.Run()
 }
+
+// emitFinal runs once per finalized key: the callback it hands the
+// aggregator is built per process, not per key (it was the largest
+// allocation site of a fleet of small jobs), and the monoid path emits
+// straight into the writer's buffer.
+func TestEmitFinalAllocatesNothingPerKey(t *testing.T) {
+	env, rc := newTestReduceCtx(t, 1<<20, 4)
+	rc.job.DiscardOutput = true
+	rc.oc = rc.rt.NewOutputCollector(rc.job, &engine.Result{})
+	env.Go("t", func(p *sim.Proc) {
+		key, state := []byte("user-0001"), []byte("42")
+		rc.emitFinal(p, key, state) // creates the writer, binds the callback
+		if avg := testing.AllocsPerRun(200, func() { rc.emitFinal(p, key, state) }); avg != 0 {
+			t.Errorf("emitFinal allocates %.1f/key at steady state, budget 0", avg)
+		}
+		rc.oc.Close(p, 0)
+	})
+	env.Run()
+}

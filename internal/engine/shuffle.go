@@ -86,8 +86,9 @@ func (o *MapOutput) PartData(part int) []byte {
 	if o.File == nil || o.File.Data() == nil {
 		return nil
 	}
-	off := o.PartOff[part]
-	return o.File.Data()[off : off+o.PartLen[part]]
+	// Capacity clipped: the next partition's bytes follow in the same frame.
+	off, end := o.PartOff[part], o.PartOff[part]+o.PartLen[part]
+	return o.File.Data()[off:end:end]
 }
 
 // ConsumePart releases partition part after its one consumer fetched it;

@@ -223,11 +223,10 @@ func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *eng
 			if rt.Auditing() {
 				rt.Audit.ShuffleIngested(node.ID, out.TaskID, r, -1, int64(len(data)))
 			}
-			if len(data) > 0 {
-				// Spills alias the fetched bytes; copy before the source
-				// file is released.
-				data = append([]byte(nil), data...)
-			}
+			// The accumulator owns data from here on, read-only: it is a
+			// slice of the map-output file's immutable frame, which other
+			// reducers (and a re-fetch after a fault) read too, and which
+			// ConsumePart merely unlinks.
 			out.ConsumePart(r)
 			rs.Add(p, data)
 		}

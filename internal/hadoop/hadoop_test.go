@@ -277,3 +277,24 @@ func TestReduceSideCombineDuringSpill(t *testing.T) {
 		t.Fatalf("spill %v exceeds shuffle %v — combiner not applied at spill time", spill, shuffled)
 	}
 }
+
+// A node dies mid-shuffle, while reducers hold (uncopied) slices of its map
+// outputs' frames and spill them under a tight budget: the re-executed
+// attempts' frames must not disturb what was already fetched, and the run
+// must produce the clean run's output exactly.
+func TestMidShuffleFailureMatchesCleanChecksum(t *testing.T) {
+	w := workloads.Sessionization(smallClicks())
+	cfg := enginetest.Config{Nodes: 4, InputSize: 32 * 64 << 10, MemPerTask: 16 << 10, Reducers: 4}
+	_, clean := run(t, w, cfg, Options{FanIn: 2})
+	f, faulted := run(t, w, cfg, Options{FanIn: 2, Faults: faults.Schedule{Faults: []faults.Fault{
+		{Kind: faults.NodeFailure, Node: 1, At: 20 * sim.Millisecond}}}})
+	f.CheckOutput(t, w, faulted)
+	if faulted.Counters.Get(engine.CtrTasksReexecuted) == 0 || faulted.Counters.Get(engine.CtrReduceSpillBytes) == 0 {
+		t.Fatalf("fault did not land mid-shuffle under spills: %v re-executed, %v spill bytes",
+			faulted.Counters.Get(engine.CtrTasksReexecuted), faulted.Counters.Get(engine.CtrReduceSpillBytes))
+	}
+	if faulted.OutputChecksum != clean.OutputChecksum || faulted.OutputPairs != clean.OutputPairs {
+		t.Fatalf("faulted run: checksum %x over %d pairs, clean run: %x over %d",
+			faulted.OutputChecksum, faulted.OutputPairs, clean.OutputChecksum, clean.OutputPairs)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"onepass/internal/cluster"
+	"onepass/internal/dfs"
 	"onepass/internal/disk"
 	"onepass/internal/engine"
 	"onepass/internal/kv"
@@ -93,6 +95,88 @@ func TestMergeGroupReduceSurvivesStreamRefills(t *testing.T) {
 		env.Run()
 		if failure != "" {
 			t.Fatalf("%d of %d streams in memory: %s", inMemory, runs, failure)
+		}
+	}
+}
+
+// The pull shuffle hands ReduceSide.Add slices of the map-output files'
+// frames — no copy — and a frame is shared: the other reducers' partitions
+// sit on either side in the same array, and a re-fetch after a fault reads
+// the same bytes again. So nothing downstream may sort, merge or append
+// through a fetched slice. The test cuts the middle partition out of real
+// map outputs, drives it through spills, multi-pass merges and the final
+// scan under a starved budget, with and without a combiner, and demands
+// every frame byte for byte as it was — and the right answer.
+func TestReduceSideLeavesFetchedFramesIntact(t *testing.T) {
+	const maps, parts, keys = 12, 3, 40
+	sum := func(key []byte, vals [][]byte, emit engine.Emit) {
+		n := 0
+		for _, v := range vals {
+			var x int
+			fmt.Sscan(string(v), &x)
+			n += x
+		}
+		emit(key, []byte(fmt.Sprint(n)))
+	}
+	for _, combiner := range []bool{false, true} {
+		env := sim.New()
+		ccfg := cluster.DefaultConfig()
+		ccfg.Nodes = 2
+		cl := cluster.New(env, ccfg)
+		rt := engine.NewRuntime(env, cl, dfs.New(cl, 64<<10, 1))
+		job := &engine.Job{Name: "frames", OutputPath: "out/frames", Reducers: parts,
+			RetainOutput: true, MemoryPerTask: 2 << 10, Reduce: sum}
+		if combiner {
+			job.Combine = sum
+		}
+		res := &engine.Result{}
+		oc := rt.NewOutputCollector(job, res)
+		var frames, snapshots [][]byte
+		want := map[string]int{}
+		env.Go("reduce", func(p *sim.Proc) {
+			rs := NewReduceSide(rt, job, JobCosts(job), cl.Node(0), 1, 2)
+			for m := 0; m < maps; m++ {
+				var frame []byte
+				partLen := make([]int64, parts)
+				for part := 0; part < parts; part++ {
+					before := len(frame)
+					for k := 0; k < keys; k++ {
+						key := fmt.Sprintf("p%d-key%03d", part, k)
+						for j := 0; j < 2; j++ {
+							frame = kv.AppendPair(frame, []byte(key), []byte(fmt.Sprint(m+k+j)))
+							if part == 1 {
+								want[key] += m + k + j
+							}
+						}
+					}
+					partLen[part] = int64(len(frame) - before)
+				}
+				out := engine.NewMapOutput(p, cl.Node(1).ScratchStore(),
+					fmt.Sprintf("frames/map-%05d/file.out", m), m, 1, frame, partLen)
+				frames = append(frames, frame)
+				snapshots = append(snapshots, bytes.Clone(frame))
+				rs.Add(p, out.PartData(1))
+				out.ConsumePart(1)
+			}
+			rs.Finish(p, oc)
+		})
+		env.Run()
+		if rt.Counters.Get(engine.CtrReduceSpillBytes) == 0 || rt.Counters.Get(engine.CtrMergePasses) == 0 {
+			t.Fatalf("combiner=%v: budget forced %v spill bytes and %v merge passes; both paths must run",
+				combiner, rt.Counters.Get(engine.CtrReduceSpillBytes), rt.Counters.Get(engine.CtrMergePasses))
+		}
+		for m := range frames {
+			if !bytes.Equal(frames[m], snapshots[m]) {
+				t.Fatalf("combiner=%v: the reduce side wrote through its slice of map output %d's frame", combiner, m)
+			}
+		}
+		if len(res.Output) != len(want) {
+			t.Fatalf("combiner=%v: %d keys out, want %d", combiner, len(res.Output), len(want))
+		}
+		for k, n := range want {
+			if res.Output[k] != fmt.Sprint(n) {
+				t.Fatalf("combiner=%v: %s = %q, want %d", combiner, k, res.Output[k], n)
+			}
 		}
 	}
 }

@@ -420,6 +420,28 @@ func (t *foldTable) fold(key, val []byte) {
 	}
 }
 
+// emitAll finalizes the table in insertion order — Final per state, or reduce
+// per value list when there is no aggregator — charging reduce CPU per key.
+// Keys pass through one scratch buffer: like every engine's, a key is only
+// the callee's for the duration of the call.
+func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostModel,
+	reduce engine.ReduceFunc, emit engine.Emit) {
+	var key []byte
+	for i, k := range t.keys {
+		key = append(key[:0], k...)
+		if t.agg != nil {
+			state := t.states[i]
+			t.agg.Final(key, state, emit)
+			node.Compute(p, engine.Dur(1, costs.ReduceNsPerRecord)+
+				engine.Dur(float64(len(state)), costs.SerializeNsPerByte), engine.PhaseReduce)
+		} else {
+			vals := t.lists[i]
+			reduce(key, vals, emit)
+			node.Compute(p, engine.Dur(float64(len(vals)), costs.ReduceNsPerRecord), engine.PhaseReduce)
+		}
+	}
+}
+
 // runReduceTask drains the push channel into the fold table, then emits the
 // table in insertion order and publishes the partition's output as a
 // memory-resident DFS file for the next job in the chain to map over.
@@ -469,19 +491,7 @@ func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *eng
 
 	reduceSpan := rt.Timeline.Begin(engine.SpanReduce, p.Now())
 	rt.Emit(trace.PhaseStart, engine.SpanReduce, node.ID, r, 0)
-	emit := func(k, v []byte) { oc.Emit(p, r, node.ID, k, v) }
-	for i, k := range table.keys {
-		if table.agg != nil {
-			state := table.states[i]
-			table.agg.Final([]byte(k), state, emit)
-			node.Compute(p, engine.Dur(1, costs.ReduceNsPerRecord)+
-				engine.Dur(float64(len(state)), costs.SerializeNsPerByte), engine.PhaseReduce)
-		} else {
-			vals := table.lists[i]
-			tj.Reduce([]byte(k), vals, emit)
-			node.Compute(p, engine.Dur(float64(len(vals)), costs.ReduceNsPerRecord), engine.PhaseReduce)
-		}
-	}
+	table.emitAll(p, node, costs, tj.Reduce, func(k, v []byte) { oc.Emit(p, r, node.ID, k, v) })
 	oc.Close(p, r)
 	// Publish the partition into the DFS namespace as a memory-resident
 	// block hosted here: a chained job's map tasks read it locally from

@@ -249,3 +249,29 @@ func TestChainedIterationsReadNoDisk(t *testing.T) {
 		prev = res
 	}
 }
+
+// Finalization walks every key of the table: the string keys pass through
+// one scratch buffer, not a fresh []byte each (80 k objects in a 3 s fleet
+// run before this was pinned).
+func TestEmitAllAllocatesNothingPerKey(t *testing.T) {
+	env := sim.New()
+	cl := cluster.New(env, cluster.DefaultConfig())
+	table := newFoldTable(engine.MonoidAgg{M: workloads.CountMonoid{}})
+	for i := 0; i < 500; i++ {
+		table.fold([]byte(fmt.Sprintf("user-%04d", i)), []byte("1"))
+	}
+	pairs := 0
+	emit := func(k, v []byte) { pairs++ }
+	env.Go("t", func(p *sim.Proc) {
+		avg := testing.AllocsPerRun(10, func() {
+			table.emitAll(p, cl.Node(0), engine.DefaultCosts(), nil, emit)
+		})
+		if avg > 2 { // the scratch buffer itself
+			t.Errorf("emitAll allocates %.0f objects over 500 keys, budget 2", avg)
+		}
+	})
+	env.Run()
+	if pairs != 11*500 {
+		t.Fatalf("emitted %d pairs, want %d", pairs, 11*500)
+	}
+}

@@ -18,9 +18,11 @@ type Resource struct {
 	inUse int
 	// waiters is a FIFO queue stored by value: head indexes the next waiter
 	// to grant, and entries are compacted in place rather than allocated per
-	// blocked Acquire.
-	waiters []resWaiter
-	head    int
+	// blocked Acquire. waitingUnits is the sum of the queued requests, kept
+	// running because every state change reads it (twice, with OnChange set).
+	waiters      []resWaiter
+	head         int
+	waitingUnits int
 
 	lastChange    Time
 	busyIntegral  float64 // unit-seconds of use
@@ -59,13 +61,7 @@ func (r *Resource) Cap() int { return r.cap }
 func (r *Resource) InUse() int { return r.inUse }
 
 // Waiting returns the total units requested by blocked acquirers.
-func (r *Resource) Waiting() int {
-	total := 0
-	for _, w := range r.waiters[r.head:] {
-		total += w.n
-	}
-	return total
-}
+func (r *Resource) Waiting() int { return r.waitingUnits }
 
 // advance accrues the integrals up to now. It must be called before any
 // change to inUse or the waiter set.
@@ -74,14 +70,14 @@ func (r *Resource) advance() {
 	dt := now.Sub(r.lastChange).Seconds()
 	if dt > 0 {
 		r.busyIntegral += float64(r.inUse) * dt
-		r.queueIntegral += float64(r.Waiting()) * dt
+		r.queueIntegral += float64(r.waitingUnits) * dt
 	}
 	r.lastChange = now
 }
 
 func (r *Resource) changed() {
 	if r.OnChange != nil {
-		r.OnChange(r.env.now, r.inUse, r.Waiting())
+		r.OnChange(r.env.now, r.inUse, r.waitingUnits)
 	}
 }
 
@@ -112,6 +108,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		return
 	}
 	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
+	r.waitingUnits += n
 	r.changed()
 	p.granted = false
 	p.block(blockResource, r.name, int64(n))
@@ -137,10 +134,11 @@ func (r *Resource) Release(n int) {
 			break
 		}
 		r.inUse += w.n
+		r.waitingUnits -= w.n
 		w.p.granted = true
 		r.waiters[r.head] = resWaiter{} // release the *Proc reference
 		r.head++
-		r.env.schedule(w.p, r.env.now)
+		r.env.schedule(w.p, r.env.now, nil)
 	}
 	if r.head == len(r.waiters) {
 		// Queue drained: rewind so the backing array is reused.
@@ -160,6 +158,5 @@ func (r *Resource) Release(n int) {
 func (r *Resource) Use(p *Proc, n int, d Duration) {
 	r.Acquire(p, n)
 	p.Sleep(d)
-	r.advance()
 	r.Release(n)
 }

@@ -3,14 +3,16 @@
 // The engines in this repository do real data processing (real records,
 // real sorts, real hash tables) but run inside a simulated cluster whose
 // notion of time is virtual. sim supplies that virtual time: processes are
-// goroutine-backed coroutines that advance the clock only through explicit
+// runtime coroutines (iter.Pull) that advance the clock only through explicit
 // operations (Sleep, resource acquisition), and exactly one process executes
 // at any instant, which makes every run fully deterministic and free of data
-// races by construction.
+// races by construction. Run resumes them in (at, seq) order by a direct
+// switch, which a process that is its own next event skips (see Sleep).
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -124,13 +126,8 @@ type Env struct {
 	now    Time
 	seq    uint64
 	events eventHeap
-	yield  chan struct{}
 	live   map[*Proc]struct{}
 	inRun  bool
-	// failure carries a panic out of a process goroutine so Run can re-panic
-	// on the caller's goroutine, where tests can recover it.
-	failure interface{}
-	failed  bool
 	// resources lists every Resource ever created on this environment, in
 	// creation order, so leak audits can verify all units were released.
 	resources []*Resource
@@ -149,12 +146,7 @@ type Env struct {
 }
 
 // New returns a fresh simulation environment at time zero.
-func New() *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]struct{}),
-	}
-}
+func New() *Env { return &Env{live: make(map[*Proc]struct{})} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
@@ -164,30 +156,20 @@ func (e *Env) Now() Time { return e.now }
 // run completes.
 func (e *Env) Resources() []*Resource { return e.resources }
 
-// LiveCount returns the number of processes that have started but not yet
-// exited. After Run returns normally it is zero by construction (Run panics
-// on deadlock instead), so a nonzero value outside Run means leaked procs.
+// LiveCount returns the number of processes spawned and not yet exited. Run
+// leaves it at zero however it ends (it panics on deadlock, and ends what a
+// panic strands), so a nonzero value after Run means leaked procs.
 func (e *Env) LiveCount() int { return len(e.live) }
 
-func (e *Env) nextSeq() uint64 {
+// after returns the instant d from now, never earlier than now: d may be
+// negative, and now+d overflows for the "forever" durations.
+func (e *Env) after(d Duration) Time { return max(e.now, e.now.Add(d)) }
+
+// schedule queues a resumption of p; one with a non-nil canceled is dropped,
+// p unresumed, if *canceled is set by the time it reaches the heap head.
+func (e *Env) schedule(p *Proc, at Time, canceled *bool) {
 	e.seq++
-	return e.seq
-}
-
-func (e *Env) schedule(p *Proc, at Time) {
-	if at < e.now {
-		at = e.now
-	}
-	e.events.push(event{at: at, seq: e.nextSeq(), p: p})
-}
-
-// scheduleCancelable schedules a resumption that is skipped at pop time if
-// *canceled has been set by then.
-func (e *Env) scheduleCancelable(p *Proc, at Time, canceled *bool) {
-	if at < e.now {
-		at = e.now
-	}
-	e.events.push(event{at: at, seq: e.nextSeq(), p: p, canceled: canceled})
+	e.events.push(event{at: at, seq: e.seq, p: p, canceled: canceled})
 }
 
 // blockKind classifies what a blocked process is waiting for. Together with
@@ -206,11 +188,16 @@ const (
 )
 
 // Proc is a simulation process. All blocking methods must be called from the
-// goroutine running the process body.
+// goroutine running the process body (from any other, a runtime panic).
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
+	env  *Env
+	name string
+	// The coroutine: Run resumes the body with next and ends a suspended one
+	// with stop; the body suspends with yield, which returns false once stopped.
+	next    func() (struct{}, bool)
+	stop    func()
+	yield   func(struct{}) bool
+	stopped bool
 	// What the process is waiting for; used in deadlock diagnostics and
 	// formatted lazily (see blockedOn).
 	blockKind blockKind
@@ -255,46 +242,50 @@ func (p *Proc) Now() Time { return p.env.now }
 // process; the new process starts at the current virtual time, after the
 // caller next blocks.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name}
 	e.live[p] = struct{}{}
-	e.schedule(p, e.now)
-	go func() {
-		<-p.resume
+	e.schedule(p, e.now, nil)
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// A stopped process unwinds by panic (see block). Any other panic is
+		// left to iter.Pull, which re-raises it from next, on Run's goroutine.
 		defer func() {
-			if r := recover(); r != nil {
-				e.failure = r
-				e.failed = true
+			if p.stopped {
+				_ = recover()
 			}
-			delete(e.live, p)
-			e.yield <- struct{}{}
 		}()
 		fn(p)
 		if p.unjoined != 0 {
 			panic(fmt.Sprintf("sim: process %s exited with %d unjoined StartWork dispatches", p.name, p.unjoined))
 		}
-	}()
+	})
 	return p
 }
 
 // Run executes events until none remain. It panics if processes are still
 // blocked when the event queue drains (a deadlock) so that engine bugs
-// surface loudly in tests.
+// surface loudly in tests, and re-raises a process's panic or Goexit on the
+// caller's goroutine; either way it first unwinds and ends every other one.
 func (e *Env) Run() {
 	if e.inRun {
 		panic("sim: Run called reentrantly")
 	}
 	e.inRun = true
-	defer func() { e.inRun = false }()
+	defer func() {
+		e.inRun = false
+		for p := range e.live {
+			delete(e.live, p)
+			p.stop()
+		}
+	}()
 	for len(e.events) > 0 {
 		ev := e.events.pop()
 		if ev.canceled != nil && *ev.canceled {
 			continue
 		}
 		e.now = ev.at
-		ev.p.resume <- struct{}{}
-		<-e.yield
-		if e.failed {
-			panic(e.failure)
+		if _, suspended := ev.p.next(); !suspended {
+			delete(e.live, ev.p)
 		}
 	}
 	if e.pendingWork != 0 {
@@ -314,19 +305,39 @@ func (e *Env) Run() {
 // kind/name/arg triple describes the wait for deadlock diagnostics.
 func (p *Proc) block(kind blockKind, name string, arg int64) {
 	p.blockKind, p.blockName, p.blockArg = kind, name, arg
-	p.env.yield <- struct{}{}
-	<-p.resume
+	if !p.yield(struct{}{}) {
+		p.stopped = true
+		panic("sim: process stopped") // recovered in Go
+	}
 	p.blockKind, p.blockName, p.blockArg = blockNone, "", 0
 }
 
 // Sleep advances the process by d of virtual time. Negative durations are
 // treated as zero (the process still yields, so other same-instant events
 // run first).
+//
+// Self-wake fast path. Queuing the wake and suspending would have Run pop
+// events in (at, seq) order until it reaches this one. If no live event is
+// queued, or the earliest one is due strictly after this wake, the very next
+// pop would be this wake and the very next resume this process: so take the
+// sequence number the event would have had, move the clock and keep running
+// — no heap traffic, no switch. A head due at the same instant was queued
+// earlier, holds a smaller seq and must run first, so a tie takes the slow
+// path. The resume order, and with it every trace, counter and makespan, is
+// exactly that of a loop that always suspends.
 func (p *Proc) Sleep(d Duration) {
-	if d < 0 {
-		d = 0
+	d = max(d, 0)
+	e := p.env
+	at := e.after(d)
+	for len(e.events) > 0 && e.events[0].canceled != nil && *e.events[0].canceled {
+		e.events.pop() // Run would skip it
 	}
-	p.env.schedule(p, p.env.now.Add(d))
+	if len(e.events) == 0 || at < e.events[0].at {
+		e.seq++
+		e.now = at
+		return
+	}
+	e.schedule(p, at, nil)
 	p.block(blockSleep, "", int64(d))
 }
 
@@ -369,11 +380,9 @@ func (t *Trigger) Wait(p *Proc) {
 // scheduling it, which cancels the timer event, and the timer path removes
 // the waiter from the trigger before returning.
 func (t *Trigger) WaitTimeout(p *Proc, d Duration) (fired bool) {
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
 	done := false
-	t.env.scheduleCancelable(p, t.env.now.Add(d), &done)
+	t.env.schedule(p, t.env.after(d), &done)
 	t.timed = append(t.timed, timedWaiter{p: p, done: &done})
 	p.block(blockTriggerTimeout, t.name, int64(d))
 	if done {
@@ -392,12 +401,12 @@ func (t *Trigger) WaitTimeout(p *Proc, d Duration) (fired bool) {
 // Broadcast wakes every current waiter at the current instant.
 func (t *Trigger) Broadcast() {
 	for _, w := range t.waiters {
-		t.env.schedule(w, t.env.now)
+		t.env.schedule(w, t.env.now, nil)
 	}
 	t.waiters = t.waiters[:0]
 	for _, w := range t.timed {
 		*w.done = true
-		t.env.schedule(w.p, t.env.now)
+		t.env.schedule(w.p, t.env.now, nil)
 	}
 	t.timed = t.timed[:0]
 }

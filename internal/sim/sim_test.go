@@ -177,6 +177,69 @@ func TestResourceQueueIntegral(t *testing.T) {
 	if got := r.QueueIntegral(); got != 2 {
 		t.Fatalf("queue integral = %v, want 2", got)
 	}
+
+	// Long queue: the integral must equal each waiter's units x its own time
+	// in the queue, summed.
+	lq := runLongQueue(t)
+	if math.Abs(lq.r.QueueIntegral()-lq.queued) > 1e-9 {
+		t.Fatalf("long queue: queue integral = %v, want %v", lq.r.QueueIntegral(), lq.queued)
+	}
+}
+
+// longQueue is the outcome of runLongQueue: the resource, and the busy and
+// queue integrals recomputed from what each process saw.
+type longQueue struct {
+	r            *Resource
+	held, queued float64
+}
+
+// runLongQueue drives 240 processes of mixed unit counts through a 4-unit
+// resource so that most of them queue at once, and checks after every state
+// change that Waiting() — a running total — equals the sum over the queue.
+func runLongQueue(t *testing.T) *longQueue {
+	t.Helper()
+	e := New()
+	lq := &longQueue{r: e.NewResource("long", 4)}
+	r, changes, deepest := lq.r, 0, 0
+	r.OnChange = func(now Time, inUse, waiting int) {
+		sum := 0
+		for _, w := range r.waiters[r.head:] {
+			sum += w.n
+		}
+		if waiting != sum || r.Waiting() != sum {
+			t.Fatalf("at %v: OnChange waiting=%d Waiting()=%d, queue sums to %d", now, waiting, r.Waiting(), sum)
+		}
+		changes++
+		deepest = max(deepest, len(r.waiters)-r.head)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 240; i++ {
+		units := 1 + rng.Intn(4)
+		arrive := Duration(rng.Intn(20)) * Millisecond
+		hold := Duration(1+rng.Intn(30)) * Millisecond
+		e.Go(fmt.Sprintf("q%d", i), func(p *Proc) {
+			p.Sleep(arrive)
+			asked := p.Now()
+			if i%2 == 0 {
+				r.Acquire(p, units)
+				lq.queued += float64(units) * p.Now().Sub(asked).Seconds()
+				p.Sleep(hold)
+				r.Release(units)
+			} else {
+				r.Use(p, units, hold)
+				lq.queued += float64(units) * (p.Now().Sub(asked) - hold).Seconds()
+			}
+			lq.held += float64(units) * hold.Seconds()
+		})
+	}
+	e.Run()
+	if deepest < 200 || changes < 480 {
+		t.Fatalf("long queue too shallow: deepest %d waiters, %d changes", deepest, changes)
+	}
+	if r.Waiting() != 0 || r.InUse() != 0 {
+		t.Fatalf("after run: %d waiting, %d in use", r.Waiting(), r.InUse())
+	}
+	return lq
 }
 
 func TestResourceOnChangeHook(t *testing.T) {
@@ -331,6 +394,9 @@ func TestResourceBusyIntegralProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+	if lq := runLongQueue(t); math.Abs(lq.r.BusyIntegral()-lq.held) > 1e-9 {
+		t.Fatalf("long queue: busy integral = %v, want %v", lq.r.BusyIntegral(), lq.held)
 	}
 }
 

@@ -30,6 +30,10 @@ type Work struct {
 	err  interface{}
 }
 
+// joined is the handle of every closure that ran inline: Wait only reads a
+// handle whose done is nil, so one value serves all of them, on any goroutine.
+var joined = &Work{}
+
 // WorkStats summarizes a run's StartWork activity: how many closures were
 // dispatched, the aggregate real time spent inside them, and the peak
 // number in flight at once. Busy is measured on the inline path too, so a
@@ -100,7 +104,7 @@ func (p *Proc) StartWork(fn func()) *Work {
 		t0 := time.Now()
 		fn()
 		e.workBusyNs.Add(int64(time.Since(t0)))
-		return &Work{}
+		return joined
 	}
 	w := &Work{p: p, done: make(chan struct{})}
 	p.unjoined++
@@ -135,7 +139,7 @@ func (p *Proc) StartWork(fn func()) *Work {
 // inline branch so both branches produce a Work to Wait on.
 func Do(fn func()) *Work {
 	fn()
-	return &Work{}
+	return joined
 }
 
 // Wait joins the work: it blocks (in real time only) until the closure has

@@ -209,3 +209,23 @@ func TestSetWorkersDuringRunPanics(t *testing.T) {
 	})
 	e.Run()
 }
+
+// The inline path hands every caller the same already-joined handle: a
+// serial run dispatches once per chunk and must not allocate to do it.
+func TestInlineWorkAllocatesNothing(t *testing.T) {
+	e := New()
+	n := 0
+	fn := func() { n++ }
+	e.Go("p", func(p *Proc) {
+		if avg := testing.AllocsPerRun(100, func() { p.StartWork(fn).Wait() }); avg != 0 {
+			t.Errorf("inline StartWork allocates %.1f/op, budget 0", avg)
+		}
+	})
+	e.Run()
+	if avg := testing.AllocsPerRun(100, func() { Do(fn).Wait() }); avg != 0 {
+		t.Errorf("Do allocates %.1f/op, budget 0", avg)
+	}
+	if n != 2*101 {
+		t.Fatalf("closure ran %d times, want %d", n, 2*101)
+	}
+}
