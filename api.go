@@ -2,21 +2,17 @@ package onepass
 
 import (
 	"fmt"
-	"strings"
 
 	"onepass/internal/cluster"
-	"onepass/internal/core"
 	"onepass/internal/dfs"
 	"onepass/internal/disk"
 	"onepass/internal/engine"
+	"onepass/internal/engines"
 	"onepass/internal/faults"
 	"onepass/internal/gen"
-	"onepass/internal/hadoop"
-	"onepass/internal/hop"
 	"onepass/internal/kv"
 	"onepass/internal/metrics"
 	"onepass/internal/profile"
-	"onepass/internal/resident"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
 	"onepass/internal/workloads"
@@ -43,64 +39,40 @@ const (
 	Resident
 )
 
-// engineRegistry is the single source of truth for the engine set: String,
-// Engines, ParseEngine, and EngineNames all derive from it, and the CLIs and
-// the job service validate against it — adding an engine is one entry here
-// plus a dispatch case.
-var engineRegistry = []struct {
-	engine Engine
-	name   string
-}{
-	{Hadoop, "hadoop"},
-	{MapReduceOnline, "mapreduce-online"},
-	{HashHybrid, "hash-hybrid"},
-	{HashIncremental, "hash-incremental"},
-	{HashHotKey, "hash-hotkey"},
-	{Resident, "resident"},
-}
+// The engine set itself lives in internal/engines: an Engine is an index
+// into engines.List, and String, Engines, EngineNames and ParseEngine all
+// read that list, so the constants above are the only thing to extend here
+// when it grows.
 
 // String implements fmt.Stringer.
 func (e Engine) String() string {
-	for _, r := range engineRegistry {
-		if r.engine == e {
-			return r.name
-		}
+	if e < 0 || int(e) >= len(engines.List) {
+		return fmt.Sprintf("engine(%d)", int(e))
 	}
-	return fmt.Sprintf("engine(%d)", int(e))
+	return engines.List[e].Name
 }
 
 // Engines lists every engine, for sweeps.
 func Engines() []Engine {
-	out := make([]Engine, len(engineRegistry))
-	for i, r := range engineRegistry {
-		out[i] = r.engine
+	out := make([]Engine, len(engines.List))
+	for i := range out {
+		out[i] = Engine(i)
 	}
 	return out
 }
 
 // EngineNames lists every engine's String name, in registry order — the
 // canonical spelling for CLI flags and usage text.
-func EngineNames() []string {
-	out := make([]string, len(engineRegistry))
-	for i, r := range engineRegistry {
-		out[i] = r.name
-	}
-	return out
-}
+func EngineNames() []string { return engines.Names() }
 
-// ParseEngine resolves an engine by its String name. "hop" is accepted as
-// the historical CLI alias for mapreduce-online.
+// ParseEngine resolves an engine by its String name or a registered alias
+// ("hop" is the historical spelling of mapreduce-online).
 func ParseEngine(name string) (Engine, error) {
-	if name == "hop" {
-		return MapReduceOnline, nil
+	i, err := engines.Find(name)
+	if err != nil {
+		return 0, fmt.Errorf("onepass: %w", err)
 	}
-	for _, r := range engineRegistry {
-		if r.name == name {
-			return r.engine, nil
-		}
-	}
-	return 0, fmt.Errorf("onepass: unknown engine %q (valid: %s)",
-		name, strings.Join(EngineNames(), ", "))
+	return Engine(i), nil
 }
 
 // Re-exported job-building types: jobs and results are shared across all
@@ -357,28 +329,17 @@ func Run(cfg Config, data Dataset, job Job) (*Result, error) {
 		}
 		return dr.Incremental, nil
 	}
-	env := sim.New()
-	env.SetWorkers(cfg.Parallelism)
-	cl := cluster.New(env, cfg.clusterConfig())
-	blockSize := cfg.BlockSize
-	if blockSize <= 0 {
-		blockSize = dfs.DefaultBlockSize
-	}
-	d := dfs.New(cl, blockSize, 1)
-	if data.Gen == nil {
-		return nil, fmt.Errorf("onepass: dataset %q has no generator", data.Path)
-	}
-	if err := d.RegisterStream(data.Path, data.Size, data.ArrivalRate, data.Gen); err != nil {
+	// A one-job cluster: RunJob defaults, traces, audits and faults the job
+	// exactly as it does every stage of a chain.
+	c := NewCluster(cfg)
+	if err := c.Register(data); err != nil {
 		return nil, err
 	}
-	rt := engine.NewRuntime(env, cl, d)
-
 	job.InputPath = data.Path
 	if job.OutputPath == "" {
 		job.OutputPath = "out/" + job.Name
 	}
-	cfg.applyJobDefaults(&job, len(cl.ComputeNodes()))
-	return dispatch(cfg, rt, job)
+	return c.RunJob(job)
 }
 
 // applyJobDefaults fills job fields from the config without clobbering
@@ -418,42 +379,20 @@ func dispatch(cfg Config, rt *engine.Runtime, job Job) (*Result, error) {
 		// optional function, so the whole run is monoid-free.
 		job.Monoid = nil
 	}
-	var res *Result
-	var err error
-	switch cfg.Engine {
-	case Hadoop:
-		res, err = hadoop.Run(rt, job, hadoop.Options{FanIn: cfg.FanIn, Faults: cfg.Faults})
-	case MapReduceOnline:
-		res, err = hop.Run(rt, job, hop.Options{
-			FanIn:            cfg.FanIn,
-			ChunkBytes:       cfg.ChunkBytes,
-			DisableSnapshots: cfg.DisableSnapshots,
-			Faults:           cfg.Faults,
-		})
-	case HashHybrid, HashIncremental, HashHotKey:
-		mode := core.HybridHash
-		if cfg.Engine == HashIncremental {
-			mode = core.Incremental
-		} else if cfg.Engine == HashHotKey {
-			mode = core.HotKey
-		}
-		res, err = core.Run(rt, job, core.Options{
-			Mode:             mode,
-			DisablePush:      cfg.DisablePush,
-			ChunkBytes:       cfg.ChunkBytes,
-			SpillBuckets:     cfg.SpillBuckets,
-			HotKeyCounters:   cfg.HotKeyCounters,
-			ApproximateEarly: cfg.ApproximateEarly,
-			Faults:           cfg.Faults,
-		})
-	case Resident:
-		res, err = resident.Run(rt, job, resident.Options{
-			ChunkBytes: cfg.ChunkBytes,
-			Faults:     cfg.Faults,
-		})
-	default:
+	if cfg.Engine < 0 || int(cfg.Engine) >= len(engines.List) {
 		return nil, fmt.Errorf("onepass: unknown engine %v", cfg.Engine)
 	}
+	// One Options for every engine: each reads the knobs that apply to it.
+	res, err := engine.Run(rt, job, engine.Options{
+		FanIn:            cfg.FanIn,
+		ChunkBytes:       cfg.ChunkBytes,
+		DisableSnapshots: cfg.DisableSnapshots,
+		DisablePush:      cfg.DisablePush,
+		SpillBuckets:     cfg.SpillBuckets,
+		HotKeyCounters:   cfg.HotKeyCounters,
+		ApproximateEarly: cfg.ApproximateEarly,
+		Faults:           cfg.Faults,
+	}, engines.List[cfg.Engine].Plan)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 
+	"onepass/internal/engines"
 	"onepass/internal/gen"
 	"onepass/internal/loadgen"
 	"onepass/internal/service"
@@ -101,20 +102,6 @@ func defaultFleet() []tenantSpec {
 	}
 }
 
-func lookupWorkload(name string) (*workloads.Workload, error) {
-	switch name {
-	case "sessionization":
-		return workloads.Sessionization(gen.DefaultClickConfig()), nil
-	case "page-frequency":
-		return workloads.PageFrequency(gen.DefaultClickConfig()), nil
-	case "per-user-count":
-		return workloads.PerUserCount(gen.DefaultClickConfig()), nil
-	case "inverted-index":
-		return workloads.InvertedIndex(gen.DefaultDocConfig()), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
 type tenantFlags []string
 
 func (t *tenantFlags) String() string { return strings.Join(*t, "; ") }
@@ -127,7 +114,8 @@ func main() {
 	log.SetFlags(0)
 	var tenantSpecs tenantFlags
 	flag.Var(&tenantSpecs, "tenant",
-		"tenant spec: name=N[,weight=W][,prio=P][,rate=R][,jobs=J][,maxrun=M][,maxqueue=Q][,mix=workload@engine+...]; repeatable (default: a 3-tenant demo fleet)")
+		"tenant spec: name=N[,weight=W][,prio=P][,rate=R][,jobs=J][,maxrun=M][,maxqueue=Q][,mix=workload@engine+...]; repeatable (default: a 3-tenant demo fleet); workloads: "+
+			strings.Join(workloads.Names(), " | ")+"; engines: "+strings.Join(engines.Names(), " | "))
 	size := flag.String("size", "8MB", "per-job input size (e.g. 64MB, 1GB)")
 	blockSize := flag.String("block", "1MB", "DFS block size")
 	nodes := flag.Int("nodes", 10, "cluster nodes")
@@ -196,7 +184,7 @@ func main() {
 	for i, t := range specs {
 		var mix []service.JobRequest
 		for _, m := range t.mix {
-			w, err := lookupWorkload(m.workload)
+			w, err := workloads.ByName(m.workload, gen.DefaultClickConfig(), gen.DefaultDocConfig())
 			if err != nil {
 				log.Fatalf("tenant %s: %v", t.cfg.Name, err)
 			}

@@ -24,12 +24,13 @@ import (
 	"onepass"
 	"onepass/internal/metrics"
 	"onepass/internal/textfmt"
+	"onepass/internal/workloads"
 )
 
 func main() {
 	log.SetFlags(0)
 	workload := flag.String("workload", "sessionization",
-		"sessionization | windowed-sessionization | page-frequency | per-user-count | inverted-index")
+		strings.Join(workloads.Names(), " | "))
 	engineName := flag.String("engine", "hadoop",
 		strings.Join(onepass.EngineNames(), " | "))
 	size := flag.String("size", "32MB", "input size (e.g. 64MB, 1GB)")
@@ -92,22 +93,9 @@ func main() {
 	}
 
 	cc := onepass.DefaultClickConfig()
-	var w *onepass.Workload
-	clicks := true
-	switch *workload {
-	case "sessionization":
-		w = onepass.Sessionization(cc)
-	case "windowed-sessionization":
-		w = onepass.WindowedSessionization(cc, 0)
-	case "page-frequency":
-		w = onepass.PageFrequency(cc)
-	case "per-user-count":
-		w = onepass.PerUserCount(cc)
-	case "inverted-index":
-		w = onepass.InvertedIndex(onepass.DefaultDocConfig())
-		clicks = false
-	default:
-		log.Fatalf("unknown workload %q", *workload)
+	w, err := workloads.ByName(*workload, cc, onepass.DefaultDocConfig())
+	if err != nil {
+		log.Fatalf("bad -workload: %v", err)
 	}
 
 	data := onepass.Dataset{Path: "input/" + w.Name, Size: inputSize, Gen: w.Gen}
@@ -125,7 +113,7 @@ func main() {
 		if *faultSpec != "" || *faultSeed != 0 {
 			log.Fatal("-delta cannot be combined with -fault or -fault-seed")
 		}
-		if !clicks {
+		if !w.Clicks {
 			log.Fatalf("-delta requires a click workload, not %q", *workload)
 		}
 		stopProfiles := startProfiles(*cpuProfile, *memProfile)

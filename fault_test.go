@@ -3,6 +3,8 @@ package onepass
 import (
 	"bytes"
 	"testing"
+
+	"onepass/internal/trace"
 )
 
 // faultedAt builds a one-failure schedule striking node at a fraction of a
@@ -165,5 +167,78 @@ func TestFaultValidationAtAPI(t *testing.T) {
 	cfg.Faults = FaultSchedule{Faults: []Fault{{Kind: NodeFailure, Node: 99, At: 0}}}
 	if _, err := RunWorkload(cfg, w, 64<<10); err == nil {
 		t.Fatal("out-of-range fault node must be rejected")
+	}
+}
+
+// TestRecoveryNodeDiesMidRepush drives the branch of the push engines'
+// shared recovery loop (engine.RepushLost) that a single failure cannot
+// reach: the node re-pushing a dead node's undelivered chunks dies itself
+// half-way through, and the next survivor must resume from the delivery
+// frontier the dead one advanced — same output, every ledger balanced.
+func TestRecoveryNodeDiesMidRepush(t *testing.T) {
+	for _, e := range []Engine{MapReduceOnline, Resident} {
+		e := e
+		t.Run(e.String(), func(t *testing.T) {
+			run := func(sched FaultSchedule) (*Result, *TraceLog) {
+				t.Helper()
+				cfg := tinyConfig(e)
+				cfg.Audit = true
+				cfg.Faults = sched
+				tl := NewTraceLog()
+				cfg.Trace = tl
+				res, err := RunWorkload(cfg, Sessionization(tinyClicks()), 32*64<<10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, tl
+			}
+			clean, _ := run(FaultSchedule{})
+			// Mid map wave, so the dying node takes sealed chunks with it.
+			_, mapEnd, ok := clean.Timeline.PhaseWindow("map")
+			if !ok {
+				t.Fatal("run has no map spans")
+			}
+			sched := faultedAt(3, Duration(mapEnd), 0.5)
+
+			// Where and when the one-failure run re-pushes: recovery attempts
+			// are the map spans numbered from 1 (first attempts are 0).
+			_, tl := run(sched)
+			var start, finish trace.Event
+			for _, ev := range tl.Events() {
+				if ev.Name != "map" || ev.Attempt != 1 {
+					continue
+				}
+				if ev.Type == trace.TaskStart && start.At == 0 {
+					start = ev
+				}
+				if ev.Type == trace.TaskFinish && finish.At == 0 && ev.Task == start.Task {
+					finish = ev
+				}
+			}
+			if start.At == 0 || finish.At <= start.At {
+				t.Fatalf("the first failure left nothing to re-push (recovery span %v..%v)", start.At, finish.At)
+			}
+			sched.Faults = append(sched.Faults, Fault{
+				Kind: NodeFailure, Node: start.Node, At: Duration(start.At + (finish.At-start.At)/2)})
+
+			res, tl := run(sched)
+			if got := res.Counters.Get("faults.injected"); got != 2 {
+				t.Fatalf("faults.injected = %v, want 2", got)
+			}
+			moved := false
+			for _, ev := range tl.Events() {
+				if ev.Type == trace.TaskStart && ev.Name == "map" && ev.Task == start.Task && ev.Attempt == 2 {
+					moved = ev.Node != start.Node
+				}
+			}
+			if !moved {
+				t.Fatalf("map %d was not re-pushed a second time from another node after n%d died mid-recovery",
+					start.Task, start.Node)
+			}
+			if res.OutputPairs != clean.OutputPairs || res.OutputChecksum != clean.OutputChecksum {
+				t.Fatalf("output %d pairs / %016x, fault-free %d / %016x",
+					res.OutputPairs, res.OutputChecksum, clean.OutputPairs, clean.OutputChecksum)
+			}
+		})
 	}
 }

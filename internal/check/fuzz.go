@@ -68,7 +68,6 @@ func FuzzTuple(seed int64) Tuple {
 	cc.URLs = 100 + rng.Intn(300)
 
 	var w *onepass.Workload
-	clicks := true
 	switch rng.Intn(4) {
 	case 0:
 		w = onepass.Sessionization(cc)
@@ -80,12 +79,11 @@ func FuzzTuple(seed int64) Tuple {
 		dc := onepass.DefaultDocConfig()
 		dc.Vocab = 2000 + rng.Intn(4000)
 		w = onepass.InvertedIndex(dc)
-		clicks = false
 	}
 	t := Tuple{Seed: seed, Workload: w, Clicks: cc, Input: input, Cfg: cfg}
 	// Delta draws come last so the streams feeding every pre-existing field
 	// stay aligned with older tuple derivations, seed for seed.
-	if clicks {
+	if w.Clicks {
 		d := onepass.DefaultDelta(cc, rng.Uint64(), 0.02+0.3*rng.Float64())
 		t.Delta = &d
 	}

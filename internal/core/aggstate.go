@@ -69,11 +69,8 @@ func (a listAgg) Final(key, state []byte, emit engine.Emit) {
 // map side performs hash-based combining (only when a real aggregator
 // exists — a list state on the map side would not shrink anything).
 func jobAggregator(job *engine.Job) (agg engine.Aggregator, mapCombined bool) {
-	if job.Agg != nil {
-		return job.Agg, true
-	}
-	if job.Monoid != nil {
-		return engine.MonoidAgg{M: job.Monoid}, true
+	if agg := job.DeclaredAgg(); agg != nil {
+		return agg, true
 	}
 	return listAgg{reduce: job.Reduce}, false
 }

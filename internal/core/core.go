@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"onepass/internal/cluster"
-	"onepass/internal/dfs"
 	"onepass/internal/engine"
-	"onepass/internal/faults"
-	"onepass/internal/hadoop"
 	"onepass/internal/hashlib"
-	"onepass/internal/kv"
 	"onepass/internal/memtable"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
@@ -53,45 +49,7 @@ const HashFrameworkNsPerRecord = 2600
 // HashSeed seeds the engine's hash family: function 0 is shared with the
 // baselines for partitioning; functions 1.. serve grouping and each
 // recursion level of external hashing.
-const HashSeed = hadoop.PartitionSeed
-
-// Options tunes the hash engine.
-type Options struct {
-	Mode Mode
-	// Push enables eager push shuffle (default). Under backpressure the
-	// engine falls back to pull from the persisted map output.
-	DisablePush bool
-	// ChunkBytes is the push granularity.
-	ChunkBytes int64
-	// BackpressureBytes bounds a reducer's inbound push queue.
-	BackpressureBytes int64
-	// SpillBuckets is the number of hash buckets used for spilled/cold
-	// data (K in DESIGN.md).
-	SpillBuckets int
-	// HotKeyCounters sizes the SpaceSaving sketch (HotKey mode).
-	HotKeyCounters int
-	// ApproximateEarly, in HotKey mode, emits the in-memory hot-key states
-	// as an approximate snapshot the moment all input has arrived, before
-	// the exact completion pass (§V's early answers for hot keys).
-	ApproximateEarly bool
-	// Faults is the deterministic fault schedule to inject during the run.
-	Faults faults.Schedule
-}
-
-func (o *Options) defaults() {
-	if o.ChunkBytes == 0 {
-		o.ChunkBytes = 512 << 10
-	}
-	if o.BackpressureBytes == 0 {
-		o.BackpressureBytes = 8 << 20
-	}
-	if o.SpillBuckets == 0 {
-		o.SpillBuckets = 16
-	}
-	if o.HotKeyCounters == 0 {
-		o.HotKeyCounters = 4096
-	}
-}
+const HashSeed = engine.PartitionSeed
 
 // reducerImpl is one reduce-side hash technique.
 type reducerImpl interface {
@@ -101,97 +59,47 @@ type reducerImpl interface {
 	finalize(p *sim.Proc)
 }
 
-// Run executes job on rt with the hash-based engine.
-func Run(rt *engine.Runtime, job engine.Job, opts Options) (*engine.Result, error) {
-	var res *engine.Result
-	if err := Start(rt, job, opts, func(_ *sim.Proc, r *engine.Result) { res = r }); err != nil {
-		return nil, err
+// Plan returns the hash engine with reduce-side technique m: map tasks
+// hash-combine, persist and push best-effort, reducers fold what arrives by
+// either path, and a lost output is recomputed into the undelivered tails.
+func Plan(m Mode) *engine.Plan {
+	return &engine.Plan{
+		Label: "hash-" + m.String(),
+		Push:  true,
+		Defaults: engine.Options{
+			ChunkBytes:        512 << 10,
+			BackpressureBytes: 8 << 20,
+			SpillBuckets:      16,
+			HotKeyCounters:    4096,
+		},
+		// The byte-array memory management library (§V) removes most of the
+		// per-record object churn the JVM-based baselines pay; calibrated to
+		// land the paper's "up to 48% of CPU cycles" saving.
+		FrameworkNsPerRecord: HashFrameworkNsPerRecord,
+		Setup: func(j *engine.JobRun) (engine.Tasks, error) {
+			if j.Job.Speculation && !j.Opts.DisablePush {
+				return engine.Tasks{}, fmt.Errorf("core: speculative execution requires pull shuffle (DisablePush) — duplicate push attempts would double-deliver chunks")
+			}
+			hj := &hashJob{JobRun: j, mode: m}
+			hj.agg, hj.mapCombined = jobAggregator(j.Job)
+			// Chunk building is deterministic, so the recovered output serves
+			// exactly the chunks that were never push-delivered.
+			j.ReexecWith(hj.reexecMapOutput)
+			return engine.Tasks{
+				Map:    hj.runMapTask,
+				Reduce: hj.runReduceTask,
+			}, nil
+		},
 	}
-	rt.Env.Run()
-	rt.FinishResult(res)
-	return res, nil
 }
 
-// Start launches job on rt without driving the simulation; see hadoop.Start
-// for the contract. The controller invokes done at the job's completion
-// instant, after JobDone and StopSampling.
-func Start(rt *engine.Runtime, job engine.Job, opts Options, done func(p *sim.Proc, res *engine.Result)) error {
-	if err := job.Validate(); err != nil {
-		return err
-	}
-	blocks, err := rt.InputBlocks(job.InputPath)
-	if err != nil {
-		return err
-	}
-	if len(blocks) == 0 {
-		return fmt.Errorf("%s: input %q has no blocks (was a chained stage's output discarded?)", "core", job.InputPath)
-	}
-	opts.defaults()
-	if job.Speculation && !opts.DisablePush {
-		return fmt.Errorf("core: speculative execution requires pull shuffle (DisablePush) — duplicate push attempts would double-deliver chunks")
-	}
-	// The byte-array memory management library (§V) removes most of the
-	// per-record object churn the JVM-based baselines pay; calibrated to
-	// land the paper's "up to 48% of CPU cycles" saving.
-	if job.Costs.FrameworkNsPerRecord == 0 {
-		job.Costs.FrameworkNsPerRecord = HashFrameworkNsPerRecord
-	}
-	costs := hadoop.JobCosts(&job)
-	if costs.HashNs == 0 {
-		costs.HashNs = engine.DefaultCosts().HashNs
-	}
-	if costs.UpdateNsPerRecord == 0 {
-		costs.UpdateNsPerRecord = engine.DefaultCosts().UpdateNsPerRecord
-	}
-	res := &engine.Result{Job: job.Name, Engine: "hash-" + opts.Mode.String()}
-	rt.EngineLabel = res.Engine
-	oc := rt.NewOutputCollector(&job, res)
-	reg := rt.NewRegistry(len(blocks))
-	channels := rt.NewPushChannels(job.Reducers, opts.BackpressureBytes)
-	partition := hadoop.Partitioner()
-	agg, mapCombined := jobAggregator(&job)
-	// Fault tolerance: a lost output is recomputed from its DFS block on a
-	// surviving node; chunk building is deterministic, so the recovered
-	// output serves exactly the chunks that were never push-delivered.
-	blockByTask := make(map[int]*dfs.Block, len(blocks))
-	for _, b := range blocks {
-		blockByTask[b.Index] = b
-	}
-	reg.Reexec = func(p *sim.Proc, readerNode int, lost *engine.MapOutput) *engine.MapOutput {
-		node := rt.Cluster.Node(readerNode)
-		if node.Failed() {
-			node = survivingNode(rt)
-		}
-		// Span the recovery attempt like a real map task (attempt 1) so the
-		// profiler's span DAG stays connected through fault recovery.
-		span := rt.Timeline.Begin(engine.SpanMap, p.Now())
-		rt.Emit(trace.TaskStart, engine.SpanMap, node.ID, lost.TaskID, 1)
-		out := reexecMapOutput(rt, p, node, &job, costs, blockByTask[lost.TaskID],
-			partition, &opts, agg, mapCombined, lost)
-		span.End(p.Now())
-		rt.Emit(trace.TaskFinish, engine.SpanMap, node.ID, lost.TaskID, 1)
-		return out
-	}
-	rt.InstallFaults(opts.Faults, reg.FailNode)
-
-	rt.StartSampling()
-	mapsWG := rt.RunMaps(&job, blocks, func(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
-		runMapTask(rt, p, node, &job, costs, b, partition, channels, reg, &opts, agg, mapCombined)
-	})
-	redsWG := rt.RunReduces(&job, func(p *sim.Proc, node *cluster.Node, r int) {
-		runReduceTask(rt, p, node, &job, costs, channels[r], reg, oc, r, &opts, agg, mapCombined)
-	})
-	rt.Env.Go("job-controller", func(p *sim.Proc) {
-		mapsWG.Wait(p)
-		for _, pc := range channels {
-			pc.Close()
-		}
-		redsWG.Wait(p)
-		rt.JobDone()
-		rt.StopSampling()
-		done(p, res)
-	})
-	return nil
+// hashJob is one launched hash-engine job: the skeleton's state plus the
+// technique and the aggregation the job resolved to.
+type hashJob struct {
+	*engine.JobRun
+	mode        Mode
+	agg         engine.Aggregator
+	mapCombined bool
 }
 
 // reduceCtx bundles what every reduce-side technique needs.
@@ -202,7 +110,7 @@ type reduceCtx struct {
 	node    *cluster.Node
 	oc      *engine.OutputCollector
 	r       int
-	opts    *Options
+	opts    *engine.Options
 	agg     engine.Aggregator
 	mapComb bool
 	budget  int64
@@ -229,13 +137,11 @@ type reduceCtx struct {
 	emitProc *sim.Proc
 }
 
-func newReduceCtx(rt *engine.Runtime, job *engine.Job, costs engine.CostModel,
-	node *cluster.Node, oc *engine.OutputCollector, r int, opts *Options,
-	agg engine.Aggregator, mapCombined bool) *reduceCtx {
+func newReduceCtx(hj *hashJob, node *cluster.Node, r int) *reduceCtx {
 	cache := map[int]*hashlib.Func{}
 	return &reduceCtx{
-		rt: rt, job: job, costs: costs, node: node, oc: oc, r: r, opts: opts,
-		agg: agg, mapComb: mapCombined, budget: rt.TaskMemory(job),
+		rt: hj.RT, job: hj.Job, costs: hj.Costs, node: node, oc: hj.OC, r: r, opts: &hj.Opts,
+		agg: hj.agg, mapComb: hj.mapCombined, budget: hj.RT.TaskMemory(hj.Job),
 		hashAt: func(l int) *hashlib.Func {
 			if f, ok := cache[l]; ok {
 				return f
@@ -289,7 +195,7 @@ func (rc *reduceCtx) join() {
 // and overlaps its own charge; with the pool disabled StartWork runs it
 // inline and the virtual sequence — just the chargeFold — is unchanged.
 // n and bytes are the chunk's pre-scanned pair count and payload size
-// (countChunk), needed because the charge is issued before the join.
+// (engine.CountChunk), needed because the charge is issued before the join.
 func (rc *reduceCtx) foldChunk(p *sim.Proc, n int, bytes int64, fold func()) {
 	rc.pending = p.StartWork(fold)
 	rc.chargeFold(p, n, bytes)
@@ -328,16 +234,14 @@ func (rc *reduceCtx) emitFinal(p *sim.Proc, key, state []byte) {
 		engine.Dur(float64(len(state)), rc.costs.SerializeNsPerByte), engine.PhaseReduce)
 }
 
-func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, pc *engine.PushChannel, reg *engine.Registry,
-	oc *engine.OutputCollector, r int, opts *Options, agg engine.Aggregator, mapCombined bool) {
-
-	rc := newReduceCtx(rt, job, costs, node, oc, r, opts, agg, mapCombined)
+func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
+	rt, reg, oc, pc := hj.RT, hj.Reg, hj.OC, hj.Channels[r]
+	rc := newReduceCtx(hj, node, r)
 	rc.mapProgress = func() float64 {
 		return float64(reg.Completed()) / float64(reg.TotalMaps())
 	}
 	var impl reducerImpl
-	switch opts.Mode {
+	switch hj.mode {
 	case HybridHash:
 		impl = newHybridReducer(rc)
 	case Incremental:
@@ -345,7 +249,7 @@ func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *eng
 	case HotKey:
 		impl = newHotReducer(rc)
 	default:
-		panic(fmt.Sprintf("core: unknown mode %v", opts.Mode))
+		panic(fmt.Sprintf("core: unknown mode %v", hj.mode))
 	}
 
 	// Two arrival paths share the single-threaded reducer state: the push
@@ -401,41 +305,4 @@ func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *eng
 	oc.Close(p, r)
 	reduceSpan.End(p.Now())
 	rt.Emit(trace.PhaseEnd, engine.SpanReduce, node.ID, r, 0)
-}
-
-// survivingNode returns the first compute node that has not failed.
-func survivingNode(rt *engine.Runtime) *cluster.Node {
-	for _, n := range rt.Cluster.ComputeNodes() {
-		if !n.Failed() {
-			return n
-		}
-	}
-	panic("core: no surviving compute node for re-execution")
-}
-
-// decodePairs walks an encoded chunk.
-func decodePairs(chunk []byte, f func(key, val []byte)) (n int) {
-	d := kv.NewDecoder(chunk)
-	for {
-		k, v, ok := d.Next()
-		if !ok {
-			return n
-		}
-		n++
-		f(k, v)
-	}
-}
-
-// countChunk pre-scans an encoded chunk for the pair count and payload
-// bytes that chargeFold needs, so the charge can overlap the pooled fold.
-func countChunk(chunk []byte) (n int, bytes int64) {
-	d := kv.NewDecoder(chunk)
-	for {
-		k, v, ok := d.Next()
-		if !ok {
-			return
-		}
-		n++
-		bytes += int64(len(k) + len(v))
-	}
 }

@@ -29,10 +29,16 @@ func smallDocs() gen.DocConfig {
 	return cfg
 }
 
-func run(t *testing.T, w *workloads.Workload, cfg enginetest.Config, opts Options) (*enginetest.Fixture, *engine.Result) {
+// Run executes job on rt with the hash engine's technique m, alone on rt's
+// environment.
+func Run(rt *engine.Runtime, job engine.Job, m Mode, opts engine.Options) (*engine.Result, error) {
+	return engine.Run(rt, job, opts, Plan(m))
+}
+
+func run(t *testing.T, w *workloads.Workload, cfg enginetest.Config, m Mode, opts engine.Options) (*enginetest.Fixture, *engine.Result) {
 	t.Helper()
 	f := enginetest.New(t, w, cfg)
-	res, err := Run(f.RT, f.Job, opts)
+	res, err := Run(f.RT, f.Job, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +56,7 @@ func TestAllModesAllWorkloadsMatchReference(t *testing.T) {
 		} {
 			w := mk()
 			t.Run(fmt.Sprintf("%s/%s", mode, w.Name), func(t *testing.T) {
-				f, res := run(t, w, enginetest.Config{}, Options{Mode: mode})
+				f, res := run(t, w, enginetest.Config{}, mode, engine.Options{})
 				f.CheckOutput(t, w, res)
 			})
 		}
@@ -77,7 +83,7 @@ func TestAllModesUnderMemoryPressure(t *testing.T) {
 			w := mk()
 			t.Run(fmt.Sprintf("%s/%s", mode, w.Name), func(t *testing.T) {
 				f, res := run(t, w, enginetest.Config{MemPerTask: 16 << 10, Reducers: 2},
-					Options{Mode: mode, SpillBuckets: 4, HotKeyCounters: 32})
+					mode, engine.Options{SpillBuckets: 4, HotKeyCounters: 32})
 				f.CheckOutput(t, w, res)
 				if res.Counters.Get(engine.CtrReduceSpillBytes) == 0 {
 					t.Error("expected reduce-side spills under a 16KB budget")
@@ -89,13 +95,13 @@ func TestAllModesUnderMemoryPressure(t *testing.T) {
 
 func TestPullOnlyModeMatches(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
-	f, res := run(t, w, enginetest.Config{}, Options{Mode: Incremental, DisablePush: true})
+	f, res := run(t, w, enginetest.Config{}, Incremental, engine.Options{DisablePush: true})
 	f.CheckOutput(t, w, res)
 }
 
 func TestNoSortingCPU(t *testing.T) {
 	w := workloads.Sessionization(smallClicks())
-	_, res := run(t, w, enginetest.Config{}, Options{Mode: Incremental})
+	_, res := run(t, w, enginetest.Config{}, Incremental, engine.Options{})
 	if res.CPU.Seconds(engine.PhaseSort) != 0 {
 		t.Fatalf("hash engine charged %v s of sort CPU", res.CPU.Seconds(engine.PhaseSort))
 	}
@@ -109,7 +115,7 @@ func TestNoSortingCPU(t *testing.T) {
 
 func TestIncrementalNoSpillWhenMemoryAmple(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
-	_, res := run(t, w, enginetest.Config{MemPerTask: 1 << 30}, Options{Mode: Incremental})
+	_, res := run(t, w, enginetest.Config{MemPerTask: 1 << 30}, Incremental, engine.Options{})
 	if res.Counters.Get(engine.CtrReduceSpillBytes) != 0 {
 		t.Fatalf("spilled %v bytes with ample memory", res.Counters.Get(engine.CtrReduceSpillBytes))
 	}
@@ -123,13 +129,13 @@ func TestIncrementalFasterThanHadoopFirstOutput(t *testing.T) {
 	cfg := enginetest.Config{InputSize: 2 << 20, MemPerTask: 64 << 10, Reducers: 2}
 	w1 := workloads.Sessionization(smallClicks())
 	f1 := enginetest.New(t, w1, cfg)
-	hashRes, err := Run(f1.RT, f1.Job, Options{Mode: Incremental})
+	hashRes, err := Run(f1.RT, f1.Job, Incremental, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w2 := workloads.Sessionization(smallClicks())
 	f2 := enginetest.New(t, w2, cfg)
-	hRes, err := hadoop.Run(f2.RT, f2.Job, hadoop.Options{})
+	hRes, err := engine.Run(f2.RT, f2.Job, engine.Options{}, hadoop.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +158,7 @@ func TestEmitWhenThresholdFiresEarly(t *testing.T) {
 	}
 	f := enginetest.New(t, w, enginetest.Config{})
 	f.Job.EmitWhen = job.EmitWhen
-	res, err := Run(f.RT, f.Job, Options{Mode: Incremental})
+	res, err := Run(f.RT, f.Job, Incremental, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +178,10 @@ func TestHotKeySpillsLessThanIncremental(t *testing.T) {
 	clicks.UserSkew = 1.5 // hot keys must exist for pinning to pay
 	w1 := workloads.PerUserCount(clicks)
 	_, inc := run(t, w1, enginetest.Config{MemPerTask: mem, Reducers: 2, InputSize: 512 << 10},
-		Options{Mode: Incremental, SpillBuckets: 8})
+		Incremental, engine.Options{SpillBuckets: 8})
 	w2 := workloads.PerUserCount(clicks)
 	f2, hot := run(t, w2, enginetest.Config{MemPerTask: mem, Reducers: 2, InputSize: 512 << 10},
-		Options{Mode: HotKey, SpillBuckets: 8, HotKeyCounters: 512})
+		HotKey, engine.Options{SpillBuckets: 8, HotKeyCounters: 512})
 	f2.CheckOutput(t, workloads.PerUserCount(clicks), hot)
 	incSpill := inc.Counters.Get(engine.CtrReduceSpillBytes)
 	hotSpill := hot.Counters.Get(engine.CtrReduceSpillBytes)
@@ -193,7 +199,7 @@ func TestHotKeySpillsLessThanIncremental(t *testing.T) {
 func TestHotKeyApproximateEarlySnapshot(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
 	f, res := run(t, w, enginetest.Config{MemPerTask: 16 << 10, Reducers: 2},
-		Options{Mode: HotKey, ApproximateEarly: true, SpillBuckets: 4, HotKeyCounters: 64})
+		HotKey, engine.Options{ApproximateEarly: true, SpillBuckets: 4, HotKeyCounters: 64})
 	if len(res.Snapshots) == 0 {
 		t.Fatal("no early hot-key snapshot")
 	}
@@ -202,7 +208,7 @@ func TestHotKeyApproximateEarlySnapshot(t *testing.T) {
 
 func TestHybridHashIsBlocking(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
-	_, res := run(t, w, enginetest.Config{}, Options{Mode: HybridHash})
+	_, res := run(t, w, enginetest.Config{}, HybridHash, engine.Options{})
 	_, mapEnd, _ := res.Timeline.PhaseWindow(engine.SpanMap)
 	if res.FirstOutputAt < mapEnd {
 		t.Fatalf("hybrid hash emitted at %v before maps ended %v", res.FirstOutputAt, mapEnd)
@@ -211,7 +217,7 @@ func TestHybridHashIsBlocking(t *testing.T) {
 
 func TestMapSideCombineShrinksShuffle(t *testing.T) {
 	w := workloads.PageFrequency(smallClicks())
-	_, res := run(t, w, enginetest.Config{}, Options{Mode: Incremental})
+	_, res := run(t, w, enginetest.Config{}, Incremental, engine.Options{})
 	shuffle := res.Counters.Get(engine.CtrShuffleBytes)
 	mapIn := res.Counters.Get(engine.CtrMapInputBytes)
 	if shuffle > mapIn/10 {
@@ -222,7 +228,7 @@ func TestMapSideCombineShrinksShuffle(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	r := func() *engine.Result {
 		w := workloads.PerUserCount(smallClicks())
-		_, res := run(t, w, enginetest.Config{}, Options{Mode: HotKey})
+		_, res := run(t, w, enginetest.Config{}, HotKey, engine.Options{})
 		return res
 	}
 	a, b := r(), r()
@@ -249,7 +255,7 @@ func TestHotKeyEarlyAnswersApproximateButClose(t *testing.T) {
 	clicks.UserSkew = 1.5
 	w := workloads.PerUserCount(clicks)
 	f := enginetest.New(t, w, enginetest.Config{MemPerTask: 16 << 10, Reducers: 2, InputSize: 512 << 10})
-	res, err := Run(f.RT, f.Job, Options{Mode: HotKey, ApproximateEarly: true,
+	res, err := Run(f.RT, f.Job, HotKey, engine.Options{ApproximateEarly: true,
 		SpillBuckets: 8, HotKeyCounters: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +331,7 @@ func TestNodeFailureReexecutesLostMaps(t *testing.T) {
 			// persisted outputs and leftover files are lost and must be
 			// recomputed when reducers pull them.
 			f := enginetest.New(t, w, enginetest.Config{Nodes: 4, InputSize: 32 * 64 << 10})
-			res, err := Run(f.RT, f.Job, Options{Mode: mode,
+			res, err := Run(f.RT, f.Job, mode, engine.Options{
 				Faults: faults.Schedule{Faults: []faults.Fault{
 					{Kind: faults.NodeFailure, Node: 1, At: 10 * sim.Millisecond}}}})
 			if err != nil {
@@ -344,7 +350,7 @@ func TestPullOnlyNodeFailureReexecutes(t *testing.T) {
 	// failure always forces re-execution of the dead node's completed maps.
 	w := workloads.PerUserCount(smallClicks())
 	f := enginetest.New(t, w, enginetest.Config{Nodes: 4, InputSize: 32 * 64 << 10})
-	res, err := Run(f.RT, f.Job, Options{Mode: Incremental, DisablePush: true,
+	res, err := Run(f.RT, f.Job, Incremental, engine.Options{DisablePush: true,
 		Faults: faults.Schedule{Faults: []faults.Fault{
 			{Kind: faults.NodeFailure, Node: 1, At: 20 * sim.Millisecond}}}})
 	if err != nil {

@@ -24,10 +24,12 @@ func newTestReduceCtx(t *testing.T, budget int64, buckets int) (*sim.Env, *reduc
 	job.Name = "ext-test"
 	job.Reducers = 1
 	agg, mapComb := jobAggregator(&job)
-	opts := &Options{}
-	opts.defaults()
+	opts := Plan(Incremental).Defaults
 	opts.SpillBuckets = buckets
-	rc := newReduceCtx(rt, &job, engine.DefaultCosts(), cl.Node(0), nil, 0, opts, agg, mapComb)
+	rc := newReduceCtx(&hashJob{
+		JobRun: &engine.JobRun{RT: rt, Job: &job, Opts: opts, Costs: engine.DefaultCosts()},
+		agg:    agg, mapCombined: mapComb,
+	}, cl.Node(0), 0)
 	rc.budget = budget
 	return env, rc
 }

@@ -87,9 +87,12 @@ func TestReducersCopyOutOfIngestedChunks(t *testing.T) {
 					res := &engine.Result{}
 					oc := rt.NewOutputCollector(&job, res)
 					agg, mapComb := jobAggregator(&job)
-					opts := &Options{Mode: mode, SpillBuckets: 4, HotKeyCounters: 16}
-					opts.defaults()
-					rc := newReduceCtx(rt, &job, engine.DefaultCosts(), cl.Node(0), oc, 0, opts, agg, mapComb)
+					opts := Plan(mode).Defaults
+					opts.SpillBuckets, opts.HotKeyCounters = 4, 16
+					rc := newReduceCtx(&hashJob{
+						JobRun: &engine.JobRun{RT: rt, Job: &job, Opts: opts, Costs: engine.DefaultCosts(), OC: oc},
+						agg:    agg, mapCombined: mapComb,
+					}, cl.Node(0), 0)
 					rc.budget = budget
 					var impl reducerImpl
 					switch mode {
@@ -145,7 +148,7 @@ func TestSmallBlockFaultedRunMatchesClean(t *testing.T) {
 			enginetest.CheckFaultedMatchesClean(t, tc.mk,
 				enginetest.Config{Nodes: 4, BlockSize: 16 << 10, InputSize: 96 * 16 << 10, Reducers: 10},
 				func(f *enginetest.Fixture, sched faults.Schedule) (*engine.Result, error) {
-					return Run(f.RT, f.Job, Options{Mode: tc.mode, Faults: sched})
+					return Run(f.RT, f.Job, tc.mode, engine.Options{Faults: sched})
 				})
 		})
 	}
@@ -176,7 +179,7 @@ func TestAllocationProportionalToData(t *testing.T) {
 			enginetest.CheckAllocationProportional(t, tc.mk(), enginetest.Config{
 				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, 12,
 				func(f *enginetest.Fixture) (*engine.Result, error) {
-					return Run(f.RT, f.Job, Options{Mode: tc.mode})
+					return Run(f.RT, f.Job, tc.mode, engine.Options{})
 				})
 		})
 	}

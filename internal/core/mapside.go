@@ -21,12 +21,9 @@ import (
 // table outgrows the task budget). Either way there is no sort — that is
 // the whole point. Output is persisted for fault tolerance (as in stock
 // Hadoop) and then pushed eagerly to the reducers.
-func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner,
-	channels []*engine.PushChannel, reg *engine.Registry, opts *Options,
-	agg engine.Aggregator, mapCombined bool) {
-
-	frame := buildMapChunks(rt, p, node, job, costs, b, partition, opts, agg, mapCombined)
+func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
+	rt, job, costs := hj.RT, hj.Job, hj.Costs
+	frame := hj.buildMapChunks(p, node, b)
 	R := job.Reducers
 	// Persist the map output for fault tolerance as one indexed file
 	// (charging the synchronous write), then push. The file adopts the frame
@@ -45,9 +42,9 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 	// Completion is registered only after the push loop below resolves
 	// which partitions were fully delivered, so pull-side reducers never
 	// see a stale Pushed flag.
-	defer reg.Complete(out)
+	defer hj.Reg.Complete(out)
 
-	if opts.DisablePush {
+	if hj.Opts.DisablePush {
 		if rt.Auditing() {
 			// Pull-only mode: whole partitions move through FetchPart, so
 			// record each as one produced unit like the sort-merge engine.
@@ -74,7 +71,7 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 		// output serves only the undelivered tail.
 		sent := int64(0)
 		for _, c := range chunks[r] {
-			if !channels[r].TryPush(p, node.ID, toNode, b.Index, out.Delivered[r], c) {
+			if !hj.Channels[r].TryPush(p, node.ID, toNode, b.Index, out.Delivered[r], c) {
 				break
 			}
 			out.Delivered[r]++
@@ -110,17 +107,15 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 // as a packed partition frame. It is deterministic in the block and options,
 // so a recovery attempt on another node reproduces the exact chunk
 // boundaries and contents of the lost attempt.
-func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner, opts *Options,
-	agg engine.Aggregator, mapCombined bool) *kv.PartitionFrame {
-
+func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block) *kv.PartitionFrame {
+	rt, job, costs, mapCombined := hj.RT, hj.Job, hj.Costs, hj.mapCombined
 	// Everything the chunk-building walk needs from the runtime is resolved
 	// before dispatch: the walk itself (hash folds, flush sweeps, frame
 	// packing) is pure data work, so it rides inside the map task's pooled
 	// closure and overlaps the parse charge. The CPU charges and the
 	// CombineFlush trace events land after the join.
 	tj := rt.TaskJob(job)
-	tAgg := agg
+	tAgg := hj.agg
 	if tj != job {
 		tAgg, _ = jobAggregator(tj)
 	}
@@ -130,7 +125,7 @@ func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *en
 	var flushCounts []int
 	var frame *kv.PartitionFrame
 	var finalPairBytes int64
-	buf, err := rt.ExecuteMapWith(p, node, tj, b, partition, func(buf *kv.Buffer) {
+	buf, err := rt.ExecuteMapWith(p, node, tj, b, hj.Partition, func(buf *kv.Buffer) {
 		// Option (1), no combiner: the frame's single partitioning scan, no
 		// grouping at all. Option (2): the same scan over the combined pairs.
 		out := buf
@@ -139,7 +134,7 @@ func buildMapChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *en
 			out, flushCounts = combineMapOutput(buf, R, tAgg, grouping)
 		}
 		finalPairBytes = out.Bytes()
-		frame = kv.PackPartitions(out, R, opts.ChunkBytes)
+		frame = kv.PackPartitions(out, R, hj.Opts.ChunkBytes)
 	})
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
@@ -213,11 +208,9 @@ func combineMapOutput(buf *kv.Buffer, R int, agg engine.Aggregator, grouping int
 // fresh output holding, per partition, only what the reducers still need:
 // nothing for fully-pushed partitions, and the undelivered chunk tail
 // (everything past lost.Delivered) for the rest.
-func reexecMapOutput(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner, opts *Options,
-	agg engine.Aggregator, mapCombined bool, lost *engine.MapOutput) *engine.MapOutput {
-
-	frame := buildMapChunks(rt, p, node, job, costs, b, partition, opts, agg, mapCombined)
+func (hj *hashJob) reexecMapOutput(p *sim.Proc, node *cluster.Node, b *dfs.Block, lost *engine.MapOutput) *engine.MapOutput {
+	job := hj.Job
+	frame := hj.buildMapChunks(p, node, b)
 	// Each partition's delivered chunks are a prefix of its run in the frame;
 	// the recovered file is the remaining tails, packed.
 	skip := make([]int64, job.Reducers)
@@ -241,7 +234,7 @@ func reexecMapOutput(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *e
 	fresh := engine.NewMapOutput(p, node.ScratchStore(),
 		fmt.Sprintf("%s/hashmap-%05d/reexec", job.Name, lost.TaskID),
 		lost.TaskID, node.ID, tails, partLen)
-	node.Compute(p, engine.Dur(float64(fresh.File.Size()), costs.SerializeNsPerByte), engine.PhaseMapFn)
+	node.Compute(p, engine.Dur(float64(fresh.File.Size()), hj.Costs.SerializeNsPerByte), engine.PhaseMapFn)
 	// Chunks delivered before the failure stay delivered; the pull fetch of
 	// the recovered partition covers exactly the rest.
 	fresh.Pushed = append([]bool(nil), lost.Pushed...)

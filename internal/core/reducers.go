@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"onepass/internal/engine"
 	"onepass/internal/kv"
 	"onepass/internal/memtable"
 	"onepass/internal/sim"
@@ -85,9 +86,9 @@ func (h *hybridReducer) ingest(p *sim.Proc, chunk []byte) {
 		// this reducer's tables — pure data work that rides the pool. The
 		// gate depends only on demotion state, which evolves identically
 		// with and without workers.
-		n, bytes := countChunk(chunk)
+		n, bytes := engine.CountChunk(chunk)
 		h.rc.foldChunk(p, n, bytes, func() {
-			decodePairs(chunk, func(key, val []byte) {
+			engine.DecodePairs(chunk, func(key, val []byte) {
 				h.tables[h.spill.bucketOf(key)].fold(key, val, formIncoming)
 			})
 		})
@@ -95,7 +96,7 @@ func (h *hybridReducer) ingest(p *sim.Proc, chunk []byte) {
 		// A demoted bucket streams its traffic straight to disk: virtual
 		// I/O mid-loop, so this path stays inline.
 		var bytes int64
-		n := decodePairs(chunk, func(key, val []byte) {
+		n := engine.DecodePairs(chunk, func(key, val []byte) {
 			b := h.spill.bucketOf(key)
 			bytes += int64(len(key) + len(val))
 			if tb := h.tables[b]; tb != nil {
@@ -181,9 +182,9 @@ func (ir *incReducer) ingest(p *sim.Proc, chunk []byte) {
 		// the pool; budget-driven evictions move to one post-chunk sweep —
 		// the same point in both modes, so serial and parallel runs evict
 		// the same states at the same virtual instants.
-		n, bytes := countChunk(chunk)
+		n, bytes := engine.CountChunk(chunk)
 		ir.rc.foldChunk(p, n, bytes, func() {
-			decodePairs(chunk, func(key, val []byte) {
+			engine.DecodePairs(chunk, func(key, val []byte) {
 				ir.st.fold(key, val, formIncoming)
 			})
 		})
@@ -198,7 +199,7 @@ func (ir *incReducer) ingest(p *sim.Proc, chunk []byte) {
 	// inline.
 	var bytes int64
 	early := 0
-	n := decodePairs(chunk, func(key, val []byte) {
+	n := engine.DecodePairs(chunk, func(key, val []byte) {
 		ir.st.fold(key, val, formIncoming)
 		bytes += int64(len(key) + len(val))
 		if s, ok := ir.st.get(key); ok && ir.rc.job.EmitWhen(key, s) {
@@ -361,9 +362,9 @@ func (hr *hotReducer) ingest(p *sim.Proc, chunk []byte) {
 	// spills. The sketch offers and folds are pure data work, so they ride
 	// the pool; the cold sweep (spill I/O) runs as one post-chunk pass at
 	// the same point in both modes.
-	n, bytes := countChunk(chunk)
+	n, bytes := engine.CountChunk(chunk)
 	hr.rc.foldChunk(p, n, bytes, func() {
-		decodePairs(chunk, func(key, val []byte) {
+		engine.DecodePairs(chunk, func(key, val []byte) {
 			hr.sk.Offer(key, 1)
 			hr.st.fold(key, val, formIncoming)
 		})

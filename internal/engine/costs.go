@@ -61,9 +61,9 @@ func DefaultCosts() CostModel {
 	}
 }
 
-// merged returns j's cost model with zero fields replaced by defaults, so
+// Merged returns c's cost model with zero fields replaced by defaults, so
 // workloads override only what they need.
-func (c CostModel) merged() CostModel {
+func (c CostModel) Merged() CostModel {
 	d := DefaultCosts()
 	pick := func(v, def float64) float64 {
 		if v == 0 {

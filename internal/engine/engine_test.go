@@ -419,7 +419,7 @@ func TestOutputCollectorBuffersAndFlushes(t *testing.T) {
 }
 
 func TestCostModelMergeDefaults(t *testing.T) {
-	c := CostModel{CompareNs: 99}.merged()
+	c := CostModel{CompareNs: 99}.Merged()
 	if c.CompareNs != 99 {
 		t.Fatal("override lost")
 	}

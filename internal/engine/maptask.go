@@ -34,7 +34,7 @@ func (rt *Runtime) ExecuteMap(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.
 // the pool is on. The CPU charges for whatever post did are the caller's
 // responsibility, after this returns.
 func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner, post func(*kv.Buffer)) (*kv.Buffer, error) {
-	costs := job.Costs.merged()
+	costs := job.Costs.Merged()
 	data, err := rt.DFS.ReadBlock(p, b, node.ID)
 	if err != nil {
 		return nil, fmt.Errorf("map task %s[%d]: %w", b.Path, b.Index, err)
@@ -127,7 +127,7 @@ func CombineSorted(job *Job, buf, out *kv.Buffer) int {
 // It returns the MapOutput for shuffle registration.
 func (rt *Runtime) WriteMapOutput(p *sim.Proc, node *cluster.Node, job *Job, taskID int, buf *kv.Buffer) *MapOutput {
 	writeStart := p.Now()
-	costs := job.Costs.merged()
+	costs := job.Costs.Merged()
 	// One chunk per partition: only the frame's layout is wanted here.
 	frame := kv.PackPartitions(buf, job.Reducers, math.MaxInt64)
 	out := NewMapOutput(p, node.ScratchStore(),

@@ -75,7 +75,7 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 		retKey, retVal = string(key), string(val)
 	}
 	node := oc.rt.Cluster.Node(nodeID)
-	node.Compute(p, Dur(float64(encLen), oc.job.Costs.merged().SerializeNsPerByte), PhaseReduce)
+	node.Compute(p, Dur(float64(encLen), oc.job.Costs.Merged().SerializeNsPerByte), PhaseReduce)
 	if len(w.buf) >= outputFlushBytes {
 		w.append(p, w.buf)
 		w.buf = w.buf[:0]

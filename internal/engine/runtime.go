@@ -242,12 +242,6 @@ func (rt *Runtime) waitDoneOr(p *sim.Proc, d sim.Duration) bool {
 	return rt.jobDone.WaitTimeout(p, d)
 }
 
-// StartSampling begins the periodic metric snapshots.
-func (rt *Runtime) StartSampling() { rt.sampler.Start() }
-
-// StopSampling ends them at the sampler's next tick.
-func (rt *Runtime) StopSampling() { rt.sampler.Stop() }
-
 // WaitGroup is a virtual-time completion barrier.
 type WaitGroup struct {
 	n    int

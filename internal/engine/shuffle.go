@@ -329,6 +329,8 @@ type PushChannel struct {
 	limit       int64
 	trig        *sim.Trigger
 	closed      bool
+	// seen holds the (map task, seq) identities PopFresh has handed out.
+	seen map[[2]int]struct{}
 }
 
 // NewPushChannels returns one channel per reducer with the given
@@ -411,6 +413,33 @@ func (pc *PushChannel) Pop(p *sim.Proc) (PushChunk, bool) {
 	pc.queuedBytes -= int64(len(c.Data))
 	pc.trig.Broadcast() // wake throttled producers polling for space
 	return c, true
+}
+
+// PopFresh is Pop for the reducer (running on node) of a push-only engine,
+// where recovery re-pushes and speculative attempts may both re-deliver a
+// chunk: the map data path is deterministic, so a repeated (map task, seq)
+// identity carries identical content and is dropped, counted, here. Fresh
+// chunks enter the audit's ingest ledger.
+func (pc *PushChannel) PopFresh(p *sim.Proc, node int) (PushChunk, bool) {
+	for {
+		c, ok := pc.Pop(p)
+		if !ok {
+			return c, false
+		}
+		id := [2]int{c.MapTask, c.Seq}
+		if _, dup := pc.seen[id]; dup {
+			pc.rt.Counters.Add(CtrShuffleDupChunks, 1)
+			continue
+		}
+		if pc.seen == nil {
+			pc.seen = make(map[[2]int]struct{})
+		}
+		pc.seen[id] = struct{}{}
+		if pc.rt.Auditing() {
+			pc.rt.Audit.ShuffleIngested(node, c.MapTask, pc.reducer, c.Seq, int64(len(c.Data)))
+		}
+		return c, true
+	}
 }
 
 // QueuedBytes returns the bytes currently enqueued.

@@ -1,4 +1,4 @@
-// Package engine holds the runtime shared by all three MapReduce engines:
+// Package engine holds the runtime shared by every MapReduce engine:
 // the job specification (map/combine/reduce plus the incremental aggregator
 // contract), the calibrated cost model that converts real work (records,
 // bytes, comparisons, hash operations) into virtual CPU time, slot-based
@@ -165,6 +165,20 @@ func (j *Job) EffectiveCombine() CombineFunc {
 	}
 	if j.Monoid != nil {
 		return MonoidCombiner(j.Monoid)
+	}
+	return nil
+}
+
+// DeclaredAgg resolves the job's incremental per-key state: the explicit Agg
+// when set, the one derived from a declared Monoid otherwise, nil for a
+// holistic job (raw value lists, Reduce at finalize). The hash and resident
+// engines fold map- and reduce-side through it.
+func (j *Job) DeclaredAgg() Aggregator {
+	if j.Agg != nil {
+		return j.Agg
+	}
+	if j.Monoid != nil {
+		return MonoidAgg{M: j.Monoid}
 	}
 	return nil
 }

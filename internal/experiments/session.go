@@ -11,16 +11,13 @@ import (
 	"time"
 
 	"onepass/internal/cluster"
-	"onepass/internal/core"
 	"onepass/internal/dfs"
 	"onepass/internal/disk"
 	"onepass/internal/engine"
+	"onepass/internal/engines"
 	"onepass/internal/faults"
 	"onepass/internal/gen"
-	"onepass/internal/hadoop"
-	"onepass/internal/hop"
 	"onepass/internal/profile"
-	"onepass/internal/resident"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
 	"onepass/internal/workloads"
@@ -29,10 +26,9 @@ import (
 // runSpec fully determines one experiment run (and is its cache key).
 type runSpec struct {
 	Workload string
-	// Engine is a registry name from onepass.EngineNames() ("hadoop",
-	// "mapreduce-online", "hash-hybrid", "hash-incremental", "hash-hotkey",
-	// "resident"); "hop" stays accepted as the historical spelling baked
-	// into existing specs and cache keys.
+	// Engine is a name or alias from internal/engines ("hadoop",
+	// "mapreduce-online", ...); the alias "hop" is the spelling baked into
+	// existing specs and cache keys.
 	Engine  string
 	InputGB float64
 	// Topology deltas.
@@ -162,35 +158,17 @@ func (s *Session) PoolStats() sim.WorkStats {
 }
 
 func (s *Session) workload(name string, binary, skewed bool) *workloads.Workload {
+	cc := s.Scale.clickCfg()
 	if skewed {
-		cfg := gen.DefaultClickConfig()
-		cfg.UserSkew = 1.5
-		switch name {
-		case "per-user-count":
-			return workloads.PerUserCount(cfg)
-		case "sessionization":
-			return workloads.Sessionization(cfg)
-		}
+		cc = gen.DefaultClickConfig()
+		cc.UserSkew = 1.5
 	}
-	for _, pw := range s.Scale.TableIWorkloads() {
-		if pw.Name == name {
-			w := pw.Make()
-			if binary {
-				cfg := s.Scale.clickCfg()
-				cfg.Binary = true
-				switch name {
-				case "sessionization":
-					w = workloads.Sessionization(cfg)
-				case "page-frequency":
-					w = workloads.PageFrequency(cfg)
-				case "per-user-count":
-					w = workloads.PerUserCount(cfg)
-				}
-			}
-			return w
-		}
+	cc.Binary = binary
+	w, err := workloads.ByName(name, cc, s.Scale.docCfg())
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	panic(fmt.Sprintf("experiments: unknown workload %q", name))
+	return w
 }
 
 // Run executes (or returns the cached result of) one spec. Concurrent calls
@@ -274,44 +252,29 @@ func (s *Session) execute(spec runSpec) *engine.Result {
 		}
 	}
 
-	var sched faults.Schedule
+	eng, err := engines.Find(spec.Engine)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s/%s: %v", spec.Engine, spec.Workload, err))
+	}
+	// One Options for every engine, as in onepass.Run: each reads the knobs
+	// that apply to it.
+	opts := engine.Options{
+		FanIn: spec.FanIn, SegmentLimit: s.segmentLimit(inputSize), ChunkBytes: spec.ChunkBytes,
+		HotKeyCounters: spec.HotCounters, DisableSnapshots: !spec.Snapshots,
+	}
 	if spec.Faults != "" {
-		var ferr error
-		if sched, ferr = faults.Parse(spec.Faults); ferr != nil {
-			panic(fmt.Sprintf("experiments: %s/%s: %v", spec.Engine, spec.Workload, ferr))
+		if opts.Faults, err = faults.Parse(spec.Faults); err != nil {
+			panic(fmt.Sprintf("experiments: %s/%s: %v", spec.Engine, spec.Workload, err))
 		}
+	}
+	if spec.FaultNodeAtFrac > 0 {
+		opts.Faults = faults.Schedule{Faults: []faults.Fault{{
+			Kind: faults.NodeFailure, Node: spec.FaultNode,
+			At: sim.Duration(float64(spec.BaselineMS) * spec.FaultNodeAtFrac)}}}
 	}
 
 	s.logf("running %s on %s (%s input)...", w.Name, spec.Engine, fmtBytes(float64(inputSize)))
-	var res *engine.Result
-	var err error
-	switch spec.Engine {
-	case "hadoop":
-		hopts := hadoop.Options{FanIn: spec.FanIn, SegmentLimit: s.segmentLimit(inputSize), Faults: sched}
-		if spec.FaultNodeAtFrac > 0 {
-			hopts.Faults = faults.Schedule{Faults: []faults.Fault{{
-				Kind: faults.NodeFailure, Node: spec.FaultNode,
-				At: sim.Duration(float64(spec.BaselineMS) * spec.FaultNodeAtFrac)}}}
-		}
-		res, err = hadoop.Run(rt, job, hopts)
-	case "hop", "mapreduce-online":
-		res, err = hop.Run(rt, job, hop.Options{
-			FanIn: spec.FanIn, ChunkBytes: spec.ChunkBytes, DisableSnapshots: !spec.Snapshots,
-			Faults: sched,
-		})
-	case "hash-hybrid":
-		res, err = core.Run(rt, job, core.Options{Mode: core.HybridHash, Faults: sched})
-	case "hash-incremental":
-		res, err = core.Run(rt, job, core.Options{Mode: core.Incremental, Faults: sched})
-	case "hash-hotkey":
-		res, err = core.Run(rt, job, core.Options{Mode: core.HotKey, HotKeyCounters: spec.HotCounters, Faults: sched})
-	case "resident":
-		// Options derived the same way cmd/runjob does: the resident engine
-		// takes the push chunk size and the fault schedule.
-		res, err = resident.Run(rt, job, resident.Options{ChunkBytes: spec.ChunkBytes, Faults: sched})
-	default:
-		panic(fmt.Sprintf("experiments: unknown engine %q", spec.Engine))
-	}
+	res, err := engine.Run(rt, job, opts, engines.List[eng].Plan)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s/%s: %v", spec.Engine, spec.Workload, err))
 	}

@@ -15,143 +15,41 @@ import (
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
 	"onepass/internal/engine"
-	"onepass/internal/faults"
-	"onepass/internal/hashlib"
 	"onepass/internal/kv"
 	"onepass/internal/sim"
 	"onepass/internal/sortmerge"
 	"onepass/internal/trace"
 )
 
-// PartitionSeed fixes the hash partitioner across all engines so a key maps
-// to the same reducer everywhere.
-const PartitionSeed = 42
-
 // Partitioner returns the shared cross-engine partitioner.
-func Partitioner() engine.Partitioner {
-	h := hashlib.Shared(PartitionSeed, 0)
-	return func(key []byte, n int) int { return h.Bucket(key, n) }
+func Partitioner() engine.Partitioner { return engine.HashPartitioner() }
+
+// Plan is the stock-Hadoop engine: its map task sorts and persists, its
+// reduce task pulls, and a lost map output is recomputed by the same map
+// attempt on the node that asked for it.
+var Plan = &engine.Plan{
+	Label:       "hadoop",
+	NeedsReduce: true,
+	Defaults:    engine.Options{FanIn: sortmerge.DefaultFanIn},
+	Setup: func(j *engine.JobRun) (engine.Tasks, error) {
+		j.ReexecWith(func(p *sim.Proc, node *cluster.Node, b *dfs.Block, _ *engine.MapOutput) *engine.MapOutput {
+			return executeMapAttempt(j, p, node, b)
+		})
+		return engine.Tasks{
+			Map: func(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
+				j.Reg.Complete(executeMapAttempt(j, p, node, b))
+			},
+			Reduce: func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r) },
+		}, nil
+	},
 }
 
-// Options tunes the engine.
-type Options struct {
-	// FanIn is the multi-pass merge factor F (Hadoop's io.sort.factor).
-	FanIn int
-	// SegmentLimit caps buffered in-memory shuffle segments per reducer
-	// before a forced spill (mapreduce.reduce.merge.inmem.threshold;
-	// Hadoop default 1000). Zero disables the trigger.
-	SegmentLimit int
-	// Faults is the deterministic fault schedule to inject during the run.
-	Faults faults.Schedule
-}
-
-// Run executes job on rt with the sort-merge engine.
-func Run(rt *engine.Runtime, job engine.Job, opts Options) (*engine.Result, error) {
-	var res *engine.Result
-	if err := Start(rt, job, opts, func(_ *sim.Proc, r *engine.Result) { res = r }); err != nil {
-		return nil, err
-	}
-	rt.Env.Run()
-	rt.FinishResult(res)
-	return res, nil
-}
-
-// Start launches job on rt without driving the simulation: it spawns the
-// map/reduce slot processes and the job controller, then returns. The
-// controller invokes done at the virtual instant the job completes (after
-// JobDone and StopSampling); the caller owns running rt.Env and calling
-// rt.FinishResult on the Result done receives. Run wraps Start for the
-// one-job-per-simulation case; internal/service uses Start to multiplex
-// concurrent jobs over one shared environment.
-func Start(rt *engine.Runtime, job engine.Job, opts Options, done func(p *sim.Proc, res *engine.Result)) error {
-	if err := job.Validate(); err != nil {
-		return err
-	}
-	if job.Reduce == nil {
-		return fmt.Errorf("hadoop: job %q has no reduce function", job.Name)
-	}
-	blocks, err := rt.InputBlocks(job.InputPath)
-	if err != nil {
-		return err
-	}
-	if len(blocks) == 0 {
-		return fmt.Errorf("%s: input %q has no blocks (was a chained stage's output discarded?)", "hadoop", job.InputPath)
-	}
-	fanIn := opts.FanIn
-	if fanIn == 0 {
-		fanIn = sortmerge.DefaultFanIn
-	}
-	costs := JobCosts(&job)
-	rt.EngineLabel = "hadoop"
-	res := &engine.Result{Job: job.Name, Engine: "hadoop"}
-	oc := rt.NewOutputCollector(&job, res)
-	reg := rt.NewRegistry(len(blocks))
-	partition := Partitioner()
-	// Fault tolerance: a lost map output is recomputed from its DFS block
-	// (replicas permitting) on the node that asked for it.
-	blockByTask := make(map[int]*dfs.Block, len(blocks))
-	for _, b := range blocks {
-		blockByTask[b.Index] = b
-	}
-	reg.Reexec = func(p *sim.Proc, readerNode int, lost *engine.MapOutput) *engine.MapOutput {
-		node := rt.Cluster.Node(readerNode)
-		if node.Failed() {
-			node = surviving(rt)
-		}
-		// The recovery attempt is a real map task: span it like one (attempt
-		// 1) so the profiler's critical path sees the re-executed work
-		// instead of an unexplained hole inside the requesting reducer.
-		span := rt.Timeline.Begin(engine.SpanMap, p.Now())
-		rt.Emit(trace.TaskStart, engine.SpanMap, node.ID, lost.TaskID, 1)
-		out := executeMapAttempt(rt, p, node, &job, costs, blockByTask[lost.TaskID], partition)
-		span.End(p.Now())
-		rt.Emit(trace.TaskFinish, engine.SpanMap, node.ID, lost.TaskID, 1)
-		return out
-	}
-	rt.InstallFaults(opts.Faults, reg.FailNode)
-
-	rt.StartSampling()
-	mapsWG := rt.RunMaps(&job, blocks, func(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
-		RunMapTask(rt, p, node, &job, costs, b, partition, reg)
-	})
-	redsWG := rt.RunReduces(&job, func(p *sim.Proc, node *cluster.Node, r int) {
-		runReduceTask(rt, p, node, &job, costs, reg, oc, r, fanIn, opts.SegmentLimit)
-	})
-	rt.Env.Go("job-controller", func(p *sim.Proc) {
-		mapsWG.Wait(p)
-		redsWG.Wait(p)
-		rt.JobDone()
-		rt.StopSampling()
-		done(p, res)
-	})
-	return nil
-}
-
-// surviving returns the first compute node that has not failed; recovery
-// re-executes lost map tasks there when the requesting node is itself dead.
-func surviving(rt *engine.Runtime) *cluster.Node {
-	for _, n := range rt.Cluster.ComputeNodes() {
-		if !n.Failed() {
-			return n
-		}
-	}
-	panic("hadoop: no surviving compute node for re-execution")
-}
-
-// RunMapTask is the stock map-side path: map, buffer-sort on (partition,
-// key), optional combine, synchronous map-output write, registration for
-// pull shuffle. Exported for reuse as other engines' map side where noted.
-func RunMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner, reg *engine.Registry) {
-	out := executeMapAttempt(rt, p, node, job, costs, b, partition)
-	reg.Complete(out)
-}
-
-// executeMapAttempt runs the map-side data path without committing, so the
-// same code serves first attempts, speculative backups, and post-failure
-// re-execution.
-func executeMapAttempt(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner) *engine.MapOutput {
+// executeMapAttempt is the stock map-side path — map, buffer-sort on
+// (partition, key), optional combine, synchronous map-output write — without
+// committing, so the same code serves first attempts, speculative backups,
+// and post-failure re-execution.
+func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) *engine.MapOutput {
+	rt, job, costs := j.RT, j.Job, j.Costs
 	// tj is this attempt's own view of the user functions (see TaskJob):
 	// the sort and combine below run inside the pooled map closure, where
 	// scratch shared with a concurrent attempt would race.
@@ -169,7 +67,7 @@ func executeMapAttempt(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job 
 		combined = rt.AcquireBuffer(0)
 	}
 	combineInputs := 0
-	buf, err := rt.ExecuteMapWith(p, node, tj, b, partition, func(buf *kv.Buffer) {
+	buf, err := rt.ExecuteMapWith(p, node, tj, b, j.Partition, func(buf *kv.Buffer) {
 		buf.SortByPartitionKey(&cmps)
 		rawBytes = buf.Bytes()
 		if combined != nil {
@@ -205,11 +103,10 @@ func executeMapAttempt(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job 
 	return out
 }
 
-func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, reg *engine.Registry, oc *engine.OutputCollector, r, fanIn, segLimit int) {
-
-	rs := NewReduceSide(rt, job, costs, node, r, fanIn)
-	rs.Acc.SegmentLimit = segLimit
+func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
+	rt, reg := j.RT, j.Reg
+	rs := NewReduceSide(rt, j.Job, j.Costs, node, r, j.Opts.FanIn)
+	rs.Acc.SegmentLimit = j.Opts.SegmentLimit
 
 	// Shuffle: pull partitions from completed mappers as they appear.
 	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
@@ -237,5 +134,5 @@ func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *eng
 	shuffleSpan.End(p.Now())
 	rt.Emit(trace.PhaseEnd, engine.SpanShuffle, node.ID, r, 0)
 
-	rs.Finish(p, oc)
+	rs.Finish(p, j.OC)
 }

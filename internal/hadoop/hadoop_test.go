@@ -27,7 +27,13 @@ func smallDocs() gen.DocConfig {
 	return cfg
 }
 
-func run(t *testing.T, w *workloads.Workload, cfg enginetest.Config, opts Options) (*enginetest.Fixture, *engine.Result) {
+// Run executes job on rt with this package's engine, alone on rt's
+// environment.
+func Run(rt *engine.Runtime, job engine.Job, opts engine.Options) (*engine.Result, error) {
+	return engine.Run(rt, job, opts, Plan)
+}
+
+func run(t *testing.T, w *workloads.Workload, cfg enginetest.Config, opts engine.Options) (*enginetest.Fixture, *engine.Result) {
 	t.Helper()
 	f := enginetest.New(t, w, cfg)
 	res, err := Run(f.RT, f.Job, opts)
@@ -47,7 +53,7 @@ func TestAllWorkloadsMatchReference(t *testing.T) {
 	for _, w := range cases {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			f, res := run(t, w, enginetest.Config{}, Options{})
+			f, res := run(t, w, enginetest.Config{}, engine.Options{})
 			f.CheckOutput(t, w, res)
 		})
 	}
@@ -56,7 +62,7 @@ func TestAllWorkloadsMatchReference(t *testing.T) {
 func TestSpillAndMultiPassMergeStillCorrect(t *testing.T) {
 	w := workloads.Sessionization(smallClicks())
 	// Tiny reducer memory forces spills; tiny fan-in forces multi-pass.
-	f, res := run(t, w, enginetest.Config{MemPerTask: 4 << 10, Reducers: 2}, Options{FanIn: 2})
+	f, res := run(t, w, enginetest.Config{MemPerTask: 4 << 10, Reducers: 2}, engine.Options{FanIn: 2})
 	f.CheckOutput(t, w, res)
 	if res.Counters.Get(engine.CtrReduceSpillBytes) == 0 {
 		t.Fatal("expected reduce-side spills")
@@ -68,7 +74,7 @@ func TestSpillAndMultiPassMergeStillCorrect(t *testing.T) {
 
 func TestNoSpillWhenMemoryAmple(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
-	_, res := run(t, w, enginetest.Config{MemPerTask: 1 << 30}, Options{})
+	_, res := run(t, w, enginetest.Config{MemPerTask: 1 << 30}, engine.Options{})
 	if res.Counters.Get(engine.CtrReduceSpillBytes) != 0 {
 		t.Fatalf("unexpected spills: %v bytes", res.Counters.Get(engine.CtrReduceSpillBytes))
 	}
@@ -76,11 +82,11 @@ func TestNoSpillWhenMemoryAmple(t *testing.T) {
 
 func TestCombinerShrinksShuffle(t *testing.T) {
 	w := workloads.PageFrequency(smallClicks())
-	_, withCombiner := run(t, w, enginetest.Config{}, Options{})
+	_, withCombiner := run(t, w, enginetest.Config{}, engine.Options{})
 	w2 := workloads.PageFrequency(smallClicks())
 	w2.Job.Combine, w2.Job.Monoid = nil, nil
 	f2 := enginetest.New(t, w2, enginetest.Config{})
-	noCombiner, err := Run(f2.RT, f2.Job, Options{})
+	noCombiner, err := Run(f2.RT, f2.Job, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +100,7 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 
 func TestPhaseCPUAccounting(t *testing.T) {
 	w := workloads.Sessionization(smallClicks())
-	_, res := run(t, w, enginetest.Config{}, Options{})
+	_, res := run(t, w, enginetest.Config{}, engine.Options{})
 	for _, phase := range []string{engine.PhaseParse, engine.PhaseMapFn, engine.PhaseSort, engine.PhaseReduce} {
 		if res.CPU.Seconds(phase) <= 0 {
 			t.Errorf("phase %s has no CPU", phase)
@@ -107,7 +113,7 @@ func TestPhaseCPUAccounting(t *testing.T) {
 
 func TestTimelineHasAllFourOperations(t *testing.T) {
 	w := workloads.Sessionization(smallClicks())
-	f, res := run(t, w, enginetest.Config{MemPerTask: 8 << 10}, Options{FanIn: 2})
+	f, res := run(t, w, enginetest.Config{MemPerTask: 8 << 10}, engine.Options{FanIn: 2})
 	counts := res.Timeline.CountByPhase()
 	for _, span := range []string{engine.SpanMap, engine.SpanShuffle, engine.SpanMerge, engine.SpanReduce} {
 		if counts[span] == 0 {
@@ -123,7 +129,7 @@ func TestReduceBlockedUntilMapsDone(t *testing.T) {
 	// Sort-merge is blocking: first output must come after the last map
 	// task finishes.
 	w := workloads.Sessionization(smallClicks())
-	_, res := run(t, w, enginetest.Config{}, Options{})
+	_, res := run(t, w, enginetest.Config{}, engine.Options{})
 	_, mapEnd, ok := res.Timeline.PhaseWindow(engine.SpanMap)
 	if !ok {
 		t.Fatal("no map spans")
@@ -135,9 +141,9 @@ func TestReduceBlockedUntilMapsDone(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
-	_, res1 := run(t, w, enginetest.Config{}, Options{})
+	_, res1 := run(t, w, enginetest.Config{}, engine.Options{})
 	w2 := workloads.PerUserCount(smallClicks())
-	_, res2 := run(t, w2, enginetest.Config{}, Options{})
+	_, res2 := run(t, w2, enginetest.Config{}, engine.Options{})
 	if res1.Makespan != res2.Makespan {
 		t.Fatalf("makespans differ: %v vs %v", res1.Makespan, res2.Makespan)
 	}
@@ -149,7 +155,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestSplitTopologyRuns(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
 	f := enginetest.New(t, w, enginetest.Config{Nodes: 4, Cluster: func(c *cluster.Config) { c.SplitStorage = true }})
-	res, err := Run(f.RT, f.Job, Options{})
+	res, err := Run(f.RT, f.Job, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +172,7 @@ func TestInvalidJobRejected(t *testing.T) {
 	ccfg.Nodes = 2
 	c := cluster.New(env, ccfg)
 	rt := engine.NewRuntime(env, c, dfs.New(c, 1<<20, 1))
-	if _, err := Run(rt, engine.Job{}, Options{}); err == nil {
+	if _, err := Run(rt, engine.Job{}, engine.Options{}); err == nil {
 		t.Fatal("empty job must be rejected")
 	}
 	w := workloads.PerUserCount(smallClicks())
@@ -174,7 +180,7 @@ func TestInvalidJobRejected(t *testing.T) {
 	job.InputPath = "missing"
 	job.OutputPath = "out"
 	job.Reducers = 2
-	if _, err := Run(rt, job, Options{}); err == nil {
+	if _, err := Run(rt, job, engine.Options{}); err == nil {
 		t.Fatal("missing input must be rejected")
 	}
 }
@@ -186,7 +192,7 @@ func TestNodeFailureReexecutesLostMaps(t *testing.T) {
 	// Fail node 1 shortly into the run: its completed map outputs are lost
 	// and must be recomputed when reducers ask for them. (The failure model
 	// is TaskTracker death: DFS replicas stay readable.)
-	res, err := Run(f.RT, f.Job, Options{Faults: faults.Schedule{Faults: []faults.Fault{
+	res, err := Run(f.RT, f.Job, engine.Options{Faults: faults.Schedule{Faults: []faults.Fault{
 		{Kind: faults.NodeFailure, Node: 1, At: 20 * sim.Millisecond}}}})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +211,7 @@ func TestNodeFailureBeforeAnyMapsStillCorrect(t *testing.T) {
 	// absorb all tasks.
 	w := workloads.PerUserCount(smallClicks())
 	f := enginetest.New(t, w, enginetest.Config{Nodes: 4})
-	res, err := Run(f.RT, f.Job, Options{Faults: faults.Schedule{Faults: []faults.Fault{
+	res, err := Run(f.RT, f.Job, engine.Options{Faults: faults.Schedule{Faults: []faults.Fault{
 		{Kind: faults.NodeFailure, Node: 2, At: 0}}}})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +231,7 @@ func TestSpeculativeExecutionOnStraggler(t *testing.T) {
 		Cluster: func(c *cluster.Config) { c.SSDIntermediate = true }})
 	f.Job.Speculation = true
 	f.RT.Cluster.Node(3).ScratchDevice().SetSlowdown(100)
-	res, err := Run(f.RT, f.Job, Options{})
+	res, err := Run(f.RT, f.Job, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +248,7 @@ func TestSpeculationReducesStragglerLatency(t *testing.T) {
 			Cluster: func(c *cluster.Config) { c.SSDIntermediate = true }})
 		f.Job.Speculation = speculate
 		f.RT.Cluster.Node(3).ScratchDevice().SetSlowdown(100)
-		res, err := Run(f.RT, f.Job, Options{})
+		res, err := Run(f.RT, f.Job, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +271,7 @@ func TestReduceSideCombineDuringSpill(t *testing.T) {
 	// of an aggregable workload, the spilled runs must be combined (small)
 	// yet the answer exact.
 	w := workloads.PerUserCount(smallClicks())
-	f, res := run(t, w, enginetest.Config{InputSize: 16 * 64 << 10}, Options{SegmentLimit: 4})
+	f, res := run(t, w, enginetest.Config{InputSize: 16 * 64 << 10}, engine.Options{SegmentLimit: 4})
 	f.CheckOutput(t, w, res)
 	spill := res.Counters.Get(engine.CtrReduceSpillBytes)
 	if spill == 0 {
@@ -285,8 +291,8 @@ func TestReduceSideCombineDuringSpill(t *testing.T) {
 func TestMidShuffleFailureMatchesCleanChecksum(t *testing.T) {
 	w := workloads.Sessionization(smallClicks())
 	cfg := enginetest.Config{Nodes: 4, InputSize: 32 * 64 << 10, MemPerTask: 16 << 10, Reducers: 4}
-	_, clean := run(t, w, cfg, Options{FanIn: 2})
-	f, faulted := run(t, w, cfg, Options{FanIn: 2, Faults: faults.Schedule{Faults: []faults.Fault{
+	_, clean := run(t, w, cfg, engine.Options{FanIn: 2})
+	f, faulted := run(t, w, cfg, engine.Options{FanIn: 2, Faults: faults.Schedule{Faults: []faults.Fault{
 		{Kind: faults.NodeFailure, Node: 1, At: 20 * sim.Millisecond}}}})
 	f.CheckOutput(t, w, faulted)
 	if faulted.Counters.Get(engine.CtrTasksReexecuted) == 0 || faulted.Counters.Get(engine.CtrReduceSpillBytes) == 0 {

@@ -251,25 +251,3 @@ func MergeGroupReduce(streams []kv.PairStream, job *engine.Job, emit engine.Emit
 	g.Flush(reduce)
 	return cmps, inputs
 }
-
-// JobCosts fills the cost fields the reduce side needs with defaults.
-func JobCosts(job *engine.Job) engine.CostModel {
-	c := job.Costs
-	d := engine.DefaultCosts()
-	if c.CompareNs == 0 {
-		c.CompareNs = d.CompareNs
-	}
-	if c.SerializeNsPerByte == 0 {
-		c.SerializeNsPerByte = d.SerializeNsPerByte
-	}
-	if c.CombineNsPerRecord == 0 {
-		c.CombineNsPerRecord = d.CombineNsPerRecord
-	}
-	if c.ReduceNsPerRecord == 0 {
-		c.ReduceNsPerRecord = d.ReduceNsPerRecord
-	}
-	if c.FrameworkNsPerRecord == 0 {
-		c.FrameworkNsPerRecord = d.FrameworkNsPerRecord
-	}
-	return c
-}

@@ -134,7 +134,7 @@ func TestReduceSideLeavesFetchedFramesIntact(t *testing.T) {
 		var frames, snapshots [][]byte
 		want := map[string]int{}
 		env.Go("reduce", func(p *sim.Proc) {
-			rs := NewReduceSide(rt, job, JobCosts(job), cl.Node(0), 1, 2)
+			rs := NewReduceSide(rt, job, job.Costs.Merged(), cl.Node(0), 1, 2)
 			for m := 0; m < maps; m++ {
 				var frame []byte
 				partLen := make([]int64, parts)

@@ -16,7 +16,6 @@ import (
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
 	"onepass/internal/engine"
-	"onepass/internal/faults"
 	"onepass/internal/hadoop"
 	"onepass/internal/kv"
 	"onepass/internal/sim"
@@ -24,124 +23,30 @@ import (
 	"onepass/internal/trace"
 )
 
-// Options tunes the engine.
-type Options struct {
-	// FanIn is the multi-pass merge factor (as in stock Hadoop).
-	FanIn int
-	// ChunkBytes is the pipelining granularity: map output is sorted and
-	// pushed in chunks of this size. Smaller chunks mean earlier delivery
-	// but more network operations and more reducer-side merge work.
-	ChunkBytes int64
-	// BackpressureBytes bounds a reducer's inbound queue; pushes beyond it
-	// force the mapper to stage the chunk to local disk and wait.
-	BackpressureBytes int64
-	// SnapshotFractions lists the input fractions at which reducers emit
-	// snapshot answers. Nil means the classic 25/50/75%.
-	SnapshotFractions []float64
-	// DisableSnapshots turns snapshot emission off.
-	DisableSnapshots bool
-	// Faults is the deterministic fault schedule to inject during the run.
-	Faults faults.Schedule
-}
+// snapshotFractions are the input fractions at which reducers emit snapshot
+// answers: the classic 25/50/75%.
+var snapshotFractions = []float64{0.25, 0.5, 0.75}
 
-func (o *Options) defaults() {
-	if o.FanIn == 0 {
-		o.FanIn = sortmerge.DefaultFanIn
-	}
-	if o.ChunkBytes == 0 {
-		o.ChunkBytes = 256 << 10
-	}
-	if o.BackpressureBytes == 0 {
-		o.BackpressureBytes = 4 << 20
-	}
-	if o.SnapshotFractions == nil && !o.DisableSnapshots {
-		o.SnapshotFractions = []float64{0.25, 0.5, 0.75}
-	}
-}
-
-// Run executes job on rt with the MapReduce Online engine.
-func Run(rt *engine.Runtime, job engine.Job, opts Options) (*engine.Result, error) {
-	var res *engine.Result
-	if err := Start(rt, job, opts, func(_ *sim.Proc, r *engine.Result) { res = r }); err != nil {
-		return nil, err
-	}
-	rt.Env.Run()
-	rt.FinishResult(res)
-	return res, nil
-}
-
-// Start launches job on rt without driving the simulation; see hadoop.Start
-// for the contract. The controller invokes done at the job's completion
-// instant, after lost-chunk recovery, JobDone, and StopSampling.
-func Start(rt *engine.Runtime, job engine.Job, opts Options, done func(p *sim.Proc, res *engine.Result)) error {
-	if err := job.Validate(); err != nil {
-		return err
-	}
-	if job.Reduce == nil {
-		return fmt.Errorf("hop: job %q has no reduce function", job.Name)
-	}
-	blocks, err := rt.InputBlocks(job.InputPath)
-	if err != nil {
-		return err
-	}
-	if len(blocks) == 0 {
-		return fmt.Errorf("%s: input %q has no blocks (was a chained stage's output discarded?)", "hop", job.InputPath)
-	}
-	opts.defaults()
-	costs := hadoop.JobCosts(&job)
-	rt.EngineLabel = "hop"
-	res := &engine.Result{Job: job.Name, Engine: "hop"}
-	oc := rt.NewOutputCollector(&job, res)
-	reg := rt.NewRegistry(len(blocks)) // progress signal + recovery bookkeeping
-	channels := rt.NewPushChannels(job.Reducers, opts.BackpressureBytes)
-	partition := hadoop.Partitioner()
-	blockByTask := make(map[int]*dfs.Block, len(blocks))
-	for _, b := range blocks {
-		blockByTask[b.Index] = b
-	}
-	rt.InstallFaults(opts.Faults, reg.FailNode)
-
-	rt.StartSampling()
-	mapsWG := rt.RunMaps(&job, blocks, func(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
-		runMapTask(rt, p, node, &job, costs, b, partition, channels, &opts, reg)
-	})
-	redsWG := rt.RunReduces(&job, func(p *sim.Proc, node *cluster.Node, r int) {
-		runReduceTask(rt, p, node, &job, costs, channels[r], reg, oc, r, &opts)
-	})
-	rt.Env.Go("job-controller", func(p *sim.Proc) {
-		mapsWG.Wait(p)
-		// Degraded-mode recovery: a failed node's undelivered chunks are
-		// regenerated by re-executing the map on a surviving node and
-		// re-pushed under their original (task, seq) identities; reducers
-		// suppress any duplicates. Channels stay open until recovery ends.
-		for i := 0; i < reg.Completed(); i++ {
-			out := reg.Out(i)
-			if !out.Lost {
-				continue
-			}
-			fully := true
-			for _, done := range out.Pushed {
-				fully = fully && done
-			}
-			if fully {
-				// Everything was delivered before the node died; only the
-				// (empty) progress file is gone.
-				out.Lost = false
-				continue
-			}
-			recoverMapTask(rt, p, &job, costs, blockByTask[out.TaskID], partition, channels, &opts, out)
-			rt.Counters.Add(engine.CtrTasksReexecuted, 1)
-			rt.Emit(trace.Fault, "map-repush", out.Node, out.TaskID, 0)
-		}
-		for _, pc := range channels {
-			pc.Close()
-		}
-		redsWG.Wait(p)
-		rt.JobDone()
-		rt.StopSampling()
-		done(p, res)
-	})
-	return nil
+// Plan is the MapReduce Online engine: map tasks push sorted chunks (staging
+// to disk under backpressure), reducers merge them like stock Hadoop between
+// snapshots, and a lost node's undelivered chunks are re-pushed after the
+// map wave.
+var Plan = &engine.Plan{
+	Label:       "hop",
+	NeedsReduce: true,
+	Push:        true,
+	Defaults: engine.Options{
+		FanIn:             sortmerge.DefaultFanIn,
+		ChunkBytes:        256 << 10,
+		BackpressureBytes: 4 << 20,
+	},
+	Setup: func(j *engine.JobRun) (engine.Tasks, error) {
+		return engine.Tasks{
+			Map:       func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b) },
+			Reduce:    func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r) },
+			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, regenChunks) },
+		}, nil
+	},
 }
 
 // mapChunks walks the mapped buffer in production order, accumulating a
@@ -178,9 +83,8 @@ func mapChunks(buf *kv.Buffer, reducers int, chunkBytes int64, deliver func(r, s
 // encodedChunk is one sealed, key-sorted, serialized chunk awaiting
 // delivery to its reducer.
 type encodedChunk struct {
-	r, seq int
-	enc    []byte
-	cmps   int64
+	kv.Chunk
+	cmps int64
 	// pairBytes is the chunk's key+val byte volume after combining (equal
 	// to the raw volume without a combiner) — the unit of the combine-
 	// conservation ledger. combineInputs counts values the combiner folded.
@@ -197,7 +101,7 @@ type encodedChunk struct {
 func sortEncodeChunk(buf *kv.Buffer, idxs []int, combine engine.CombineFunc) (c encodedChunk) {
 	buf.SortIndices(idxs, &c.cmps)
 	emit := func(k, v []byte) {
-		c.enc = kv.AppendPair(c.enc, k, v)
+		c.Data = kv.AppendPair(c.Data, k, v)
 		c.pairBytes += int64(len(k) + len(v))
 	}
 	if combine == nil {
@@ -234,246 +138,158 @@ func chargeChunk(rt *engine.Runtime, p *sim.Proc, node *cluster.Node,
 	if c.combineInputs > 0 {
 		node.Compute(p, engine.Dur(float64(c.combineInputs), costs.CombineNsPerRecord), engine.PhaseCombine)
 	}
-	node.Compute(p, engine.Dur(float64(len(c.enc)), costs.SerializeNsPerByte), engine.PhaseMapFn)
+	node.Compute(p, engine.Dur(float64(len(c.Data)), costs.SerializeNsPerByte), engine.PhaseMapFn)
 }
 
-// pushChunk delivers one encoded chunk to its reducer, staging it to local
-// disk and waiting when backpressure rejects the push (HOP's adaptive
-// mode). It returns false if the node fails before delivery succeeds.
-func pushChunk(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	channels []*engine.PushChannel, c *encodedChunk, taskID int, spillSeq *int) bool {
-
-	toNode := rt.ReducerNode(c.r).ID
-	if channels[c.r].TryPush(p, node.ID, toNode, taskID, c.seq, c.enc) {
+// pushChunk delivers one chunk to its reducer, staging it to local disk and
+// waiting when backpressure rejects the push (HOP's adaptive mode). It
+// returns false if the node fails before delivery succeeds.
+func pushChunk(j *engine.JobRun, p *sim.Proc, node *cluster.Node, c kv.Chunk, taskID int, spillSeq *int) bool {
+	rt, pc := j.RT, j.Channels[c.Part]
+	if pc.TryPush(p, node.ID, rt.ReducerNode(c.Part).ID, taskID, c.Seq, c.Data) {
 		return true
 	}
 	if node.Failed() {
-		rt.Counters.Add("push.chunks.lost", 1)
+		rt.Counters.Add(engine.CtrPushChunksLost, 1)
 		return false
 	}
 	// Adaptive mode: reducer overloaded. Stage the chunk to local disk,
 	// wait for the reducer to catch up, then push from disk.
 	store := node.ScratchStore()
 	*spillSeq++
-	f := store.Create(fmt.Sprintf("%s/hop-map-%05d/stash-%04d", job.Name, taskID, *spillSeq), false)
-	store.Append(p, f, c.enc)
-	rt.Counters.Add(engine.CtrMapSpillBytes, float64(len(c.enc)))
+	f := store.Create(fmt.Sprintf("%s/hop-map-%05d/stash-%04d", j.Job.Name, taskID, *spillSeq), false)
+	store.Append(p, f, c.Data)
+	rt.Counters.Add(engine.CtrMapSpillBytes, float64(len(c.Data)))
 	if rt.Auditing() {
 		rt.Audit.SpillWritten(node.ID, f.Size())
 	}
 	if rt.Tracing() {
 		rt.Emit(trace.Spill, "map-stash", node.ID, taskID, 0,
-			trace.Num("bytes", float64(len(c.enc))), trace.Num("reducer", float64(c.r)))
+			trace.Num("bytes", float64(len(c.Data))), trace.Num("reducer", float64(c.Part)))
 	}
-	channels[c.r].WaitSpace(p)
+	pc.WaitSpace(p)
 	store.Device().Read(p, f.Size(), false)
 	if rt.Auditing() {
 		rt.Audit.SpillRead(node.ID, f.Size())
 	}
 	store.Delete(f.Name())
-	for !channels[c.r].TryPush(p, node.ID, toNode, taskID, c.seq, c.enc) {
-		if node.Failed() {
-			rt.Counters.Add("push.chunks.lost", 1)
-			return false
-		}
-		// Space check raced with another mapper; block until it really
-		// fits.
-		channels[c.r].WaitSpace(p)
-	}
-	return true
+	return j.PushChunk(p, node, taskID, c)
 }
 
-// runMapTask maps a block, then pushes its output as small sorted chunks.
-func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner,
-	channels []*engine.PushChannel, opts *Options, reg *engine.Registry) {
-
-	// Pipelined emission: walk pairs in production order, accumulating a
-	// per-reducer chunk; each full chunk is sorted (cheap — it's small) and
-	// pushed immediately. Sorting many small chunks costs fewer mapper
-	// comparisons than one big sort; the deficit reappears as extra merge
-	// comparisons in the reducers — HOP "moves some of the sorting work to
-	// reducers" (§III.D). Chunk boundaries, sorting, and serialization are
-	// pure data work, so they ride inside the map task's pooled closure and
-	// overlap the parse charge; delivery (network pushes, backpressure
-	// stalls, CPU charges) replays in sealed order on the event loop after
-	// the join.
-	tj := rt.TaskJob(job)
+// buildChunks maps block b on node and returns its output as sorted,
+// combined, serialized chunks in sealed order, skipping the chunks below the
+// delivery frontier already (nil keeps them all), plus the raw map-output
+// volume. Chunk boundaries, sorting, and serialization are pure data work,
+// so they ride inside the map task's pooled closure and overlap the parse
+// charge; the caller charges each chunk at its delivery point.
+func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []encodedChunk, rawBytes int64) {
+	tj := j.RT.TaskJob(j.Job)
 	combine := tj.EffectiveCombine()
-	var chunks []encodedChunk
-	var finalPairBytes int64
-	sealed := make([]int, job.Reducers)
-	buf, err := rt.ExecuteMapWith(p, node, tj, b, partition, func(buf *kv.Buffer) {
-		mapChunks(buf, job.Reducers, opts.ChunkBytes, func(r, seq int, idxs []int) {
-			sealed[r] = seq + 1
+	buf, err := j.RT.ExecuteMapWith(p, node, tj, b, j.Partition, func(buf *kv.Buffer) {
+		mapChunks(buf, j.Job.Reducers, j.Opts.ChunkBytes, func(r, seq int, idxs []int) {
+			if already != nil && seq < already[r] {
+				return
+			}
 			c := sortEncodeChunk(buf, idxs, combine)
-			c.r, c.seq = r, seq
-			finalPairBytes += c.pairBytes
+			c.Part, c.Seq = r, seq
 			chunks = append(chunks, c)
 		})
 	})
 	if err != nil {
 		panic(fmt.Sprintf("hop: %v", err))
 	}
+	rawBytes = buf.Bytes()
+	j.RT.ReleaseBuffer(buf) // every chunk is an encoded copy
+	return chunks, rawBytes
+}
+
+// runMapTask maps a block, then pushes its output as small sorted chunks.
+func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) {
+	// Pipelined emission: walk pairs in production order, accumulating a
+	// per-reducer chunk; each full chunk is sorted (cheap — it's small) and
+	// pushed immediately. Sorting many small chunks costs fewer mapper
+	// comparisons than one big sort; the deficit reappears as extra merge
+	// comparisons in the reducers — HOP "moves some of the sorting work to
+	// reducers" (§III.D). Delivery (network pushes, backpressure stalls, CPU
+	// charges) replays in sealed order on the event loop after the join.
+	rt, job := j.RT, j.Job
+	chunks, rawBytes := buildChunks(j, p, node, b, nil)
 	if rt.Auditing() {
 		// Without a combiner every raw pair lands in exactly one chunk, so
 		// the final pair bytes equal the raw emission; with one, the
 		// difference is what chunk-granular combining elided.
+		var finalPairBytes int64
+		for i := range chunks {
+			finalPairBytes += chunks[i].pairBytes
+		}
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		if job.HasCombiner() {
-			rt.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
+			rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
 		}
 	}
-	rt.ReleaseBuffer(buf) // every chunk is an encoded copy
 	spillSeq := 0
+	sealed := make([]int, job.Reducers)
 	delivered := make([]int, job.Reducers)
 	for i := range chunks {
 		c := &chunks[i]
+		sealed[c.Part] = c.Seq + 1
 		if node.Failed() {
 			// Dead NIC: the chunk cannot leave the machine. The recovery
 			// pass re-pushes it from a surviving node after the map wave.
-			rt.Counters.Add("push.chunks.lost", 1)
+			rt.Counters.Add(engine.CtrPushChunksLost, 1)
 			continue
 		}
-		chargeChunk(rt, p, node, costs, c)
-		if pushChunk(rt, p, node, job, channels, c, b.Index, &spillSeq) {
-			delivered[c.r] = c.seq + 1
+		chargeChunk(rt, p, node, j.Costs, c)
+		if pushChunk(j, p, node, c.Chunk, b.Index, &spillSeq) {
+			delivered[c.Part] = c.Seq + 1
 		}
 	}
-	// Register completion (progress signal for snapshot fractions plus the
-	// recovery bookkeeping); the data itself lives only in the push stream,
-	// so the output carries no bytes.
-	out := engine.NewMapOutput(p, node.ScratchStore(),
-		fmt.Sprintf("%s/hop-map-%05d/progress", job.Name, b.Index),
-		b.Index, node.ID, nil, make([]int64, job.Reducers))
-	out.Delivered = delivered
-	for r := range out.Pushed {
-		out.Pushed[r] = delivered[r] == sealed[r]
-	}
-	reg.Complete(out)
+	j.CompletePushed(p, node, fmt.Sprintf("%s/hop-map-%05d/progress", job.Name, b.Index), b.Index, delivered, sealed)
 }
 
-// recoverMapTask re-executes a lost map task on a surviving node and pushes
-// the chunks the dead node never delivered, under their original (task,
-// seq) identities. If the recovery node itself dies mid-way, the loop moves
-// to the next survivor, resuming from the updated delivery counts.
-func recoverMapTask(rt *engine.Runtime, p *sim.Proc, job *engine.Job, costs engine.CostModel,
-	b *dfs.Block, partition engine.Partitioner, channels []*engine.PushChannel,
-	opts *Options, out *engine.MapOutput) {
-
-	for attempt := 1; ; attempt++ {
-		node := survivingNode(rt)
-		// Span the recovery attempt like a real map task so the profiler's
-		// span DAG stays connected through fault recovery; a node dying
-		// mid-recovery closes this attempt's span and opens the next.
-		span := rt.Timeline.Begin(engine.SpanMap, p.Now())
-		rt.Emit(trace.TaskStart, engine.SpanMap, node.ID, out.TaskID, attempt)
-		// Snapshot the delivery frontier before the map: nothing mutates it
-		// while the (possibly pooled) closure regenerates the undelivered
-		// chunks, and the closure must not read shared mutable state.
-		already := append([]int(nil), out.Delivered...)
-		tj := rt.TaskJob(job)
-		combine := tj.EffectiveCombine()
-		var chunks []encodedChunk
-		buf, err := rt.ExecuteMapWith(p, node, tj, b, partition, func(buf *kv.Buffer) {
-			mapChunks(buf, job.Reducers, opts.ChunkBytes, func(r, seq int, idxs []int) {
-				if seq < already[r] {
-					return
-				}
-				c := sortEncodeChunk(buf, idxs, combine)
-				c.r, c.seq = r, seq
-				chunks = append(chunks, c)
-			})
-		})
-		if err != nil {
-			panic(fmt.Sprintf("hop: recovery: %v", err))
-		}
-		rt.ReleaseBuffer(buf)
-		failedMid := false
-		for i := range chunks {
-			c := &chunks[i]
-			if c.seq < out.Delivered[c.r] {
-				continue
-			}
-			chargeChunk(rt, p, node, costs, c)
-			toNode := rt.ReducerNode(c.r).ID
-			for !channels[c.r].TryPush(p, node.ID, toNode, out.TaskID, c.seq, c.enc) {
-				if node.Failed() {
-					failedMid = true
-					break
-				}
-				channels[c.r].WaitSpace(p)
-			}
-			if failedMid {
-				break
-			}
-			out.Delivered[c.r] = c.seq + 1
-		}
-		span.End(p.Now())
-		rt.Emit(trace.TaskFinish, engine.SpanMap, node.ID, out.TaskID, attempt)
-		if !failedMid {
-			for r := range out.Pushed {
-				out.Pushed[r] = true
-			}
-			out.Node = node.ID
-			out.Lost = false
+// regenChunks is the engine's engine.Regen: the chunks a dead node never
+// delivered, regenerated by the same buildChunks and charged like the first
+// attempt's.
+func regenChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int, push func(kv.Chunk) bool) {
+	chunks, _ := buildChunks(j, p, node, b, already)
+	for i := range chunks {
+		chargeChunk(j.RT, p, node, j.Costs, &chunks[i])
+		if !push(chunks[i].Chunk) {
 			return
 		}
 	}
 }
 
-// survivingNode returns the first compute node that has not failed.
-func survivingNode(rt *engine.Runtime) *cluster.Node {
-	for _, n := range rt.Cluster.ComputeNodes() {
-		if !n.Failed() {
-			return n
-		}
-	}
-	panic("hop: no surviving compute node for recovery")
-}
-
 // runReduceTask drains the push channel, spilling and merging exactly like
 // stock Hadoop, emitting snapshots as input fractions are crossed, and
 // finishing with the same blocking multi-pass + final merge.
-func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, pc *engine.PushChannel, reg *engine.Registry,
-	oc *engine.OutputCollector, r int, opts *Options) {
-
-	rs := hadoop.NewReduceSide(rt, job, costs, node, r, opts.FanIn)
+func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
+	rt, reg, pc := j.RT, j.Reg, j.Channels[r]
+	rs := hadoop.NewReduceSide(rt, j.Job, j.Costs, node, r, j.Opts.FanIn)
+	fractions := snapshotFractions
+	if j.Opts.DisableSnapshots {
+		fractions = nil
+	}
 	snapIdx := 0
-	// seen dedups inbound chunks by (map task, seq): recovery re-pushes and
-	// speculative attempts may both re-deliver a chunk, and the map function
-	// is deterministic, so a repeated identity carries identical content.
-	seen := make(map[[2]int]struct{})
-
 	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
 	rt.Emit(trace.PhaseStart, engine.SpanShuffle, node.ID, r, 0)
 	for {
-		chunk, ok := pc.Pop(p)
+		chunk, ok := pc.PopFresh(p, node.ID)
 		if !ok {
 			break
 		}
-		id := [2]int{chunk.MapTask, chunk.Seq}
-		if _, dup := seen[id]; dup {
-			rt.Counters.Add(engine.CtrShuffleDupChunks, 1)
-			continue
-		}
-		seen[id] = struct{}{}
-		if rt.Auditing() {
-			rt.Audit.ShuffleIngested(node.ID, chunk.MapTask, r, chunk.Seq, int64(len(chunk.Data)))
-		}
 		rs.Add(p, chunk.Data)
 		// Snapshot when the input fraction crosses the next threshold.
-		for snapIdx < len(opts.SnapshotFractions) &&
-			float64(reg.Completed())/float64(reg.TotalMaps()) >= opts.SnapshotFractions[snapIdx] {
-			emitSnapshot(rt, p, node, job, costs, rs, oc, r, opts.SnapshotFractions[snapIdx])
+		for snapIdx < len(fractions) &&
+			float64(reg.Completed())/float64(reg.TotalMaps()) >= fractions[snapIdx] {
+			emitSnapshot(j, p, node, rs, r, fractions[snapIdx])
 			snapIdx++
 		}
 	}
 	shuffleSpan.End(p.Now())
 	rt.Emit(trace.PhaseEnd, engine.SpanShuffle, node.ID, r, 0)
 
-	rs.Finish(p, oc)
+	rs.Finish(p, j.OC)
 }
 
 // emitSnapshot repeats the merge over everything received so far — runs are
@@ -481,9 +297,8 @@ func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *eng
 // reduce function to produce an early answer. This is HOP's snapshot
 // mechanism; the repeated merge is exactly the "significant I/O overhead"
 // the paper calls out.
-func emitSnapshot(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, rs *hadoop.ReduceSide, oc *engine.OutputCollector, r int, frac float64) {
-
+func emitSnapshot(j *engine.JobRun, p *sim.Proc, node *cluster.Node, rs *hadoop.ReduceSide, r int, frac float64) {
+	rt, costs := j.RT, j.Costs
 	span := rt.Timeline.Begin(engine.SpanMerge, p.Now())
 	rt.Emit(trace.PhaseStart, engine.SpanMerge, node.ID, r, 0)
 	var streams []kv.PairStream
@@ -492,7 +307,7 @@ func emitSnapshot(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engi
 	}
 	streams = append(streams, rs.Acc.PeekStreams()...)
 	pairs := 0
-	sink := newSnapshotSink(rt, p, node, job, r, frac)
+	sink := newSnapshotSink(rt, p, node, j.Job, r, frac)
 	// Use the reduce side's per-task job clone so the snapshot's group/reduce
 	// functions are the same instances the final merge will use, never the
 	// shared originals that other tasks' pooled closures may be exercising.
@@ -505,7 +320,7 @@ func emitSnapshot(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engi
 	node.Compute(p, engine.Dur(float64(inputs), costs.ReduceNsPerRecord), engine.PhaseReduce)
 	rt.Counters.Add(engine.CtrMergeComparisons, float64(cmps))
 	rt.Counters.Add("hop.snapshot.pairs", float64(pairs))
-	oc.NoteSnapshot(p.Now(), frac, pairs)
+	j.OC.NoteSnapshot(p.Now(), frac, pairs)
 	span.End(p.Now())
 	rt.Emit(trace.PhaseEnd, engine.SpanMerge, node.ID, r, 0)
 	if rt.Tracing() {

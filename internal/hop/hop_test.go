@@ -20,7 +20,13 @@ func smallClicks() gen.ClickConfig {
 	return cfg
 }
 
-func run(t *testing.T, w *workloads.Workload, cfg enginetest.Config, opts Options) (*enginetest.Fixture, *engine.Result) {
+// Run executes job on rt with this package's engine, alone on rt's
+// environment.
+func Run(rt *engine.Runtime, job engine.Job, opts engine.Options) (*engine.Result, error) {
+	return engine.Run(rt, job, opts, Plan)
+}
+
+func run(t *testing.T, w *workloads.Workload, cfg enginetest.Config, opts engine.Options) (*enginetest.Fixture, *engine.Result) {
 	t.Helper()
 	f := enginetest.New(t, w, cfg)
 	res, err := Run(f.RT, f.Job, opts)
@@ -43,7 +49,7 @@ func TestAllWorkloadsMatchReference(t *testing.T) {
 	for _, w := range cases {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			f, res := run(t, w, enginetest.Config{}, Options{})
+			f, res := run(t, w, enginetest.Config{}, engine.Options{})
 			f.CheckOutput(t, w, res)
 		})
 	}
@@ -51,7 +57,7 @@ func TestAllWorkloadsMatchReference(t *testing.T) {
 
 func TestSnapshotsEmitted(t *testing.T) {
 	w := workloads.Sessionization(smallClicks())
-	_, res := run(t, w, enginetest.Config{Reducers: 2}, Options{})
+	_, res := run(t, w, enginetest.Config{Reducers: 2}, engine.Options{})
 	if len(res.Snapshots) == 0 {
 		t.Fatal("no snapshots emitted")
 	}
@@ -74,7 +80,7 @@ func TestSnapshotsEmitted(t *testing.T) {
 
 func TestSnapshotsCanBeDisabled(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
-	f, res := run(t, w, enginetest.Config{}, Options{DisableSnapshots: true})
+	f, res := run(t, w, enginetest.Config{}, engine.Options{DisableSnapshots: true})
 	if len(res.Snapshots) != 0 {
 		t.Fatalf("snapshots = %v", res.Snapshots)
 	}
@@ -88,7 +94,7 @@ func TestBackpressureSpillsToMapperDisk(t *testing.T) {
 	// Tiny reducer memory keeps the reducers busy spilling while chunks
 	// keep arriving, so their inbound queues overflow.
 	f, res := run(t, w, enginetest.Config{Reducers: 2, MemPerTask: 4 << 10},
-		Options{ChunkBytes: 2 << 10, BackpressureBytes: 4 << 10, FanIn: 2, DisableSnapshots: true})
+		engine.Options{ChunkBytes: 2 << 10, BackpressureBytes: 4 << 10, FanIn: 2, DisableSnapshots: true})
 	if res.Counters.Get(engine.CtrMapSpillBytes) == 0 {
 		t.Fatal("expected mapper-side staging under backpressure")
 	}
@@ -99,7 +105,7 @@ func TestStillBlockingLikeHadoop(t *testing.T) {
 	// HOP's pipelining must not make the final answer incremental: first
 	// *final* output still comes after the last map completes.
 	w := workloads.Sessionization(smallClicks())
-	_, res := run(t, w, enginetest.Config{}, Options{DisableSnapshots: true})
+	_, res := run(t, w, enginetest.Config{}, engine.Options{DisableSnapshots: true})
 	_, mapEnd, _ := res.Timeline.PhaseWindow(engine.SpanMap)
 	if res.FirstOutputAt < mapEnd {
 		t.Fatalf("first output %v before map end %v", res.FirstOutputAt, mapEnd)
@@ -112,13 +118,13 @@ func TestSortWorkMovedToReducers(t *testing.T) {
 	// removed (§III.D).
 	w1 := workloads.Sessionization(smallClicks())
 	fHop := enginetest.New(t, w1, enginetest.Config{})
-	hopRes, err := Run(fHop.RT, fHop.Job, Options{ChunkBytes: 4 << 10, DisableSnapshots: true})
+	hopRes, err := Run(fHop.RT, fHop.Job, engine.Options{ChunkBytes: 4 << 10, DisableSnapshots: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w2 := workloads.Sessionization(smallClicks())
 	fH := enginetest.New(t, w2, enginetest.Config{})
-	hRes, err := hadoop.Run(fH.RT, fH.Job, hadoop.Options{})
+	hRes, err := engine.Run(fH.RT, fH.Job, engine.Options{}, hadoop.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +142,7 @@ func TestSortWorkMovedToReducers(t *testing.T) {
 
 func TestShuffleBytesMatchMapOutput(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
-	_, res := run(t, w, enginetest.Config{}, Options{DisableSnapshots: true})
+	_, res := run(t, w, enginetest.Config{}, engine.Options{DisableSnapshots: true})
 	shuffled := res.Counters.Get(engine.CtrShuffleBytes)
 	if shuffled == 0 {
 		t.Fatal("nothing shuffled")
@@ -148,7 +154,7 @@ func TestNodeFailureRepushesLostChunks(t *testing.T) {
 	// Enough blocks that node 1 still has map tasks (and undelivered
 	// chunks) in flight when it dies.
 	f := enginetest.New(t, w, enginetest.Config{Nodes: 4, InputSize: 32 * 64 << 10})
-	res, err := Run(f.RT, f.Job, Options{Faults: faults.Schedule{Faults: []faults.Fault{
+	res, err := Run(f.RT, f.Job, engine.Options{Faults: faults.Schedule{Faults: []faults.Fault{
 		{Kind: faults.NodeFailure, Node: 1, At: 20 * sim.Millisecond}}}})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +177,7 @@ func TestSpeculationDedupsDuplicateChunks(t *testing.T) {
 	// drained queue backs them up on other nodes; both attempts push the
 	// same (map task, seq) chunks and reducers must drop the duplicates.
 	f.RT.Cluster.Node(3).ScratchDevice().SetSlowdown(100)
-	res, err := Run(f.RT, f.Job, Options{})
+	res, err := Run(f.RT, f.Job, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

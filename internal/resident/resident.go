@@ -29,8 +29,6 @@ import (
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
 	"onepass/internal/engine"
-	"onepass/internal/faults"
-	"onepass/internal/hadoop"
 	"onepass/internal/kv"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
@@ -43,39 +41,6 @@ import (
 // bookkeeping between the jobs of a chain.
 const FrameworkNsPerRecord = 900
 
-// Options tunes the engine.
-type Options struct {
-	// ChunkBytes is the push granularity: folded map output is serialized
-	// and pushed in chunks of this size.
-	ChunkBytes int64
-	// BackpressureBytes bounds a reducer's inbound queue; a mapper whose
-	// push is refused holds the chunk in memory and waits (no disk staging —
-	// the resident engine never touches scratch disks for data).
-	BackpressureBytes int64
-	// Faults is the deterministic fault schedule to inject during the run.
-	Faults faults.Schedule
-}
-
-func (o *Options) defaults() {
-	if o.ChunkBytes == 0 {
-		o.ChunkBytes = 256 << 10
-	}
-	if o.BackpressureBytes == 0 {
-		o.BackpressureBytes = 4 << 20
-	}
-}
-
-// Run executes job on rt with the resident in-memory engine.
-func Run(rt *engine.Runtime, job engine.Job, opts Options) (*engine.Result, error) {
-	var res *engine.Result
-	if err := Start(rt, job, opts, func(_ *sim.Proc, r *engine.Result) { res = r }); err != nil {
-		return nil, err
-	}
-	rt.Env.Run()
-	rt.FinishResult(res)
-	return res, nil
-}
-
 // partSink is one reducer's in-memory output buffer, published to the DFS
 // namespace after the reducer closes.
 type partSink struct {
@@ -83,111 +48,36 @@ type partSink struct {
 	data []byte
 }
 
-// Start launches job on rt without driving the simulation; see hadoop.Start
-// for the contract. The controller invokes done at the job's completion
-// instant, after lost-chunk recovery, JobDone, and StopSampling.
-func Start(rt *engine.Runtime, job engine.Job, opts Options, done func(p *sim.Proc, res *engine.Result)) error {
-	if err := job.Validate(); err != nil {
-		return err
-	}
-	if job.Reduce == nil {
-		return fmt.Errorf("resident: job %q has no reduce function", job.Name)
-	}
-	blocks, err := rt.InputBlocks(job.InputPath)
-	if err != nil {
-		return err
-	}
-	if len(blocks) == 0 {
-		return fmt.Errorf("%s: input %q has no blocks (was a chained stage's output discarded?)", "resident", job.InputPath)
-	}
-	opts.defaults()
-	if job.Costs.FrameworkNsPerRecord == 0 {
-		job.Costs.FrameworkNsPerRecord = FrameworkNsPerRecord
-	}
-	costs := hadoop.JobCosts(&job)
-	if costs.HashNs == 0 {
-		costs.HashNs = engine.DefaultCosts().HashNs
-	}
-	if costs.UpdateNsPerRecord == 0 {
-		costs.UpdateNsPerRecord = engine.DefaultCosts().UpdateNsPerRecord
-	}
-	res := &engine.Result{Job: job.Name, Engine: "resident"}
-	rt.EngineLabel = "resident"
-	oc := rt.NewOutputCollector(&job, res)
-	// Reduce output lands in per-partition memory buffers instead of DFS
-	// writers; the collector keeps the checksum, serialize charges, and
-	// retained output identical to the disk path.
-	sinks := make([]*partSink, job.Reducers)
-	oc.NewSink = func(r, nodeID int) func(p *sim.Proc, data []byte) {
-		s := &partSink{node: nodeID}
-		sinks[r] = s
-		if job.DiscardOutput {
-			return func(*sim.Proc, []byte) {}
-		}
-		return func(_ *sim.Proc, data []byte) { s.data = append(s.data, data...) }
-	}
-	reg := rt.NewRegistry(len(blocks)) // progress signal + recovery bookkeeping
-	channels := rt.NewPushChannels(job.Reducers, opts.BackpressureBytes)
-	partition := hadoop.Partitioner()
-	blockByTask := make(map[int]*dfs.Block, len(blocks))
-	for _, b := range blocks {
-		blockByTask[b.Index] = b
-	}
-	rt.InstallFaults(opts.Faults, reg.FailNode)
-
-	rt.StartSampling()
-	mapsWG := rt.RunMaps(&job, blocks, func(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
-		runMapTask(rt, p, node, &job, costs, b, partition, channels, &opts, reg)
-	})
-	redsWG := rt.RunReduces(&job, func(p *sim.Proc, node *cluster.Node, r int) {
-		runReduceTask(rt, p, node, &job, costs, channels[r], oc, r, sinks)
-	})
-	rt.Env.Go("job-controller", func(p *sim.Proc) {
-		mapsWG.Wait(p)
-		// Degraded-mode recovery, exactly as in the HOP engine: a failed
-		// node's undelivered chunks are regenerated by re-executing the map
-		// on a surviving node and re-pushed under their original (task, seq)
-		// identities; reducers suppress any duplicates.
-		for i := 0; i < reg.Completed(); i++ {
-			out := reg.Out(i)
-			if !out.Lost {
-				continue
+// Plan is the resident engine: map tasks fold and push from memory, reducers
+// fold into resident tables and publish their output as memory-resident DFS
+// files, and a lost node's undelivered chunks are re-pushed after the map
+// wave, exactly as in the HOP engine.
+var Plan = &engine.Plan{
+	Label:                "resident",
+	NeedsReduce:          true,
+	Push:                 true,
+	Defaults:             engine.Options{ChunkBytes: 256 << 10, BackpressureBytes: 4 << 20},
+	FrameworkNsPerRecord: FrameworkNsPerRecord,
+	Setup: func(j *engine.JobRun) (engine.Tasks, error) {
+		job := j.Job
+		// Reduce output lands in per-partition memory buffers instead of DFS
+		// writers; the collector keeps the checksum, serialize charges, and
+		// retained output identical to the disk path.
+		sinks := make([]*partSink, job.Reducers)
+		j.OC.NewSink = func(r, nodeID int) func(p *sim.Proc, data []byte) {
+			s := &partSink{node: nodeID}
+			sinks[r] = s
+			if job.DiscardOutput {
+				return func(*sim.Proc, []byte) {}
 			}
-			fully := true
-			for _, done := range out.Pushed {
-				fully = fully && done
-			}
-			if fully {
-				out.Lost = false
-				continue
-			}
-			recoverMapTask(rt, p, &job, costs, blockByTask[out.TaskID], partition, channels, &opts, out)
-			rt.Counters.Add(engine.CtrTasksReexecuted, 1)
-			rt.Emit(trace.Fault, "map-repush", out.Node, out.TaskID, 0)
+			return func(_ *sim.Proc, data []byte) { s.data = append(s.data, data...) }
 		}
-		for _, pc := range channels {
-			pc.Close()
-		}
-		redsWG.Wait(p)
-		rt.JobDone()
-		rt.StopSampling()
-		done(p, res)
-	})
-	return nil
-}
-
-// jobAggregator picks the map/reduce-side aggregation for a job: an explicit
-// engine.Aggregator when declared, the monoid-derived one when the job
-// declares a kv.Monoid, and nil (raw value lists, Reduce at finalize) for
-// holistic workloads — the same selection the hash engines make.
-func jobAggregator(job *engine.Job) engine.Aggregator {
-	if job.Agg != nil {
-		return job.Agg
-	}
-	if job.Monoid != nil {
-		return engine.MonoidAgg{M: job.Monoid}
-	}
-	return nil
+		return engine.Tasks{
+			Map:       func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b) },
+			Reduce:    func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r, sinks) },
+			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, regenChunks) },
+		}, nil
+	},
 }
 
 // buildChunks runs the map-side data path: with an aggregator, records are
@@ -200,15 +90,13 @@ func jobAggregator(job *engine.Job) engine.Aggregator {
 // identities. The fold and packing are pure data work riding the map task's
 // pooled closure; the hash/update charges land here after the join, and the
 // caller charges serialization at each chunk's delivery point.
-func buildChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner,
-	opts *Options) (chunks []kv.Chunk, rawBytes, finalPairBytes int64, folded bool) {
-
+func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) (chunks []kv.Chunk, rawBytes, finalPairBytes int64, folded bool) {
+	rt, job, costs := j.RT, j.Job, j.Costs
 	tj := rt.TaskJob(job)
-	tAgg := jobAggregator(tj)
+	tAgg := tj.DeclaredAgg()
 	R := job.Reducers
 	var n int
-	buf, err := rt.ExecuteMapWith(p, node, tj, b, partition, func(buf *kv.Buffer) {
+	buf, err := rt.ExecuteMapWith(p, node, tj, b, j.Partition, func(buf *kv.Buffer) {
 		out := buf
 		if tAgg != nil {
 			// Map-side folding: per-partition insertion-ordered hash tables
@@ -231,7 +119,7 @@ func buildChunks(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engin
 			}
 		}
 		finalPairBytes = out.Bytes()
-		chunks = kv.PackPartitions(out, R, opts.ChunkBytes).Chunks
+		chunks = kv.PackPartitions(out, R, j.Opts.ChunkBytes).Chunks
 	})
 	if err != nil {
 		panic(fmt.Sprintf("resident: %v", err))
@@ -270,30 +158,12 @@ func (t *mapTable) fold(key, val []byte) {
 	t.states = append(t.states, t.agg.Init(val))
 }
 
-// pushChunk delivers one chunk, holding it in memory and waiting when
-// backpressure refuses the push (no disk staging — the whole point of the
-// engine). It returns false if the node fails before delivery succeeds.
-func pushChunk(rt *engine.Runtime, p *sim.Proc, node *cluster.Node,
-	channels []*engine.PushChannel, c kv.Chunk, taskID int) bool {
-
-	toNode := rt.ReducerNode(c.Part).ID
-	for !channels[c.Part].TryPush(p, node.ID, toNode, taskID, c.Seq, c.Data) {
-		if node.Failed() {
-			rt.Counters.Add("push.chunks.lost", 1)
-			return false
-		}
-		channels[c.Part].WaitSpace(p)
-	}
-	return true
-}
-
 // runMapTask maps a block, folds its output in memory, and pushes the
-// result as chunks.
-func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, b *dfs.Block, partition engine.Partitioner,
-	channels []*engine.PushChannel, opts *Options, reg *engine.Registry) {
-
-	chunks, rawBytes, finalPairBytes, folded := buildChunks(rt, p, node, job, costs, b, partition, opts)
+// result as chunks, holding a chunk in memory while backpressure refuses it
+// (no disk staging — the whole point of the engine).
+func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) {
+	rt, job := j.RT, j.Job
+	chunks, rawBytes, finalPairBytes, folded := buildChunks(j, p, node, b)
 	if rt.Auditing() {
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		if folded {
@@ -307,76 +177,31 @@ func runMapTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine
 		if node.Failed() {
 			// Dead NIC: the chunk cannot leave the machine. The recovery
 			// pass re-pushes it from a surviving node after the map wave.
-			rt.Counters.Add("push.chunks.lost", 1)
+			rt.Counters.Add(engine.CtrPushChunksLost, 1)
 			continue
 		}
-		node.Compute(p, engine.Dur(float64(len(c.Data)), costs.SerializeNsPerByte), engine.PhaseMapFn)
-		if pushChunk(rt, p, node, channels, c, b.Index) {
+		node.Compute(p, engine.Dur(float64(len(c.Data)), j.Costs.SerializeNsPerByte), engine.PhaseMapFn)
+		if j.PushChunk(p, node, b.Index, c) {
 			delivered[c.Part] = c.Seq + 1
 		}
 	}
-	// Register completion (progress signal plus recovery bookkeeping); the
-	// data itself lives only in the push stream, so the output carries no
-	// bytes — just the zero-size progress marker.
-	out := engine.NewMapOutput(p, node.ScratchStore(),
-		fmt.Sprintf("%s/res-map-%05d/progress", job.Name, b.Index),
-		b.Index, node.ID, nil, make([]int64, job.Reducers))
-	out.Delivered = delivered
-	for r := range out.Pushed {
-		out.Pushed[r] = delivered[r] == sealed[r]
-	}
-	reg.Complete(out)
+	j.CompletePushed(p, node, fmt.Sprintf("%s/res-map-%05d/progress", job.Name, b.Index), b.Index, delivered, sealed)
 }
 
-// recoverMapTask re-executes a lost map task on a surviving node and pushes
-// the chunks the dead node never delivered, under their original
-// (task, seq) identities. If the recovery node itself dies mid-way, the
-// loop moves to the next survivor, resuming from the updated delivery
-// counts.
-func recoverMapTask(rt *engine.Runtime, p *sim.Proc, job *engine.Job, costs engine.CostModel,
-	b *dfs.Block, partition engine.Partitioner, channels []*engine.PushChannel,
-	opts *Options, out *engine.MapOutput) {
-
-	for attempt := 1; ; attempt++ {
-		node := survivingNode(rt)
-		// Span the recovery attempt like a real map task so the profiler's
-		// span DAG stays connected through fault recovery.
-		span := rt.Timeline.Begin(engine.SpanMap, p.Now())
-		rt.Emit(trace.TaskStart, engine.SpanMap, node.ID, out.TaskID, attempt)
-		chunks, _, _, _ := buildChunks(rt, p, node, job, costs, b, partition, opts)
-		failedMid := false
-		for _, c := range chunks {
-			if c.Seq < out.Delivered[c.Part] {
-				continue
-			}
-			node.Compute(p, engine.Dur(float64(len(c.Data)), costs.SerializeNsPerByte), engine.PhaseMapFn)
-			if !pushChunk(rt, p, node, channels, c, out.TaskID) {
-				failedMid = true
-				break
-			}
-			out.Delivered[c.Part] = c.Seq + 1
+// regenChunks is the engine's engine.Regen: the whole block is folded again
+// (the tables cannot be rebuilt in part) and the chunks past the delivery
+// frontier are charged and offered like the first attempt's.
+func regenChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int, push func(kv.Chunk) bool) {
+	chunks, _, _, _ := buildChunks(j, p, node, b)
+	for _, c := range chunks {
+		if c.Seq < already[c.Part] {
+			continue
 		}
-		span.End(p.Now())
-		rt.Emit(trace.TaskFinish, engine.SpanMap, node.ID, out.TaskID, attempt)
-		if !failedMid {
-			for r := range out.Pushed {
-				out.Pushed[r] = true
-			}
-			out.Node = node.ID
-			out.Lost = false
+		node.Compute(p, engine.Dur(float64(len(c.Data)), j.Costs.SerializeNsPerByte), engine.PhaseMapFn)
+		if !push(c) {
 			return
 		}
 	}
-}
-
-// survivingNode returns the first compute node that has not failed.
-func survivingNode(rt *engine.Runtime) *cluster.Node {
-	for _, n := range rt.Cluster.ComputeNodes() {
-		if !n.Failed() {
-			return n
-		}
-	}
-	panic("resident: no surviving compute node for recovery")
 }
 
 // foldTable is a reducer's insertion-ordered in-memory table. With an
@@ -445,40 +270,23 @@ func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostMo
 // runReduceTask drains the push channel into the fold table, then emits the
 // table in insertion order and publishes the partition's output as a
 // memory-resident DFS file for the next job in the chain to map over.
-func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job,
-	costs engine.CostModel, pc *engine.PushChannel, oc *engine.OutputCollector,
-	r int, sinks []*partSink) {
-
+func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sinks []*partSink) {
+	rt, job, costs, oc, pc := j.RT, j.Job, j.Costs, j.OC, j.Channels[r]
 	tj := rt.TaskJob(job)
-	table := newFoldTable(jobAggregator(tj))
-	// seen dedups inbound chunks by (map task, seq): recovery re-pushes and
-	// speculative attempts may both re-deliver a chunk, and the map data
-	// path is deterministic, so a repeated identity carries identical
-	// content.
-	seen := make(map[[2]int]struct{})
-
+	table := newFoldTable(tj.DeclaredAgg())
 	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
 	rt.Emit(trace.PhaseStart, engine.SpanShuffle, node.ID, r, 0)
 	for {
-		chunk, ok := pc.Pop(p)
+		chunk, ok := pc.PopFresh(p, node.ID)
 		if !ok {
 			break
-		}
-		id := [2]int{chunk.MapTask, chunk.Seq}
-		if _, dup := seen[id]; dup {
-			rt.Counters.Add(engine.CtrShuffleDupChunks, 1)
-			continue
-		}
-		seen[id] = struct{}{}
-		if rt.Auditing() {
-			rt.Audit.ShuffleIngested(node.ID, chunk.MapTask, r, chunk.Seq, int64(len(chunk.Data)))
 		}
 		// The decode+fold is pure data work: dispatch it to the worker pool
 		// and overlap the pre-counted CPU charge, exactly like the hash
 		// engines' reduce ingest.
-		n, bytes := countChunk(chunk.Data)
+		n, bytes := engine.CountChunk(chunk.Data)
 		data := chunk.Data
-		work := p.StartWork(func() { decodePairs(data, table.fold) })
+		work := p.StartWork(func() { engine.DecodePairs(data, table.fold) })
 		node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord)+
 			engine.Dur(float64(bytes), costs.SerializeNsPerByte), engine.PhaseUpdate)
@@ -506,30 +314,4 @@ func runReduceTask(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *eng
 	}
 	reduceSpan.End(p.Now())
 	rt.Emit(trace.PhaseEnd, engine.SpanReduce, node.ID, r, 0)
-}
-
-// decodePairs walks an encoded chunk.
-func decodePairs(chunk []byte, f func(key, val []byte)) {
-	d := kv.NewDecoder(chunk)
-	for {
-		k, v, ok := d.Next()
-		if !ok {
-			return
-		}
-		f(k, v)
-	}
-}
-
-// countChunk pre-scans an encoded chunk for the pair count and payload
-// bytes the ingest charge needs, so the charge can overlap the pooled fold.
-func countChunk(chunk []byte) (n int, bytes int64) {
-	d := kv.NewDecoder(chunk)
-	for {
-		k, v, ok := d.Next()
-		if !ok {
-			return
-		}
-		n++
-		bytes += int64(len(k) + len(v))
-	}
 }

@@ -22,7 +22,13 @@ func smallClicks() gen.ClickConfig {
 	return cfg
 }
 
-func run(t *testing.T, w *workloads.Workload, cfg enginetest.Config, opts Options) (*enginetest.Fixture, *engine.Result) {
+// Run executes job on rt with this package's engine, alone on rt's
+// environment.
+func Run(rt *engine.Runtime, job engine.Job, opts engine.Options) (*engine.Result, error) {
+	return engine.Run(rt, job, opts, Plan)
+}
+
+func run(t *testing.T, w *workloads.Workload, cfg enginetest.Config, opts engine.Options) (*enginetest.Fixture, *engine.Result) {
 	t.Helper()
 	f := enginetest.New(t, w, cfg)
 	res, err := Run(f.RT, f.Job, opts)
@@ -45,7 +51,7 @@ func TestAllWorkloadsMatchReference(t *testing.T) {
 	for _, w := range cases {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			f, res := run(t, w, enginetest.Config{}, Options{})
+			f, res := run(t, w, enginetest.Config{}, engine.Options{})
 			f.CheckOutput(t, w, res)
 			if res.Engine != "resident" {
 				t.Fatalf("result labeled %q", res.Engine)
@@ -60,12 +66,12 @@ func TestAllWorkloadsMatchReference(t *testing.T) {
 // still produce the reference answer with identical checksums.
 func TestMonoidFoldingShrinksShuffle(t *testing.T) {
 	w := workloads.PerUserCount(smallClicks())
-	fOn, resOn := run(t, w, enginetest.Config{}, Options{})
+	fOn, resOn := run(t, w, enginetest.Config{}, engine.Options{})
 	fOn.CheckOutput(t, w, resOn)
 
 	w2 := workloads.PerUserCount(smallClicks())
 	w2.Job.Monoid = nil
-	fOff, resOff := run(t, w2, enginetest.Config{}, Options{})
+	fOff, resOff := run(t, w2, enginetest.Config{}, engine.Options{})
 	fOff.CheckOutput(t, w2, resOff)
 
 	if resOn.OutputChecksum != resOff.OutputChecksum {
@@ -88,7 +94,7 @@ func TestMonoidFoldingShrinksShuffle(t *testing.T) {
 func TestNoScratchDiskTraffic(t *testing.T) {
 	w := workloads.Sessionization(smallClicks())
 	f, res := run(t, w, enginetest.Config{Reducers: 2, MemPerTask: 4 << 10},
-		Options{ChunkBytes: 2 << 10, BackpressureBytes: 4 << 10})
+		engine.Options{ChunkBytes: 2 << 10, BackpressureBytes: 4 << 10})
 	f.CheckOutput(t, w, res)
 	if spilled := res.Counters.Get(engine.CtrMapSpillBytes); spilled != 0 {
 		t.Fatalf("map-side staged %v bytes to disk", spilled)
@@ -105,7 +111,7 @@ func TestNodeFailureRepushesLostChunks(t *testing.T) {
 	// Enough blocks that node 1 still has map tasks (and undelivered
 	// chunks) in flight when it dies.
 	f := enginetest.New(t, w, enginetest.Config{Nodes: 4, InputSize: 32 * 64 << 10})
-	res, err := Run(f.RT, f.Job, Options{Faults: faults.Schedule{Faults: []faults.Fault{
+	res, err := Run(f.RT, f.Job, engine.Options{Faults: faults.Schedule{Faults: []faults.Fault{
 		{Kind: faults.NodeFailure, Node: 1, At: 20 * sim.Millisecond}}}})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +134,7 @@ func TestSmallBlockFaultedRunMatchesClean(t *testing.T) {
 		func() *workloads.Workload { return workloads.PerUserCount(smallClicks()) },
 		enginetest.Config{Nodes: 4, BlockSize: 16 << 10, InputSize: 96 * 16 << 10, Reducers: 10},
 		func(f *enginetest.Fixture, sched faults.Schedule) (*engine.Result, error) {
-			return Run(f.RT, f.Job, Options{Faults: sched})
+			return Run(f.RT, f.Job, engine.Options{Faults: sched})
 		})
 }
 
@@ -148,7 +154,7 @@ func TestAllocationProportionalToData(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			enginetest.CheckAllocationProportional(t, tc.w, enginetest.Config{
 				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, 12,
-				func(f *enginetest.Fixture) (*engine.Result, error) { return Run(f.RT, f.Job, Options{}) })
+				func(f *enginetest.Fixture) (*engine.Result, error) { return Run(f.RT, f.Job, engine.Options{}) })
 		})
 	}
 }
@@ -157,7 +163,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	var sums []uint64
 	for i := 0; i < 2; i++ {
 		w := workloads.PageFrequency(smallClicks())
-		_, res := run(t, w, enginetest.Config{}, Options{ChunkBytes: 3 << 10})
+		_, res := run(t, w, enginetest.Config{}, engine.Options{ChunkBytes: 3 << 10})
 		sums = append(sums, res.OutputChecksum)
 	}
 	if sums[0] != sums[1] {
@@ -208,7 +214,7 @@ func TestChainedIterationsReadNoDisk(t *testing.T) {
 	runStage := func(job engine.Job) *engine.Result {
 		t.Helper()
 		rt := engine.NewRuntime(env, c, d)
-		res, err := Run(rt, job, Options{})
+		res, err := Run(rt, job, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,16 +36,12 @@ import (
 	"math"
 	"sort"
 
-	"onepass"
 	"onepass/internal/cluster"
-	"onepass/internal/core"
 	"onepass/internal/dfs"
 	"onepass/internal/disk"
 	"onepass/internal/engine"
-	"onepass/internal/hadoop"
-	"onepass/internal/hop"
+	"onepass/internal/engines"
 	"onepass/internal/metrics"
-	"onepass/internal/resident"
 	"onepass/internal/sim"
 )
 
@@ -172,7 +168,7 @@ func (c *Config) Validate() error {
 // handling).
 type JobRequest struct {
 	Tenant string
-	Engine string // any name accepted by onepass.ParseEngine ("hadoop", "hop", "hash-hybrid", ..., "resident")
+	Engine string // a name or alias in internal/engines ("hadoop", "hop", "hash-hybrid", ..., "resident")
 	Job    engine.Job
 	// InputPath names a dataset registered with RegisterInput.
 	InputPath string
@@ -189,6 +185,7 @@ type job struct {
 	id     int
 	req    JobRequest
 	tenant *tenant
+	plan   *engine.Plan // req.Engine, resolved at Submit
 
 	submitted sim.Time
 	started   sim.Time
@@ -343,6 +340,15 @@ func (s *Service) RegisterInput(path string, size int64, gen func(block int, siz
 	return s.d.RegisterGenerated(path, size, gen)
 }
 
+// Results returns every completed job's Result, in completion order.
+func (s *Service) Results() []*engine.Result {
+	out := make([]*engine.Result, len(s.completed))
+	for i, j := range s.completed {
+		out[i] = j.res
+	}
+	return out
+}
+
 // AddSubmitter registers one producer process; the scheduler keeps draining
 // until every registered submitter called SubmitterDone and all work
 // finished.
@@ -366,8 +372,9 @@ func (s *Service) Submit(p *sim.Proc, req JobRequest) error {
 	if !ok {
 		return fmt.Errorf("service: unknown tenant %q", req.Tenant)
 	}
-	if !validEngine(req.Engine) {
-		return fmt.Errorf("service: unknown engine %q", req.Engine)
+	eng, err := engines.Find(req.Engine)
+	if err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	mapGrant, reduceGrant := req.MapSlotsPerNode, req.ReduceSlotsPerNode
 	if mapGrant == 0 {
@@ -387,7 +394,7 @@ func (s *Service) Submit(p *sim.Proc, req JobRequest) error {
 	}
 	s.accrueAll(p.Now())
 	j := &job{
-		id: s.nextID, req: req, tenant: t, submitted: p.Now(),
+		id: s.nextID, req: req, tenant: t, plan: engines.List[eng].Plan, submitted: p.Now(),
 		mapGrant: mapGrant, reduceGrant: reduceGrant,
 		units: (mapGrant + reduceGrant) * s.computeNodes,
 	}
@@ -398,20 +405,14 @@ func (s *Service) Submit(p *sim.Proc, req JobRequest) error {
 	return nil
 }
 
-func validEngine(name string) bool {
-	_, err := onepass.ParseEngine(name)
-	return err == nil
-}
-
 // accrueAll advances every tenant's slot-second integral — and every
 // pair's joint-backlog window — to now. Called before any state change that
 // affects holdings or backlog.
 func (s *Service) accrueAll(now sim.Time) {
-	for i, t := range s.tenants {
+	for _, t := range s.tenants {
 		if t.lastAccrual < now {
 			dt := now.Sub(t.lastAccrual).Seconds()
 			t.slotSeconds += float64(t.heldUnits) * dt
-			_ = i
 		}
 	}
 	// Joint-backlog pair accounting: while both tenants of a same-priority
@@ -569,26 +570,8 @@ func (s *Service) launch(p *sim.Proc, t *tenant, j *job) {
 		rt.FinishResult(res)
 		s.complete(cp, j, res)
 	}
-	eng, err := onepass.ParseEngine(j.req.Engine)
-	if err == nil {
-		switch eng {
-		case onepass.Hadoop:
-			err = hadoop.Start(rt, jb, hadoop.Options{}, done)
-		case onepass.MapReduceOnline:
-			err = hop.Start(rt, jb, hop.Options{DisableSnapshots: true}, done)
-		case onepass.HashHybrid:
-			err = core.Start(rt, jb, core.Options{Mode: core.HybridHash}, done)
-		case onepass.HashIncremental:
-			err = core.Start(rt, jb, core.Options{Mode: core.Incremental}, done)
-		case onepass.HashHotKey:
-			err = core.Start(rt, jb, core.Options{Mode: core.HotKey}, done)
-		case onepass.Resident:
-			err = resident.Start(rt, jb, resident.Options{}, done)
-		default:
-			err = fmt.Errorf("service: unknown engine %q", j.req.Engine)
-		}
-	}
-	if err != nil {
+	// Snapshot answers would be discarded with the rest of the output.
+	if err := engine.Start(rt, jb, engine.Options{DisableSnapshots: true}, j.plan, done); err != nil {
 		// Submit pre-validated the request; a Start failure here is a
 		// configuration bug (e.g. unregistered input) that would otherwise
 		// strand the job's slots. Fail loudly.

@@ -17,7 +17,7 @@ const SessionGap = 30 * 60
 // headline workload: large intermediate data (map output ≈ input size, all
 // of it reorganized by user), no combiner.
 func Sessionization(cfg gen.ClickConfig) *Workload {
-	w := &Workload{Name: "sessionization", Gen: cfg.Block}
+	w := &Workload{Name: "sessionization", Gen: cfg.Block, Clicks: true}
 	// Scratch buffers are per-Workload: emit targets copy immediately and the
 	// simulation runs one process at a time, so reuse across records is safe.
 	var keyBuf, valBuf []byte
@@ -113,7 +113,7 @@ func WindowedSessionization(cfg gen.ClickConfig, window uint32) *Workload {
 	if window == 0 {
 		window = DefaultSessionWindow
 	}
-	w := &Workload{Name: "windowed-sessionization", Gen: cfg.Block}
+	w := &Workload{Name: "windowed-sessionization", Gen: cfg.Block, Clicks: true}
 	var keyBuf, valBuf []byte
 	w.Job = engine.Job{
 		Name:        w.Name,
@@ -160,7 +160,7 @@ func PerUserCount(cfg gen.ClickConfig) *Workload {
 var one = []byte{'1'}
 
 func countingWorkload(name string, cfg gen.ClickConfig, key func(dst []byte, c textfmt.Click) []byte, mapNs float64) *Workload {
-	w := &Workload{Name: name, Gen: cfg.Block}
+	w := &Workload{Name: name, Gen: cfg.Block, Clicks: true}
 	var keyBuf []byte
 	w.Job = engine.Job{
 		Name:        name,

@@ -8,7 +8,11 @@
 package workloads
 
 import (
+	"fmt"
+	"strings"
+
 	"onepass/internal/engine"
+	"onepass/internal/gen"
 	"onepass/internal/textfmt"
 )
 
@@ -20,6 +24,42 @@ type Workload struct {
 	// Job is the job template; the runner fills in paths, reducer count,
 	// and memory settings.
 	Job engine.Job
+	// Clicks marks the input as the click log, the one input a seeded
+	// gen.Delta can evolve.
+	Clicks bool
+}
+
+// named is the table of workloads that can be asked for by name: runjob,
+// jobserve tenant mixes and the experiment driver's run specs all read it.
+var named = []struct {
+	name string
+	make func(cc gen.ClickConfig, dc gen.DocConfig) *Workload
+}{
+	{"sessionization", func(cc gen.ClickConfig, _ gen.DocConfig) *Workload { return Sessionization(cc) }},
+	{"windowed-sessionization", func(cc gen.ClickConfig, _ gen.DocConfig) *Workload { return WindowedSessionization(cc, 0) }},
+	{"page-frequency", func(cc gen.ClickConfig, _ gen.DocConfig) *Workload { return PageFrequency(cc) }},
+	{"per-user-count", func(cc gen.ClickConfig, _ gen.DocConfig) *Workload { return PerUserCount(cc) }},
+	{"inverted-index", func(_ gen.ClickConfig, dc gen.DocConfig) *Workload { return InvertedIndex(dc) }},
+}
+
+// Names lists the workloads ByName builds, for usage text.
+func Names() []string {
+	out := make([]string, len(named))
+	for i, e := range named {
+		out[i] = e.name
+	}
+	return out
+}
+
+// ByName builds the named workload over whichever of the two input
+// configurations it reads. The error of an unknown name lists the valid ones.
+func ByName(name string, cc gen.ClickConfig, dc gen.DocConfig) (*Workload, error) {
+	for _, e := range named {
+		if e.name == name {
+			return e.make(cc, dc), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown workload %q (valid: %s)", name, strings.Join(Names(), ", "))
 }
 
 // LineReader yields each newline-terminated record (without the newline).
