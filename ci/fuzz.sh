@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# Runs every native fuzz target in the module for a fixed time each:
+#   ci/fuzz.sh 10s    (the push-time fuzz-smoke job; the nightly passes 5m)
+# Targets are discovered, not listed, so a new Fuzz* function is covered the
+# day it lands. A crasher fails the run and leaves its input under the
+# package's testdata/fuzz/<target>/ — check it in with the fix.
+set -euo pipefail
+fuzztime=${1:?usage: ci/fuzz.sh <fuzztime, e.g. 10s>}
+targets=0
+for pkg in $(go list ./...); do
+  for target in $(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true); do
+    echo "== $pkg $target ($fuzztime)"
+    go test -run '^$' -fuzz "^${target}\$" -fuzztime "$fuzztime" "$pkg"
+    targets=$((targets + 1))
+  done
+done
+echo "fuzzed $targets targets for $fuzztime each"
+# internal/kv has three and internal/incr two; finding fewer means discovery
+# broke, not that the tree got safer.
+[ "$targets" -ge 5 ]

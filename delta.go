@@ -2,9 +2,10 @@ package onepass
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"onepass/internal/dfs"
 	"onepass/internal/engine"
@@ -154,6 +155,10 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 		return nil, fmt.Errorf("onepass: %w", err)
 	}
 
+	// The capture jobs' part files are the preserved partials and must keep
+	// their contents whatever the caller asked for its own output; the
+	// capture and merge wrappers set their own retention.
+	cfg.RetainOutput, cfg.DiscardOutput = false, false
 	c := NewCluster(cfg)
 	blockSize := c.dfs.BlockSize()
 	nBase := int((data.Size + blockSize - 1) / blockSize)
@@ -177,22 +182,22 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 		return nil, err
 	}
 	state := incr.New(monoidKey(job))
-	capRes, err := c.RunJob(captureJob(job, taggedBase, data.Path+".delta/partials-base"))
+	baseBlocks := make([]int, nBase)
+	for b := range baseBlocks {
+		baseBlocks[b] = b
+	}
+	err = capture(c, captureJob(job, taggedBase, data.Path+".delta/partials-base"), state, baseBlocks, nBase, nil)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := parseCapture(capRes.Output)
+	baseOut := "out/" + job.Name + "-base"
+	base, _, _, err := runMerge(c, job, state, nil, data.Path+".delta/state-base", baseOut)
 	if err != nil {
 		return nil, err
 	}
-	for b, partials := range blocks {
-		state.ReplaceBlock(b, partials, nil)
-	}
-	base, _, err := runMerge(c, job, state, nil, data.Path+".delta/state-base", "out/"+job.Name+"-base")
-	if err != nil {
+	if err := state.SetFinals(c.partFiles(baseOut)); err != nil {
 		return nil, err
 	}
-	state.SetFinals(base.Output)
 	baseDisk := c.DiskBytesRead()
 
 	// Phase 2 — incremental: a tagged file holding only the changed blocks
@@ -217,24 +222,16 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 	if err := state.CheckKey(monoidKey(job)); err != nil {
 		return nil, err
 	}
-	capRes, err = c.RunJob(captureJob(job, taggedDelta, data.Path+".delta/partials-delta"))
+	affected := new(incr.Affected)
+	err = capture(c, captureJob(job, taggedDelta, data.Path+".delta/partials-delta"), state, changed, nBase+nApp, affected)
 	if err != nil {
 		return nil, err
 	}
-	newBlocks, err := parseCapture(capRes.Output)
-	if err != nil {
-		return nil, err
-	}
-	affected := make(map[string]bool)
-	for _, b := range changed {
-		state.ReplaceBlock(b, newBlocks[b], affected)
-	}
-	inc, stateBytes, err := runMerge(c, job, state, affected,
+	inc, totalKeys, stateBytes, err := runMerge(c, job, state, affected,
 		data.Path+".delta/state-delta", "out/"+job.Name+"-incremental")
 	if err != nil {
 		return nil, err
 	}
-	state.SetFinals(inc.Output)
 
 	return &DeltaResult{
 		Base:        base,
@@ -243,8 +240,8 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 			BaseBlocks:               nBase,
 			DirtyBlocks:              len(dirty),
 			AppendedBlocks:           nApp,
-			TotalKeys:                state.Keys(),
-			AffectedKeys:             len(affected),
+			TotalKeys:                totalKeys,
+			AffectedKeys:             affected.Len(),
 			StateBytes:               stateBytes,
 			BaseDiskReadBytes:        baseDisk,
 			IncrementalDiskReadBytes: c.DiskBytesRead() - baseDisk,
@@ -252,19 +249,65 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 	}, nil
 }
 
+// capture runs a capture job and installs its part files' frames as the
+// preserved partials of blocks (ascending) — the blocks of the job's tagged
+// input, numbered below nBlocks. A block the run emitted nothing for has
+// lost every record and is removed. Keys a replaced or installed frame holds
+// are recorded in affected (when non-nil).
+func capture(c *Cluster, job Job, state *incr.State, blocks []int, nBlocks int, affected *incr.Affected) error {
+	if _, err := c.RunJob(job); err != nil {
+		return err
+	}
+	frames, err := incr.CaptureFrames(c.partFiles(job.OutputPath), nBlocks)
+	if err != nil {
+		return fmt.Errorf("onepass: %s: %w", job.Name, err)
+	}
+	for _, b := range blocks {
+		var frame []byte
+		if len(frames) > 0 && frames[0].Block == b {
+			frame, frames = frames[0].Data, frames[1:]
+		}
+		if err := state.ReplaceFrame(b, frame, affected); err != nil {
+			return fmt.Errorf("onepass: %s: %w", job.Name, err)
+		}
+	}
+	if len(frames) > 0 {
+		return fmt.Errorf("onepass: %s emitted partials for block %d, which is not in its input",
+			job.Name, frames[0].Block)
+	}
+	return nil
+}
+
+// partFiles returns the contents of the part files a finished job wrote
+// under outputPath, in path order (none when no reducer emitted a pair).
+// Like reading Result.Output it charges nothing: the bytes are the host-side
+// copy the DFS keeps of what the job's writers were already charged for.
+func (c *Cluster) partFiles(outputPath string) [][]byte {
+	blocks, err := c.dfs.BlocksUnder(outputPath)
+	if err != nil {
+		return nil
+	}
+	parts := make([][]byte, len(blocks))
+	for i, b := range blocks {
+		parts[i] = b.Peek()
+	}
+	return parts
+}
+
 // runMerge encodes the preserved state for the given affected-key set
 // (nil = every key), publishes it, and re-reduces it with a real engine
-// job, returning the merge result and the encoded state size.
-func runMerge(c *Cluster, job Job, state *incr.State, affected map[string]bool, statePath, outPath string) (*Result, int, error) {
-	input, err := state.MergeInput(affected)
+// job, returning the merge result, the number of live keys and the encoded
+// state size.
+func runMerge(c *Cluster, job Job, state *incr.State, affected *incr.Affected, statePath, outPath string) (res *Result, keys, stateBytes int, err error) {
+	input, keys, err := state.Merge(affected)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	if err := publishState(c, statePath, input); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	res, err := c.RunJob(mergeJob(job, statePath, outPath))
-	return res, len(input), err
+	res, err = c.RunJob(mergeJob(job, statePath, outPath))
+	return res, keys, len(input), err
 }
 
 // publishState persists the encoded merge input into the cluster's DFS. The
@@ -317,8 +360,9 @@ func captureJob(inner Job, input, output string) Job {
 	j.Name = inner.Name + "+capture"
 	j.InputPath = input
 	j.OutputPath = output
-	j.RetainOutput = true
-	j.DiscardOutput = false
+	// The part files are the deliverable (RunDelta decodes them into block
+	// frames); nothing reads a retained copy.
+	j.RetainOutput, j.DiscardOutput = false, false
 	j.Progress = nil
 	read, mapf := inner.Reader, inner.Map
 	var block uint64
@@ -334,12 +378,17 @@ func captureJob(inner Job, input, output string) Job {
 		block = uint64(id)
 		read(rest, yield)
 	}
+	// One tagging closure per Job instance, re-aimed at each call's emit: a
+	// closure built per record would be one heap object per record.
+	var out Emit
+	tagged := func(k, v []byte) {
+		keyBuf = binary.AppendUvarint(keyBuf[:0], block)
+		keyBuf = append(keyBuf, k...)
+		out(keyBuf, v)
+	}
 	j.Map = func(rec []byte, emit Emit) {
-		mapf(rec, func(k, v []byte) {
-			keyBuf = binary.AppendUvarint(keyBuf[:0], block)
-			keyBuf = append(keyBuf, k...)
-			emit(keyBuf, v)
-		})
+		out = emit
+		mapf(rec, tagged)
 	}
 	if inner.Monoid == nil {
 		j.Reduce = frameListReducer()
@@ -361,25 +410,6 @@ func frameListReducer() engine.ReduceFunc {
 		}
 		emit(key, out)
 	}
-}
-
-// parseCapture splits a capture run's retained output into per-block
-// per-key partials.
-func parseCapture(out map[string]string) (map[int]map[string][]byte, error) {
-	blocks := make(map[int]map[string][]byte)
-	for k, v := range out {
-		id, n := binary.Uvarint([]byte(k))
-		if n <= 0 {
-			return nil, fmt.Errorf("onepass: capture output key %q has no block prefix", k)
-		}
-		m := blocks[int(id)]
-		if m == nil {
-			m = make(map[string][]byte)
-			blocks[int(id)] = m
-		}
-		m[k[n:]] = []byte(v)
-	}
-	return blocks, nil
 }
 
 // mergeJob re-reduces preserved state with a real engine run: the input is
@@ -445,22 +475,49 @@ func mergeReducer(inner Job) engine.ReduceFunc {
 	}
 	var parts []part
 	var vals [][]byte
+	// The inner reduce's emit is built once and re-aimed per key (a closure
+	// per key would be a heap object per key): it checks the key and count
+	// and forwards to the merge run's emit. That emit may suspend the
+	// reducer's process with another reducer's call to this function
+	// interleaved, so the shared state is read before forwarding, never
+	// after.
+	var (
+		curKey  []byte
+		out     Emit
+		emitted int
+	)
+	checked := func(k, v []byte) {
+		if !bytes.Equal(k, curKey) {
+			panic(fmt.Sprintf("onepass: delta-capable reduce for %q emitted foreign key %q", curKey, k))
+		}
+		if emitted++; emitted > 1 {
+			panic(fmt.Sprintf("onepass: delta-capable reduce for %q emitted more than one pair", curKey))
+		}
+		out(k, v)
+	}
 	return func(key []byte, vs [][]byte, emit Emit) {
 		if len(vs) == 1 && len(vs[0]) > 0 && vs[0][0] == incr.MarkFinal {
 			emit(key, vs[0][1:])
 			return
 		}
 		parts = parts[:0]
+		ascending := true
 		for _, v := range vs {
 			b, payload, err := incr.DecodePartial(v)
 			if err != nil {
 				panic(fmt.Sprintf("onepass: delta merge key %q: %v", key, err))
 			}
+			ascending = ascending && (len(parts) == 0 || parts[len(parts)-1].block < b)
 			parts = append(parts, part{block: b, payload: payload})
 		}
 		// Partials regroup in block order — deterministic no matter which
-		// engine captured them or how the merge run grouped the pairs.
-		sort.Slice(parts, func(i, j int) bool { return parts[i].block < parts[j].block })
+		// engine captured them or how the merge run grouped the pairs. The
+		// merge input lists a key's partials blocks ascending, and the
+		// sort-merge engines' stable grouping keeps that order, so the sort
+		// only runs behind a hash engine that regrouped them.
+		if !ascending {
+			slices.SortFunc(parts, func(x, y part) int { return cmp.Compare(x.block, y.block) })
+		}
 		vals = vals[:0]
 		for _, p := range parts {
 			if holistic {
@@ -471,15 +528,7 @@ func mergeReducer(inner Job) engine.ReduceFunc {
 				vals = append(vals, p.payload)
 			}
 		}
-		emitted := 0
-		reduce(key, vals, func(k, v []byte) {
-			if !bytes.Equal(k, key) {
-				panic(fmt.Sprintf("onepass: delta-capable reduce for %q emitted foreign key %q", key, k))
-			}
-			if emitted++; emitted > 1 {
-				panic(fmt.Sprintf("onepass: delta-capable reduce for %q emitted more than one pair", key))
-			}
-			emit(k, v)
-		})
+		curKey, out, emitted = key, emit, 0
+		reduce(key, vals, checked)
 	}
 }

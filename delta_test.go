@@ -1,9 +1,12 @@
 package onepass
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"onepass/internal/incr"
+	"onepass/internal/kv"
 	"onepass/internal/workloads"
 )
 
@@ -190,5 +193,134 @@ func TestDeltaRejectsIncapableJobs(t *testing.T) {
 	stream.ArrivalRate = 1 << 20
 	if _, err := RunDelta(cfg, stream, PerUserCount(cc).Job, d); err == nil {
 		t.Fatal("streamed base dataset accepted")
+	}
+}
+
+// TestDeltaStatsPinned pins what the preserved-state containers decide —
+// live and affected key counts and the published state's size — plus both
+// virtual makespans, per engine for one seed. The values were written on the
+// commit before preserved state moved from nested maps to sorted frames
+// (PR 16); the state file's bytes are charged I/O, so any drift in them is
+// also a drift in virtual time.
+func TestDeltaStatsPinned(t *testing.T) {
+	cc := tinyClicks()
+	cc.Users = 5000
+	type pin struct {
+		total, affected, stateBytes int
+		checksum                    uint64
+		baseNs, incNs               [6]int64 // by Engines() order
+	}
+	cases := []struct {
+		make func() *Workload
+		pin  pin
+	}{
+		{func() *Workload { return PerUserCount(cc) }, pin{2801, 1413, 53317, 0x911a9b52fce29bb4,
+			[6]int64{43723922, 44131290, 24785522, 24785522, 24785522, 8519906},
+			[6]int64{43389784, 43624641, 24474964, 24474964, 24474964, 8407436}}},
+		{func() *Workload { return Sessionization(cc) }, pin{2801, 1413, 528734, 0xb747c1af96a5fdf9,
+			[6]int64{60937224, 56637857, 42123424, 41323424, 41323424, 14070492},
+			[6]int64{62004843, 57195267, 43296953, 43296952, 43296952, 14360313}}},
+		{func() *Workload { return WindowedSessionization(cc, 60) }, pin{9943, 3744, 702417, 0x7ea9dca8c212b606,
+			[6]int64{119941681, 120087485, 75711023, 75711024, 75711024, 26835200},
+			[6]int64{122383142, 122605167, 77533516, 77533516, 77533516, 27404180}}},
+	}
+	for _, tc := range cases {
+		for i, e := range Engines() {
+			w := tc.make()
+			data := Dataset{Path: "input/" + w.Name, Size: 512 << 10, Gen: w.Gen}
+			dr, err := RunDelta(tinyConfig(e), data, w.Job, tinyDelta(cc, 11, 0.125))
+			if err != nil {
+				t.Fatalf("%s on %v: %v", w.Name, e, err)
+			}
+			st := dr.Stats
+			if st.TotalKeys != tc.pin.total || st.AffectedKeys != tc.pin.affected || st.StateBytes != tc.pin.stateBytes {
+				t.Errorf("%s on %v: TotalKeys %d AffectedKeys %d StateBytes %d, pinned %d %d %d", w.Name, e,
+					st.TotalKeys, st.AffectedKeys, st.StateBytes, tc.pin.total, tc.pin.affected, tc.pin.stateBytes)
+			}
+			if dr.Incremental.OutputChecksum != tc.pin.checksum {
+				t.Errorf("%s on %v: checksum %016x, pinned %016x", w.Name, e, dr.Incremental.OutputChecksum, tc.pin.checksum)
+			}
+			if b, n := int64(dr.Base.Makespan), int64(dr.Incremental.Makespan); b != tc.pin.baseNs[i] || n != tc.pin.incNs[i] {
+				t.Errorf("%s on %v: makespans %d / %d ns, pinned %d / %d", w.Name, e, b, n, tc.pin.baseNs[i], tc.pin.incNs[i])
+			}
+		}
+	}
+}
+
+// TestDeltaIgnoresCallerOutputRetention: the capture jobs' part files are
+// the preserved partials, so RunDelta keeps them whatever the caller's
+// Config says about its own output (the benchmark discards it), and the
+// merge results still carry the answer.
+func TestDeltaIgnoresCallerOutputRetention(t *testing.T) {
+	cc := tinyClicks()
+	w := PerUserCount(cc)
+	data := Dataset{Path: "input/" + w.Name, Size: 256 << 10, Gen: w.Gen}
+	d := tinyDelta(cc, 11, 0.25)
+	want, err := RunDelta(tinyConfig(Hadoop), data, w.Job, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyConfig(Hadoop)
+	cfg.RetainOutput, cfg.DiscardOutput = false, true
+	got, err := RunDelta(cfg, data, w.Job, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Incremental.OutputChecksum != want.Incremental.OutputChecksum || got.Stats != want.Stats ||
+		len(got.Incremental.Output) != len(want.Incremental.Output) || len(got.Base.Output) != len(want.Base.Output) {
+		t.Fatalf("discarding caller: %+v (%d keys), retaining caller: %+v (%d keys)",
+			got.Stats, len(got.Incremental.Output), want.Stats, len(want.Incremental.Output))
+	}
+}
+
+// TestDeltaSurfacesDamagedCapture: a capture run that leaves two partials
+// for one (block, key) — here a reduce that breaks the one-pair contract —
+// is a returned error naming the block and key, not a silently dropped
+// partial or a panic in the merge.
+func TestDeltaSurfacesDamagedCapture(t *testing.T) {
+	cc := tinyClicks()
+	w := PerUserCount(cc)
+	job := w.Job
+	inner := job.Reduce
+	job.Reduce = func(key []byte, vals [][]byte, emit Emit) {
+		inner(key, vals, emit)
+		inner(key, vals, emit)
+	}
+	job.Fresh = nil
+	data := Dataset{Path: "input/" + w.Name, Size: 128 << 10, Gen: w.Gen}
+	_, err := RunDelta(tinyConfig(Hadoop), data, job, tinyDelta(cc, 11, 0.25))
+	if err == nil || !strings.Contains(err.Error(), "block 0 frame") || !strings.Contains(err.Error(), "duplicate key") {
+		t.Fatalf("doubled capture output: %v", err)
+	}
+}
+
+// TestMergeReducerRegroupsPartialsInBlockOrder: whatever order the merge
+// run's engine hands a key's partials over in, the inner reduce sees them
+// blocks ascending.
+func TestMergeReducerRegroupsPartialsInBlockOrder(t *testing.T) {
+	var seen [][]string
+	reduce := mergeReducer(Job{OrderInsensitive: true, Reduce: func(key []byte, vals [][]byte, emit Emit) {
+		var got []string
+		for _, v := range vals {
+			got = append(got, string(v))
+		}
+		seen = append(seen, got)
+		emit(key, []byte("x"))
+	}})
+	partial := func(block int, vals ...string) []byte {
+		p := append([]byte{incr.MarkPartial}, byte(block))
+		for _, v := range vals {
+			p = kv.AppendFramed(p, []byte(v))
+		}
+		return p
+	}
+	emitted := 0
+	emit := func(_, _ []byte) { emitted++ }
+	reduce([]byte("k"), [][]byte{partial(0, "a"), partial(2, "b", "c"), partial(5, "d")}, emit)
+	reduce([]byte("k"), [][]byte{partial(5, "d"), partial(0, "a"), partial(2, "b", "c")}, emit)
+	reduce([]byte("k"), [][]byte{append([]byte{incr.MarkFinal}, "cached"...)}, emit)
+	want := []string{"a", "b", "c", "d"}
+	if len(seen) != 2 || !slices.Equal(seen[0], want) || !slices.Equal(seen[1], want) || emitted != 3 {
+		t.Fatalf("inner reduce saw %q (%d emits), want %q twice and 3 emits", seen, emitted, want)
 	}
 }

@@ -115,6 +115,7 @@ func TestReducersCopyOutOfIngestedChunks(t *testing.T) {
 						oc.Close(p, 0)
 					})
 					env.Run()
+					oc.Materialize()
 					if budget < 1<<20 && rt.Counters.Get(engine.CtrReduceSpillBytes) == 0 {
 						t.Error("the starved variant never spilled: spill sets went untested")
 					}

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"onepass/internal/cluster"
@@ -392,6 +393,41 @@ func TestCombineSorted(t *testing.T) {
 	}
 }
 
+// TestMaterializeRetainedOutput: Result.Output is built once from the
+// retained pair bytes — a later duplicate wins, empty keys and values
+// survive, and a retaining job that emitted nothing still gets a map.
+func TestMaterializeRetainedOutput(t *testing.T) {
+	rt := testRuntime(2)
+	job := &Job{Name: "t", OutputPath: "out", RetainOutput: true, Reducers: 2}
+	res := &Result{}
+	oc := rt.NewOutputCollector(job, res)
+	rt.Env.Go("r", func(p *sim.Proc) {
+		scratch := []byte("k1")
+		oc.Emit(p, 0, 0, scratch, []byte("first"))
+		copy(scratch, "zz") // callers reuse their buffers
+		oc.Emit(p, 1, 1, []byte(""), []byte("empty key"))
+		oc.Emit(p, 1, 1, []byte("empty value"), nil)
+		oc.Emit(p, 0, 0, []byte("k1"), []byte("second"))
+	})
+	rt.Env.Run()
+	oc.Materialize()
+	want := map[string]string{"k1": "second", "": "empty key", "empty value": ""}
+	if res.OutputPairs != 4 || !reflect.DeepEqual(res.Output, want) {
+		t.Fatalf("%d pairs, output %q, want %q", res.OutputPairs, res.Output, want)
+	}
+
+	empty := &Result{}
+	rt.NewOutputCollector(job, empty).Materialize()
+	if empty.Output == nil || len(empty.Output) != 0 {
+		t.Fatalf("retaining job with no output: %v", empty.Output)
+	}
+	discarded := &Result{}
+	rt.NewOutputCollector(&Job{Name: "d", OutputPath: "out-d", DiscardOutput: true}, discarded).Materialize()
+	if discarded.Output != nil {
+		t.Fatalf("non-retaining job grew an output map: %v", discarded.Output)
+	}
+}
+
 func TestOutputCollectorBuffersAndFlushes(t *testing.T) {
 	rt := testRuntime(2)
 	job := &Job{Name: "t", OutputPath: "out", RetainOutput: true, Reducers: 1}
@@ -410,7 +446,11 @@ func TestOutputCollectorBuffersAndFlushes(t *testing.T) {
 		}
 	})
 	rt.Env.Run()
-	if res.OutputPairs != 2 || res.Output["k1"] != "v1" {
+	if res.Output != nil {
+		t.Fatalf("output materialized before the job is done: %+v", res.Output)
+	}
+	oc.Materialize()
+	if res.OutputPairs != 2 || len(res.Output) != 2 || res.Output["k1"] != "v1" || res.Output["k2"] != "v2" {
 		t.Fatalf("result output = %+v", res.Output)
 	}
 	if !res.haveFirst {

@@ -16,6 +16,9 @@ type OutputCollector struct {
 	job     *Job
 	res     *Result
 	writers map[int]*dfsWriterRef
+	// retained is every emitted pair, encoded, in emission order, when the
+	// job retains its output; Materialize turns it into Result.Output once.
+	retained []byte
 
 	// NewSink, when set, replaces the DFS writer for each partition: the
 	// returned append function receives every flushed write-behind buffer.
@@ -38,9 +41,6 @@ const outputFlushBytes = 128 << 10
 // NewOutputCollector returns a collector for job writing under
 // job.OutputPath (part-r-N per reducer).
 func (rt *Runtime) NewOutputCollector(job *Job, res *Result) *OutputCollector {
-	if job.RetainOutput {
-		res.Output = make(map[string]string)
-	}
 	return &OutputCollector{rt: rt, job: job, res: res, writers: make(map[int]*dfsWriterRef)}
 }
 
@@ -64,15 +64,15 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 	// pass scratch buffers that other processes may overwrite while this one
 	// is suspended inside Compute or a DFS append. The pair is encoded
 	// straight into the write-behind buffer (dfs.Writer.Append copies, so the
-	// buffer is reused across flushes) and the checksum/retained copies are
-	// staged now, applied after the charge to keep event ordering identical.
+	// buffer is reused across flushes), the retained copy is the encoded
+	// bytes again, and the checksum is staged now and applied after the
+	// charge to keep event ordering identical.
 	before := len(w.buf)
 	w.buf = kv.AppendPair(w.buf, key, val)
 	encLen := len(w.buf) - before
 	sum := pairHash(key, val)
-	var retKey, retVal string
 	if oc.job.RetainOutput {
-		retKey, retVal = string(key), string(val)
+		oc.retained = append(oc.retained, w.buf[before:]...)
 	}
 	node := oc.rt.Cluster.Node(nodeID)
 	node.Compute(p, Dur(float64(encLen), oc.job.Costs.Merged().SerializeNsPerByte), PhaseReduce)
@@ -93,9 +93,26 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 	// while still catching a duplicated or missing pair.
 	oc.res.OutputChecksum += sum
 	oc.rt.Counters.Add(CtrOutputBytes, float64(encLen))
-	if oc.job.RetainOutput {
-		oc.res.Output[retKey] = retVal
+}
+
+// Materialize builds Result.Output from the retained pairs, once, when the
+// job is done: one string holds every pair's bytes, keys and values are
+// substrings of it, and the map is sized up front. A key emitted twice keeps
+// its later value.
+func (oc *OutputCollector) Materialize() {
+	if !oc.job.RetainOutput {
+		return
 	}
+	slab := string(oc.retained)
+	out := make(map[string]string, oc.res.OutputPairs)
+	for off := 0; off < len(slab); {
+		key, val, n := kv.DecodePair(oc.retained[off:])
+		off += n
+		valAt := off - len(val)
+		out[slab[valAt-len(key):valAt]] = slab[valAt:off]
+	}
+	oc.res.Output = out
+	oc.retained = nil
 }
 
 // Close flushes reducer r's buffered output; every engine's reduce task

@@ -190,6 +190,7 @@ func Start(rt *Runtime, job Job, opts Options, plan *Plan, done func(p *sim.Proc
 			pc.Close()
 		}
 		redsWG.Wait(p)
+		j.OC.Materialize()
 		rt.JobDone()
 		rt.sampler.Stop() // at its next tick
 		done(p, res)

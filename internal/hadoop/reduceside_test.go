@@ -161,6 +161,7 @@ func TestReduceSideLeavesFetchedFramesIntact(t *testing.T) {
 			rs.Finish(p, oc)
 		})
 		env.Run()
+		oc.Materialize()
 		if rt.Counters.Get(engine.CtrReduceSpillBytes) == 0 || rt.Counters.Get(engine.CtrMergePasses) == 0 {
 			t.Fatalf("combiner=%v: budget forced %v spill bytes and %v merge passes; both paths must run",
 				combiner, rt.Counters.Get(engine.CtrReduceSpillBytes), rt.Counters.Get(engine.CtrMergePasses))

@@ -73,14 +73,19 @@ func TestStateAffectedAndFinals(t *testing.T) {
 	s := New("count")
 	s.ReplaceBlock(0, map[string][]byte{"a": []byte("3"), "b": []byte("1")}, nil)
 	s.ReplaceBlock(1, map[string][]byte{"b": []byte("5")}, nil)
-	s.SetFinals(map[string]string{"a": "3", "b": "6"})
+	// Finals arrive as the merge job's part files, in whatever order the
+	// reducers wrote them.
+	finals := [][]byte{kv.AppendPair(nil, []byte("b"), []byte("6")), kv.AppendPair(nil, []byte("a"), []byte("3"))}
+	if err := s.SetFinals(finals); err != nil {
+		t.Fatal(err)
+	}
 
 	// Replacing block 1 with a block that drops b and introduces c affects
 	// exactly {b, c}; a stays served from its cached final.
-	affected := make(map[string]bool)
+	affected := new(Affected)
 	s.ReplaceBlock(1, map[string][]byte{"c": []byte("2")}, affected)
-	if !affected["b"] || !affected["c"] || affected["a"] || len(affected) != 2 {
-		t.Fatalf("affected = %v, want {b c}", affected)
+	if got := affected.Keys(); len(got) != 2 || string(got[0]) != "b" || string(got[1]) != "c" {
+		t.Fatalf("affected = %q, want [b c]", got)
 	}
 	in, err := s.MergeInput(affected)
 	if err != nil {
@@ -98,10 +103,10 @@ func TestStateAffectedAndFinals(t *testing.T) {
 	}
 
 	// Emptying a block removes it and affects its keys.
-	affected = make(map[string]bool)
+	affected = new(Affected)
 	s.ReplaceBlock(1, nil, affected)
-	if !affected["c"] || len(affected) != 1 {
-		t.Fatalf("affected = %v, want {c}", affected)
+	if got := affected.Keys(); len(got) != 1 || string(got[0]) != "c" {
+		t.Fatalf("affected = %q, want [c]", got)
 	}
 	if s.Blocks() != 1 || s.Keys() != 2 {
 		t.Fatalf("blocks=%d keys=%d after removal", s.Blocks(), s.Keys())
@@ -111,7 +116,7 @@ func TestStateAffectedAndFinals(t *testing.T) {
 func TestStateMissingFinal(t *testing.T) {
 	s := New("count")
 	s.ReplaceBlock(0, map[string][]byte{"a": []byte("3")}, nil)
-	if _, err := s.MergeInput(map[string]bool{}); err == nil {
+	if _, err := s.MergeInput(new(Affected)); err == nil {
 		t.Fatal("unaffected key with no cached final must error")
 	}
 }

@@ -52,10 +52,13 @@ func DecodePair(buf []byte) (key, val []byte, n int) {
 	if v <= 0 {
 		return nil, nil, 0
 	}
-	total := k + v + int(klen) + int(vlen)
-	if len(buf) < total {
+	// Compared as unsigned against what is left, so a damaged length field
+	// too large for an int reads as an incomplete pair, not a negative total.
+	rest := uint64(len(buf) - k - v)
+	if klen > rest || vlen > rest-klen {
 		return nil, nil, 0
 	}
+	total := k + v + int(klen) + int(vlen)
 	key = buf[k+v : k+v+int(klen)]
 	val = buf[k+v+int(klen) : total]
 	return key, val, total

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -65,6 +66,22 @@ func TestDecodePairPartialInput(t *testing.T) {
 	}
 	if _, _, n := DecodePair(buf); n != len(buf) {
 		t.Fatalf("full decode n=%d want %d", n, len(buf))
+	}
+}
+
+// TestDecodePairOversizedLengths: a length field too large for the buffer —
+// up to one that overflows int when added to the offsets — is an incomplete
+// pair, not a slice with a negative bound (found by incr's FuzzBlockFrames).
+func TestDecodePairOversizedLengths(t *testing.T) {
+	for _, lens := range [][2]uint64{
+		{1, 1<<63 - 1}, {1<<63 - 1, 1}, {1<<63 - 1, 1<<63 - 1}, {1 << 63, 0}, {0, 1<<64 - 1}, {3, 1<<64 - 2},
+	} {
+		buf := binary.AppendUvarint(nil, lens[0])
+		buf = binary.AppendUvarint(buf, lens[1])
+		buf = append(buf, "key and value bytes"...)
+		if _, _, n := DecodePair(buf); n != 0 {
+			t.Fatalf("lengths %d/%d over %d bytes decoded n=%d", lens[0], lens[1], len(buf), n)
+		}
 	}
 }
 
