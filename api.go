@@ -86,10 +86,11 @@ type (
 	CostModel = engine.CostModel
 	// Emit collects output pairs from user functions.
 	Emit = engine.Emit
-	// Aggregator is the incremental per-key state contract.
-	Aggregator = engine.Aggregator
-	// Monoid is the declarative aggregation contract (identity + associative
-	// combine); jobs that declare one gain in-node combining on every engine.
+	// Monoid is the declarative aggregation contract (identity + associative,
+	// commutative combine, optionally a Final): jobs that declare one gain
+	// in-node combining on every engine, one-element per-key state on the
+	// hash and resident engines, and one-element preserved partials under
+	// RunDelta.
 	Monoid = kv.Monoid
 	// Workload couples a job template with an input generator.
 	Workload = workloads.Workload
@@ -225,12 +226,6 @@ type Config struct {
 	DisableSnapshots bool
 	// DisablePush switches the hash engine to pull-only shuffle.
 	DisablePush bool
-	// DisableMonoid strips the job's declared monoid before dispatch: every
-	// engine falls back to its monoid-free path (no derived combiner, no
-	// state merging), which must produce byte-identical grouped output —
-	// the equivalence axis cmd/check sweeps.
-	DisableMonoid bool
-
 	// RetainOutput keeps output pairs on the Result; DiscardOutput drops
 	// payloads entirely (sink mode for large benchmark runs).
 	//
@@ -373,11 +368,6 @@ func dispatch(cfg Config, rt *engine.Runtime, job Job) (*Result, error) {
 	}
 	if err := cfg.Faults.Validate(len(rt.Cluster.Nodes())); err != nil {
 		return nil, fmt.Errorf("onepass: %w", err)
-	}
-	if cfg.DisableMonoid {
-		// Strip before any engine sees the job: task clones preserve a nil
-		// optional function, so the whole run is monoid-free.
-		job.Monoid = nil
 	}
 	if cfg.Engine < 0 || int(cfg.Engine) >= len(engines.List) {
 		return nil, fmt.Errorf("onepass: unknown engine %v", cfg.Engine)

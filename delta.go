@@ -90,31 +90,14 @@ func baseBlockSize(totalSize, blockSize int64, b int) int64 {
 	return blockSize
 }
 
-// deltaCapable rejects jobs whose reduce-side state cannot be preserved
-// lawfully: composing per-block partials in block order is only correct
-// when the reduce is a multiset function — declared either as a kv.Monoid
-// (partials are monoid elements) or via Job.OrderInsensitive (partials are
-// the raw value multisets).
-func deltaCapable(job Job) error {
-	switch {
-	case job.Agg != nil:
-		return fmt.Errorf("onepass: job %q uses an explicit Aggregator; delta re-runs need a declared Monoid or an OrderInsensitive reduce", job.Name)
-	case job.Combine != nil:
-		return fmt.Errorf("onepass: job %q uses an explicit combiner; delta re-runs need a declared Monoid or an OrderInsensitive reduce", job.Name)
-	case job.EmitWhen != nil:
-		return fmt.Errorf("onepass: job %q sets EmitWhen; early-emit predicates do not compose with preserved state", job.Name)
-	case job.Monoid == nil && !job.OrderInsensitive:
-		return fmt.Errorf("onepass: job %q has an order-sensitive reduce; delta re-runs need a declared Monoid or Job.OrderInsensitive", job.Name)
-	}
-	return nil
-}
-
 // monoidKey names the aggregation law preserved state composes under —
 // partials captured under one law must never be merged under another.
 func monoidKey(job Job) string {
 	if job.Monoid != nil {
 		return fmt.Sprintf("monoid:%T", job.Monoid)
 	}
+	// The free monoid over the job's raw values: only that job's Reduce can
+	// finish it.
 	return "holistic:" + job.Name
 }
 
@@ -127,23 +110,19 @@ func monoidKey(job Job) string {
 // over DeltaDataset(data, d, cfg.BlockSize).
 //
 // The mechanism is engine-agnostic: a capture run tags every map-output key
-// with its origin block (per-(block, key) partials: monoid elements for
-// monoid jobs, framed value multisets for holistic ones), and a merge run
-// re-reduces the preserved state. For the disk engines the state file is
+// with its origin block and emits the job's fold element per (block, key) —
+// a monoid element for a job that declares one, the framed value multiset
+// otherwise — and a merge run combines a key's elements in block order and
+// finishes them. That is lawful because a job's answer is independent of
+// fold order (kv.Monoid's laws; a multiset Reduce). For the disk engines the state file is
 // spill-backed — written through the replicated DFS pipeline and read back
 // with charged I/O; for the resident engine it is published as a
 // memory-resident block, persisting the fold tables the way M3R keeps state
 // across jobs.
 func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) {
 	cfg.Delta = nil
-	if cfg.DisableMonoid {
-		// Strip once up front: the capture/merge wrappers must see the
-		// monoid-free job so the holistic path is used consistently.
-		job.Monoid = nil
-		cfg.DisableMonoid = false
-	}
-	if err := deltaCapable(job); err != nil {
-		return nil, err
+	if job.EmitWhen != nil {
+		return nil, fmt.Errorf("onepass: job %q sets EmitWhen; early-emit predicates do not compose with preserved state", job.Name)
 	}
 	if data.Gen == nil {
 		return nil, fmt.Errorf("onepass: dataset %q has no generator", data.Path)
@@ -349,12 +328,12 @@ func cutTag(block []byte) (int, []byte, bool) {
 
 // captureJob wraps a job so one engine run yields per-(block, key) partial
 // aggregates: the reader peels each block's origin tag, the map prefixes
-// every emitted key with uvarint(origin block), and — for holistic jobs —
-// the reduce is replaced by a framing reducer whose output value is the
-// key's raw value multiset for that block. Monoid jobs keep their monoid
-// and reduce: per-(block, key) groups fold to monoid elements on every
-// engine, and by the monoid law those elements are byte-identical across
-// engines' fold orders.
+// every emitted key with uvarint(origin block), and the answer of a
+// (block, key) group is the inner job's fold element, not its finished
+// answer — the reduce folds the group to one element and a declared monoid
+// loses its Final. By the monoid laws a declared job's elements are
+// byte-identical across engines' fold orders; an undeclared job's carry the
+// group's raw values in arrival order, which its multiset Reduce cannot see.
 func captureJob(inner Job, input, output string) Job {
 	j := inner
 	j.Name = inner.Name + "+capture"
@@ -390,33 +369,19 @@ func captureJob(inner Job, input, output string) Job {
 		out = emit
 		mapf(rec, tagged)
 	}
-	if inner.Monoid == nil {
-		j.Reduce = frameListReducer()
-	}
+	fold := inner.Fold()
+	j.Reduce, j.Monoid = fold.Partial, fold.Elements()
 	if f := inner.Fresh; f != nil {
 		j.Fresh = func() Job { return captureJob(f(), input, output) }
 	}
 	return j
 }
 
-// frameListReducer emits a key's values as one length-framed value — the
-// holistic per-block partial.
-func frameListReducer() engine.ReduceFunc {
-	var out []byte
-	return func(key []byte, vals [][]byte, emit Emit) {
-		out = out[:0]
-		for _, v := range vals {
-			out = kv.AppendFramed(out, v)
-		}
-		emit(key, out)
-	}
-}
-
 // mergeJob re-reduces preserved state with a real engine run: the input is
 // the encoded merge file (one kv pair per key-source), the map forwards
 // pairs unchanged, and the reduce either passes a cached final through
-// ('F') or regroups a key's per-block partials in block order and applies
-// the original reduce ('P').
+// ('F') or combines a key's per-block partials in block order and finishes
+// the result ('P').
 func mergeJob(inner Job, statePath, outPath string) Job {
 	j := Job{
 		Name:        inner.Name + "+merge",
@@ -429,10 +394,9 @@ func mergeJob(inner Job, statePath, outPath string) Job {
 		OutputPath:  outPath,
 		// The merged answer is the run's deliverable: retained for checksum
 		// comparison and finals caching.
-		RetainOutput:     true,
-		OrderInsensitive: true,
-		Costs:            inner.Costs,
-		MemoryPerTask:    inner.MemoryPerTask,
+		RetainOutput:  true,
+		Costs:         inner.Costs,
+		MemoryPerTask: inner.MemoryPerTask,
 	}
 	if f := inner.Fresh; f != nil {
 		j.Fresh = func() Job { return mergeJob(f(), statePath, outPath) }
@@ -462,20 +426,19 @@ func pairForwardMap(rec []byte, emit Emit) {
 	emit(k, v)
 }
 
-// mergeReducer rebuilds a key's reduce from its preserved sources. It also
-// enforces the contract preserved finals depend on: the inner reduce must
+// mergeReducer rebuilds a key's answer from its preserved sources. It also
+// enforces the contract preserved finals depend on: finishing a key must
 // emit exactly one pair, under its own key — otherwise a cached final could
 // silently misrepresent the key on the next delta.
 func mergeReducer(inner Job) engine.ReduceFunc {
-	reduce := inner.Reduce
-	holistic := inner.Monoid == nil
+	fold := inner.Fold()
 	type part struct {
 		block   int
 		payload []byte
 	}
 	var parts []part
-	var vals [][]byte
-	// The inner reduce's emit is built once and re-aimed per key (a closure
+	var elem []byte
+	// The finish step's emit is built once and re-aimed per key (a closure
 	// per key would be a heap object per key): it checks the key and count
 	// and forwards to the merge run's emit. That emit may suspend the
 	// reducer's process with another reducer's call to this function
@@ -518,17 +481,13 @@ func mergeReducer(inner Job) engine.ReduceFunc {
 		if !ascending {
 			slices.SortFunc(parts, func(x, y part) int { return cmp.Compare(x.block, y.block) })
 		}
-		vals = vals[:0]
-		for _, p := range parts {
-			if holistic {
-				if !kv.Frames(p.payload, func(b []byte) { vals = append(vals, b) }) {
-					panic(fmt.Sprintf("onepass: corrupt framed partial for key %q", key))
-				}
-			} else {
-				vals = append(vals, p.payload)
-			}
+		elem = append(elem[:0], parts[0].payload...)
+		for _, p := range parts[1:] {
+			elem = fold.Merge(elem, p.payload)
 		}
 		curKey, out, emitted = key, emit, 0
-		reduce(key, vals, checked)
+		if _, err := fold.Finish(key, elem, checked); err != nil {
+			panic(fmt.Sprintf("onepass: delta merge: %v", err))
+		}
 	}
 }

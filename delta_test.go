@@ -1,7 +1,9 @@
 package onepass
 
 import (
+	"encoding/binary"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -92,24 +94,84 @@ func TestIncrementalEqualsFullRerunAcrossEngines(t *testing.T) {
 	}
 }
 
-// TestIncrementalWithMonoidDisabled: DisableMonoid routes counting
-// workloads down the holistic (OrderInsensitive) path and must still match
-// the full re-run, which also runs monoid-free.
+// TestIncrementalWithMonoidDisabled: a counting job stripped of its monoid
+// preserves framed value lists — the free monoid — instead of counts and
+// must still match the full re-run, which also runs monoid-free.
 func TestIncrementalWithMonoidDisabled(t *testing.T) {
 	cc := tinyClicks()
 	w := PerUserCount(cc)
+	job := w.Job
+	job.Monoid = nil
 	cfg := tinyConfig(HashIncremental)
-	cfg.DisableMonoid = true
 	data := Dataset{Path: "input/" + w.Name, Size: 256 << 10, Gen: w.Gen}
 	d := tinyDelta(cc, 3, 0.2)
-	dr, err := RunDelta(cfg, data, w.Job, d)
+	dr, err := RunDelta(cfg, data, job, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _ := fullRerun(t, cfg, data, w.Job, d)
+	full, _ := fullRerun(t, cfg, data, job, d)
 	if dr.Incremental.OutputChecksum != full.OutputChecksum {
 		t.Fatalf("monoid-off incremental %016x != full %016x",
 			dr.Incremental.OutputChecksum, full.OutputChecksum)
+	}
+}
+
+// valueBytesMean is a monoid whose answer is not its element: the element is
+// (total value bytes, values) and Final emits their quotient.
+type valueBytesMean struct{}
+
+func (valueBytesMean) Identity() []byte { return make([]byte, 16) }
+func (valueBytesMean) Combine(a, b []byte) []byte {
+	for off := 0; off < 16; off += 8 {
+		binary.LittleEndian.PutUint64(a[off:], binary.LittleEndian.Uint64(a[off:])+binary.LittleEndian.Uint64(b[off:]))
+	}
+	return a
+}
+func (valueBytesMean) Final(key, elem []byte, emit Emit) {
+	mean := binary.LittleEndian.Uint64(elem) / binary.LittleEndian.Uint64(elem[8:])
+	emit(key, strconv.AppendUint(nil, mean, 10))
+}
+
+// TestIncrementalWithFinalMonoid: preserved partials are fold elements, not
+// finished answers, so a monoid with a Final composes across blocks — a mean
+// of per-block means would not equal the full re-run's mean. The hash and
+// resident engines finish through Final, the sort-merge engines through
+// Reduce over combined elements.
+func TestIncrementalWithFinalMonoid(t *testing.T) {
+	cc := tinyClicks()
+	w := Sessionization(cc)
+	job := w.Job
+	job.Name, job.Fresh = "mean-click-bytes", nil
+	job.Monoid = valueBytesMean{}
+	click := job.Map
+	job.Map = func(rec []byte, emit Emit) {
+		click(rec, func(user, val []byte) {
+			elem := make([]byte, 16)
+			binary.LittleEndian.PutUint64(elem, uint64(len(val)))
+			elem[8] = 1
+			emit(user, elem)
+		})
+	}
+	job.Reduce = func(key []byte, vals [][]byte, emit Emit) {
+		total := make([]byte, 16)
+		for _, v := range vals {
+			total = valueBytesMean{}.Combine(total, v)
+		}
+		valueBytesMean{}.Final(key, total, emit)
+	}
+	data := Dataset{Path: "input/" + w.Name, Size: 256 << 10, Gen: w.Gen}
+	d := tinyDelta(cc, 3, 0.2)
+	for _, e := range []Engine{Hadoop, HashIncremental, Resident} {
+		cfg := tinyConfig(e)
+		dr, err := RunDelta(cfg, data, job, d)
+		if err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
+		full, _ := fullRerun(t, cfg, data, job, d)
+		if dr.Incremental.OutputChecksum != full.OutputChecksum || len(dr.Incremental.Output) != len(full.Output) {
+			t.Fatalf("%v: incremental %016x (%d keys) != full re-run %016x (%d keys)", e,
+				dr.Incremental.OutputChecksum, len(dr.Incremental.Output), full.OutputChecksum, len(full.Output))
+		}
 	}
 }
 
@@ -160,27 +222,19 @@ func TestDeltaWindowedLocality(t *testing.T) {
 	}
 }
 
-// TestDeltaRejectsIncapableJobs: order-sensitive or explicitly combined
-// jobs must be rejected with an instructive error, not silently corrupted.
+// TestDeltaRejectsIncapableJobs: a job or delta the incremental path cannot
+// serve must be rejected with an instructive error, not silently corrupted.
 func TestDeltaRejectsIncapableJobs(t *testing.T) {
 	cc := tinyClicks()
 	cfg := tinyConfig(Hadoop)
 	d := tinyDelta(cc, 1, 0.1)
 	data := Dataset{Path: "input/x", Size: 64 << 10, Gen: cc.Block}
 
-	plain := Sessionization(cc).Job
-	plain.OrderInsensitive = false
-	if _, err := RunDelta(cfg, data, plain, d); err == nil ||
-		!strings.Contains(err.Error(), "OrderInsensitive") {
-		t.Fatalf("order-sensitive job accepted: %v", err)
-	}
-
-	agg := PerUserCount(cc).Job
-	agg.Monoid = nil
-	agg.Agg = workloads.CountAgg{}
-	if _, err := RunDelta(cfg, data, agg, d); err == nil ||
-		!strings.Contains(err.Error(), "Aggregator") {
-		t.Fatalf("aggregator job accepted: %v", err)
+	early := PerUserCount(cc).Job
+	early.EmitWhen = func(_, state []byte) bool { return workloads.CountState(state) >= 3 }
+	if _, err := RunDelta(cfg, data, early, d); err == nil ||
+		!strings.Contains(err.Error(), "EmitWhen") {
+		t.Fatalf("early-emitting job accepted: %v", err)
 	}
 
 	empty := PerUserCount(cc).Job
@@ -274,21 +328,28 @@ func TestDeltaIgnoresCallerOutputRetention(t *testing.T) {
 }
 
 // TestDeltaSurfacesDamagedCapture: a capture run that leaves two partials
-// for one (block, key) — here a reduce that breaks the one-pair contract —
-// is a returned error naming the block and key, not a silently dropped
-// partial or a panic in the merge.
+// for one (block, key) is a returned error naming the block and key, not a
+// silently dropped partial or a panic in the merge. No user function runs in
+// a capture job's reduce any more, so the damage is done to the capture job
+// itself: its reduce is made to emit every element twice.
 func TestDeltaSurfacesDamagedCapture(t *testing.T) {
-	cc := tinyClicks()
-	w := PerUserCount(cc)
-	job := w.Job
-	inner := job.Reduce
+	w := PerUserCount(tinyClicks())
+	c := NewCluster(tinyConfig(Hadoop))
+	blockSize := c.dfs.BlockSize()
+	err := c.dfs.RegisterGenerated("input/tagged", 2*blockSize, func(b int, _ int64) []byte {
+		return tagBlock(b, w.Gen(b, blockSize))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := captureJob(w.Job, "input/tagged", "out/partials")
+	partial := job.Reduce
 	job.Reduce = func(key []byte, vals [][]byte, emit Emit) {
-		inner(key, vals, emit)
-		inner(key, vals, emit)
+		partial(key, vals, emit)
+		partial(key, vals, emit)
 	}
 	job.Fresh = nil
-	data := Dataset{Path: "input/" + w.Name, Size: 128 << 10, Gen: w.Gen}
-	_, err := RunDelta(tinyConfig(Hadoop), data, job, tinyDelta(cc, 11, 0.25))
+	err = capture(c, job, incr.New(monoidKey(w.Job)), []int{0, 1}, 2, nil)
 	if err == nil || !strings.Contains(err.Error(), "block 0 frame") || !strings.Contains(err.Error(), "duplicate key") {
 		t.Fatalf("doubled capture output: %v", err)
 	}
@@ -299,7 +360,7 @@ func TestDeltaSurfacesDamagedCapture(t *testing.T) {
 // blocks ascending.
 func TestMergeReducerRegroupsPartialsInBlockOrder(t *testing.T) {
 	var seen [][]string
-	reduce := mergeReducer(Job{OrderInsensitive: true, Reduce: func(key []byte, vals [][]byte, emit Emit) {
+	reduce := mergeReducer(Job{Reduce: func(key []byte, vals [][]byte, emit Emit) {
 		var got []string
 		for _, v := range vals {
 			got = append(got, string(v))

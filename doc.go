@@ -35,6 +35,13 @@
 //	cl.RunJob(countJob)              // writes out/counts
 //	cl.RunJob(onepass.TopK(10))      // reads it back (InputPath = "out/counts")
 //
+// A job states its aggregation once: Job.Reduce, a function of the value
+// multiset, plus an optional Job.Monoid (identity, commutative combine, and
+// a Final when the answer is not the element). Every engine's combiner and
+// per-key state, and RunDelta's preserved partials, are derived from that
+// declaration in one place (DESIGN.md §14); a job that declares no monoid
+// runs through the same code with its values kept as a framed list.
+//
 // Streaming arrivals (Dataset.ArrivalRate), threshold queries
 // (Job.EmitWhen), fault injection, speculative execution, and iterated
 // graph queries (PageRankIter) are covered in examples/ and DESIGN.md §6.

@@ -2,8 +2,8 @@
 // visits, then select the global top 10 — exercising the paper's §IV open
 // question ("how to support the combine function for complex analytical
 // tasks such as top-k"): partial top-k lists are a mergeable bounded state,
-// so stage two gets both a combiner and an incremental aggregator and runs
-// on the hash engine like any other job.
+// so stage two declares them a monoid, gets both a combiner and incremental
+// per-key state, and runs on the hash engine like any other job.
 package main
 
 import (

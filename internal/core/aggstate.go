@@ -9,8 +9,6 @@
 package core
 
 import (
-	"encoding/binary"
-
 	"onepass/internal/engine"
 	"onepass/internal/hashlib"
 	"onepass/internal/memtable"
@@ -20,64 +18,18 @@ import (
 type form byte
 
 const (
-	// formIncoming is a value as shuffled from mappers: a partial aggregate
-	// state when the map side combined, a raw value otherwise.
+	// formIncoming is a value as emitted by Map and shuffled from mappers
+	// (for a declared job, combined or not, that is an element already).
 	formIncoming form = 0
-	// formState is a serialized state (from an evicted or demoted table
-	// entry); it always folds with Merge.
+	// formState is a serialized state — a fold element from an evicted or
+	// demoted table entry.
 	formState form = 1
 )
 
-// listAgg adapts a reduce-function-only job (no Aggregator) to the
-// incremental interface: the state is the framed concatenation of raw
-// values, and Final replays them through the job's reduce function. This is
-// how the hash engines run holistic tasks like sessionization.
-type listAgg struct {
-	reduce engine.ReduceFunc
-}
-
-func frameAppend(state, val []byte) []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(val)))
-	state = append(state, hdr[:n]...)
-	return append(state, val...)
-}
-
-func frameIter(state []byte, f func(val []byte)) int {
-	n := 0
-	off := 0
-	for off < len(state) {
-		l, k := binary.Uvarint(state[off:])
-		off += k
-		f(state[off : off+int(l)])
-		off += int(l)
-		n++
-	}
-	return n
-}
-
-func (a listAgg) Init(val []byte) []byte          { return frameAppend(nil, val) }
-func (a listAgg) Update(state, val []byte) []byte { return frameAppend(state, val) }
-func (a listAgg) Merge(x, y []byte) []byte        { return append(x, y...) }
-func (a listAgg) Final(key, state []byte, emit engine.Emit) {
-	var vals [][]byte
-	frameIter(state, func(v []byte) { vals = append(vals, v) })
-	a.reduce(key, vals, emit)
-}
-
-// jobAggregator returns the aggregator to run the job with and whether the
-// map side performs hash-based combining (only when a real aggregator
-// exists — a list state on the map side would not shrink anything).
-func jobAggregator(job *engine.Job) (agg engine.Aggregator, mapCombined bool) {
-	if agg := job.DeclaredAgg(); agg != nil {
-		return agg, true
-	}
-	return listAgg{reduce: job.Reduce}, false
-}
-
-// stateTable maps keys to aggregation states with byte-accurate memory
-// accounting. Keys live in a memtable arena (the paper's byte-array memory
-// management); states are byte strings indexed through the table value.
+// stateTable maps keys to aggregation states — the elements of the job's
+// engine.Fold — with byte-accurate memory accounting. Keys live in a memtable
+// arena (the paper's byte-array memory management); states are byte strings
+// indexed through the table value.
 type stateTable struct {
 	tbl        *memtable.Table
 	states     [][]byte
@@ -87,8 +39,7 @@ type stateTable struct {
 	// arena space is reclaimable by a table rebuild, so charging it forever
 	// would make eviction unable to ever get back under budget.
 	keyBytes int64
-	agg      engine.Aggregator
-	mapComb  bool
+	agg      *engine.Fold
 }
 
 // stateSliceOverhead approximates per-state slice bookkeeping.
@@ -103,12 +54,8 @@ const tableSlots = 64
 
 // newStateTable returns an empty table whose keys live in arena. Tables of
 // one task share an arena; the arena's owner resets it, never the table.
-func newStateTable(h *hashlib.Func, arena *memtable.Arena, agg engine.Aggregator, mapCombined bool) *stateTable {
-	return &stateTable{
-		tbl:     memtable.NewTable(h, arena, tableSlots),
-		agg:     agg,
-		mapComb: mapCombined,
-	}
+func newStateTable(h *hashlib.Func, arena *memtable.Arena, fold *engine.Fold) *stateTable {
+	return &stateTable{tbl: memtable.NewTable(h, arena, tableSlots), agg: fold}
 }
 
 // reset empties the table for a refill at its grown capacity (the map-side
@@ -140,11 +87,10 @@ func (st *stateTable) fold(key, payload []byte, f form) bool {
 	st.tbl.Upsert(key, func(old uint64, exists bool) uint64 {
 		if !exists {
 			var s []byte
-			switch {
-			case f == formState || st.mapComb:
+			if f == formState {
 				s = append([]byte(nil), payload...)
-			default:
-				s = st.agg.Init(payload)
+			} else {
+				s = st.agg.Lift(nil, payload)
 			}
 			st.states = append(st.states, s)
 			st.stateBytes += int64(len(s)) + stateSliceOverhead
@@ -155,11 +101,10 @@ func (st *stateTable) fold(key, payload []byte, f form) bool {
 		prev := st.states[old]
 		st.stateBytes -= int64(len(prev))
 		var s []byte
-		switch {
-		case f == formState || st.mapComb:
+		if f == formState {
 			s = st.agg.Merge(prev, payload)
-		default:
-			s = st.agg.Update(prev, payload)
+		} else {
+			s = st.agg.Add(prev, payload)
 		}
 		st.states[old] = s
 		st.stateBytes += int64(len(s))

@@ -81,7 +81,6 @@ func Plan(m Mode) *engine.Plan {
 				return engine.Tasks{}, fmt.Errorf("core: speculative execution requires pull shuffle (DisablePush) — duplicate push attempts would double-deliver chunks")
 			}
 			hj := &hashJob{JobRun: j, mode: m}
-			hj.agg, hj.mapCombined = jobAggregator(j.Job)
 			// Chunk building is deterministic, so the recovered output serves
 			// exactly the chunks that were never push-delivered.
 			j.ReexecWith(hj.reexecMapOutput)
@@ -94,26 +93,23 @@ func Plan(m Mode) *engine.Plan {
 }
 
 // hashJob is one launched hash-engine job: the skeleton's state plus the
-// technique and the aggregation the job resolved to.
+// technique.
 type hashJob struct {
 	*engine.JobRun
-	mode        Mode
-	agg         engine.Aggregator
-	mapCombined bool
+	mode Mode
 }
 
 // reduceCtx bundles what every reduce-side technique needs.
 type reduceCtx struct {
-	rt      *engine.Runtime
-	job     *engine.Job
-	costs   engine.CostModel
-	node    *cluster.Node
-	oc      *engine.OutputCollector
-	r       int
-	opts    *engine.Options
-	agg     engine.Aggregator
-	mapComb bool
-	budget  int64
+	rt     *engine.Runtime
+	job    *engine.Job
+	costs  engine.CostModel
+	node   *cluster.Node
+	oc     *engine.OutputCollector
+	r      int
+	opts   *engine.Options
+	fold   *engine.Fold // this task's own: its tables fold and finish through it
+	budget int64
 	// mapProgress reports the fraction of map tasks completed, for the
 	// progress-vs-accuracy series; nil when no registry view is attached.
 	mapProgress func() float64
@@ -141,7 +137,7 @@ func newReduceCtx(hj *hashJob, node *cluster.Node, r int) *reduceCtx {
 	cache := map[int]*hashlib.Func{}
 	return &reduceCtx{
 		rt: hj.RT, job: hj.Job, costs: hj.Costs, node: node, oc: hj.OC, r: r, opts: &hj.Opts,
-		agg: hj.agg, mapComb: hj.mapCombined, budget: hj.RT.TaskMemory(hj.Job),
+		fold: hj.Job.Fold(), budget: hj.RT.TaskMemory(hj.Job),
 		hashAt: func(l int) *hashlib.Func {
 			if f, ok := cache[l]; ok {
 				return f
@@ -169,7 +165,7 @@ func (rc *reduceCtx) externalTable(l int) *stateTable {
 	e := &rc.external[l]
 	if e.st == nil {
 		e.arena = memtable.NewArena(0)
-		e.st = newStateTable(rc.hashAt(l), e.arena, rc.agg, rc.mapComb)
+		e.st = newStateTable(rc.hashAt(l), e.arena, rc.fold)
 		return e.st
 	}
 	e.st.restart()
@@ -223,13 +219,22 @@ func (rc *reduceCtx) noteProgress(p *sim.Proc, pairs int) {
 	rc.oc.NoteProgress(p.Now(), frac, pairs, int64(rc.rt.Counters.Get(engine.CtrReduceSpillBytes)))
 }
 
+// finish emits key's answer from its state. A state that came back from a
+// spill file damaged stops the task by name: engine tasks have no error
+// return.
+func (rc *reduceCtx) finish(key, state []byte, emit engine.Emit) {
+	if _, err := rc.fold.Finish(key, state, emit); err != nil {
+		panic(fmt.Sprintf("%s: reduce task %d: %v", rc.rt.EngineLabel, rc.r, err))
+	}
+}
+
 // emitFinal emits one key's result and charges finalization CPU.
 func (rc *reduceCtx) emitFinal(p *sim.Proc, key, state []byte) {
 	if rc.emitProc != p {
 		rc.emitProc = p
 		rc.emit = func(k, v []byte) { rc.oc.Emit(p, rc.r, rc.node.ID, k, v) }
 	}
-	rc.agg.Final(key, state, rc.emit)
+	rc.finish(key, state, rc.emit)
 	rc.node.Compute(p, engine.Dur(1, rc.costs.ReduceNsPerRecord)+
 		engine.Dur(float64(len(state)), rc.costs.SerializeNsPerByte), engine.PhaseReduce)
 }

@@ -7,6 +7,7 @@ import (
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
 	"onepass/internal/engine"
+	"onepass/internal/kv"
 	"onepass/internal/sim"
 	"onepass/internal/workloads"
 )
@@ -23,12 +24,10 @@ func newTestReduceCtx(t *testing.T, budget int64, buckets int) (*sim.Env, *reduc
 	job := workloads.PerUserCount(smallClicks()).Job
 	job.Name = "ext-test"
 	job.Reducers = 1
-	agg, mapComb := jobAggregator(&job)
 	opts := Plan(Incremental).Defaults
 	opts.SpillBuckets = buckets
 	rc := newReduceCtx(&hashJob{
 		JobRun: &engine.JobRun{RT: rt, Job: &job, Opts: opts, Costs: engine.DefaultCosts()},
-		agg:    agg, mapCombined: mapComb,
 	}, cl.Node(0), 0)
 	rc.budget = budget
 	return env, rc
@@ -38,11 +37,10 @@ func TestSpillSetRoundTripThroughBuckets(t *testing.T) {
 	env, rc := newTestReduceCtx(t, 1<<20, 4)
 	env.Go("t", func(p *sim.Proc) {
 		ss := newSpillSet(rc, 0, "t")
-		agg := engine.MonoidAgg{M: workloads.CountMonoid{}}
 		want := map[string]uint64{}
 		for i := 0; i < 300; i++ {
 			key := []byte(fmt.Sprintf("k%03d", i%50))
-			ss.add(p, ss.bucketOf(key), key, agg.Init([]byte("1")), formIncoming)
+			ss.add(p, ss.bucketOf(key), key, []byte("1"), formIncoming)
 			want[string(key)]++
 		}
 		if !ss.anySpilled() {
@@ -73,11 +71,10 @@ func TestSpillSetExtraEntriesMergeWithFile(t *testing.T) {
 	env, rc := newTestReduceCtx(t, 1<<20, 2)
 	env.Go("t", func(p *sim.Proc) {
 		ss := newSpillSet(rc, 0, "t")
-		agg := engine.MonoidAgg{M: workloads.CountMonoid{}}
 		key := []byte("shared")
 		b := ss.bucketOf(key)
-		ss.add(p, b, key, agg.Init([]byte("7")), formIncoming)
-		resident := agg.Init([]byte("35"))
+		ss.add(p, b, key, []byte("7"), formIncoming)
+		resident := []byte("35")
 		var got uint64
 		ss.processBucket(p, b, []entry{{key: key, payload: resident, f: formState}},
 			func(k, s []byte) { got = workloads.CountState(s) })
@@ -93,11 +90,10 @@ func TestSpillSetRecursionOnOversizedBucket(t *testing.T) {
 	env, rc := newTestReduceCtx(t, 600, 2)
 	env.Go("t", func(p *sim.Proc) {
 		ss := newSpillSet(rc, 0, "t")
-		agg := engine.MonoidAgg{M: workloads.CountMonoid{}}
 		want := map[string]uint64{}
 		for i := 0; i < 200; i++ {
 			key := []byte(fmt.Sprintf("key-%04d", i))
-			ss.add(p, ss.bucketOf(key), key, agg.Init([]byte("1")), formIncoming)
+			ss.add(p, ss.bucketOf(key), key, []byte("1"), formIncoming)
 			want[string(key)]++
 		}
 		got := map[string]uint64{}
@@ -124,8 +120,7 @@ func TestSpillSetSingleOversizedKeyDoesNotRecurseForever(t *testing.T) {
 	env, rc := newTestReduceCtx(t, 200, 2)
 	// List states (no mapComb): one key accumulating far past the budget.
 	job := workloads.Sessionization(smallClicks()).Job
-	agg, mapComb := jobAggregator(&job)
-	rc.agg, rc.mapComb = agg, mapComb
+	rc.fold = job.Fold()
 	env.Go("t", func(p *sim.Proc) {
 		ss := newSpillSet(rc, 0, "t")
 		key := []byte("hot-user")
@@ -135,7 +130,7 @@ func TestSpillSetSingleOversizedKeyDoesNotRecurseForever(t *testing.T) {
 		}
 		vals := 0
 		ss.processBucket(p, b, nil, func(k, s []byte) {
-			vals = frameIter(s, func([]byte) {})
+			vals = kv.CountFrames(s)
 		})
 		if vals != 100 {
 			t.Errorf("values = %d, want 100", vals)
@@ -151,10 +146,9 @@ func TestSpillSetDeletesFilesAfterProcessing(t *testing.T) {
 	env, rc := newTestReduceCtx(t, 1<<20, 2)
 	env.Go("t", func(p *sim.Proc) {
 		ss := newSpillSet(rc, 0, "t")
-		agg := engine.MonoidAgg{M: workloads.CountMonoid{}}
 		for i := 0; i < 100; i++ {
 			key := []byte(fmt.Sprintf("k%d", i))
-			ss.add(p, ss.bucketOf(key), key, agg.Init([]byte("1")), formIncoming)
+			ss.add(p, ss.bucketOf(key), key, []byte("1"), formIncoming)
 		}
 		for b := 0; b < 2; b++ {
 			if ss.hasData(b) {

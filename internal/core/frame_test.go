@@ -23,11 +23,12 @@ import (
 // and starved of memory (so spill sets, demotions and evictions see chunk
 // bytes too), overwrites each chunk the moment ingest returns, and demands
 // the right answer. It fails if any fold stops copying: stateTable.fold's
-// append([]byte(nil), payload...), listAgg's frameAppend(nil, …),
-// Arena.Copy for keys, spillSet.add's encode into its bucket buffer.
+// append of a state payload, engine.Fold.Lift (a copy for a declared job,
+// kv.AppendFramed otherwise), Arena.Copy for keys, spillSet.add's encode into
+// its bucket buffer.
 func TestReducersCopyOutOfIngestedChunks(t *testing.T) {
 	counting := workloads.PerUserCount(smallClicks()).Job // monoid: incoming values are states
-	holistic := counting                                  // no aggregator: listAgg over raw values
+	holistic := counting                                  // undeclared: framed lists of raw values
 	holistic.Monoid = nil
 	holistic.Reduce = func(key []byte, vals [][]byte, emit engine.Emit) {
 		ss := make([]string, len(vals))
@@ -86,12 +87,10 @@ func TestReducersCopyOutOfIngestedChunks(t *testing.T) {
 					job.RetainOutput = true
 					res := &engine.Result{}
 					oc := rt.NewOutputCollector(&job, res)
-					agg, mapComb := jobAggregator(&job)
 					opts := Plan(mode).Defaults
 					opts.SpillBuckets, opts.HotKeyCounters = 4, 16
 					rc := newReduceCtx(&hashJob{
 						JobRun: &engine.JobRun{RT: rt, Job: &job, Opts: opts, Costs: engine.DefaultCosts(), OC: oc},
-						agg:    agg, mapCombined: mapComb,
 					}, cl.Node(0), 0)
 					rc.budget = budget
 					var impl reducerImpl

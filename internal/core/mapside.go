@@ -108,17 +108,17 @@ func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 // so a recovery attempt on another node reproduces the exact chunk
 // boundaries and contents of the lost attempt.
 func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block) *kv.PartitionFrame {
-	rt, job, costs, mapCombined := hj.RT, hj.Job, hj.Costs, hj.mapCombined
+	rt, job, costs := hj.RT, hj.Job, hj.Costs
 	// Everything the chunk-building walk needs from the runtime is resolved
 	// before dispatch: the walk itself (hash folds, flush sweeps, frame
 	// packing) is pure data work, so it rides inside the map task's pooled
 	// closure and overlaps the parse charge. The CPU charges and the
 	// CombineFlush trace events land after the join.
 	tj := rt.TaskJob(job)
-	tAgg := hj.agg
-	if tj != job {
-		tAgg, _ = jobAggregator(tj)
-	}
+	fold := tj.Fold()
+	// A free-monoid element is no smaller than the values in it, so only a
+	// declared job combines before the shuffle.
+	mapCombined := fold.Declared()
 	R := job.Reducers
 	grouping := rt.TaskMemory(job)
 	var n int
@@ -131,7 +131,7 @@ func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 		out := buf
 		if mapCombined {
 			n = buf.Len()
-			out, flushCounts = combineMapOutput(buf, R, tAgg, grouping)
+			out, flushCounts = combineMapOutput(buf, R, fold, grouping)
 		}
 		finalPairBytes = out.Bytes()
 		frame = kv.PackPartitions(out, R, hj.Opts.ChunkBytes)
@@ -166,11 +166,11 @@ func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 // they outgrew the grouping budget, and at the end — with each flush's
 // state count. Hybrid hash thus degrades to streaming flushes rather than
 // failing when the block's key set does not fit.
-func combineMapOutput(buf *kv.Buffer, R int, agg engine.Aggregator, grouping int64) (*kv.Buffer, []int) {
+func combineMapOutput(buf *kv.Buffer, R int, fold *engine.Fold, grouping int64) (*kv.Buffer, []int) {
 	arena := memtable.NewArena(0)
 	tables := make([]*stateTable, R)
 	for r := range tables {
-		tables[r] = newStateTable(hashAtShared(1), arena, agg, false)
+		tables[r] = newStateTable(hashAtShared(1), arena, fold)
 	}
 	used := func() int64 {
 		var t int64

@@ -35,7 +35,7 @@ func newHybridReducer(rc *reduceCtx) *hybridReducer {
 	// footprint).
 	arena := memtable.NewArena(0)
 	for b := range h.tables {
-		h.tables[b] = newStateTable(rc.hashAt(1), arena, rc.agg, rc.mapComb)
+		h.tables[b] = newStateTable(rc.hashAt(1), arena, rc.fold)
 	}
 	return h
 }
@@ -147,7 +147,7 @@ type incReducer struct {
 func newIncReducer(rc *reduceCtx) *incReducer {
 	return &incReducer{
 		rc:    rc,
-		st:    newStateTable(rc.hashAt(1), memtable.NewArena(0), rc.agg, rc.mapComb),
+		st:    newStateTable(rc.hashAt(1), memtable.NewArena(0), rc.fold),
 		spill: newSpillSet(rc, 0, fmt.Sprintf("%s/red-%04d/inc", rc.job.Name, rc.r)),
 	}
 }
@@ -287,7 +287,7 @@ type hotReducer struct {
 func newHotReducer(rc *reduceCtx) *hotReducer {
 	return &hotReducer{
 		rc:    rc,
-		st:    newStateTable(rc.hashAt(1), memtable.NewArena(0), rc.agg, rc.mapComb),
+		st:    newStateTable(rc.hashAt(1), memtable.NewArena(0), rc.fold),
 		sk:    sketch.NewSpaceSaving(rc.opts.HotKeyCounters),
 		spill: newSpillSet(rc, 0, fmt.Sprintf("%s/red-%04d/hot", rc.job.Name, rc.r)),
 	}
@@ -388,7 +388,7 @@ func (hr *hotReducer) finalize(p *sim.Proc) {
 		pairs := 0
 		var buf []byte
 		hr.st.iterate(func(k, s []byte) bool {
-			hr.rc.agg.Final(k, s, func(kk, vv []byte) {
+			hr.rc.finish(k, s, func(kk, vv []byte) {
 				buf = kv.AppendPair(buf, kk, vv)
 				pairs++
 			})

@@ -359,16 +359,17 @@ func TestMapBuffersRecycleWhileBlocksRemain(t *testing.T) {
 	}
 }
 
+// byteSum is a one-byte counter monoid for the tests here.
+type byteSum struct{}
+
+func (byteSum) Identity() []byte { return []byte{0} }
+func (byteSum) Combine(a, b []byte) []byte {
+	a[0] += b[0]
+	return a
+}
+
 func TestCombineSorted(t *testing.T) {
-	job := &Job{
-		Combine: func(key []byte, vals [][]byte, emit Emit) {
-			total := 0
-			for _, v := range vals {
-				total += int(v[0])
-			}
-			emit(key, []byte{byte(total)})
-		},
-	}
+	job := &Job{Monoid: byteSum{}}
 	buf := kv.NewBuffer(0)
 	buf.Add(0, []byte("a"), []byte{1})
 	buf.Add(0, []byte("a"), []byte{2})
@@ -376,7 +377,7 @@ func TestCombineSorted(t *testing.T) {
 	buf.Add(1, []byte("b"), []byte{7})
 	buf.SortByPartitionKey(nil)
 	out := kv.NewBuffer(0)
-	inputs := CombineSorted(job, buf, out)
+	inputs := CombineSorted(job.Fold().Combiner(), buf, out)
 	if inputs != 4 {
 		t.Fatalf("inputs = %d", inputs)
 	}

@@ -1,0 +1,132 @@
+package engine
+
+import (
+	"fmt"
+
+	"onepass/internal/kv"
+)
+
+// Fold is a job's aggregation contract — Reduce plus an optional Monoid —
+// resolved into what an engine does per key: hold one element, fold arriving
+// values and partial elements into it, and finish it into the key's answer.
+// With a declared monoid an element is a monoid element, which is also what
+// Map emits. Without one it is the free monoid's: the key's raw values,
+// length-framed and concatenated (kv.AppendFramed), which shrink nothing but
+// give every engine, spill file and preserved partial one encoding to carry
+// until Reduce runs over them at the end.
+//
+// A Fold keeps scratch between calls: resolve one per task attempt, from the
+// TaskJob clone, and never share it between attempts that may run at once.
+type Fold struct {
+	m      kv.Monoid
+	final  func(key, elem []byte, emit Emit)
+	reduce ReduceFunc
+	name   string
+	vals   [][]byte
+	out    []byte
+}
+
+// Fold resolves the job's aggregation contract. It is the one place a Job
+// turns into combiner, per-key state and finish behaviour.
+func (j *Job) Fold() *Fold {
+	f := &Fold{m: j.Monoid, reduce: j.Reduce, name: j.Name}
+	if fin, ok := j.Monoid.(interface {
+		Final(key, elem []byte, emit Emit)
+	}); ok {
+		f.final = fin.Final
+	}
+	return f
+}
+
+// Declared reports whether elements combine into something smaller — the
+// job declared a monoid — so that folding before the shuffle pays. The free
+// monoid only concatenates.
+func (f *Fold) Declared() bool { return f.m != nil }
+
+// Lift appends to dst the element holding the single raw map value raw.
+func (f *Fold) Lift(dst, raw []byte) []byte {
+	if f.m != nil {
+		// A map value is an element already: Combine(Identity, x) == x.
+		return append(dst, raw...)
+	}
+	return kv.AppendFramed(dst, raw)
+}
+
+// Add folds one raw map value into elem, which it may grow in place.
+func (f *Fold) Add(elem, raw []byte) []byte {
+	if f.m != nil {
+		return f.m.Combine(elem, raw)
+	}
+	return kv.AppendFramed(elem, raw)
+}
+
+// Merge folds the element other into elem, which it may grow in place.
+func (f *Fold) Merge(elem, other []byte) []byte {
+	if f.m != nil {
+		return f.m.Combine(elem, other)
+	}
+	return append(elem, other...)
+}
+
+// Partial folds one key's raw values into a single element and emits it
+// under key: the combiner of a declared job, and the reduce of a job whose
+// answer is the element itself (RunDelta's capture jobs). The emitted value
+// is scratch — emit must consume it before returning, as every engine's does.
+func (f *Fold) Partial(key []byte, vals [][]byte, emit Emit) {
+	out := f.Lift(f.out[:0], vals[0])
+	for _, v := range vals[1:] {
+		out = f.Add(out, v)
+	}
+	f.out = out
+	emit(key, out)
+}
+
+// Combiner returns Partial for a declared job and nil otherwise: the
+// sort-merge engines combine sorted key groups with it, in the map task and
+// again in each reduce-side spill.
+func (f *Fold) Combiner() ReduceFunc {
+	if f.m == nil {
+		return nil
+	}
+	return f.Partial
+}
+
+// Elements returns the declared monoid stripped of its Final, or nil: what a
+// job that wants f's elements as its output declares.
+func (f *Fold) Elements() kv.Monoid {
+	if f.m == nil {
+		return nil
+	}
+	return struct{ kv.Monoid }{f.m}
+}
+
+// Finish emits key's answer from its folded element and returns how many
+// values were finished into it: every raw value of an undeclared job, which
+// Reduce folds here, or the one element of a declared job, which is the
+// answer (or its Final's input). elem is only read. An undeclared job's elem
+// that is not a whole number of frames — a state damaged on its way through
+// a spill file — is an error naming the job and key, and nothing is emitted.
+func (f *Fold) Finish(key, elem []byte, emit Emit) (values int, err error) {
+	switch {
+	case f.final != nil:
+		f.final(key, elem, emit)
+		return 1, nil
+	case f.m != nil:
+		emit(key, elem)
+		return 1, nil
+	}
+	// An emit may suspend the calling process with another Finish on this
+	// Fold interleaved (the hash engines' push and pull paths can both emit
+	// a threshold answer), and Reduce may go on reading vals after it: the
+	// scratch is taken for the duration of the call, so an interleaved call
+	// finds none and grows its own.
+	vals := f.vals[:0]
+	f.vals = nil
+	if !kv.Frames(elem, func(v []byte) { vals = append(vals, v) }) {
+		f.vals = vals
+		return 0, fmt.Errorf("job %q: key %q: value-list state of %d bytes is not a whole number of frames", f.name, key, len(elem))
+	}
+	f.reduce(key, vals, emit)
+	f.vals = vals
+	return len(vals), nil
+}

@@ -93,13 +93,11 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	return buf, nil
 }
 
-// CombineSorted applies the job's effective combiner (explicit Combine or
-// one derived from a declared Monoid) to each (partition, key) group of an
-// already-sorted buffer, adding the combined pairs to out, and returns the
-// number of input values consumed (for CPU charging). The job must have a
-// combiner (HasCombiner).
-func CombineSorted(job *Job, buf, out *kv.Buffer) int {
-	combine := job.EffectiveCombine()
+// CombineSorted applies combine (a task's Fold.Combiner) to each
+// (partition, key) group of an already-sorted buffer, adding the combined
+// pairs to out, and returns the number of input values consumed (for CPU
+// charging).
+func CombineSorted(combine ReduceFunc, buf, out *kv.Buffer) int {
 	inputs := 0
 	i := 0
 	var vals [][]byte // reused across groups; the combiner must not retain it

@@ -163,15 +163,9 @@ func (rt *Runtime) TaskJob(job *Job) *Job {
 	clone.Reader = fresh.Reader
 	clone.Map = fresh.Map
 	clone.Reduce = fresh.Reduce
-	// The optional functions track the job's current declaration, not
-	// Fresh's: a runner that stripped one (Config.DisableMonoid, a
-	// combiner-off A/B run) must see it stay stripped on every task clone.
-	if job.Combine != nil {
-		clone.Combine = fresh.Combine
-	}
-	if job.Agg != nil {
-		clone.Agg = fresh.Agg
-	}
+	// The monoid tracks the job's current declaration, not Fresh's: a runner
+	// that stripped it (the checker's monoid-off axis, a combiner-off A/B
+	// run) must see it stay stripped on every task clone.
 	if job.Monoid != nil {
 		clone.Monoid = fresh.Monoid
 	}

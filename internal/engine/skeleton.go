@@ -65,14 +65,11 @@ func (o Options) withDefaults(d Options) Options {
 
 // Plan is what an engine package contributes to the job skeleton: its
 // name, its defaults, and a Setup that builds the engine's own state (push
-// channels, sinks, the aggregator choice) and returns the tasks. Everything
+// channels, sinks) and returns the tasks. Everything
 // else about launching a job — Start below — is the same for every engine.
 type Plan struct {
 	// Label is stamped on every trace event and is the Result's Engine.
 	Label string
-	// NeedsReduce rejects jobs without a Reduce function; the hash engines
-	// also run aggregator-only jobs.
-	NeedsReduce bool
 	// Push gives the job one PushChannel per reducer (JobRun.Channels),
 	// bounded by Options.BackpressureBytes and closed once AfterMaps returns.
 	Push bool
@@ -138,9 +135,6 @@ func HashPartitioner() Partitioner {
 func Start(rt *Runtime, job Job, opts Options, plan *Plan, done func(p *sim.Proc, res *Result)) error {
 	if err := job.Validate(); err != nil {
 		return err
-	}
-	if plan.NeedsReduce && job.Reduce == nil {
-		return fmt.Errorf("%s: job %q has no reduce function", plan.Label, job.Name)
 	}
 	blocks, err := rt.InputBlocks(job.InputPath)
 	if err != nil {

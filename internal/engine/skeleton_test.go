@@ -38,7 +38,7 @@ func registerLines(t *testing.T, rt *Runtime, path string, size int64) {
 // anything: a job stranded half-started would hold its service slots forever.
 func TestStartFailsBeforeSpawning(t *testing.T) {
 	noReduce := lineJob("in")
-	noReduce.Reduce, noReduce.Agg = nil, MonoidAgg{}
+	noReduce.Reduce = nil
 	for _, tc := range []struct {
 		name      string
 		job       Job
@@ -47,7 +47,7 @@ func TestStartFailsBeforeSpawning(t *testing.T) {
 		wantSetup int
 	}{
 		{"empty input", lineJob("empty"), nil, `fake: input "empty" has no blocks`, 0},
-		{"missing reduce", noReduce, nil, `fake: job "t" has no reduce function`, 0},
+		{"missing reduce", noReduce, nil, `job "t" needs a reduce function`, 0},
 		{"missing input", lineJob("nowhere"), nil, "nowhere", 0},
 		{"setup refuses", lineJob("in"), errors.New("fake: refused"), "fake: refused", 1},
 	} {
@@ -56,7 +56,7 @@ func TestStartFailsBeforeSpawning(t *testing.T) {
 			registerLines(t, rt, "in", 4)
 			registerLines(t, rt, "empty", 0)
 			setups := 0
-			plan := &Plan{Label: "fake", NeedsReduce: true, Setup: func(*JobRun) (Tasks, error) {
+			plan := &Plan{Label: "fake", Setup: func(*JobRun) (Tasks, error) {
 				setups++
 				return Tasks{}, tc.setupErr
 			}}
@@ -86,7 +86,6 @@ func TestSkeletonSequenceLabelAndDefaults(t *testing.T) {
 	var seen *JobRun
 	plan := &Plan{
 		Label:                "fake",
-		NeedsReduce:          true,
 		Defaults:             Options{FanIn: 7, ChunkBytes: 1 << 10, BackpressureBytes: 2 << 10, SpillBuckets: 3, HotKeyCounters: 5},
 		FrameworkNsPerRecord: 123,
 		Setup: func(j *JobRun) (Tasks, error) {

@@ -28,9 +28,8 @@ func Partitioner() engine.Partitioner { return engine.HashPartitioner() }
 // reduce task pulls, and a lost map output is recomputed by the same map
 // attempt on the node that asked for it.
 var Plan = &engine.Plan{
-	Label:       "hadoop",
-	NeedsReduce: true,
-	Defaults:    engine.Options{FanIn: sortmerge.DefaultFanIn},
+	Label:    "hadoop",
+	Defaults: engine.Options{FanIn: sortmerge.DefaultFanIn},
 	Setup: func(j *engine.JobRun) (engine.Tasks, error) {
 		j.ReexecWith(func(p *sim.Proc, node *cluster.Node, b *dfs.Block, _ *engine.MapOutput) *engine.MapOutput {
 			return executeMapAttempt(j, p, node, b)
@@ -54,6 +53,7 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 	// the sort and combine below run inside the pooled map closure, where
 	// scratch shared with a concurrent attempt would race.
 	tj := rt.TaskJob(job)
+	combine := tj.Fold().Combiner()
 	// Sort the map output buffer on (partition, key) — the CPU cost of
 	// Table II's "Sorting" row, measured from real comparisons — and apply
 	// the combiner, all inside the map-task closure; the charges land after
@@ -61,7 +61,7 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 	var cmps int64
 	var rawBytes int64
 	var combined *kv.Buffer
-	if job.HasCombiner() {
+	if combine != nil {
 		// Taken here, on the event loop: the closure below may not touch the
 		// runtime's free list.
 		combined = rt.AcquireBuffer(0)
@@ -71,7 +71,7 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 		buf.SortByPartitionKey(&cmps)
 		rawBytes = buf.Bytes()
 		if combined != nil {
-			combineInputs = engine.CombineSorted(tj, buf, combined)
+			combineInputs = engine.CombineSorted(combine, buf, combined)
 		}
 	})
 	if err != nil {

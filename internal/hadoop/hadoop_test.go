@@ -84,7 +84,7 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 	w := workloads.PageFrequency(smallClicks())
 	_, withCombiner := run(t, w, enginetest.Config{}, engine.Options{})
 	w2 := workloads.PageFrequency(smallClicks())
-	w2.Job.Combine, w2.Job.Monoid = nil, nil
+	w2.Job.Monoid = nil
 	f2 := enginetest.New(t, w2, enginetest.Config{})
 	noCombiner, err := Run(f2.RT, f2.Job, engine.Options{})
 	if err != nil {

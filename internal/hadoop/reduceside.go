@@ -28,10 +28,10 @@ type ReduceSide struct {
 	Acc      *sortmerge.Accumulator
 	spillSeq int
 
-	// combine is this reduce side's effective combiner (explicit or
-	// monoid-derived), resolved once on the per-task job clone so derived
-	// scratch is owned by exactly this task.
-	combine engine.CombineFunc
+	// combine is this reduce side's combiner (nil for an undeclared job),
+	// resolved once on the per-task job clone so the fold's scratch is owned
+	// by exactly this task.
+	combine engine.ReduceFunc
 }
 
 // NewReduceSide builds the spill/merge state for reducer r on node. The
@@ -45,7 +45,7 @@ func NewReduceSide(rt *engine.Runtime, job *engine.Job, costs engine.CostModel,
 		Merger: sortmerge.NewMerger(node.ScratchStore(), fmt.Sprintf("%s/red-%04d", job.Name, r), fanIn),
 		Acc:    sortmerge.NewAccumulator(rt.TaskMemory(job)),
 	}
-	rs.combine = rs.job.EffectiveCombine()
+	rs.combine = rs.job.Fold().Combiner()
 	// A merge pass rewrites its inputs verbatim, so its serialization cost
 	// is known before the merge runs; charging it through the hook overlaps
 	// the pooled merge work (MergePass below then charges only comparisons).

@@ -12,6 +12,7 @@ import (
 	"onepass/internal/kv"
 	"onepass/internal/sim"
 	"onepass/internal/sortmerge"
+	"onepass/internal/workloads"
 )
 
 // groupTestValue is the value of key k's j-th pair in run r: content a
@@ -127,7 +128,7 @@ func TestReduceSideLeavesFetchedFramesIntact(t *testing.T) {
 		job := &engine.Job{Name: "frames", OutputPath: "out/frames", Reducers: parts,
 			RetainOutput: true, MemoryPerTask: 2 << 10, Reduce: sum}
 		if combiner {
-			job.Combine = sum
+			job.Monoid = workloads.CountMonoid{}
 		}
 		res := &engine.Result{}
 		oc := rt.NewOutputCollector(job, res)

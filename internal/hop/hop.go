@@ -32,9 +32,8 @@ var snapshotFractions = []float64{0.25, 0.5, 0.75}
 // snapshots, and a lost node's undelivered chunks are re-pushed after the
 // map wave.
 var Plan = &engine.Plan{
-	Label:       "hop",
-	NeedsReduce: true,
-	Push:        true,
+	Label: "hop",
+	Push:  true,
 	Defaults: engine.Options{
 		FanIn:             sortmerge.DefaultFanIn,
 		ChunkBytes:        256 << 10,
@@ -98,7 +97,7 @@ type encodedChunk struct {
 // serializes the result — pure data work with no virtual effects, safe
 // inside a pooled map closure. The caller charges the counted comparisons,
 // combine inputs, and serialize bytes at the delivery point via chargeChunk.
-func sortEncodeChunk(buf *kv.Buffer, idxs []int, combine engine.CombineFunc) (c encodedChunk) {
+func sortEncodeChunk(buf *kv.Buffer, idxs []int, combine engine.ReduceFunc) (c encodedChunk) {
 	buf.SortIndices(idxs, &c.cmps)
 	emit := func(k, v []byte) {
 		c.Data = kv.AppendPair(c.Data, k, v)
@@ -184,7 +183,7 @@ func pushChunk(j *engine.JobRun, p *sim.Proc, node *cluster.Node, c kv.Chunk, ta
 // charge; the caller charges each chunk at its delivery point.
 func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []encodedChunk, rawBytes int64) {
 	tj := j.RT.TaskJob(j.Job)
-	combine := tj.EffectiveCombine()
+	combine := tj.Fold().Combiner()
 	buf, err := j.RT.ExecuteMapWith(p, node, tj, b, j.Partition, func(buf *kv.Buffer) {
 		mapChunks(buf, j.Job.Reducers, j.Opts.ChunkBytes, func(r, seq int, idxs []int) {
 			if already != nil && seq < already[r] {
@@ -216,16 +215,14 @@ func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block)
 	chunks, rawBytes := buildChunks(j, p, node, b, nil)
 	if rt.Auditing() {
 		// Without a combiner every raw pair lands in exactly one chunk, so
-		// the final pair bytes equal the raw emission; with one, the
-		// difference is what chunk-granular combining elided.
+		// the final pair bytes equal the raw emission and nothing was saved;
+		// with one, the difference is what chunk-granular combining elided.
 		var finalPairBytes int64
 		for i := range chunks {
 			finalPairBytes += chunks[i].pairBytes
 		}
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
-		if job.HasCombiner() {
-			rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
-		}
+		rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
 	}
 	spillSeq := 0
 	sealed := make([]int, job.Reducers)

@@ -2,26 +2,26 @@ package kv
 
 import "encoding/binary"
 
-// Value framing: a length-prefixed concatenation of opaque byte strings.
-// The incremental re-run path uses it to carry a whole value *list* as one
-// engine value — a holistic job's per-block partial is the framed multiset
-// of its raw map-output values — but the encoding is workload-agnostic.
+// Value framing: a length-prefixed concatenation of opaque byte strings —
+// the free monoid over a job's raw map-output values. A job that declares no
+// Monoid holds a key's values this way wherever a declared job holds a monoid
+// element: in the hash and resident engines' per-key state and in the
+// incremental re-run path's preserved per-block partials.
 
 // AppendFramed appends uvarint(len(b)) + b to dst and returns dst.
 func AppendFramed(dst, b []byte) []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(b)))
-	dst = append(dst, hdr[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
-// Frames calls fn for each framed byte string in buf, in order. It reports
-// whether buf was consumed exactly (no partial trailing frame). The yielded
-// slices alias buf.
+// Frames calls fn for each framed byte string in buf, in order, and reports
+// whether buf is exactly what AppendFramed produces: whole frames, each
+// length in its shortest encoding. It stops at the first byte that is not.
+// The yielded slices alias buf.
 func Frames(buf []byte, fn func(b []byte)) bool {
 	for len(buf) > 0 {
 		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < l {
+		if n <= 0 || uint64(len(buf)-n) < l || (n > 1 && buf[n-1] == 0) {
 			return false
 		}
 		fn(buf[n : n+int(l)])

@@ -1,21 +1,33 @@
 package kv
 
 // Monoid is the typed commutative-aggregate contract of "Monoidify!"
-// (Lin, 2013): a reduce whose value space carries an associative Combine
-// with an identity element. A workload that declares its reduce as a monoid
-// lets every engine combine partial results in-node before shuffle, and
-// lets the hash and resident engines merge partial states associatively —
-// the map output, the in-flight partials, and the final answer all live in
-// the same byte-encoded value space.
+// (Lin, 2013): a reduce whose value space carries an associative,
+// commutative Combine with an identity element. A workload that declares
+// its reduce as a monoid lets every engine combine partial results in-node
+// before shuffle, lets the hash and resident engines hold one element per
+// key, and lets the incremental re-run path preserve one element per
+// (block, key) — the map output, the in-flight partials and the preserved
+// state all live in the same byte-encoded value space.
 //
 // Laws (checked by the property tests in internal/workloads):
 //
 //	Combine(Identity(), x) == x == Combine(x, Identity())   (identity)
 //	Combine(Combine(a, b), c) == Combine(a, Combine(b, c))  (associativity)
-//
-// and, for monoids that additionally implement Commutative:
-//
 //	Combine(a, b) == Combine(b, a)                          (commutativity)
+//
+// all byte for byte. Together they say the finished answer is independent
+// of fold order, which every engine relies on: values fold in arrival order,
+// and arrival order differs between engines and between a run and its
+// recovery. A job that declares no monoid gets the same guarantee from the
+// free monoid — its values, length-framed and concatenated (AppendFramed,
+// Frames) — because its Reduce must be a function of the value multiset.
+//
+// The answer for a key is its folded element. A monoid whose answer is not
+// its element (an average kept as sum and count) additionally implements
+//
+//	Final(key, elem []byte, emit func(key, val []byte))
+//
+// with engine.Emit as the emit type; see engine.Job.Monoid.
 //
 // Combine may reuse a's storage; callers that need both inputs afterwards
 // must pass copies. Implementations must be stateless (safe to share across
@@ -27,21 +39,4 @@ type Monoid interface {
 	// Combine folds b into a, returning the combined element. It may
 	// append into (and return) a's storage.
 	Combine(a, b []byte) []byte
-}
-
-// CommutativeMonoid marks a Monoid whose Combine is order-insensitive
-// byte-for-byte. Engines exploit commutativity to fold partials in arrival
-// order; the cross-engine differential checker relies on it for output
-// byte-identity under reordered shuffles.
-type CommutativeMonoid interface {
-	Monoid
-	// Commutative is a marker; implementations declare, the property tests
-	// verify.
-	Commutative()
-}
-
-// IsCommutative reports whether m declares the commutativity law.
-func IsCommutative(m Monoid) bool {
-	_, ok := m.(CommutativeMonoid)
-	return ok
 }

@@ -10,10 +10,10 @@
 // and map scheduling prefers local replicas — usually zero network too.
 //
 // The data path is push-only, modeled on the HOP engine's chunked shuffle
-// but without any disk staging: map output is folded in memory (per-key
-// aggregator states when the job declares a kv.Monoid or an explicit
-// engine.Aggregator, raw pair lists otherwise), chunked, and pushed straight
-// into the reducers' in-memory fold tables. Nothing is sorted and nothing is
+// but without any disk staging: map output is folded in memory when the job
+// declares a kv.Monoid (raw pairs otherwise), chunked, and pushed straight
+// into the reducers' in-memory fold tables, which hold one engine.Fold
+// element per key. Nothing is sorted and nothing is
 // persisted; like M3R, the engine trades the fault-tolerance writes for
 // speed and recovers from a lost node by re-running the deterministic map
 // and re-pushing only the undelivered chunks under their original
@@ -54,7 +54,6 @@ type partSink struct {
 // wave, exactly as in the HOP engine.
 var Plan = &engine.Plan{
 	Label:                "resident",
-	NeedsReduce:          true,
 	Push:                 true,
 	Defaults:             engine.Options{ChunkBytes: 256 << 10, BackpressureBytes: 4 << 20},
 	FrameworkNsPerRecord: FrameworkNsPerRecord,
@@ -80,9 +79,9 @@ var Plan = &engine.Plan{
 	},
 }
 
-// buildChunks runs the map-side data path: with an aggregator, records are
+// buildChunks runs the map-side data path: for a declared job, records are
 // folded into per-partition insertion-ordered state tables and the tables'
-// (key, state) pairs are chunked; without one, raw pairs are chunked in
+// (key, state) pairs are chunked; otherwise raw pairs are chunked in
 // production order. Either way the pairs are packed once into a partition
 // frame whose chunks — sub-slices, in seal order — are the push units.
 // Everything is deterministic in the block, so a recovery attempt
@@ -90,31 +89,33 @@ var Plan = &engine.Plan{
 // identities. The fold and packing are pure data work riding the map task's
 // pooled closure; the hash/update charges land here after the join, and the
 // caller charges serialization at each chunk's delivery point.
-func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) (chunks []kv.Chunk, rawBytes, finalPairBytes int64, folded bool) {
+func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) (chunks []kv.Chunk, rawBytes, finalPairBytes int64) {
 	rt, job, costs := j.RT, j.Job, j.Costs
 	tj := rt.TaskJob(job)
-	tAgg := tj.DeclaredAgg()
+	fold := tj.Fold()
 	R := job.Reducers
 	var n int
 	buf, err := rt.ExecuteMapWith(p, node, tj, b, j.Partition, func(buf *kv.Buffer) {
 		out := buf
-		if tAgg != nil {
+		if fold.Declared() {
 			// Map-side folding: per-partition insertion-ordered hash tables
-			// of aggregator states — the resident analogue of the hash
-			// engines' map-side combining, lit up for every workload that
-			// declares a monoid or aggregator.
-			tables := make([]*mapTable, R)
+			// of elements — the resident analogue of the hash engines'
+			// map-side combining, lit up for every workload that declares a
+			// monoid.
+			tables := make([]*foldTable, R)
 			for r := range tables {
-				tables[r] = newMapTable(tAgg)
+				tables[r] = newFoldTable(fold)
 			}
 			n = buf.Len()
 			for i := 0; i < n; i++ {
 				tables[buf.Partition(i)].fold(buf.Key(i), buf.Val(i))
 			}
 			out = kv.NewBuffer(0)
+			var key []byte
 			for r, tb := range tables {
 				for i, k := range tb.keys {
-					out.Add(r, k, tb.states[i])
+					key = append(key[:0], k...)
+					out.Add(r, key, tb.states[i])
 				}
 			}
 		}
@@ -124,38 +125,14 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 	if err != nil {
 		panic(fmt.Sprintf("resident: %v", err))
 	}
-	if tAgg != nil {
+	if fold.Declared() {
 		node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord), engine.PhaseCombine)
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
 	}
 	rawBytes = buf.Bytes()
 	rt.ReleaseBuffer(buf) // the frame is an encoded copy
-	return chunks, rawBytes, finalPairBytes, tAgg != nil
-}
-
-// mapTable is the map side's insertion-ordered fold table: key order is the
-// first-appearance order of keys in the block, so rebuilding the table on
-// recovery reproduces chunk contents byte for byte.
-type mapTable struct {
-	agg    engine.Aggregator
-	idx    map[string]int
-	keys   [][]byte
-	states [][]byte
-}
-
-func newMapTable(agg engine.Aggregator) *mapTable {
-	return &mapTable{agg: agg, idx: make(map[string]int)}
-}
-
-func (t *mapTable) fold(key, val []byte) {
-	if i, ok := t.idx[string(key)]; ok {
-		t.states[i] = t.agg.Update(t.states[i], val)
-		return
-	}
-	t.idx[string(key)] = len(t.keys)
-	t.keys = append(t.keys, key)
-	t.states = append(t.states, t.agg.Init(val))
+	return chunks, rawBytes, finalPairBytes
 }
 
 // runMapTask maps a block, folds its output in memory, and pushes the
@@ -163,12 +140,11 @@ func (t *mapTable) fold(key, val []byte) {
 // (no disk staging — the whole point of the engine).
 func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 	rt, job := j.RT, j.Job
-	chunks, rawBytes, finalPairBytes, folded := buildChunks(j, p, node, b)
+	chunks, rawBytes, finalPairBytes := buildChunks(j, p, node, b)
 	if rt.Auditing() {
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
-		if folded {
-			rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
-		}
+		// Zero for a job that did not fold: its raw pairs are its final ones.
+		rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
 	}
 	sealed := make([]int, job.Reducers)
 	delivered := make([]int, job.Reducers)
@@ -192,7 +168,7 @@ func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block)
 // (the tables cannot be rebuilt in part) and the chunks past the delivery
 // frontier are charged and offered like the first attempt's.
 func regenChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int, push func(kv.Chunk) bool) {
-	chunks, _, _, _ := buildChunks(j, p, node, b)
+	chunks, _, _ := buildChunks(j, p, node, b)
 	for _, c := range chunks {
 		if c.Seq < already[c.Part] {
 			continue
@@ -204,66 +180,57 @@ func regenChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 	}
 }
 
-// foldTable is a reducer's insertion-ordered in-memory table. With an
-// aggregator, incoming values are map-side states merged via Merge; without
-// one, raw values accumulate per key and Reduce runs at finalize. Either
-// way the table is the engine's entire reduce-side state: nothing spills.
+// foldTable is an insertion-ordered in-memory table of fold elements, one
+// per key. On the map side a declared job's values combine in it, and since
+// key order is first-appearance order in the block, rebuilding it on recovery
+// reproduces chunk contents byte for byte. On the reduce side a declared
+// job's incoming values are those map-side elements and combine again; an
+// undeclared job's are raw and accumulate, framed, until Reduce runs over
+// them at finalize. Either way it is the engine's entire reduce-side state:
+// nothing spills.
 type foldTable struct {
-	agg    engine.Aggregator
+	agg    *engine.Fold
 	idx    map[string]int
 	keys   []string
 	states [][]byte
-	lists  [][][]byte
-	vals   int
 }
 
-func newFoldTable(agg engine.Aggregator) *foldTable {
+func newFoldTable(agg *engine.Fold) *foldTable {
 	return &foldTable{agg: agg, idx: make(map[string]int)}
 }
 
 func (t *foldTable) fold(key, val []byte) {
-	t.vals++
-	i, ok := t.idx[string(key)]
-	if !ok {
-		i = len(t.keys)
-		t.idx[string(key)] = i
-		t.keys = append(t.keys, string(key))
-		if t.agg != nil {
-			// Copy: Merge may grow the stored state in place, and an aliased
-			// chunk buffer could carry a neighboring pair's bytes in its
-			// spare capacity.
-			t.states = append(t.states, append([]byte(nil), val...))
-		} else {
-			t.lists = append(t.lists, [][]byte{val})
-		}
+	if i, ok := t.idx[string(key)]; ok {
+		t.states[i] = t.agg.Add(t.states[i], val)
 		return
 	}
-	if t.agg != nil {
-		t.states[i] = t.agg.Merge(t.states[i], val)
-	} else {
-		t.lists[i] = append(t.lists[i], val)
-	}
+	k := string(key)
+	t.idx[k] = len(t.keys)
+	t.keys = append(t.keys, k)
+	// Lift copies: Add may grow the stored state in place, and an aliased
+	// chunk buffer could carry a neighboring pair's bytes in its spare
+	// capacity.
+	t.states = append(t.states, t.agg.Lift(nil, val))
 }
 
-// emitAll finalizes the table in insertion order — Final per state, or reduce
-// per value list when there is no aggregator — charging reduce CPU per key.
-// Keys pass through one scratch buffer: like every engine's, a key is only
-// the callee's for the duration of the call.
-func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostModel,
-	reduce engine.ReduceFunc, emit engine.Emit) {
+// emitAll finalizes the table in insertion order, charging reduce CPU per
+// key: per value Reduce folded for an undeclared job, per element and its
+// bytes for a declared one. Keys pass through one scratch buffer: like every
+// engine's, a key is only the callee's for the duration of the call.
+func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostModel, emit engine.Emit) {
 	var key []byte
 	for i, k := range t.keys {
 		key = append(key[:0], k...)
-		if t.agg != nil {
-			state := t.states[i]
-			t.agg.Final(key, state, emit)
-			node.Compute(p, engine.Dur(1, costs.ReduceNsPerRecord)+
-				engine.Dur(float64(len(state)), costs.SerializeNsPerByte), engine.PhaseReduce)
-		} else {
-			vals := t.lists[i]
-			reduce(key, vals, emit)
-			node.Compute(p, engine.Dur(float64(len(vals)), costs.ReduceNsPerRecord), engine.PhaseReduce)
+		state := t.states[i]
+		n, err := t.agg.Finish(key, state, emit)
+		if err != nil {
+			panic(fmt.Sprintf("resident: %v", err))
 		}
+		cost := engine.Dur(float64(n), costs.ReduceNsPerRecord)
+		if t.agg.Declared() {
+			cost += engine.Dur(float64(len(state)), costs.SerializeNsPerByte)
+		}
+		node.Compute(p, cost, engine.PhaseReduce)
 	}
 }
 
@@ -273,7 +240,7 @@ func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostMo
 func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sinks []*partSink) {
 	rt, job, costs, oc, pc := j.RT, j.Job, j.Costs, j.OC, j.Channels[r]
 	tj := rt.TaskJob(job)
-	table := newFoldTable(tj.DeclaredAgg())
+	table := newFoldTable(tj.Fold())
 	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
 	rt.Emit(trace.PhaseStart, engine.SpanShuffle, node.ID, r, 0)
 	for {
@@ -299,7 +266,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 
 	reduceSpan := rt.Timeline.Begin(engine.SpanReduce, p.Now())
 	rt.Emit(trace.PhaseStart, engine.SpanReduce, node.ID, r, 0)
-	table.emitAll(p, node, costs, tj.Reduce, func(k, v []byte) { oc.Emit(p, r, node.ID, k, v) })
+	table.emitAll(p, node, costs, func(k, v []byte) { oc.Emit(p, r, node.ID, k, v) })
 	oc.Close(p, r)
 	// Publish the partition into the DFS namespace as a memory-resident
 	// block hosted here: a chained job's map tasks read it locally from

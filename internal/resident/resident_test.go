@@ -262,7 +262,7 @@ func TestChainedIterationsReadNoDisk(t *testing.T) {
 func TestEmitAllAllocatesNothingPerKey(t *testing.T) {
 	env := sim.New()
 	cl := cluster.New(env, cluster.DefaultConfig())
-	table := newFoldTable(engine.MonoidAgg{M: workloads.CountMonoid{}})
+	table := newFoldTable((&engine.Job{Monoid: workloads.CountMonoid{}}).Fold())
 	for i := 0; i < 500; i++ {
 		table.fold([]byte(fmt.Sprintf("user-%04d", i)), []byte("1"))
 	}
@@ -270,7 +270,7 @@ func TestEmitAllAllocatesNothingPerKey(t *testing.T) {
 	emit := func(k, v []byte) { pairs++ }
 	env.Go("t", func(p *sim.Proc) {
 		avg := testing.AllocsPerRun(10, func() {
-			table.emitAll(p, cl.Node(0), engine.DefaultCosts(), nil, emit)
+			table.emitAll(p, cl.Node(0), engine.DefaultCosts(), emit)
 		})
 		if avg > 2 { // the scratch buffer itself
 			t.Errorf("emitAll allocates %.0f objects over 500 keys, budget 2", avg)

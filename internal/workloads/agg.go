@@ -2,24 +2,20 @@ package workloads
 
 import (
 	"bytes"
-	"encoding/binary"
 
-	"onepass/internal/engine"
 	"onepass/internal/kv"
 )
 
-// The counting, inverted-index, and top-k workloads declare their reduces
-// as monoids (kv.Monoid): the element space is the map-output value
+// The counting, inverted-index, top-k and PageRank workloads declare their
+// reduces as monoids (kv.Monoid): the element space is the map-output value
 // encoding itself, Combine folds two elements into one, and a finished
 // fold is byte-identical to running the workload's Reduce over the same
 // value multiset. That single declaration gives every engine map-side
-// combining and gives the hash and resident engines associative state
-// merging — no per-engine Combine/Agg wiring. CountAgg and PostingsAgg
-// below remain as standalone Aggregator implementations (the hash engines'
-// explicit contract, exercised directly by the core tests).
+// combining, gives the hash and resident engines their per-key state and
+// gives RunDelta its preserved partials — engine.Job.Fold derives all three.
 
 // CountMonoid is the counting workloads' monoid: elements are ASCII
-// decimal counts, Combine is addition, the identity is "0". Commutative.
+// decimal counts, Combine is addition, the identity is "0".
 type CountMonoid struct{}
 
 var countZero = []byte{'0'}
@@ -33,16 +29,13 @@ func (CountMonoid) Combine(a, b []byte) []byte {
 	return appendUint(a[:0], n)
 }
 
-// Commutative declares the commutativity law (addition commutes).
-func (CountMonoid) Commutative() {}
-
 // PostingsMonoid is the inverted-index monoid: elements are canonically
 // sorted flat arrays of fixed-width postings, Combine is a sorted merge,
 // the identity is the empty list. A single posting (what the map emits) is
 // trivially sorted, so every fold stays inside the element space and the
 // finished fold equals the canonical sorted list reducePostings produces.
-// Commutative: equal postings are byte-identical, so merge order cannot
-// show in the output.
+// Equal postings are byte-identical, so merge order cannot show in the
+// output.
 type PostingsMonoid struct{}
 
 // Identity returns the empty posting list.
@@ -79,9 +72,6 @@ func (PostingsMonoid) Combine(a, b []byte) []byte {
 	return a
 }
 
-// Commutative declares the commutativity law (sorted multiset union).
-func (PostingsMonoid) Commutative() {}
-
 // TopKMonoid is the top-k monoid: elements are canonical bounded top-k
 // lists in the encodeTop framing ("count name\n", count descending, ties
 // by name), Combine merges two lists and re-truncates to K, the identity
@@ -104,9 +94,6 @@ func (m TopKMonoid) Combine(a, b []byte) []byte {
 	return encodeTop(mergeTop(m.K, decodeTop(a), decodeTop(b)))
 }
 
-// Commutative declares the commutativity law.
-func (TopKMonoid) Commutative() {}
-
 // Monoids returns every monoid the workloads declare, labeled, for the
 // law-checking property tests and the checker's monoid axis.
 func Monoids() map[string]kv.Monoid {
@@ -114,76 +101,11 @@ func Monoids() map[string]kv.Monoid {
 		"count":    CountMonoid{},
 		"postings": PostingsMonoid{},
 		"top-k":    TopKMonoid{K: 5},
+		"pagerank": RankMonoid{Nodes: 100},
 	}
 }
 
-// CountAgg is the incremental aggregator for the counting workloads: an
-// 8-byte running sum. Its Final output matches sumReduce exactly, so hash
-// engines and sort-merge engines produce identical results.
-type CountAgg struct{}
-
-// Init parses the first ASCII value into a binary counter state.
-func (CountAgg) Init(val []byte) []byte {
-	var st [8]byte
-	binary.LittleEndian.PutUint64(st[:], parseUint(val))
-	return st[:]
-}
-
-// Update folds one more ASCII value.
-func (CountAgg) Update(state, val []byte) []byte {
-	binary.LittleEndian.PutUint64(state, binary.LittleEndian.Uint64(state)+parseUint(val))
-	return state
-}
-
-// Merge adds two partial counts.
-func (CountAgg) Merge(a, b []byte) []byte {
-	binary.LittleEndian.PutUint64(a, binary.LittleEndian.Uint64(a)+binary.LittleEndian.Uint64(b))
-	return a
-}
-
-// Final emits the ASCII total.
-func (CountAgg) Final(key, state []byte, emit engine.Emit) {
-	emit(key, appendUint(nil, binary.LittleEndian.Uint64(state)))
-}
-
-// CountState reads a counting state value (exported for threshold
-// predicates like Job.EmitWhen): the ASCII element of CountMonoid — what
-// the hash engines hold for the monoid-declared counting workloads — or
-// CountAgg's 8-byte binary state. The two are distinguishable: a binary
-// state is exactly 8 bytes and, for any count reachable in practice, has
-// high-order bytes outside the ASCII digit range.
-func CountState(state []byte) uint64 {
-	if len(state) == 8 {
-		for _, c := range state {
-			if c < '0' || c > '9' {
-				return binary.LittleEndian.Uint64(state)
-			}
-		}
-	}
-	return parseUint(state)
-}
-
-// PostingsAgg is the incremental aggregator for inverted indexing: the
-// state is the concatenation of fixed-width postings, sorted canonically at
-// Final, matching reducePostings exactly.
-type PostingsAgg struct{}
-
-// Init starts the state from the first posting batch.
-func (PostingsAgg) Init(val []byte) []byte {
-	return append([]byte(nil), val...)
-}
-
-// Update appends more postings.
-func (PostingsAgg) Update(state, val []byte) []byte {
-	return append(state, val...)
-}
-
-// Merge concatenates two partial posting lists.
-func (PostingsAgg) Merge(a, b []byte) []byte {
-	return append(a, b...)
-}
-
-// Final emits the canonical sorted list.
-func (PostingsAgg) Final(key, state []byte, emit engine.Emit) {
-	emit(key, sortPostings(state))
-}
+// CountState reads a counting state value — the ASCII element of CountMonoid
+// the hash engines hold for the counting workloads (exported for threshold
+// predicates like Job.EmitWhen).
+func CountState(state []byte) uint64 { return parseUint(state) }

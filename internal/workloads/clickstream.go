@@ -38,11 +38,10 @@ func Sessionization(cfg gen.ClickConfig) *Workload {
 			valBuf = append(valBuf, c.URL...)
 			emit(keyBuf, valBuf)
 		},
-		Reduce: sessionizeReducer(),
 		// The reducer sorts each user's clicks before splitting sessions, so
 		// the output is a pure function of the value multiset.
-		OrderInsensitive: true,
-		Costs:            engine.CostModel{MapNsPerRecord: 240},
+		Reduce: sessionizeReducer(),
+		Costs:  engine.CostModel{MapNsPerRecord: 240},
 	}
 	// Each Fresh() construction owns its scratch buffers, so parallel tasks
 	// can run independent copies of the user functions.
@@ -132,9 +131,8 @@ func WindowedSessionization(cfg gen.ClickConfig, window uint32) *Workload {
 			valBuf = append(valBuf, c.URL...)
 			emit(keyBuf, valBuf)
 		},
-		Reduce:           sessionizeReducer(),
-		OrderInsensitive: true,
-		Costs:            engine.CostModel{MapNsPerRecord: 240},
+		Reduce: sessionizeReducer(),
+		Costs:  engine.CostModel{MapNsPerRecord: 240},
 	}
 	w.Job.Fresh = func() engine.Job { return WindowedSessionization(cfg, window).Job }
 	return w
@@ -176,10 +174,7 @@ func countingWorkload(name string, cfg gen.ClickConfig, key func(dst []byte, c t
 		},
 		Reduce: sumReducer(),
 		Monoid: CountMonoid{},
-		// Addition commutes, so the reduce stays delta-capable even when
-		// Config.DisableMonoid strips the monoid declaration.
-		OrderInsensitive: true,
-		Costs:            engine.CostModel{MapNsPerRecord: mapNs},
+		Costs:  engine.CostModel{MapNsPerRecord: mapNs},
 	}
 	w.Job.Fresh = func() engine.Job { return countingWorkload(name, cfg, key, mapNs).Job }
 	return w

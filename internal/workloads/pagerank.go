@@ -24,11 +24,9 @@ const RankScale = 1_000_000_000
 // Damping is the standard PageRank damping factor, in percent.
 const Damping = 85
 
-// Vertex state message tags.
-const (
-	tagAdjacency = 'A' // payload: space-separated neighbour names
-	tagContrib   = 'C' // payload: 8-byte fixed-point contribution
-)
+// tagAdjacency heads PageRankInit's one message kind: the vertex's
+// space-separated neighbour names.
+const tagAdjacency = 'A'
 
 func encodeRankState(rank uint64, adj []byte) []byte {
 	out := make([]byte, 8, 8+len(adj))
@@ -45,49 +43,15 @@ func DecodeRank(val []byte) (rank uint64, adj []byte) {
 	return binary.LittleEndian.Uint64(val[:8]), val[8:]
 }
 
-// scatter emits one vertex's adjacency preservation message plus its rank
-// contributions to each neighbour.
-func scatter(vertex []byte, rank uint64, adj []byte, emit engine.Emit) {
-	emit(vertex, append([]byte{tagAdjacency}, adj...))
-	if len(adj) == 0 {
-		// Dangling vertex: its mass leaks, the standard simplification.
-		return
-	}
-	targets := bytes.Split(adj, []byte(" "))
-	contrib := rank * Damping / 100 / uint64(len(targets))
-	var msg [9]byte
-	msg[0] = tagContrib
-	binary.LittleEndian.PutUint64(msg[1:], contrib)
-	for _, t := range targets {
-		if len(t) > 0 {
-			emit(t, msg[:])
-		}
-	}
-}
-
-// gather folds one vertex's messages into its next state.
-func gather(nodes int, key []byte, vals [][]byte, emit engine.Emit) {
-	var adj []byte
-	var sum uint64
-	for _, v := range vals {
-		if len(v) == 0 {
-			continue
-		}
-		switch v[0] {
-		case tagAdjacency:
-			adj = v[1:]
-		case tagContrib:
-			sum += binary.LittleEndian.Uint64(v[1:])
-		}
-	}
-	rank := uint64(RankScale)*(100-Damping)/100/uint64(nodes) + sum
-	emit(key, encodeRankState(rank, adj))
-}
-
-// prAgg is the incremental aggregator: state = 1 flag byte ("adjacency
-// seen"), 8-byte contribution sum, adjacency text. Merge adds sums and
-// keeps whichever adjacency arrived — exact under any arrival order.
-type prAgg struct{ nodes int }
+// RankMonoid is one power iteration's reduce as a monoid. An element is one
+// flag byte ("adjacency seen"), the 8-byte sum of rank contributions and the
+// adjacency text; the map's two messages — a vertex's adjacency, a
+// contribution to a neighbour — are elements. Combine adds the sums and
+// keeps the adjacency. A vertex is sent exactly one adjacency per iteration;
+// of two, the greater wins, so that Combine commutes on the whole space. The
+// answer is a rank, not a sum: Final adds the teleport term for a graph of
+// Nodes vertices.
+type RankMonoid struct{ Nodes int }
 
 func prState(seenAdj bool, sum uint64, adj []byte) []byte {
 	out := make([]byte, 9, 9+len(adj))
@@ -102,39 +66,64 @@ func prDecode(state []byte) (seenAdj bool, sum uint64, adj []byte) {
 	return state[0] == 1, binary.LittleEndian.Uint64(state[1:9]), state[9:]
 }
 
-func (a prAgg) Init(val []byte) []byte {
-	return a.Update(prState(false, 0, nil), val)
+var rankZero = prState(false, 0, nil)
+
+// Identity returns the element of a vertex nothing was sent to.
+func (RankMonoid) Identity() []byte { return rankZero }
+
+// Combine folds b into a in place.
+func (RankMonoid) Combine(a, b []byte) []byte {
+	seenA, sumA, adjA := prDecode(a)
+	seenB, sumB, adjB := prDecode(b)
+	binary.LittleEndian.PutUint64(a[1:], sumA+sumB)
+	if seenB && (!seenA || bytes.Compare(adjB, adjA) > 0) {
+		a[0] = 1
+		a = append(a[:9], adjB...)
+	}
+	return a
 }
 
-func (a prAgg) Update(state, val []byte) []byte {
-	seen, sum, adj := prDecode(state)
-	if len(val) > 0 {
-		switch val[0] {
-		case tagAdjacency:
-			return prState(true, sum, val[1:])
-		case tagContrib:
-			return prState(seen, sum+binary.LittleEndian.Uint64(val[1:]), adj)
+// Final emits the vertex's next (rank, adjacency) state.
+func (m RankMonoid) Final(key, elem []byte, emit engine.Emit) {
+	_, sum, adj := prDecode(elem)
+	emit(key, encodeRankState(m.teleport()+sum, adj))
+}
+
+func (m RankMonoid) teleport() uint64 {
+	return uint64(RankScale) * (100 - Damping) / 100 / uint64(m.Nodes)
+}
+
+// scatter emits one vertex's adjacency preservation message plus its rank
+// contributions to each neighbour, as RankMonoid elements.
+func scatter(vertex []byte, rank uint64, adj []byte, emit engine.Emit) {
+	emit(vertex, prState(true, 0, adj))
+	if len(adj) == 0 {
+		// Dangling vertex: its mass leaks, the standard simplification.
+		return
+	}
+	targets := bytes.Split(adj, []byte(" "))
+	msg := prState(false, rank*Damping/100/uint64(len(targets)), nil)
+	for _, t := range targets {
+		if len(t) > 0 {
+			emit(t, msg)
 		}
 	}
-	return state
 }
 
-func (a prAgg) Merge(x, y []byte) []byte {
-	sx, nx, ax := prDecode(x)
-	sy, ny, ay := prDecode(y)
-	adj := ax
-	seen := sx
-	if sy {
-		adj = ay
-		seen = true
+// gather is the reduce RankMonoid abbreviates: it folds one vertex's
+// messages, in any order, into its next state.
+func gather(m RankMonoid, key []byte, vals [][]byte, emit engine.Emit) {
+	var seen bool
+	var adj []byte
+	var sum uint64
+	for _, v := range vals {
+		s, n, a := prDecode(v)
+		sum += n
+		if s && (!seen || bytes.Compare(a, adj) > 0) {
+			seen, adj = true, a
+		}
 	}
-	return prState(seen, nx+ny, adj)
-}
-
-func (a prAgg) Final(key, state []byte, emit engine.Emit) {
-	_, sum, adj := prDecode(state)
-	rank := uint64(RankScale)*(100-Damping)/100/uint64(a.nodes) + sum
-	emit(key, encodeRankState(rank, adj))
+	emit(key, encodeRankState(m.teleport()+sum, adj))
 }
 
 // PageRankInit builds iteration zero: it reads the adjacency text the graph
@@ -171,7 +160,7 @@ func PageRankInit(cfg gen.GraphConfig) *Workload {
 // output (set Job.InputPath to it before running). nodes is the graph's
 // vertex count, needed for the teleport term.
 func PageRankIter(nodes int) engine.Job {
-	gatherN := func(key []byte, vals [][]byte, emit engine.Emit) { gather(nodes, key, vals, emit) }
+	m := RankMonoid{Nodes: nodes}
 	return engine.Job{
 		Name:   "pagerank-iter",
 		Reader: PairReader,
@@ -183,8 +172,8 @@ func PageRankIter(nodes int) engine.Job {
 			rank, adj := DecodeRank(state)
 			scatter(vertex, rank, adj, emit)
 		},
-		Reduce: gatherN,
-		Agg:    prAgg{nodes: nodes},
+		Reduce: func(key []byte, vals [][]byte, emit engine.Emit) { gather(m, key, vals, emit) },
+		Monoid: m,
 		Costs:  engine.CostModel{MapNsPerRecord: 600, ReduceNsPerRecord: 80},
 		Fresh:  func() engine.Job { return PageRankIter(nodes) },
 	}

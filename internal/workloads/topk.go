@@ -12,9 +12,10 @@ import (
 // top-k" as the next step for one-pass analytics, and §IV poses "how to
 // support the combine function for complex analytical tasks such as top-k"
 // as an open question. This file answers it for top-k: partial top-k lists
-// are a mergeable bounded state, so the task gets a combiner and an
-// incremental aggregator and runs on every engine as the second stage of a
-// chained job (counts from page-frequency in, global top-k out).
+// are a mergeable bounded state — a monoid (TopKMonoid) — so the task gets a
+// combiner and incremental per-key state and runs on every engine as the
+// second stage of a chained job (counts from page-frequency in, global top-k
+// out).
 
 // TopKKey is the single group key all candidates fold into.
 var TopKKey = []byte("top")

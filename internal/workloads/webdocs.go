@@ -93,7 +93,7 @@ func reducePostingsFunc() engine.ReduceFunc {
 	}
 }
 
-// postingScratch holds the index and output buffers sortPostings needs, so
+// postingScratch holds the index and output buffers a posting sort needs, so
 // repeated sorts (one per reduced key) reuse them.
 type postingScratch struct {
 	idx []int
@@ -118,11 +118,4 @@ func (s *postingScratch) sort(all []byte) []byte {
 	}
 	s.out = out
 	return out
-}
-
-// sortPostings sorts a flat posting array into canonical order, allocating
-// fresh scratch — the convenience form used by PostingsAgg.Final.
-func sortPostings(all []byte) []byte {
-	var s postingScratch
-	return s.sort(all)
 }

@@ -1,10 +1,9 @@
 // Package workloads implements the paper's four benchmark tasks (Table I):
 // sessionization, page-frequency counting, and per-user click counting over
 // the click stream, and inverted-index construction over web documents.
-// Each workload supplies the map/combine/reduce functions, an incremental
-// aggregator where the analytic function supports one, per-workload cost
-// hints, and a single-threaded reference evaluation used by the
-// cross-engine equivalence tests.
+// Each workload supplies the map and reduce functions, a monoid where the
+// analytic function is one, per-workload cost hints, and a single-threaded
+// reference evaluation used by the cross-engine equivalence tests.
 package workloads
 
 import (
@@ -115,8 +114,7 @@ func Reference(w *Workload, blocks [][]byte) map[string]string {
 	return out
 }
 
-// sumValues folds ASCII decimal values — the shared body of the counting
-// combiners and reducers.
+// sumValues folds ASCII decimal values — the body of the counting reducers.
 func sumValues(vals [][]byte) uint64 {
 	var total uint64
 	for _, v := range vals {

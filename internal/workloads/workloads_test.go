@@ -119,11 +119,30 @@ func TestCountingWorkloadsAgainstManualCount(t *testing.T) {
 	}
 }
 
+// foldAnswer runs vals through job's resolved fold the way a hash engine
+// does — the first value lifted, the middle ones added, the last merged in
+// as a separately built element — and returns what Finish emits.
+func foldAnswer(t *testing.T, job engine.Job, key []byte, vals [][]byte) string {
+	t.Helper()
+	f := job.Fold()
+	last := len(vals) - 1
+	state := f.Lift(nil, vals[0])
+	for _, v := range vals[1:last] {
+		state = f.Add(state, v)
+	}
+	state = f.Merge(state, f.Lift(nil, vals[last]))
+	var got string
+	if _, err := f.Finish(key, state, func(_, v []byte) { got = string(v) }); err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestCombineMatchesReduceForCounting(t *testing.T) {
 	w := PageFrequency(smallClickCfg())
 	vals := [][]byte{[]byte("1"), []byte("41"), []byte("0")}
 	var viaCombine, viaReduce string
-	combine := w.Job.EffectiveCombine()
+	combine := w.Job.Fold().Combiner()
 	if combine == nil {
 		t.Fatal("counting workload must derive a combiner from its monoid")
 	}
@@ -135,18 +154,16 @@ func TestCombineMatchesReduceForCounting(t *testing.T) {
 }
 
 func TestCountAggMatchesReduce(t *testing.T) {
-	agg := CountAgg{}
-	state := agg.Init([]byte("5"))
-	state = agg.Update(state, []byte("7"))
-	other := agg.Init([]byte("30"))
-	state = agg.Merge(state, other)
-	if CountState(state) != 42 {
-		t.Fatalf("state = %d", CountState(state))
+	job := PerUserCount(smallClickCfg()).Job
+	vals := [][]byte{[]byte("5"), []byte("7"), []byte("30")}
+	got := foldAnswer(t, job, []byte("k"), vals)
+	if got != "42" || CountState([]byte(got)) != 42 {
+		t.Fatalf("folded count = %q", got)
 	}
-	var got string
-	agg.Final([]byte("k"), state, func(k, v []byte) { got = string(v) })
-	if got != "42" {
-		t.Fatalf("final = %q", got)
+	// Stripped of its monoid the same job folds value lists and reduces them.
+	job.Monoid = nil
+	if got := foldAnswer(t, job, []byte("k"), vals); got != "42" {
+		t.Fatalf("value-list fold = %q", got)
 	}
 }
 
@@ -235,12 +252,7 @@ func TestPostingsAggMatchesReduce(t *testing.T) {
 	var viaReduce string
 	w.Job.Reduce([]byte("w"), vals, func(k, v []byte) { viaReduce = string(v) })
 
-	agg := PostingsAgg{}
-	state := agg.Init(mk(5, 1))
-	state = agg.Update(state, mk(2, 9))
-	state = agg.Merge(state, agg.Init(mk(2, 3)))
-	var viaAgg string
-	agg.Final([]byte("w"), state, func(k, v []byte) { viaAgg = string(v) })
+	viaAgg := foldAnswer(t, w.Job, []byte("w"), vals)
 	if viaAgg != viaReduce {
 		t.Fatalf("agg %x != reduce %x", viaAgg, viaReduce)
 	}
@@ -320,13 +332,7 @@ func TestTopKAggMatchesReduce(t *testing.T) {
 	}
 	var viaReduce string
 	job.Reduce(TopKKey, vals, func(k, v []byte) { viaReduce = string(v) })
-	agg := engine.MonoidAgg{M: job.Monoid}
-	state := agg.Init(vals[0])
-	for _, v := range vals[1:] {
-		state = agg.Update(state, v)
-	}
-	var viaAgg string
-	agg.Final(TopKKey, state, func(k, v []byte) { viaAgg = string(v) })
+	viaAgg := foldAnswer(t, job, TopKKey, vals)
 	if viaAgg != viaReduce {
 		t.Fatalf("agg %q != reduce %q", viaAgg, viaReduce)
 	}
