@@ -2,6 +2,7 @@ package onepass
 
 import (
 	"fmt"
+	"runtime"
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
@@ -256,12 +257,13 @@ type Config struct {
 	// grouped output with and without faults.
 	Faults FaultSchedule
 
-	// Parallelism bounds how many tasks' pure data work (map parse/sort/
-	// hash folds, merge passes, combine flushes, reduce scans) may execute
-	// on real goroutines concurrently with the event loop. 0 or 1 keeps
-	// every closure inline on the simulation thread. Any value yields
-	// byte-identical results, traces, and counters — the pool only moves
-	// real work off the virtual-time path, never reorders virtual effects.
+	// Parallelism is the number of worker goroutines that execute tasks'
+	// pure data work (map parse/sort/hash folds, merge passes, combine
+	// flushes, reduce scans) concurrently with the event loop. 0 or 1 keeps
+	// every closure inline on the simulation thread; DefaultConfig sets it
+	// to the host's GOMAXPROCS. Any value yields byte-identical results,
+	// traces, and counters — the pool only moves real work off the
+	// virtual-time path, never reorders virtual effects.
 	Parallelism int
 
 	// Audit arms the runtime invariant audits: end-of-run conservation
@@ -275,7 +277,10 @@ type Config struct {
 	Audit bool
 }
 
-// DefaultConfig mirrors the paper's testbed at simulation scale.
+// DefaultConfig mirrors the paper's testbed at simulation scale and runs it
+// on all of the host: Parallelism is GOMAXPROCS, so a one-core host resolves
+// to the inline path. Set Parallelism to 1 to force a serial run; the
+// results are the same bytes either way.
 func DefaultConfig() Config {
 	return Config{
 		Engine:        Hadoop,
@@ -283,6 +288,7 @@ func DefaultConfig() Config {
 		CoresPerNode:  4,
 		MemoryPerNode: 1 << 30,
 		BlockSize:     dfs.DefaultBlockSize,
+		Parallelism:   runtime.GOMAXPROCS(0),
 	}
 }
 

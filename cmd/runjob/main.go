@@ -51,8 +51,8 @@ func main() {
 	faultSpec := flag.String("fault", "",
 		"fault schedule: comma-separated kind@T[+W]:nN[xF], kinds fail|disk-slow|net-slow|straggler (e.g. 'fail@30s:n3,disk-slow@10s+20s:n1x8')")
 	faultSeed := flag.Int64("fault-seed", 0, "derive a chaos fault schedule from this seed (ignored when -fault is set)")
-	parallel := flag.Int("parallel-intra", 0,
-		"worker goroutines for intra-run data work (0 or 1 = serial; results are byte-identical either way)")
+	parallel := flag.Int("parallel-intra", onepass.DefaultConfig().Parallelism,
+		"worker goroutines for intra-run data work (default GOMAXPROCS; 0 or 1 = serial; results are byte-identical either way)")
 	deltaFrac := flag.Float64("delta", 0,
 		"evolve this fraction of the input (seeded updates+deletes+appends) and compare the incremental re-run against a full re-run (click workloads only)")
 	deltaSeed := flag.Uint64("delta-seed", 42, "delta derivation seed (with -delta)")
@@ -67,6 +67,7 @@ func main() {
 	cfg.SplitStorageCompute = *split
 	cfg.DiscardOutput = true
 	cfg.Parallelism = *parallel
+	poolWidth := max(cfg.Parallelism, 1) // 0 and 1 both mean inline
 
 	var err error
 	if cfg.BlockSize, err = textfmt.ParseSize(*blockSize); err != nil {
@@ -151,14 +152,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *parallel != 0 {
-		// Real-time pool observability (stderr, so -json output and golden
-		// traces stay byte-identical): aggregate closure time from a serial
-		// run is the Amdahl numerator for multi-core overlap.
-		fmt.Fprintf(os.Stderr, "intra-run pool: %d closures, %s aggregate closure time, peak %d in flight\n",
-			res.Pool.Dispatched, res.Pool.Busy.Round(time.Millisecond), res.Pool.MaxInFlight)
-	}
-
 	var prof *onepass.RunProfile
 	if tl != nil {
 		// Counter tracks (utilization, in-flight work) render in Perfetto
@@ -202,6 +195,7 @@ func main() {
 			Result      *onepass.Result `json:"result"`
 			Diagnostics diagnostics     `json:"diagnostics"`
 		}{res, diagnostics{Pool: poolStats{
+			Workers:     poolWidth,
 			Dispatched:  res.Pool.Dispatched,
 			MaxInFlight: res.Pool.MaxInFlight,
 			BusyMS:      float64(res.Pool.Busy) / float64(time.Millisecond),
@@ -239,8 +233,10 @@ func main() {
 		fmt.Printf("  %-28s %.0f\n", name, res.Counters.Get(name))
 	}
 	fmt.Println()
-	fmt.Printf("Pool: %d closures dispatched, peak %d in flight, %s aggregate closure time\n",
-		res.Pool.Dispatched, res.Pool.MaxInFlight, res.Pool.Busy.Round(time.Millisecond))
+	// Aggregate closure time over the wall clock of a serial run is the Amdahl
+	// numerator for what the pool can overlap.
+	fmt.Printf("Pool: %d workers, %d closures dispatched, peak %d in flight, %s aggregate closure time\n",
+		poolWidth, res.Pool.Dispatched, res.Pool.MaxInFlight, res.Pool.Busy.Round(time.Millisecond))
 	if len(res.Snapshots) > 0 {
 		fmt.Println()
 		fmt.Printf("Early answers: %d snapshots, first at %v\n", len(res.Snapshots), res.Snapshots[0].At)
@@ -431,6 +427,7 @@ func startHostMeter() (stop func() hostStats) {
 
 // poolStats mirrors sim.WorkStats for JSON consumers.
 type poolStats struct {
+	Workers     int     `json:"workers"`
 	Dispatched  int64   `json:"dispatched"`
 	MaxInFlight int64   `json:"max_in_flight"`
 	BusyMS      float64 `json:"busy_ms"`

@@ -18,7 +18,11 @@
 // counted comparisons, real hash tables, real spill files re-read from a
 // simulated disk — while a discrete-event simulator turns that work into
 // virtual time, per-second CPU/iowait/disk series, and task timelines.
-// A run is fully deterministic.
+// A run is fully deterministic. The real work uses the host's cores:
+// DefaultConfig sets Config.Parallelism to GOMAXPROCS, and the tasks' sorts,
+// merges, hash folds and reduce scans run on that many worker goroutines
+// beside the event loop without changing a byte of any result, trace or
+// counter (DESIGN.md §12); Parallelism = 1 forces a serial run.
 //
 // Quick start:
 //

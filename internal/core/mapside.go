@@ -114,24 +114,22 @@ func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 	// packing) is pure data work, so it rides inside the map task's pooled
 	// closure and overlaps the parse charge. The CPU charges and the
 	// CombineFlush trace events land after the join.
-	tj := rt.TaskJob(job)
-	fold := tj.Fold()
 	// A free-monoid element is no smaller than the values in it, so only a
 	// declared job combines before the shuffle.
-	mapCombined := fold.Declared()
+	mapCombined := job.Monoid != nil
 	R := job.Reducers
 	grouping := rt.TaskMemory(job)
 	var n int
 	var flushCounts []int
 	var frame *kv.PartitionFrame
 	var finalPairBytes int64
-	buf, err := rt.ExecuteMapWith(p, node, tj, b, hj.Partition, func(buf *kv.Buffer) {
+	buf, err := rt.ExecuteMapWith(p, node, job, b, hj.Partition, func(wj *engine.Job, buf *kv.Buffer) {
 		// Option (1), no combiner: the frame's single partitioning scan, no
 		// grouping at all. Option (2): the same scan over the combined pairs.
 		out := buf
 		if mapCombined {
 			n = buf.Len()
-			out, flushCounts = combineMapOutput(buf, R, fold, grouping)
+			out, flushCounts = combineMapOutput(buf, R, wj.Fold(), grouping)
 		}
 		finalPairBytes = out.Bytes()
 		frame = kv.PackPartitions(out, R, hj.Opts.ChunkBytes)

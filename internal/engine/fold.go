@@ -15,8 +15,11 @@ import (
 // give every engine, spill file and preserved partial one encoding to carry
 // until Reduce runs over them at the end.
 //
-// A Fold keeps scratch between calls: resolve one per task attempt, from the
-// TaskJob clone, and never share it between attempts that may run at once.
+// A Fold keeps scratch between calls, so like the user functions it belongs
+// to the thread that calls it (Runtime.StartJobWork): a pooled closure uses
+// wj.Fold(), its worker's; a task on the event loop resolves its own from the
+// job. Lift, Add and Merge keep no scratch — a kv.Monoid is stateless — so a
+// table built over an event-loop Fold may fold inside pooled closures.
 type Fold struct {
 	m      kv.Monoid
 	final  func(key, elem []byte, emit Emit)
@@ -27,8 +30,12 @@ type Fold struct {
 }
 
 // Fold resolves the job's aggregation contract. It is the one place a Job
-// turns into combiner, per-key state and finish behaviour.
+// turns into combiner, per-key state and finish behaviour. A pool worker's
+// clone returns the one Fold resolved when it was built.
 func (j *Job) Fold() *Fold {
+	if j.fold != nil {
+		return j.fold
+	}
 	f := &Fold{m: j.Monoid, reduce: j.Reduce, name: j.Name}
 	if fin, ok := j.Monoid.(interface {
 		Final(key, elem []byte, emit Emit)

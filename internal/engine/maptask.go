@@ -30,10 +30,10 @@ func (rt *Runtime) ExecuteMap(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.
 // inside the same dispatched closure as the map loop, so with the worker
 // pool enabled it overlaps other tasks' virtual I/O and compute. post must
 // follow the StartWork ownership rules — no Runtime, Proc, or shared-
-// scratch access — and job should be the per-task clone from TaskJob when
-// the pool is on. The CPU charges for whatever post did are the caller's
-// responsibility, after this returns.
-func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner, post func(*kv.Buffer)) (*kv.Buffer, error) {
+// scratch access — and reach the job's functions and Fold only through the
+// wj it is handed (see StartJobWork). The CPU charges for whatever post did
+// are the caller's responsibility, after this returns.
+func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner, post func(wj *Job, buf *kv.Buffer)) (*kv.Buffer, error) {
 	costs := job.Costs.Merged()
 	data, err := rt.DFS.ReadBlock(p, b, node.ID)
 	if err != nil {
@@ -51,18 +51,18 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	records := 0
 	var outBytes int64
 	var delta metrics.Delta
-	work := rt.StartJobWork(p, job, func() {
+	work := rt.StartJobWork(p, job, func(wj *Job) {
 		emit := func(key, val []byte) {
 			pt := part(key, job.Reducers)
 			buf.Add(pt, key, val)
 			outBytes += int64(len(key) + len(val))
 		}
-		job.Reader(data, func(rec []byte) {
+		wj.Reader(data, func(rec []byte) {
 			records++
-			job.Map(rec, emit)
+			wj.Map(rec, emit)
 		})
 		if post != nil {
-			post(buf)
+			post(wj, buf)
 		}
 		// Counter increments stay in the closure's own delta — never the
 		// shared Counters bag, whose summation order would then depend on

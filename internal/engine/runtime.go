@@ -52,6 +52,10 @@ type Runtime struct {
 	freeBufs      []*kv.Buffer
 	unstartedMaps int
 
+	// workerJobs[w] is pool worker w's clone of the job (see StartJobWork).
+	// The slice is made on the event loop; slot w is worker w's alone.
+	workerJobs []workerJob
+
 	CPUUtil      *metrics.Series
 	Iowait       *metrics.Series
 	BytesRead    *metrics.Series
@@ -147,40 +151,50 @@ func NewRuntimeSampled(env *sim.Env, c *cluster.Cluster, d *dfs.DFS, sample sim.
 	return rt
 }
 
-// TaskJob returns the job a single task attempt should call user functions
-// through. With the worker pool disabled (or when the job supplies no Fresh
-// factory) it is the job itself; with the pool enabled it is a copy whose
-// user functions come from an independent Fresh() construction, so scratch
-// buffers those functions keep across calls are owned by exactly one
-// concurrently-running task. Engines call it once per owner (map attempt,
-// reduce side), not per work item.
-func (rt *Runtime) TaskJob(job *Job) *Job {
-	if job.Fresh == nil || rt.Env.Workers() <= 1 {
-		return job
+// StartJobWork dispatches fn — pure data work that calls job's user
+// functions — and returns the handle to join before reading its results.
+// Scratch belongs to the executing thread: fn must reach the user functions
+// (and the job's Fold) only through wj, which on the pool is the executing
+// worker's own Fresh() clone of job and inline is job itself.
+//
+// A worker builds its clone at its first closure and keeps it for the run —
+// its Fold resolved once, on the clone — so at most Env.Workers() clones
+// exist, however many tasks there are. Code on the event loop (a snapshot
+// merge, a Finish at emit time) calls through job, which no pooled closure
+// touches. A job without Fresh makes no such promise about its functions, so
+// its closures run inline.
+func (rt *Runtime) StartJobWork(p *sim.Proc, job *Job, fn func(wj *Job)) *sim.Work {
+	switch {
+	case job.Fresh == nil:
+		return sim.Do(func() { fn(job) })
+	case rt.Env.Workers() <= 1:
+		return p.StartWork(func() { fn(job) })
 	}
-	fresh := job.Fresh()
-	clone := *job
-	clone.Reader = fresh.Reader
-	clone.Map = fresh.Map
-	clone.Reduce = fresh.Reduce
-	// The monoid tracks the job's current declaration, not Fresh's: a runner
-	// that stripped it (the checker's monoid-off axis, a combiner-off A/B
-	// run) must see it stay stripped on every task clone.
-	if job.Monoid != nil {
-		clone.Monoid = fresh.Monoid
+	if rt.workerJobs == nil {
+		rt.workerJobs = make([]workerJob, rt.Env.Workers())
 	}
-	return &clone
+	return p.StartWorkOn(func(worker int) { fn(rt.workerJobs[worker].clone(job)) })
 }
 
-// StartJobWork dispatches fn — pure data work that calls job's user
-// functions — to the worker pool when the job declares those functions
-// pool-safe via Fresh, and runs it inline otherwise. Either way the caller
-// gets a Work handle to join before reading fn's results.
-func (rt *Runtime) StartJobWork(p *sim.Proc, job *Job, fn func()) *sim.Work {
-	if job.Fresh == nil {
-		return sim.Do(fn)
+// workerJob is one pool worker's clone of a job. Only that worker touches it.
+type workerJob struct{ of, wj *Job }
+
+func (w *workerJob) clone(job *Job) *Job {
+	if w.of == job {
+		return w.wj
 	}
-	return p.StartWork(fn)
+	fresh := job.Fresh()
+	wj := *job
+	wj.Reader, wj.Map, wj.Reduce = fresh.Reader, fresh.Map, fresh.Reduce
+	// The monoid tracks the job's current declaration, not Fresh's: a runner
+	// that stripped it (the checker's monoid-off axis, a combiner-off A/B
+	// run) must see it stay stripped on every clone.
+	if job.Monoid != nil {
+		wj.Monoid = fresh.Monoid
+	}
+	wj.fold = wj.Fold()
+	w.of, w.wj = job, &wj
+	return &wj
 }
 
 // AcquireBuffer returns an empty map-output buffer, recycled from the free

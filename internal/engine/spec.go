@@ -102,11 +102,16 @@ type Job struct {
 	// Fresh, when set, returns an independently-constructed copy of this job
 	// whose user functions (Reader, Map, Reduce, Monoid) share no
 	// scratch state with any other copy. Parallel intra-run execution uses it
-	// to give every concurrently-running task its own function instances;
-	// without it, tasks whose user functions might keep scratch buffers run
-	// inline on the event loop instead of on the worker pool. Jobs whose
-	// functions are stateless may leave it nil.
+	// to give every pool worker its own function instances — each worker
+	// calls it once, from its own goroutine, so it must be safe to call
+	// concurrently; without it, a job's data work runs inline on the event
+	// loop instead of on the worker pool, since its user functions might keep
+	// scratch buffers.
 	Fresh func() Job
+
+	// fold is set only on a pool worker's clone: the Fold resolved once for
+	// that worker (see Runtime.StartJobWork).
+	fold *Fold
 }
 
 // Validate checks the spec for the common mistakes.

@@ -49,11 +49,6 @@ var Plan = &engine.Plan{
 // and post-failure re-execution.
 func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) *engine.MapOutput {
 	rt, job, costs := j.RT, j.Job, j.Costs
-	// tj is this attempt's own view of the user functions (see TaskJob):
-	// the sort and combine below run inside the pooled map closure, where
-	// scratch shared with a concurrent attempt would race.
-	tj := rt.TaskJob(job)
-	combine := tj.Fold().Combiner()
 	// Sort the map output buffer on (partition, key) — the CPU cost of
 	// Table II's "Sorting" row, measured from real comparisons — and apply
 	// the combiner, all inside the map-task closure; the charges land after
@@ -61,17 +56,17 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 	var cmps int64
 	var rawBytes int64
 	var combined *kv.Buffer
-	if combine != nil {
+	if job.Monoid != nil {
 		// Taken here, on the event loop: the closure below may not touch the
 		// runtime's free list.
 		combined = rt.AcquireBuffer(0)
 	}
 	combineInputs := 0
-	buf, err := rt.ExecuteMapWith(p, node, tj, b, j.Partition, func(buf *kv.Buffer) {
+	buf, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
 		buf.SortByPartitionKey(&cmps)
 		rawBytes = buf.Bytes()
 		if combined != nil {
-			combineInputs = engine.CombineSorted(combine, buf, combined)
+			combineInputs = engine.CombineSorted(wj.Fold().Combiner(), buf, combined)
 		}
 	})
 	if err != nil {

@@ -27,25 +27,18 @@ type ReduceSide struct {
 	Merger   *sortmerge.Merger
 	Acc      *sortmerge.Accumulator
 	spillSeq int
-
-	// combine is this reduce side's combiner (nil for an undeclared job),
-	// resolved once on the per-task job clone so the fold's scratch is owned
-	// by exactly this task.
-	combine engine.ReduceFunc
 }
 
-// NewReduceSide builds the spill/merge state for reducer r on node. The
-// reduce side keeps its own TaskJob view of the user functions: its spill
-// combines and reduce scans run inside pooled closures, concurrent with
-// other tasks'.
+// NewReduceSide builds the spill/merge state for reducer r on node. Its
+// spill combines and reduce scans run inside pooled closures, through the
+// executing worker's view of the job (engine.Runtime.StartJobWork).
 func NewReduceSide(rt *engine.Runtime, job *engine.Job, costs engine.CostModel,
 	node *cluster.Node, r, fanIn int) *ReduceSide {
 	rs := &ReduceSide{
-		rt: rt, job: rt.TaskJob(job), costs: costs, node: node, r: r,
+		rt: rt, job: job, costs: costs, node: node, r: r,
 		Merger: sortmerge.NewMerger(node.ScratchStore(), fmt.Sprintf("%s/red-%04d", job.Name, r), fanIn),
 		Acc:    sortmerge.NewAccumulator(rt.TaskMemory(job)),
 	}
-	rs.combine = rs.job.Fold().Combiner()
 	// A merge pass rewrites its inputs verbatim, so its serialization cost
 	// is known before the merge runs; charging it through the hook overlaps
 	// the pooled merge work (MergePass below then charges only comparisons).
@@ -54,9 +47,6 @@ func NewReduceSide(rt *engine.Runtime, job *engine.Job, costs engine.CostModel,
 	}
 	return rs
 }
-
-// Job returns the reduce side's (possibly per-task) view of the job.
-func (rs *ReduceSide) Job() *engine.Job { return rs.job }
 
 // Add buffers one sorted segment; when the buffer exceeds its budget it is
 // spilled and background multi-pass merges run as needed.
@@ -89,7 +79,8 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 	var out []byte
 	var cmps int64
 	combineInputs := 0
-	work := rs.rt.StartJobWork(p, rs.job, func() {
+	combines := rs.job.Monoid != nil
+	work := rs.rt.StartJobWork(p, rs.job, func(wj *engine.Job) {
 		streams := make([]kv.PairStream, len(segs))
 		for i, s := range segs {
 			streams[i] = kv.NewSliceStream(s)
@@ -100,12 +91,13 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 		emit := func(k, v []byte) {
 			out = kv.AppendPair(out, k, v)
 		}
-		if rs.combine != nil {
+		if combines {
 			// The segments are fixed in-memory buffers, so groups may alias
 			// them instead of copying every value.
 			g := kv.Grouper{Alias: true}
+			partial := wj.Fold().Combiner()
 			combine := func(key []byte, vals [][]byte) {
-				rs.combine(key, vals, emit)
+				partial(key, vals, emit)
 				combineInputs += len(vals)
 			}
 			kv.MergeStreams(streams, &cmps, func(k, v []byte) {
@@ -116,13 +108,13 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 			kv.MergeStreams(streams, &cmps, emit)
 		}
 	})
-	if rs.combine == nil {
+	if !combines {
 		// Without a combiner the spill rewrites its input verbatim, so the
 		// serialization charge is known up front and overlaps the merge.
 		rs.node.Compute(p, engine.Dur(float64(bufBytes), rs.costs.SerializeNsPerByte), engine.PhaseMerge)
 	}
 	work.Wait()
-	if rs.combine != nil {
+	if combines {
 		rs.node.Compute(p, engine.Dur(float64(combineInputs), rs.costs.CombineNsPerRecord), engine.PhaseCombine)
 		rs.node.Compute(p, engine.Dur(float64(cmps), rs.costs.CompareNs)+
 			engine.Dur(float64(len(out)), rs.costs.SerializeNsPerByte), engine.PhaseMerge)
@@ -203,7 +195,7 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 	}
 	var staged []byte
 	var cmps int64
-	work := rs.rt.StartJobWork(p, rs.job, func() {
+	work := rs.rt.StartJobWork(p, rs.job, func(wj *engine.Job) {
 		streams := make([]kv.PairStream, 0, len(datas)+len(segs))
 		for _, d := range datas {
 			streams = append(streams, kv.NewSliceStream(d))
@@ -211,7 +203,7 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 		for _, s := range segs {
 			streams = append(streams, kv.NewSliceStream(s))
 		}
-		cmps, _ = MergeGroupReduce(streams, rs.job, func(k, v []byte) {
+		cmps, _ = MergeGroupReduce(streams, wj, func(k, v []byte) {
 			staged = kv.AppendPair(staged, k, v)
 		})
 	})

@@ -54,21 +54,36 @@ var Plan = &engine.Plan{
 // chunkBytes, so a recovery attempt over the same block regenerates
 // byte-identical chunks under the same (task, seq) identities.
 func mapChunks(buf *kv.Buffer, reducers int, chunkBytes int64, deliver func(r, seq int, idxs []int)) {
-	idxByPart := make([][]int, reducers)
+	// Every chunk's index list is cut from one slab: a counting pass gives
+	// partition r the region slab[open[r]:…], which its chunks divide in
+	// order, each one open[r]:end[r] while it fills.
+	n := buf.Len()
+	open := make([]int, reducers)
+	end := make([]int, reducers)
+	for i := 0; i < n; i++ {
+		end[buf.Partition(i)]++
+	}
+	off := 0
+	for r, count := range end {
+		open[r], end[r] = off, off
+		off += count
+	}
+	slab := make([]int, n)
 	bytesByPart := make([]int64, reducers)
 	seqByPart := make([]int, reducers)
 	seal := func(r int) {
-		if len(idxByPart[r]) == 0 {
+		if open[r] == end[r] {
 			return
 		}
-		deliver(r, seqByPart[r], idxByPart[r])
+		deliver(r, seqByPart[r], slab[open[r]:end[r]:end[r]])
 		seqByPart[r]++
-		idxByPart[r] = nil
+		open[r] = end[r]
 		bytesByPart[r] = 0
 	}
-	for i := 0; i < buf.Len(); i++ {
+	for i := 0; i < n; i++ {
 		r := buf.Partition(i)
-		idxByPart[r] = append(idxByPart[r], i)
+		slab[end[r]] = i
+		end[r]++
 		bytesByPart[r] += int64(len(buf.Key(i)) + len(buf.Val(i)))
 		if bytesByPart[r] >= chunkBytes {
 			seal(r)
@@ -99,6 +114,13 @@ type encodedChunk struct {
 // combine inputs, and serialize bytes at the delivery point via chargeChunk.
 func sortEncodeChunk(buf *kv.Buffer, idxs []int, combine engine.ReduceFunc) (c encodedChunk) {
 	buf.SortIndices(idxs, &c.cmps)
+	// The chunk is made at its encoded size: exact without a combiner, and
+	// with one the raw size, which combining only shrinks.
+	size := 0
+	for _, i := range idxs {
+		size += kv.EncodedSize(buf.Key(i), buf.Val(i))
+	}
+	c.Data = make([]byte, 0, size)
 	emit := func(k, v []byte) {
 		c.Data = kv.AppendPair(c.Data, k, v)
 		c.pairBytes += int64(len(k) + len(v))
@@ -182,9 +204,8 @@ func pushChunk(j *engine.JobRun, p *sim.Proc, node *cluster.Node, c kv.Chunk, ta
 // so they ride inside the map task's pooled closure and overlap the parse
 // charge; the caller charges each chunk at its delivery point.
 func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []encodedChunk, rawBytes int64) {
-	tj := j.RT.TaskJob(j.Job)
-	combine := tj.Fold().Combiner()
-	buf, err := j.RT.ExecuteMapWith(p, node, tj, b, j.Partition, func(buf *kv.Buffer) {
+	buf, err := j.RT.ExecuteMapWith(p, node, j.Job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
+		combine := wj.Fold().Combiner()
 		mapChunks(buf, j.Job.Reducers, j.Opts.ChunkBytes, func(r, seq int, idxs []int) {
 			if already != nil && seq < already[r] {
 				return
@@ -305,10 +326,10 @@ func emitSnapshot(j *engine.JobRun, p *sim.Proc, node *cluster.Node, rs *hadoop.
 	streams = append(streams, rs.Acc.PeekStreams()...)
 	pairs := 0
 	sink := newSnapshotSink(rt, p, node, j.Job, r, frac)
-	// Use the reduce side's per-task job clone so the snapshot's group/reduce
-	// functions are the same instances the final merge will use, never the
-	// shared originals that other tasks' pooled closures may be exercising.
-	cmps, inputs := hadoop.MergeGroupReduce(streams, rs.Job(), func(k, v []byte) {
+	// This merge runs on the event loop (its streams charge disk reads as they
+	// refill), so it reduces through the job itself: pooled closures only ever
+	// exercise their workers' clones.
+	cmps, inputs := hadoop.MergeGroupReduce(streams, j.Job, func(k, v []byte) {
 		pairs++
 		sink.write(k, v)
 	})

@@ -28,30 +28,37 @@ type ref struct {
 }
 
 // sortEntry is the 16-byte sort element: the pair's partition, its key's
-// first eight bytes as a big-endian integer (the "normalized key"), and the
-// pair's index in refs. (part, prefix) decides almost every comparison as
-// two integer compares; the key bytes behind idx are read only when both
-// tie.
+// normalized prefix (keyPrefix), and the pair's index in refs. (part, prefix)
+// decides almost every comparison as two integer compares; the key bytes
+// behind idx are read only when both tie on keys longer than the prefix
+// holds.
 type sortEntry struct {
 	prefix uint64
 	part   int32
 	idx    int32
 }
 
-// keyPrefix returns k's first eight bytes as a big-endian integer, zero-
-// padded on the right. Unequal prefixes order exactly as the keys do under
-// bytes.Compare; equal prefixes decide nothing (a key may end in the zero
-// bytes the padding adds), so the caller falls back to the full keys.
+// keyPrefix returns k's normalized key: its first seven bytes, big-endian
+// and zero-padded on the right, above a low byte holding min(len(k), 8).
+// Unequal prefixes order exactly as the keys do under bytes.Compare — where
+// the seven bytes tie, the shorter key is the longer one's prefix followed by
+// zero bytes, and sorts first as its smaller length byte says. Equal prefixes
+// with prefixDecides mean equal keys; otherwise both keys run past the seven
+// bytes and the caller falls back to comparing them in full.
 func keyPrefix(k []byte) uint64 {
 	if len(k) >= 8 {
-		return binary.BigEndian.Uint64(k)
+		return binary.BigEndian.Uint64(k)&^0xff | 8
 	}
-	var p uint64
+	p := uint64(len(k))
 	for i, c := range k {
 		p |= uint64(c) << (56 - 8*uint(i))
 	}
 	return p
 }
+
+// prefixDecides reports whether p holds its whole key (at most seven bytes),
+// so that a key with an equal prefix is an equal key.
+func prefixDecides(p uint64) bool { return p&0xff < 8 }
 
 // NewBuffer returns an empty buffer with an initial byte capacity hint.
 func NewBuffer(capBytes int) *Buffer {
@@ -171,9 +178,11 @@ func (b *Buffer) sortEntries(es []sortEntry, counter *int64) {
 		if x.prefix != y.prefix {
 			return cmp.Compare(x.prefix, y.prefix)
 		}
-		rx, ry := b.refs[x.idx], b.refs[y.idx]
-		if c := bytes.Compare(b.data[rx.off:rx.off+rx.klen], b.data[ry.off:ry.off+ry.klen]); c != 0 {
-			return c
+		if !prefixDecides(x.prefix) {
+			rx, ry := b.refs[x.idx], b.refs[y.idx]
+			if c := bytes.Compare(b.data[rx.off:rx.off+rx.klen], b.data[ry.off:ry.off+ry.klen]); c != 0 {
+				return c
+			}
 		}
 		return cmp.Compare(x.idx, y.idx)
 	})

@@ -176,8 +176,10 @@ func MergeStreams(streams []PairStream, counter *int64, emit func(key, val []byt
 		if ha.prefix != hb.prefix {
 			return ha.prefix < hb.prefix
 		}
-		if c := bytes.Compare(ha.key, hb.key); c != 0 {
-			return c < 0
+		if !prefixDecides(ha.prefix) {
+			if c := bytes.Compare(ha.key, hb.key); c != 0 {
+				return c < 0
+			}
 		}
 		return a < b
 	}

@@ -181,9 +181,11 @@ func checkSortMatchesReference(t *testing.T, pairs []testPair) {
 
 // adversarialKeys are the keys the normalized-key prefix could get wrong:
 // shared 8-byte prefixes, keys shorter than the prefix, zero bytes that the
-// prefix padding imitates, the empty key.
+// prefix padding imitates, the empty key, and — for the length byte under the
+// seven prefix bytes — keys of 7, 8 and 9 bytes that share their first seven.
 var adversarialKeys = []string{
 	"", "\x00", "\x00\x00", "a", "a\x00", "a\x00\x00", "ab", "abcdefg", "abcdefg\x00",
+	"abcdefg\x00\x00", "abc\x00\x00\x00", "abc\x00\x00\x00\x00", "abcdefgz", "abcdefghi",
 	"abcdefgh", "abcdefgh\x00", "abcdefgha", "abcdefghb", "abcdefgh\xff", "abcdefgi",
 	"abcdefg\xff", "\xff", "\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\x00",
 	"u1234567", "u12345678", "u123456789", "u1234566", "u123456",

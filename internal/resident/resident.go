@@ -91,17 +91,17 @@ var Plan = &engine.Plan{
 // caller charges serialization at each chunk's delivery point.
 func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) (chunks []kv.Chunk, rawBytes, finalPairBytes int64) {
 	rt, job, costs := j.RT, j.Job, j.Costs
-	tj := rt.TaskJob(job)
-	fold := tj.Fold()
+	declared := job.Monoid != nil
 	R := job.Reducers
 	var n int
-	buf, err := rt.ExecuteMapWith(p, node, tj, b, j.Partition, func(buf *kv.Buffer) {
+	buf, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
 		out := buf
-		if fold.Declared() {
+		if declared {
 			// Map-side folding: per-partition insertion-ordered hash tables
 			// of elements — the resident analogue of the hash engines'
 			// map-side combining, lit up for every workload that declares a
 			// monoid.
+			fold := wj.Fold()
 			tables := make([]*foldTable, R)
 			for r := range tables {
 				tables[r] = newFoldTable(fold)
@@ -125,7 +125,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 	if err != nil {
 		panic(fmt.Sprintf("resident: %v", err))
 	}
-	if fold.Declared() {
+	if declared {
 		node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord), engine.PhaseCombine)
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
@@ -239,8 +239,9 @@ func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostMo
 // memory-resident DFS file for the next job in the chain to map over.
 func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sinks []*partSink) {
 	rt, job, costs, oc, pc := j.RT, j.Job, j.Costs, j.OC, j.Channels[r]
-	tj := rt.TaskJob(job)
-	table := newFoldTable(tj.Fold())
+	// The table folds inside pooled closures and finishes on the event loop;
+	// only the finish touches the Fold's scratch, so the task's own serves both.
+	table := newFoldTable(job.Fold())
 	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
 	rt.Emit(trace.PhaseStart, engine.SpanShuffle, node.ID, r, 0)
 	for {

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Event-loop invariant: the resume order is the (at, seq) order; a self-wake
@@ -205,11 +204,5 @@ func TestRunEndsSuspendedProcessesOnPanic(t *testing.T) {
 
 	// A coroutine's goroutine is gone by the time stop returns; the retry
 	// only rides out unrelated runtime goroutines winding down.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines: %d before, %d after two recovered runs", before, after)
-	}
+	goroutinesSettleAt(t, before)
 }

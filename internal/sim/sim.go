@@ -131,12 +131,15 @@ type Env struct {
 	// resources lists every Resource ever created on this environment, in
 	// creation order, so leak audits can verify all units were released.
 	resources []*Resource
-	// Worker pool for pure data work (see work.go). workSem is nil when the
-	// pool is disabled; pendingWork counts dispatched-but-unjoined closures
-	// across all processes so Run can assert the pool drained.
-	workSem     chan struct{}
+	// Worker pool for pure data work (see work.go). workers <= 1 means
+	// inline; pool is the running Run's goroutines, nil until its first
+	// pooled dispatch; pendingWork counts dispatched-but-unjoined closures
+	// across all processes so Run can assert the pool drained; freeWork
+	// recycles joined handles. All four are touched on the event loop only.
 	workers     int
+	pool        *workPool
 	pendingWork int
+	freeWork    []*Work
 	// Pool observability (WorkStats): updated from worker goroutines, hence
 	// atomic; real-time only, never read back into simulation state.
 	workDispatched  atomic.Int64
@@ -265,7 +268,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 // Run executes events until none remain. It panics if processes are still
 // blocked when the event queue drains (a deadlock) so that engine bugs
 // surface loudly in tests, and re-raises a process's panic or Goexit on the
-// caller's goroutine; either way it first unwinds and ends every other one.
+// caller's goroutine; either way it first unwinds and ends every other one,
+// then stops the worker goroutines StartWork started.
 func (e *Env) Run() {
 	if e.inRun {
 		panic("sim: Run called reentrantly")
@@ -277,6 +281,7 @@ func (e *Env) Run() {
 			delete(e.live, p)
 			p.stop()
 		}
+		e.stopWorkers()
 	}()
 	for len(e.events) > 0 {
 		ev := e.events.pop()

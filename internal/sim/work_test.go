@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // With the pool disabled, StartWork must run the closure inline, before it
@@ -184,8 +186,8 @@ func TestWorkStats(t *testing.T) {
 		if ws.MaxInFlight > int64(workers) {
 			t.Errorf("workers=%d: MaxInFlight = %d exceeds pool width", workers, ws.MaxInFlight)
 		}
-		if workers == 1 && ws.MaxInFlight != 0 {
-			t.Errorf("serial run reported %d in flight, want 0 (inline path)", ws.MaxInFlight)
+		if workers == 1 && ws.MaxInFlight != 1 {
+			t.Errorf("serial run reported a peak of %d in flight, want 1 (inline path)", ws.MaxInFlight)
 		}
 	}
 	var acc WorkStats
@@ -227,5 +229,153 @@ func TestInlineWorkAllocatesNothing(t *testing.T) {
 	}
 	if n != 2*101 {
 		t.Fatalf("closure ran %d times, want %d", n, 2*101)
+	}
+}
+
+// A warm pooled dispatch recycles its handle and queue slot: nothing is
+// allocated beyond the closure the caller brings.
+func TestPooledWorkAllocatesNothing(t *testing.T) {
+	e := New()
+	e.SetWorkers(2)
+	n := 0
+	fn := func() { n++ }
+	fnOn := func(int) { n++ }
+	e.Go("p", func(p *Proc) {
+		if avg := testing.AllocsPerRun(100, func() { p.StartWork(fn).Wait() }); avg != 0 {
+			t.Errorf("pooled StartWork + Wait allocates %.1f/op, budget 0", avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { p.StartWorkOn(fnOn).Wait() }); avg != 0 {
+			t.Errorf("pooled StartWorkOn + Wait allocates %.1f/op, budget 0", avg)
+		}
+	})
+	e.Run()
+	if n != 2*101 {
+		t.Fatalf("closure ran %d times, want %d", n, 2*101)
+	}
+}
+
+// goroutinesSettleAt waits for the goroutine count to come back down to
+// want: a worker that has signalled its exit is still counted until the
+// scheduler retires it.
+func goroutinesSettleAt(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, want the %d from before the run", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// The workers belong to a Run: they are gone when it returns, when a process
+// panics with closures still queued and executing, and a later Run on the
+// same Env starts its own.
+func TestWorkersStopWithRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New()
+	e.SetWorkers(3)
+	for round := 0; round < 2; round++ {
+		sum := 0
+		e.Go("p", func(p *Proc) {
+			w := p.StartWork(func() { sum = 42 })
+			p.Sleep(Millisecond)
+			w.Wait()
+		})
+		e.Run()
+		if sum != 42 {
+			t.Fatalf("round %d: closure did not run", round)
+		}
+		goroutinesSettleAt(t, before)
+	}
+
+	e = New()
+	e.SetWorkers(2)
+	release := make(chan struct{})
+	e.Go("dispatcher", func(p *Proc) {
+		for i := 0; i < 8; i++ { // two execute, six stay queued
+			p.StartWork(func() { <-release })
+		}
+		p.Sleep(Second)
+	})
+	e.Go("failing", func(p *Proc) {
+		p.Sleep(Millisecond)
+		close(release)
+		panic("process failed")
+	})
+	func() {
+		defer func() {
+			if r := recover(); fmt.Sprint(r) != "process failed" {
+				t.Errorf("Run panicked with %v, want the process's panic", r)
+			}
+		}()
+		e.Run()
+	}()
+	goroutinesSettleAt(t, before)
+}
+
+// StartWorkOn hands each closure a worker index below Workers() that no two
+// closures executing at the same time share — what lets state be owned by
+// the worker. Run it under -race: the per-worker slots are unsynchronized.
+func TestStartWorkOnWorkersAreExclusive(t *testing.T) {
+	const workers, n = 4, 200
+	e := New()
+	e.SetWorkers(workers)
+	var busy [workers]atomic.Int32
+	var slots [workers]int
+	e.Go("p", func(p *Proc) {
+		works := make([]*Work, n)
+		for i := range works {
+			works[i] = p.StartWorkOn(func(worker int) {
+				if busy[worker].Add(1) != 1 {
+					t.Errorf("worker %d executes two closures at once", worker)
+				}
+				slots[worker]++
+				runtime.Gosched()
+				busy[worker].Add(-1)
+			})
+		}
+		for _, w := range works {
+			w.Wait()
+		}
+	})
+	e.Run()
+	total := 0
+	for _, c := range slots {
+		total += c
+	}
+	if total != n {
+		t.Errorf("%d closures ran, want %d", total, n)
+	}
+
+	e = New() // pool disabled: the submitting goroutine is worker 0
+	e.Go("p", func(p *Proc) {
+		p.StartWorkOn(func(worker int) {
+			if worker != 0 {
+				t.Errorf("inline closure ran as worker %d, want 0", worker)
+			}
+		}).Wait()
+	})
+	e.Run()
+}
+
+// A closure that ends its goroutine (t.FailNow from a helper, say) must
+// neither hang its join nor cost the pool a worker.
+func TestWorkerSurvivesGoexit(t *testing.T) {
+	e := New()
+	e.SetWorkers(2)
+	ran := 0
+	e.Go("p", func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			p.StartWork(runtime.Goexit).Wait()
+		}
+		works := []*Work{p.StartWork(func() { ran++ }), p.StartWork(func() {})}
+		for _, w := range works {
+			w.Wait()
+		}
+	})
+	e.Run()
+	if ran != 1 {
+		t.Fatalf("closure after the Goexits ran %d times, want 1", ran)
 	}
 }

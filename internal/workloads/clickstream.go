@@ -58,18 +58,29 @@ type sessionClick struct {
 // sessionizeReducer returns a reducer that sorts one user's clicks by time
 // and splits them into sessions at SessionGap boundaries, emitting the
 // reordered log: "ts@url,ts@url|ts@url" with '|' separating sessions. The
-// clicks and output buffers persist across keys to avoid per-key churn.
+// clicks and output buffers persist across keys to avoid per-key churn, and
+// grow straight to the size a group needs: a hot user's group is a large
+// share of its partition, and reaching it by append's growth steps allocates
+// several times its size — once per copy of the reducer (Job.Fresh).
 func sessionizeReducer() engine.ReduceFunc {
 	var clicks []sessionClick
 	var out []byte
 	return func(key []byte, vals [][]byte, emit engine.Emit) {
+		if cap(clicks) < len(vals) {
+			clicks = make([]sessionClick, 0, len(vals))
+		}
 		clicks = clicks[:0]
+		outLen := 0 // a click is written as long as it was read: ' ' becomes '@', plus a separator
 		for _, v := range vals {
 			sp := bytes.IndexByte(v, ' ')
 			if sp < 0 {
 				continue
 			}
 			clicks = append(clicks, sessionClick{ts: parseUint(v[:sp]), url: v[sp+1:]})
+			outLen += len(v) + 1
+		}
+		if cap(out) < outLen {
+			out = make([]byte, 0, outLen)
 		}
 		slices.SortFunc(clicks, func(a, b sessionClick) int {
 			if a.ts != b.ts {

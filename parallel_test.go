@@ -3,12 +3,14 @@ package onepass
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
 // parallelRun executes one audited, traced run at the given intra-run pool
-// width and returns the JSON-serialized result plus the Chrome trace bytes.
-func parallelRun(t *testing.T, e Engine, w *Workload, workers int) ([]byte, []byte) {
+// width and returns the result, its JSON serialization and the Chrome trace
+// bytes.
+func parallelRun(t *testing.T, e Engine, w *Workload, workers int) (*Result, []byte, []byte) {
 	t.Helper()
 	cfg := tinyConfig(e)
 	cfg.Audit = true
@@ -27,14 +29,15 @@ func parallelRun(t *testing.T, e Engine, w *Workload, workers int) ([]byte, []by
 	if err := tl.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return rj, buf.Bytes()
+	return res, rj, buf.Bytes()
 }
 
 // The tentpole invariant: running real data work on a pool of worker
 // goroutines must be unobservable inside the simulation. For every engine,
 // serial and pooled runs must serialize to byte-identical results (output
 // checksum, counters, makespan, CPU phase accounting) and byte-identical
-// Chrome traces, with the runtime invariant audits armed throughout.
+// Chrome traces, with the runtime invariant audits armed throughout — at
+// explicit widths and at the width DefaultConfig picks for this host.
 func TestParallelIntraRunByteIdentical(t *testing.T) {
 	workloads := []struct {
 		name string
@@ -47,9 +50,9 @@ func TestParallelIntraRunByteIdentical(t *testing.T) {
 	}
 	for _, wl := range workloads {
 		for _, e := range Engines() {
-			baseRes, baseTrace := parallelRun(t, e, wl.make(), 0)
-			for _, workers := range []int{1, 4} {
-				res, trace := parallelRun(t, e, wl.make(), workers)
+			_, baseRes, baseTrace := parallelRun(t, e, wl.make(), 1)
+			for _, workers := range []int{0, 4, DefaultConfig().Parallelism} {
+				_, res, trace := parallelRun(t, e, wl.make(), workers)
 				if !bytes.Equal(res, baseRes) {
 					t.Errorf("%v/%s: result at parallelism %d differs from serial:\n  serial:   %s\n  parallel: %s",
 						e, wl.name, workers, firstDiff(baseRes, res), firstDiff(res, baseRes))
@@ -61,6 +64,22 @@ func TestParallelIntraRunByteIdentical(t *testing.T) {
 			}
 		}
 	}
+	// DefaultConfig sizes the pool to the host, so on one core it must
+	// resolve to the inline path: at most one closure at a time.
+	t.Run("GOMAXPROCS=1", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		workers := DefaultConfig().Parallelism
+		if workers != 1 {
+			t.Fatalf("DefaultConfig().Parallelism = %d, want 1", workers)
+		}
+		for _, e := range Engines() {
+			res, _, _ := parallelRun(t, e, Sessionization(tinyClicks()), workers)
+			if res.Pool.Dispatched == 0 || res.Pool.MaxInFlight > 1 {
+				t.Errorf("%v: %d closures dispatched, peak %d in flight, want an inline run",
+					e, res.Pool.Dispatched, res.Pool.MaxInFlight)
+			}
+		}
+	})
 }
 
 // firstDiff returns a short window of a around the first byte where a and b
