@@ -13,7 +13,9 @@ import (
 // preserved entry (one (block, key) partial or cached final in a merge
 // input). The map-per-entry containers this replaced (retained-output maps,
 // block → key → partial maps, a key → blocks map per merge) cost several
-// objects per entry each: 9.5 and 6.0 here, against 4.5 and 0.2.
+// objects per entry each: 9.5 and 6.0 here, against 0.3 and 0.2 — the
+// engines' own per-key state is arena memory too (memtable.Table), so neither
+// side of a RunDelta allocates per key.
 func TestRunDeltaAllocationProportional(t *testing.T) {
 	cc := tinyClicks()
 	cc.Users = 5000
@@ -22,9 +24,7 @@ func TestRunDeltaAllocationProportional(t *testing.T) {
 		w      *Workload
 		bound  float64
 	}{
-		// The resident engine's own fold tables still allocate ~4 objects per
-		// key (ROADMAP item 2's other half); the glue adds a fraction of one.
-		{Resident, PerUserCount(cc), 6},
+		{Resident, PerUserCount(cc), 1},
 		{Hadoop, Sessionization(cc), 1},
 	}
 	for _, tc := range cases {

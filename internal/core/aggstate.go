@@ -27,12 +27,11 @@ const (
 )
 
 // stateTable maps keys to aggregation states — the elements of the job's
-// engine.Fold — with byte-accurate memory accounting. Keys live in a memtable
-// arena (the paper's byte-array memory management); states are byte strings
-// indexed through the table value.
+// engine.Fold — with byte-accurate memory accounting. Keys and states both
+// live in a memtable arena (the paper's byte-array memory management), behind
+// one memtable.Table; what this type adds is the budget bookkeeping.
 type stateTable struct {
 	tbl        *memtable.Table
-	states     [][]byte
 	stateBytes int64
 	// keyBytes tracks live keys' byte volume. Budget accounting uses live
 	// bytes rather than the arena's cumulative allocation: evicted keys'
@@ -42,7 +41,9 @@ type stateTable struct {
 	agg      *engine.Fold
 }
 
-// stateSliceOverhead approximates per-state slice bookkeeping.
+// stateSliceOverhead approximates per-state bookkeeping. Like entrySlotCost
+// it is a term of the virtual memory model — what a task's budget is charged
+// per key — not a measurement of the table's layout.
 const stateSliceOverhead = 24
 
 // tableSlots is every state table's initial slot count. Iteration is slot
@@ -52,8 +53,9 @@ const stateSliceOverhead = 24
 // re-executed map attempt stops matching the attempt it replaces.
 const tableSlots = 64
 
-// newStateTable returns an empty table whose keys live in arena. Tables of
-// one task share an arena; the arena's owner resets it, never the table.
+// newStateTable returns an empty table whose keys and states live in arena.
+// Tables of one task share an arena; the arena's owner resets it, never the
+// table.
 func newStateTable(h *hashlib.Func, arena *memtable.Arena, fold *engine.Fold) *stateTable {
 	return &stateTable{tbl: memtable.NewTable(h, arena, tableSlots), agg: fold}
 }
@@ -63,64 +65,30 @@ func newStateTable(h *hashlib.Func, arena *memtable.Arena, fold *engine.Fold) *s
 // and refilled stops allocating once it reaches steady state.
 func (st *stateTable) reset() {
 	st.tbl.Reset()
-	st.dropStates()
+	st.stateBytes, st.keyBytes = 0, 0
 }
 
 // restart empties the table back to what newStateTable returns — tableSlots
 // empty slots — for reuse where a fresh table used to be built.
 func (st *stateTable) restart() {
 	st.tbl.Restart()
-	st.dropStates()
-}
-
-func (st *stateTable) dropStates() {
-	clear(st.states)
-	st.states = st.states[:0]
-	st.stateBytes = 0
-	st.keyBytes = 0
+	st.stateBytes, st.keyBytes = 0, 0
 }
 
 // fold incorporates one payload for key. It returns true when the key was
 // newly inserted.
 func (st *stateTable) fold(key, payload []byte, f form) bool {
-	isNew := false
-	st.tbl.Upsert(key, func(old uint64, exists bool) uint64 {
-		if !exists {
-			var s []byte
-			if f == formState {
-				s = append([]byte(nil), payload...)
-			} else {
-				s = st.agg.Lift(nil, payload)
-			}
-			st.states = append(st.states, s)
-			st.stateBytes += int64(len(s)) + stateSliceOverhead
-			st.keyBytes += int64(len(key))
-			isNew = true
-			return uint64(len(st.states) - 1)
-		}
-		prev := st.states[old]
-		st.stateBytes -= int64(len(prev))
-		var s []byte
-		if f == formState {
-			s = st.agg.Merge(prev, payload)
-		} else {
-			s = st.agg.Add(prev, payload)
-		}
-		st.states[old] = s
-		st.stateBytes += int64(len(s))
-		return old
-	})
+	e, isNew := st.tbl.Slot(key)
+	st.stateBytes += int64(st.agg.Into(st.tbl, e, isNew, payload, f == formState))
+	if isNew {
+		st.stateBytes += stateSliceOverhead
+		st.keyBytes += int64(len(key))
+	}
 	return isNew
 }
 
 // get returns the current state for key.
-func (st *stateTable) get(key []byte) ([]byte, bool) {
-	idx, ok := st.tbl.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return st.states[idx], true
-}
+func (st *stateTable) get(key []byte) ([]byte, bool) { return st.tbl.GetElem(key) }
 
 // len returns the number of live keys.
 func (st *stateTable) len() int { return st.tbl.Len() }
@@ -135,21 +103,18 @@ func (st *stateTable) usedBytes() int64 {
 	return st.keyBytes + st.stateBytes + int64(st.tbl.Len())*entrySlotCost
 }
 
-// iterate visits (key, state) for every live key. Keys alias arena memory.
-func (st *stateTable) iterate(f func(key, state []byte) bool) {
-	st.tbl.Iterate(func(key []byte, idx uint64) bool {
-		return f(key, st.states[idx])
-	})
-}
+// iterate visits (key, state) for every live key in slot order. Both alias
+// arena memory, which outlives a remove of the key: a sweep may collect its
+// victims, then remove them, then use them.
+func (st *stateTable) iterate(f func(key, state []byte) bool) { st.tbl.Elems(f) }
 
 // remove deletes key (its state bytes stop counting against the budget).
 func (st *stateTable) remove(key []byte) {
-	idx, ok := st.tbl.Get(key)
+	s, ok := st.tbl.GetElem(key)
 	if !ok {
 		return
 	}
-	st.stateBytes -= int64(len(st.states[idx])) + stateSliceOverhead
+	st.stateBytes -= int64(len(s)) + stateSliceOverhead
 	st.keyBytes -= int64(len(key))
-	st.states[idx] = nil
 	st.tbl.Delete(key)
 }

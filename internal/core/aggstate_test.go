@@ -181,7 +181,7 @@ func TestStateTableBudgetAccounting(t *testing.T) {
 	// Removing everything must release the live accounting even though the
 	// arena keeps its allocations.
 	st.iterate(func(k, s []byte) bool {
-		st.remove(append([]byte(nil), k...))
+		st.remove(k) // the alias outlives the delete
 		return true
 	})
 	if st.len() != 0 {
@@ -212,5 +212,86 @@ func TestStateTableIterateMatchesFolds(t *testing.T) {
 		if got[k] != v {
 			t.Fatalf("%s = %d, want %d", k, got[k], v)
 		}
+	}
+}
+
+// Elements live in the arena side by side with each other and with keys, and
+// a fold is handed its element with the capacity clipped to the region that
+// holds it. Whatever the monoid does — grow in place until the region is
+// full and carry on in fresh storage (postings, the free monoid's framed
+// append), or build every result somewhere else (top-k) — it must never
+// write outside that region, and a region an element moved out of must not
+// be handed to a second element while the first still reads it: after every
+// fold, every key still finds its element, and every element equals the one
+// a plain heap fold of the same values gives. (That live regions never
+// overlap is checked from inside, in memtable's table programs.)
+func TestElementPlacementStaysInsideItsRegion(t *testing.T) {
+	posting := func(doc, pos int) []byte {
+		return []byte{0, 0, byte(doc >> 8), byte(doc), 0, 0, byte(pos >> 8), byte(pos)}
+	}
+	for _, tc := range []struct {
+		name string
+		job  engine.Job
+		val  func(i int) []byte
+	}{
+		// Mostly ascending postings (the append fast path) with every
+		// seventh out of order (the merge-from-the-back path).
+		{"grows in place/postings", engine.Job{Monoid: workloads.PostingsMonoid{}}, func(i int) []byte {
+			if i%7 == 3 {
+				return posting(i/2, i%50)
+			}
+			return posting(i, i%50)
+		}},
+		// Fixed-width entries, so a list only ever grows.
+		{"fresh storage/top-k", engine.Job{Monoid: workloads.TopKMonoid{K: 4}}, func(i int) []byte {
+			return []byte(fmt.Sprintf("%d name-%04d\n", 100+(i*37)%900, i%11))
+		}},
+		// Values up to 300 bytes: one- and two-byte frame lengths.
+		{"free monoid", engine.Job{}, func(i int) []byte {
+			return bytes.Repeat([]byte{byte('a' + i%26)}, (i*i)%300)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.job.Name = tc.name
+			tc.job.Reduce = func([]byte, [][]byte, engine.Emit) {}
+			fold := tc.job.Fold()
+			st := newStateTable(hashlib.NewAt(1, 0), memtable.NewArena(0), fold)
+			model := map[string][]byte{}
+			check := func(step int) {
+				for k, want := range model {
+					got, ok := st.get([]byte(k))
+					if !ok || !bytes.Equal(got, want) {
+						t.Fatalf("step %d: %s = %q (found %v), want %q", step, k, got, ok, want)
+					}
+				}
+			}
+			for i := 0; i < 1500; i++ {
+				k := fmt.Sprintf("key-%02d", (i*13)%29)
+				v := tc.val(i)
+				f := formIncoming
+				if i%10 == 9 {
+					v, f = fold.Lift(nil, v), formState // an evicted state coming back
+				}
+				st.fold([]byte(k), v, f)
+				switch cur, seen := model[k]; {
+				case !seen && f == formState:
+					model[k] = bytes.Clone(v)
+				case !seen:
+					model[k] = fold.Lift(nil, v)
+				case f == formState:
+					model[k] = fold.Merge(bytes.Clone(cur), v)
+				default:
+					model[k] = fold.Add(bytes.Clone(cur), v)
+				}
+				check(i)
+			}
+			var sum int64
+			for k, s := range model {
+				sum += int64(len(k)) + int64(len(s)) + stateSliceOverhead
+			}
+			if got := st.keyBytes + st.stateBytes; got != sum {
+				t.Fatalf("budget model counts %d live bytes, the table holds %d", got, sum)
+			}
+		})
 	}
 }

@@ -30,9 +30,10 @@ func newHybridReducer(rc *reduceCtx) *hybridReducer {
 		tables: make([]*stateTable, rc.opts.SpillBuckets),
 		spill:  newSpillSet(rc, 0, fmt.Sprintf("%s/red-%04d/hybrid", rc.job.Name, rc.r)),
 	}
-	// The bucket tables share one arena; a demoted bucket's key bytes stay
+	// The bucket tables share one arena. A demoted bucket's key bytes stay
 	// in it until the reducer finishes (budgets read live bytes, not arena
-	// footprint).
+	// footprint); its states' regions go back to the arena as they are
+	// spilled, for the buckets still resident to grow into.
 	arena := memtable.NewArena(0)
 	for b := range h.tables {
 		h.tables[b] = newStateTable(rc.hashAt(1), arena, rc.fold)
@@ -60,8 +61,10 @@ func (h *hybridReducer) demoteLargest(p *sim.Proc) bool {
 	if largest < 0 {
 		return false
 	}
-	h.tables[largest].iterate(func(k, s []byte) bool {
+	tb := h.tables[largest]
+	tb.iterate(func(k, s []byte) bool {
 		h.spill.add(p, largest, k, s, formState)
+		tb.remove(k)
 		return true
 	})
 	h.tables[largest] = nil
@@ -136,10 +139,12 @@ func (h *hybridReducer) finalize(p *sim.Proc) {
 // to disk and reconciled at the end.
 
 type incReducer struct {
-	rc         *reduceCtx
-	st         *stateTable
-	spill      *spillSet
-	emitted    map[string]bool
+	rc    *reduceCtx
+	st    *stateTable
+	spill *spillSet
+	// emitted is the set of keys whose threshold answer has gone out; built
+	// on the first one. It outlives evictions, which st's entries do not.
+	emitted    *memtable.Table
 	nextVictim int
 	pairsSeen  int
 }
@@ -160,7 +165,7 @@ func (ir *incReducer) evictBucket(p *sim.Proc) {
 		var victims [][2][]byte
 		ir.st.iterate(func(k, s []byte) bool {
 			if ir.spill.bucketOf(k) == b {
-				victims = append(victims, [2][]byte{append([]byte(nil), k...), s})
+				victims = append(victims, [2][]byte{k, s})
 			}
 			return true
 		})
@@ -204,13 +209,15 @@ func (ir *incReducer) ingest(p *sim.Proc, chunk []byte) {
 		bytes += int64(len(key) + len(val))
 		if s, ok := ir.st.get(key); ok && ir.rc.job.EmitWhen(key, s) {
 			if ir.emitted == nil {
-				ir.emitted = make(map[string]bool)
+				ir.emitted = memtable.NewTable(ir.rc.hashAt(1), memtable.NewArena(0), tableSlots)
 			}
-			if !ir.emitted[string(key)] {
-				ir.emitted[string(key)] = true
+			if _, first := ir.emitted.Slot(key); first {
 				// Incremental processing: the answer leaves the system
-				// the moment its condition is met (§IV point 3).
-				ir.rc.emitFinal(p, key, s)
+				// the moment its condition is met (§IV point 3). The emit
+				// may suspend this process mid-answer while the other
+				// arrival path folds into the table, and a fold may hand
+				// the state's region to another key: finish a copy.
+				ir.rc.emitFinal(p, key, append([]byte(nil), s...))
 				early++
 			}
 		}
@@ -253,8 +260,7 @@ func finalizeWithSpill(p *sim.Proc, rc *reduceCtx, st *stateTable, spill *spillS
 	residents := make([][]entry, rc.opts.SpillBuckets)
 	st.iterate(func(k, s []byte) bool {
 		b := spill.bucketOf(k)
-		residents[b] = append(residents[b], entry{
-			key: append([]byte(nil), k...), payload: s, f: formState})
+		residents[b] = append(residents[b], entry{key: k, payload: s, f: formState})
 		return true
 	})
 	for b := 0; b < rc.opts.SpillBuckets; b++ {
@@ -329,7 +335,7 @@ func (hr *hotReducer) sweepCold(p *sim.Proc) {
 		var victims [][2][]byte
 		hr.st.iterate(func(k, s []byte) bool {
 			if victim(k) {
-				victims = append(victims, [2][]byte{append([]byte(nil), k...), s})
+				victims = append(victims, [2][]byte{k, s})
 			}
 			return true
 		})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"onepass/internal/kv"
+	"onepass/internal/memtable"
 )
 
 // Fold is a job's aggregation contract — Reduce plus an optional Monoid —
@@ -75,6 +76,37 @@ func (f *Fold) Merge(elem, other []byte) []byte {
 	return append(elem, other...)
 }
 
+// Into folds x — a raw map value, or an element when isElem — into entry e of
+// t, the entry Slot just returned for the key with inserted as it reported,
+// and returns by how much the key's element grew. It is Lift, Add and Merge
+// over an element that lives in the table's arena: a key's first element is
+// placed exact-fit, the free monoid reserves what it is about to append (its
+// need is known), and a declared Combine's result is taken as it comes — grown
+// in place, or copied back by SetElem when it left the region.
+func (f *Fold) Into(t *memtable.Table, e int, inserted bool, x []byte, isElem bool) (grew int) {
+	var elem []byte
+	switch {
+	case inserted && (isElem || f.m != nil):
+		// An element already — a declared job's map value is one.
+		t.SetElem(e, x)
+		return len(x)
+	case f.m != nil:
+		elem = t.Elem(e)
+		grew = -len(elem)
+		elem = f.m.Combine(elem, x)
+	case isElem:
+		elem = t.Room(e, len(x))
+		grew = -len(elem)
+		elem = append(elem, x...)
+	default:
+		elem = t.Room(e, kv.FramedLen(len(x)))
+		grew = -len(elem)
+		elem = kv.AppendFramed(elem, x)
+	}
+	t.SetElem(e, elem)
+	return grew + len(elem)
+}
+
 // Partial folds one key's raw values into a single element and emits it
 // under key: the combiner of a declared job, and the reduce of a job whose
 // answer is the element itself (RunDelta's capture jobs). The emitted value
@@ -129,9 +161,13 @@ func (f *Fold) Finish(key, elem []byte, emit Emit) (values int, err error) {
 	// finds none and grows its own.
 	vals := f.vals[:0]
 	f.vals = nil
-	if !kv.Frames(elem, func(v []byte) { vals = append(vals, v) }) {
-		f.vals = vals
-		return 0, fmt.Errorf("job %q: key %q: value-list state of %d bytes is not a whole number of frames", f.name, key, len(elem))
+	for rest := elem; len(rest) > 0; {
+		v, next, ok := kv.NextFrame(rest)
+		if !ok {
+			f.vals = vals
+			return 0, fmt.Errorf("job %q: key %q: value-list state of %d bytes is not a whole number of frames", f.name, key, len(elem))
+		}
+		vals, rest = append(vals, v), next
 	}
 	f.reduce(key, vals, emit)
 	f.vals = vals

@@ -12,10 +12,13 @@ import (
 // recording first-output latency — the observable that distinguishes
 // incremental engines from blocking ones.
 type OutputCollector struct {
-	rt      *Runtime
-	job     *Job
-	res     *Result
-	writers map[int]*dfsWriterRef
+	rt  *Runtime
+	job *Job
+	res *Result
+	// serializeNs is the job's resolved per-byte serialize cost: every emit
+	// charges it, so it is merged with the defaults once, not per pair.
+	serializeNs float64
+	writers     []*dfsWriterRef // by reducer
 	// retained is every emitted pair, encoded, in emission order, when the
 	// job retains its output; Materialize turns it into Result.Output once.
 	retained []byte
@@ -41,7 +44,9 @@ const outputFlushBytes = 128 << 10
 // NewOutputCollector returns a collector for job writing under
 // job.OutputPath (part-r-N per reducer).
 func (rt *Runtime) NewOutputCollector(job *Job, res *Result) *OutputCollector {
-	return &OutputCollector{rt: rt, job: job, res: res, writers: make(map[int]*dfsWriterRef)}
+	return &OutputCollector{rt: rt, job: job, res: res,
+		serializeNs: job.Costs.Merged().SerializeNsPerByte,
+		writers:     make([]*dfsWriterRef, job.Reducers)}
 }
 
 // Emit writes one output pair from reducer r running on node.
@@ -75,7 +80,7 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 		oc.retained = append(oc.retained, w.buf[before:]...)
 	}
 	node := oc.rt.Cluster.Node(nodeID)
-	node.Compute(p, Dur(float64(encLen), oc.job.Costs.Merged().SerializeNsPerByte), PhaseReduce)
+	node.Compute(p, Dur(float64(encLen), oc.serializeNs), PhaseReduce)
 	if len(w.buf) >= outputFlushBytes {
 		w.append(p, w.buf)
 		w.buf = w.buf[:0]
@@ -92,14 +97,19 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 	// order (reducers finish in nondeterministic-looking but seeded order)
 	// while still catching a duplicated or missing pair.
 	oc.res.OutputChecksum += sum
-	oc.rt.Counters.Add(CtrOutputBytes, float64(encLen))
 }
 
-// Materialize builds Result.Output from the retained pairs, once, when the
-// job is done: one string holds every pair's bytes, keys and values are
-// substrings of it, and the map is sized up front. A key emitted twice keeps
-// its later value.
+// Materialize completes the Result once, when the job is done. It posts the
+// job's output bytes to the CtrOutputBytes counter — one addition of the sum
+// Emit kept in the Result, which is the value per-pair additions reach, since
+// integers this size add exactly in any grouping — and builds Result.Output
+// from the retained pairs: one string holds every pair's bytes, keys and
+// values are substrings of it, and the map is sized up front. A key emitted
+// twice keeps its later value.
 func (oc *OutputCollector) Materialize() {
+	if oc.res.OutputBytes > 0 {
+		oc.rt.Counters.Add(CtrOutputBytes, float64(oc.res.OutputBytes))
+	}
 	if !oc.job.RetainOutput {
 		return
 	}

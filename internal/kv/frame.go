@@ -14,18 +14,33 @@ func AppendFramed(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// FramedLen returns how many bytes AppendFramed adds for an n-byte string.
+func FramedLen(n int) int { return uvarintLen(uint64(n)) + n }
+
+// NextFrame returns the framed byte string at the front of buf and what
+// follows it. ok is false when buf does not start with what AppendFramed
+// produces: a whole frame, its length in its shortest encoding. b and rest
+// alias buf.
+func NextFrame(buf []byte) (b, rest []byte, ok bool) {
+	l, n := binary.Uvarint(buf)
+	if n <= 0 || uint64(len(buf)-n) < l || (n > 1 && buf[n-1] == 0) {
+		return nil, buf, false
+	}
+	return buf[n : n+int(l)], buf[n+int(l):], true
+}
+
 // Frames calls fn for each framed byte string in buf, in order, and reports
 // whether buf is exactly what AppendFramed produces: whole frames, each
 // length in its shortest encoding. It stops at the first byte that is not.
 // The yielded slices alias buf.
 func Frames(buf []byte, fn func(b []byte)) bool {
 	for len(buf) > 0 {
-		l, n := binary.Uvarint(buf)
-		if n <= 0 || uint64(len(buf)-n) < l || (n > 1 && buf[n-1] == 0) {
+		b, rest, ok := NextFrame(buf)
+		if !ok {
 			return false
 		}
-		fn(buf[n : n+int(l)])
-		buf = buf[n+int(l):]
+		fn(b)
+		buf = rest
 	}
 	return true
 }

@@ -2,63 +2,89 @@ package memtable
 
 import (
 	"bytes"
+	"math/bits"
 
 	"onepass/internal/hashlib"
 )
 
 // Table is an open-addressing (linear probing) hash table from byte-string
 // keys to a caller-defined uint64 value — a counter, a packed pair, or an
-// id into a ListStore. Keys are copied into the arena once on first insert.
-// Deletion uses tombstones so the hot-key engine can evict cold keys.
+// id into a ListStore — and, for the engines' per-key state, one growable
+// byte-string element per key. Keys are copied into the arena once on first
+// insert and elements live there too, so a table is flat memory end to end:
+// a 4-byte probe index over dense, pointer-free entries that address the
+// arena by offset. Deletion uses tombstones so the hot-key engine can evict
+// cold keys.
+//
+// Two orders are observable. Slot order (Iterate, Elems) is the order of the
+// probe index and depends only on the hash function and the sequence of
+// inserts, deletes and growths — the hash engines' chunk contents and spill
+// order are slot order, so it is part of their virtual-time behaviour.
+// Insertion order (InOrder) is the order of the entries.
 type Table struct {
 	h     *hashlib.Func
 	arena *Arena
 
+	// index is the probe array: 0 is an empty slot, tombstone a deleted one,
+	// anything else an entry number plus one. Growing the table rehashes
+	// these four bytes a slot; entries never move for it.
+	index []uint32
+	// entries holds every key inserted since the last Reset in insertion
+	// order, deleted ones included until compact squeezes them out: all but
+	// live of them are dead.
 	entries []entry
 	live    int
 	tombs   int
-	// initial is the slot array the table was created with, kept so Restart
-	// can return to it after growth.
-	initial []entry
+	// initial is the index the table was created with, kept so Restart can
+	// return to it after growth.
+	initial []uint32
 }
-
-type entryState uint8
 
 const (
-	empty entryState = iota
-	occupied
-	tombstone
+	tombstone = ^uint32(0)
+	// deadKey in entry.klen marks a deleted entry.
+	deadKey = ^uint32(0)
+	// minEntries is the first capacity of a table's entry array.
+	minEntries = 8
 )
 
+// entry is 40 bytes and holds no pointers, so the collector never scans a
+// table. hash is the low half of the key's hash: it picks the slot (the index
+// has at most 2^32 of them) and screens probes before the key comparison.
 type entry struct {
-	hash  uint64
-	key   []byte
-	val   uint64
-	state entryState
+	val  uint64
+	key  ref
+	elem ref // the element's region: ecap bytes, the first elen of them in use
+	hash uint32
+	klen uint32
+	elen uint32
+	ecap uint32
 }
 
-// NewTable returns a table using hash function h and key storage in arena,
-// which several tables may share.
+// NewTable returns a table using hash function h and key and element storage
+// in arena, which several tables may share.
 func NewTable(h *hashlib.Func, arena *Arena, initialCap int) *Table {
 	capacity := 16
 	for capacity < initialCap {
 		capacity *= 2
 	}
-	entries := make([]entry, capacity)
-	return &Table{h: h, arena: arena, entries: entries, initial: entries}
+	index := make([]uint32, capacity)
+	return &Table{h: h, arena: arena, index: index, initial: index}
 }
 
 // Len returns the number of live keys.
 func (t *Table) Len() int { return t.live }
 
-func (t *Table) probe(hash uint64, key []byte) (idx int, found bool) {
-	mask := uint64(len(t.entries) - 1)
+// probe returns the index slot holding key, or the slot an insert of key
+// takes: the first tombstone on its probe path, else the empty slot that
+// ended it.
+func (t *Table) probe(hash uint32, key []byte) (slot int, found bool) {
+	mask := uint32(len(t.index) - 1)
 	i := hash & mask
 	firstTomb := -1
 	for {
-		e := &t.entries[i]
-		switch e.state {
-		case empty:
+		switch v := t.index[i]; v {
+		case 0:
 			if firstTomb >= 0 {
 				return firstTomb, false
 			}
@@ -67,8 +93,9 @@ func (t *Table) probe(hash uint64, key []byte) (idx int, found bool) {
 			if firstTomb < 0 {
 				firstTomb = int(i)
 			}
-		case occupied:
-			if e.hash == hash && bytes.Equal(e.key, key) {
+		default:
+			e := &t.entries[v-1]
+			if e.hash == hash && bytes.Equal(t.key(e), key) {
 				return int(i), true
 			}
 		}
@@ -76,121 +103,286 @@ func (t *Table) probe(hash uint64, key []byte) (idx int, found bool) {
 	}
 }
 
-// Get returns the value for key.
-func (t *Table) Get(key []byte) (uint64, bool) {
-	idx, found := t.probe(t.h.Hash(key), key)
+// key and elem return what an entry's refs address; elem's capacity is the
+// whole region's.
+func (t *Table) key(e *entry) []byte  { return t.arena.at(e.key, e.klen, e.klen) }
+func (t *Table) elem(e *entry) []byte { return t.arena.at(e.elem, e.elen, e.ecap) }
+
+// find returns key's entry number.
+func (t *Table) find(key []byte) (e int, found bool) {
+	slot, found := t.probe(uint32(t.h.Hash(key)), key)
 	if !found {
 		return 0, false
 	}
-	return t.entries[idx].val, true
+	return int(t.index[slot] - 1), true
+}
+
+// Slot returns key's entry number, inserting the key — value 0, no element —
+// if it is absent. The number addresses the entry in Elem, Room, SetElem and
+// SetVal until the next insert or Reset; it is not kept across either.
+func (t *Table) Slot(key []byte) (e int, inserted bool) {
+	t.maybeGrow()
+	hash := uint32(t.h.Hash(key))
+	slot, found := t.probe(hash, key)
+	if found {
+		return int(t.index[slot] - 1), false
+	}
+	if t.index[slot] == tombstone {
+		t.tombs--
+	}
+	if len(t.entries) == cap(t.entries) {
+		t.makeRoom()
+	}
+	k, _ := t.arena.copyRef(key)
+	t.entries = append(t.entries, entry{hash: hash, key: k, klen: uint32(len(key))})
+	t.index[slot] = uint32(len(t.entries))
+	t.live++
+	return len(t.entries) - 1, true
+}
+
+// Get returns the value for key.
+func (t *Table) Get(key []byte) (uint64, bool) {
+	e, found := t.find(key)
+	if !found {
+		return 0, false
+	}
+	return t.entries[e].val, true
 }
 
 // Put inserts or overwrites key with val.
 func (t *Table) Put(key []byte, val uint64) {
-	t.Upsert(key, func(old uint64, exists bool) uint64 { return val })
+	e, _ := t.Slot(key)
+	t.entries[e].val = val
 }
 
 // Upsert applies f to the current value (or to 0 with exists=false) and
 // stores the result. It returns true if the key was newly inserted.
 func (t *Table) Upsert(key []byte, f func(old uint64, exists bool) uint64) bool {
-	t.maybeGrow()
-	hash := t.h.Hash(key)
-	idx, found := t.probe(hash, key)
-	e := &t.entries[idx]
-	if found {
-		e.val = f(e.val, true)
-		return false
-	}
-	if e.state == tombstone {
-		t.tombs--
-	}
-	*e = entry{hash: hash, key: t.arena.Copy(key), val: f(0, false), state: occupied}
-	t.live++
-	return true
+	e, inserted := t.Slot(key)
+	t.entries[e].val = f(t.entries[e].val, !inserted)
+	return inserted
 }
 
 // Add adds delta to key's value (starting from 0) and returns the new value.
 func (t *Table) Add(key []byte, delta uint64) uint64 {
-	var out uint64
-	t.Upsert(key, func(old uint64, _ bool) uint64 {
-		out = old + delta
-		return out
-	})
-	return out
-}
-
-// Delete removes key, leaving a tombstone. It reports whether the key was
-// present. The key's arena bytes are not reclaimed until the arena resets —
-// the same trade the paper's byte-array design makes.
-func (t *Table) Delete(key []byte) bool {
-	idx, found := t.probe(t.h.Hash(key), key)
-	if !found {
-		return false
-	}
-	t.entries[idx].state = tombstone
-	t.entries[idx].key = nil
-	t.live--
-	t.tombs++
-	return true
-}
-
-// Iterate visits live entries in slot order until f returns false. The key
-// slice aliases arena memory and must not be retained across a Reset.
-func (t *Table) Iterate(f func(key []byte, val uint64) bool) {
-	for i := range t.entries {
-		e := &t.entries[i]
-		if e.state == occupied {
-			if !f(e.key, e.val) {
-				return
-			}
-		}
-	}
+	e, _ := t.Slot(key)
+	t.entries[e].val += delta
+	return t.entries[e].val
 }
 
 // SetValue overwrites the value of an existing key; it reports whether the
 // key was present.
 func (t *Table) SetValue(key []byte, val uint64) bool {
-	idx, found := t.probe(t.h.Hash(key), key)
+	e, found := t.find(key)
+	if found {
+		t.entries[e].val = val
+	}
+	return found
+}
+
+// SetVal overwrites entry e's value.
+func (t *Table) SetVal(e int, val uint64) { t.entries[e].val = val }
+
+// Delete removes key, leaving a tombstone. It reports whether the key was
+// present. The key's arena bytes are not reclaimed until the arena resets —
+// the same trade the paper's byte-array design makes — so a key slice that
+// Iterate, Elems or InOrder handed out stays readable until then. The
+// element's region goes back to the arena for the next element that fits it.
+func (t *Table) Delete(key []byte) bool {
+	slot, found := t.probe(uint32(t.h.Hash(key)), key)
 	if !found {
 		return false
 	}
-	t.entries[idx].val = val
+	en := &t.entries[t.index[slot]-1]
+	t.arena.release(en.elem, en.ecap)
+	en.klen, en.ecap = deadKey, 0
+	t.index[slot] = tombstone
+	t.live--
+	t.tombs++
 	return true
 }
 
-// Reset empties the table in place: the slot array is cleared and kept at
-// its grown capacity, so a reused table refills without reallocating. The
-// arena is not touched — tables may share one, so whoever owns it calls
-// Arena.Reset once every table drawing on it has been reset. Keys
-// previously returned by Iterate must not be retained.
+// Elem returns entry e's element. Its capacity is clipped to the arena
+// region holding it, so an append that fits grows the element where it is
+// and one that does not leaves the arena; either way SetElem records the
+// result. The slice is good until the table's next Room, SetElem or Delete,
+// any of which may hand the region to another element.
+func (t *Table) Elem(e int) []byte { return t.elem(&t.entries[e]) }
+
+// GetElem returns key's element, as Elem does.
+func (t *Table) GetElem(key []byte) ([]byte, bool) {
+	e, found := t.find(key)
+	if !found {
+		return nil, false
+	}
+	return t.Elem(e), true
+}
+
+// Room returns entry e's element with capacity for at least need more
+// bytes, moving it if its region is too small.
+func (t *Table) Room(e, need int) []byte {
+	en := &t.entries[e]
+	if want := int(en.elen) + need; want > int(en.ecap) {
+		t.place(en, t.elem(en), want)
+	}
+	return t.elem(en)
+}
+
+// SetElem makes elem entry e's element. When elem is Elem(e) or Room(e, n)
+// grown in place, only its length is recorded. Anything else — a fold that
+// outgrew the region and continued on the heap, one that built its result in
+// fresh storage, a first element — is copied into the region, or into a new
+// one if it does not fit.
+func (t *Table) SetElem(e int, elem []byte) {
+	en := &t.entries[e]
+	if len(elem) > int(en.ecap) {
+		t.place(en, elem, len(elem))
+	} else if region := t.arena.at(en.elem, en.ecap, en.ecap); len(elem) > 0 && &elem[0] != &region[0] {
+		copy(region, elem)
+	}
+	en.elen = uint32(len(elem))
+}
+
+// place moves en's element, now elem, into a region of at least want bytes
+// and releases the one it leaves. A first region is an exact fit; a later one
+// has at least twice the capacity of the one outgrown, rounded up to a power
+// of two so that the regions elements leave behind are the sizes other
+// growing elements ask for.
+func (t *Table) place(en *entry, elem []byte, want int) {
+	if en.ecap > 0 {
+		want = 1 << bits.Len(uint(max(want, 2*int(en.ecap))-1))
+	}
+	r, c := t.arena.grabRegion(want)
+	copy(t.arena.at(r, c, c), elem)
+	t.arena.release(en.elem, en.ecap) // after the copy: elem may lie in it
+	en.elem, en.elen, en.ecap = r, uint32(len(elem)), c
+}
+
+// Iterate visits live entries in slot order until f returns false. The key
+// slice aliases arena memory: it outlives a Delete of the key, but must not
+// be retained across the arena's Reset.
+func (t *Table) Iterate(f func(key []byte, val uint64) bool) {
+	for _, v := range t.index {
+		if v == 0 || v == tombstone {
+			continue
+		}
+		e := &t.entries[v-1]
+		if !f(t.key(e), e.val) {
+			return
+		}
+	}
+}
+
+// Elems visits every live key and its element in slot order until f returns
+// false. Both slices alias arena memory, as in Iterate.
+func (t *Table) Elems(f func(key, elem []byte) bool) {
+	for _, v := range t.index {
+		if v == 0 || v == tombstone {
+			continue
+		}
+		e := &t.entries[v-1]
+		if !f(t.key(e), t.elem(e)) {
+			return
+		}
+	}
+}
+
+// InOrder visits every live key, its element and its value in insertion
+// order — a key deleted and inserted again counts from its second insert —
+// until f returns false. The slices alias arena memory, as in Iterate.
+func (t *Table) InOrder(f func(key, elem []byte, val uint64) bool) {
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.klen == deadKey {
+			continue
+		}
+		if !f(t.key(e), t.elem(e), e.val) {
+			return
+		}
+	}
+}
+
+// Reset empties the table in place: the index is cleared and kept at its
+// grown capacity, as is the entry array, so a reused table refills without
+// reallocating. The arena is not touched — tables may share one, so whoever
+// owns it calls Arena.Reset once every table drawing on it has been reset.
+// Keys and elements previously returned must not be retained.
 func (t *Table) Reset() {
-	clear(t.entries)
+	clear(t.index)
+	t.entries = t.entries[:0]
 	t.live, t.tombs = 0, 0
 }
 
 // Restart empties the table back to its initial capacity, dropping any
-// grown slot array. Iteration is slot order, so a restarted table visits
+// grown index. Iteration is slot order, so a restarted table visits
 // the keys of a given insert sequence exactly as a newly built one does —
 // which Reset, keeping the grown capacity, does not.
 func (t *Table) Restart() {
-	t.entries = t.initial
+	t.index = t.initial
 	t.Reset()
 }
 
+// maybeGrow doubles the index when live keys and tombstones fill 70 % of it,
+// re-inserting the live entries in old slot order: slot order after a growth
+// is a function of slot order before it, whatever the entries' numbers.
 func (t *Table) maybeGrow() {
-	if (t.live+t.tombs)*10 < len(t.entries)*7 {
+	if (t.live+t.tombs)*10 < len(t.index)*7 {
 		return
 	}
-	old := t.entries
-	t.entries = make([]entry, len(old)*2)
-	t.live, t.tombs = 0, 0
-	for i := range old {
-		e := &old[i]
-		if e.state != occupied {
+	old := t.index
+	if len(old) >= 1<<31 {
+		panic("memtable: table index cannot grow past 2^31 slots")
+	}
+	t.index = make([]uint32, len(old)*2)
+	t.tombs = 0
+	mask := uint32(len(t.index) - 1)
+	for _, v := range old {
+		if v == 0 || v == tombstone {
 			continue
 		}
-		idx, _ := t.probe(e.hash, e.key)
-		t.entries[idx] = *e
-		t.live++
+		i := t.entries[v-1].hash & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = v
 	}
+}
+
+// makeRoom is called with the entry array full: it squeezes out deleted
+// entries when they are at least half of it — an evicting reducer inserts
+// and deletes without end, and its table must not grow with its history —
+// and doubles the array otherwise.
+func (t *Table) makeRoom() {
+	if dead := len(t.entries) - t.live; dead > 0 && 2*dead >= len(t.entries) {
+		t.compact()
+		return
+	}
+	grown := make([]entry, len(t.entries), max(minEntries, 2*cap(t.entries)))
+	copy(grown, t.entries)
+	t.entries = grown
+}
+
+// compact renumbers the live entries densely, keeping their order, and
+// points each one's index slot at its new number. An entry only moves down,
+// past numbers already rewritten, so the slot holding its old number is
+// unambiguous.
+func (t *Table) compact() {
+	mask := uint32(len(t.index) - 1)
+	n := 0
+	for i := range t.entries {
+		e := &t.entries[i]
+		if e.klen == deadKey {
+			continue
+		}
+		if i != n {
+			s := e.hash & mask
+			for t.index[s] != uint32(i+1) {
+				s = (s + 1) & mask
+			}
+			t.index[s] = uint32(n + 1)
+			t.entries[n] = *e
+		}
+		n++
+	}
+	t.entries = t.entries[:n]
 }

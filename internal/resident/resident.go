@@ -25,11 +25,14 @@ package resident
 
 import (
 	"fmt"
+	"slices"
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
 	"onepass/internal/engine"
+	"onepass/internal/hashlib"
 	"onepass/internal/kv"
+	"onepass/internal/memtable"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
 )
@@ -80,10 +83,10 @@ var Plan = &engine.Plan{
 }
 
 // buildChunks runs the map-side data path: for a declared job, records are
-// folded into per-partition insertion-ordered state tables and the tables'
-// (key, state) pairs are chunked; otherwise raw pairs are chunked in
-// production order. Either way the pairs are packed once into a partition
-// frame whose chunks — sub-slices, in seal order — are the push units.
+// folded into one insertion-ordered fold table and its (key, element) pairs
+// are chunked; otherwise raw pairs are chunked in production order. Either
+// way the pairs are packed once into a partition frame whose chunks —
+// sub-slices of it — are the push units.
 // Everything is deterministic in the block, so a recovery attempt
 // regenerates byte-identical chunks under the same (partition, seq)
 // identities. The fold and packing are pure data work riding the map task's
@@ -97,30 +100,41 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 	buf, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
 		out := buf
 		if declared {
-			// Map-side folding: per-partition insertion-ordered hash tables
-			// of elements — the resident analogue of the hash engines'
-			// map-side combining, lit up for every workload that declares a
-			// monoid.
-			fold := wj.Fold()
-			tables := make([]*foldTable, R)
-			for r := range tables {
-				tables[r] = newFoldTable(fold)
-			}
+			// Map-side folding: an insertion-ordered hash table of elements
+			// — the resident analogue of the hash engines' map-side
+			// combining, lit up for every workload that declares a monoid.
+			// One table serves every partition: a key has one partition,
+			// kept as its table value, and PackPartitions regroups the
+			// buffer partition-major in buffer order, so each partition's
+			// pairs come out in the order its keys first appeared.
+			table := newFoldTable(wj.Fold())
 			n = buf.Len()
 			for i := 0; i < n; i++ {
-				tables[buf.Partition(i)].fold(buf.Key(i), buf.Val(i))
+				table.fold(buf.Key(i), buf.Val(i), buf.Partition(i))
 			}
 			out = kv.NewBuffer(0)
-			var key []byte
-			for r, tb := range tables {
-				for i, k := range tb.keys {
-					key = append(key[:0], k...)
-					out.Add(r, key, tb.states[i])
-				}
-			}
+			table.tbl.InOrder(func(k, elem []byte, part uint64) bool {
+				out.Add(int(part), k, elem)
+				return true
+			})
 		}
 		finalPairBytes = out.Bytes()
 		chunks = kv.PackPartitions(out, R, j.Opts.ChunkBytes).Chunks
+		if declared {
+			// Chunks come back in the order a streaming chunker seals them,
+			// and they are pushed in that order, which makes it part of the
+			// virtual schedule. The order to keep is that of a fill that
+			// goes partition by partition: every full chunk, partition-major,
+			// then the partitions' unsealed tails. A fill in first-appearance
+			// order seals the same chunks interleaved.
+			rank := func(c kv.Chunk) int {
+				if int64(len(c.Data)) < j.Opts.ChunkBytes {
+					return R + c.Part // a tail: sealed by the end of the fill
+				}
+				return c.Part
+			}
+			slices.SortStableFunc(chunks, func(a, b kv.Chunk) int { return rank(a) - rank(b) })
+		}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("resident: %v", err))
@@ -181,47 +195,47 @@ func regenChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 }
 
 // foldTable is an insertion-ordered in-memory table of fold elements, one
-// per key. On the map side a declared job's values combine in it, and since
-// key order is first-appearance order in the block, rebuilding it on recovery
+// per key: a memtable.Table on its own arena, keys and elements both in it.
+// On the map side a declared job's values combine in it, and since key order
+// is first-appearance order in the block, rebuilding it on recovery
 // reproduces chunk contents byte for byte. On the reduce side a declared
 // job's incoming values are those map-side elements and combine again; an
 // undeclared job's are raw and accumulate, framed, until Reduce runs over
 // them at finalize. Either way it is the engine's entire reduce-side state:
 // nothing spills.
 type foldTable struct {
-	agg    *engine.Fold
-	idx    map[string]int
-	keys   []string
-	states [][]byte
+	agg *engine.Fold
+	tbl *memtable.Table
 }
+
+// tableSlots is a fold table's initial slot count; it doubles from there.
+const tableSlots = 64
 
 func newFoldTable(agg *engine.Fold) *foldTable {
-	return &foldTable{agg: agg, idx: make(map[string]int)}
+	// Grouping hashes with family member 1, as the hash engines do: member 0
+	// partitioned the keys, so within a reducer it no longer spreads them.
+	h := hashlib.Shared(engine.PartitionSeed, 1)
+	return &foldTable{agg: agg, tbl: memtable.NewTable(h, memtable.NewArena(0), tableSlots)}
 }
 
-func (t *foldTable) fold(key, val []byte) {
-	if i, ok := t.idx[string(key)]; ok {
-		t.states[i] = t.agg.Add(t.states[i], val)
-		return
+// fold folds one raw map value into key's element, remembering part as the
+// key's table value when the key is new. The element is the arena's copy:
+// val may alias a chunk buffer that is recycled after the call.
+func (t *foldTable) fold(key, val []byte, part int) {
+	e, isNew := t.tbl.Slot(key)
+	if isNew {
+		t.tbl.SetVal(e, uint64(part))
 	}
-	k := string(key)
-	t.idx[k] = len(t.keys)
-	t.keys = append(t.keys, k)
-	// Lift copies: Add may grow the stored state in place, and an aliased
-	// chunk buffer could carry a neighboring pair's bytes in its spare
-	// capacity.
-	t.states = append(t.states, t.agg.Lift(nil, val))
+	t.agg.Into(t.tbl, e, isNew, val, false)
 }
 
 // emitAll finalizes the table in insertion order, charging reduce CPU per
 // key: per value Reduce folded for an undeclared job, per element and its
-// bytes for a declared one. Keys pass through one scratch buffer: like every
-// engine's, a key is only the callee's for the duration of the call.
+// bytes for a declared one. Keys and elements are handed out where they lie
+// in the arena: like every engine's, they are only the callee's for the
+// duration of the call.
 func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostModel, emit engine.Emit) {
-	var key []byte
-	for i, k := range t.keys {
-		key = append(key[:0], k...)
-		state := t.states[i]
+	t.tbl.InOrder(func(key, state []byte, _ uint64) bool {
 		n, err := t.agg.Finish(key, state, emit)
 		if err != nil {
 			panic(fmt.Sprintf("resident: %v", err))
@@ -231,7 +245,8 @@ func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostMo
 			cost += engine.Dur(float64(len(state)), costs.SerializeNsPerByte)
 		}
 		node.Compute(p, cost, engine.PhaseReduce)
-	}
+		return true
+	})
 }
 
 // runReduceTask drains the push channel into the fold table, then emits the
@@ -254,7 +269,9 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 		// engines' reduce ingest.
 		n, bytes := engine.CountChunk(chunk.Data)
 		data := chunk.Data
-		work := p.StartWork(func() { engine.DecodePairs(data, table.fold) })
+		work := p.StartWork(func() {
+			engine.DecodePairs(data, func(k, v []byte) { table.fold(k, v, r) })
+		})
 		node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord)+
 			engine.Dur(float64(bytes), costs.SerializeNsPerByte), engine.PhaseUpdate)
