@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"onepass/internal/kv"
 	"onepass/internal/sim"
@@ -41,6 +42,11 @@ type dfsWriterRef struct {
 // emits stream into memory and hit the DFS in large sequential appends.
 const outputFlushBytes = 128 << 10
 
+// unitCap is what a write-behind unit's doubling stops at: a unit seals at
+// the first pair boundary at or past outputFlushBytes, so the eighth on top
+// is room for the sealing pair (a larger one grows the unit to fit exactly).
+const unitCap = outputFlushBytes + outputFlushBytes/8
+
 // NewOutputCollector returns a collector for job writing under
 // job.OutputPath (part-r-N per reducer).
 func (rt *Runtime) NewOutputCollector(job *Job, res *Result) *OutputCollector {
@@ -49,8 +55,9 @@ func (rt *Runtime) NewOutputCollector(job *Job, res *Result) *OutputCollector {
 		writers:     make([]*dfsWriterRef, job.Reducers)}
 }
 
-// Emit writes one output pair from reducer r running on node.
-func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte) {
+// writer returns reducer r's write-behind state, opening its part file (or
+// sink) on first use.
+func (oc *OutputCollector) writer(r, nodeID int) *dfsWriterRef {
 	w := oc.writers[r]
 	if w == nil {
 		if oc.NewSink != nil {
@@ -65,19 +72,29 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 		}
 		oc.writers[r] = w
 	}
+	return w
+}
+
+// Emit writes one output pair from reducer r running on node.
+func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte) {
+	w := oc.writer(r, nodeID)
 	// Consume key and val completely before the first blocking call: callers
 	// pass scratch buffers that other processes may overwrite while this one
 	// is suspended inside Compute or a DFS append. The pair is encoded
 	// straight into the write-behind buffer (dfs.Writer.Append copies, so the
-	// buffer is reused across flushes), the retained copy is the encoded
-	// bytes again, and the checksum is staged now and applied after the
-	// charge to keep event ordering identical.
+	// buffer is reused across flushes) and its checksum is staged now.
 	before := len(w.buf)
 	w.buf = kv.AppendPair(w.buf, key, val)
-	encLen := len(w.buf) - before
-	sum := pairHash(key, val)
+	oc.emitted(p, r, nodeID, w, len(w.buf)-before, pairHash(key, val))
+}
+
+// emitted accounts one output pair whose encLen encoded bytes end w.buf:
+// the retained copy is those bytes again, then the serialize charge, the
+// write-behind flush once the buffer reaches outputFlushBytes, and the
+// checksum applied after the charge to keep event ordering identical.
+func (oc *OutputCollector) emitted(p *sim.Proc, r, nodeID int, w *dfsWriterRef, encLen int, sum uint64) {
 	if oc.job.RetainOutput {
-		oc.retained = append(oc.retained, w.buf[before:]...)
+		oc.retained = append(oc.retained, w.buf[len(w.buf)-encLen:]...)
 	}
 	node := oc.rt.Cluster.Node(nodeID)
 	node.Compute(p, Dur(float64(encLen), oc.serializeNs), PhaseReduce)
@@ -97,6 +114,76 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 	// order (reducers finish in nondeterministic-looking but seeded order)
 	// while still catching a duplicated or missing pair.
 	oc.res.OutputChecksum += sum
+}
+
+// Staged is one reducer's whole output, encoded once by the pooled closure
+// that reduced it, already cut into the write-behind units Emit would have
+// flushed: a unit seals at the first pair boundary at or past
+// outputFlushBytes. One closure builds it through Add; after the join it is
+// read-only and Replay hands its units to the writer uncopied.
+type Staged struct {
+	units [][]byte // sealed units, then the open one
+	pairs []stagedPair
+}
+
+// stagedPair is what Replay needs of a pair without decoding it.
+type stagedPair struct {
+	encLen int
+	sum    uint64
+}
+
+// Add stages one output pair; it is an Emit for reduce functions.
+func (s *Staged) Add(key, val []byte) {
+	last := len(s.units) - 1
+	if last < 0 || len(s.units[last]) >= outputFlushBytes {
+		// A reducer that filled one unit opens the next at full size.
+		var next []byte
+		if last >= 0 {
+			next = make([]byte, 0, unitCap)
+		}
+		s.units = append(s.units, next)
+		last++
+	}
+	encLen := kv.EncodedSize(key, val)
+	s.units[last] = kv.AppendPair(GrowUnit(s.units[last], encLen), key, val)
+	if len(s.pairs) == cap(s.pairs) {
+		s.pairs = slices.Grow(s.pairs, len(s.pairs)+1) // double, as kv.Grouper does
+	}
+	s.pairs = append(s.pairs, stagedPair{encLen, pairHash(key, val)})
+}
+
+// GrowUnit returns buf with room for n more bytes. A write-behind buffer is
+// sized by the data: it doubles from 4 KB up to unitCap, then grows to
+// exactly what the pair that seals it needs.
+func GrowUnit(buf []byte, n int) []byte {
+	need := len(buf) + n
+	if need <= cap(buf) {
+		return buf
+	}
+	size := max(need, min(max(2*cap(buf), 4<<10), unitCap))
+	return append(make([]byte, 0, size), buf...)
+}
+
+// Replay emits every staged pair from reducer r running on node: the same
+// per-pair charge, flush, first-output and checksum steps as one Emit per
+// pair, in the same order, with the writer's buffer a window over the staged
+// unit instead of a second encoding. Reducer r must have nothing buffered.
+func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
+	if len(s.pairs) == 0 {
+		return
+	}
+	w := oc.writer(r, nodeID)
+	if len(w.buf) != 0 {
+		panic("engine: Replay over a reducer with buffered output")
+	}
+	pairs := s.pairs
+	for _, unit := range s.units {
+		for off := 0; off < len(unit); pairs = pairs[1:] {
+			off += pairs[0].encLen
+			w.buf = unit[:off]
+			oc.emitted(p, r, nodeID, w, pairs[0].encLen, pairs[0].sum)
+		}
+	}
 }
 
 // Materialize completes the Result once, when the job is done. It posts the

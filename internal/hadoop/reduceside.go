@@ -27,6 +27,15 @@ type ReduceSide struct {
 	Merger   *sortmerge.Merger
 	Acc      *sortmerge.Accumulator
 	spillSeq int
+
+	// group serves every grouping this reducer does — spill combines, HOP's
+	// snapshot merges, the final merge — which never overlap. It cannot be
+	// shared wider: a snapshot merge suspends inside Stream.Peek while
+	// another reducer's merge runs on the same loop.
+	group kv.Grouper
+	// SnapshotBuf is HOP's snapshot write-behind buffer, kept from one of
+	// the reducer's snapshots to the next.
+	SnapshotBuf []byte
 }
 
 // NewReduceSide builds the spill/merge state for reducer r on node. Its
@@ -92,9 +101,7 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 			out = kv.AppendPair(out, k, v)
 		}
 		if combines {
-			// The segments are fixed in-memory buffers, so groups may alias
-			// them instead of copying every value.
-			g := kv.Grouper{Alias: true}
+			g := &rs.group
 			partial := wj.Fold().Combiner()
 			combine := func(key []byte, vals [][]byte) {
 				partial(key, vals, emit)
@@ -180,7 +187,7 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 	}
 	// Read the remaining runs up front so the final merge + reduce scan is
 	// pure in-memory work a pooled closure can own; the output pairs stage
-	// into a flat buffer and replay through the collector after the join.
+	// as write-behind units the collector replays after the join.
 	datas := rs.Merger.ReadRuns(p)
 	segs := rs.Acc.TakeSegments()
 	// The reduce and framework charges depend only on the total input pair
@@ -193,7 +200,7 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 	for _, s := range segs {
 		inputs += kv.CountPairs(s)
 	}
-	var staged []byte
+	var staged engine.Staged
 	var cmps int64
 	work := rs.rt.StartJobWork(p, rs.job, func(wj *engine.Job) {
 		streams := make([]kv.PairStream, 0, len(datas)+len(segs))
@@ -203,23 +210,14 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 		for _, s := range segs {
 			streams = append(streams, kv.NewSliceStream(s))
 		}
-		cmps, _ = MergeGroupReduce(streams, wj, func(k, v []byte) {
-			staged = kv.AppendPair(staged, k, v)
-		})
+		cmps, _ = rs.MergeGroupReduce(streams, wj, staged.Add)
 	})
 	rs.node.Compute(p, engine.Dur(float64(inputs), rs.costs.ReduceNsPerRecord), engine.PhaseReduce)
 	rs.node.Compute(p, engine.Dur(float64(inputs), rs.costs.FrameworkNsPerRecord), engine.PhaseFramework)
 	work.Wait()
 	rs.node.Compute(p, engine.Dur(float64(cmps), rs.costs.CompareNs), engine.PhaseMerge)
 	rs.rt.Counters.Add(engine.CtrMergeComparisons, float64(cmps))
-	for off := 0; off < len(staged); {
-		k, v, n := kv.DecodePair(staged[off:])
-		if n == 0 {
-			break
-		}
-		oc.Emit(p, rs.r, rs.node.ID, k, v)
-		off += n
-	}
+	oc.Replay(p, rs.r, rs.node.ID, &staged)
 	rs.Merger.DeleteAll()
 	oc.Close(p, rs.r)
 	span.End(p.Now())
@@ -227,12 +225,10 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 }
 
 // MergeGroupReduce merges sorted streams, groups equal keys, and applies
-// the job's reduce function, returning comparison and input-value counts.
-// Groups alias the streams' bytes when all of them are in-memory slices (the
-// final merge) and copy when any refills its buffer as it advances (HOP's
-// snapshot re-merges over on-disk runs).
-func MergeGroupReduce(streams []kv.PairStream, job *engine.Job, emit engine.Emit) (cmps int64, inputs int) {
-	g := kv.Grouper{Alias: kv.AllSliceStreams(streams)}
+// job's reduce function, returning comparison and input-value counts. Groups
+// alias the streams' bytes, in-memory segments and run files alike.
+func (rs *ReduceSide) MergeGroupReduce(streams []kv.PairStream, job *engine.Job, emit engine.Emit) (cmps int64, inputs int) {
+	g := &rs.group
 	reduce := func(key []byte, vals [][]byte) {
 		job.Reduce(key, vals, emit)
 		inputs += len(vals)

@@ -325,15 +325,16 @@ func emitSnapshot(j *engine.JobRun, p *sim.Proc, node *cluster.Node, rs *hadoop.
 	}
 	streams = append(streams, rs.Acc.PeekStreams()...)
 	pairs := 0
-	sink := newSnapshotSink(rt, p, node, j.Job, r, frac)
+	sink := newSnapshotSink(rt, p, node, j.Job, r, frac, rs.SnapshotBuf)
 	// This merge runs on the event loop (its streams charge disk reads as they
 	// refill), so it reduces through the job itself: pooled closures only ever
 	// exercise their workers' clones.
-	cmps, inputs := hadoop.MergeGroupReduce(streams, j.Job, func(k, v []byte) {
+	cmps, inputs := rs.MergeGroupReduce(streams, j.Job, func(k, v []byte) {
 		pairs++
 		sink.write(k, v)
 	})
 	sink.flush()
+	rs.SnapshotBuf = sink.buf
 	node.Compute(p, engine.Dur(float64(cmps), costs.CompareNs), engine.PhaseMerge)
 	node.Compute(p, engine.Dur(float64(inputs), costs.ReduceNsPerRecord), engine.PhaseReduce)
 	rt.Counters.Add(engine.CtrMergeComparisons, float64(cmps))
@@ -356,17 +357,19 @@ type snapshotSink struct {
 	buf    []byte
 }
 
-func newSnapshotSink(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job, r int, frac float64) *snapshotSink {
+// newSnapshotSink opens the snapshot's file; buf is the reducer's (empty)
+// write-behind buffer from its previous snapshot.
+func newSnapshotSink(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job, r int, frac float64, buf []byte) *snapshotSink {
 	path := fmt.Sprintf("%s/snapshot-%03.0f/part-r-%05d", job.OutputPath, frac*100, r)
 	w, err := rt.DFS.CreateWriter(path, node.ID, true)
 	if err != nil {
 		panic(fmt.Sprintf("hop: snapshot writer: %v", err))
 	}
-	return &snapshotSink{p: p, append: w.Append}
+	return &snapshotSink{p: p, append: w.Append, buf: buf}
 }
 
 func (s *snapshotSink) write(k, v []byte) {
-	s.buf = kv.AppendPair(s.buf, k, v)
+	s.buf = kv.AppendPair(engine.GrowUnit(s.buf, kv.EncodedSize(k, v)), k, v)
 	if len(s.buf) >= 128<<10 {
 		s.flush()
 	}

@@ -8,6 +8,7 @@ package kv
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 )
 
 // AppendPair appends the encoding of (key, val) to dst and returns dst.
@@ -244,35 +245,14 @@ func MergeStreams(streams []PairStream, counter *int64, emit func(key, val []byt
 }
 
 // Grouper accumulates consecutive equal-key pairs and hands each completed
-// group to a callback. The zero value copies: key and value payloads go
-// once into staging buffers owned by the Grouper (so they survive the
-// source stream advancing), recycled from one group to the next. Callbacks
-// must not retain key or vals past their return.
+// group to a callback. It keeps the slices it is handed: every PairStream
+// decodes a fixed buffer (an in-memory segment or an immutable run file), so
+// a key or value stays valid and unmoved until its group is flushed.
+// Callbacks must not retain vals past their return.
 type Grouper struct {
-	// Alias makes the Grouper keep the slices it is handed instead of
-	// copying them. Set it, before the first Add, only when every key and
-	// value stays valid and unmoved until its group is flushed — true of
-	// SliceStreams (see AllSliceStreams), false of streams that refill a
-	// buffer as they advance.
-	Alias bool
-
-	key      []byte // current group's key
-	valBytes []byte // copy mode: concatenated value payloads of the group
-	bounds   []int  // copy mode: value i spans valBytes[bounds[i-1]:bounds[i]]
-	vals     [][]byte
-	have     bool
-}
-
-// AllSliceStreams reports whether every stream decodes a fixed in-memory
-// buffer, so the pairs a merge over them emits stay valid for the whole
-// merge and a Grouper may alias them.
-func AllSliceStreams(streams []PairStream) bool {
-	for _, s := range streams {
-		if _, ok := s.(*SliceStream); !ok {
-			return false
-		}
-	}
-	return true
+	key  []byte // current group's key
+	vals [][]byte
+	have bool
 }
 
 // Add feeds one pair in sorted order. When k starts a new group, the
@@ -281,38 +261,21 @@ func AllSliceStreams(streams []PairStream) bool {
 func (g *Grouper) Add(k, v []byte, counter *int64, fn func(key []byte, vals [][]byte)) {
 	if !g.have || Compare(g.key, k, counter) != 0 {
 		g.Flush(fn)
-		if g.Alias {
-			g.key = k
-		} else {
-			g.key = append(g.key[:0], k...)
-		}
-		g.have = true
+		g.key, g.have = k, true
 	}
-	if g.Alias {
-		g.vals = append(g.vals, v)
-		return
+	if len(g.vals) == cap(g.vals) {
+		// Double: append's 1.25x steps allocate ~5x a hot key's group.
+		g.vals = slices.Grow(g.vals, len(g.vals)+1)
 	}
-	g.valBytes = append(g.valBytes, v...)
-	g.bounds = append(g.bounds, len(g.valBytes))
+	g.vals = append(g.vals, v)
 }
 
-// Flush emits the pending group, if any, and resets the staging buffers.
+// Flush emits the pending group, if any.
 func (g *Grouper) Flush(fn func(key []byte, vals [][]byte)) {
 	if !g.have {
 		return
 	}
-	if !g.Alias {
-		// Materialize vals only now: valBytes may have been reallocated by
-		// growth while the group was accumulating.
-		start := 0
-		for _, end := range g.bounds {
-			g.vals = append(g.vals, g.valBytes[start:end])
-			start = end
-		}
-	}
 	fn(g.key, g.vals)
 	g.vals = g.vals[:0]
-	g.valBytes = g.valBytes[:0]
-	g.bounds = g.bounds[:0]
 	g.have = false
 }

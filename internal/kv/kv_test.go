@@ -222,18 +222,16 @@ func TestGrouperGroupsConsecutiveKeys(t *testing.T) {
 	buf = AppendPair(buf, []byte("a"), []byte("1"))
 	buf = AppendPair(buf, []byte("a"), []byte("2"))
 	buf = AppendPair(buf, []byte("b"), []byte("3"))
-	for _, alias := range []bool{false, true} {
-		groups := map[string][]string{}
-		groupStream(&Grouper{Alias: alias}, NewSliceStream(buf), func(k []byte, vals [][]byte) {
-			var vs []string
-			for _, v := range vals {
-				vs = append(vs, string(v))
-			}
-			groups[string(k)] = vs
-		})
-		if !reflect.DeepEqual(groups["a"], []string{"1", "2"}) || !reflect.DeepEqual(groups["b"], []string{"3"}) {
-			t.Fatalf("alias=%v: groups = %v", alias, groups)
+	groups := map[string][]string{}
+	groupStream(&Grouper{}, NewSliceStream(buf), func(k []byte, vals [][]byte) {
+		var vs []string
+		for _, v := range vals {
+			vs = append(vs, string(v))
 		}
+		groups[string(k)] = vs
+	})
+	if !reflect.DeepEqual(groups["a"], []string{"1", "2"}) || !reflect.DeepEqual(groups["b"], []string{"3"}) {
+		t.Fatalf("groups = %v", groups)
 	}
 }
 
@@ -243,23 +241,44 @@ func TestGrouperEmptyStream(t *testing.T) {
 	})
 }
 
-// The zero-value Grouper copies, so a group survives the caller reusing the
-// buffers it passed to Add; alias mode hands the caller's slices through.
-func TestGrouperCopyVersusAlias(t *testing.T) {
-	for _, alias := range []bool{false, true} {
-		g := Grouper{Alias: alias}
-		k, v := []byte("k"), []byte("v1")
-		var got string
-		fn := func(key []byte, vals [][]byte) { got = fmt.Sprintf("%s=%s", key, vals[0]) }
-		g.Add(k, v, nil, fn)
-		copy(v, "XX") // the source moves on before the group is flushed
-		g.Flush(fn)
-		want := "k=v1"
-		if alias {
-			want = "k=XX"
+// A Grouper hands the caller's slices through to the group callback — it
+// never copies a key or a value — and one Grouper serves any number of
+// merges, a hot key's group growing its value list by doubling.
+func TestGrouperAliasesItsInput(t *testing.T) {
+	var g Grouper
+	k, v := []byte("k"), []byte("v1")
+	var got string
+	fn := func(key []byte, vals [][]byte) {
+		got = fmt.Sprintf("%s=%s", key, vals[0])
+		if &key[0] != &k[0] || &vals[0][0] != &v[0] {
+			t.Fatal("the group does not alias the slices Add was handed")
 		}
-		if got != want {
-			t.Fatalf("alias=%v: group = %q, want %q", alias, got, want)
+	}
+	g.Add(k, v, nil, fn)
+	copy(v, "XX") // what the caller writes through its slice, the group sees
+	g.Flush(fn)
+	if got != "k=XX" {
+		t.Fatalf("group = %q, want k=XX", got)
+	}
+	for merge := 0; merge < 2; merge++ {
+		const n = 100000
+		grows, lastCap := 0, cap(g.vals)
+		seen := 0
+		count := func(key []byte, vals [][]byte) { seen = len(vals) }
+		for i := 0; i < n; i++ {
+			g.Add(k, v, nil, count)
+			if c := cap(g.vals); c != lastCap {
+				grows, lastCap = grows+1, c
+			}
+		}
+		g.Flush(count)
+		if seen != n {
+			t.Fatalf("merge %d: group of %d values, want %d", merge, seen, n)
+		}
+		// Doubling from nothing reaches n in about log2(n) = 17 steps; append's
+		// 1.25x steps would take over 30. The second merge reuses the list.
+		if want := 18 * (1 - merge); grows > want {
+			t.Fatalf("merge %d: value list reallocated %d times, want at most %d", merge, grows, want)
 		}
 	}
 }

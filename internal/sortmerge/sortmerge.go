@@ -26,28 +26,30 @@ type Run struct {
 func (r *Run) Size() int64 { return r.File.Size() }
 
 // WriteRun persists encoded sorted pairs as a new run file, charging a
-// sequential write.
+// sequential write. The file adopts encoded: a run's bytes are immutable
+// from here on, every reader of the run aliases them, and the caller must
+// not write through the slice again.
 func WriteRun(p *sim.Proc, store *disk.Store, name string, encoded []byte) *Run {
 	f := store.Create(name, false)
 	if len(encoded) > 0 {
-		store.Append(p, f, encoded)
+		store.Put(p, f, encoded)
 	}
 	return &Run{Store: store, File: f}
 }
 
 // Stream reads a run back as a kv.PairStream, charging a random read per
-// buffer refill — the k-way merge access pattern on a spindle.
+// buffer refill — the k-way merge access pattern on a spindle. The pairs it
+// returns alias the file's bytes: the buffer is an accounting window over
+// them, not a copy.
 type Stream struct {
-	p *sim.Proc
-	r *disk.Reader
-	// buf[off:] holds undecoded bytes; on refill the remainder is copied to
-	// the front so the buffer is reused instead of reallocated per refill.
-	buf   []byte
-	off   int
-	key   []byte
-	val   []byte
-	valid bool
-	done  bool
+	p    *sim.Proc
+	r    *disk.Reader
+	file *disk.File
+	// The file's bytes [off, end) have been charged and not yet decoded.
+	off, end int
+	key, val []byte
+	valid    bool
+	done     bool
 }
 
 // streamBuf is the per-run merge buffer size (Hadoop's io.file.buffer.size
@@ -56,7 +58,7 @@ const streamBuf = 256 << 10
 
 // NewStream opens a run for streaming by process p.
 func NewStream(p *sim.Proc, run *Run) *Stream {
-	return &Stream{p: p, r: run.Store.NewReader(run.File, streamBuf)}
+	return &Stream{p: p, r: run.Store.NewReader(run.File, streamBuf), file: run.File}
 }
 
 // Peek implements kv.PairStream.
@@ -68,7 +70,9 @@ func (s *Stream) Peek() ([]byte, []byte, bool) {
 		return nil, nil, false
 	}
 	for {
-		k, v, n := kv.DecodePair(s.buf[s.off:])
+		// Data is re-read after every refill: a file still being appended may
+		// have moved, and the bytes already handed out stay where they were.
+		k, v, n := kv.DecodePair(s.file.Data()[s.off:s.end])
 		if n > 0 {
 			s.key, s.val = k, v
 			s.off += n
@@ -77,17 +81,13 @@ func (s *Stream) Peek() ([]byte, []byte, bool) {
 		}
 		chunk := s.r.Next(s.p, streamBuf)
 		if chunk == nil {
-			if s.off != len(s.buf) {
+			if s.off != s.end {
 				panic("sortmerge: trailing partial record in run")
 			}
 			s.done = true
 			return nil, nil, false
 		}
-		// The previous pair has been consumed (valid is false), so the
-		// remainder can move: compact it to the front, then append.
-		rest := copy(s.buf, s.buf[s.off:])
-		s.buf = append(s.buf[:rest], chunk...)
-		s.off = 0
+		s.end += len(chunk)
 	}
 }
 
@@ -194,9 +194,9 @@ func (m *Merger) MergePass(p *sim.Proc) *Run {
 	return merged
 }
 
-// ReadRuns streams every remaining run fully into memory (charging the
-// reads) and returns one encoded byte slice per run, oldest first. The runs
-// stay registered for DeleteAll. The final merge uses it so the merge and
+// ReadRuns charges a full streamed read of every remaining run and returns
+// each run's bytes, oldest first, for the caller to read and not write. The
+// runs stay registered for DeleteAll. The final merge uses it so the merge and
 // reduce scan become pure in-memory work a pooled closure can own.
 func (m *Merger) ReadRuns(p *sim.Proc) [][]byte {
 	out := make([][]byte, len(m.runs))
@@ -206,18 +206,13 @@ func (m *Merger) ReadRuns(p *sim.Proc) [][]byte {
 	return out
 }
 
-// readRun reads one run back in full, charging the same buffered reads the
-// lazy Stream would.
+// readRun charges the buffered reads the lazy Stream would make over the
+// whole run and returns the file's bytes, which the caller only reads.
 func readRun(p *sim.Proc, r *Run) []byte {
-	out := make([]byte, 0, r.Size())
 	rd := r.Store.NewReader(r.File, streamBuf)
-	for {
-		chunk := rd.Next(p, streamBuf)
-		if chunk == nil {
-			return out
-		}
-		out = append(out, chunk...)
+	for rd.Next(p, streamBuf) != nil {
 	}
+	return r.File.Data()
 }
 
 // TotalRunBytes returns the byte volume of the remaining runs.
