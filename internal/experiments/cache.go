@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"onepass/internal/engine"
 )
@@ -91,15 +92,15 @@ func (s *Session) SaveCache(path string) (int, error) {
 	}
 	s.mu.Unlock()
 
-	keys := make([]string, len(cf.Runs))
-	for i, ce := range cf.Runs {
+	keys := make(map[runSpec]string, len(cf.Runs))
+	for _, ce := range cf.Runs {
 		b, err := json.Marshal(ce.Spec)
 		if err != nil {
 			return 0, err
 		}
-		keys[i] = string(b)
+		keys[ce.Spec] = string(b)
 	}
-	sort.Sort(&byKey{keys: keys, runs: cf.Runs})
+	slices.SortFunc(cf.Runs, func(a, b cacheEntry) int { return strings.Compare(keys[a.Spec], keys[b.Spec]) })
 
 	data, err := json.MarshalIndent(&cf, "", " ")
 	if err != nil {
@@ -113,17 +114,4 @@ func (s *Session) SaveCache(path string) (int, error) {
 		return 0, err
 	}
 	return len(cf.Runs), nil
-}
-
-// byKey sorts cache entries and their precomputed spec keys together.
-type byKey struct {
-	keys []string
-	runs []cacheEntry
-}
-
-func (b *byKey) Len() int           { return len(b.keys) }
-func (b *byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b *byKey) Swap(i, j int) {
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.runs[i], b.runs[j] = b.runs[j], b.runs[i]
 }

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"onepass"
 	"onepass/internal/engine"
+	"onepass/internal/engines"
 	"onepass/internal/faults"
 )
 
@@ -16,58 +16,24 @@ const chaosSeed = 7
 // faulted) affordable next to the 256 GB headline experiments.
 const chaosInputGB = 64
 
-// chaosEngines is the full engine registry: every engine — the resident
-// in-memory one included — must make injected faults invisible in the
-// answer. Deriving the list keeps the sweep in sync as engines are added
-// (TestSweepEnginesMatchRegistry enforces it).
-var chaosEngines = onepass.EngineNames()
-
-func chaosBaseSpec(eng string) runSpec {
-	return runSpec{Workload: "sessionization", Engine: eng, InputGB: chaosInputGB}
-}
-
-// chaosSpecs is wave 1: a fault-free baseline per engine, both the output
-// reference and the horizon the chaos schedule is timed against.
-func chaosSpecs(s *Session) []runSpec {
-	specs := make([]runSpec, 0, len(chaosEngines))
-	for _, eng := range chaosEngines {
-		specs = append(specs, chaosBaseSpec(eng))
-	}
-	return specs
-}
-
-// chaosFaultedSpec derives one engine's chaos run from its own fault-free
-// makespan, so every fault lands while that engine still has work in
-// flight — a schedule timed against slow Hadoop would cancel harmlessly on
-// the hash engines.
-func (s *Session) chaosFaultedSpec(eng string) runSpec {
-	base := s.Run(chaosBaseSpec(eng))
-	spec := chaosBaseSpec(eng)
-	spec.Faults = faults.Chaos(chaosSeed, s.Scale.Nodes, base.Makespan).String()
-	return spec
-}
-
-// chaosAfterSpecs is wave 2: the faulted runs, schedulable only once the
-// baselines exist.
-func chaosAfterSpecs(s *Session) []runSpec {
-	specs := make([]runSpec, 0, len(chaosEngines))
-	for _, eng := range chaosEngines {
-		specs = append(specs, s.chaosFaultedSpec(eng))
-	}
-	return specs
-}
-
 // ChaosSweep injects a seeded chaos schedule (one node failure plus a few
-// degradations) into every engine and checks the recovered output against
-// the engine's fault-free run: the order-independent output checksum must
-// match exactly. This is the system-level statement of the paper's
-// fault-tolerance argument (§III.B.2): persistence plus deterministic
-// re-execution makes failures invisible in the answer.
+// degradations) into every registered engine — the resident in-memory one
+// included — and checks the recovered output against the engine's
+// fault-free run: the order-independent output checksum must match exactly.
+// This is the system-level statement of the paper's fault-tolerance
+// argument (§III.B.2): persistence plus deterministic re-execution makes
+// failures invisible in the answer.
 func (s *Session) ChaosSweep() *Report {
 	rep := &Report{ID: "Chaos sweep", Title: "Seeded fault schedules on every engine (output must not change)"}
-	for _, eng := range chaosEngines {
-		base := s.Run(chaosBaseSpec(eng))
-		spec := s.chaosFaultedSpec(eng)
+	for _, eng := range engines.Names() {
+		// The fault-free run is both the output reference and the horizon
+		// the schedule is timed against: each engine's own makespan, so
+		// every fault lands while that engine still has work in flight — a
+		// schedule timed against slow Hadoop would cancel harmlessly on the
+		// hash engines.
+		spec := runSpec{Workload: "sessionization", Engine: eng, InputGB: chaosInputGB}
+		base := s.Run(spec)
+		spec.Faults = faults.Chaos(chaosSeed, s.Scale.Nodes, base.Makespan).String()
 		faulted := s.Run(spec)
 		verdict := "identical output"
 		if faulted.OutputChecksum != base.OutputChecksum || faulted.OutputPairs != base.OutputPairs {

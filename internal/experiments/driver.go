@@ -2,58 +2,46 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"onepass/internal/parallel"
 )
 
-// Experiment is one reproduced table/figure/section: the runs it needs and
-// the renderer that turns cached results into a Report.
-//
-// Specs lists runs knowable before anything executes (wave 1). After lists
-// runs whose spec depends on a wave-1 result — e.g. the fault-injection run
-// is timed against the fault-free baseline's makespan — and is consulted
-// only once every wave-1 run completed (wave 2). Renderers call Session.Run
-// directly, so a spec missing from these lists still executes correctly —
-// it just runs serially at render time instead of inside the parallel
-// waves. The determinism test pins parallel output to serial output, and
-// TestExperimentSpecsCoverRenders pins the lists to what renders actually
-// consume.
+// Experiment is one reproduced table/figure/section. Its renderer is the
+// only description of the runs it needs: it calls Session.Run wherever it
+// wants a result, and a run timed against another (the fault schedules, the
+// chaos sweep) is simply the statement after its baseline.
 type Experiment struct {
-	ID     string // matches the rendered Report.ID (e.g. "Table I", "Fig 2(b)")
-	Specs  func(s *Session) []runSpec
-	After  func(s *Session) []runSpec
+	ID     string // the rendered Report.ID and the name -exp filters on
 	Render func(s *Session) *Report
 }
 
 // Experiments returns every reproduced experiment in paper order.
 func Experiments() []Experiment {
 	return []Experiment{
-		{ID: "Table I", Specs: tableISpecs, Render: (*Session).TableI},
-		{ID: "Table II", Specs: tableIISpecs, Render: (*Session).TableII},
-		{ID: "Table III", Specs: tableIIISpecs, Render: (*Session).TableIII},
-		{ID: "§III.B.1", Specs: parsingCostSpecs, Render: (*Session).ParsingCost},
-		{ID: "§III.B.2", Specs: mapOutputWriteShareSpecs, Render: (*Session).MapOutputWriteShare},
-		{ID: "Fig 2(a)", Specs: fig2Specs, Render: (*Session).Fig2a},
-		{ID: "Fig 2(b)", Specs: fig2Specs, Render: (*Session).Fig2b},
-		{ID: "Fig 2(c)", Specs: fig2Specs, Render: (*Session).Fig2c},
-		{ID: "Fig 2(d)", Specs: fig2Specs, Render: (*Session).Fig2d},
-		{ID: "Fig 2(e)", Specs: fig2eSpecs, Render: (*Session).Fig2e},
-		{ID: "Fig 2(f)", Specs: fig2fSpecs, Render: (*Session).Fig2f},
-		{ID: "Fig 3", Specs: fig3Specs, Render: (*Session).Fig3},
-		{ID: "Fig 4", Specs: fig4Specs, Render: (*Session).Fig4},
-		{ID: "§V", Specs: secVHashVsHadoopSpecs, Render: (*Session).SecVHashVsHadoop},
-		{ID: "§V (spills)", Specs: secVSpillSpecs, Render: (*Session).SecVSpillReduction},
-		{ID: "§IV/§V (latency)", Specs: secVLatencySpecs, Render: (*Session).SecVIncrementalLatency},
-		{ID: "§I/§IV (streaming)", Specs: streamingSpecs, Render: (*Session).Streaming},
-		{ID: "Fault tolerance",
-			Specs:  func(*Session) []runSpec { return []runSpec{specHadoopSessionization()} },
-			After:  func(s *Session) []runSpec { return []runSpec{s.faultSpec()} },
-			Render: (*Session).FaultTolerance},
-		{ID: "Chaos sweep", Specs: chaosSpecs, After: chaosAfterSpecs, Render: (*Session).ChaosSweep},
-		{ID: "Ablation (fan-in)", Specs: ablationFanInSpecs, Render: (*Session).AblationFanIn},
-		{ID: "Ablation (HOP chunk)", Specs: ablationHOPChunkSpecs, Render: (*Session).AblationHOPChunk},
-		{ID: "Ablation (hot-key memory)", Specs: ablationHotKeyMemorySpecs, Render: (*Session).AblationHotKeyMemory},
+		{ID: "Table I", Render: (*Session).TableI},
+		{ID: "Table II", Render: (*Session).TableII},
+		{ID: "Table III", Render: (*Session).TableIII},
+		{ID: "§III.B.1", Render: (*Session).ParsingCost},
+		{ID: "§III.B.2", Render: (*Session).MapOutputWriteShare},
+		{ID: "Fig 2(a)", Render: (*Session).Fig2a},
+		{ID: "Fig 2(b)", Render: (*Session).Fig2b},
+		{ID: "Fig 2(c)", Render: (*Session).Fig2c},
+		{ID: "Fig 2(d)", Render: (*Session).Fig2d},
+		{ID: "Fig 2(e)", Render: (*Session).Fig2e},
+		{ID: "Fig 2(f)", Render: (*Session).Fig2f},
+		{ID: "Fig 3", Render: (*Session).Fig3},
+		{ID: "Fig 4", Render: (*Session).Fig4},
+		{ID: "§V", Render: (*Session).SecVHashVsHadoop},
+		{ID: "§V (spills)", Render: (*Session).SecVSpillReduction},
+		{ID: "§IV/§V (latency)", Render: (*Session).SecVIncrementalLatency},
+		{ID: "§I/§IV (streaming)", Render: (*Session).Streaming},
+		{ID: "Fault tolerance", Render: (*Session).FaultTolerance},
+		{ID: "Chaos sweep", Render: (*Session).ChaosSweep},
+		{ID: "Ablation (fan-in)", Render: (*Session).AblationFanIn},
+		{ID: "Ablation (HOP chunk)", Render: (*Session).AblationHOPChunk},
+		{ID: "Ablation (hot-key memory)", Render: (*Session).AblationHotKeyMemory},
 		{ID: "Resident (iterative)", Render: (*Session).ResidentIterative},
 		{ID: "Service (saturation)", Render: (*Session).ServiceSaturation},
 		{ID: "Incremental (delta sweep)", Render: (*Session).IncrementalDelta},
@@ -71,60 +59,26 @@ func (s *Session) All() []*Report {
 	return reps
 }
 
-// dedupeSpecs drops duplicate specs, preserving first-seen order (runSpec
-// is comparable — it is the cache key).
-func dedupeSpecs(specs []runSpec) []runSpec {
-	seen := make(map[runSpec]bool, len(specs))
-	out := specs[:0]
-	for _, sp := range specs {
-		if !seen[sp] {
-			seen[sp] = true
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// prefetch executes the given specs on up to workers goroutines. Each run
-// owns a private sim.Env/cluster/DFS, so concurrent runs share nothing but
-// the session's result cache. A panic inside a run is captured by the pool
-// and returned as an error.
-func (s *Session) prefetch(ctx context.Context, workers int, specs []runSpec) error {
-	specs = dedupeSpecs(specs)
-	return parallel.ForEach(ctx, workers, len(specs), func(i int) error {
-		s.Run(specs[i])
+// RunAll renders the given experiments, up to workers of them at a time
+// (GOMAXPROCS when workers <= 0), and returns the reports in the order
+// given. Every simulation runs on a private virtual cluster and the session
+// cache shares a spec two experiments both need (the second requester waits
+// for the first's execution), so the reports are byte-identical to a serial
+// s.All() whatever the width or scheduling. A renderer that panics stops
+// further experiments from starting and comes back as an error naming it;
+// so does a cancelled ctx.
+func (s *Session) RunAll(ctx context.Context, workers int, exps []Experiment) ([]*Report, error) {
+	reps := make([]*Report, len(exps))
+	err := parallel.ForEach(ctx, workers, len(exps), func(i int) error {
+		reps[i] = exps[i].Render(s)
 		return nil
 	})
-}
-
-// RunAll executes every run the given experiments need — fanning out up to
-// workers concurrent simulations (GOMAXPROCS when workers <= 0) — then
-// renders each report in order. Because rendering happens serially against
-// a fully warmed cache, and each run is deterministic on its private
-// virtual cluster, the returned reports are byte-identical to a serial
-// s.All() regardless of workers or scheduling.
-func (s *Session) RunAll(ctx context.Context, workers int, exps []Experiment) ([]*Report, error) {
-	var wave1 []runSpec
-	for _, e := range exps {
-		if e.Specs != nil {
-			wave1 = append(wave1, e.Specs(s)...)
-		}
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		return nil, fmt.Errorf("experiments: %s: %w", exps[pe.Index].ID, err)
 	}
-	if err := s.prefetch(ctx, workers, wave1); err != nil {
-		return nil, fmt.Errorf("experiments: wave 1: %w", err)
-	}
-	var wave2 []runSpec
-	for _, e := range exps {
-		if e.After != nil {
-			wave2 = append(wave2, e.After(s)...)
-		}
-	}
-	if err := s.prefetch(ctx, workers, wave2); err != nil {
-		return nil, fmt.Errorf("experiments: wave 2: %w", err)
-	}
-	reps := make([]*Report, 0, len(exps))
-	for _, e := range exps {
-		reps = append(reps, e.Render(s))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	return reps, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"onepass/internal/engine"
+	"onepass/internal/engines"
 	"onepass/internal/sim"
 )
 
@@ -207,11 +208,8 @@ func TestServiceSaturationKnee(t *testing.T) {
 	}
 	s := NewSession(testScale())
 	rep := s.ServiceSaturation()
-	if len(rep.Figures) != len(serviceEngines) {
-		t.Fatalf("figures = %d, want %d", len(rep.Figures), len(serviceEngines))
-	}
-	if len(rep.Rows) != len(serviceEngines) {
-		t.Fatalf("rows = %d, want %d", len(rep.Rows), len(serviceEngines))
+	if n := len(engines.List); len(rep.Figures) != n || len(rep.Rows) != n {
+		t.Fatalf("%d figures and %d rows for %d registered engines", len(rep.Figures), len(rep.Rows), n)
 	}
 	for _, f := range rep.Figures {
 		// One line per load point per tenant.

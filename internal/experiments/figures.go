@@ -66,30 +66,6 @@ func shapeOf(res *engine.Result) phaseShape {
 	return sh
 }
 
-// fig2Specs covers Figs 2(a)–(d): four views of one shared run.
-func fig2Specs(*Session) []runSpec {
-	return []runSpec{specHadoopSessionization()}
-}
-
-func fig2eSpecs(*Session) []runSpec {
-	return []runSpec{specHadoopSessionization(),
-		{Workload: "sessionization", Engine: "hadoop", InputGB: 256, SSD: true}}
-}
-
-func fig2fSpecs(*Session) []runSpec {
-	return []runSpec{specHadoopSessionization(),
-		{Workload: "sessionization", Engine: "hadoop", InputGB: 256, Split: true}}
-}
-
-func fig3Specs(*Session) []runSpec {
-	return []runSpec{{Workload: "inverted-index", Engine: "hadoop", InputGB: 427}}
-}
-
-func fig4Specs(*Session) []runSpec {
-	return []runSpec{specHadoopSessionization(),
-		{Workload: "sessionization", Engine: "hop", InputGB: 256, Snapshots: true}}
-}
-
 // Fig2a reproduces the sessionization task timeline: map, shuffle, merge,
 // and reduce task counts over time, with merge activity bridging the gap.
 func (s *Session) Fig2a() *Report {
@@ -182,7 +158,7 @@ func (s *Session) Fig2d() *Report {
 // merge valley persists.
 func (s *Session) Fig2e() *Report {
 	base := s.hadoopSessionization()
-	ssd := s.Run(fig2eSpecs(s)[1])
+	ssd := s.Run(runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 256, SSD: true})
 	shSSD := shapeOf(ssd)
 	speedup := 1 - float64(ssd.Makespan)/float64(base.Makespan)
 	fig := Figure{
@@ -211,7 +187,7 @@ func (s *Session) Fig2e() *Report {
 // relief without SSD speed (paper: 76 → 55 min), blocking remains.
 func (s *Session) Fig2f() *Report {
 	base := s.hadoopSessionization()
-	split := s.Run(fig2fSpecs(s)[1])
+	split := s.Run(runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 256, Split: true})
 	shSplit := shapeOf(split)
 	// The paper halved the input for the 5-node compute tier; we keep the
 	// input constant and report per-makespan shape instead, noting the
@@ -242,7 +218,7 @@ func (s *Session) Fig2f() *Report {
 // Fig3 reproduces the inverted-index task timeline: the blocking merge
 // phase is present in this workload as well.
 func (s *Session) Fig3() *Report {
-	res := s.Run(fig3Specs(s)[0])
+	res := s.Run(runSpec{Workload: "inverted-index", Engine: "hadoop", InputGB: 427})
 	fig := Figure{Title: "Fig 3: task timeline, inverted index on Hadoop"}
 	counts := res.Timeline.Counts(res.CPUUtil.Bucket, sim.Time(int64(res.Makespan)))
 	for _, phase := range []string{engine.SpanMap, engine.SpanShuffle, engine.SpanMerge, engine.SpanReduce} {
@@ -267,7 +243,7 @@ func (s *Session) Fig3() *Report {
 // CPU utilization with similar total map-phase cycles.
 func (s *Session) Fig4() *Report {
 	base := s.hadoopSessionization()
-	hopRes := s.Run(fig4Specs(s)[1])
+	hopRes := s.Run(runSpec{Workload: "sessionization", Engine: "hop", InputGB: 256, Snapshots: true})
 	shHop := shapeOf(hopRes)
 	shBase := shapeOf(base)
 	figs := []Figure{

@@ -12,18 +12,14 @@ package experiments
 //
 // Like the service and resident experiments this one does not go through
 // Session.Run: each data point is a multi-job incremental pipeline on its
-// own simulated cluster, so it declares no specs and builds everything at
-// render time (deterministically — virtual time, seeded deltas).
+// own simulated cluster, built by the renderer (deterministically — virtual
+// time, seeded deltas) and so not in the run cache.
 
 import (
 	"fmt"
 
 	"onepass"
 )
-
-// incrementalEngines is the full engine registry: every engine is
-// delta-capable (kept in sync by TestSweepEnginesMatchRegistry).
-var incrementalEngines = onepass.EngineNames()
 
 // incrementalFracs are the swept delta sizes: one per decade.
 var incrementalFracs = []float64{0.001, 0.01, 0.1}
@@ -78,22 +74,19 @@ func (s *Session) incrementalCell(eng onepass.Engine, w *onepass.Workload, d one
 }
 
 // IncrementalDelta renders the delta sweep: full-re-run vs incremental
-// cost as a function of delta size, across every engine, with byte-identity
-// checked per cell, plus the sliding-window sessionization scenario showing
-// how an append-only delta confines re-folding to trailing windows.
+// cost as a function of delta size, across every registered engine (all are
+// delta-capable), with byte-identity checked per cell, plus the
+// sliding-window sessionization scenario showing how an append-only delta
+// confines re-folding to trailing windows.
 func (s *Session) IncrementalDelta() *Report {
 	rep := &Report{
 		ID:    "Incremental (delta sweep)",
 		Title: "full re-run vs incremental re-run over delta inputs (per-user-count)",
 	}
 	cc := s.Scale.clickCfg()
-	for _, name := range incrementalEngines {
-		eng, err := onepass.ParseEngine(name)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: incremental: %v", err))
-		}
+	for _, eng := range onepass.Engines() {
 		for _, frac := range incrementalFracs {
-			s.logf("running incremental delta sweep: %s at %.1f%%...", name, frac*100)
+			s.logf("running incremental delta sweep: %s at %.1f%%...", eng, frac*100)
 			d := onepass.DefaultDelta(cc, incrementalSeed, frac)
 			dr, full, fullDisk := s.incrementalCell(eng, onepass.PerUserCount(cc), d)
 			verdict := "identical output"
@@ -102,7 +95,7 @@ func (s *Session) IncrementalDelta() *Report {
 					dr.Incremental.OutputChecksum, full.OutputChecksum)
 			}
 			rep.Rows = append(rep.Rows, Row{
-				Name: fmt.Sprintf("%s, %.1f%% delta", name, frac*100),
+				Name: fmt.Sprintf("%s, %.1f%% delta", eng, frac*100),
 				Paper: fmt.Sprintf("full %.2fs / %s read",
 					full.Makespan.Seconds(), fmtBytes(fullDisk)),
 				Measured: fmt.Sprintf("incr %.2fs / %s read",

@@ -13,33 +13,6 @@ import (
 	"onepass/internal/workloads"
 )
 
-// TestSweepEnginesMatchRegistry pins the full-registry sweeps to the engine
-// registry itself: a seventh engine must get chaos-recovery, service, and
-// delta coverage the moment it is registered, and a renamed engine must
-// break loudly here instead of silently dropping out of a sweep.
-func TestSweepEnginesMatchRegistry(t *testing.T) {
-	want := engines.Names()
-	for _, sweep := range []struct {
-		name    string
-		engines []string
-	}{
-		{"chaos", chaosEngines},
-		{"service", serviceEngines},
-		{"incremental", incrementalEngines},
-	} {
-		if len(sweep.engines) != len(want) {
-			t.Fatalf("%s sweep covers %d engines, registry has %d: %v vs %v",
-				sweep.name, len(sweep.engines), len(want), sweep.engines, want)
-		}
-		for i, e := range want {
-			if sweep.engines[i] != e {
-				t.Fatalf("%s sweep engine[%d] = %q, registry says %q",
-					sweep.name, i, sweep.engines[i], e)
-			}
-		}
-	}
-}
-
 // TestEveryDescriptorThroughEveryLauncher is the registry's completeness
 // check: every descriptor in engines.List — reached by iterating the list,
 // so a seventh needs no edit here — runs the same 4-block per-user-count job

@@ -66,13 +66,6 @@ func (r *Report) Render() string {
 
 func dashes(n int) string { return strings.Repeat("-", n) }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // seriesLine renders one series as a labeled sparkline of at most width
 // buckets.
 func seriesLine(name string, s *metrics.Series, width int) string {

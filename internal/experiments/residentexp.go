@@ -13,8 +13,8 @@ package experiments
 //
 // Like the service experiment this one does not go through Session.Run:
 // each data point is a whole multi-job pipeline on its own simulated
-// cluster, so it declares no specs and builds its clusters directly at
-// render time (deterministically — everything runs on virtual time).
+// cluster, built by the renderer (deterministically — everything runs on
+// virtual time) and so not in the run cache.
 
 import (
 	"fmt"

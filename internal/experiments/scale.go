@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation at simulation scale. Each experiment runs the relevant
 // engine/workload/topology combination, then reports the paper's number
-// next to the measured one; EXPERIMENTS.md is generated from these reports
-// and the root bench suite prints them per table/figure.
+// next to the measured one; cmd/experiments generates EXPERIMENTS.md from
+// these reports.
 package experiments
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"onepass/internal/gen"
 	"onepass/internal/sim"
-	"onepass/internal/workloads"
 )
 
 // GB is the unit the paper reports dataset sizes in.
@@ -85,7 +84,6 @@ type paperWorkload struct {
 	MapTasks      int
 	ReduceTasks   int
 	CompletionMin float64
-	Make          func() *workloads.Workload
 }
 
 // clickCfg sizes the synthetic click log so distinct-users-per-block and
@@ -116,28 +114,24 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// TableIWorkloads is the paper's Table I, row by row, built at scale s.
+// TableIWorkloads is the paper's Table I, row by row.
 func (s Scale) TableIWorkloads() []paperWorkload {
 	return []paperWorkload{
 		{
 			Name: "sessionization", InputGB: 256, MapOutputGB: 269, ReduceSpillGB: 370,
 			OutputGB: 256, MapTasks: 3773, ReduceTasks: 60, CompletionMin: 76,
-			Make: func() *workloads.Workload { return workloads.Sessionization(s.clickCfg()) },
 		},
 		{
 			Name: "page-frequency", InputGB: 508, MapOutputGB: 1.8, ReduceSpillGB: 0.2,
 			OutputGB: 0.02, MapTasks: 7580, ReduceTasks: 60, CompletionMin: 40,
-			Make: func() *workloads.Workload { return workloads.PageFrequency(s.clickCfg()) },
 		},
 		{
 			Name: "per-user-count", InputGB: 256, MapOutputGB: 2.6, ReduceSpillGB: 1.4,
 			OutputGB: 0.6, MapTasks: 3773, ReduceTasks: 60, CompletionMin: 24,
-			Make: func() *workloads.Workload { return workloads.PerUserCount(s.clickCfg()) },
 		},
 		{
 			Name: "inverted-index", InputGB: 427, MapOutputGB: 150, ReduceSpillGB: 150,
 			OutputGB: 103, MapTasks: 6803, ReduceTasks: 60, CompletionMin: 118,
-			Make: func() *workloads.Workload { return workloads.InvertedIndex(s.docCfg()) },
 		},
 	}
 }

@@ -9,25 +9,14 @@ import (
 // secVWorkloads are the two workloads §V compares engines on.
 var secVWorkloads = []string{"sessionization", "per-user-count"}
 
-func secVHashVsHadoopSpecs(*Session) []runSpec {
-	var out []runSpec
-	for _, wl := range secVWorkloads {
-		out = append(out,
-			runSpec{Workload: wl, Engine: "hadoop", InputGB: 256},
-			runSpec{Workload: wl, Engine: "hash-incremental", InputGB: 256})
-	}
-	return out
-}
-
 // SecVHashVsHadoop reproduces §V's headline comparison: the hash engine
 // saves up to 48% of CPU cycles and up to 53% of running time against
 // carefully tuned stock Hadoop.
 func (s *Session) SecVHashVsHadoop() *Report {
 	rep := &Report{ID: "§V", Title: "Hash-based engine vs tuned Hadoop"}
 	for _, wl := range secVWorkloads {
-		inputGB := 256.0
-		hd := s.Run(runSpec{Workload: wl, Engine: "hadoop", InputGB: inputGB})
-		hi := s.Run(runSpec{Workload: wl, Engine: "hash-incremental", InputGB: inputGB})
+		hd := s.Run(runSpec{Workload: wl, Engine: "hadoop", InputGB: 256})
+		hi := s.Run(runSpec{Workload: wl, Engine: "hash-incremental", InputGB: 256})
 		cpuSaved := 1 - hi.CPU.Total()/hd.CPU.Total()
 		timeSaved := 1 - float64(hi.Makespan)/float64(hd.Makespan)
 		rep.Rows = append(rep.Rows,
@@ -48,14 +37,6 @@ func (s *Session) SecVHashVsHadoop() *Report {
 	return rep
 }
 
-func secVSpillSpecs(*Session) []runSpec {
-	return []runSpec{
-		{Workload: "per-user-count", Engine: "hadoop", InputGB: 256},
-		{Workload: "per-user-count", Engine: "hash-incremental", InputGB: 256},
-		{Workload: "per-user-count", Engine: "hash-hotkey", InputGB: 256, HotCounters: 2048},
-	}
-}
-
 // SecVSpillReduction reproduces the frequent-algorithm result: reduce-side
 // internal spill I/O drops by ~3 orders of magnitude when the hot-key
 // technique is used, on a skewed counting workload whose key states exceed
@@ -66,10 +47,9 @@ func (s *Session) SecVSpillReduction() *Report {
 	// in-memory segment threshold forces merges to disk "waiting for all
 	// future data to produce a single sorted run" (§III.B.4). The hash
 	// engines fold arrivals into states immediately, so nothing spills.
-	specs := secVSpillSpecs(s)
-	hd := s.Run(specs[0])
-	inc := s.Run(specs[1])
-	hot := s.Run(specs[2])
+	hd := s.Run(runSpec{Workload: "per-user-count", Engine: "hadoop", InputGB: 256})
+	inc := s.Run(runSpec{Workload: "per-user-count", Engine: "hash-incremental", InputGB: 256})
+	hot := s.Run(runSpec{Workload: "per-user-count", Engine: "hash-hotkey", InputGB: 256, HotCounters: 2048})
 	hdSpill := hd.Counters.Get(engine.CtrReduceSpillBytes)
 	incSpill := inc.Counters.Get(engine.CtrReduceSpillBytes)
 	hotSpill := hot.Counters.Get(engine.CtrReduceSpillBytes)
@@ -104,20 +84,12 @@ func (s *Session) SecVSpillReduction() *Report {
 	}
 }
 
-func secVLatencySpecs(*Session) []runSpec {
-	return []runSpec{
-		{Workload: "per-user-count", Engine: "hadoop", InputGB: 64},
-		{Workload: "per-user-count", Engine: "hash-incremental", InputGB: 64},
-	}
-}
-
 // SecVIncrementalLatency measures the incremental-processing requirement
 // (§IV point 3): first answers long before the blocking engines produce
 // anything.
 func (s *Session) SecVIncrementalLatency() *Report {
-	specs := secVLatencySpecs(s)
-	hd := s.Run(specs[0])
-	hi := s.Run(specs[1])
+	hd := s.Run(runSpec{Workload: "per-user-count", Engine: "hadoop", InputGB: 64})
+	hi := s.Run(runSpec{Workload: "per-user-count", Engine: "hash-incremental", InputGB: 64})
 	_, mapEndH, _ := hd.Timeline.PhaseWindow(engine.SpanMap)
 	return &Report{
 		ID:    "§IV/§V (latency)",
@@ -138,29 +110,19 @@ func (s *Session) SecVIncrementalLatency() *Report {
 	}
 }
 
-// streamingSpecs: sessionization with no combiner, so the reducers hold
-// (and merge) the whole stream — the architecture's post-arrival tail is
-// fully exposed.
-func streamingSpecs(*Session) []runSpec {
-	spec := runSpec{Workload: "sessionization", InputGB: 256, StreamPerMinute: 1}
-	hdSpec, hoSpec, hiSpec := spec, spec, spec
-	hdSpec.Engine = "hadoop"
-	hoSpec.Engine = "hop"
-	hoSpec.Snapshots = true
-	hiSpec.Engine = "hash-incremental"
-	return []runSpec{hdSpec, hoSpec, hiSpec}
-}
-
 // Streaming reproduces the paper's §I/§IV framing directly: the data
 // arrives into the system over one virtual minute instead of being
 // preloaded, and the metric is how long after the *last byte arrives* each
 // architecture takes to deliver the complete answer — the "no data loading,
-// pipelined answers" property the proposed platform targets.
+// pipelined answers" property the proposed platform targets. The workload
+// is sessionization with no combiner, so the reducers hold (and merge) the
+// whole stream — the architecture's post-arrival tail is fully exposed.
 func (s *Session) Streaming() *Report {
-	specs := streamingSpecs(s)
-	hd := s.Run(specs[0])
-	ho := s.Run(specs[1])
-	hi := s.Run(specs[2])
+	stream := func(eng string) *engine.Result {
+		return s.Run(runSpec{Workload: "sessionization", Engine: eng, InputGB: 256,
+			StreamPerMinute: 1, Snapshots: eng == "hop"})
+	}
+	hd, ho, hi := stream("hadoop"), stream("hop"), stream("hash-incremental")
 	arrival := 60.0 // seconds: the stream finishes arriving after 1 minute
 	lag := func(r *engine.Result) string {
 		return fmt.Sprintf("+%.1f s after last arrival", r.Makespan.Seconds()-arrival)
@@ -189,27 +151,16 @@ func (s *Session) Streaming() *Report {
 	}
 }
 
-// fanInSweep is the merge fan-in ablation's parameter grid.
-var fanInSweep = []int{2, 4, 10, 32}
-
-func ablationFanInSpecs(*Session) []runSpec {
-	out := make([]runSpec, len(fanInSweep))
-	for i, fanIn := range fanInSweep {
-		out[i] = runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 64,
-			FanIn: fanIn, MemoryPerTask: 256 << 10}
-	}
-	return out
-}
-
 // AblationFanIn sweeps the multi-pass merge factor F for Hadoop
 // sessionization — the design knob behind the paper's multi-pass merge
 // analysis (lower F = more passes = more merge I/O).
 func (s *Session) AblationFanIn() *Report {
-	rep := &Report{ID: "Ablation", Title: "Merge fan-in F sweep (Hadoop, sessionization)"}
-	for i, spec := range ablationFanInSpecs(s) {
-		res := s.Run(spec)
+	rep := &Report{ID: "Ablation (fan-in)", Title: "Merge fan-in F sweep (Hadoop, sessionization)"}
+	for _, fanIn := range []int{2, 4, 10, 32} {
+		res := s.Run(runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 64,
+			FanIn: fanIn, MemoryPerTask: 256 << 10})
 		rep.Rows = append(rep.Rows, Row{
-			Name:  fmt.Sprintf("F=%d", fanInSweep[i]),
+			Name:  fmt.Sprintf("F=%d", fanIn),
 			Paper: "more passes at small F",
 			Measured: fmt.Sprintf("%.0f passes, %s merge I/O, makespan %s",
 				res.Counters.Get(engine.CtrMergePasses),
@@ -220,25 +171,14 @@ func (s *Session) AblationFanIn() *Report {
 	return rep
 }
 
-// hopChunkSweep is the HOP granularity ablation's parameter grid.
-var hopChunkSweep = []int64{64 << 10, 256 << 10, 1 << 20}
-
-func ablationHOPChunkSpecs(*Session) []runSpec {
-	out := make([]runSpec, len(hopChunkSweep))
-	for i, chunk := range hopChunkSweep {
-		out[i] = runSpec{Workload: "sessionization", Engine: "hop", InputGB: 64, ChunkBytes: chunk}
-	}
-	return out
-}
-
 // AblationHOPChunk sweeps HOP's pipelining granularity: finer chunks
 // deliver earlier but cost more network operations and reducer merge work.
 func (s *Session) AblationHOPChunk() *Report {
-	rep := &Report{ID: "Ablation", Title: "HOP pipelining chunk-size sweep (sessionization)"}
-	for i, spec := range ablationHOPChunkSpecs(s) {
-		res := s.Run(spec)
+	rep := &Report{ID: "Ablation (HOP chunk)", Title: "HOP pipelining chunk-size sweep (sessionization)"}
+	for _, chunk := range []int64{64 << 10, 256 << 10, 1 << 20} {
+		res := s.Run(runSpec{Workload: "sessionization", Engine: "hop", InputGB: 64, ChunkBytes: chunk})
 		rep.Rows = append(rep.Rows, Row{
-			Name:  fmt.Sprintf("chunk=%s", fmtBytes(float64(hopChunkSweep[i]))),
+			Name:  fmt.Sprintf("chunk=%s", fmtBytes(float64(chunk))),
 			Paper: "finer granularity increases network cost (§III.D)",
 			Measured: fmt.Sprintf("makespan %s, %.1fM merge comparisons",
 				fmtDur(res.Makespan), res.Counters.Get(engine.CtrMergeComparisons)/1e6),
@@ -247,26 +187,15 @@ func (s *Session) AblationHOPChunk() *Report {
 	return rep
 }
 
-// hotKeyMemSweep is the hot-key memory ablation's parameter grid.
-var hotKeyMemSweep = []int64{2 << 10, 4 << 10, 8 << 10, 32 << 10, 1 << 20}
-
-func ablationHotKeyMemorySpecs(*Session) []runSpec {
-	out := make([]runSpec, len(hotKeyMemSweep))
-	for i, mem := range hotKeyMemSweep {
-		out[i] = runSpec{Workload: "per-user-count", Engine: "hash-hotkey", InputGB: 64,
-			MemoryPerTask: mem, HotCounters: 2048}
-	}
-	return out
-}
-
 // AblationHotKeyMemory sweeps reducer memory for the hot-key engine: spill
 // volume should fall steeply as memory approaches the hot set's size.
 func (s *Session) AblationHotKeyMemory() *Report {
-	rep := &Report{ID: "Ablation", Title: "Hot-key engine reducer-memory sweep (per-user count)"}
-	for i, spec := range ablationHotKeyMemorySpecs(s) {
-		res := s.Run(spec)
+	rep := &Report{ID: "Ablation (hot-key memory)", Title: "Hot-key engine reducer-memory sweep (per-user count)"}
+	for _, mem := range []int64{2 << 10, 4 << 10, 8 << 10, 32 << 10, 1 << 20} {
+		res := s.Run(runSpec{Workload: "per-user-count", Engine: "hash-hotkey", InputGB: 64,
+			MemoryPerTask: mem, HotCounters: 2048})
 		rep.Rows = append(rep.Rows, Row{
-			Name:  fmt.Sprintf("task memory %s", fmtBytes(float64(hotKeyMemSweep[i]))),
+			Name:  fmt.Sprintf("task memory %s", fmtBytes(float64(mem))),
 			Paper: "in-memory processing for important keys when memory is limited",
 			Measured: fmt.Sprintf("spill %s, makespan %s",
 				fmtBytes(res.Counters.Get(engine.CtrReduceSpillBytes)), fmtDur(res.Makespan)),
@@ -275,22 +204,15 @@ func (s *Session) AblationHotKeyMemory() *Report {
 	return rep
 }
 
-// faultSpec is FaultTolerance's second-wave run: it depends on the
-// fault-free baseline's makespan, so the parallel driver schedules it after
-// the baseline completes (the s.Run here is a cache hit by then).
-func (s *Session) faultSpec() runSpec {
-	base := s.hadoopSessionization()
-	return runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 256,
-		FaultNode: 3, FaultNodeAtFrac: 0.12, BaselineMS: base.Makespan}
-}
-
 // FaultTolerance exercises the mechanism the paper's design discussion
 // leans on — map output is persisted *so that* its loss is recoverable: a
 // node dies mid-job, reducers hit lost outputs, the lost map tasks re-run,
 // and the answer is unchanged (verified by the test suite's output checks).
 func (s *Session) FaultTolerance() *Report {
 	base := s.hadoopSessionization()
-	faulted := s.Run(s.faultSpec())
+	// The failure is timed against the fault-free makespan.
+	faulted := s.Run(runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 256,
+		FaultNode: 3, FaultNodeAtFrac: 0.12, BaselineMS: base.Makespan})
 	return &Report{
 		ID:    "Fault tolerance",
 		Title: "Node failure during the map phase (beyond the paper's evaluation)",

@@ -9,25 +9,19 @@ package experiments
 // end-to-end job latency quantiles come back from the service's mergeable
 // histograms.
 //
-// Unlike every other experiment this one does not go through Session.Run:
-// each data point is a whole multi-job service run on its own simulated
-// cluster, not one engine run, so it declares no specs and builds its
-// services directly at render time (deterministically — seeded arrivals on
-// virtual time).
+// This experiment does not go through Session.Run: each data point is a
+// whole multi-job service run on its own simulated cluster, not one engine
+// run, built by the renderer (deterministically — seeded arrivals on virtual
+// time) and so not in the run cache.
 
 import (
 	"fmt"
 
-	"onepass"
+	"onepass/internal/engines"
 	"onepass/internal/loadgen"
 	"onepass/internal/service"
 	"onepass/internal/sim"
 )
-
-// serviceEngines is the full engine registry — every engine, resident
-// included, gets service-scheduler coverage (kept in sync by
-// TestSweepEnginesMatchRegistry).
-var serviceEngines = onepass.EngineNames()
 
 // serviceLoadMults are the offered-load multipliers of the calibrated
 // service rate: comfortably under, at, and far past the knee.
@@ -101,15 +95,16 @@ func (s *Session) serviceRate(engineName string) float64 {
 	return 4.0 / exec.Seconds()
 }
 
-// ServiceSaturation renders the saturation experiment: per engine, offered
-// load vs per-tenant job latency and queue wait, with the knee factor (p95
-// latency at 4x load over 0.25x) as the headline number.
+// ServiceSaturation renders the saturation experiment: per registered
+// engine (resident included), offered load vs per-tenant job latency and
+// queue wait, with the knee factor (p95 latency at 4x load over 0.25x) as
+// the headline number.
 func (s *Session) ServiceSaturation() *Report {
 	rep := &Report{
 		ID:    "Service (saturation)",
 		Title: "multi-tenant job service: open-loop offered load vs per-tenant latency",
 	}
-	for _, eng := range serviceEngines {
+	for _, eng := range engines.Names() {
 		total := s.serviceRate(eng)
 		fig := Figure{Title: fmt.Sprintf("%s — offered load vs latency (service rate %.2f jobs/s)", eng, total)}
 		var p95Low, p95High sim.Duration

@@ -67,8 +67,9 @@ type runSpec struct {
 // simulation and closes done; concurrent requesters of the same spec block
 // on done instead of duplicating the run (singleflight).
 type runEntry struct {
-	done chan struct{}
-	res  *engine.Result // nil after done only if the producing run panicked
+	done  chan struct{}
+	res   *engine.Result // nil after done only if the producing run panicked
+	cause any            // what it panicked with
 }
 
 // Session caches experiment runs so Figs 2(a)–(d) share one sessionization
@@ -107,8 +108,7 @@ type Session struct {
 	mu      sync.Mutex
 	results map[runSpec]*runEntry
 	// runWall accumulates real wall-clock spent executing (non-cached)
-	// runs; comparing it with elapsed wall time gives the parallel
-	// speedup the driver reports.
+	// runs.
 	runWall time.Duration
 	runs    int // number of runs actually executed (cache misses)
 	// pool accumulates every executed run's intra-run worker pool stats
@@ -179,7 +179,7 @@ func (s *Session) Run(spec runSpec) *engine.Result {
 		s.mu.Unlock()
 		<-e.done
 		if e.res == nil {
-			panic(fmt.Sprintf("experiments: %s/%s: awaited run failed", spec.Engine, spec.Workload))
+			panic(fmt.Sprintf("experiments: %s/%s: awaited run failed: %v", spec.Engine, spec.Workload, e.cause))
 		}
 		return e.res
 	}
@@ -188,9 +188,17 @@ func (s *Session) Run(spec runSpec) *engine.Result {
 	s.mu.Unlock()
 
 	start := time.Now()
-	// close(e.done) must happen even if execute panics, so waiting
-	// goroutines wake up (and see res == nil) instead of hanging.
-	defer close(e.done)
+	// e.done must close even if execute panics, so experiments waiting on
+	// this spec wake up (and fail with the same cause) instead of hanging.
+	defer func() {
+		if e.res == nil {
+			e.cause = recover()
+		}
+		close(e.done)
+		if e.res == nil {
+			panic(e.cause)
+		}
+	}()
 	res := s.execute(spec)
 	e.res = res
 
@@ -365,15 +373,10 @@ func (s *Session) sampleInterval() sim.Duration {
 	return engine.SampleInterval
 }
 
-// specHadoopSessionization is the shared run behind Figs 2(a)–(d), Table
-// II, and several §V comparisons.
-func specHadoopSessionization() runSpec {
-	return runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 256}
-}
-
-// hadoopSessionization is the shared run behind Figs 2(a)–(d) and Table II.
+// hadoopSessionization is the shared run behind Figs 2(a)–(d), Table II,
+// and several §V comparisons.
 func (s *Session) hadoopSessionization() *engine.Result {
-	return s.Run(specHadoopSessionization())
+	return s.Run(runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 256})
 }
 
 // mapFnCPU sums the map-side per-record CPU phases the paper's Table II

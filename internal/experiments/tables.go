@@ -7,14 +7,6 @@ import (
 	"onepass/internal/workloads"
 )
 
-func tableISpecs(s *Session) []runSpec {
-	var out []runSpec
-	for _, pw := range s.Scale.TableIWorkloads() {
-		out = append(out, runSpec{Workload: pw.Name, Engine: "hadoop", InputGB: pw.InputGB})
-	}
-	return out
-}
-
 // TableI reproduces "Workloads and their running time in the benchmark":
 // data volumes, task counts, and completion times for the four workloads on
 // stock Hadoop. Absolute numbers scale with Scale.Factor; the ratios
@@ -22,9 +14,8 @@ func tableISpecs(s *Session) []runSpec {
 // reproduction targets.
 func (s *Session) TableI() *Report {
 	rep := &Report{ID: "Table I", Title: "Workloads and their running time (Hadoop engine)"}
-	specs := tableISpecs(s)
-	for i, pw := range s.Scale.TableIWorkloads() {
-		res := s.Run(specs[i])
+	for _, pw := range s.Scale.TableIWorkloads() {
+		res := s.Run(runSpec{Workload: pw.Name, Engine: "hadoop", InputGB: pw.InputGB})
 		input := res.Counters.Get(engine.CtrMapInputBytes)
 		mapOut := res.Counters.Get(engine.CtrMapWrittenBytes)
 		spill := res.Counters.Get(engine.CtrReduceSpillBytes)
@@ -61,13 +52,6 @@ func (s *Session) TableI() *Report {
 	return rep
 }
 
-func tableIISpecs(*Session) []runSpec {
-	return []runSpec{
-		specHadoopSessionization(),
-		{Workload: "per-user-count", Engine: "hadoop", InputGB: 256},
-	}
-}
-
 // TableII reproduces the map-phase CPU split between the map function
 // (including parsing) and sorting: sessionization 61%/39%, per-user count
 // 52%/48%.
@@ -81,12 +65,7 @@ func (s *Session) TableII() *Report {
 		{"per-user-count", 0.52, 0.48},
 	}
 	for _, c := range cases {
-		var res *engine.Result
-		if c.name == "sessionization" {
-			res = s.hadoopSessionization()
-		} else {
-			res = s.Run(runSpec{Workload: c.name, Engine: "hadoop", InputGB: 256})
-		}
+		res := s.Run(runSpec{Workload: c.name, Engine: "hadoop", InputGB: 256})
 		fn := mapFnCPU(res)
 		sort := res.CPU.Seconds(engine.PhaseSort)
 		total := fn + sort
@@ -108,24 +87,15 @@ func (s *Session) TableII() *Report {
 	return rep
 }
 
-func tableIIISpecs(*Session) []runSpec {
-	spec := func(eng string) runSpec {
-		return runSpec{Workload: "per-user-count", Engine: eng, InputGB: 64, Snapshots: eng == "hop"}
-	}
-	hiSpec := spec("hash-incremental")
-	hiSpec.Threshold = 50 // §IV's "count exceeds a threshold" query
-	return []runSpec{spec("hadoop"), spec("hop"), hiSpec}
-}
-
 // TableIII reproduces the qualitative comparison of Hadoop, MapReduce
 // Online, and the ideal incremental one-pass system — except each claim is
 // verified against an actual run rather than asserted.
 func (s *Session) TableIII() *Report {
 	rep := &Report{ID: "Table III", Title: "Hadoop vs MR Online vs hash engine (verified capabilities)"}
-	specs := tableIIISpecs(s)
-	hd := s.Run(specs[0])
-	ho := s.Run(specs[1])
-	hi := s.Run(specs[2])
+	hd := s.Run(runSpec{Workload: "per-user-count", Engine: "hadoop", InputGB: 64})
+	ho := s.Run(runSpec{Workload: "per-user-count", Engine: "hop", InputGB: 64, Snapshots: true})
+	hi := s.Run(runSpec{Workload: "per-user-count", Engine: "hash-incremental", InputGB: 64,
+		Threshold: 50}) // §IV's "count exceeds a threshold" query
 
 	sortCPU := func(r *engine.Result) string {
 		if r.CPU.Seconds(engine.PhaseSort) > 0 {
@@ -164,10 +134,6 @@ func (s *Session) TableIII() *Report {
 			Note:     "Hadoop/HOP still write spills while buffering sorted runs"},
 	)
 	return rep
-}
-
-func mapOutputWriteShareSpecs(*Session) []runSpec {
-	return []runSpec{specHadoopSessionization()}
 }
 
 // MapOutputWriteShare reproduces §III.B.2: the synchronous map-output
@@ -214,19 +180,12 @@ func (s *Session) binaryInputRatio() float64 {
 	return float64(countT) / float64(countB)
 }
 
-func parsingCostSpecs(s *Session) []runSpec {
-	return []runSpec{
-		specHadoopSessionization(),
-		{Workload: "sessionization", Engine: "hadoop", InputGB: 256 * s.binaryInputRatio(), BinaryInput: true},
-	}
-}
-
 // ParsingCost reproduces §III.B.1: text vs binary (SequenceFile-like)
 // input makes almost no difference end to end.
 func (s *Session) ParsingCost() *Report {
-	specs := parsingCostSpecs(s)
-	text := s.Run(specs[0])
-	bin := s.Run(specs[1])
+	text := s.hadoopSessionization()
+	bin := s.Run(runSpec{Workload: "sessionization", Engine: "hadoop",
+		InputGB: 256 * s.binaryInputRatio(), BinaryInput: true})
 	return &Report{
 		ID:    "§III.B.1",
 		Title: "Cost of parsing: text vs binary input",
