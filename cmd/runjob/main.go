@@ -136,8 +136,11 @@ func main() {
 		}
 	} else if *faultSeed != 0 {
 		// Derive the chaos horizon from a fault-free run of the same job, so
-		// every fault lands while the job is actually running.
-		base, err := onepass.Run(cfg, data, job)
+		// every fault lands while the job is actually running. It is not
+		// traced: the trace and profile describe the faulted run alone.
+		probe := cfg
+		probe.Trace = nil
+		base, err := onepass.Run(probe, data, job)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -265,11 +268,6 @@ func main() {
 	}
 }
 
-// runDeltaCompare runs the -delta comparison: the incremental path (prime
-// on the base, re-run over changed blocks plus preserved state) against a
-// full re-run over the evolved dataset on a fresh cluster. The report is
-// deterministic — same flags, same bytes — and the process exits non-zero
-// if the outputs diverge, so CI can gate on it directly.
 // startProfiles begins the host-clock profiles asked for (an empty path
 // skips one) and returns the function that ends them: it stops the CPU
 // profile and writes the allocation profile, so both cover exactly the
@@ -308,6 +306,11 @@ func startProfiles(cpuPath, memPath string) (stop func()) {
 	}
 }
 
+// runDeltaCompare runs the -delta comparison: the incremental path (prime
+// on the base, re-run over changed blocks plus preserved state) against a
+// full re-run over the evolved dataset on a fresh cluster. The report is
+// deterministic — same flags, same bytes — and the process exits non-zero
+// if the outputs diverge, so CI can gate on it directly.
 func runDeltaCompare(cfg onepass.Config, data onepass.Dataset, job onepass.Job, d onepass.Delta) {
 	cfg.DiscardOutput = false
 	dr, err := onepass.RunDelta(cfg, data, job, d)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"onepass"
+	"onepass/internal/workloads"
 )
 
 // Tuple is one fuzzed differential-check case: a workload, an input size,
@@ -66,23 +67,19 @@ func FuzzTuple(seed int64) Tuple {
 	cc := onepass.DefaultClickConfig()
 	cc.Users = 200 + rng.Intn(400)
 	cc.URLs = 100 + rng.Intn(300)
+	dc := onepass.DefaultDocConfig()
+	dc.Vocab = 2000 + rng.Intn(4000)
 
-	var w *onepass.Workload
-	switch rng.Intn(4) {
-	case 0:
-		w = onepass.Sessionization(cc)
-	case 1:
-		w = onepass.PageFrequency(cc)
-	case 2:
-		w = onepass.PerUserCount(cc)
-	default:
-		dc := onepass.DefaultDocConfig()
-		dc.Vocab = 2000 + rng.Intn(4000)
-		w = onepass.InvertedIndex(dc)
+	// Every workload that can be asked for by name is in the draw, so a new
+	// one gets the reference, delta and fault axes without an edit here.
+	names := workloads.Names()
+	w, err := workloads.ByName(names[rng.Intn(len(names))], cc, dc)
+	if err != nil {
+		panic(err)
 	}
 	t := Tuple{Seed: seed, Workload: w, Clicks: cc, Input: input, Cfg: cfg}
-	// Delta draws come last so the streams feeding every pre-existing field
-	// stay aligned with older tuple derivations, seed for seed.
+	// Delta draws come last, so every other field is drawn the same way
+	// whichever workload the seed picked.
 	if w.Clicks {
 		d := onepass.DefaultDelta(cc, rng.Uint64(), 0.02+0.3*rng.Float64())
 		t.Delta = &d

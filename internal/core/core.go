@@ -7,8 +7,8 @@ import (
 	"onepass/internal/engine"
 	"onepass/internal/hashlib"
 	"onepass/internal/memtable"
+	"onepass/internal/metrics"
 	"onepass/internal/sim"
-	"onepass/internal/trace"
 )
 
 // Mode selects the reduce-side hash technique (§V's three options).
@@ -261,8 +261,7 @@ func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
 	// channel, and a puller that fetches partitions the mappers could not
 	// push (backpressure fallback) or did not push (pull-only mode).
 	done := rt.NewWaitGroup(fmt.Sprintf("hash-red-%d", r), 2)
-	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
-	rt.Emit(trace.PhaseStart, engine.SpanShuffle, node.ID, r, 0)
+	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
 
 	rt.Env.Go(fmt.Sprintf("hash-red-%d-pull", r), func(pp *sim.Proc) {
 		seen := 0
@@ -301,13 +300,10 @@ func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
 	}
 	done.Done()
 	done.Wait(p)
-	shuffleSpan.End(p.Now())
-	rt.Emit(trace.PhaseEnd, engine.SpanShuffle, node.ID, r, 0)
+	rt.End(shuffleSpan)
 
-	reduceSpan := rt.Timeline.Begin(engine.SpanReduce, p.Now())
-	rt.Emit(trace.PhaseStart, engine.SpanReduce, node.ID, r, 0)
+	reduceSpan := rt.Begin(metrics.Span{Name: engine.SpanReduce, Phase: true, Node: node.ID, Task: r})
 	impl.finalize(p)
 	oc.Close(p, r)
-	reduceSpan.End(p.Now())
-	rt.Emit(trace.PhaseEnd, engine.SpanReduce, node.ID, r, 0)
+	rt.End(reduceSpan)
 }

@@ -24,8 +24,8 @@ func sampleResult() *Result {
 		return s
 	}
 	tl := metrics.NewTimeline()
-	tl.Begin(SpanMap, 0).End(sim.Time(int64(2 * sim.Second)))
-	tl.Begin(SpanReduce, sim.Time(int64(sim.Second))).End(sim.Time(int64(3 * sim.Second)))
+	tl.Begin(metrics.Span{Name: SpanMap}).End(sim.Time(int64(2 * sim.Second)))
+	tl.Begin(metrics.Span{Name: SpanReduce, Phase: true, Start: sim.Time(int64(sim.Second))}).End(sim.Time(int64(3 * sim.Second)))
 	return &Result{
 		Job: "per-user-count", Engine: "hash-incremental",
 		Makespan:    3 * sim.Second,

@@ -96,6 +96,32 @@ func (rt *Runtime) Emit(typ trace.Type, name string, node, task, attempt int, ar
 	})
 }
 
+// Begin opens a span at the current instant: it records s, which names the
+// span and attributes it, in the Timeline and, with a sink attached, emits
+// the span's start event. Close it with End. Begin and End are the only
+// places a span is opened or closed, so the Timeline and the trace hold the
+// same spans.
+func (rt *Runtime) Begin(s metrics.Span) *metrics.Span {
+	s.Start = rt.Env.Now()
+	sp := rt.Timeline.Begin(s)
+	rt.emitSpan(sp, trace.TaskStart, trace.PhaseStart)
+	return sp
+}
+
+// End closes sp at the current instant and emits its end event.
+func (rt *Runtime) End(sp *metrics.Span) {
+	sp.End(rt.Env.Now())
+	rt.emitSpan(sp, trace.TaskFinish, trace.PhaseEnd)
+}
+
+func (rt *Runtime) emitSpan(sp *metrics.Span, task, phase trace.Type) {
+	typ := task
+	if sp.Phase {
+		typ = phase
+	}
+	rt.Emit(typ, sp.Name, sp.Node, sp.Task, sp.Attempt)
+}
+
 // SampleInterval is the metrics bucket width: 1 virtual second, like the
 // paper's profiler.
 const SampleInterval = sim.Second
@@ -405,7 +431,8 @@ const (
 
 // CtrTimelineForceClosed counts spans an engine left open at FinishResult
 // time; non-zero means a Begin without a matching End (clamped to the
-// horizon rather than left reporting Finish == 0).
+// horizon rather than left reporting Finish == 0), and profile.Compute
+// refuses the run.
 const CtrTimelineForceClosed = "timeline.spans.forceclosed"
 
 // FinishResult snapshots runtime state into a Result after Env.Run has

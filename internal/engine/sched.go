@@ -5,8 +5,8 @@ import (
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
+	"onepass/internal/metrics"
 	"onepass/internal/sim"
-	"onepass/internal/trace"
 )
 
 // DefaultMapSlots is Hadoop's classic 2 concurrent map tasks per node.
@@ -110,11 +110,9 @@ func (rt *Runtime) RunMaps(job *Job, blocks []*dfs.Block, task func(p *sim.Proc,
 					if rt.Auditing() {
 						rt.Audit.TaskLaunched("map")
 					}
-					span := rt.Timeline.Begin(SpanMap, p.Now())
-					rt.Emit(trace.TaskStart, SpanMap, node.ID, fl.b.Index, attempt)
+					span := rt.Begin(metrics.Span{Name: SpanMap, Node: node.ID, Task: fl.b.Index, Attempt: attempt})
 					task(p, node, fl.b)
-					span.End(p.Now())
-					rt.Emit(trace.TaskFinish, SpanMap, node.ID, fl.b.Index, attempt)
+					rt.End(span)
 					if !fl.done {
 						fl.done = true
 						rt.Counters.Add(CtrMapTasks, 1)
@@ -162,8 +160,9 @@ func (rt *Runtime) RunMaps(job *Job, blocks []*dfs.Block, task func(p *sim.Proc,
 }
 
 // RunReduces starts job.Reducers reduce tasks round-robin across compute
-// nodes, each holding a reduce slot for its lifetime. Phase spans inside a
-// reduce task (shuffle/merge/reduce) are the engine's responsibility.
+// nodes, each holding a reduce slot for its lifetime and wrapped in a
+// SpanReduce task span. Phase spans inside a reduce task
+// (shuffle/merge/reduce) are the engine's responsibility.
 func (rt *Runtime) RunReduces(job *Job, task func(p *sim.Proc, node *cluster.Node, r int)) *WaitGroup {
 	nodes := rt.Cluster.ComputeNodes()
 	wg := rt.NewWaitGroup("reduces:"+job.Name, job.Reducers)
@@ -180,9 +179,9 @@ func (rt *Runtime) RunReduces(job *Job, task func(p *sim.Proc, node *cluster.Nod
 			if rt.Auditing() {
 				rt.Audit.TaskLaunched("reduce")
 			}
-			rt.Emit(trace.TaskStart, SpanReduce, node.ID, r, 0)
+			span := rt.Begin(metrics.Span{Name: SpanReduce, Node: node.ID, Task: r})
 			task(p, node, r)
-			rt.Emit(trace.TaskFinish, SpanReduce, node.ID, r, 0)
+			rt.End(span)
 			slot.Release(1)
 			rt.Counters.Add(CtrReduceTasks, 1)
 			if rt.Auditing() {

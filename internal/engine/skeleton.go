@@ -10,6 +10,7 @@ import (
 	"onepass/internal/faults"
 	"onepass/internal/hashlib"
 	"onepass/internal/kv"
+	"onepass/internal/metrics"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
 )
@@ -218,12 +219,10 @@ func (rt *Runtime) SurvivingNode() *cluster.Node {
 // map task it is, so the profiler's span DAG stays connected through fault
 // recovery and its critical path sees the re-executed work instead of an
 // unexplained hole inside whoever asked for it.
-func (rt *Runtime) recoveryAttempt(p *sim.Proc, node *cluster.Node, task, attempt int, body func()) {
-	span := rt.Timeline.Begin(SpanMap, p.Now())
-	rt.Emit(trace.TaskStart, SpanMap, node.ID, task, attempt)
+func (rt *Runtime) recoveryAttempt(node *cluster.Node, task, attempt int, body func()) {
+	span := rt.Begin(metrics.Span{Name: SpanMap, Node: node.ID, Task: task, Attempt: attempt})
 	body()
-	span.End(p.Now())
-	rt.Emit(trace.TaskFinish, SpanMap, node.ID, task, attempt)
+	rt.End(span)
 }
 
 // ReexecWith installs the pull-shuffle recovery path: the first fetch of a
@@ -237,7 +236,7 @@ func (j *JobRun) ReexecWith(attempt func(p *sim.Proc, node *cluster.Node, b *dfs
 		if node.Failed() {
 			node = j.RT.SurvivingNode()
 		}
-		j.RT.recoveryAttempt(p, node, lost.TaskID, 1, func() {
+		j.RT.recoveryAttempt(node, lost.TaskID, 1, func() {
 			out = attempt(p, node, j.blocks[lost.TaskID], lost)
 		})
 		return out
@@ -310,7 +309,7 @@ func (j *JobRun) RepushLost(p *sim.Proc, regen Regen) {
 		for attempt := 1; out.Lost; attempt++ {
 			node := rt.SurvivingNode()
 			died := false
-			rt.recoveryAttempt(p, node, out.TaskID, attempt, func() {
+			rt.recoveryAttempt(node, out.TaskID, attempt, func() {
 				regen(j, p, node, j.blocks[out.TaskID], append([]int(nil), out.Delivered...), func(c kv.Chunk) bool {
 					if !j.PushChunk(p, node, out.TaskID, c) {
 						died = true

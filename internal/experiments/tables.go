@@ -145,7 +145,7 @@ func (s *Session) MapOutputWriteShare() *Report {
 	tasks := res.Counters.Get(engine.CtrMapTasks)
 	var taskS float64
 	for _, sp := range res.Timeline.Spans() {
-		if sp.Phase == engine.SpanMap {
+		if sp.Name == engine.SpanMap {
 			taskS += sp.Finish.Sub(sp.Start).Seconds()
 		}
 	}

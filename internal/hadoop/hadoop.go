@@ -18,7 +18,6 @@ import (
 	"onepass/internal/kv"
 	"onepass/internal/sim"
 	"onepass/internal/sortmerge"
-	"onepass/internal/trace"
 )
 
 // Partitioner returns the shared cross-engine partitioner.
@@ -104,8 +103,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
 	rs.Acc.SegmentLimit = j.Opts.SegmentLimit
 
 	// Shuffle: pull partitions from completed mappers as they appear.
-	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
-	rt.Emit(trace.PhaseStart, engine.SpanShuffle, node.ID, r, 0)
+	shuffleSpan := rt.Begin(rs.phase(engine.SpanShuffle))
 	seen := 0
 	for {
 		reg.WaitBeyond(p, seen)
@@ -126,8 +124,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
 			break
 		}
 	}
-	shuffleSpan.End(p.Now())
-	rt.Emit(trace.PhaseEnd, engine.SpanShuffle, node.ID, r, 0)
+	rt.End(shuffleSpan)
 
 	rs.Finish(p, j.OC)
 }

@@ -6,6 +6,7 @@ import (
 	"onepass/internal/cluster"
 	"onepass/internal/engine"
 	"onepass/internal/kv"
+	"onepass/internal/metrics"
 	"onepass/internal/sim"
 	"onepass/internal/sortmerge"
 	"onepass/internal/trace"
@@ -81,8 +82,7 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 	if rs.Acc.Segments() == 0 {
 		return
 	}
-	span := rs.rt.Timeline.Begin(engine.SpanMerge, p.Now())
-	rs.rt.Emit(trace.PhaseStart, engine.SpanMerge, rs.node.ID, rs.r, 0)
+	span := rs.rt.Begin(rs.phase(engine.SpanMerge))
 	bufBytes := rs.Acc.Bytes()
 	segs := rs.Acc.TakeSegments()
 	var out []byte
@@ -137,8 +137,7 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 		rs.rt.Audit.SpillWritten(rs.node.ID, run.Size())
 	}
 	rs.Merger.AddRun(run)
-	span.End(p.Now())
-	rs.rt.Emit(trace.PhaseEnd, engine.SpanMerge, rs.node.ID, rs.r, 0)
+	rs.rt.End(span)
 	if rs.rt.Tracing() {
 		rs.rt.Emit(trace.Spill, "reduce-spill", rs.node.ID, rs.r, 0,
 			trace.Num("bytes", float64(run.Size())), trace.Num("spill", float64(rs.spillSeq)))
@@ -147,8 +146,7 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 
 // MergePass runs one charged multi-pass merge step.
 func (rs *ReduceSide) MergePass(p *sim.Proc) {
-	span := rs.rt.Timeline.Begin(engine.SpanMerge, p.Now())
-	rs.rt.Emit(trace.PhaseStart, engine.SpanMerge, rs.node.ID, rs.r, 0)
+	span := rs.rt.Begin(rs.phase(engine.SpanMerge))
 	cmpBefore, outBefore := rs.Merger.Comparisons, rs.Merger.BytesOut
 	inBefore := rs.Merger.BytesIn
 	rs.Merger.MergePass(p)
@@ -164,8 +162,7 @@ func (rs *ReduceSide) MergePass(p *sim.Proc) {
 	rs.rt.Counters.Add(engine.CtrMergeComparisons, float64(dCmp))
 	rs.rt.Counters.Add(engine.CtrReduceSpillBytes, float64(dBytes))
 	rs.rt.Counters.Add(engine.CtrMergePasses, 1)
-	span.End(p.Now())
-	rs.rt.Emit(trace.PhaseEnd, engine.SpanMerge, rs.node.ID, rs.r, 0)
+	rs.rt.End(span)
 	if rs.rt.Tracing() {
 		rs.rt.Emit(trace.MergePass, "merge-pass", rs.node.ID, rs.r, 0,
 			trace.Num("bytes", float64(dBytes)), trace.Num("runsLeft", float64(rs.Merger.Runs())))
@@ -178,8 +175,7 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 	for rs.Merger.Runs() > rs.Merger.FanIn {
 		rs.MergePass(p)
 	}
-	span := rs.rt.Timeline.Begin(engine.SpanReduce, p.Now())
-	rs.rt.Emit(trace.PhaseStart, engine.SpanReduce, rs.node.ID, rs.r, 0)
+	span := rs.rt.Begin(rs.phase(engine.SpanReduce))
 	if rs.rt.Auditing() {
 		// The final merge reads every remaining run back off disk exactly
 		// once; record it before the reads below.
@@ -220,8 +216,12 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 	oc.Replay(p, rs.r, rs.node.ID, &staged)
 	rs.Merger.DeleteAll()
 	oc.Close(p, rs.r)
-	span.End(p.Now())
-	rs.rt.Emit(trace.PhaseEnd, engine.SpanReduce, rs.node.ID, rs.r, 0)
+	rs.rt.End(span)
+}
+
+// phase names one of this reducer's phase spans.
+func (rs *ReduceSide) phase(name string) metrics.Span {
+	return metrics.Span{Name: name, Phase: true, Node: rs.node.ID, Task: rs.r}
 }
 
 // MergeGroupReduce merges sorted streams, groups equal keys, and applies

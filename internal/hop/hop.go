@@ -18,6 +18,7 @@ import (
 	"onepass/internal/engine"
 	"onepass/internal/hadoop"
 	"onepass/internal/kv"
+	"onepass/internal/metrics"
 	"onepass/internal/sim"
 	"onepass/internal/sortmerge"
 	"onepass/internal/trace"
@@ -289,8 +290,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
 		fractions = nil
 	}
 	snapIdx := 0
-	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
-	rt.Emit(trace.PhaseStart, engine.SpanShuffle, node.ID, r, 0)
+	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
 	for {
 		chunk, ok := pc.PopFresh(p, node.ID)
 		if !ok {
@@ -304,8 +304,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
 			snapIdx++
 		}
 	}
-	shuffleSpan.End(p.Now())
-	rt.Emit(trace.PhaseEnd, engine.SpanShuffle, node.ID, r, 0)
+	rt.End(shuffleSpan)
 
 	rs.Finish(p, j.OC)
 }
@@ -317,8 +316,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
 // the paper calls out.
 func emitSnapshot(j *engine.JobRun, p *sim.Proc, node *cluster.Node, rs *hadoop.ReduceSide, r int, frac float64) {
 	rt, costs := j.RT, j.Costs
-	span := rt.Timeline.Begin(engine.SpanMerge, p.Now())
-	rt.Emit(trace.PhaseStart, engine.SpanMerge, node.ID, r, 0)
+	span := rt.Begin(metrics.Span{Name: engine.SpanMerge, Phase: true, Node: node.ID, Task: r})
 	var streams []kv.PairStream
 	for _, run := range rs.Merger.RunList() {
 		streams = append(streams, sortmerge.NewStream(p, run))
@@ -340,8 +338,7 @@ func emitSnapshot(j *engine.JobRun, p *sim.Proc, node *cluster.Node, rs *hadoop.
 	rt.Counters.Add(engine.CtrMergeComparisons, float64(cmps))
 	rt.Counters.Add("hop.snapshot.pairs", float64(pairs))
 	j.OC.NoteSnapshot(p.Now(), frac, pairs)
-	span.End(p.Now())
-	rt.Emit(trace.PhaseEnd, engine.SpanMerge, node.ID, r, 0)
+	rt.End(span)
 	if rt.Tracing() {
 		rt.Emit(trace.EarlyAnswer, "snapshot", node.ID, r, 0,
 			trace.Num("fraction", frac), trace.Num("pairs", float64(pairs)))

@@ -90,9 +90,9 @@ func TestCPUAccountJSONRoundTrip(t *testing.T) {
 
 func TestTimelineJSONRoundTrip(t *testing.T) {
 	tl := NewTimeline()
-	sp := tl.Begin("map", 0)
+	sp := tl.Begin(Span{Name: "map", Node: 2, Task: 7, Attempt: 1})
 	sp.End(sim.Time(int64(2 * sim.Second)))
-	sp2 := tl.Begin("reduce", sim.Time(int64(sim.Second)))
+	sp2 := tl.Begin(Span{Name: "reduce", Phase: true, Node: 1, Task: 3, Start: sim.Time(int64(sim.Second))})
 	sp2.End(sim.Time(int64(3 * sim.Second)))
 	b, err := json.Marshal(tl)
 	if err != nil {
@@ -106,8 +106,7 @@ func TestTimelineJSONRoundTrip(t *testing.T) {
 		t.Fatalf("spans = %d, want 2", len(got.Spans()))
 	}
 	for i, s := range got.Spans() {
-		o := tl.Spans()[i]
-		if s.Phase != o.Phase || s.Start != o.Start || s.Finish != o.Finish {
+		if o := tl.Spans()[i]; *s != *o {
 			t.Fatalf("span %d mismatch: %+v vs %+v", i, s, o)
 		}
 	}

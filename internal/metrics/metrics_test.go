@@ -206,9 +206,9 @@ func TestSamplerStartTwicePanics(t *testing.T) {
 
 func TestTimelineCounts(t *testing.T) {
 	tl := NewTimeline()
-	m1 := tl.Begin("map", 0)
-	m2 := tl.Begin("map", sim.Time(1*sim.Second))
-	r := tl.Begin("reduce", sim.Time(2*sim.Second))
+	m1 := tl.Begin(Span{Name: "map"})
+	m2 := tl.Begin(Span{Name: "map", Start: sim.Time(1 * sim.Second)})
+	r := tl.Begin(Span{Name: "reduce", Phase: true, Start: sim.Time(2 * sim.Second)})
 	m1.End(sim.Time(2 * sim.Second))
 	m2.End(sim.Time(3 * sim.Second))
 	r.End(sim.Time(4 * sim.Second))
@@ -225,9 +225,9 @@ func TestTimelineCounts(t *testing.T) {
 
 func TestTimelinePhaseWindowAndCounts(t *testing.T) {
 	tl := NewTimeline()
-	a := tl.Begin("merge", sim.Time(5*sim.Second))
+	a := tl.Begin(Span{Name: "merge", Phase: true, Start: sim.Time(5 * sim.Second)})
 	a.End(sim.Time(9 * sim.Second))
-	b := tl.Begin("merge", sim.Time(2*sim.Second))
+	b := tl.Begin(Span{Name: "merge", Phase: true, Start: sim.Time(2 * sim.Second)})
 	b.End(sim.Time(6 * sim.Second))
 	start, end, ok := tl.PhaseWindow("merge")
 	if !ok || start != sim.Time(2*sim.Second) || end != sim.Time(9*sim.Second) {
@@ -243,7 +243,7 @@ func TestTimelinePhaseWindowAndCounts(t *testing.T) {
 
 func TestTimelineRender(t *testing.T) {
 	tl := NewTimeline()
-	s := tl.Begin("map", 0)
+	s := tl.Begin(Span{Name: "map"})
 	s.End(sim.Time(10 * sim.Second))
 	out := tl.Render(sim.Second, sim.Time(10*sim.Second), 5)
 	if !strings.Contains(out, "map") || !strings.Contains(out, "peak=1") {
@@ -258,7 +258,7 @@ func TestSpanDoubleEndPanics(t *testing.T) {
 		}
 	}()
 	tl := NewTimeline()
-	s := tl.Begin("x", 0)
+	s := tl.Begin(Span{Name: "x"})
 	s.End(1)
 	s.End(2)
 }
@@ -295,7 +295,7 @@ func TestTimelineCountMassProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			start := sim.Time(int64(startsMs[i]%10000) * int64(sim.Millisecond))
 			fin := start.Add(sim.Duration(int64(lensMs[i]%10000)) * sim.Millisecond)
-			sp := tl.Begin("p", start)
+			sp := tl.Begin(Span{Name: "p", Start: start})
 			sp.End(fin)
 			if fin > end {
 				end = fin

@@ -9,33 +9,23 @@ import (
 
 func TestTimelineOpenSpanDetection(t *testing.T) {
 	tl := NewTimeline()
-	a := tl.Begin("map", 0)
-	b := tl.Begin("reduce", sim.Time(sim.Second))
+	a := tl.Begin(Span{Name: "map"})
+	b := tl.Begin(Span{Name: "reduce", Start: sim.Time(sim.Second)})
 	a.End(sim.Time(2 * sim.Second))
 
-	if a.Open() {
-		t.Fatal("ended span reports Open")
-	}
-	if !b.Open() {
-		t.Fatal("live span reports closed")
-	}
-	open := tl.OpenSpans()
-	if len(open) != 1 || open[0] != b {
-		t.Fatalf("OpenSpans = %v, want just the reduce span", open)
-	}
 	err := tl.CheckClosed()
 	if err == nil {
 		t.Fatal("CheckClosed ignored an open span")
 	}
-	if !strings.Contains(err.Error(), "reduce@") {
-		t.Fatalf("CheckClosed error %q does not name the open span", err)
+	if !strings.Contains(err.Error(), "1 open span(s): reduce@") {
+		t.Fatalf("CheckClosed error %q does not name just the open span", err)
 	}
 
 	if n := tl.CloseOpenAt(sim.Time(5 * sim.Second)); n != 1 {
 		t.Fatalf("CloseOpenAt closed %d spans, want 1", n)
 	}
-	if b.Open() || b.Finish != sim.Time(5*sim.Second) {
-		t.Fatalf("span not clamped to horizon: open=%v finish=%v", b.Open(), b.Finish)
+	if b.Finish != sim.Time(5*sim.Second) {
+		t.Fatalf("span not clamped to horizon: finish=%v", b.Finish)
 	}
 	if err := tl.CheckClosed(); err != nil {
 		t.Fatalf("CheckClosed after CloseOpenAt: %v", err)
@@ -52,6 +42,34 @@ func TestTimelineOpenSpanDetection(t *testing.T) {
 func TestTimelineCheckClosedEmpty(t *testing.T) {
 	if err := NewTimeline().CheckClosed(); err != nil {
 		t.Fatalf("empty timeline: %v", err)
+	}
+}
+
+// TestTimelineChartsReducePhasesNotReduceTasks pins the Fig. 2(a) rule: the
+// views draw map tasks and reduce phases, while a reduce task's own span —
+// "reduce" is also the name of its final phase — appears only in Spans().
+func TestTimelineChartsReducePhasesNotReduceTasks(t *testing.T) {
+	tl := NewTimeline()
+	task := tl.Begin(Span{Name: "reduce"})
+	tl.Begin(Span{Name: "map"}).End(sim.Time(2 * sim.Second))
+	tl.Begin(Span{Name: "shuffle", Phase: true, Start: sim.Time(sim.Second)}).End(sim.Time(3 * sim.Second))
+	tl.Begin(Span{Name: "reduce", Phase: true, Start: sim.Time(3 * sim.Second)}).End(sim.Time(4 * sim.Second))
+	task.End(sim.Time(4 * sim.Second))
+
+	if n := len(tl.Spans()); n != 4 {
+		t.Fatalf("Spans() = %d spans, want 4", n)
+	}
+	if got := strings.Join(tl.Phases(), ","); got != "map,shuffle,reduce" {
+		t.Fatalf("Phases() = %s, want map,shuffle,reduce", got)
+	}
+	if n := tl.CountByPhase()["reduce"]; n != 1 {
+		t.Fatalf("CountByPhase()[reduce] = %d, want 1 (the phase only)", n)
+	}
+	if start, end, ok := tl.PhaseWindow("reduce"); !ok || start != sim.Time(3*sim.Second) || end != sim.Time(4*sim.Second) {
+		t.Fatalf("PhaseWindow(reduce) = %v..%v ok=%v, want the phase's 3s..4s", start, end, ok)
+	}
+	if peak := tl.Counts(sim.Second, sim.Time(4*sim.Second))["reduce"].Max(); peak != 1 {
+		t.Fatalf("Counts()[reduce] peaks at %v, want 1", peak)
 	}
 }
 

@@ -3,35 +3,31 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"iter"
 	"strings"
 
 	"onepass/internal/sim"
 )
 
-// Span is one task-phase interval on the timeline (e.g. one map task's
-// execution, one multi-pass merge operation).
+// Span is one recorded interval of a run: a whole task attempt (a map or a
+// reduce task) or a phase inside a reduce task (shuffle, merge, reduce).
+// engine.Runtime opens and closes every span; the timeline views below, the
+// profiler and the trace's in-flight counter tracks all read this record.
 type Span struct {
-	Phase  string
-	Start  sim.Time
-	Finish sim.Time
+	// Name is the task kind ("map", "reduce") or the phase name.
+	Name string `json:"name"`
+	// Phase marks a phase span; false is a whole-task span. "reduce" names
+	// both a reduce task and its final phase.
+	Phase bool `json:"phase,omitempty"`
+	// Node, Task and Attempt attribute the span: the node it ran on, the map
+	// task (block index) or reducer, and the attempt (0 is the first).
+	Node    int `json:"node"`
+	Task    int `json:"task"`
+	Attempt int `json:"attempt,omitempty"`
+
+	Start  sim.Time `json:"start"`
+	Finish sim.Time `json:"finish"`
 	open   bool
-}
-
-// Timeline records task spans and reproduces the paper's Fig. 2(a)/Fig. 3
-// "number of tasks per operation over time" plots.
-type Timeline struct {
-	spans []*Span
-}
-
-// NewTimeline returns an empty timeline.
-func NewTimeline() *Timeline { return &Timeline{} }
-
-// Begin opens a span for phase at time t. Call End on the returned span.
-func (tl *Timeline) Begin(phase string, t sim.Time) *Span {
-	s := &Span{Phase: phase, Start: t, open: true}
-	tl.spans = append(tl.spans, s)
-	return s
 }
 
 // End closes the span at time t.
@@ -43,36 +39,52 @@ func (s *Span) End(t sim.Time) {
 	s.open = false
 }
 
-// Spans returns all recorded spans.
-func (tl *Timeline) Spans() []*Span { return tl.spans }
+// Duration returns the span length.
+func (s Span) Duration() sim.Duration { return s.Finish.Sub(s.Start) }
 
-// Open reports whether the span is still open.
-func (s *Span) Open() bool { return s.open }
-
-// OpenSpans returns the spans still open, in recorded order.
-func (tl *Timeline) OpenSpans() []*Span {
-	var out []*Span
-	for _, s := range tl.spans {
-		if s.open {
-			out = append(out, s)
-		}
+func (s Span) String() string {
+	scope := "task"
+	if s.Phase {
+		scope = "phase"
 	}
-	return out
+	return fmt.Sprintf("%s %s n%d task %d attempt %d [%s, %s]",
+		s.Name, scope, s.Node, s.Task, s.Attempt, s.Start, s.Finish)
 }
+
+// Timeline records a run's spans and reproduces the paper's Fig. 2(a)/Fig. 3
+// "number of tasks per operation over time" plots.
+type Timeline struct {
+	spans []*Span
+}
+
+// NewTimeline returns an empty timeline.
+func NewTimeline() *Timeline { return &Timeline{} }
+
+// Begin records s as a span open from s.Start. Call End on the returned span.
+func (tl *Timeline) Begin(s Span) *Span {
+	sp := &s
+	sp.open = true
+	tl.spans = append(tl.spans, sp)
+	return sp
+}
+
+// Spans returns all recorded spans, in the order they were opened.
+func (tl *Timeline) Spans() []*Span { return tl.spans }
 
 // CheckClosed returns an error naming any span still open. An un-End()ed
 // span reports Finish == 0 and silently corrupts duration math, so result
 // rendering should check (or CloseOpenAt) before trusting the timeline.
 func (tl *Timeline) CheckClosed() error {
-	open := tl.OpenSpans()
+	var open []string
+	for _, s := range tl.spans {
+		if s.open {
+			open = append(open, fmt.Sprintf("%s@%v", s.Name, s.Start))
+		}
+	}
 	if len(open) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(open))
-	for _, s := range open {
-		names = append(names, fmt.Sprintf("%s@%v", s.Phase, s.Start))
-	}
-	return fmt.Errorf("metrics: %d open span(s): %s", len(open), strings.Join(names, ", "))
+	return fmt.Errorf("metrics: %d open span(s): %s", len(open), strings.Join(open, ", "))
 }
 
 // CloseOpenAt force-closes every open span at time t and returns how many it
@@ -89,14 +101,28 @@ func (tl *Timeline) CloseOpenAt(t sim.Time) int {
 	return n
 }
 
-// Phases returns the distinct phase names in first-seen order.
+// chart yields the spans the Fig. 2(a) views draw — Phases, Counts,
+// PhaseWindow, CountByPhase and Render: map tasks and the phases inside
+// reduce tasks. A reduce task is drawn as its shuffle, merge and reduce
+// phases, so its own span appears only in Spans().
+func (tl *Timeline) chart() iter.Seq[*Span] {
+	return func(yield func(*Span) bool) {
+		for _, s := range tl.spans {
+			if (s.Phase || s.Name != "reduce") && !yield(s) {
+				return
+			}
+		}
+	}
+}
+
+// Phases returns the distinct charted span names in first-seen order.
 func (tl *Timeline) Phases() []string {
 	seen := make(map[string]bool)
 	var out []string
-	for _, s := range tl.spans {
-		if !seen[s.Phase] {
-			seen[s.Phase] = true
-			out = append(out, s.Phase)
+	for s := range tl.chart() {
+		if !seen[s.Name] {
+			seen[s.Name] = true
+			out = append(out, s.Name)
 		}
 	}
 	return out
@@ -110,8 +136,8 @@ func (tl *Timeline) Counts(bucket sim.Duration, end sim.Time) map[string]*Series
 		out[phase] = NewSeries(phase, "tasks", bucket)
 	}
 	nBuckets := int(int64(end)/int64(bucket)) + 1
-	for _, s := range tl.spans {
-		series := out[s.Phase]
+	for s := range tl.chart() {
+		series := out[s.Name]
 		e := s.Finish
 		if s.open {
 			e = end
@@ -135,11 +161,11 @@ func (tl *Timeline) Counts(bucket sim.Duration, end sim.Time) map[string]*Series
 	return out
 }
 
-// PhaseWindow returns the earliest start and latest end across spans of
-// phase, and whether any such span exists.
+// PhaseWindow returns the earliest start and latest end across charted spans
+// named phase, and whether any such span exists.
 func (tl *Timeline) PhaseWindow(phase string) (start, end sim.Time, ok bool) {
-	for _, s := range tl.spans {
-		if s.Phase != phase {
+	for s := range tl.chart() {
+		if s.Name != phase {
 			continue
 		}
 		if !ok || s.Start < start {
@@ -153,11 +179,11 @@ func (tl *Timeline) PhaseWindow(phase string) (start, end sim.Time, ok bool) {
 	return start, end, ok
 }
 
-// CountByPhase returns the number of spans per phase.
+// CountByPhase returns the number of charted spans per name.
 func (tl *Timeline) CountByPhase() map[string]int {
 	out := make(map[string]int)
-	for _, s := range tl.spans {
-		out[s.Phase]++
+	for s := range tl.chart() {
+		out[s.Name]++
 	}
 	return out
 }
@@ -191,44 +217,9 @@ func (tl *Timeline) Render(bucket sim.Duration, end sim.Time, maxWidth int) stri
 	return b.String()
 }
 
-// spanJSON is the persisted form of a Span. Open spans only exist while a
-// run is in flight; persisted timelines are always fully closed, but the
-// flag round-trips anyway so a marshaled timeline is faithful.
-type spanJSON struct {
-	Phase  string   `json:"phase"`
-	Start  sim.Time `json:"start"`
-	Finish sim.Time `json:"finish"`
-	Open   bool     `json:"open,omitempty"`
-}
-
 // MarshalJSON encodes the timeline as its span list, in recorded order.
-func (tl *Timeline) MarshalJSON() ([]byte, error) {
-	out := make([]spanJSON, len(tl.spans))
-	for i, s := range tl.spans {
-		out[i] = spanJSON{Phase: s.Phase, Start: s.Start, Finish: s.Finish, Open: s.open}
-	}
-	return json.Marshal(out)
-}
+// Persisted timelines are closed: FinishResult closes every span first.
+func (tl *Timeline) MarshalJSON() ([]byte, error) { return json.Marshal(tl.spans) }
 
 // UnmarshalJSON decodes a timeline persisted by MarshalJSON.
-func (tl *Timeline) UnmarshalJSON(b []byte) error {
-	var in []spanJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	tl.spans = make([]*Span, len(in))
-	for i, s := range in {
-		tl.spans[i] = &Span{Phase: s.Phase, Start: s.Start, Finish: s.Finish, open: s.Open}
-	}
-	return nil
-}
-
-// SortSpans orders spans by (start, phase) for stable test assertions.
-func (tl *Timeline) SortSpans() {
-	sort.SliceStable(tl.spans, func(i, j int) bool {
-		if tl.spans[i].Start != tl.spans[j].Start {
-			return tl.spans[i].Start < tl.spans[j].Start
-		}
-		return tl.spans[i].Phase < tl.spans[j].Phase
-	})
-}
+func (tl *Timeline) UnmarshalJSON(b []byte) error { return json.Unmarshal(b, &tl.spans) }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"onepass/internal/engine"
+	"onepass/internal/metrics"
 	"onepass/internal/sim"
 )
 
@@ -77,7 +78,7 @@ func scaled(v float64, bucket, cap sim.Duration) sim.Duration {
 // first, then iowait, then the residual classified by the dominant signal
 // active in that interval (network > disk > barrier > idle). Integer
 // nanoseconds throughout, so the six causes sum exactly to the makespan.
-func attribute(res *engine.Result, spans []Span, makespan sim.Duration) ([]Share, error) {
+func attribute(res *engine.Result, spans []metrics.Span, makespan sim.Duration) ([]Share, error) {
 	if res.CPUUtil == nil || res.Iowait == nil || res.BytesRead == nil ||
 		res.BytesWritten == nil || res.NetBytes == nil {
 		return nil, fmt.Errorf("profile: result is missing sampled series (run without a sampler?)")
@@ -92,10 +93,10 @@ func attribute(res *engine.Result, spans []Span, makespan sim.Duration) ([]Share
 	// signal for residual classification.
 	barrier := make([]bool, nb)
 	for _, sp := range spans {
-		if !sp.Phase || sp.Kind != engine.SpanShuffle {
+		if !sp.Phase || sp.Name != engine.SpanShuffle {
 			continue
 		}
-		lo, hi := int(int64(sp.Start)/int64(w)), int(int64(sp.End-1)/int64(w))
+		lo, hi := int(int64(sp.Start)/int64(w)), int(int64(sp.Finish-1)/int64(w))
 		for i := lo; i <= hi && i < nb; i++ {
 			if i >= 0 {
 				barrier[i] = true

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"onepass/internal/engine"
+	"onepass/internal/metrics"
 	"onepass/internal/sim"
 )
 
@@ -55,17 +56,17 @@ var pathKinds = []string{"map", "shuffle", "merge", "reduce", "wait", "startup",
 //     segments instead of silently vanishing.
 //
 // The result is validated to be contiguous over [0, makespan]; any engine
-// that breaks its span DAG (orphaned or unclosed spans) surfaces here as a
-// hard error, not a subtly wrong report.
-func criticalPath(spans []Span, makespan sim.Duration) ([]Segment, error) {
-	var maps, reduces []Span
-	phasesByTask := make(map[int][]Span) // reduce task -> its phase spans
+// that breaks its span DAG surfaces here as a hard error, not a subtly wrong
+// report.
+func criticalPath(spans []metrics.Span, makespan sim.Duration) ([]Segment, error) {
+	var maps, reduces []metrics.Span
+	phasesByTask := make(map[int][]metrics.Span) // reduce task -> its phase spans
 	for _, sp := range spans {
 		if sp.Phase {
 			phasesByTask[sp.Task] = append(phasesByTask[sp.Task], sp)
 			continue
 		}
-		switch sp.Kind {
+		switch sp.Name {
 		case engine.SpanMap:
 			maps = append(maps, sp)
 		case engine.SpanReduce:
@@ -79,11 +80,11 @@ func criticalPath(spans []Span, makespan sim.Duration) ([]Segment, error) {
 	// The terminal span: latest end, preferring reduce over map on ties,
 	// then lowest task/node/attempt — deterministic regardless of emission
 	// interleaving.
-	better := func(a, b Span) bool { // a beats b as terminal
-		if a.End != b.End {
-			return a.End > b.End
+	better := func(a, b metrics.Span) bool { // a beats b as terminal
+		if a.Finish != b.Finish {
+			return a.Finish > b.Finish
 		}
-		aRed, bRed := a.Kind == engine.SpanReduce, b.Kind == engine.SpanReduce
+		aRed, bRed := a.Name == engine.SpanReduce, b.Name == engine.SpanReduce
 		if aRed != bRed {
 			return aRed
 		}
@@ -95,30 +96,30 @@ func criticalPath(spans []Span, makespan sim.Duration) ([]Segment, error) {
 		}
 		return a.Attempt < b.Attempt
 	}
-	all := append(append([]Span(nil), maps...), reduces...)
+	all := append(append([]metrics.Span(nil), maps...), reduces...)
 	terminal := all[0]
 	for _, sp := range all[1:] {
 		if better(sp, terminal) {
 			terminal = sp
 		}
 	}
-	if sim.Duration(terminal.End) > makespan {
+	if sim.Duration(terminal.Finish) > makespan {
 		return nil, fmt.Errorf("profile: span %s ends after makespan %s", terminal, makespan)
 	}
 
 	var lastMapEnd sim.Time
 	for _, m := range maps {
-		if m.End > lastMapEnd {
-			lastMapEnd = m.End
+		if m.Finish > lastMapEnd {
+			lastMapEnd = m.Finish
 		}
 	}
 	// The map attempt binding a given instant: latest end ≤ t (the attempt
 	// whose completion released the constraint), deterministic tie-break.
-	bindingMap := func(t sim.Time) (Span, bool) {
-		var best Span
+	bindingMap := func(t sim.Time) (metrics.Span, bool) {
+		var best metrics.Span
 		found := false
 		for _, m := range maps {
-			if m.End > t {
+			if m.Finish > t {
 				continue
 			}
 			if !found || better(m, best) {
@@ -134,14 +135,14 @@ func criticalPath(spans []Span, makespan sim.Duration) ([]Segment, error) {
 			segs = append(segs, s)
 		}
 	}
-	if makespan > sim.Duration(terminal.End) {
+	if makespan > sim.Duration(terminal.Finish) {
 		emit(Segment{Kind: "finalize", Node: -1, Task: -1,
-			Start: terminal.End, End: sim.Time(makespan)})
+			Start: terminal.Finish, End: sim.Time(makespan)})
 	}
 
-	cur, cursor := terminal, terminal.End
+	cur, cursor := terminal, terminal.Finish
 	for {
-		if cur.Kind == engine.SpanReduce {
+		if cur.Name == engine.SpanReduce {
 			// The reduce task is binding on [bind, cursor]; before bind the
 			// map barrier was the constraint.
 			bind := lastMapEnd
@@ -153,15 +154,15 @@ func criticalPath(spans []Span, makespan sim.Duration) ([]Segment, error) {
 			}
 			refineReduce(cur, phasesByTask[cur.Task], bind, cursor, emit)
 			cursor = bind
-			if m, ok := bindingMap(cursor); ok && m.End == cursor {
+			if m, ok := bindingMap(cursor); ok && m.Finish == cursor {
 				cur = m // the map barrier: bound by the last-ending attempt
 				continue
 			}
 			// Reduce started at or before every map's end (or there are no
 			// maps): walk to whatever map attempt preceded its start.
 			if m, ok := bindingMap(cur.Start); ok {
-				emit(Segment{Kind: "wait", Node: -1, Task: -1, Start: m.End, End: cursor})
-				cursor, cur = m.End, m
+				emit(Segment{Kind: "wait", Node: -1, Task: -1, Start: m.Finish, End: cursor})
+				cursor, cur = m.Finish, m
 				continue
 			}
 			emit(Segment{Kind: "startup", Node: -1, Task: -1, Start: 0, End: cursor})
@@ -180,8 +181,8 @@ func criticalPath(spans []Span, makespan sim.Duration) ([]Segment, error) {
 			emit(Segment{Kind: "startup", Node: -1, Task: -1, Start: 0, End: cursor})
 			break
 		}
-		emit(Segment{Kind: "wait", Node: -1, Task: -1, Start: m.End, End: cursor})
-		cursor, cur = m.End, m
+		emit(Segment{Kind: "wait", Node: -1, Task: -1, Start: m.Finish, End: cursor})
+		cursor, cur = m.Finish, m
 	}
 
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Start < segs[j].Start })
@@ -195,21 +196,21 @@ func criticalPath(spans []Span, makespan sim.Duration) ([]Segment, error) {
 // phase spans: the innermost phase covering each instant labels it (merge
 // passes nest inside shuffle ingest on pipelined engines), and instants
 // outside any phase fall back to the task-level "reduce" label.
-func refineReduce(r Span, phases []Span, lo, hi sim.Time, emit func(Segment)) {
+func refineReduce(r metrics.Span, phases []metrics.Span, lo, hi sim.Time, emit func(Segment)) {
 	if hi <= lo {
 		return
 	}
 	// Elementary interval boundaries.
 	cuts := []sim.Time{lo, hi}
 	for _, p := range phases {
-		if p.End <= lo || p.Start >= hi {
+		if p.Finish <= lo || p.Start >= hi {
 			continue
 		}
 		if p.Start > lo {
 			cuts = append(cuts, p.Start)
 		}
-		if p.End < hi {
-			cuts = append(cuts, p.End)
+		if p.Finish < hi {
+			cuts = append(cuts, p.Finish)
 		}
 	}
 	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
@@ -234,8 +235,8 @@ func refineReduce(r Span, phases []Span, lo, hi sim.Time, emit func(Segment)) {
 		}
 		kind, best := "reduce", 0
 		for _, p := range phases {
-			if p.Start <= a && p.End >= b && prio(p.Kind) > best {
-				kind, best = p.Kind, prio(p.Kind)
+			if p.Start <= a && p.Finish >= b && prio(p.Name) > best {
+				kind, best = p.Name, prio(p.Name)
 			}
 		}
 		if prev != nil && prev.Kind == kind && prev.End == a {

@@ -1,7 +1,8 @@
 // Package profile is the deterministic post-run analyzer: it consumes a
-// run's trace log plus its Result and answers the paper's central question —
-// where did the makespan go — with checkable arithmetic instead of
-// eyeballing a Gantt chart.
+// run's Result — the task and phase spans its runtime recorded, the sampled
+// series — plus the trace log's shuffle transfers, and answers the paper's
+// central question — where did the makespan go — with checkable arithmetic
+// instead of eyeballing a Gantt chart.
 //
 // Three decompositions, each summing exactly to the makespan:
 //
@@ -13,15 +14,17 @@
 //     over [0, makespan], with slack figures for every span not on it;
 //   - per-node utilization: busy/iowait/idle per node, same tiling.
 //
-// Everything is a pure function of the trace and the sampled series, which
-// are themselves byte-deterministic across intra-run parallelism widths — so
-// profiles are golden-testable the same way traces are.
+// Everything is a pure function of the spans, the trace and the sampled
+// series, which are themselves byte-deterministic across intra-run
+// parallelism widths — so profiles are golden-testable the same way traces
+// are.
 package profile
 
 import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"onepass/internal/engine"
 	"onepass/internal/metrics"
@@ -120,12 +123,14 @@ func (rp *RunProfile) MarshalIndentJSON() ([]byte, error) {
 // topSlackN is how many high-slack spans the profile retains.
 const topSlackN = 5
 
-// Compute analyzes one completed run. It fails loudly rather than producing
-// a subtly wrong report: span defects (orphaned/unclosed/zero-length), an
-// attribution that does not tile the makespan, or a disconnected critical
-// path are all hard errors. The trace must cover a single job starting at
-// virtual time zero (runjob and the experiment driver both run jobs on a
-// fresh cluster, so this holds for every profiling entry point).
+// Compute analyzes one completed run: its spans come from res.Timeline, its
+// shuffle statistics from log. It fails loudly rather than producing a
+// subtly wrong report: a span the runtime had to force-close, a zero-length
+// or negative span, an attribution that does not tile the makespan, or a
+// disconnected critical path are all hard errors. The run must be a single
+// job starting at virtual time zero (runjob and the experiment driver both
+// run jobs on a fresh cluster, so this holds for every profiling entry
+// point).
 func Compute(log *trace.Log, res *engine.Result) (*RunProfile, error) {
 	if log == nil || res == nil {
 		return nil, fmt.Errorf("profile: need both a trace log and a result")
@@ -133,18 +138,12 @@ func Compute(log *trace.Log, res *engine.Result) (*RunProfile, error) {
 	if res.Makespan <= 0 {
 		return nil, fmt.Errorf("profile: non-positive makespan %s", res.Makespan)
 	}
-	spans, issues := ExtractSpans(log.Events())
-	if len(issues) > 0 {
-		msg := fmt.Sprintf("profile: trace has %d span defect(s):", len(issues))
-		for _, is := range issues {
-			msg += "\n  " + is
-		}
-		return nil, fmt.Errorf("%s", msg)
+	spans, err := closedSpans(res)
+	if err != nil {
+		return nil, err
 	}
 
 	rp := &RunProfile{Job: res.Job, Engine: res.Engine, Makespan: res.Makespan}
-
-	var err error
 	if rp.Attribution, err = attribute(res, spans, res.Makespan); err != nil {
 		return nil, err
 	}
@@ -161,6 +160,34 @@ func Compute(log *trace.Log, res *engine.Result) (*RunProfile, error) {
 	return rp, nil
 }
 
+// closedSpans returns the run's recorded spans, refusing a timeline the
+// analysis cannot trust: one with a span the runtime force-closed at the end
+// of the run (a Begin without its End), or with zero-length or negative
+// spans. Every analysis below is independent of the spans' order.
+func closedSpans(res *engine.Result) ([]metrics.Span, error) {
+	if res.Timeline == nil {
+		return nil, fmt.Errorf("profile: result has no timeline")
+	}
+	if n := res.Counters.Get(engine.CtrTimelineForceClosed); n > 0 {
+		return nil, fmt.Errorf("profile: %.0f span(s) left open and force-closed at the end of the run", n)
+	}
+	var spans []metrics.Span
+	var issues []string
+	for _, sp := range res.Timeline.Spans() {
+		switch {
+		case sp.Finish == sp.Start:
+			issues = append(issues, "zero-length span: "+sp.String())
+		case sp.Finish < sp.Start:
+			issues = append(issues, "negative span: "+sp.String())
+		}
+		spans = append(spans, *sp)
+	}
+	if len(issues) > 0 {
+		return nil, fmt.Errorf("profile: %d span defect(s):\n  %s", len(issues), strings.Join(issues, "\n  "))
+	}
+	return spans, nil
+}
+
 // phasePopulations is the fixed reporting order of span populations.
 var phasePopulations = []struct {
 	scope string
@@ -174,14 +201,14 @@ var phasePopulations = []struct {
 	{"phase", true, engine.SpanReduce},
 }
 
-func phaseStats(spans []Span) []PhaseStats {
+func phaseStats(spans []metrics.Span) []PhaseStats {
 	var out []PhaseStats
 	for _, pop := range phasePopulations {
 		h := metrics.NewHistogram()
 		var total, max sim.Duration
 		count := 0
 		for _, sp := range spans {
-			if sp.Phase != pop.phase || sp.Kind != pop.name {
+			if sp.Phase != pop.phase || sp.Name != pop.name {
 				continue
 			}
 			d := sp.Duration()
@@ -205,17 +232,17 @@ func phaseStats(spans []Span) []PhaseStats {
 	return out
 }
 
-func topSlack(spans []Span) []SlackEntry {
+func topSlack(spans []metrics.Span) []SlackEntry {
 	var lastMapEnd, lastTaskEnd sim.Time
 	for _, sp := range spans {
 		if sp.Phase {
 			continue
 		}
-		if sp.Kind == engine.SpanMap && sp.End > lastMapEnd {
-			lastMapEnd = sp.End
+		if sp.Name == engine.SpanMap && sp.Finish > lastMapEnd {
+			lastMapEnd = sp.Finish
 		}
-		if sp.End > lastTaskEnd {
-			lastTaskEnd = sp.End
+		if sp.Finish > lastTaskEnd {
+			lastTaskEnd = sp.Finish
 		}
 	}
 	var entries []SlackEntry
@@ -224,15 +251,15 @@ func topSlack(spans []Span) []SlackEntry {
 			continue
 		}
 		var slack sim.Duration
-		switch sp.Kind {
+		switch sp.Name {
 		case engine.SpanMap:
-			slack = lastMapEnd.Sub(sp.End)
+			slack = lastMapEnd.Sub(sp.Finish)
 		case engine.SpanReduce:
-			slack = lastTaskEnd.Sub(sp.End)
+			slack = lastTaskEnd.Sub(sp.Finish)
 		default:
 			continue
 		}
-		entries = append(entries, SlackEntry{Kind: sp.Kind, Node: sp.Node,
+		entries = append(entries, SlackEntry{Kind: sp.Name, Node: sp.Node,
 			Task: sp.Task, Attempt: sp.Attempt, Slack: slack})
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -246,7 +273,10 @@ func topSlack(spans []Span) []SlackEntry {
 		if a.Task != b.Task {
 			return a.Task < b.Task
 		}
-		return a.Node < b.Node
+		if a.Node != b.Node {
+			return a.Node < b.Node
+		}
+		return a.Attempt < b.Attempt
 	})
 	if len(entries) > topSlackN {
 		entries = entries[:topSlackN]

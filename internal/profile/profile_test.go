@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"onepass/internal/cluster"
+	"onepass/internal/dfs"
 	"onepass/internal/engine"
 	"onepass/internal/metrics"
 	"onepass/internal/sim"
@@ -12,45 +14,42 @@ import (
 
 const ms = sim.Millisecond
 
-func taskEv(t trace.Type, name string, node, task, attempt int, at sim.Duration) trace.Event {
-	return trace.Event{At: sim.Time(at), Type: t, Name: name, Node: node, Task: task, Attempt: attempt}
-}
-
-// TestExtractSpansDefects pins the validator's three defect classes.
-func TestExtractSpansDefects(t *testing.T) {
-	log := trace.NewLog()
-	// Clean map span.
-	log.Emit(taskEv(trace.TaskStart, "map", 0, 0, 0, 1*ms))
-	log.Emit(taskEv(trace.TaskFinish, "map", 0, 0, 0, 5*ms))
-	// Orphaned end: finish without start.
-	log.Emit(taskEv(trace.TaskFinish, "map", 0, 7, 0, 6*ms))
-	// Zero-length span.
-	log.Emit(taskEv(trace.PhaseStart, "shuffle", 1, 2, 0, 8*ms))
-	log.Emit(taskEv(trace.PhaseEnd, "shuffle", 1, 2, 0, 8*ms))
-	// Unclosed span.
-	log.Emit(taskEv(trace.TaskStart, "reduce", 2, 3, 0, 9*ms))
-
-	spans, issues := ExtractSpans(log.Events())
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2 (clean map + zero-length shuffle)", len(spans))
+// TestComputeRejectsSpanDefects: a span the runtime had to force-close, a
+// zero-length span and a negative span each fail Compute rather than skew
+// the analysis.
+func TestComputeRejectsSpanDefects(t *testing.T) {
+	// A task that never closes its span, run through the runtime's own
+	// finalization, which force-closes it at the horizon and counts it.
+	env := sim.New()
+	c := cluster.New(env, cluster.DefaultConfig())
+	rt := engine.NewRuntime(env, c, dfs.New(c, 1<<20, 1))
+	env.Go("leaky-task", func(p *sim.Proc) {
+		rt.Begin(metrics.Span{Name: engine.SpanMap})
+		p.Sleep(5 * ms)
+	})
+	env.Run()
+	leaked := &engine.Result{}
+	rt.FinishResult(leaked)
+	if leaked.Counters.Get(engine.CtrTimelineForceClosed) != 1 {
+		t.Fatal("the runtime did not force-close the leaked span — test is vacuous")
 	}
-	if len(issues) != 3 {
-		t.Fatalf("got %d issues, want 3: %v", len(issues), issues)
+	if _, err := Compute(trace.NewLog(), leaked); err == nil || !strings.Contains(err.Error(), "force-closed") {
+		t.Errorf("Compute on a force-closed span: err = %v", err)
 	}
-	for i, want := range []string{"orphaned end", "zero-length span", "unclosed task span"} {
-		if !strings.Contains(issues[i], want) {
-			t.Errorf("issue %d = %q, want %q", i, issues[i], want)
+
+	for _, tc := range []struct {
+		want          string
+		start, finish sim.Duration
+	}{
+		{"zero-length span", 3 * ms, 3 * ms},
+		{"negative span", 5 * ms, 2 * ms},
+	} {
+		tl := metrics.NewTimeline()
+		tl.Begin(metrics.Span{Name: engine.SpanMap, Start: sim.Time(tc.start)}).End(sim.Time(tc.finish))
+		res := &engine.Result{Makespan: 10 * ms, Timeline: tl, Counters: metrics.NewCounters()}
+		if _, err := Compute(trace.NewLog(), res); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Compute on a %s: err = %v", tc.want, err)
 		}
-	}
-	if err := ValidateSpans(log); err == nil {
-		t.Error("ValidateSpans accepted a defective trace")
-	}
-
-	clean := trace.NewLog()
-	clean.Emit(taskEv(trace.TaskStart, "map", 0, 0, 0, 1*ms))
-	clean.Emit(taskEv(trace.TaskFinish, "map", 0, 0, 0, 5*ms))
-	if err := ValidateSpans(clean); err != nil {
-		t.Errorf("ValidateSpans rejected a clean trace: %v", err)
 	}
 }
 
@@ -59,11 +58,11 @@ func TestExtractSpansDefects(t *testing.T) {
 // pins the exact segment sequence, including the slot-wait gap, startup,
 // and finalize tail.
 func TestCriticalPathSyntheticChain(t *testing.T) {
-	mk := func(kind string, phase bool, node, task int, start, end sim.Duration) Span {
-		return Span{Kind: kind, Phase: phase, Node: node, Task: task,
-			Start: sim.Time(start), End: sim.Time(end)}
+	mk := func(name string, phase bool, node, task int, start, end sim.Duration) metrics.Span {
+		return metrics.Span{Name: name, Phase: phase, Node: node, Task: task,
+			Start: sim.Time(start), Finish: sim.Time(end)}
 	}
-	spans := []Span{
+	spans := []metrics.Span{
 		// Map 0 runs [1,5]ms; map 1 waits for the slot, runs [6,12]ms.
 		mk("map", false, 0, 0, 1*ms, 5*ms),
 		mk("map", false, 0, 1, 6*ms, 12*ms),
@@ -117,8 +116,8 @@ func TestCriticalPathSyntheticChain(t *testing.T) {
 // TestCriticalPathRejectsDisconnectedDAG: a span ending after the declared
 // makespan must be a hard error, not a silently clipped report.
 func TestCriticalPathRejectsDisconnectedDAG(t *testing.T) {
-	spans := []Span{
-		{Kind: "map", Node: 0, Task: 0, Start: sim.Time(1 * ms), End: sim.Time(30 * ms)},
+	spans := []metrics.Span{
+		{Name: "map", Node: 0, Task: 0, Start: sim.Time(1 * ms), Finish: sim.Time(30 * ms)},
 	}
 	if _, err := criticalPath(spans, 20*ms); err == nil {
 		t.Error("span past makespan accepted")
@@ -200,10 +199,10 @@ func TestAttributionBarrierClassification(t *testing.T) {
 		BytesWritten: flat("bw", 0, 0),
 		NetBytes:     flat("net", 0, 0),
 	}
-	spans := []Span{
+	spans := []metrics.Span{
 		// Shuffle phase open across bucket 0 only.
-		{Kind: engine.SpanShuffle, Phase: true, Node: 0, Task: 0,
-			Start: 0, End: sim.Time(10 * ms)},
+		{Name: engine.SpanShuffle, Phase: true, Node: 0, Task: 0,
+			Start: 0, Finish: sim.Time(10 * ms)},
 	}
 	shares, err := attribute(res, spans, res.Makespan)
 	if err != nil {
@@ -218,6 +217,34 @@ func TestAttributionBarrierClassification(t *testing.T) {
 	}
 	if total[CauseIdle] != 10*ms {
 		t.Errorf("scheduler-idle = %s, want 10ms", total[CauseIdle])
+	}
+}
+
+func TestInFlightTrack(t *testing.T) {
+	tl := metrics.NewTimeline()
+	span := func(s metrics.Span, finish sim.Time) { tl.Begin(s).End(finish) }
+	// Two overlapping maps; map 1 ends exactly when map 2 starts (handoff).
+	span(metrics.Span{Name: "map", Node: 0, Task: 0}, 3000)
+	span(metrics.Span{Name: "map", Node: 1, Task: 1, Start: 1000}, 2000)
+	span(metrics.Span{Name: "map", Node: 1, Task: 2, Start: 2000}, 4000)
+	// A phase span with the same name must not leak into the task view.
+	span(metrics.Span{Name: "map", Phase: true, Node: 0, Task: 0}, 500)
+
+	tr := inFlightTrack("maps-in-flight", tl.Spans(), "map")
+	want := []trace.CounterPoint{
+		{At: 0, Value: 1},
+		{At: 1000, Value: 2},
+		{At: 2000, Value: 2}, // handoff collapses to the final same-instant value
+		{At: 3000, Value: 1},
+		{At: 4000, Value: 0},
+	}
+	if len(tr.Points) != len(want) {
+		t.Fatalf("got %d points, want %d: %+v", len(tr.Points), len(want), tr.Points)
+	}
+	for i, w := range want {
+		if tr.Points[i] != w {
+			t.Errorf("point %d = %+v, want %+v", i, tr.Points[i], w)
+		}
 	}
 }
 

@@ -33,8 +33,8 @@ import (
 	"onepass/internal/hashlib"
 	"onepass/internal/kv"
 	"onepass/internal/memtable"
+	"onepass/internal/metrics"
 	"onepass/internal/sim"
-	"onepass/internal/trace"
 )
 
 // FrameworkNsPerRecord is the resident engine's per-record runtime
@@ -257,8 +257,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 	// The table folds inside pooled closures and finishes on the event loop;
 	// only the finish touches the Fold's scratch, so the task's own serves both.
 	table := newFoldTable(job.Fold())
-	shuffleSpan := rt.Timeline.Begin(engine.SpanShuffle, p.Now())
-	rt.Emit(trace.PhaseStart, engine.SpanShuffle, node.ID, r, 0)
+	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
 	for {
 		chunk, ok := pc.PopFresh(p, node.ID)
 		if !ok {
@@ -279,11 +278,9 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
 		work.Wait()
 	}
-	shuffleSpan.End(p.Now())
-	rt.Emit(trace.PhaseEnd, engine.SpanShuffle, node.ID, r, 0)
+	rt.End(shuffleSpan)
 
-	reduceSpan := rt.Timeline.Begin(engine.SpanReduce, p.Now())
-	rt.Emit(trace.PhaseStart, engine.SpanReduce, node.ID, r, 0)
+	reduceSpan := rt.Begin(metrics.Span{Name: engine.SpanReduce, Phase: true, Node: node.ID, Task: r})
 	table.emitAll(p, node, costs, func(k, v []byte) { oc.Emit(p, r, node.ID, k, v) })
 	oc.Close(p, r)
 	// Publish the partition into the DFS namespace as a memory-resident
@@ -297,6 +294,5 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 			panic(fmt.Sprintf("resident: publishing %s: %v", path, err))
 		}
 	}
-	reduceSpan.End(p.Now())
-	rt.Emit(trace.PhaseEnd, engine.SpanReduce, node.ID, r, 0)
+	rt.End(reduceSpan)
 }

@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sort"
-
-	"onepass/internal/sim"
-)
+import "onepass/internal/sim"
 
 // CounterPoint is one sample of a counter track.
 type CounterPoint struct {
@@ -15,9 +11,9 @@ type CounterPoint struct {
 // CounterTrack is a numeric time series rendered as a Perfetto counter
 // track ("C" events) alongside the span timeline — cluster utilization,
 // queue depths, in-flight work. Tracks are attached to a Log after the run
-// (they usually derive from the sampled Result series or from the span
-// events themselves), and export in attachment order with points in slice
-// order, keeping the Chrome bytes deterministic.
+// (they usually derive from the Result's sampled series or recorded spans),
+// and export in attachment order with points in slice order, keeping the
+// Chrome bytes deterministic.
 type CounterTrack struct {
 	Name   string
 	Unit   string
@@ -35,50 +31,3 @@ func (l *Log) AddCounterTrack(t CounterTrack) {
 
 // CounterTracks returns the attached counter tracks in attachment order.
 func (l *Log) CounterTracks() []CounterTrack { return l.counters }
-
-// InFlightTrack derives a counter track from the log's own span events: how
-// many spans named spanName (of the task or phase flavor picked by phase)
-// were open at each transition instant. This is the "in-flight work" view —
-// concurrent map tasks, reducers still shuffling — computed purely from the
-// deterministic event sequence.
-func (l *Log) InFlightTrack(name, spanName string, phase bool) CounterTrack {
-	type delta struct {
-		at sim.Time
-		d  int
-	}
-	var deltas []delta
-	for _, ev := range l.events {
-		isSpan, opens := ev.Type.Span()
-		if !isSpan || ev.Name != spanName {
-			continue
-		}
-		if evPhase := ev.Type == PhaseStart || ev.Type == PhaseEnd; evPhase != phase {
-			continue
-		}
-		if opens {
-			deltas = append(deltas, delta{ev.At, 1})
-		} else {
-			deltas = append(deltas, delta{ev.At, -1})
-		}
-	}
-	// Events are already in virtual-time order, but ends at the same instant
-	// as starts must apply first so the counter never double-counts a
-	// back-to-back handoff; stable-sort by time keeping -1 before +1.
-	sort.SliceStable(deltas, func(i, j int) bool {
-		if deltas[i].at != deltas[j].at {
-			return deltas[i].at < deltas[j].at
-		}
-		return deltas[i].d < deltas[j].d
-	})
-	t := CounterTrack{Name: name, Unit: "tasks"}
-	cur := 0
-	for i, d := range deltas {
-		cur += d.d
-		// Collapse same-instant transitions into the final value.
-		if i+1 < len(deltas) && deltas[i+1].at == d.at {
-			continue
-		}
-		t.Points = append(t.Points, CounterPoint{At: d.at, Value: float64(cur)})
-	}
-	return t
-}

@@ -8,37 +8,6 @@ import (
 	"onepass/internal/sim"
 )
 
-func TestInFlightTrack(t *testing.T) {
-	l := NewLog()
-	// Two overlapping maps; map 1 ends exactly when map 2 starts (handoff).
-	l.Emit(Event{At: 0, Type: TaskStart, Name: "map", Node: 0, Task: 0})
-	l.Emit(Event{At: 1000, Type: TaskStart, Name: "map", Node: 1, Task: 1})
-	l.Emit(Event{At: 2000, Type: TaskFinish, Name: "map", Node: 1, Task: 1})
-	l.Emit(Event{At: 2000, Type: TaskStart, Name: "map", Node: 1, Task: 2})
-	l.Emit(Event{At: 3000, Type: TaskFinish, Name: "map", Node: 0, Task: 0})
-	l.Emit(Event{At: 4000, Type: TaskFinish, Name: "map", Node: 1, Task: 2})
-	// A phase span with the same name must not leak into the task view.
-	l.Emit(Event{At: 0, Type: PhaseStart, Name: "map", Node: 0, Task: 0})
-	l.Emit(Event{At: 500, Type: PhaseEnd, Name: "map", Node: 0, Task: 0})
-
-	tr := l.InFlightTrack("maps-in-flight", "map", false)
-	want := []CounterPoint{
-		{At: 0, Value: 1},
-		{At: 1000, Value: 2},
-		{At: 2000, Value: 2}, // handoff collapses to the final same-instant value
-		{At: 3000, Value: 1},
-		{At: 4000, Value: 0},
-	}
-	if len(tr.Points) != len(want) {
-		t.Fatalf("got %d points, want %d: %+v", len(tr.Points), len(want), tr.Points)
-	}
-	for i, w := range want {
-		if tr.Points[i] != w {
-			t.Errorf("point %d = %+v, want %+v", i, tr.Points[i], w)
-		}
-	}
-}
-
 func TestAddCounterTrackDropsEmpty(t *testing.T) {
 	l := NewLog()
 	l.AddCounterTrack(CounterTrack{Name: "empty"})

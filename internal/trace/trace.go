@@ -1,12 +1,15 @@
 // Package trace is the structured run-tracing layer: a deterministic,
 // virtual-time event log every engine feeds through a Sink threaded into
-// engine.Runtime. Where metrics.Timeline records bare phase-name spans and
-// metrics.Counters cluster-wide totals, a trace attributes every event to a
-// node, task, attempt, and engine, with a typed key/value payload — the
-// per-task drill-down behind the paper's Fig. 2/3 task timelines and the
-// per-stage accounting that systems like i2MapReduce and M3R use to justify
-// their wins. The log exports to Chrome trace-event JSON (loadable in
-// ui.perfetto.dev) and to a plain-text Gantt chart for terminals.
+// engine.Runtime. A trace attributes every event to a node, task, attempt,
+// and engine, with a typed key/value payload — the per-task drill-down
+// behind the paper's Fig. 2/3 task timelines and the per-stage accounting
+// that systems like i2MapReduce and M3R use to justify their wins. Task and
+// phase spans are recorded once, in metrics.Timeline, by engine.Runtime's
+// Begin and End, which also emit their start and end events here; the other
+// events are instants (spills, transfers, early answers, faults) that
+// metrics.Counters only totals. The log exports to Chrome trace-event JSON
+// (loadable in ui.perfetto.dev) and to a plain-text Gantt chart for
+// terminals.
 //
 // Determinism: events carry only virtual time and values derived from the
 // simulation, are appended in simulation order (exactly one process runs at
@@ -129,33 +132,6 @@ func (l *Log) Events() []Event { return l.events }
 
 // Len returns the number of recorded events.
 func (l *Log) Len() int { return len(l.events) }
-
-// Names returns the distinct event names in first-seen order; unnamed events
-// contribute their type.
-func (l *Log) Names() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, ev := range l.events {
-		n := ev.Name
-		if n == "" {
-			n = string(ev.Type)
-		}
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// CountByType returns how many events of each type were recorded.
-func (l *Log) CountByType() map[Type]int {
-	out := make(map[Type]int)
-	for _, ev := range l.events {
-		out[ev.Type]++
-	}
-	return out
-}
 
 // trackOf derives the stable per-task track an event renders on: tasks get
 // one track each (disambiguated by name so map task 3 and reduce task 3

@@ -35,19 +35,8 @@ func TestLogRecordsInOrder(t *testing.T) {
 			t.Fatalf("events out of order at %d: %v after %v", i, evs[i].At, evs[i-1].At)
 		}
 	}
-	names := l.Names()
-	want := []string{"map", "combine", "shuffle", "reduce", "reduce-spill"}
-	if len(names) != len(want) {
-		t.Fatalf("Names = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names[%d] = %q, want %q", i, names[i], want[i])
-		}
-	}
-	counts := l.CountByType()
-	if counts[TaskStart] != 2 || counts[TaskFinish] != 2 || counts[Spill] != 1 {
-		t.Fatalf("CountByType = %v", counts)
+	if evs[0].Type != TaskStart || evs[6].Type != TaskFinish || evs[5].Name != "reduce-spill" {
+		t.Fatalf("events not kept as emitted: %+v", evs)
 	}
 }
 
