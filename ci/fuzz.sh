@@ -15,7 +15,8 @@ for pkg in $(go list ./...); do
   done
 done
 echo "fuzzed $targets targets for $fuzztime each"
-# internal/kv has four, internal/incr two, internal/memtable one
+# internal/kv has four, internal/incr two (FuzzBlockFrames, the capture
+# decoder, and FuzzMergeMatchesReference), internal/memtable one
 # (FuzzTableMatchesReference) and internal/sortmerge one
 # (FuzzStreamMatchesReference); finding fewer means discovery broke, not that
 # the tree got safer.

@@ -56,8 +56,10 @@ func main() {
 	deltaFrac := flag.Float64("delta", 0,
 		"evolve this fraction of the input (seeded updates+deletes+appends) and compare the incremental re-run against a full re-run (click workloads only)")
 	deltaSeed := flag.Uint64("delta-seed", 42, "delta derivation seed (with -delta)")
-	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the job run(s) to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a host allocation profile, taken after the job run(s), to this file")
+	cpuProfile := flag.String("cpuprofile", "",
+		"write a host CPU profile of the job run to this file (go tool pprof); with -delta, of RunDelta alone, not the full re-run it is compared against")
+	memProfile := flag.String("memprofile", "",
+		"write a host allocation profile, taken after the job run, to this file; with -delta, taken when RunDelta returns")
 	flag.Parse()
 
 	cfg := onepass.DefaultConfig()
@@ -117,9 +119,8 @@ func main() {
 		if !w.Clicks {
 			log.Fatalf("-delta requires a click workload, not %q", *workload)
 		}
-		stopProfiles := startProfiles(*cpuProfile, *memProfile)
-		runDeltaCompare(cfg, data, w.Job, onepass.DefaultDelta(cc, *deltaSeed, *deltaFrac))
-		stopProfiles()
+		runDeltaCompare(cfg, data, w.Job, onepass.DefaultDelta(cc, *deltaSeed, *deltaFrac),
+			startProfiles(*cpuProfile, *memProfile))
 		return
 	}
 	job := w.Job
@@ -310,10 +311,13 @@ func startProfiles(cpuPath, memPath string) (stop func()) {
 // on the base, re-run over changed blocks plus preserved state) against a
 // full re-run over the evolved dataset on a fresh cluster. The report is
 // deterministic — same flags, same bytes — and the process exits non-zero
-// if the outputs diverge, so CI can gate on it directly.
-func runDeltaCompare(cfg onepass.Config, data onepass.Dataset, job onepass.Job, d onepass.Delta) {
+// if the outputs diverge, so CI can gate on it directly. stopProfiles runs
+// as soon as RunDelta returns: the host profiles cover the delta path, not
+// the full re-run it is checked against.
+func runDeltaCompare(cfg onepass.Config, data onepass.Dataset, job onepass.Job, d onepass.Delta, stopProfiles func()) {
 	cfg.DiscardOutput = false
 	dr, err := onepass.RunDelta(cfg, data, job, d)
+	stopProfiles()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -228,31 +228,15 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 	}, nil
 }
 
-// capture runs a capture job and installs its part files' frames as the
-// preserved partials of blocks (ascending) — the blocks of the job's tagged
-// input, numbered below nBlocks. A block the run emitted nothing for has
-// lost every record and is removed. Keys a replaced or installed frame holds
-// are recorded in affected (when non-nil).
+// capture runs a capture job and installs its part files as the preserved
+// partials of blocks — the blocks of the job's tagged input, numbered below
+// nBlocks (see incr.State.Capture).
 func capture(c *Cluster, job Job, state *incr.State, blocks []int, nBlocks int, affected *incr.Affected) error {
 	if _, err := c.RunJob(job); err != nil {
 		return err
 	}
-	frames, err := incr.CaptureFrames(c.partFiles(job.OutputPath), nBlocks)
-	if err != nil {
+	if err := state.Capture(c.partFiles(job.OutputPath), blocks, nBlocks, affected); err != nil {
 		return fmt.Errorf("onepass: %s: %w", job.Name, err)
-	}
-	for _, b := range blocks {
-		var frame []byte
-		if len(frames) > 0 && frames[0].Block == b {
-			frame, frames = frames[0].Data, frames[1:]
-		}
-		if err := state.ReplaceFrame(b, frame, affected); err != nil {
-			return fmt.Errorf("onepass: %s: %w", job.Name, err)
-		}
-	}
-	if len(frames) > 0 {
-		return fmt.Errorf("onepass: %s emitted partials for block %d, which is not in its input",
-			job.Name, frames[0].Block)
 	}
 	return nil
 }
@@ -339,8 +323,8 @@ func captureJob(inner Job, input, output string) Job {
 	j.Name = inner.Name + "+capture"
 	j.InputPath = input
 	j.OutputPath = output
-	// The part files are the deliverable (RunDelta decodes them into block
-	// frames); nothing reads a retained copy.
+	// The part files are the deliverable (RunDelta captures them into the
+	// preserved state); nothing reads a retained copy.
 	j.RetainOutput, j.DiscardOutput = false, false
 	j.Progress = nil
 	read, mapf := inner.Reader, inner.Map

@@ -350,7 +350,7 @@ func TestDeltaSurfacesDamagedCapture(t *testing.T) {
 	}
 	job.Fresh = nil
 	err = capture(c, job, incr.New(monoidKey(w.Job)), []int{0, 1}, 2, nil)
-	if err == nil || !strings.Contains(err.Error(), "block 0 frame") || !strings.Contains(err.Error(), "duplicate key") {
+	if err == nil || !strings.Contains(err.Error(), "block 0: duplicate key") {
 		t.Fatalf("doubled capture output: %v", err)
 	}
 }

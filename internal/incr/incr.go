@@ -2,13 +2,15 @@
 // re-run path (i2MapReduce-style): per-(block, key) partial aggregates
 // captured from a tagged run, plus the per-key finals of the last merge.
 // Both live the way the paper keeps per-key state (§IV) and MRBG-Store
-// keeps preserved state: as key-sorted runs of encoded pairs in flat byte
-// slabs — one frame per origin block, one for the finals — that are
-// merge-joined, never looked up. The structures are pure data — the root
-// package's delta runner decides how they are produced (a capture job),
-// persisted (a spill-backed DFS write for the disk engines, a
-// memory-resident block for the resident engine), and consumed (a merge job
-// whose input this package encodes).
+// keeps preserved state: in the order the merge reads them. Every live
+// partial sits in one run of encoded pairs ordered by (key, block), already
+// in the merge input's encoding, and the finals are one key-sorted run
+// beside it. A capture costs one sort of its own pairs; installing it and
+// every merge are linear merge-joins over those runs, never lookups. The
+// structures are pure data — the root package's delta runner decides how
+// they are produced (a capture job), persisted (a spill-backed DFS write for
+// the disk engines, a memory-resident block for the resident engine), and
+// consumed (a merge job whose input this package encodes).
 package incr
 
 import (
@@ -31,30 +33,23 @@ const (
 	MarkPartial = 'P'
 )
 
-// BlockFrame is one origin block's preserved partials: a run of encoded
-// pairs (key, 'P' uvarint(Block) payload) under strictly ascending keys.
-// The values already carry the merge-input marking, so an affected key's
-// partials go into the merge input as they stand.
-type BlockFrame struct {
-	Block int
-	Data  []byte
-}
-
 // State is one job's preserved aggregation state between runs. It only
 // composes under the aggregation law it was built with, so it is keyed by
 // a monoid identity string: replaying it under a different monoid (or a
 // different holistic reducer) is a checked error, not silent corruption.
+//
+// Runs are never written once built: an install builds a new live run, and
+// the old one stays valid for whatever still aliases it (an every-key merge
+// input that was published).
 type State struct {
 	monoidKey string
-	blocks    []BlockFrame // live frames, blocks ascending
-	finals    []byte       // key-sorted (key, final) run of the last merge
+	live      []byte // every live partial, (key, 'P' uvarint(block) payload), (key, block) ascending
+	keys      int    // distinct keys in live
+	finals    []byte // key-sorted (key, final) run of the last merge
 }
 
 // New returns empty state bound to an aggregation law's identity string.
 func New(monoidKey string) *State { return &State{monoidKey: monoidKey} }
-
-// MonoidKey returns the aggregation-law identity this state composes under.
-func (s *State) MonoidKey() string { return s.monoidKey }
 
 // CheckKey rejects partials produced under a different aggregation law.
 func (s *State) CheckKey(monoidKey string) error {
@@ -65,44 +60,37 @@ func (s *State) CheckKey(monoidKey string) error {
 	return nil
 }
 
-// CaptureFrames decodes a capture job's part files — pairs keyed
-// uvarint(origin block) ++ key, valued by that block's partial for the key —
-// into one frame per origin block below nBlocks, blocks ascending: every
-// pair goes once into a kv.Buffer partitioned by origin block, the
-// normalized-key sort orders it by (block, key), and one packing pass lays
-// each block's run out in a single slab. The frames own their bytes; parts
-// is only read.
-func CaptureFrames(parts [][]byte, nBlocks int) ([]BlockFrame, error) {
-	buf := kv.NewBuffer(totalLen(parts))
-	var val []byte
-	err := eachPair(parts, func(k, v []byte) error {
-		b, n := binary.Uvarint(k)
-		if n <= 0 {
-			return fmt.Errorf("key %q has no uvarint(block) prefix", k)
-		}
-		if b >= uint64(nBlocks) {
-			return fmt.Errorf("key %q names block %d of %d", k[n:], b, nBlocks)
-		}
-		val = appendPartial(val[:0], b, v)
-		buf.Add(int(b), k[n:], val)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("incr: capture output: %w", err)
-	}
-	runs := sortedRuns(buf, nBlocks)
-	frames := make([]BlockFrame, len(runs))
-	for i, r := range runs {
-		frames[i] = BlockFrame{Block: r.Part, Data: r.Data}
-	}
-	return frames, nil
+// sortedPairs is the pairs of a set of part files in (key, block) order,
+// located in the part files rather than copied out of them.
+type sortedPairs struct {
+	parts [][]byte
+	pairs []pair  // in part-file order
+	order []entry // (key, block) ascending; pairs equal on both are adjacent
 }
 
-// sortedRuns sorts buf by (partition, key) and returns each non-empty
-// partition's encoded run, partitions ascending, all in one slab.
-func sortedRuns(buf *kv.Buffer, parts int) []kv.Chunk {
-	buf.SortByPartitionKey(nil)
-	return kv.PackPartitions(buf, parts, math.MaxInt64).Chunks
+// pair locates one part-file pair: its key is parts[part][off:off+klen]
+// and its payload the vlen bytes right behind the key. Offsets and counts
+// are 32-bit, as in kv.Buffer's pair references.
+type pair struct{ part, off, klen, vlen uint32 }
+
+// entry is the 16-byte sort element of one pair: its key's normalized
+// prefix, its origin block (0 for a final) and its index among the pairs.
+// (prefix, block) decides every comparison except between two keys that
+// run past seven bytes and agree on the first seven.
+type entry struct {
+	prefix uint64
+	block  uint32
+	idx    uint32
+}
+
+func (s *sortedPairs) key(e entry) []byte {
+	p := s.pairs[e.idx]
+	return s.parts[p.part][p.off : p.off+p.klen]
+}
+
+func (s *sortedPairs) payload(e entry) []byte {
+	p := s.pairs[e.idx]
+	return s.parts[p.part][p.off+p.klen : p.off+p.klen+p.vlen]
 }
 
 func totalLen(parts [][]byte) int {
@@ -113,211 +101,249 @@ func totalLen(parts [][]byte) int {
 	return n
 }
 
-// eachPair decodes every pair of every part file, attributing a truncated
-// pair or an error from fn to its part and byte offset.
-func eachPair(parts [][]byte, fn func(k, v []byte) error) error {
+// keyPrefix is k's normalized key, built as kv's map-side sort builds it:
+// the first seven bytes big-endian and zero-padded, above a low byte holding
+// min(len(k), 8). Unequal prefixes order exactly as the keys do; equal
+// prefixes with a low byte below 8 are equal keys.
+func keyPrefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)&^0xff | 8
+	}
+	p := uint64(len(k))
+	for i, c := range k {
+		p |= uint64(c) << (56 - 8*uint(i))
+	}
+	return p
+}
+
+// sortParts decodes every pair of every part file and sorts them by (key,
+// block). fn names each pair's block and how many leading key bytes are not
+// part of its key; a truncated pair or an error from fn is attributed to its
+// part and byte offset.
+func sortParts(parts [][]byte, fn func(k, v []byte) (strip int, block uint32, err error)) (*sortedPairs, error) {
+	count := 0
+	for _, part := range parts {
+		count += kv.CountPairs(part)
+	}
+	s := &sortedPairs{parts: parts, pairs: make([]pair, 0, count), order: make([]entry, 0, count)}
 	for i, part := range parts {
 		for off := 0; off < len(part); {
 			k, v, n := kv.DecodePair(part[off:])
 			if n == 0 {
-				return fmt.Errorf("part %d: truncated pair at byte %d", i, off)
+				return nil, fmt.Errorf("part %d: truncated pair at byte %d", i, off)
 			}
-			if err := fn(k, v); err != nil {
-				return fmt.Errorf("part %d, byte %d: %w", i, off, err)
+			strip, block, err := fn(k, v)
+			if err != nil {
+				return nil, fmt.Errorf("part %d, byte %d: %w", i, off, err)
 			}
+			key := k[strip:]
+			s.order = append(s.order, entry{prefix: keyPrefix(key), block: block, idx: uint32(len(s.pairs))})
+			s.pairs = append(s.pairs, pair{
+				part: uint32(i), off: uint32(off + n - len(v) - len(key)),
+				klen: uint32(len(key)), vlen: uint32(len(v)),
+			})
 			off += n
 		}
 	}
+	slices.SortFunc(s.order, func(x, y entry) int {
+		if x.prefix != y.prefix { // most comparisons, decided without a call
+			return cmp.Compare(x.prefix, y.prefix)
+		}
+		return s.compare(x, y)
+	})
+	return s, nil
+}
+
+// compare orders two entries by (key, block), reading the keys only when
+// the prefixes cannot decide.
+func (s *sortedPairs) compare(x, y entry) int {
+	if x.prefix != y.prefix {
+		return cmp.Compare(x.prefix, y.prefix)
+	}
+	if x.prefix&0xff == 8 {
+		if c := bytes.Compare(s.key(x), s.key(y)); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(x.block, y.block)
+}
+
+// duplicate returns the first entry equal on (key, block) to the one
+// before it, if any.
+func (s *sortedPairs) duplicate() (entry, bool) {
+	for i := 1; i < len(s.order); i++ {
+		if s.compare(s.order[i-1], s.order[i]) == 0 {
+			return s.order[i], true
+		}
+	}
+	return entry{}, false
+}
+
+// Capture installs a capture job's part files — pairs keyed uvarint(origin
+// block) ++ key, valued by that block's partial for the key — as the
+// preserved partials of blocks, the blocks of the job's tagged input,
+// numbered below nBlocks. Every one of them is replaced: a block the run
+// emitted nothing for has lost every record and is removed. Keys that lost
+// or gained a partial are added to affected (when non-nil).
+//
+// The pairs are sorted once by (key, block) straight out of the part files,
+// and one merge-join pass over the live run drops the blocks' old partials
+// and lays the new ones in. Damage — a pair without a block prefix, a block
+// outside the input, two partials for one (block, key) — is an error that
+// leaves the state and affected untouched. parts is only read: the new run
+// owns its bytes.
+func (s *State) Capture(parts [][]byte, blocks []int, nBlocks int, affected *Affected) error {
+	if nBlocks > math.MaxUint32 {
+		return fmt.Errorf("incr: %d blocks is more than a block index holds", nBlocks)
+	}
+	in := make([]bool, max(nBlocks, 0))
+	for _, b := range blocks {
+		if b < 0 {
+			return fmt.Errorf("incr: negative block %d", b)
+		}
+		if b >= nBlocks {
+			return fmt.Errorf("incr: input block %d of %d", b, nBlocks)
+		}
+		in[b] = true
+	}
+	sp, err := sortParts(parts, func(k, v []byte) (int, uint32, error) {
+		b, n := binary.Uvarint(k)
+		switch {
+		case n <= 0:
+			return 0, 0, fmt.Errorf("key %q has no uvarint(block) prefix", k)
+		case b >= uint64(nBlocks):
+			return 0, 0, fmt.Errorf("key %q names block %d of %d", k[n:], b, nBlocks)
+		case !in[b]:
+			return 0, 0, fmt.Errorf("key %q names block %d, which is not in the capture's input", k[n:], b)
+		}
+		return n, uint32(b), nil
+	})
+	if err != nil {
+		return fmt.Errorf("incr: capture output: %w", err)
+	}
+	if e, dup := sp.duplicate(); dup {
+		return fmt.Errorf("incr: capture output: block %d: duplicate key %q", e.block, sp.key(e))
+	}
+	s.install(sp, in, affected)
 	return nil
 }
 
-// checkRun verifies that run holds whole pairs under strictly ascending
-// keys and, for a block frame (block >= 0), that every value is a partial
-// of that block.
-func checkRun(run []byte, block int) error {
-	var prev []byte
-	for off := 0; off < len(run); {
-		k, v, n := kv.DecodePair(run[off:])
-		if n == 0 {
-			return fmt.Errorf("truncated pair at byte %d", off)
+// install is Capture's merge-join: one pass over the live run with the new
+// pairs slotted in, both (key, block) ascending. A live partial of a block
+// marked in replaced is dropped and every other pair is kept in order.
+func (s *State) install(sp *sortedPairs, replaced []bool, affected *Affected) {
+	old, order := s.live, sp.order
+	// A new pair is its part-file pair with the 'P' marker added and the
+	// block moved from key to value, which lengthens its two length fields
+	// by at most one byte: the run never outgrows this.
+	run := make([]byte, 0, len(old)+totalLen(sp.parts)+2*len(order))
+	var touched [][]byte // this install's affected keys, ascending
+	keys := 0
+	var last []byte // the key run ends with
+	// counted counts the key of the pair run now ends with.
+	counted := func(klen, vlen int) []byte {
+		k := run[len(run)-vlen-klen : len(run)-vlen]
+		if keys == 0 || !bytes.Equal(last, k) {
+			keys++
 		}
-		if off > 0 {
-			switch c := bytes.Compare(prev, k); {
-			case c == 0:
-				return fmt.Errorf("duplicate key %q", k)
-			case c > 0:
-				return fmt.Errorf("key %q after %q: not sorted", k, prev)
+		last = k
+		return k
+	}
+	var head []byte // the key of order[0]
+	if len(order) > 0 {
+		head = sp.key(order[0])
+	}
+	var val []byte
+	insert := func() {
+		e := order[0]
+		order = order[1:]
+		val = appendPartial(val[:0], e.block, sp.payload(e))
+		run = kv.AppendPair(run, head, val)
+		k := counted(len(head), len(val))
+		if affected != nil {
+			touched = appendDistinct(touched, k)
+		}
+		if len(order) > 0 {
+			head = sp.key(order[0])
+		}
+	}
+	for off := 0; off < len(old); {
+		k, v, n := kv.DecodePair(old[off:])
+		b, _ := binary.Uvarint(v[1:])
+		for len(order) > 0 && precedes(head, order[0].block, k, b) {
+			insert()
+		}
+		if b < uint64(len(replaced)) && replaced[b] {
+			if affected != nil {
+				touched = appendDistinct(touched, k)
 			}
+		} else {
+			run = append(run, old[off:off+n]...)
+			counted(len(k), len(v))
 		}
-		if block >= 0 {
-			if b, _, err := DecodePartial(v); err != nil {
-				return fmt.Errorf("key %q: %w", k, err)
-			} else if b != block {
-				return fmt.Errorf("key %q holds a partial of block %d", k, b)
-			}
-		}
-		prev = k
 		off += n
 	}
-	return nil
-}
-
-// Affected is the key set a delta touched: the keys of every frame a
-// ReplaceFrame removed or installed since it was created — exactly the keys
-// whose groups must be re-folded. The zero value is empty; a nil *Affected
-// passed to Merge means every key.
-type Affected struct {
-	runs   [][]byte // key-sorted runs whose keys are affected
-	keys   [][]byte // their union, ascending, duplicate-free, aliasing runs
-	merged int      // how many of runs keys covers
-}
-
-func (a *Affected) add(run []byte) {
-	if len(run) > 0 {
-		a.runs = append(a.runs, run)
+	for len(order) > 0 {
+		insert()
 	}
-}
-
-// Keys returns the affected keys in ascending order, each once: a k-way
-// merge of the recorded runs. The keys alias the frames they came from.
-func (a *Affected) Keys() [][]byte {
-	if a.merged != len(a.runs) {
-		a.keys = a.keys[:0]
-		mergeRuns(a.runs, func(k, _ []byte, first bool) {
-			if first {
-				a.keys = append(a.keys, k)
-			}
-		})
-		a.merged = len(a.runs)
-	}
-	return a.keys
-}
-
-// Len returns the number of affected keys — including keys the delta
-// removed from every block.
-func (a *Affected) Len() int { return len(a.Keys()) }
-
-// mergeRuns streams the pairs of key-sorted runs in key order — kv's k-way
-// merge, so pairs under one key come in run order — flagging the first pair
-// of each key.
-func mergeRuns(runs [][]byte, fn func(key, val []byte, first bool)) {
-	streams := make([]kv.PairStream, len(runs))
-	for i, r := range runs {
-		streams[i] = kv.NewSliceStream(r)
-	}
-	var prev []byte
-	started := false
-	kv.MergeStreams(streams, nil, func(k, v []byte) {
-		first := !started || !bytes.Equal(prev, k)
-		started, prev = true, k
-		fn(k, v, first)
-	})
-}
-
-// ReplaceFrame installs frame as block b's preserved partials, replacing
-// whatever the block held before (an empty frame removes the block — every
-// record deleted). Keys present before or after are recorded in affected
-// (when non-nil). The frame is checked on the way in — whole pairs,
-// strictly ascending keys, every value a partial of block b — and is
-// aliased, not copied: the caller must not modify it afterwards.
-func (s *State) ReplaceFrame(b int, frame []byte, affected *Affected) error {
-	if b < 0 {
-		return fmt.Errorf("incr: negative block %d", b)
-	}
-	if err := checkRun(frame, b); err != nil {
-		return fmt.Errorf("incr: block %d frame: %w", b, err)
-	}
-	i, found := slices.BinarySearchFunc(s.blocks, b, func(f BlockFrame, b int) int {
-		return cmp.Compare(f.Block, b)
-	})
+	s.live, s.keys = run, keys
 	if affected != nil {
-		if found {
-			affected.add(s.blocks[i].Data)
-		}
-		affected.add(frame)
+		affected.add(touched)
 	}
-	switch {
-	case len(frame) > 0 && found:
-		s.blocks[i].Data = frame
-	case len(frame) > 0:
-		s.blocks = slices.Insert(s.blocks, i, BlockFrame{Block: b, Data: frame})
-	case found:
-		s.blocks = slices.Delete(s.blocks, i, i+1)
-	}
-	return nil
 }
 
-// ReplaceBlock is ReplaceFrame for partials held in a map: it encodes them
-// as block b's frame first. Kept for callers that build state by hand (the
-// benchmark's probes, tests); the delta runner installs the frames
-// CaptureFrames decodes.
+// precedes reports whether (kx, bx) orders before (ky, by).
+func precedes(kx []byte, bx uint32, ky []byte, by uint64) bool {
+	c := bytes.Compare(kx, ky)
+	return c < 0 || c == 0 && uint64(bx) < by
+}
+
+// appendDistinct appends k to ascending keys unless it is already the last.
+func appendDistinct(keys [][]byte, k []byte) [][]byte {
+	if len(keys) > 0 && bytes.Equal(keys[len(keys)-1], k) {
+		return keys
+	}
+	return append(keys, k)
+}
+
+// ReplaceBlock replaces block b's preserved partials with partials held in
+// a map — a one-block Capture of a part file encoding them. Kept for callers
+// that build state by hand (the benchmark's probes, tests); the delta runner
+// captures part files directly.
 func (s *State) ReplaceBlock(b int, partials map[string][]byte, affected *Affected) {
-	keys := make([]string, 0, len(partials))
-	for k := range partials {
-		keys = append(keys, k)
+	var part, key []byte
+	for k, v := range partials {
+		key = append(binary.AppendUvarint(key[:0], uint64(b)), k...)
+		part = kv.AppendPair(part, key, v)
 	}
-	slices.Sort(keys)
-	var frame, val []byte
-	for _, k := range keys {
-		val = appendPartial(val[:0], uint64(b), partials[k])
-		frame = kv.AppendPair(frame, []byte(k), val)
-	}
-	if err := s.ReplaceFrame(b, frame, affected); err != nil {
-		// The frame was built sorted, duplicate-free and marked for b above.
+	if err := s.Capture([][]byte{part}, []int{b}, b+1, affected); err != nil {
+		// The part names only block b, each key once; only b < 0 fails.
 		panic(err)
 	}
 }
 
 // SetFinals replaces the cached finals wholesale with the part files of a
 // merge run — called after a merge so unaffected keys can be served from
-// cache on the next delta. The pairs are sorted into one key-ordered run
-// the way CaptureFrames builds a block's; a key with two finals is an
-// error.
+// cache on the next delta. The pairs are sorted into one key-ordered run by
+// the same sort Capture uses; a key with two finals is an error.
 func (s *State) SetFinals(parts [][]byte) error {
-	buf := kv.NewBuffer(totalLen(parts))
-	err := eachPair(parts, func(k, v []byte) error {
-		buf.Add(0, k, v)
-		return nil
-	})
+	sp, err := sortParts(parts, func(k, v []byte) (int, uint32, error) { return 0, 0, nil })
 	if err != nil {
 		return fmt.Errorf("incr: merge output: %w", err)
 	}
-	var finals []byte
-	if runs := sortedRuns(buf, 1); len(runs) > 0 {
-		finals = runs[0].Data
+	if e, dup := sp.duplicate(); dup {
+		return fmt.Errorf("incr: merge output: duplicate key %q", sp.key(e))
 	}
-	if err := checkRun(finals, -1); err != nil {
-		return fmt.Errorf("incr: merge output: %w", err)
+	finals := make([]byte, 0, totalLen(parts)) // the same pairs, reordered
+	for _, e := range sp.order {
+		finals = kv.AppendPair(finals, sp.key(e), sp.payload(e))
 	}
 	s.finals = finals
 	return nil
 }
 
-// Blocks returns the number of blocks with live partials.
-func (s *State) Blocks() int { return len(s.blocks) }
-
-// Keys returns the number of distinct keys with live partials. Merge
-// reports the same count for free; this is a merge pass of its own.
-func (s *State) Keys() int {
-	n := 0
-	s.eachLive(func(_, _ []byte, first bool) {
-		if first {
-			n++
-		}
-	})
-	return n
-}
-
-// eachLive streams every live partial in (key, block) order: the frames are
-// held in block order, so the merge's run-order tie-break is "blocks
-// ascending".
-func (s *State) eachLive(fn func(key, val []byte, first bool)) {
-	runs := make([][]byte, len(s.blocks))
-	for i, f := range s.blocks {
-		runs[i] = f.Data
-	}
-	mergeRuns(runs, fn)
-}
+// Keys returns the number of distinct keys with live partials.
+func (s *State) Keys() int { return s.keys }
 
 // MergeInput is Merge without the key count.
 func (s *State) MergeInput(affected *Affected) ([]byte, error) {
@@ -332,34 +358,24 @@ func (s *State) MergeInput(affected *Affected) ([]byte, error) {
 // final. affected == nil means every key is affected (the priming run,
 // before any final exists).
 //
-// It is one pass of a three-way merge-join, all inputs key-ordered: the
-// k-way merge of the block frames, the affected-key list, and the finals
-// run. The latter two only ever move forward.
+// Every key affected is the live run as it stands, returned without a copy:
+// it must not be modified. Otherwise the input is one forward pass of a
+// three-way merge-join over key-ordered inputs — the live run, the affected
+// keys and the finals run.
 func (s *State) Merge(affected *Affected) (input []byte, keys int, err error) {
-	all := affected == nil
-	var aff [][]byte
-	size := len(s.finals) + len(s.finals)/8
-	if all {
-		// Every frame byte goes into the input exactly once.
-		size = 0
-		for _, f := range s.blocks {
-			size += len(f.Data)
-		}
-	} else {
-		aff = affected.Keys()
+	if affected == nil {
+		return s.live, s.keys, nil
 	}
-	input = make([]byte, 0, size)
+	aff := affected.Keys()
+	input = make([]byte, 0, len(s.finals)+len(s.finals)/8)
 	finals := kv.NewDecoder(s.finals)
 	fk, fv, fok := finals.Next()
-	refold := all // whether the current key is affected
-	s.eachLive(func(k, v []byte, first bool) {
-		if err != nil {
-			return
-		}
-		if first {
-			keys++
-		}
-		if first && !all {
+	var prev []byte
+	refold := false // whether the current key is affected
+	for off := 0; off < len(s.live); {
+		k, _, n := kv.DecodePair(s.live[off:])
+		if off == 0 || !bytes.Equal(prev, k) {
+			prev = k
 			for len(aff) > 0 && bytes.Compare(aff[0], k) < 0 {
 				aff = aff[1:]
 			}
@@ -369,26 +385,58 @@ func (s *State) Merge(affected *Affected) (input []byte, keys int, err error) {
 					fk, fv, fok = finals.Next()
 				}
 				if !fok || !bytes.Equal(fk, k) {
-					err = fmt.Errorf("incr: key %q unaffected but has no cached final", k)
-					return
+					return nil, 0, fmt.Errorf("incr: key %q unaffected but has no cached final", k)
 				}
 				input = kv.AppendTaggedPair(input, k, MarkFinal, fv)
 			}
 		}
 		if refold {
-			input = kv.AppendPair(input, k, v)
+			input = append(input, s.live[off:off+n]...)
 		}
-	})
-	if err != nil {
-		return nil, 0, err
+		off += n
 	}
-	return input, keys, nil
+	return input, s.keys, nil
+}
+
+// Affected is the key set a delta touched: every key that lost or gained a
+// partial in the captures it was passed to — exactly the keys whose groups
+// must be re-folded, including keys the delta removed from every block. The
+// zero value is empty; a nil *Affected passed to Merge means every key.
+type Affected struct {
+	keys [][]byte // ascending, duplicate-free
+}
+
+// Keys returns the affected keys in ascending order, each once.
+func (a *Affected) Keys() [][]byte { return a.keys }
+
+// Len returns the number of affected keys.
+func (a *Affected) Len() int { return len(a.keys) }
+
+// add unions an ascending, duplicate-free key list into the set. The keys
+// are copied into one slab first: they point into runs, and an Affected must
+// not keep a replaced run reachable.
+func (a *Affected) add(keys [][]byte) {
+	n := 0
+	for _, k := range keys {
+		n += len(k)
+	}
+	slab := make([]byte, 0, n)
+	for i, k := range keys {
+		slab = append(slab, k...)
+		keys[i] = slab[len(slab)-len(k) : len(slab) : len(slab)]
+	}
+	if len(a.keys) > 0 {
+		keys = append(a.keys, keys...)
+		slices.SortFunc(keys, bytes.Compare)
+		keys = slices.CompactFunc(keys, bytes.Equal)
+	}
+	a.keys = keys
 }
 
 // appendPartial appends block's 'P'-marked merge value for payload to dst.
-func appendPartial(dst []byte, block uint64, payload []byte) []byte {
+func appendPartial(dst []byte, block uint32, payload []byte) []byte {
 	dst = append(dst, MarkPartial)
-	dst = binary.AppendUvarint(dst, block)
+	dst = binary.AppendUvarint(dst, uint64(block))
 	return append(dst, payload...)
 }
 

@@ -108,8 +108,13 @@ func TestStateAffectedAndFinals(t *testing.T) {
 	if got := affected.Keys(); len(got) != 1 || string(got[0]) != "c" {
 		t.Fatalf("affected = %q, want [c]", got)
 	}
-	if s.Blocks() != 1 || s.Keys() != 2 {
-		t.Fatalf("blocks=%d keys=%d after removal", s.Blocks(), s.Keys())
+	in, err = s.MergeInput(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, vals = decodeInput(t, in)
+	if s.Keys() != 2 || len(keys) != 2 || vals[0][1] != 0 || vals[1][1] != 0 {
+		t.Fatalf("keys=%d, merge input %q %q after removal, want a and b of block 0", s.Keys(), keys, vals)
 	}
 }
 

@@ -2,6 +2,8 @@ package incr
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -16,9 +18,9 @@ import (
 type draw func(n int) int
 
 // keyUniverse is small, so blocks overlap, and adversarial for the
-// normalized-key sort and the cached-prefix merge: the empty key, keys that
-// agree on their first eight bytes, and keys ending in the zero bytes the
-// prefix padding adds.
+// prefix-ordered sort and the merge-joins: the empty key, keys that agree on
+// their first eight bytes, and keys ending in the zero bytes the prefix
+// padding adds.
 var keyUniverse = []string{
 	"", "a", "a\x00", "ab", "abcdefgh", "abcdefgh\x00", "abcdefgha", "abcdefghb",
 	"u0001", "u0002", "u0010", "\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff",
@@ -36,40 +38,60 @@ func drawPartials(d draw) map[string][]byte {
 	return partials
 }
 
-// affectedOf builds an Affected holding exactly keys, as a delta that
-// touched one frame of those keys would.
+// affectedOf builds an Affected holding exactly keys.
 func affectedOf(keys map[string]bool) *Affected {
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	slices.Sort(sorted)
-	var run []byte
-	for _, k := range sorted {
-		run = kv.AppendPair(run, []byte(k), nil)
-	}
 	a := new(Affected)
-	a.add(run)
+	for _, k := range sortedKeys(keys) {
+		a.keys = append(a.keys, []byte(k))
+	}
 	return a
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // finalsParts encodes finals as a merge job would leave them: spread over a
 // few part files, no file holding a key range.
 func finalsParts(finals map[string]string, d draw) [][]byte {
 	parts := make([][]byte, 1+d(3))
-	keys := make([]string, 0, len(finals))
-	for k := range finals {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys) // the draws must not depend on map order
-	for _, k := range keys {
+	for _, k := range sortedKeys(finals) { // the draws must not depend on map order
 		i := d(len(parts))
 		parts[i] = kv.AppendPair(parts[i], []byte(k), []byte(finals[k]))
 	}
 	return parts
 }
 
-// sameMerge demands the frame state and the map oracle produce the same
+// captureParts encodes blocks' partials as a capture job's part files do —
+// key prefixed with uvarint(block) — in a drawn order scattered over a few
+// files, the way a capture run's reducers leave them.
+func captureParts(blocks map[int]map[string][]byte, d draw) [][]byte {
+	var pairs [][2][]byte
+	for _, b := range sortedKeys(blocks) {
+		partials := blocks[b]
+		for _, k := range sortedKeys(partials) {
+			key := append(binary.AppendUvarint(nil, uint64(b)), k...)
+			pairs = append(pairs, [2][]byte{key, partials[k]})
+		}
+	}
+	for i := len(pairs) - 1; i > 0; i-- {
+		j := d(i + 1)
+		pairs[i], pairs[j] = pairs[j], pairs[i]
+	}
+	parts := make([][]byte, 1+d(3))
+	for _, p := range pairs {
+		i := d(len(parts))
+		parts[i] = kv.AppendPair(parts[i], p[0], p[1])
+	}
+	return parts
+}
+
+// sameMerge demands the run state and the map oracle produce the same
 // merge input — or fail with the same error.
 func sameMerge(t *testing.T, what string, st *State, aff *Affected, ref *refState, refAff map[string]bool) {
 	t.Helper()
@@ -89,22 +111,67 @@ func sameMerge(t *testing.T, what string, st *State, aff *Affected, ref *refStat
 	}
 }
 
+// sameAffected demands the recorded affected keys equal the oracle's set:
+// ascending and duplicate-free.
+func sameAffected(t *testing.T, what string, aff *Affected, refAff map[string]bool) {
+	t.Helper()
+	want := sortedKeys(refAff)
+	got := aff.Keys()
+	if len(got) != len(want) || aff.Len() != len(want) {
+		t.Fatalf("%s: affected keys %q, oracle %q", what, got, want)
+	}
+	for i := range want {
+		if string(got[i]) != want[i] {
+			t.Fatalf("%s: affected keys %q, oracle %q", what, got, want)
+		}
+	}
+}
+
+// drawDelta picks the blocks a delta changes — some of the nBlocks existing
+// ones and up to two appended past them — and their new partials, an
+// emptied block having none. It returns the changed blocks ascending and
+// the new block count.
+func drawDelta(d draw, nBlocks int) (map[int]map[string][]byte, []int, int) {
+	blocks := map[int]map[string][]byte{}
+	var changed []int
+	nApp := d(3)
+	for b := 0; b < nBlocks+nApp; b++ {
+		if b < nBlocks && d(3) > 0 {
+			continue
+		}
+		changed = append(changed, b)
+		if d(4) > 0 {
+			blocks[b] = drawPartials(d)
+		}
+	}
+	return blocks, changed, nBlocks + nApp
+}
+
+// captureBoth installs one drawn delta into both implementations — a single
+// Capture here, one ReplaceBlock per changed block in the oracle — and
+// returns the new block count.
+func captureBoth(t *testing.T, d draw, st *State, ref *refState, nBlocks int, aff *Affected, refAff map[string]bool) int {
+	t.Helper()
+	blocks, changed, n := drawDelta(d, nBlocks)
+	if err := st.Capture(captureParts(blocks, d), changed, n, aff); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range changed {
+		ref.ReplaceBlock(b, blocks[b], refAff)
+	}
+	return n
+}
+
 // mergeScenario plays one preserved-state lifetime on both implementations:
-// prime some blocks, merge everything, cache finals (sometimes dropping
-// one), apply a delta that rewrites, empties and adds blocks, and merge
-// again under the recorded affected set, under nil, and under an arbitrary
-// key set.
+// prime some blocks with one capture, merge everything, cache finals
+// (sometimes dropping one), apply two deltas that rewrite, empty and append
+// blocks — each one capture, both recorded in one Affected — merging after
+// each under the recorded set, then merge under nil and under an arbitrary
+// key set, and finally reject a capture naming a block outside its input.
 func mergeScenario(t *testing.T, d draw) {
 	st, ref := New("law"), newRefState()
-	for n := d(6); n > 0; n-- {
-		b, partials := d(10), drawPartials(d)
-		st.ReplaceBlock(b, partials, nil)
-		ref.ReplaceBlock(b, partials, nil)
-	}
+	nBlocks := captureBoth(t, d, st, ref, d(8), nil, nil)
 	sameMerge(t, "priming merge", st, nil, ref, nil)
-	if st.Blocks() != len(ref.blocks) {
-		t.Fatalf("%d live blocks, oracle %d", st.Blocks(), len(ref.blocks))
-	}
 
 	// Finals for every live key; one in four scenarios loses one, which an
 	// unaffected key must turn into the missing-final error.
@@ -123,30 +190,12 @@ func mergeScenario(t *testing.T, d draw) {
 	}
 
 	aff, refAff := new(Affected), map[string]bool{}
-	for n := d(4); n > 0; n-- {
-		b := d(10)
-		var partials map[string][]byte
-		if d(3) > 0 { // otherwise the block is emptied
-			partials = drawPartials(d)
-		}
-		st.ReplaceBlock(b, partials, aff)
-		ref.ReplaceBlock(b, partials, refAff)
+	for step := 1; step <= 2; step++ {
+		nBlocks = captureBoth(t, d, st, ref, nBlocks, aff, refAff)
+		what := fmt.Sprintf("delta %d", step)
+		sameAffected(t, what, aff, refAff)
+		sameMerge(t, what+" merge", st, aff, ref, refAff)
 	}
-	var want []string
-	for k := range refAff {
-		want = append(want, k)
-	}
-	slices.Sort(want)
-	got := aff.Keys()
-	if len(got) != len(want) || aff.Len() != len(want) {
-		t.Fatalf("affected keys %q, oracle %q", got, want)
-	}
-	for i := range want {
-		if string(got[i]) != want[i] {
-			t.Fatalf("affected keys %q, oracle %q", got, want)
-		}
-	}
-	sameMerge(t, "delta merge", st, aff, ref, refAff)
 	sameMerge(t, "delta merge, every key", st, nil, ref, nil)
 
 	some := map[string]bool{}
@@ -154,6 +203,26 @@ func mergeScenario(t *testing.T, d draw) {
 		some[keyUniverse[d(len(keyUniverse))]] = true
 	}
 	sameMerge(t, "arbitrary affected set", st, affectedOf(some), ref, some)
+
+	// A capture whose output names a block it did not read is rejected
+	// whole: nothing installed, nothing recorded.
+	outside := d(nBlocks + 1)
+	var input []int
+	for b := 0; b <= nBlocks; b++ {
+		if b != outside && d(2) == 0 {
+			input = append(input, b)
+		}
+	}
+	blocks := map[int]map[string][]byte{outside: {keyUniverse[d(len(keyUniverse))]: nil}}
+	for _, b := range input {
+		blocks[b] = drawPartials(d)
+	}
+	err := st.Capture(captureParts(blocks, d), input, nBlocks+1, aff)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d, which is not in the capture's input", outside)) {
+		t.Fatalf("capture naming block %d outside input %v: %v", outside, input, err)
+	}
+	sameAffected(t, "rejected capture", aff, refAff)
+	sameMerge(t, "after a rejected capture", st, nil, ref, nil)
 }
 
 func TestMergeMatchesReference(t *testing.T) {
@@ -187,86 +256,56 @@ func capturePart(triples ...[3]string) []byte {
 	return out
 }
 
-func TestCaptureFramesSortsByBlockThenKey(t *testing.T) {
+func TestCaptureSortsByKeyThenBlock(t *testing.T) {
 	parts := [][]byte{
 		capturePart([3]string{"2", "b", "5"}, [3]string{"0", "a", "3"}),
 		nil,
 		capturePart([3]string{"2", "a", "1"}, [3]string{"1", "c", "2"}),
 	}
-	frames, err := CaptureFrames(parts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, ref := New("count"), newRefState()
-	for _, f := range frames {
-		if err := st.ReplaceFrame(f.Block, f.Data, nil); err != nil {
-			t.Fatal(err)
-		}
+	if err := st.Capture(parts, []int{0, 1, 2}, 3, nil); err != nil {
+		t.Fatal(err)
 	}
 	ref.ReplaceBlock(0, map[string][]byte{"a": []byte("3")}, nil)
 	ref.ReplaceBlock(1, map[string][]byte{"c": []byte("2")}, nil)
 	ref.ReplaceBlock(2, map[string][]byte{"a": []byte("1"), "b": []byte("5")}, nil)
-	if len(frames) != 3 || frames[0].Block != 0 || frames[1].Block != 1 || frames[2].Block != 2 {
-		t.Fatalf("frames %+v, want blocks 0 1 2", frames)
-	}
-	sameMerge(t, "captured frames", st, nil, ref, nil)
+	sameMerge(t, "captured run", st, nil, ref, nil)
 }
 
 // TestDecodersAttributeErrors: damaged preserved state is an error naming
 // where it is damaged, never a panic and never a silently wrong answer.
 func TestDecodersAttributeErrors(t *testing.T) {
 	good := capturePart([3]string{"1", "k", "v"})
-	frame := func(b int, kvs ...string) []byte {
-		var out []byte
-		for i := 0; i < len(kvs); i += 2 {
-			out = kv.AppendTaggedPair(out, []byte(kvs[i]), MarkPartial, append([]byte{byte(b)}, kvs[i+1]...))
-		}
-		return out
-	}
+	capture := func(parts ...[]byte) error { return New("x").Capture(parts, []int{0, 1, 2, 3}, 4, nil) }
 	cases := []struct {
 		name string
 		err  func() error
 		want []string
 	}{
 		{"missing block prefix", func() error {
-			_, err := CaptureFrames([][]byte{good, kv.AppendPair(nil, nil, []byte("v"))}, 4)
-			return err
+			return capture(good, kv.AppendPair(nil, nil, []byte("v")))
 		}, []string{"part 1", "no uvarint(block) prefix"}},
 		{"unterminated block prefix", func() error {
-			_, err := CaptureFrames([][]byte{kv.AppendPair(nil, []byte{0x80, 0x80}, nil)}, 4)
-			return err
+			return capture(kv.AppendPair(nil, []byte{0x80, 0x80}, nil))
 		}, []string{"part 0", "no uvarint(block) prefix"}},
 		{"block out of range", func() error {
-			_, err := CaptureFrames([][]byte{capturePart([3]string{"7", "k", "v"})}, 4)
-			return err
+			return capture(capturePart([3]string{"7", "k", "v"}))
 		}, []string{`key "k"`, "block 7 of 4"}},
+		{"block outside the capture's input", func() error {
+			return New("x").Capture([][]byte{good, capturePart([3]string{"2", "k", "v"})}, []int{1, 3}, 4, nil)
+		}, []string{"part 1", `key "k"`, "block 2, which is not in the capture's input"}},
 		{"truncated pair", func() error {
-			_, err := CaptureFrames([][]byte{append(bytes.Clone(good), good[:len(good)-1]...)}, 4)
-			return err
+			return capture(append(bytes.Clone(good), good[:len(good)-1]...))
 		}, []string{"part 0", fmt.Sprintf("truncated pair at byte %d", len(good))}},
 		{"duplicate key in a capture", func() error {
-			frames, err := CaptureFrames([][]byte{good, good}, 4)
-			if err != nil {
-				return err
-			}
-			return New("x").ReplaceFrame(frames[0].Block, frames[0].Data, nil)
-		}, []string{"block 1 frame", `duplicate key "k"`}},
-		{"unsorted frame", func() error {
-			return New("x").ReplaceFrame(2, frame(2, "b", "1", "a", "2"), nil)
-		}, []string{"block 2 frame", `key "a" after "b"`}},
-		{"truncated frame", func() error {
-			f := frame(2, "a", "1")
-			return New("x").ReplaceFrame(2, f[:len(f)-1], nil)
-		}, []string{"block 2 frame", "truncated pair at byte 0"}},
-		{"frame of another block", func() error {
-			return New("x").ReplaceFrame(3, frame(2, "a", "1"), nil)
-		}, []string{"block 3 frame", `key "a"`, "partial of block 2"}},
-		{"unmarked value in a frame", func() error {
-			return New("x").ReplaceFrame(0, kv.AppendPair(nil, []byte("a"), []byte("F1")), nil)
-		}, []string{"block 0 frame", `key "a"`, "not a partial"}},
+			return capture(good, good)
+		}, []string{"block 1", `duplicate key "k"`}},
 		{"negative block", func() error {
-			return New("x").ReplaceFrame(-1, nil, nil)
+			return New("x").Capture(nil, []int{-1}, 4, nil)
 		}, []string{"negative block"}},
+		{"input block out of range", func() error {
+			return New("x").Capture(nil, []int{4}, 4, nil)
+		}, []string{"input block 4 of 4"}},
 		{"two finals for one key", func() error {
 			p := kv.AppendPair(nil, []byte("k"), []byte("1"))
 			return New("x").SetFinals([][]byte{p, p})
@@ -298,60 +337,62 @@ func TestDecodersAttributeErrors(t *testing.T) {
 	}
 }
 
-// FuzzBlockFrames feeds arbitrary bytes to both decoders of preserved state.
-// As a capture part file they are an error or decode to frames that
-// re-encode, as a part file, to the same frames again — with no pair lost.
-// As a block frame they are an error or a state whose every-key merge input
-// is those bytes exactly.
+// FuzzBlockFrames feeds arbitrary bytes to the capture decoder as a part
+// file of block-framed pairs (keys behind uvarint(block)). They are an error,
+// or a run — every partial once, (key, block) strictly ascending, with as
+// many pairs as the part file — that re-encodes as a part file and captures
+// to the same run again.
 func FuzzBlockFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const nBlocks = 64
-		if frames, err := CaptureFrames([][]byte{data}, nBlocks); err == nil {
-			var again []byte
-			pairs := 0
-			for i, fr := range frames {
-				if i > 0 && frames[i-1].Block >= fr.Block {
-					t.Fatalf("frames out of block order: %d then %d", frames[i-1].Block, fr.Block)
-				}
-				for dec := kv.NewDecoder(fr.Data); ; {
-					k, v, ok := dec.Next()
-					if !ok {
-						if dec.Remaining() != 0 {
-							t.Fatalf("block %d frame has %d trailing bytes", fr.Block, dec.Remaining())
-						}
-						break
-					}
-					b, payload, err := DecodePartial(v)
-					if err != nil || b != fr.Block {
-						t.Fatalf("block %d frame holds value %q (%v)", fr.Block, v, err)
-					}
-					again = kv.AppendPair(again, append([]byte{byte(b)}, k...), payload)
-					pairs++
-				}
-			}
-			if pairs != kv.CountPairs(data) {
-				t.Fatalf("%d pairs in the frames, %d in the part file", pairs, kv.CountPairs(data))
-			}
-			frames2, err := CaptureFrames([][]byte{again}, nBlocks)
-			if err != nil {
-				t.Fatalf("re-encoded frames rejected: %v", err)
-			}
-			if !slices.EqualFunc(frames, frames2, func(a, b BlockFrame) bool {
-				return a.Block == b.Block && bytes.Equal(a.Data, b.Data)
-			}) {
-				t.Fatal("frames do not survive a round trip through the part-file encoding")
-			}
+		every := make([]int, nBlocks)
+		for b := range every {
+			every[b] = b
 		}
-
 		st := New("fuzz")
-		if err := st.ReplaceFrame(0, data, nil); err == nil {
-			got, keys, err := st.Merge(nil)
-			if err != nil {
-				t.Fatalf("accepted frame does not merge: %v", err)
+		if st.Capture([][]byte{data}, every, nBlocks, nil) != nil {
+			return
+		}
+		run, keys, err := st.Merge(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again, prevKey []byte
+		prevBlock := 0
+		pairs, distinct := 0, 0
+		for dec := kv.NewDecoder(run); ; {
+			k, v, ok := dec.Next()
+			if !ok {
+				if dec.Remaining() != 0 {
+					t.Fatalf("run has %d trailing bytes", dec.Remaining())
+				}
+				break
 			}
-			if !bytes.Equal(got, data) || keys != kv.CountPairs(data) {
-				t.Fatalf("accepted frame %q merges to %q (%d keys)", data, got, keys)
+			b, payload, err := DecodePartial(v)
+			if err != nil || b >= nBlocks {
+				t.Fatalf("run holds value %q for key %q (%v)", v, k, err)
 			}
+			c := bytes.Compare(prevKey, k)
+			if pairs > 0 && (c > 0 || c == 0 && prevBlock >= b) {
+				t.Fatalf("(%q, block %d) after (%q, block %d)", k, b, prevKey, prevBlock)
+			}
+			if pairs == 0 || c != 0 {
+				distinct++
+			}
+			again = kv.AppendPair(again, append(binary.AppendUvarint(nil, uint64(b)), k...), payload)
+			prevKey, prevBlock = k, b
+			pairs++
+		}
+		if pairs != kv.CountPairs(data) || keys != distinct || st.Keys() != distinct {
+			t.Fatalf("%d pairs (%d keys, counted %d) in the run, %d in the part file",
+				pairs, distinct, keys, kv.CountPairs(data))
+		}
+		st2 := New("fuzz")
+		if err := st2.Capture([][]byte{again}, every, nBlocks, nil); err != nil {
+			t.Fatalf("re-encoded run rejected: %v", err)
+		}
+		if run2, _, _ := st2.Merge(nil); !bytes.Equal(run, run2) {
+			t.Fatal("run does not survive a round trip through the part-file encoding")
 		}
 	})
 }
