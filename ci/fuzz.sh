@@ -16,8 +16,9 @@ for pkg in $(go list ./...); do
 done
 echo "fuzzed $targets targets for $fuzztime each"
 # internal/kv has four, internal/incr two (FuzzBlockFrames, the capture
-# decoder, and FuzzMergeMatchesReference), internal/memtable one
-# (FuzzTableMatchesReference) and internal/sortmerge one
-# (FuzzStreamMatchesReference); finding fewer means discovery broke, not that
-# the tree got safer.
-[ "$targets" -ge 8 ]
+# decoder, and FuzzMergeMatchesReference), and internal/memtable
+# (FuzzTableMatchesReference), internal/sortmerge (FuzzStreamMatchesReference),
+# internal/sketch (FuzzSpaceSavingMatchesReference), internal/textfmt
+# (FuzzParseSize) and internal/faults (FuzzFaultsParse) one each; finding
+# fewer means discovery broke, not that the tree got safer.
+[ "$targets" -ge 11 ]

@@ -143,6 +143,9 @@ func (s Schedule) Validate(nodes int) error {
 // where kind is fail | disk-slow | net-slow | straggler, T is the injection
 // time in seconds (suffix "s" optional), +W an optional window length, nN
 // the target node, and xF the slowdown factor for degradations (default 8).
+// A fail takes neither a window nor a factor, a window is not negative, a
+// factor is positive, and times are under 10^6 s in magnitude, so that
+// Parse(s.String()) reproduces any schedule Parse accepts.
 // Examples:
 //
 //	fail@2s:n1
@@ -185,17 +188,20 @@ func parseOne(tok string) (Fault, error) {
 		return Fault{}, fmt.Errorf("faults: %q: missing :nNODE target", tok)
 	}
 	at, window, hasWindow := strings.Cut(when, "+")
-	atSec, err := parseSeconds(at)
-	if err != nil {
+	var err error
+	if f.At, err = parseSeconds(at); err != nil {
 		return Fault{}, fmt.Errorf("faults: %q: bad time %q: %v", tok, at, err)
 	}
-	f.At = roundSeconds(atSec)
 	if hasWindow {
-		wSec, err := parseSeconds(window)
-		if err != nil {
+		if f.Kind.Terminal() {
+			return Fault{}, fmt.Errorf("faults: %q: %s takes no window", tok, f.Kind)
+		}
+		if f.For, err = parseSeconds(window); err != nil {
 			return Fault{}, fmt.Errorf("faults: %q: bad window %q: %v", tok, window, err)
 		}
-		f.For = roundSeconds(wSec)
+		if f.For < 0 {
+			return Fault{}, fmt.Errorf("faults: %q: negative window %q", tok, window)
+		}
 	}
 	node, factor, hasFactor := strings.Cut(target, "x")
 	if !strings.HasPrefix(node, "n") {
@@ -204,29 +210,34 @@ func parseOne(tok string) (Fault, error) {
 	if f.Node, err = strconv.Atoi(node[1:]); err != nil {
 		return Fault{}, fmt.Errorf("faults: %q: bad node %q", tok, node)
 	}
-	if !f.Kind.Terminal() {
-		// Degradations default to 8x; terminal faults keep Factor 0 (String
-		// omits it, so the default would break Parse/String round-trips).
-		f.Factor = 8
+	if f.Kind.Terminal() {
+		// Terminal faults keep Factor 0: String omits it.
+		if hasFactor {
+			return Fault{}, fmt.Errorf("faults: %q: %s takes no factor", tok, f.Kind)
+		}
+		return f, nil
 	}
+	f.Factor = 8
 	if hasFactor {
-		if f.Factor, err = strconv.ParseFloat(factor, 64); err != nil {
+		// String omits a factor that is not positive, NaN included.
+		if f.Factor, err = strconv.ParseFloat(factor, 64); err != nil || !(f.Factor > 0) {
 			return Fault{}, fmt.Errorf("faults: %q: bad factor %q", tok, factor)
 		}
 	}
 	return f, nil
 }
 
-// roundSeconds converts seconds to a Duration rounding to the nearest
+// maxSeconds bounds a time's magnitude. Below it String renders seconds
+// without an exponent, whose "+" would read as a window, and the rendering
+// reparses to the same nanosecond.
+const maxSeconds = 1e6
+
+// parseSeconds reads a time in seconds and rounds it to the nearest
 // nanosecond. String renders times as %g seconds, which is exact for the
 // float64 value but a hair off the integer nanosecond it came from;
 // truncation (sim.Seconds) would then shift a reparsed schedule by 1 ns and
 // break Parse(s.String()) == s.
-func roundSeconds(v float64) sim.Duration {
-	return sim.Duration(math.Round(v * float64(sim.Second)))
-}
-
-func parseSeconds(s string) (float64, error) {
+func parseSeconds(s string) (sim.Duration, error) {
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
 	if err != nil {
 		return 0, err
@@ -234,7 +245,11 @@ func parseSeconds(s string) (float64, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("non-finite seconds %q", s)
 	}
-	return v, nil
+	ns := math.Round(v * float64(sim.Second))
+	if math.Abs(ns) >= maxSeconds*float64(sim.Second) {
+		return 0, fmt.Errorf("seconds %q out of range (-%g, %g)", s, float64(maxSeconds), float64(maxSeconds))
+	}
+	return sim.Duration(ns), nil
 }
 
 // Chaos generates a seeded random schedule over a run expected to last

@@ -52,6 +52,12 @@ func TestParseErrors(t *testing.T) {
 		"fail@2s:node1",     // bad target
 		"fail@abc:n1",       // bad time
 		"disk-slow@1s:n1xq", // bad factor
+		// Specs String could not render back (testdata/fuzz/FuzzFaultsParse).
+		"fail@1s+2s:n1",       // window on a fail
+		"fail@1s:n1x5",        // factor on a fail
+		"disk-slow@1s+-1s:n0", // negative window
+		"straggler@0:n0x0",    // factor not positive
+		"fail@1e6s:n1",        // rendered with an exponent
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", spec)
@@ -113,6 +119,34 @@ func TestScheduleStringParseRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, hand) {
 		t.Fatalf("hand-built round trip broke:\n  in:  %+v\n  out: %+v", hand, got)
 	}
+}
+
+// FuzzFaultsParse extends TestScheduleStringParseRoundTrip to arbitrary
+// input: whatever schedule Parse accepts, Parse(s.String()) reproduces.
+func FuzzFaultsParse(f *testing.F) {
+	for _, spec := range []string{
+		"fail@2s:n1",
+		"disk-slow@1s+5s:n2x8",
+		"straggler@0s:n3x50,net-slow@4s:n0x10",
+		"disk-slow@1.5+30:n2x4",
+		"straggler@0:n1",
+		Chaos(7, 10, sim.Seconds(97.3)).String(),
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		got, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) rendered as %q, which does not parse: %v", spec, s.String(), err)
+		}
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("Parse(%q) = %+v, but its rendering %q parses to %+v", spec, s, s.String(), got)
+		}
+	})
 }
 
 func TestValidateRejectsNonFiniteAndNegativeWindow(t *testing.T) {

@@ -1,6 +1,10 @@
 package textfmt
 
-import "testing"
+import (
+	"math/big"
+	"strings"
+	"testing"
+)
 
 func TestParseSize(t *testing.T) {
 	cases := []struct {
@@ -57,4 +61,40 @@ func TestParseSizeRejectsOverflow(t *testing.T) {
 	if n, err := ParseSize("9223372036854775807"); err != nil || n != int64(9223372036854775807) {
 		t.Errorf("ParseSize(max int64) = %d, %v", n, err)
 	}
+}
+
+// FuzzParseSize: ParseSize never panics, and any size it accepts is positive
+// and equals its digits times its suffix's multiplier in exact arithmetic —
+// no wraparound.
+func FuzzParseSize(f *testing.F) {
+	for _, s := range []string{"4096", "512KB", "64MB", "1GB", " 16MB", "7 KB", "+8KB", "0", "-64MB", "1.5GB",
+		"99999999999GB", "8589934591GB", "8589934592GB", "9223372036854775807", "9223372036854775808"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := ParseSize(s)
+		if err != nil {
+			return
+		}
+		if n <= 0 {
+			t.Fatalf("ParseSize(%q) = %d, not positive", s, n)
+		}
+		digits, mult := s, int64(1)
+		for _, sfx := range []struct {
+			name string
+			mult int64
+		}{{"GB", 1 << 30}, {"MB", 1 << 20}, {"KB", 1 << 10}} {
+			if strings.HasSuffix(s, sfx.name) {
+				digits, mult = strings.TrimSuffix(s, sfx.name), sfx.mult
+				break
+			}
+		}
+		want, ok := new(big.Int).SetString(strings.TrimSpace(digits), 10)
+		if !ok {
+			t.Fatalf("ParseSize(%q) = %d, but %q is not a decimal number", s, n, digits)
+		}
+		if want.Mul(want, big.NewInt(mult)); !want.IsInt64() || want.Int64() != n {
+			t.Fatalf("ParseSize(%q) = %d, want %v", s, n, want)
+		}
+	})
 }
