@@ -15,10 +15,13 @@ for pkg in $(go list ./...); do
   done
 done
 echo "fuzzed $targets targets for $fuzztime each"
-# internal/kv has four, internal/incr two (FuzzBlockFrames, the capture
-# decoder, and FuzzMergeMatchesReference), and internal/memtable
-# (FuzzTableMatchesReference), internal/sortmerge (FuzzStreamMatchesReference),
-# internal/sketch (FuzzSpaceSavingMatchesReference), internal/textfmt
-# (FuzzParseSize) and internal/faults (FuzzFaultsParse) one each; finding
-# fewer means discovery broke, not that the tree got safer.
-[ "$targets" -ge 11 ]
+# internal/kv has four; internal/workloads three (FuzzLineReader,
+# FuzzBinaryClickReader, FuzzSessionizeReducerMatchesReference); internal/incr
+# (FuzzBlockFrames, the capture decoder, and FuzzMergeMatchesReference) and
+# internal/textfmt (FuzzParseSize, FuzzParseClickText) two each; and
+# internal/memtable (FuzzTableMatchesReference), internal/sortmerge
+# (FuzzStreamMatchesReference), internal/sketch
+# (FuzzSpaceSavingMatchesReference) and internal/faults (FuzzFaultsParse) one
+# each; finding fewer than 15 means discovery broke, not that the tree got
+# safer.
+[ "$targets" -ge 15 ]

@@ -2,6 +2,7 @@ package textfmt
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,34 @@ func TestDocTextMalformed(t *testing.T) {
 			t.Errorf("ParseDocText(%q) should fail", in)
 		}
 	}
+}
+
+// FuzzParseClickText parses arbitrary lines: it must not panic, an accepted
+// line re-encoded by AppendClickText must parse to the same Click, and when
+// the line's timestamp and user are written as AppendClickText writes them,
+// the re-encoding is the line itself (with its newline, if it had none).
+func FuzzParseClickText(f *testing.F) {
+	f.Add([]byte("869769600 u12345 /en/page/678\n"))
+	f.Add([]byte("0 u0 "))
+	f.Add([]byte("0100 u007 /a b\n\n"))
+	f.Add([]byte("4294967296 u1 /x"))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		c, err := ParseClickText(line)
+		if err != nil {
+			return
+		}
+		enc := AppendClickText(nil, c)
+		got, err := ParseClickText(enc)
+		if err != nil || got.Time != c.Time || got.User != c.User || !bytes.Equal(got.URL, c.URL) {
+			t.Fatalf("%q re-encoded as %q parses to %+v, %v; want %+v", line, enc, got, err, c)
+		}
+		fields := bytes.SplitN(line, []byte(" "), 3)
+		canonical := string(fields[0]) == strconv.FormatUint(uint64(c.Time), 10) &&
+			string(fields[1]) == "u"+strconv.FormatUint(uint64(c.User), 10)
+		if canonical && !bytes.Equal(enc[:len(enc)-1], bytes.TrimSuffix(line, []byte("\n"))) {
+			t.Fatalf("canonical %q re-encoded as %q", line, enc)
+		}
+	})
 }
 
 // Property: text and binary click encodings round-trip arbitrary records

@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"cmp"
+	"math"
 	"slices"
 
 	"onepass/internal/engine"
@@ -49,63 +50,140 @@ func Sessionization(cfg gen.ClickConfig) *Workload {
 	return w
 }
 
-// sessionClick is one parsed click inside sessionizeReducer.
-type sessionClick struct {
-	ts  uint64
-	url []byte
-}
-
-// sessionizeReducer returns a reducer that sorts one user's clicks by time
-// and splits them into sessions at SessionGap boundaries, emitting the
-// reordered log: "ts@url,ts@url|ts@url" with '|' separating sessions. The
-// clicks and output buffers persist across keys to avoid per-key churn, and
-// grow straight to the size a group needs: a hot user's group is a large
-// share of its partition, and reaching it by append's growth steps allocates
+// sessionizeReducer returns a reducer that sorts one user's clicks by
+// (time, url) and splits them into sessions at SessionGap boundaries,
+// emitting the reordered log: "ts@url,ts@url|ts@url" with '|' separating
+// sessions. A value is "ts url"; one without a space is skipped.
+//
+// Each click is parsed once, into a sort word ts<<32 | i, where i is its
+// index in vals; the words sort as plain integers, and only a run of equal
+// timestamps is then ordered by url. Clicks equal in both are byte-equal in
+// the output, so their order is invisible. A click whose timestamp text is
+// what appendUint would write back (scanClick's verbatim) is copied whole
+// with its space overwritten by '@'; any other is re-formatted, so "0100 /a"
+// reads "100@/a" as ever. A group with a timestamp of 2³² or more, or with
+// 2³² values, sorts plain index words through a comparator instead.
+//
+// The scratch — the words and each value's space offset — holds no
+// pointers, so it cannot pin the reduce side's input buffers that vals
+// alias, and GC does not scan it. It persists across keys and grows
+// straight to the size a group needs: a hot user's group is a large share
+// of its partition, and reaching it by append's growth steps allocates
 // several times its size — once per copy of the reducer (Job.Fresh).
 func sessionizeReducer() engine.ReduceFunc {
-	var clicks []sessionClick
+	var words []uint64
+	// spaces[i] is the offset of the ' ' in vals[i], complemented (^sp)
+	// when the timestamp before it must be re-formatted. Offsets fit: a
+	// pair is far smaller than 2 GiB.
+	var spaces []int32
 	var out []byte
 	return func(key []byte, vals [][]byte, emit engine.Emit) {
-		if cap(clicks) < len(vals) {
-			clicks = make([]sessionClick, 0, len(vals))
+		if cap(words) < len(vals) {
+			words = make([]uint64, 0, len(vals))
+			spaces = make([]int32, len(vals))
 		}
-		clicks = clicks[:0]
+		words = words[:0]
+		wide := uint64(len(vals)) > math.MaxUint32
 		outLen := 0 // a click is written as long as it was read: ' ' becomes '@', plus a separator
-		for _, v := range vals {
-			sp := bytes.IndexByte(v, ' ')
+		for i, v := range vals {
+			ts, sp, verbatim := scanClick(v)
 			if sp < 0 {
 				continue
 			}
-			clicks = append(clicks, sessionClick{ts: parseUint(v[:sp]), url: v[sp+1:]})
+			spaces[i] = int32(sp)
+			if !verbatim {
+				spaces[i] = ^int32(sp)
+			}
+			wide = wide || ts > math.MaxUint32
+			words = append(words, ts<<32|uint64(i))
 			outLen += len(v) + 1
+		}
+		url := func(i uint64) []byte {
+			sp := spaces[i]
+			if sp < 0 {
+				sp = ^sp
+			}
+			return vals[i][sp+1:]
+		}
+		if wide {
+			// The packed words lost bits: sort bare indices by (time, url).
+			words = words[:0]
+			for i, v := range vals {
+				if bytes.IndexByte(v, ' ') >= 0 {
+					words = append(words, uint64(i))
+				}
+			}
+			slices.SortFunc(words, func(a, b uint64) int {
+				ta, _, _ := scanClick(vals[a])
+				tb, _, _ := scanClick(vals[b])
+				return cmp.Or(cmp.Compare(ta, tb), bytes.Compare(url(a), url(b)))
+			})
+		} else {
+			slices.Sort(words)
+			for lo := 0; lo < len(words); {
+				hi := lo + 1
+				for hi < len(words) && words[hi]>>32 == words[lo]>>32 {
+					hi++
+				}
+				if hi-lo > 1 {
+					slices.SortFunc(words[lo:hi], func(a, b uint64) int {
+						return bytes.Compare(url(a&math.MaxUint32), url(b&math.MaxUint32))
+					})
+				}
+				lo = hi
+			}
 		}
 		if cap(out) < outLen {
 			out = make([]byte, 0, outLen)
 		}
-		slices.SortFunc(clicks, func(a, b sessionClick) int {
-			if a.ts != b.ts {
-				return cmp.Compare(a.ts, b.ts)
-			}
-			return bytes.Compare(a.url, b.url)
-		})
 		out = out[:0]
-		for i, c := range clicks {
-			if i > 0 {
-				if c.ts-clicks[i-1].ts > SessionGap {
+		var prev uint64
+		for k, w := range words {
+			i, ts := int(uint32(w)), w>>32
+			if wide {
+				i = int(w)
+				ts, _, _ = scanClick(vals[i])
+			}
+			if k > 0 {
+				if ts-prev > SessionGap {
 					out = append(out, '|')
 				} else {
 					out = append(out, ',')
 				}
 			}
-			out = appendUint(out, c.ts)
+			prev = ts
+			v, sp := vals[i], spaces[i]
+			if sp >= 0 {
+				out = append(out, v...)
+				out[len(out)-len(v)+int(sp)] = '@'
+				continue
+			}
+			out = appendUint(out, ts)
 			out = append(out, '@')
-			out = append(out, c.url...)
+			out = append(out, v[^sp+1:]...)
 		}
 		emit(key, out)
-		// vals may alias the reduce side's input buffers; stale url slices
-		// left in the scratch would keep those alive long after their merge.
-		clear(clicks)
 	}
+}
+
+// scanClick finds the ' ' in click value v (sp < 0 if there is none) and
+// parses the timestamp text t before it as parseUint(t) does: digits up to
+// the first non-digit, wrapping on overflow. verbatim reports whether
+// appendUint(ts) is t itself: digits only, no leading zero unless t is "0",
+// and at most 10 digits, too few to wrap.
+func scanClick(v []byte) (ts uint64, sp int, verbatim bool) {
+	n := 0
+	for n < len(v) && v[n]-'0' <= 9 {
+		ts = ts*10 + uint64(v[n]-'0')
+		n++
+	}
+	if n < len(v) && v[n] == ' ' {
+		return ts, n, n > 0 && n <= 10 && (v[0] != '0' || n == 1)
+	}
+	if sp = bytes.IndexByte(v[n:], ' '); sp >= 0 {
+		sp += n
+	}
+	return ts, sp, false
 }
 
 // DefaultSessionWindow is WindowedSessionization's default bucket: 1 hour.

@@ -61,12 +61,14 @@ func ByName(name string, cc gen.ClickConfig, dc gen.DocConfig) (*Workload, error
 	return nil, fmt.Errorf("unknown workload %q (valid: %s)", name, strings.Join(Names(), ", "))
 }
 
-// LineReader yields each newline-terminated record (without the newline).
+// LineReader yields each non-empty line of block (without its newline),
+// including a final line that has no newline.
 func LineReader(block []byte, yield func(rec []byte)) {
 	rest := block
-	for {
+	for len(rest) > 0 {
 		line, r, ok := textfmt.NextLine(rest)
 		if !ok {
+			yield(rest)
 			return
 		}
 		rest = r
