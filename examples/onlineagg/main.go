@@ -104,13 +104,8 @@ func fmtBytes(b float64) string {
 	}
 }
 
-func countState(state []byte) uint64 {
-	var n uint64
-	for i := 7; i >= 0; i-- {
-		n = n<<8 | uint64(state[i])
-	}
-	return n
-}
+// countState reads a CountMonoid state: the count in ASCII decimal.
+func countState(state []byte) uint64 { return parseUint(string(state)) }
 
 func parseUint(s string) uint64 {
 	var n uint64

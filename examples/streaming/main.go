@@ -59,10 +59,11 @@ func main() {
 		res.FirstOutputAt.Seconds(), 100*(1-res.FirstOutputAt.Seconds()/arrivalSecs))
 }
 
+// countState reads a CountMonoid state: the count in ASCII decimal.
 func countState(state []byte) uint64 {
 	var n uint64
-	for i := 7; i >= 0; i-- {
-		n = n<<8 | uint64(state[i])
+	for _, c := range state {
+		n = n*10 + uint64(c-'0')
 	}
 	return n
 }

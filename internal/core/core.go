@@ -51,14 +51,6 @@ const HashFrameworkNsPerRecord = 2600
 // recursion level of external hashing.
 const HashSeed = engine.PartitionSeed
 
-// reducerImpl is one reduce-side hash technique.
-type reducerImpl interface {
-	// ingest folds one arriving chunk of encoded (key, value) pairs.
-	ingest(p *sim.Proc, chunk []byte)
-	// finalize emits all results after the last chunk.
-	finalize(p *sim.Proc)
-}
-
 // Plan returns the hash engine with reduce-side technique m: map tasks
 // hash-combine, persist and push best-effort, reducers fold what arrives by
 // either path, and a lost output is recomputed into the undelivered tails.
@@ -174,10 +166,12 @@ func (rc *reduceCtx) externalTable(l int) *stateTable {
 }
 
 // join waits out any in-flight pooled fold. Both arrival paths (push and
-// pull) call it on ingest entry, and foldChunk calls it before returning,
-// so reducer state is never read or mutated while a fold is still on the
-// pool. The wait is real-time only — it has no virtual effect, so the
-// event schedule is identical with and without workers.
+// pull) call it on ingest entry, and every helper that suspends (chargeFold,
+// emitFinal, spillSet.flushBucket) calls it before returning, so reducer
+// state is never read or mutated while a fold is still on the pool, not
+// even by a process that resumes mid-eviction while the other's fold runs.
+// The wait is real-time only — it has no virtual effect, so the event
+// schedule is identical with and without workers.
 func (rc *reduceCtx) join() {
 	if rc.pending != nil {
 		w := rc.pending
@@ -195,17 +189,17 @@ func (rc *reduceCtx) join() {
 func (rc *reduceCtx) foldChunk(p *sim.Proc, n int, bytes int64, fold func()) {
 	rc.pending = p.StartWork(fold)
 	rc.chargeFold(p, n, bytes)
-	rc.join()
 }
 
 // chargeFold accounts the CPU of folding n pairs totalling bytes through
-// the hash table.
+// the hash table, then joins.
 func (rc *reduceCtx) chargeFold(p *sim.Proc, n int, bytes int64) {
 	rc.node.Compute(p, engine.Dur(float64(n), rc.costs.HashNs), engine.PhaseHash)
 	rc.node.Compute(p, engine.Dur(float64(n), rc.costs.UpdateNsPerRecord)+
 		engine.Dur(float64(bytes), rc.costs.SerializeNsPerByte), engine.PhaseUpdate)
 	rc.node.Compute(p, engine.Dur(float64(n), rc.costs.FrameworkNsPerRecord), engine.PhaseFramework)
 	rc.rt.Counters.Add(engine.CtrHashOps, float64(n))
+	rc.join()
 }
 
 // noteProgress records one progress-vs-accuracy point: current map progress,
@@ -237,6 +231,7 @@ func (rc *reduceCtx) emitFinal(p *sim.Proc, key, state []byte) {
 	rc.finish(key, state, rc.emit)
 	rc.node.Compute(p, engine.Dur(1, rc.costs.ReduceNsPerRecord)+
 		engine.Dur(float64(len(state)), rc.costs.SerializeNsPerByte), engine.PhaseReduce)
+	rc.join()
 }
 
 func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
@@ -245,17 +240,7 @@ func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
 	rc.mapProgress = func() float64 {
 		return float64(reg.Completed()) / float64(reg.TotalMaps())
 	}
-	var impl reducerImpl
-	switch hj.mode {
-	case HybridHash:
-		impl = newHybridReducer(rc)
-	case Incremental:
-		impl = newIncReducer(rc)
-	case HotKey:
-		impl = newHotReducer(rc)
-	default:
-		panic(fmt.Sprintf("core: unknown mode %v", hj.mode))
-	}
+	h := newHashReducer(rc, hj.mode)
 
 	// Two arrival paths share the single-threaded reducer state: the push
 	// channel, and a puller that fetches partitions the mappers could not
@@ -277,7 +262,7 @@ func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
 					rt.Audit.ShuffleIngested(node.ID, out.TaskID, r, -1, int64(len(data)))
 				}
 				if len(data) > 0 {
-					impl.ingest(pp, data)
+					h.ingest(pp, data)
 				}
 				out.ConsumePart(r)
 			}
@@ -296,14 +281,14 @@ func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
 		if rt.Auditing() {
 			rt.Audit.ShuffleIngested(node.ID, chunk.MapTask, r, chunk.Seq, int64(len(chunk.Data)))
 		}
-		impl.ingest(p, chunk.Data)
+		h.ingest(p, chunk.Data)
 	}
 	done.Done()
 	done.Wait(p)
 	rt.End(shuffleSpan)
 
 	reduceSpan := rt.Begin(metrics.Span{Name: engine.SpanReduce, Phase: true, Node: node.ID, Task: r})
-	impl.finalize(p)
+	h.finalize(p)
 	oc.Close(p, r)
 	rt.End(reduceSpan)
 }

@@ -12,6 +12,7 @@ import (
 	"onepass/internal/hadoop"
 	"onepass/internal/kv"
 	"onepass/internal/sim"
+	"onepass/internal/trace"
 	"onepass/internal/workloads"
 )
 
@@ -90,6 +91,74 @@ func TestAllModesUnderMemoryPressure(t *testing.T) {
 				}
 			})
 		}
+	}
+	// Both arrival paths under eviction: a push queue small enough that
+	// backpressure sends some partitions down the pull path, so the push
+	// process and the puller fold into one reducer's tables and each may
+	// suspend mid-eviction while the other runs.
+	for _, mode := range []Mode{HybridHash, Incremental, HotKey} {
+		for _, mk := range []func() *workloads.Workload{
+			func() *workloads.Workload { return workloads.Sessionization(manyClicks()) },
+			func() *workloads.Workload { return workloads.PerUserCount(manyClicks()) },
+			func() *workloads.Workload { return workloads.InvertedIndex(smallDocs()) },
+		} {
+			for _, bp := range []int64{2 << 10, 8 << 10, 32 << 10} {
+				for _, mem := range []int64{8 << 10, 16 << 10, 64 << 10} {
+					w := mk()
+					name := fmt.Sprintf("both-paths/%s/%s/bp=%dKB/mem=%dKB", mode, w.Name, bp>>10, mem>>10)
+					t.Run(name, func(t *testing.T) {
+						checkBothArrivalPaths(t, w, mode, bp, mem, 1)
+					})
+				}
+			}
+			// With the pool on, a process that resumes mid-eviction must not
+			// touch the tables while the other's fold runs on a worker: the
+			// race detector's case.
+			w := mk()
+			t.Run(fmt.Sprintf("both-paths-pooled/%s/%s", mode, w.Name), func(t *testing.T) {
+				checkBothArrivalPaths(t, w, mode, 2<<10, 8<<10, 2)
+			})
+		}
+	}
+}
+
+func checkBothArrivalPaths(t *testing.T, w *workloads.Workload, mode Mode, bp, mem int64, workers int) {
+	// 12 nodes mapping 96 blocks of 16 KB into 2 reducers: per-user-count's
+	// combined partitions are small, and with fewer mappers at once they
+	// never back up a 32 KB push queue.
+	f := enginetest.New(t, w, enginetest.Config{Nodes: 12, BlockSize: 16 << 10, InputSize: 96 * 16 << 10,
+		Reducers: 2, MemPerTask: mem})
+	f.RT.Env.SetWorkers(workers)
+	f.RT.Audit = engine.NewAudit()
+	log := trace.NewLog()
+	f.RT.Tracer = log
+	res, err := Run(f.RT, f.Job, mode, engine.Options{BackpressureBytes: bp, ChunkBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.CheckOutput(t, w, res)
+	if len(res.AuditFailures) > 0 {
+		t.Fatalf("audit:\n%s", engine.FormatAuditFailures(res.AuditFailures))
+	}
+	if n := f.RT.Env.LiveCount(); n != 0 {
+		t.Fatalf("%d live processes after the run", n)
+	}
+	if res.Counters.Get(engine.CtrReduceSpillBytes) == 0 {
+		t.Errorf("no reduce-side spill under a %d KB budget", mem>>10)
+	}
+	pulled := 0
+	for _, ev := range log.Events() {
+		if ev.Type != trace.ShuffleTransfer {
+			continue
+		}
+		for _, a := range ev.Args {
+			if a.Key == "mode" && a.Str == "pull" {
+				pulled++
+			}
+		}
+	}
+	if pulled == 0 {
+		t.Error("no partition took the pull path: only one arrival path ran")
 	}
 }
 

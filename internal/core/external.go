@@ -50,24 +50,43 @@ func (ss *spillSet) bucketOf(key []byte) int {
 
 // add spills one tagged entry into bucket b.
 func (ss *spillSet) add(p *sim.Proc, b int, key, payload []byte, f form) {
+	ss.put(b, key, payload, f)
+	ss.flushFull(p, b)
+}
+
+// put appends one tagged entry to bucket b's buffer without writing it.
+func (ss *spillSet) put(b int, key, payload []byte, f form) {
 	ss.bufs[b] = kv.AppendTaggedPair(ss.bufs[b], key, byte(f), payload)
+}
+
+// flushFull writes bucket b's buffer out once it is full.
+func (ss *spillSet) flushFull(p *sim.Proc, b int) {
 	if len(ss.bufs[b]) >= spillBufSize {
 		ss.flushBucket(p, b)
 	}
 }
 
+// flushBucket writes bucket b's buffer to its file. The buffer leaves the set
+// for the CPU charge and the write, so entries the other arrival path spills
+// to b meanwhile start a new buffer instead of landing in one that is being
+// written and then truncated; the old one comes back if none was started.
 func (ss *spillSet) flushBucket(p *sim.Proc, b int) {
-	if len(ss.bufs[b]) == 0 {
+	buf := ss.bufs[b]
+	if len(buf) == 0 {
 		return
 	}
+	ss.bufs[b] = nil
 	store := ss.rc.node.ScratchStore()
 	if ss.files[b] == nil {
 		ss.files[b] = store.Create(fmt.Sprintf("%s/bucket-%02d", ss.prefix, b), false)
 	}
-	n := int64(len(ss.bufs[b]))
+	n := int64(len(buf))
 	ss.rc.node.Compute(p, engine.Dur(float64(n), ss.rc.costs.SerializeNsPerByte), engine.PhaseHash)
-	store.Append(p, ss.files[b], ss.bufs[b]) // copies: the buffer refills in place
-	ss.bufs[b] = ss.bufs[b][:0]
+	store.Append(p, ss.files[b], buf) // copies: the buffer refills in place
+	if ss.bufs[b] == nil {
+		ss.bufs[b] = buf[:0]
+	}
+	ss.rc.join()
 	ss.Bytes += n
 	ss.rc.rt.Counters.Add(engine.CtrReduceSpillBytes, float64(n))
 	if ss.rc.rt.Auditing() {

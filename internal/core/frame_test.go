@@ -93,24 +93,16 @@ func TestReducersCopyOutOfIngestedChunks(t *testing.T) {
 						JobRun: &engine.JobRun{RT: rt, Job: &job, Opts: opts, Costs: engine.DefaultCosts(), OC: oc},
 					}, cl.Node(0), 0)
 					rc.budget = budget
-					var impl reducerImpl
-					switch mode {
-					case HybridHash:
-						impl = newHybridReducer(rc)
-					case Incremental:
-						impl = newIncReducer(rc)
-					case HotKey:
-						impl = newHotReducer(rc)
-					}
+					h := newHashReducer(rc, mode)
 					env.Go("reduce", func(p *sim.Proc) {
 						for _, c := range chunks {
 							c = append([]byte(nil), c...)
-							impl.ingest(p, c)
+							h.ingest(p, c)
 							for i := range c {
 								c[i] = 0xFF // the frame's bytes are not the reducer's to keep
 							}
 						}
-						impl.finalize(p)
+						h.finalize(p)
 						oc.Close(p, 0)
 					})
 					env.Run()
