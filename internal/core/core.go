@@ -249,37 +249,18 @@ func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
 	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
 
 	rt.Env.Go(fmt.Sprintf("hash-red-%d-pull", r), func(pp *sim.Proc) {
-		seen := 0
-		for {
-			reg.WaitBeyond(pp, seen)
-			for ; seen < reg.Completed(); seen++ {
-				out := reg.Out(seen)
-				if out.WasPushed(r) {
-					continue
-				}
-				data := reg.FetchPart(pp, node.ID, out, r)
-				if rt.Auditing() {
-					rt.Audit.ShuffleIngested(node.ID, out.TaskID, r, -1, int64(len(data)))
-				}
-				if len(data) > 0 {
-					h.ingest(pp, data)
-				}
-				out.ConsumePart(r)
+		reg.Pull(pp, node.ID, r, func(data []byte) {
+			if len(data) > 0 {
+				h.ingest(pp, data)
 			}
-			if reg.AllDone() {
-				break
-			}
-		}
+		})
 		done.Done()
 	})
 
 	for {
-		chunk, ok := pc.Pop(p)
+		chunk, ok := pc.PopFresh(p, node.ID)
 		if !ok {
 			break
-		}
-		if rt.Auditing() {
-			rt.Audit.ShuffleIngested(node.ID, chunk.MapTask, r, chunk.Seq, int64(len(chunk.Data)))
 		}
 		h.ingest(p, chunk.Data)
 	}

@@ -79,14 +79,6 @@ func (s *Store) Put(p *sim.Proc, f *File, data []byte) {
 	}
 }
 
-// AppendSize accounts a write of n bytes of already-stored data (used when
-// the caller assembled the file contents itself via AppendNoIO and wants a
-// single accounted flush).
-func (s *Store) AppendSize(p *sim.Proc, f *File, n int64) {
-	s.dev.Write(p, n, true)
-	f.size += n
-}
-
 // Open returns the named file.
 func (s *Store) Open(name string) (*File, error) {
 	f, ok := s.files[name]

@@ -96,19 +96,7 @@ func TestRegistryPullFlow(t *testing.T) {
 	reg := rt.NewRegistry(2)
 	var fetched [][]byte
 	rt.Env.Go("reducer", func(p *sim.Proc) {
-		seen := 0
-		for {
-			reg.WaitBeyond(p, seen)
-			for ; seen < reg.Completed(); seen++ {
-				out := reg.Out(seen)
-				data := reg.FetchPart(p, 2, out, 0)
-				fetched = append(fetched, append([]byte(nil), data...))
-				out.ConsumePart(0)
-			}
-			if reg.AllDone() {
-				return
-			}
-		}
+		reg.Pull(p, 2, 0, func(data []byte) { fetched = append(fetched, append([]byte(nil), data...)) })
 	})
 	for i := 0; i < 2; i++ {
 		i := i
@@ -193,6 +181,55 @@ func TestFetchPartRetriesWhenSourceDiesMidTransfer(t *testing.T) {
 	if !bytes.Equal(fetched, payload) {
 		t.Fatalf("fetched %d bytes, want the full %d-byte payload from the recovered attempt",
 			len(fetched), len(payload))
+	}
+}
+
+// Registry.Pull skips a push-delivered partition, still hands over, consumes
+// and audits an empty one, and serves a lost output from its one
+// re-executed attempt.
+func TestRegistryPullSkipsPushedServesEmptyAndRecovers(t *testing.T) {
+	rt := testRuntime(4)
+	rt.Audit = NewAudit()
+	reg := rt.NewRegistry(3)
+	reexecs := 0
+	reg.Reexec = func(p *sim.Proc, readerNode int, lost *MapOutput) *MapOutput {
+		reexecs++
+		return NewMapOutput(p, rt.Cluster.Node(2).ScratchStore(), "m2/reexec", lost.TaskID, 2, []byte("new"), []int64{3})
+	}
+	rt.Env.Go("mappers", func(p *sim.Proc) {
+		pushed := NewMapOutput(p, rt.Cluster.Node(0).ScratchStore(), "m0", 0, 0, []byte("pushed"), []int64{6})
+		pushed.Pushed[0] = true
+		empty := NewMapOutput(p, rt.Cluster.Node(0).ScratchStore(), "m1", 1, 0, nil, []int64{0})
+		lost := NewMapOutput(p, rt.Cluster.Node(1).ScratchStore(), "m2", 2, 1, []byte("old"), []int64{3})
+		for _, out := range []*MapOutput{pushed, empty, lost} {
+			reg.Complete(out)
+		}
+		rt.Cluster.Node(1).Fail()
+		reg.FailNode(1)
+	})
+	var got []string
+	rt.Env.Go("reducer", func(p *sim.Proc) {
+		reg.Pull(p, 3, 0, func(data []byte) { got = append(got, string(data)) })
+	})
+	rt.Env.Run()
+
+	if want := []string{"", "new"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ingested %q, want %q: the pushed partition skipped, the empty one handed over, the lost one recovered", got, want)
+	}
+	if reexecs != 1 || rt.Counters.Get(CtrTasksReexecuted) != 1 {
+		t.Errorf("re-executions = %d (counter %v), want 1", reexecs, rt.Counters.Get(CtrTasksReexecuted))
+	}
+	if !rt.Cluster.Node(0).ScratchStore().Exists("m0") {
+		t.Error("the pushed partition was consumed: Pull must skip it entirely")
+	}
+	for node, name := range map[int]string{0: "m1", 2: "m2/reexec"} {
+		if rt.Cluster.Node(node).ScratchStore().Exists(name) {
+			t.Errorf("%s not consumed after its pull", name)
+		}
+	}
+	wantIngested := map[auditChunkKey]int64{{task: 1, part: 0, seq: -1}: 0, {task: 2, part: 0, seq: -1}: 3}
+	if !reflect.DeepEqual(rt.Audit.ingested, wantIngested) {
+		t.Errorf("audit ingest ledger = %v, want %v", rt.Audit.ingested, wantIngested)
 	}
 }
 

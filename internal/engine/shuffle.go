@@ -301,6 +301,34 @@ func (g *Registry) FetchPart(p *sim.Proc, readerNode int, out *MapOutput, part i
 	}
 }
 
+// Pull is a reducer's pull shuffle: it hands partition part of every
+// completed map output to ingest, in completion order, until all maps are
+// done. Partitions already push-delivered are skipped; every other one —
+// empty ones included — is fetched to readerNode, entered in the audit's
+// ingest ledger as one whole-partition unit, handed over, then consumed.
+// ingest owns data read-only: it is a slice of the map output's immutable
+// frame, which ConsumePart merely unlinks.
+func (g *Registry) Pull(p *sim.Proc, readerNode, part int, ingest func(data []byte)) {
+	for seen := 0; ; {
+		g.WaitBeyond(p, seen)
+		for ; seen < len(g.outs); seen++ {
+			out := g.outs[seen]
+			if out.WasPushed(part) {
+				continue
+			}
+			data := g.FetchPart(p, readerNode, out, part)
+			if g.rt.Auditing() {
+				g.rt.Audit.ShuffleIngested(readerNode, out.TaskID, part, -1, int64(len(data)))
+			}
+			ingest(data)
+			out.ConsumePart(part)
+		}
+		if g.AllDone() {
+			return
+		}
+	}
+}
+
 // PushChunk is one eagerly-pushed piece of map output (HOP-style pipelining
 // and the hash engine's push shuffle).
 type PushChunk struct {

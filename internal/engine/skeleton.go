@@ -264,6 +264,44 @@ func (j *JobRun) PushChunk(p *sim.Proc, node *cluster.Node, task int, c kv.Chunk
 	return true
 }
 
+// PushOutput is a push-only map task's delivery: it offers chunks — the
+// task's whole output, in seal order — to their reducers, then registers
+// the task. Each chunk is billed by charge(i) on node just before push
+// offers it. Once node has failed its NIC delivers nothing, so the rest are
+// dropped unbilled and counted in push.chunks.lost; RepushLost re-pushes
+// them from a survivor after the map wave.
+func (j *JobRun) PushOutput(p *sim.Proc, node *cluster.Node, task int, name string,
+	chunks []kv.Chunk, charge func(i int), push PushFunc) {
+	sealed := make([]int, j.Job.Reducers)
+	delivered := make([]int, j.Job.Reducers)
+	for i, c := range chunks {
+		sealed[c.Part] = c.Seq + 1
+		if node.Failed() {
+			j.RT.Counters.Add(CtrPushChunksLost, 1)
+			continue
+		}
+		deliver(p, node, task, i, c, charge, push, delivered)
+	}
+	j.CompletePushed(p, node, name, task, delivered, sealed)
+}
+
+// PushFunc offers chunk c of map task task from node to its reducer and
+// reports whether it arrived; false means node failed first. JobRun.PushChunk
+// is one.
+type PushFunc func(p *sim.Proc, node *cluster.Node, task int, c kv.Chunk) bool
+
+// deliver is the one charge-then-push step of push-only delivery: it bills
+// chunk i, offers it, and on arrival advances delivered past it.
+func deliver(p *sim.Proc, node *cluster.Node, task, i int, c kv.Chunk,
+	charge func(i int), push PushFunc, delivered []int) bool {
+	charge(i)
+	if !push(p, node, task, c) {
+		return false
+	}
+	delivered[c.Part] = c.Seq + 1
+	return true
+}
+
 // CompletePushed registers a push-only map task: the data lives only in the
 // push stream, so the output is a zero-size progress file named name — the
 // progress signal for snapshot fractions plus the recovery bookkeeping:
@@ -278,14 +316,13 @@ func (j *JobRun) CompletePushed(p *sim.Proc, node *cluster.Node, name string, ta
 	j.Reg.Complete(out)
 }
 
-// Regen re-runs block b's map for job j on node and offers push, in the
-// original seal order, every chunk at or past the delivery frontier already[part] — the
-// chunks no reducer has — charging each chunk's CPU just before offering it.
-// Chunk building is deterministic in the block, so the chunks carry the lost
-// attempt's bytes under its (task, seq) identities. already is a snapshot:
-// safe to read from a pooled closure. Regen stops at the first push that
-// returns false.
-type Regen func(j *JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int, push func(kv.Chunk) bool)
+// Regen re-runs block b's map for job j on node and returns, in the
+// original seal order, the chunks at or past the delivery frontier
+// already[part] — the chunks no reducer has — with their bill, charge(i)
+// on node. Chunk building is deterministic in the block, so the chunks
+// carry the lost attempt's bytes under its (task, seq) identities. Regen
+// only reads already, and RepushLost advances it only after Regen returns.
+type Regen func(j *JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int))
 
 // RepushLost is a push-only engine's degraded-mode recovery, run after the
 // map wave with the channels still open: every map output lost with its node
@@ -308,21 +345,16 @@ func (j *JobRun) RepushLost(p *sim.Proc, regen Regen) {
 		}
 		for attempt := 1; out.Lost; attempt++ {
 			node := rt.SurvivingNode()
-			died := false
 			rt.recoveryAttempt(node, out.TaskID, attempt, func() {
-				regen(j, p, node, j.blocks[out.TaskID], append([]int(nil), out.Delivered...), func(c kv.Chunk) bool {
-					if !j.PushChunk(p, node, out.TaskID, c) {
-						died = true
-						return false
+				chunks, charge := regen(j, p, node, j.blocks[out.TaskID], out.Delivered)
+				for k, c := range chunks {
+					if !deliver(p, node, out.TaskID, k, c, charge, j.PushChunk, out.Delivered) {
+						return
 					}
-					out.Delivered[c.Part] = c.Seq + 1
-					return true
-				})
-			})
-			if !died {
+				}
 				out.Node = node.ID
 				out.Lost = false
-			}
+			})
 		}
 		for r := range out.Pushed {
 			out.Pushed[r] = true

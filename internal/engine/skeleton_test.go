@@ -166,16 +166,18 @@ func TestRepushLostSkipsDeliveredAndResumesFromFrontier(t *testing.T) {
 		already    []int
 	}
 	var calls []call
-	regen := func(_ *JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int, push func(kv.Chunk) bool) {
-		calls = append(calls, call{node.ID, b.Index, already})
+	regen := func(_ *JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) ([]kv.Chunk, func(int)) {
+		calls = append(calls, call{node.ID, b.Index, append([]int(nil), already...)})
+		var chunks []kv.Chunk
 		for seq := already[3]; seq < sealed[3]; seq++ {
-			if !push(kv.Chunk{Part: 3, Seq: seq, Data: []byte{byte(seq)}}) {
-				return
-			}
-			if len(calls) == 1 {
+			chunks = append(chunks, kv.Chunk{Part: 3, Seq: seq, Data: []byte{byte(seq)}})
+		}
+		charge := func(i int) {
+			if len(calls) == 1 && i == 1 {
 				node.Fail() // the first recovery node dies after one chunk
 			}
 		}
+		return chunks, charge
 	}
 	rt.Env.Go("controller", func(p *sim.Proc) {
 		dead, alive := rt.Cluster.Node(1), rt.Cluster.Node(3)

@@ -86,7 +86,7 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 	if rt.Auditing() {
 		rt.Audit.MapFinalPairs(b.Index, final.Bytes())
 		// Pull shuffle moves whole partitions: record each as one unit so
-		// FetchPart deliveries must balance against it.
+		// Registry.Pull deliveries must balance against it.
 		for r, n := range out.PartLen {
 			rt.Audit.ShuffleProduced(node.ID, b.Index, r, -1, n)
 		}
@@ -98,32 +98,13 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 }
 
 func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
-	rt, reg := j.RT, j.Reg
+	rt := j.RT
 	rs := NewReduceSide(rt, j.Job, j.Costs, node, r, j.Opts.FanIn)
 	rs.Acc.SegmentLimit = j.Opts.SegmentLimit
 
 	// Shuffle: pull partitions from completed mappers as they appear.
 	shuffleSpan := rt.Begin(rs.phase(engine.SpanShuffle))
-	seen := 0
-	for {
-		reg.WaitBeyond(p, seen)
-		for ; seen < reg.Completed(); seen++ {
-			out := reg.Out(seen)
-			data := reg.FetchPart(p, node.ID, out, r)
-			if rt.Auditing() {
-				rt.Audit.ShuffleIngested(node.ID, out.TaskID, r, -1, int64(len(data)))
-			}
-			// The accumulator owns data from here on, read-only: it is a
-			// slice of the map-output file's immutable frame, which other
-			// reducers (and a re-fetch after a fault) read too, and which
-			// ConsumePart merely unlinks.
-			out.ConsumePart(r)
-			rs.Add(p, data)
-		}
-		if reg.AllDone() {
-			break
-		}
-	}
+	j.Reg.Pull(p, node.ID, r, func(data []byte) { rs.Add(p, data) })
 	rt.End(shuffleSpan)
 
 	rs.Finish(p, j.OC)

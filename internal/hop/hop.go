@@ -41,10 +41,11 @@ var Plan = &engine.Plan{
 		BackpressureBytes: 4 << 20,
 	},
 	Setup: func(j *engine.JobRun) (engine.Tasks, error) {
+		push := stashPush(j)
 		return engine.Tasks{
-			Map:       func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b) },
+			Map:       func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b, push) },
 			Reduce:    func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r) },
-			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, regenChunks) },
+			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, buildChunks) },
 		}, nil
 	},
 }
@@ -163,48 +164,53 @@ func chargeChunk(rt *engine.Runtime, p *sim.Proc, node *cluster.Node,
 	node.Compute(p, engine.Dur(float64(len(c.Data)), costs.SerializeNsPerByte), engine.PhaseMapFn)
 }
 
-// pushChunk delivers one chunk to its reducer, staging it to local disk and
-// waiting when backpressure rejects the push (HOP's adaptive mode). It
-// returns false if the node fails before delivery succeeds.
-func pushChunk(j *engine.JobRun, p *sim.Proc, node *cluster.Node, c kv.Chunk, taskID int, spillSeq *int) bool {
-	rt, pc := j.RT, j.Channels[c.Part]
-	if pc.TryPush(p, node.ID, rt.ReducerNode(c.Part).ID, taskID, c.Seq, c.Data) {
-		return true
+// stashPush returns job j's map-side engine.PushFunc: it delivers one chunk
+// to its reducer, staging it to local disk and waiting when backpressure
+// rejects the push (HOP's adaptive mode).
+func stashPush(j *engine.JobRun) engine.PushFunc {
+	rt := j.RT
+	return func(p *sim.Proc, node *cluster.Node, task int, c kv.Chunk) bool {
+		pc := j.Channels[c.Part]
+		if pc.TryPush(p, node.ID, rt.ReducerNode(c.Part).ID, task, c.Seq, c.Data) {
+			return true
+		}
+		if node.Failed() {
+			rt.Counters.Add(engine.CtrPushChunksLost, 1)
+			return false
+		}
+		// Adaptive mode: reducer overloaded. Stage the chunk to local disk,
+		// wait for the reducer to catch up, then push from disk.
+		store := node.ScratchStore()
+		f := store.Create(fmt.Sprintf("%s/hop-map-%05d/stash-%05d-%04d", j.Job.Name, task, c.Part, c.Seq), false)
+		store.Append(p, f, c.Data)
+		rt.Counters.Add(engine.CtrMapSpillBytes, float64(len(c.Data)))
+		if rt.Auditing() {
+			rt.Audit.SpillWritten(node.ID, f.Size())
+		}
+		if rt.Tracing() {
+			rt.Emit(trace.Spill, "map-stash", node.ID, task, 0,
+				trace.Num("bytes", float64(len(c.Data))), trace.Num("reducer", float64(c.Part)))
+		}
+		pc.WaitSpace(p)
+		store.Device().Read(p, f.Size(), false)
+		if rt.Auditing() {
+			rt.Audit.SpillRead(node.ID, f.Size())
+		}
+		store.Delete(f.Name())
+		return j.PushChunk(p, node, task, c)
 	}
-	if node.Failed() {
-		rt.Counters.Add(engine.CtrPushChunksLost, 1)
-		return false
-	}
-	// Adaptive mode: reducer overloaded. Stage the chunk to local disk,
-	// wait for the reducer to catch up, then push from disk.
-	store := node.ScratchStore()
-	*spillSeq++
-	f := store.Create(fmt.Sprintf("%s/hop-map-%05d/stash-%04d", j.Job.Name, taskID, *spillSeq), false)
-	store.Append(p, f, c.Data)
-	rt.Counters.Add(engine.CtrMapSpillBytes, float64(len(c.Data)))
-	if rt.Auditing() {
-		rt.Audit.SpillWritten(node.ID, f.Size())
-	}
-	if rt.Tracing() {
-		rt.Emit(trace.Spill, "map-stash", node.ID, taskID, 0,
-			trace.Num("bytes", float64(len(c.Data))), trace.Num("reducer", float64(c.Part)))
-	}
-	pc.WaitSpace(p)
-	store.Device().Read(p, f.Size(), false)
-	if rt.Auditing() {
-		rt.Audit.SpillRead(node.ID, f.Size())
-	}
-	store.Delete(f.Name())
-	return j.PushChunk(p, node, taskID, c)
 }
 
 // buildChunks maps block b on node and returns its output as sorted,
 // combined, serialized chunks in sealed order, skipping the chunks below the
-// delivery frontier already (nil keeps them all), plus the raw map-output
-// volume. Chunk boundaries, sorting, and serialization are pure data work,
+// delivery frontier already, with charge(i), chunk i's sort, combine and
+// serialize bill on node. It is the engine's engine.Regen; a first attempt
+// passes already nil, keeps every chunk and enters the task in the combine
+// ledger. Chunk boundaries, sorting, and serialization are pure data work,
 // so they ride inside the map task's pooled closure and overlap the parse
-// charge; the caller charges each chunk at its delivery point.
-func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []encodedChunk, rawBytes int64) {
+// charge; the bills land at each chunk's delivery point.
+func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int)) {
+	var encoded []encodedChunk
 	buf, err := j.RT.ExecuteMapWith(p, node, j.Job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
 		combine := wj.Fold().Combiner()
 		mapChunks(buf, j.Job.Reducers, j.Opts.ChunkBytes, func(r, seq int, idxs []int) {
@@ -213,70 +219,40 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 			}
 			c := sortEncodeChunk(buf, idxs, combine)
 			c.Part, c.Seq = r, seq
-			chunks = append(chunks, c)
+			encoded = append(encoded, c)
 		})
 	})
 	if err != nil {
 		panic(fmt.Sprintf("hop: %v", err))
 	}
-	rawBytes = buf.Bytes()
-	j.RT.ReleaseBuffer(buf) // every chunk is an encoded copy
-	return chunks, rawBytes
-}
-
-// runMapTask maps a block, then pushes its output as small sorted chunks.
-func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) {
-	// Pipelined emission: walk pairs in production order, accumulating a
-	// per-reducer chunk; each full chunk is sorted (cheap — it's small) and
-	// pushed immediately. Sorting many small chunks costs fewer mapper
-	// comparisons than one big sort; the deficit reappears as extra merge
-	// comparisons in the reducers — HOP "moves some of the sorting work to
-	// reducers" (§III.D). Delivery (network pushes, backpressure stalls, CPU
-	// charges) replays in sealed order on the event loop after the join.
-	rt, job := j.RT, j.Job
-	chunks, rawBytes := buildChunks(j, p, node, b, nil)
-	if rt.Auditing() {
+	chunks = make([]kv.Chunk, len(encoded))
+	var finalPairBytes int64
+	for i := range encoded {
+		chunks[i] = encoded[i].Chunk
+		finalPairBytes += encoded[i].pairBytes
+	}
+	if already == nil && j.RT.Auditing() {
 		// Without a combiner every raw pair lands in exactly one chunk, so
 		// the final pair bytes equal the raw emission and nothing was saved;
 		// with one, the difference is what chunk-granular combining elided.
-		var finalPairBytes int64
-		for i := range chunks {
-			finalPairBytes += chunks[i].pairBytes
-		}
-		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
-		rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
+		j.RT.Audit.MapFinalPairs(b.Index, finalPairBytes)
+		j.RT.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
 	}
-	spillSeq := 0
-	sealed := make([]int, job.Reducers)
-	delivered := make([]int, job.Reducers)
-	for i := range chunks {
-		c := &chunks[i]
-		sealed[c.Part] = c.Seq + 1
-		if node.Failed() {
-			// Dead NIC: the chunk cannot leave the machine. The recovery
-			// pass re-pushes it from a surviving node after the map wave.
-			rt.Counters.Add(engine.CtrPushChunksLost, 1)
-			continue
-		}
-		chargeChunk(rt, p, node, j.Costs, c)
-		if pushChunk(j, p, node, c.Chunk, b.Index, &spillSeq) {
-			delivered[c.Part] = c.Seq + 1
-		}
-	}
-	j.CompletePushed(p, node, fmt.Sprintf("%s/hop-map-%05d/progress", job.Name, b.Index), b.Index, delivered, sealed)
+	j.RT.ReleaseBuffer(buf) // every chunk is an encoded copy
+	return chunks, func(i int) { chargeChunk(j.RT, p, node, j.Costs, &encoded[i]) }
 }
 
-// regenChunks is the engine's engine.Regen: the chunks a dead node never
-// delivered, regenerated by the same buildChunks and charged like the first
-// attempt's.
-func regenChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int, push func(kv.Chunk) bool) {
-	chunks, _ := buildChunks(j, p, node, b, already)
-	for i := range chunks {
-		chargeChunk(j.RT, p, node, j.Costs, &chunks[i])
-		if !push(chunks[i].Chunk) {
-			return
-		}
-	}
+// runMapTask maps a block, then pushes its output as small sorted chunks.
+// Pipelined emission: pairs are walked in production order, accumulating a
+// per-reducer chunk; each full chunk is sorted (cheap — it's small) and
+// pushed. Sorting many small chunks costs fewer mapper comparisons than one
+// big sort; the deficit reappears as extra merge comparisons in the
+// reducers — HOP "moves some of the sorting work to reducers" (§III.D).
+// Delivery (network pushes, backpressure stalls, CPU charges) replays in
+// sealed order on the event loop after the join.
+func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, push engine.PushFunc) {
+	chunks, charge := buildChunks(j, p, node, b, nil)
+	j.PushOutput(p, node, b.Index, fmt.Sprintf("%s/hop-map-%05d/progress", j.Job.Name, b.Index), chunks, charge, push)
 }
 
 // runReduceTask drains the push channel, spilling and merging exactly like

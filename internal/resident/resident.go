@@ -77,7 +77,7 @@ var Plan = &engine.Plan{
 		return engine.Tasks{
 			Map:       func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b) },
 			Reduce:    func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r, sinks) },
-			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, regenChunks) },
+			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, buildChunks) },
 		}, nil
 	},
 }
@@ -89,14 +89,19 @@ var Plan = &engine.Plan{
 // sub-slices of it — are the push units.
 // Everything is deterministic in the block, so a recovery attempt
 // regenerates byte-identical chunks under the same (partition, seq)
-// identities. The fold and packing are pure data work riding the map task's
-// pooled closure; the hash/update charges land here after the join, and the
-// caller charges serialization at each chunk's delivery point.
-func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) (chunks []kv.Chunk, rawBytes, finalPairBytes int64) {
+// identities: buildChunks is the engine's engine.Regen, folding the whole
+// block again (the tables cannot be rebuilt in part) and dropping the chunks
+// below the delivery frontier already; a first attempt passes already nil,
+// keeps every chunk and enters the task in the combine ledger. The fold and
+// packing are pure data work riding the map task's pooled closure; the
+// hash/update charges land here after the join, and charge(i) bills chunk
+// i's serialization on node at its delivery point.
+func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int)) {
 	rt, job, costs := j.RT, j.Job, j.Costs
 	declared := job.Monoid != nil
 	R := job.Reducers
 	var n int
+	var finalPairBytes int64
 	buf, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
 		out := buf
 		if declared {
@@ -135,6 +140,9 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 			}
 			slices.SortStableFunc(chunks, func(a, b kv.Chunk) int { return rank(a) - rank(b) })
 		}
+		if already != nil {
+			chunks = slices.DeleteFunc(chunks, func(c kv.Chunk) bool { return c.Seq < already[c.Part] })
+		}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("resident: %v", err))
@@ -144,54 +152,23 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord), engine.PhaseCombine)
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
 	}
-	rawBytes = buf.Bytes()
+	if already == nil && rt.Auditing() {
+		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
+		// Zero for a job that did not fold: its raw pairs are its final ones.
+		rt.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
+	}
 	rt.ReleaseBuffer(buf) // the frame is an encoded copy
-	return chunks, rawBytes, finalPairBytes
+	return chunks, func(i int) {
+		node.Compute(p, engine.Dur(float64(len(chunks[i].Data)), costs.SerializeNsPerByte), engine.PhaseMapFn)
+	}
 }
 
 // runMapTask maps a block, folds its output in memory, and pushes the
 // result as chunks, holding a chunk in memory while backpressure refuses it
 // (no disk staging — the whole point of the engine).
 func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) {
-	rt, job := j.RT, j.Job
-	chunks, rawBytes, finalPairBytes := buildChunks(j, p, node, b)
-	if rt.Auditing() {
-		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
-		// Zero for a job that did not fold: its raw pairs are its final ones.
-		rt.Audit.CombineSaved(b.Index, rawBytes-finalPairBytes)
-	}
-	sealed := make([]int, job.Reducers)
-	delivered := make([]int, job.Reducers)
-	for _, c := range chunks {
-		sealed[c.Part] = c.Seq + 1
-		if node.Failed() {
-			// Dead NIC: the chunk cannot leave the machine. The recovery
-			// pass re-pushes it from a surviving node after the map wave.
-			rt.Counters.Add(engine.CtrPushChunksLost, 1)
-			continue
-		}
-		node.Compute(p, engine.Dur(float64(len(c.Data)), j.Costs.SerializeNsPerByte), engine.PhaseMapFn)
-		if j.PushChunk(p, node, b.Index, c) {
-			delivered[c.Part] = c.Seq + 1
-		}
-	}
-	j.CompletePushed(p, node, fmt.Sprintf("%s/res-map-%05d/progress", job.Name, b.Index), b.Index, delivered, sealed)
-}
-
-// regenChunks is the engine's engine.Regen: the whole block is folded again
-// (the tables cannot be rebuilt in part) and the chunks past the delivery
-// frontier are charged and offered like the first attempt's.
-func regenChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int, push func(kv.Chunk) bool) {
-	chunks, _, _ := buildChunks(j, p, node, b)
-	for _, c := range chunks {
-		if c.Seq < already[c.Part] {
-			continue
-		}
-		node.Compute(p, engine.Dur(float64(len(c.Data)), j.Costs.SerializeNsPerByte), engine.PhaseMapFn)
-		if !push(c) {
-			return
-		}
-	}
+	chunks, charge := buildChunks(j, p, node, b, nil)
+	j.PushOutput(p, node, b.Index, fmt.Sprintf("%s/res-map-%05d/progress", j.Job.Name, b.Index), chunks, charge, j.PushChunk)
 }
 
 // foldTable is an insertion-ordered in-memory table of fold elements, one

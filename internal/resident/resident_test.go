@@ -142,7 +142,7 @@ func TestSmallBlockFaultedRunMatchesClean(t *testing.T) {
 // The map side folds a block into one table where it used to fill one per
 // partition. The chunks it seals — partition, sequence number and bytes —
 // must be the per-partition tables' chunks exactly, on the first attempt and
-// when regenChunks rebuilds the block past an uneven delivery frontier: a
+// when buildChunks rebuilds the block past an uneven delivery frontier: a
 // reducer matches a re-pushed chunk against what it already ingested by
 // those identities.
 func TestOneTableChunksMatchPerPartitionTables(t *testing.T) {
@@ -185,12 +185,12 @@ func TestOneTableChunksMatchPerPartitionTables(t *testing.T) {
 						return
 					}
 					want := refChunks(buf, job.Reducers, job.Fold(), j.Opts.ChunkBytes)
-					got, _, _ := buildChunks(j, p, node, b)
+					got, _ := buildChunks(j, p, node, b, nil)
 					same(fmt.Sprintf("block %d", b.Index), got, want)
 
 					// Partition r had its first r%3 chunks delivered.
 					already := make([]int, job.Reducers)
-					var tail, regen []kv.Chunk
+					var tail []kv.Chunk
 					for r := range already {
 						already[r] = r % 3
 					}
@@ -200,10 +200,7 @@ func TestOneTableChunksMatchPerPartitionTables(t *testing.T) {
 							tail = append(tail, c)
 						}
 					}
-					regenChunks(j, p, node, b, already, func(c kv.Chunk) bool {
-						regen = append(regen, c)
-						return true
-					})
+					regen, _ := buildChunks(j, p, node, b, already)
 					same(fmt.Sprintf("block %d regenerated", b.Index), regen, tail)
 				}
 			})
