@@ -6,7 +6,6 @@ import (
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
-	"onepass/internal/disk"
 	"onepass/internal/engine"
 	"onepass/internal/engines"
 	"onepass/internal/faults"
@@ -197,11 +196,10 @@ type Config struct {
 	// Engine picks the runtime.
 	Engine Engine
 
-	// Nodes, CoresPerNode, MemoryPerNode describe the cluster (the paper:
-	// 10 nodes, 1 GB task heap).
-	Nodes         int
-	CoresPerNode  int
-	MemoryPerNode int64
+	// Nodes and CoresPerNode describe the cluster (the paper: 10 nodes);
+	// every node has cluster.DefaultConfig's 1 GB of memory.
+	Nodes        int
+	CoresPerNode int
 	// SSDIntermediate gives each node an SSD for intermediate data
 	// (§III.C first experiment).
 	SSDIntermediate bool
@@ -213,20 +211,18 @@ type Config struct {
 	BlockSize int64
 	// Reducers is the number of reduce tasks (0 = 2 per compute node).
 	Reducers int
-	// MemoryPerTask caps per-task buffers (0 = MemoryPerNode / 4).
+	// MemoryPerTask caps per-task buffers (0 = a quarter of node memory).
 	MemoryPerTask int64
 
 	// FanIn is the sort-merge multi-pass factor F.
 	FanIn int
 	// SpillBuckets / HotKeyCounters / ApproximateEarly tune the hash
-	// engine; ChunkBytes / DisableSnapshots tune HOP.
+	// engine; ChunkBytes is the push granularity of HOP, the hash engines
+	// and resident.
 	SpillBuckets     int
 	HotKeyCounters   int
 	ApproximateEarly bool
 	ChunkBytes       int64
-	DisableSnapshots bool
-	// DisablePush switches the hash engine to pull-only shuffle.
-	DisablePush bool
 	// RetainOutput keeps output pairs on the Result; DiscardOutput drops
 	// payloads entirely (sink mode for large benchmark runs).
 	//
@@ -243,14 +239,6 @@ type Config struct {
 	// it nil keeps the run on the zero-cost path and its results
 	// byte-identical to untraced ones.
 	Trace TraceSink
-
-	// Delta, when non-nil, reroutes Run through the incremental re-run path
-	// (RunDelta): prime preserved reduce-side state over the base dataset,
-	// apply the delta, re-map only changed blocks, re-fold only affected
-	// keys, and return the incremental re-run's Result — byte-identical
-	// OutputChecksum to a full re-run over DeltaDataset(data, *Delta,
-	// BlockSize) on every delta-capable engine.
-	Delta *Delta
 
 	// Faults is the deterministic fault schedule to inject during the run.
 	// All engines honor it; the same schedule and input yield byte-identical
@@ -283,12 +271,11 @@ type Config struct {
 // results are the same bytes either way.
 func DefaultConfig() Config {
 	return Config{
-		Engine:        Hadoop,
-		Nodes:         10,
-		CoresPerNode:  4,
-		MemoryPerNode: 1 << 30,
-		BlockSize:     dfs.DefaultBlockSize,
-		Parallelism:   runtime.GOMAXPROCS(0),
+		Engine:       Hadoop,
+		Nodes:        10,
+		CoresPerNode: 4,
+		BlockSize:    dfs.DefaultBlockSize,
+		Parallelism:  runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -300,12 +287,8 @@ func (c Config) clusterConfig() cluster.Config {
 	if c.CoresPerNode > 0 {
 		cc.CoresPerNode = c.CoresPerNode
 	}
-	if c.MemoryPerNode > 0 {
-		cc.MemoryPerNode = c.MemoryPerNode
-	}
 	cc.SSDIntermediate = c.SSDIntermediate
 	cc.SplitStorage = c.SplitStorageCompute
-	cc.DiskProfile = disk.HDD
 	return cc
 }
 
@@ -322,14 +305,8 @@ type Dataset struct {
 }
 
 // Run executes job over data on a fresh simulated cluster per cfg.
+// RunDelta is the incremental re-run over an evolved dataset.
 func Run(cfg Config, data Dataset, job Job) (*Result, error) {
-	if cfg.Delta != nil {
-		dr, err := RunDelta(cfg, data, job, *cfg.Delta)
-		if err != nil {
-			return nil, err
-		}
-		return dr.Incremental, nil
-	}
 	// A one-job cluster: RunJob defaults, traces, audits and faults the job
 	// exactly as it does every stage of a chain.
 	c := NewCluster(cfg)
@@ -382,8 +359,6 @@ func dispatch(cfg Config, rt *engine.Runtime, job Job) (*Result, error) {
 	res, err := engine.Run(rt, job, engine.Options{
 		FanIn:            cfg.FanIn,
 		ChunkBytes:       cfg.ChunkBytes,
-		DisableSnapshots: cfg.DisableSnapshots,
-		DisablePush:      cfg.DisablePush,
 		SpillBuckets:     cfg.SpillBuckets,
 		HotKeyCounters:   cfg.HotKeyCounters,
 		ApproximateEarly: cfg.ApproximateEarly,

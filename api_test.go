@@ -160,18 +160,9 @@ func TestSpeculationAcrossPushShuffles(t *testing.T) {
 		t.Fatal("no output")
 	}
 	// The hash engine's pulled leftover blobs carry no seq framing, so
-	// push-mode speculation stays rejected there.
+	// speculation is rejected there.
 	if _, err := Run(tinyConfig(HashIncremental), Dataset{Path: "b", Size: 64 << 10, Gen: w.Gen}, job); err == nil {
-		t.Fatal("hash engine with push must reject speculation")
-	}
-	cfg := tinyConfig(HashIncremental)
-	cfg.DisablePush = true
-	res, err = Run(cfg, Dataset{Path: "c", Size: 64 << 10, Gen: w.Gen}, job)
-	if err != nil {
-		t.Fatalf("pull-mode speculation should work: %v", err)
-	}
-	if len(res.Output) == 0 {
-		t.Fatal("no output")
+		t.Fatal("hash engine must reject speculation")
 	}
 }
 

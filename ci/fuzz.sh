@@ -21,7 +21,7 @@ echo "fuzzed $targets targets for $fuzztime each"
 # internal/textfmt (FuzzParseSize, FuzzParseClickText) two each; and
 # internal/memtable (FuzzTableMatchesReference), internal/sortmerge
 # (FuzzStreamMatchesReference), internal/sketch
-# (FuzzSpaceSavingMatchesReference) and internal/faults (FuzzFaultsParse) one
-# each; finding fewer than 15 means discovery broke, not that the tree got
-# safer.
-[ "$targets" -ge 15 ]
+# (FuzzSpaceSavingMatchesReference), internal/faults (FuzzFaultsParse) and
+# cmd/jobserve (FuzzParseTenant) one each; finding fewer than 16 means
+# discovery broke, not that the tree got safer.
+[ "$targets" -ge 16 ]

@@ -82,6 +82,9 @@ func parseTenant(spec string) (tenantSpec, error) {
 	if t.cfg.Name == "" {
 		return t, fmt.Errorf("missing name=")
 	}
+	if err := loadgen.CheckRate(t.rate); err != nil {
+		return t, err
+	}
 	return t, nil
 }
 

@@ -120,7 +120,6 @@ func monoidKey(job Job) string {
 // memory-resident block, persisting the fold tables the way M3R keeps state
 // across jobs.
 func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) {
-	cfg.Delta = nil
 	if job.EmitWhen != nil {
 		return nil, fmt.Errorf("onepass: job %q sets EmitWhen; early-emit predicates do not compose with preserved state", job.Name)
 	}

@@ -175,26 +175,6 @@ func TestIncrementalWithFinalMonoid(t *testing.T) {
 	}
 }
 
-// TestRunRoutesConfigDelta: Config.Delta turns Run into the incremental
-// path and returns the incremental result.
-func TestRunRoutesConfigDelta(t *testing.T) {
-	cc := tinyClicks()
-	w := PerUserCount(cc)
-	cfg := tinyConfig(Hadoop)
-	d := tinyDelta(cc, 5, 0.2)
-	cfg.Delta = &d
-	data := Dataset{Path: "input/" + w.Name, Size: 128 << 10, Gen: w.Gen}
-	res, err := Run(cfg, data, w.Job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, _ := fullRerun(t, tinyConfig(Hadoop), data, w.Job, d)
-	if res.OutputChecksum != full.OutputChecksum {
-		t.Fatalf("Config.Delta result %016x != full re-run %016x",
-			res.OutputChecksum, full.OutputChecksum)
-	}
-}
-
 // TestDeltaWindowedLocality: on the windowed scenario, an append-only delta
 // affects only a small fraction of keys — the sliding-window promise that
 // closed windows are served from preserved state.

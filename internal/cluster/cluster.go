@@ -24,18 +24,17 @@ type Config struct {
 	// MemoryPerNode bounds per-task buffers (map output buffer, reducer
 	// merge buffer, hash table budgets).
 	MemoryPerNode int64
-	// DiskProfile is the primary device on every node.
-	DiskProfile disk.Profile
 	// SSDIntermediate adds a second, SSD device per node and directs
 	// intermediate data (map output, spills, merges) to it (§III.C).
 	SSDIntermediate bool
 	// SplitStorage dedicates the first half of the nodes to storage (DFS
 	// blocks only) and the second half to computation (§III.C).
 	SplitStorage bool
-	// NetBandwidth is per-NIC-direction bandwidth in bytes/second.
-	NetBandwidth float64
-	NetLatency   sim.Duration
 }
+
+// netLatency is every NIC's latency. Like its 1 GbE bandwidth and each
+// node's HDD primary device, it is the paper's testbed on every cluster.
+const netLatency = 200 * sim.Microsecond
 
 // DefaultConfig mirrors the paper's testbed at simulation scale: 10 worker
 // nodes, 4 cores each, 1 GbE, one HDD per node, 1 GB task memory.
@@ -44,9 +43,6 @@ func DefaultConfig() Config {
 		Nodes:         10,
 		CoresPerNode:  4,
 		MemoryPerNode: 1 << 30,
-		DiskProfile:   disk.HDD,
-		NetBandwidth:  netsim.GigabitEthernet,
-		NetLatency:    200 * sim.Microsecond,
 	}
 }
 
@@ -92,7 +88,7 @@ func New(env *sim.Env, cfg Config) *Cluster {
 	if cfg.SplitStorage && cfg.Nodes < 2 {
 		panic("cluster: split topology needs at least 2 nodes")
 	}
-	c := &Cluster{Env: env, cfg: cfg, Net: netsim.New(env, cfg.Nodes, cfg.NetBandwidth, cfg.NetLatency)}
+	c := &Cluster{Env: env, cfg: cfg, Net: netsim.New(env, cfg.Nodes, netsim.GigabitEthernet, netLatency)}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
 			ID:         i,
@@ -105,7 +101,7 @@ func New(env *sim.Env, cfg Config) *Cluster {
 			n.advance(now)
 			n.busyCores = inUse
 		}
-		primary := disk.NewDevice(env, fmt.Sprintf("node%d-hdd", i), cfg.DiskProfile)
+		primary := disk.NewDevice(env, fmt.Sprintf("node%d-hdd", i), disk.HDD)
 		n.watchDevice(primary)
 		n.dfsDev = primary
 		n.dfsStore = disk.NewStore(primary)

@@ -171,16 +171,16 @@ func TestDefaultConfigMatchesPaperTestbed(t *testing.T) {
 	if cfg.MemoryPerNode != 1<<30 {
 		t.Fatalf("memory = %d, want 1GB (paper's JVM heap)", cfg.MemoryPerNode)
 	}
-	if cfg.DiskProfile.Name != disk.HDD.Name {
-		t.Fatal("default disk should be HDD")
+	if got := New(sim.New(), cfg).Node(0).DFSDevice().Profile().Name; got != disk.HDD.Name {
+		t.Fatalf("primary disk = %s, want HDD", got)
 	}
 }
 
 func TestInvalidConfigPanics(t *testing.T) {
 	bad := []Config{
-		{Nodes: 0, CoresPerNode: 1, NetBandwidth: 1},
-		{Nodes: 1, CoresPerNode: 0, NetBandwidth: 1},
-		{Nodes: 1, CoresPerNode: 1, NetBandwidth: 1, SplitStorage: true},
+		{Nodes: 0, CoresPerNode: 1},
+		{Nodes: 1, CoresPerNode: 0},
+		{Nodes: 1, CoresPerNode: 1, SplitStorage: true},
 	}
 	for i, cfg := range bad {
 		func() {

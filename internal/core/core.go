@@ -69,8 +69,8 @@ func Plan(m Mode) *engine.Plan {
 		// land the paper's "up to 48% of CPU cycles" saving.
 		FrameworkNsPerRecord: HashFrameworkNsPerRecord,
 		Setup: func(j *engine.JobRun) (engine.Tasks, error) {
-			if j.Job.Speculation && !j.Opts.DisablePush {
-				return engine.Tasks{}, fmt.Errorf("core: speculative execution requires pull shuffle (DisablePush) — duplicate push attempts would double-deliver chunks")
+			if j.Job.Speculation {
+				return engine.Tasks{}, fmt.Errorf("core: speculative execution is not supported — duplicate push attempts would double-deliver chunks")
 			}
 			hj := &hashJob{JobRun: j, mode: m}
 			// Chunk building is deterministic, so the recovered output serves
@@ -243,8 +243,8 @@ func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
 	h := newHashReducer(rc, hj.mode)
 
 	// Two arrival paths share the single-threaded reducer state: the push
-	// channel, and a puller that fetches partitions the mappers could not
-	// push (backpressure fallback) or did not push (pull-only mode).
+	// channel, and a puller that fetches the partition tails the mappers
+	// could not push (backpressure fallback) and recovered outputs.
 	done := rt.NewWaitGroup(fmt.Sprintf("hash-red-%d", r), 2)
 	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
 

@@ -162,12 +162,6 @@ func checkBothArrivalPaths(t *testing.T, w *workloads.Workload, mode Mode, bp, m
 	}
 }
 
-func TestPullOnlyModeMatches(t *testing.T) {
-	w := workloads.PerUserCount(smallClicks())
-	f, res := run(t, w, enginetest.Config{}, Incremental, engine.Options{DisablePush: true})
-	f.CheckOutput(t, w, res)
-}
-
 func TestNoSortingCPU(t *testing.T) {
 	w := workloads.Sessionization(smallClicks())
 	_, res := run(t, w, enginetest.Config{}, Incremental, engine.Options{})
@@ -410,23 +404,9 @@ func TestNodeFailureReexecutesLostMaps(t *testing.T) {
 			if res.Counters.Get(engine.CtrFaultsInjected) != 1 {
 				t.Fatal("fault not injected")
 			}
+			if res.Counters.Get(engine.CtrTasksReexecuted) == 0 {
+				t.Fatal("no map tasks were re-executed after the failure")
+			}
 		})
-	}
-}
-
-func TestPullOnlyNodeFailureReexecutes(t *testing.T) {
-	// With push disabled every partition travels through the pull path, so a
-	// failure always forces re-execution of the dead node's completed maps.
-	w := workloads.PerUserCount(smallClicks())
-	f := enginetest.New(t, w, enginetest.Config{Nodes: 4, InputSize: 32 * 64 << 10})
-	res, err := Run(f.RT, f.Job, Incremental, engine.Options{DisablePush: true,
-		Faults: faults.Schedule{Faults: []faults.Fault{
-			{Kind: faults.NodeFailure, Node: 1, At: 20 * sim.Millisecond}}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.CheckOutput(t, w, res)
-	if res.Counters.Get(engine.CtrTasksReexecuted) == 0 {
-		t.Fatal("no map tasks were re-executed after the failure")
 	}
 }

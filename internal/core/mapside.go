@@ -44,16 +44,6 @@ func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 	// see a stale Pushed flag.
 	defer hj.Reg.Complete(out)
 
-	if hj.Opts.DisablePush {
-		if rt.Auditing() {
-			// Pull-only mode: whole partitions move through FetchPart, so
-			// record each as one produced unit like the sort-merge engine.
-			for r, n := range out.PartLen {
-				rt.Audit.ShuffleProduced(node.ID, b.Index, r, -1, n)
-			}
-		}
-		return
-	}
 	// Eager push with a non-blocking fallback: the moment a reducer's queue
 	// refuses a chunk, the rest of that partition — a contiguous tail of the
 	// frame — is staged as a "leftover" file the reducer pulls later. The

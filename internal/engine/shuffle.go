@@ -130,10 +130,6 @@ type Registry struct {
 	outs      []*MapOutput
 	byTask    map[int]bool
 	trig      *sim.Trigger
-	// FreshWindow is how long a completed map output is assumed to remain
-	// in the mapper's page cache; fetches within it skip the source disk
-	// read.
-	FreshWindow sim.Duration
 	// Reexec, when set, re-runs a lost map task and returns its fresh
 	// output — the fault-tolerance path that justifies persisting map
 	// output in the first place (§III.B.2). It receives the lost output so
@@ -145,15 +141,18 @@ type Registry struct {
 	reexecWait map[int]*sim.Trigger
 }
 
+// freshWindow is how long a completed map output is assumed to remain in
+// the mapper's page cache; fetches within it skip the source disk read.
+const freshWindow = 30 * sim.Second
+
 // NewRegistry returns a registry expecting totalMaps completions.
 func (rt *Runtime) NewRegistry(totalMaps int) *Registry {
 	return &Registry{
-		rt:          rt,
-		totalMaps:   totalMaps,
-		byTask:      make(map[int]bool),
-		trig:        rt.Env.NewTrigger("map-completions"),
-		FreshWindow: 30 * sim.Second,
-		reexecWait:  make(map[int]*sim.Trigger),
+		rt:         rt,
+		totalMaps:  totalMaps,
+		byTask:     make(map[int]bool),
+		trig:       rt.Env.NewTrigger("map-completions"),
+		reexecWait: make(map[int]*sim.Trigger),
 	}
 }
 
@@ -267,7 +266,7 @@ func (g *Registry) FetchPart(p *sim.Proc, readerNode int, out *MapOutput, part i
 		if size == 0 {
 			return nil
 		}
-		aged := p.Now().Sub(out.CompletedAt) > g.FreshWindow
+		aged := p.Now().Sub(out.CompletedAt) > freshWindow
 		if aged {
 			// Aged out of the mapper's memory: read back from its disk, as a
 			// random access competing with everything else on that spindle.

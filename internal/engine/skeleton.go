@@ -39,8 +39,6 @@ type Options struct {
 	// DisableSnapshots turns off MapReduce Online's snapshot answers at 25,
 	// 50 and 75 % of the input.
 	DisableSnapshots bool
-	// DisablePush switches the hash engines to pull-only shuffle.
-	DisablePush bool
 	// SpillBuckets is the number of hash buckets the hash engines use for
 	// spilled/cold data (K in DESIGN.md).
 	SpillBuckets int

@@ -26,7 +26,7 @@ func TestEveryDescriptorThroughEveryLauncher(t *testing.T) {
 		SampleInterval: 25 * sim.Millisecond}
 	sess := NewSession(scale)
 	spec := runSpec{Workload: "per-user-count", InputGB: 1}
-	w := sess.workload(spec.Workload, false, false)
+	w := sess.workload(spec.Workload, false)
 	raw := make([][]byte, blocks)
 	for i := range raw {
 		raw[i] = w.Gen(i, block)

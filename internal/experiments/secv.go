@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"onepass/internal/engine"
+	"onepass/internal/faults"
+	"onepass/internal/sim"
 )
 
 // secVWorkloads are the two workloads §V compares engines on.
@@ -210,9 +212,11 @@ func (s *Session) AblationHotKeyMemory() *Report {
 // and the answer is unchanged (verified by the test suite's output checks).
 func (s *Session) FaultTolerance() *Report {
 	base := s.hadoopSessionization()
-	// The failure is timed against the fault-free makespan.
+	// Node 3 fails 12% of the way through the fault-free makespan.
+	fail := faults.Schedule{Faults: []faults.Fault{{Kind: faults.NodeFailure, Node: 3,
+		At: sim.Duration(float64(base.Makespan) * 0.12)}}}
 	faulted := s.Run(runSpec{Workload: "sessionization", Engine: "hadoop", InputGB: 256,
-		FaultNode: 3, FaultNodeAtFrac: 0.12, BaselineMS: base.Makespan})
+		Faults: fail.String()})
 	return &Report{
 		ID:    "Fault tolerance",
 		Title: "Node failure during the map phase (beyond the paper's evaluation)",

@@ -58,7 +58,7 @@ func (s *Session) serviceRun(engineName string, ratePerTenant float64, jobs int)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: service config: %v", err))
 	}
-	w := s.workload("per-user-count", false, false)
+	w := s.workload("per-user-count", false)
 	path := "input/" + w.Name
 	if err := svc.RegisterInput(path, s.Scale.Bytes(serviceInputGB), w.Gen); err != nil {
 		panic(err)

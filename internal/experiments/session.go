@@ -12,11 +12,9 @@ import (
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
-	"onepass/internal/disk"
 	"onepass/internal/engine"
 	"onepass/internal/engines"
 	"onepass/internal/faults"
-	"onepass/internal/gen"
 	"onepass/internal/profile"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
@@ -41,9 +39,6 @@ type runSpec struct {
 	HotCounters   int   `json:",omitempty"`
 	Snapshots     bool  `json:",omitempty"`
 	BinaryInput   bool  `json:",omitempty"`
-	// SkewedUsers swaps in an unscaled, strongly Zipf-skewed user space —
-	// the regime where hot-key pinning pays (§V's spill experiment).
-	SkewedUsers bool `json:",omitempty"`
 	// Threshold, when positive, attaches the §IV threshold query: emit a
 	// key the moment its count reaches this value (hash engines only).
 	Threshold uint64 `json:",omitempty"`
@@ -51,12 +46,6 @@ type runSpec struct {
 	// this fraction of the dataset per virtual minute instead of preloading
 	// it.
 	StreamPerMinute float64 `json:",omitempty"`
-	// FaultNodeAtFrac, when positive, fails FaultNode at this fraction of
-	// the fault-free makespan (hadoop engine only). BaselineMS carries that
-	// makespan; it is part of the cache key and persists with it.
-	FaultNode       int          `json:",omitempty"`
-	FaultNodeAtFrac float64      `json:",omitempty"`
-	BaselineMS      sim.Duration `json:",omitempty"`
 	// Faults, when non-empty, is a fault schedule in the faults.Parse
 	// grammar, injected into the run on any engine. Like every other field
 	// it is part of the cache key.
@@ -157,12 +146,8 @@ func (s *Session) PoolStats() sim.WorkStats {
 	return s.pool
 }
 
-func (s *Session) workload(name string, binary, skewed bool) *workloads.Workload {
+func (s *Session) workload(name string, binary bool) *workloads.Workload {
 	cc := s.Scale.clickCfg()
-	if skewed {
-		cc = gen.DefaultClickConfig()
-		cc.UserSkew = 1.5
-	}
 	cc.Binary = binary
 	w, err := workloads.ByName(name, cc, s.Scale.docCfg())
 	if err != nil {
@@ -214,7 +199,7 @@ func (s *Session) Run(spec runSpec) *engine.Result {
 // run touches — sim clock, cluster, DFS, metrics — is created here, so runs
 // are independent and their results depend only on the spec and scale.
 func (s *Session) execute(spec runSpec) *engine.Result {
-	w := s.workload(spec.Workload, spec.BinaryInput, spec.SkewedUsers)
+	w := s.workload(spec.Workload, spec.BinaryInput)
 
 	env := sim.New()
 	env.SetWorkers(s.Parallelism)
@@ -222,7 +207,6 @@ func (s *Session) execute(spec runSpec) *engine.Result {
 	ccfg.Nodes = s.Scale.Nodes
 	ccfg.SSDIntermediate = spec.SSD
 	ccfg.SplitStorage = spec.Split
-	ccfg.DiskProfile = disk.HDD
 	cl := cluster.New(env, ccfg)
 	d := dfs.New(cl, s.Scale.BlockSize, 1)
 	inputSize := s.Scale.Bytes(spec.InputGB)
@@ -274,11 +258,6 @@ func (s *Session) execute(spec runSpec) *engine.Result {
 		if opts.Faults, err = faults.Parse(spec.Faults); err != nil {
 			panic(fmt.Sprintf("experiments: %s/%s: %v", spec.Engine, spec.Workload, err))
 		}
-	}
-	if spec.FaultNodeAtFrac > 0 {
-		opts.Faults = faults.Schedule{Faults: []faults.Fault{{
-			Kind: faults.NodeFailure, Node: spec.FaultNode,
-			At: sim.Duration(float64(spec.BaselineMS) * spec.FaultNodeAtFrac)}}}
 	}
 
 	s.logf("running %s on %s (%s input)...", w.Name, spec.Engine, fmtBytes(float64(inputSize)))

@@ -22,14 +22,34 @@ type Arrival interface {
 	Next() sim.Duration
 }
 
+// maxGap is the first float64 past sim.Duration's range (2^63 ns).
+const maxGap = float64(1 << 63)
+
+// CheckRate reports whether jobsPerSec can drive an arrival process: it
+// must be positive and finite, and its mean gap of 1/jobsPerSec seconds
+// must fit a sim.Duration.
+func CheckRate(jobsPerSec float64) error {
+	if !(jobsPerSec > 0) || math.IsInf(jobsPerSec, 0) {
+		return fmt.Errorf("loadgen: arrival rate %g must be positive and finite", jobsPerSec)
+	}
+	if float64(sim.Second)/jobsPerSec >= maxGap {
+		return fmt.Errorf("loadgen: arrival rate %g jobs/s is too small: its gap overflows virtual time", jobsPerSec)
+	}
+	return nil
+}
+
+func mustRate(jobsPerSec float64) {
+	if err := CheckRate(jobsPerSec); err != nil {
+		panic(err.Error())
+	}
+}
+
 type constant struct{ gap sim.Duration }
 
 // Constant returns a deterministic arrival process: one job every
-// 1/jobsPerSec seconds.
+// 1/jobsPerSec seconds. It panics on a rate CheckRate rejects.
 func Constant(jobsPerSec float64) Arrival {
-	if !(jobsPerSec > 0) || math.IsInf(jobsPerSec, 0) {
-		panic(fmt.Sprintf("loadgen: arrival rate %g must be positive and finite", jobsPerSec))
-	}
+	mustRate(jobsPerSec)
 	return constant{gap: sim.Duration(math.Round(float64(sim.Second) / jobsPerSec))}
 }
 
@@ -42,16 +62,20 @@ type poisson struct {
 
 // Poisson returns a seeded Poisson arrival process (exponential
 // inter-arrival gaps, rounded to the nanosecond) at jobsPerSec mean rate.
-// Same seed, same gap sequence.
+// Same seed, same gap sequence. It panics on a rate CheckRate rejects.
 func Poisson(seed int64, jobsPerSec float64) Arrival {
-	if !(jobsPerSec > 0) || math.IsInf(jobsPerSec, 0) {
-		panic(fmt.Sprintf("loadgen: arrival rate %g must be positive and finite", jobsPerSec))
-	}
+	mustRate(jobsPerSec)
 	return &poisson{rng: rand.New(rand.NewSource(seed)), rate: jobsPerSec}
 }
 
+// Next draws a gap; a draw past sim.Duration's range saturates rather than
+// wrapping negative.
 func (p *poisson) Next() sim.Duration {
-	return sim.Duration(math.Round(p.rng.ExpFloat64() / p.rate * float64(sim.Second)))
+	g := math.Round(p.rng.ExpFloat64() / p.rate * float64(sim.Second))
+	if g >= maxGap {
+		return math.MaxInt64
+	}
+	return sim.Duration(g)
 }
 
 // TenantLoad describes one tenant's traffic: an arrival process, a total

@@ -40,7 +40,7 @@ func TestPoissonDeterministicAndRate(t *testing.T) {
 }
 
 func TestArrivalRejectsBadRates(t *testing.T) {
-	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-10} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -57,5 +57,23 @@ func TestArrivalRejectsBadRates(t *testing.T) {
 			}()
 			Poisson(1, rate)
 		}()
+	}
+}
+
+func TestPoissonSaturatesHugeGaps(t *testing.T) {
+	// The smallest rate whose mean gap fits: a draw a few means out is past
+	// sim.Duration's range and must saturate, not wrap negative.
+	rate := float64(sim.Second) / (1 << 62)
+	a := Poisson(1, rate)
+	saturated := false
+	for i := 0; i < 64; i++ {
+		g := a.Next()
+		if g < 0 {
+			t.Fatalf("draw %d: negative gap %v", i, g)
+		}
+		saturated = saturated || g == math.MaxInt64
+	}
+	if !saturated {
+		t.Fatal("no draw reached the saturation bound")
 	}
 }

@@ -8,17 +8,18 @@
 // engine.RunReduces consume.
 //
 // Scheduling model. Capacity is MapSlotsPerNode/ReduceSlotsPerNode per
-// compute node; every job receives a per-node grant (default 1 map + 1
-// reduce slot per node) wired into the engine via Job.MapSlotsPerNode /
-// Job.ReduceSlotsPerNode, held non-preemptively for the job's lifetime.
+// compute node; every job holds one map slot and one reduce slot on each
+// compute node (wired into the engine via Job.MapSlotsPerNode /
+// Job.ReduceSlotsPerNode), non-preemptively for the job's lifetime.
 // Admission picks the highest priority class first, and within a class the
 // tenant with the least normalized service (held-slot-seconds divided by
 // weight) — a deterministic fair-share rule under which backlogged tenants'
 // slot-time converges to their weight ratios. Per-tenant quotas bound both
 // queued jobs (MaxQueued: submissions beyond it are rejected) and
-// concurrently running jobs (MaxRunning). When the fair-order head job does
-// not fit the free slots, admission waits rather than skipping ahead, so
-// large jobs cannot be starved by a stream of small ones.
+// concurrently running jobs (MaxRunning). Admission launches fair-order
+// head jobs while a grant is free; since every grant is the same size, a
+// head job that does not fit means no queued job fits, and admission waits
+// for the next completion.
 //
 // Fairness invariants (armed by Config.Audit) report through the same
 // engine.Audit ledger as the conservation checks: fair-pick (every
@@ -38,7 +39,6 @@ import (
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
-	"onepass/internal/disk"
 	"onepass/internal/engine"
 	"onepass/internal/engines"
 	"onepass/internal/metrics"
@@ -69,19 +69,17 @@ type TenantConfig struct {
 type Config struct {
 	Tenants []TenantConfig
 
-	// Cluster shape (zero values fall back to cluster.DefaultConfig).
-	Nodes         int
-	CoresPerNode  int
-	MemoryPerNode int64
-	BlockSize     int64 // DFS block size (default 1 MB)
+	// Cluster shape: Nodes (default 10) of cluster.DefaultConfig's nodes.
+	Nodes     int
+	BlockSize int64 // DFS block size (default 1 MB)
 
 	// MapSlotsPerNode / ReduceSlotsPerNode are the slot capacity the
 	// scheduler divides among running jobs, per compute node (default 4+4:
-	// at the default 1+1 grant, four concurrent jobs).
+	// at one map and one reduce slot per job, four concurrent jobs).
 	MapSlotsPerNode    int
 	ReduceSlotsPerNode int
 
-	// Reducers is the default per-job reducer count (default = nodes).
+	// Reducers is every job's reducer count (default = nodes).
 	Reducers int
 	// MemoryPerTask is the per-task buffer budget handed to every job; zero
 	// keeps the engine default (a quarter of node memory), which is usually
@@ -134,10 +132,33 @@ func (c *Config) defaults() {
 	}
 }
 
-// Validate rejects malformed tenant sets before any simulation runs.
+// Validate rejects malformed configurations before any simulation runs.
+// A zero numeric field stands for its default; a value defaults cannot
+// repair — a negative size or count, a slot capacity below one — is an
+// error.
 func (c *Config) Validate() error {
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("service: no tenants configured")
+	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"Nodes", int64(c.Nodes)},
+		{"BlockSize", c.BlockSize},
+		{"MapSlotsPerNode", int64(c.MapSlotsPerNode)},
+		{"ReduceSlotsPerNode", int64(c.ReduceSlotsPerNode)},
+		{"Reducers", int64(c.Reducers)},
+		{"MemoryPerTask", c.MemoryPerTask},
+		{"SampleInterval", int64(c.SampleInterval)},
+		{"StarvationPasses", int64(c.StarvationPasses)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("service: %s %d is negative", f.name, f.v)
+		}
+	}
+	if !(c.ShareTolerance >= 0) {
+		return fmt.Errorf("service: ShareTolerance %g must be a non-negative number", c.ShareTolerance)
 	}
 	seen := make(map[string]bool, len(c.Tenants))
 	for _, t := range c.Tenants {
@@ -172,12 +193,6 @@ type JobRequest struct {
 	Job    engine.Job
 	// InputPath names a dataset registered with RegisterInput.
 	InputPath string
-	// Reducers overrides Config.Reducers when positive.
-	Reducers int
-	// MapSlotsPerNode / ReduceSlotsPerNode ask for a larger grant than the
-	// default 1+1 per node. The request must fit the configured capacity.
-	MapSlotsPerNode    int
-	ReduceSlotsPerNode int
 }
 
 // job is one queued/running/completed submission.
@@ -190,10 +205,6 @@ type job struct {
 	submitted sim.Time
 	started   sim.Time
 	finished  sim.Time
-
-	mapGrant    int // per-node map slots held
-	reduceGrant int // per-node reduce slots held
-	units       int // total slot units held = (mapGrant+reduceGrant) * computeNodes
 
 	res *engine.Result
 }
@@ -258,7 +269,10 @@ type Service struct {
 
 	wake *sim.Trigger
 
+	// Every job holds one map and one reduce slot on each compute node:
+	// computeNodes units from each pool, jobUnits in all.
 	computeNodes int
+	jobUnits     int
 	freeMap      int // free map slot units (per-node slots x compute nodes)
 	freeReduce   int
 	capMap       int
@@ -288,13 +302,6 @@ func New(cfg Config) (*Service, error) {
 	env.SetWorkers(cfg.Parallelism)
 	ccfg := cluster.DefaultConfig()
 	ccfg.Nodes = cfg.Nodes
-	if cfg.CoresPerNode > 0 {
-		ccfg.CoresPerNode = cfg.CoresPerNode
-	}
-	if cfg.MemoryPerNode > 0 {
-		ccfg.MemoryPerNode = cfg.MemoryPerNode
-	}
-	ccfg.DiskProfile = disk.HDD
 	cl := cluster.New(env, ccfg)
 	s := &Service{
 		cfg:    cfg,
@@ -306,6 +313,7 @@ func New(cfg Config) (*Service, error) {
 		pairs:  make(map[[2]int]*pairShare),
 	}
 	s.computeNodes = len(cl.ComputeNodes())
+	s.jobUnits = 2 * s.computeNodes
 	s.capMap = cfg.MapSlotsPerNode * s.computeNodes
 	s.capReduce = cfg.ReduceSlotsPerNode * s.computeNodes
 	s.freeMap, s.freeReduce = s.capMap, s.capReduce
@@ -365,8 +373,8 @@ func (s *Service) SubmitterDone() {
 
 // Submit enqueues a job for req.Tenant at the current virtual instant. It
 // returns an error (and rejects the job) when the tenant is unknown, the
-// engine is unknown, the grant exceeds capacity, or the tenant's queue is
-// full (MaxQueued admission control).
+// engine is unknown, or the tenant's queue is full (MaxQueued admission
+// control).
 func (s *Service) Submit(p *sim.Proc, req JobRequest) error {
 	t, ok := s.byName[req.Tenant]
 	if !ok {
@@ -376,18 +384,6 @@ func (s *Service) Submit(p *sim.Proc, req JobRequest) error {
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
-	mapGrant, reduceGrant := req.MapSlotsPerNode, req.ReduceSlotsPerNode
-	if mapGrant == 0 {
-		mapGrant = 1
-	}
-	if reduceGrant == 0 {
-		reduceGrant = 1
-	}
-	if mapGrant < 0 || reduceGrant < 0 ||
-		mapGrant > s.cfg.MapSlotsPerNode || reduceGrant > s.cfg.ReduceSlotsPerNode {
-		return fmt.Errorf("service: grant %d+%d slots/node exceeds capacity %d+%d",
-			mapGrant, reduceGrant, s.cfg.MapSlotsPerNode, s.cfg.ReduceSlotsPerNode)
-	}
 	if t.cfg.MaxQueued > 0 && len(t.queue) >= t.cfg.MaxQueued {
 		t.rejected++
 		return fmt.Errorf("service: tenant %q queue full (%d)", req.Tenant, t.cfg.MaxQueued)
@@ -395,8 +391,6 @@ func (s *Service) Submit(p *sim.Proc, req JobRequest) error {
 	s.accrueAll(p.Now())
 	j := &job{
 		id: s.nextID, req: req, tenant: t, plan: engines.List[eng].Plan, submitted: p.Now(),
-		mapGrant: mapGrant, reduceGrant: reduceGrant,
-		units: (mapGrant + reduceGrant) * s.computeNodes,
 	}
 	s.nextID++
 	t.queue = append(t.queue, j)
@@ -495,13 +489,11 @@ func (s *Service) admit(p *sim.Proc) {
 		if t == nil {
 			return
 		}
-		j := t.queue[0]
-		if j.mapGrant*s.computeNodes > s.freeMap || j.reduceGrant*s.computeNodes > s.freeReduce {
-			// The fair-order head does not fit: wait for slots instead of
-			// skipping ahead, so a large job is never starved by small ones.
+		if s.computeNodes > s.freeMap || s.computeNodes > s.freeReduce {
+			// No grant is free: wait for a completion.
 			return
 		}
-		s.launch(p, t, j)
+		s.launch(p, t, t.queue[0])
 	}
 }
 
@@ -533,13 +525,13 @@ func (s *Service) launch(p *sim.Proc, t *tenant, j *job) {
 	s.queued--
 	t.running++
 	s.running++
-	s.freeMap -= j.mapGrant * s.computeNodes
-	s.freeReduce -= j.reduceGrant * s.computeNodes
+	s.freeMap -= s.computeNodes
+	s.freeReduce -= s.computeNodes
 	if s.audit != nil && (s.freeMap < 0 || s.freeReduce < 0) {
 		s.audit.Fail("slot-conservation", "scheduler",
 			fmt.Sprintf("free slots went negative: map %d, reduce %d", s.freeMap, s.freeReduce))
 	}
-	t.heldUnits += j.units
+	t.heldUnits += s.jobUnits
 	j.started = now
 	t.queueWait.Record(int64(now.Sub(j.submitted)))
 
@@ -553,12 +545,9 @@ func (s *Service) launch(p *sim.Proc, t *tenant, j *job) {
 	jb.OutputPath = fmt.Sprintf("out/job-%d", j.id)
 	jb.DiscardOutput = true
 	jb.RetainOutput = false
-	jb.Reducers = j.req.Reducers
-	if jb.Reducers == 0 {
-		jb.Reducers = s.cfg.Reducers
-	}
-	jb.MapSlotsPerNode = j.mapGrant
-	jb.ReduceSlotsPerNode = j.reduceGrant
+	jb.Reducers = s.cfg.Reducers
+	jb.MapSlotsPerNode = 1
+	jb.ReduceSlotsPerNode = 1
 	if s.cfg.MemoryPerTask > 0 {
 		jb.MemoryPerTask = s.cfg.MemoryPerTask
 	}
@@ -608,17 +597,17 @@ func (s *Service) complete(p *sim.Proc, j *job, res *engine.Result) {
 	now := p.Now()
 	s.accrueAll(now)
 	t := j.tenant
-	t.heldUnits -= j.units
+	t.heldUnits -= s.jobUnits
 	t.running--
 	s.running--
-	s.freeMap += j.mapGrant * s.computeNodes
-	s.freeReduce += j.reduceGrant * s.computeNodes
+	s.freeMap += s.computeNodes
+	s.freeReduce += s.computeNodes
 	j.finished = now
 	j.res = res
 	t.jobs++
 	t.latency.Record(int64(now.Sub(j.submitted)))
 	t.exec.Record(int64(now.Sub(j.started)))
-	if norm := float64(j.units) * now.Sub(j.started).Seconds() / t.weight; norm > t.maxJobNorm {
+	if norm := float64(s.jobUnits) * now.Sub(j.started).Seconds() / t.weight; norm > t.maxJobNorm {
 		t.maxJobNorm = norm
 	}
 	for _, f := range res.AuditFailures {

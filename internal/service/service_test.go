@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -281,7 +282,6 @@ func TestSubmitValidation(t *testing.T) {
 		bad := []service.JobRequest{
 			func() (r service.JobRequest) { r = req; r.Tenant = "nobody"; return }(),
 			func() (r service.JobRequest) { r = req; r.Tenant = "a"; r.Engine = "spark"; return }(),
-			func() (r service.JobRequest) { r = req; r.Tenant = "a"; r.MapSlotsPerNode = 99; return }(),
 		}
 		for _, b := range bad {
 			if err := svc.Submit(p, b); err != nil {
@@ -292,12 +292,45 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := svc.Run(); err != nil {
 		t.Fatalf("run with only rejected submissions failed: %v", err)
 	}
-	if len(errs) != 3 {
-		t.Fatalf("got %d submit errors, want 3: %v", len(errs), errs)
+	if len(errs) != 2 {
+		t.Fatalf("got %d submit errors, want 2: %v", len(errs), errs)
 	}
-	for i, want := range []string{"unknown tenant", "unknown engine", "exceeds capacity"} {
+	for i, want := range []string{"unknown tenant", "unknown engine"} {
 		if !strings.Contains(errs[i], want) {
 			t.Errorf("error %d = %q, want %q", i, errs[i], want)
 		}
+	}
+}
+
+// TestConfigValidateRejectsUnrepairableValues: a zero field means its
+// default, but a value the defaults cannot repair fails New instead of
+// panicking or hanging later in the run.
+func TestConfigValidateRejectsUnrepairableValues(t *testing.T) {
+	ok := testConfig(service.TenantConfig{Name: "a"})
+	if _, err := service.New(ok); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*service.Config)
+	}{
+		{"negative Nodes", func(c *service.Config) { c.Nodes = -1 }},
+		{"negative BlockSize", func(c *service.Config) { c.BlockSize = -1 }},
+		{"negative MapSlotsPerNode", func(c *service.Config) { c.MapSlotsPerNode = -1 }},
+		{"negative ReduceSlotsPerNode", func(c *service.Config) { c.ReduceSlotsPerNode = -2 }},
+		{"negative Reducers", func(c *service.Config) { c.Reducers = -1 }},
+		{"negative MemoryPerTask", func(c *service.Config) { c.MemoryPerTask = -1 }},
+		{"negative SampleInterval", func(c *service.Config) { c.SampleInterval = -sim.Millisecond }},
+		{"negative StarvationPasses", func(c *service.Config) { c.StarvationPasses = -1 }},
+		{"negative ShareTolerance", func(c *service.Config) { c.ShareTolerance = -0.1 }},
+		{"NaN ShareTolerance", func(c *service.Config) { c.ShareTolerance = math.NaN() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ok
+			tc.edit(&cfg)
+			if _, err := service.New(cfg); err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
 }
