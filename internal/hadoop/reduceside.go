@@ -29,11 +29,11 @@ type ReduceSide struct {
 	Acc      *sortmerge.Accumulator
 	spillSeq int
 
-	// group serves every grouping this reducer does — spill combines, HOP's
-	// snapshot merges, the final merge — which never overlap. It cannot be
-	// shared wider: a snapshot merge suspends inside Stream.Peek while
-	// another reducer's merge runs on the same loop.
-	group kv.Grouper
+	// merge serves every merge this reducer runs — spills, HOP's snapshot
+	// merges, the final merge — which never overlap. It cannot be shared
+	// wider: a snapshot merge suspends inside Stream.Peek while another
+	// reducer's merge runs on the same loop.
+	merge kv.MergeScratch
 	// SnapshotBuf is HOP's snapshot write-behind buffer, kept from one of
 	// the reducer's snapshots to the next.
 	SnapshotBuf []byte
@@ -97,23 +97,22 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 		// The spill can never exceed the buffered bytes (combining only
 		// shrinks it), so size the output once instead of growing it.
 		out = make([]byte, 0, bufBytes)
-		emit := func(k, v []byte) {
-			out = kv.AppendPair(out, k, v)
+		group := func(key []byte, vals [][]byte) {
+			for _, v := range vals {
+				out = kv.AppendPair(out, key, v)
+			}
 		}
 		if combines {
-			g := &rs.group
 			partial := wj.Fold().Combiner()
-			combine := func(key []byte, vals [][]byte) {
+			emit := func(k, v []byte) {
+				out = kv.AppendPair(out, k, v)
+			}
+			group = func(key []byte, vals [][]byte) {
 				partial(key, vals, emit)
 				combineInputs += len(vals)
 			}
-			kv.MergeStreams(streams, &cmps, func(k, v []byte) {
-				g.Add(k, v, nil, combine)
-			})
-			g.Flush(combine)
-		} else {
-			kv.MergeStreams(streams, &cmps, emit)
 		}
+		kv.MergeGroups(streams, &cmps, &rs.merge, group)
 	})
 	if !combines {
 		// Without a combiner the spill rewrites its input verbatim, so the
@@ -224,18 +223,13 @@ func (rs *ReduceSide) phase(name string) metrics.Span {
 	return metrics.Span{Name: name, Phase: true, Node: rs.node.ID, Task: rs.r}
 }
 
-// MergeGroupReduce merges sorted streams, groups equal keys, and applies
-// job's reduce function, returning comparison and input-value counts. Groups
+// MergeGroupReduce merges sorted streams and applies job's reduce function
+// to each key group, returning comparison and input-value counts. Groups
 // alias the streams' bytes, in-memory segments and run files alike.
 func (rs *ReduceSide) MergeGroupReduce(streams []kv.PairStream, job *engine.Job, emit engine.Emit) (cmps int64, inputs int) {
-	g := &rs.group
-	reduce := func(key []byte, vals [][]byte) {
+	kv.MergeGroups(streams, &cmps, &rs.merge, func(key []byte, vals [][]byte) {
 		job.Reduce(key, vals, emit)
 		inputs += len(vals)
-	}
-	kv.MergeStreams(streams, &cmps, func(k, v []byte) {
-		g.Add(k, v, nil, reduce)
 	})
-	g.Flush(reduce)
 	return cmps, inputs
 }

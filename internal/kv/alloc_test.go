@@ -95,3 +95,29 @@ func TestAllocBudgetSortRecycledBuffer(t *testing.T) {
 		t.Fatalf("sorting a recycled buffer allocates %.1f/op, budget 0", avg)
 	}
 }
+
+// A merge on a kept scratch allocates only its streams: the heap, heads
+// and group value list are the scratch's from the first merge on.
+func TestAllocBudgetMergeGroups(t *testing.T) {
+	var runs [4][]byte
+	for r := range runs {
+		for k := 0; k < 9; k++ {
+			key := []byte(fmt.Sprintf("u%d", k))
+			runs[r] = AppendPair(AppendPair(runs[r], key, []byte("1")), key, []byte("2"))
+		}
+	}
+	var streams [4]SliceStream
+	var ifaces [4]PairStream
+	var s MergeScratch
+	merge := func() {
+		for i := range runs {
+			streams[i] = SliceStream{dec: &Decoder{buf: runs[i]}}
+			ifaces[i] = &streams[i]
+		}
+		MergeGroups(ifaces[:], nil, &s, func(key []byte, vals [][]byte) {})
+	}
+	merge()
+	if avg := testing.AllocsPerRun(100, merge); avg > float64(len(runs)) {
+		t.Fatalf("MergeGroups on a kept scratch allocates %.1f/op, budget %d (one decoder per stream)", avg, len(runs))
+	}
+}

@@ -38,7 +38,8 @@ func BenchmarkBufferSort64K(b *testing.B) {
 	}
 }
 
-func BenchmarkMergeStreams8Way(b *testing.B) {
+// mergeBenchRuns returns eight sorted runs of 4096 random user keys each.
+func mergeBenchRuns() [][]byte {
 	rng := rand.New(rand.NewSource(9))
 	runs := make([][]byte, 8)
 	for r := range runs {
@@ -53,6 +54,11 @@ func BenchmarkMergeStreams8Way(b *testing.B) {
 		}
 		runs[r] = enc
 	}
+	return runs
+}
+
+func BenchmarkMergeStreams8Way(b *testing.B) {
+	runs := mergeBenchRuns()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		streams := make([]PairStream, len(runs))
@@ -61,6 +67,26 @@ func BenchmarkMergeStreams8Way(b *testing.B) {
 		}
 		n := 0
 		MergeStreams(streams, nil, func(k, v []byte) { n++ })
+		if n != 8*4096 {
+			b.Fatal("merge lost records")
+		}
+	}
+}
+
+// BenchmarkMergeGroups8Way is BenchmarkMergeStreams8Way's merge handing
+// whole key groups to the callback through one kept scratch, as a reducer
+// runs it.
+func BenchmarkMergeGroups8Way(b *testing.B) {
+	runs := mergeBenchRuns()
+	var s MergeScratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		streams := make([]PairStream, len(runs))
+		for r, enc := range runs {
+			streams[r] = NewSliceStream(enc)
+		}
+		n := 0
+		MergeGroups(streams, nil, &s, func(k []byte, vals [][]byte) { n += len(vals) })
 		if n != 8*4096 {
 			b.Fatal("merge lost records")
 		}

@@ -14,13 +14,15 @@ import (
 // AppendPair appends the encoding of (key, val) to dst and returns dst.
 // Layout: uvarint(klen) uvarint(vlen) key val.
 func AppendPair(dst, key, val []byte) []byte {
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(key)))
-	n += binary.PutUvarint(hdr[n:], uint64(len(val)))
-	dst = append(dst, hdr[:n]...)
+	if len(key) < 0x80 && len(val) < 0x80 {
+		// Both lengths fit one varint byte: the common short pair.
+		dst = append(dst, byte(len(key)), byte(len(val)))
+	} else {
+		dst = binary.AppendUvarint(dst, uint64(len(key)))
+		dst = binary.AppendUvarint(dst, uint64(len(val)))
+	}
 	dst = append(dst, key...)
-	dst = append(dst, val...)
-	return dst
+	return append(dst, val...)
 }
 
 // AppendTaggedPair appends the encoding of (key, tag+payload) — a pair whose
@@ -45,6 +47,14 @@ func EncodedSize(key, val []byte) int {
 // buf does not hold a complete pair (clean EOF or a partial record at a
 // chunk boundary); otherwise n is the encoded length consumed.
 func DecodePair(buf []byte) (key, val []byte, n int) {
+	if len(buf) >= 2 && buf[0] < 0x80 && buf[1] < 0x80 {
+		// Both lengths fit one varint byte: the common short pair.
+		kl, total := 2+int(buf[0]), 2+int(buf[0])+int(buf[1])
+		if total > len(buf) {
+			return nil, nil, 0
+		}
+		return buf[2:kl], buf[kl:total], total
+	}
 	klen, k := binary.Uvarint(buf)
 	if k <= 0 {
 		return nil, nil, 0
@@ -151,97 +161,207 @@ func (s *SliceStream) Peek() ([]byte, []byte, bool) {
 // Advance implements PairStream.
 func (s *SliceStream) Advance() { s.valid = false }
 
-// mergeHead caches one stream's current pair for the merge heap, so a heap
-// comparison reads two cached prefixes instead of making two interface Peek
-// calls. key and val alias the stream and stay valid until that stream is
-// advanced and peeked again — which happens only when its head is replaced.
-type mergeHead struct {
-	prefix   uint64
-	key, val []byte
+// MergeScratch is the reusable state of MergeGroups: the heap, each
+// stream's cached head and the current group's values. One scratch serves
+// any number of merges that never overlap; a merge suspended inside a
+// stream's Peek is still running, and another merge meanwhile needs a
+// scratch of its own.
+type MergeScratch struct {
+	heads []mergeHead
+	heap  []heapEntry
+	vals  [][]byte
 }
 
-// MergeStreams merges sorted streams into emit in ascending key order,
-// using a tournament among current heads; comparisons are counted into
-// counter. Ties are broken by stream index, so merging is stable across
-// runs — the order Hadoop's merge produces.
-func MergeStreams(streams []PairStream, counter *int64, emit func(key, val []byte)) {
+// mergeHead caches one stream's current pair. key and val alias the stream
+// and stay valid until the merge ends: every stream decodes a fixed buffer
+// (an in-memory segment or an immutable run file). An in-memory SliceStream
+// is decoded here, from rest; any other stream is read through src.
+type mergeHead struct {
+	key, val []byte
+	rest     []byte
+	src      PairStream
+}
+
+// heapEntry is one heap slot: a stream index and its head key's normalized
+// prefix, so a heap comparison reads two adjacent slots and touches a head
+// only when the prefixes tie on keys longer than the prefix holds.
+type heapEntry struct {
+	prefix uint64
+	i      int
+}
+
+// load caches stream i's next pair in its head and returns the pair's key,
+// reporting false at end of stream.
+func (s *MergeScratch) load(i int) (key []byte, ok bool) {
+	hd := &s.heads[i]
+	var k, v []byte
+	if hd.src != nil {
+		if k, v, ok = hd.src.Peek(); !ok {
+			return nil, false
+		}
+	} else {
+		var n int
+		if k, v, n = DecodePair(hd.rest); n == 0 {
+			return nil, false
+		}
+		hd.rest = hd.rest[n:]
+	}
+	hd.key, hd.val = k, v
+	return k, true
+}
+
+// less is the heap order: key, then stream index. Every call is one charged
+// comparison, counted by the caller.
+func (s *MergeScratch) less(a, b heapEntry) bool {
+	if a.prefix != b.prefix {
+		return a.prefix < b.prefix
+	}
+	if !prefixDecides(a.prefix) {
+		if c := bytes.Compare(s.heads[a.i].key, s.heads[b.i].key); c != 0 {
+			return c < 0
+		}
+	}
+	return a.i < b.i
+}
+
+// down sifts slot i down and returns the comparisons it made.
+func (s *MergeScratch) down(i int) (calls int64) {
+	h := s.heap
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < len(h) {
+			calls++
+			if s.less(h[l], h[small]) {
+				small = l
+			}
+		}
+		if r < len(h) {
+			calls++
+			if s.less(h[r], h[small]) {
+				small = r
+			}
+		}
+		if small == i {
+			return calls
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+}
+
+// up sifts slot i up and returns the comparisons it made.
+func (s *MergeScratch) up(i int) (calls int64) {
+	h := s.heap
+	for i > 0 {
+		parent := (i - 1) / 2
+		calls++
+		if !s.less(h[i], h[parent]) {
+			return calls
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	return calls
+}
+
+// MergeGroups merges sorted streams in ascending key order and hands fn
+// each run of equal keys, using a tournament among current heads;
+// comparisons are counted into counter. Ties are broken by stream index, so
+// merging is stable across runs — the order Hadoop's merge produces. fn gets
+// the run's first key and its values in merge order, all aliasing the
+// streams, and must not keep vals past its return. A run ends where the next
+// head's prefix differs from the run's or, for keys longer than the prefix
+// holds, where their bytes do; finding it charges nothing.
+//
+// The merge consumes every stream, peeking them in the order a pair-by-pair
+// merge does, so a stream that suspends to refill (a sortmerge.Stream) is
+// read at the same points.
+func MergeGroups(streams []PairStream, counter *int64, s *MergeScratch, fn func(key []byte, vals [][]byte)) {
 	// Binary heap over stream indices keyed by their cached heads. The sift
 	// sequence is the cost model (one charged comparison per less call) and
 	// must not change; only what one call costs may.
-	heads := make([]mergeHead, len(streams))
-	h := make([]int, 0, len(streams))
+	if cap(s.heads) < len(streams) {
+		s.heads = make([]mergeHead, len(streams))
+		s.heap = make([]heapEntry, 0, len(streams))
+	}
+	s.heads, s.heap = s.heads[:len(streams)], s.heap[:0]
 	var calls int64
-	less := func(a, b int) bool {
-		calls++
-		ha, hb := &heads[a], &heads[b]
-		if ha.prefix != hb.prefix {
-			return ha.prefix < hb.prefix
-		}
-		if !prefixDecides(ha.prefix) {
-			if c := bytes.Compare(ha.key, hb.key); c != 0 {
-				return c < 0
-			}
-		}
-		return a < b
-	}
-	// load caches stream i's current pair, reporting false at end of stream.
-	load := func(i int) bool {
-		k, v, ok := streams[i].Peek()
-		if ok {
-			heads[i] = mergeHead{prefix: keyPrefix(k), key: k, val: v}
-		}
-		return ok
-	}
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(h) && less(h[l], h[small]) {
-				small = l
-			}
-			if r < len(h) && less(h[r], h[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			h[i], h[small] = h[small], h[i]
-			i = small
-		}
-	}
-	up := func(i int) {
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !less(h[i], h[parent]) {
-				return
-			}
-			h[i], h[parent] = h[parent], h[i]
-			i = parent
-		}
-	}
-	for i := range streams {
-		if load(i) {
-			h = append(h, i)
-			up(len(h) - 1)
-		}
-	}
-	for len(h) > 0 {
-		top := h[0]
-		emit(heads[top].key, heads[top].val)
-		streams[top].Advance()
-		if load(top) {
-			down(0)
+	for i, st := range streams {
+		hd := &s.heads[i]
+		*hd = mergeHead{src: st}
+		var k []byte
+		var ok bool
+		if ss, isSlice := st.(*SliceStream); isSlice {
+			// Take the stream over: yield its pending pair, then decode what
+			// follows it here.
+			k, hd.val, ok = ss.Peek()
+			hd.key, hd.src, hd.rest = k, nil, ss.dec.buf[ss.dec.off:]
+			ss.dec.off, ss.valid, ss.exhausted = len(ss.dec.buf), false, true
 		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-			if len(h) > 0 {
-				down(0)
-			}
+			k, ok = s.load(i)
+		}
+		if ok {
+			s.heap = append(s.heap, heapEntry{keyPrefix(k), i})
+			calls += s.up(len(s.heap) - 1)
 		}
 	}
+	vals := s.vals
+	for len(s.heap) > 0 {
+		top := s.heap[0]
+		key := s.heads[top.i].key
+		vals = vals[:0]
+		for {
+			hd := &s.heads[top.i]
+			if len(vals) == cap(vals) {
+				// Double: append's 1.25x steps allocate ~5x a hot key's group.
+				vals = slices.Grow(vals, len(vals)+1)
+			}
+			vals = append(vals, hd.val)
+			if hd.src != nil {
+				hd.src.Advance()
+			}
+			if k, ok := s.load(top.i); ok {
+				s.heap[0].prefix = keyPrefix(k)
+				calls += s.down(0)
+			} else {
+				last := len(s.heap) - 1
+				s.heap[0] = s.heap[last]
+				s.heap = s.heap[:last]
+				if last > 0 {
+					calls += s.down(0)
+				}
+			}
+			if len(s.heap) == 0 {
+				break
+			}
+			next := s.heap[0]
+			if next.prefix != top.prefix || !prefixDecides(next.prefix) && !bytes.Equal(s.heads[next.i].key, key) {
+				break
+			}
+			top = next
+		}
+		fn(key, vals)
+	}
+	// Drop the references into the streams' buffers so a kept scratch does
+	// not pin them.
+	clear(vals[:cap(vals)])
+	clear(s.heads)
+	s.vals = vals
 	if counter != nil {
 		*counter += calls
 	}
+}
+
+// MergeStreams merges sorted streams into emit in ascending key order: the
+// MergeGroups loop, with each group's pairs emitted in merge order.
+func MergeStreams(streams []PairStream, counter *int64, emit func(key, val []byte)) {
+	var s MergeScratch
+	MergeGroups(streams, counter, &s, func(key []byte, vals [][]byte) {
+		for _, v := range vals {
+			emit(key, v)
+		}
+	})
 }
 
 // Grouper accumulates consecutive equal-key pairs and hands each completed

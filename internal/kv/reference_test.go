@@ -282,29 +282,123 @@ func FuzzBufferSortMatchesReference(f *testing.F) {
 // they are encoded (sorted by the caller).
 type mergeCase [][]string
 
-func (mc mergeCase) streams() []PairStream {
-	out := make([]PairStream, len(mc))
-	for i, keys := range mc {
-		var enc []byte
-		for j, k := range keys {
-			enc = AppendPair(enc, []byte(k), []byte(fmt.Sprintf("s%d.%d", i, j)))
-		}
-		out[i] = NewSliceStream(enc)
+// streamOpener turns stream i's encoded pairs into the PairStream a merge
+// reads.
+type streamOpener func(i int, enc []byte) PairStream
+
+// inMemory opens every stream as an in-memory segment, which MergeGroups
+// decodes itself.
+func inMemory(_ int, enc []byte) PairStream { return NewSliceStream(enc) }
+
+// oddChunked opens the odd-numbered streams as chunkedStreams, mixing the
+// interface path into a merge of in-memory segments.
+func oddChunked(i int, enc []byte) PairStream {
+	if i%2 == 0 {
+		return NewSliceStream(enc)
 	}
-	return out
+	return &chunkedStream{src: enc, chunk: 1 + i%5}
 }
 
+// chunkedStream reads its pairs the way a run file streamed off disk is
+// read: the source arrives a few bytes at a time, appended to a buffer that
+// moves when it grows, and a pair is cut from what has arrived. A pair it
+// has handed out keeps its bytes when the buffer moves.
+type chunkedStream struct {
+	src      []byte
+	chunk    int
+	buf      []byte
+	off      int
+	key, val []byte
+	valid    bool
+}
+
+func (s *chunkedStream) Peek() ([]byte, []byte, bool) {
+	for !s.valid {
+		k, v, n := DecodePair(s.buf[s.off:])
+		if n > 0 {
+			s.key, s.val, s.valid = k, v, true
+			s.off += n
+			break
+		}
+		if len(s.src) == 0 {
+			return nil, nil, false
+		}
+		c := min(s.chunk, len(s.src))
+		s.buf = append(s.buf, s.src[:c]...)
+		s.src = s.src[c:]
+	}
+	return s.key, s.val, true
+}
+
+func (s *chunkedStream) Advance() { s.valid = false }
+
+// mergeMismatch merges mc's streams, opened by open, through MergeStreams,
+// through MergeGroups on scratch, and through refMergeStreams, and
+// describes the first way they disagree: MergeStreams must emit the
+// reference's pairs in its order, MergeGroups must hand over its runs of
+// consecutive equal keys, and both must count the reference's comparisons.
+func mergeMismatch(mc mergeCase, open streamOpener, scratch *MergeScratch) error {
+	streams := func() []PairStream {
+		out := make([]PairStream, len(mc))
+		for i, keys := range mc {
+			var enc []byte
+			for j, k := range keys {
+				enc = AppendPair(enc, []byte(k), []byte(fmt.Sprintf("s%d.%d", i, j)))
+			}
+			out[i] = open(i, enc)
+		}
+		return out
+	}
+	var got, want []string
+	var groups, wantGroups []string
+	var gotCmps, groupCmps, wantCmps int64
+	MergeStreams(streams(), &gotCmps, func(k, v []byte) { got = append(got, fmt.Sprintf("%q=%s", k, v)) })
+	var runKey []byte
+	var run []string
+	flush := func() {
+		if run != nil {
+			wantGroups = append(wantGroups, fmt.Sprintf("%q=%v", runKey, run))
+		}
+	}
+	refMergeStreams(streams(), &wantCmps, func(k, v []byte) {
+		want = append(want, fmt.Sprintf("%q=%s", k, v))
+		if run == nil || !bytes.Equal(k, runKey) {
+			flush()
+			runKey, run = bytes.Clone(k), nil
+		}
+		run = append(run, string(v))
+	})
+	flush()
+	MergeGroups(streams(), &groupCmps, scratch, func(k []byte, vals [][]byte) {
+		strs := make([]string, len(vals))
+		for i, v := range vals {
+			strs[i] = string(v)
+		}
+		groups = append(groups, fmt.Sprintf("%q=%v", k, strs))
+	})
+	switch {
+	case !slices.Equal(got, want):
+		return fmt.Errorf("MergeStreams order differs from reference\n got %v\nwant %v", got, want)
+	case gotCmps != wantCmps:
+		return fmt.Errorf("MergeStreams charged %d comparisons, reference %d", gotCmps, wantCmps)
+	case !slices.Equal(groups, wantGroups):
+		return fmt.Errorf("MergeGroups groups differ from reference\n got %v\nwant %v", groups, wantGroups)
+	case groupCmps != wantCmps:
+		return fmt.Errorf("MergeGroups charged %d comparisons, reference %d", groupCmps, wantCmps)
+	}
+	return nil
+}
+
+// checkMergeMatchesReference runs mergeMismatch over mc with every stream
+// in memory and again with in-memory and chunked streams mixed, on one
+// scratch that carries over between the merges.
 func checkMergeMatchesReference(t *testing.T, mc mergeCase) {
 	t.Helper()
-	var got, want []string
-	var gotCmps, wantCmps int64
-	MergeStreams(mc.streams(), &gotCmps, func(k, v []byte) { got = append(got, fmt.Sprintf("%q=%s", k, v)) })
-	refMergeStreams(mc.streams(), &wantCmps, func(k, v []byte) { want = append(want, fmt.Sprintf("%q=%s", k, v)) })
-	if !slices.Equal(got, want) {
-		t.Fatalf("MergeStreams order differs from reference\n got %v\nwant %v", got, want)
-	}
-	if gotCmps != wantCmps {
-		t.Fatalf("MergeStreams charged %d comparisons, reference %d", gotCmps, wantCmps)
+	var scratch MergeScratch
+	for _, open := range []streamOpener{inMemory, oddChunked} {
+		if err := mergeMismatch(mc, open, &scratch); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -323,7 +417,15 @@ func TestMergeMatchesReference(t *testing.T) {
 		"identical-streams":   {sorted, sorted, sorted, sorted, sorted},
 		"all-equal-keys":      {equal, equal, equal},
 		"empty-keys":          {{"", "", ""}, {"", ""}, {""}},
+		"empty-then-others":   {{"", "", "a"}, {"", "\x00"}, {"\x00"}},
 		"zero-byte-neighbors": {{"a", "a\x00\x00"}, {"a\x00"}, {"", "a"}},
+		// Keys tying on the seven prefix bytes, so group boundaries are
+		// found by comparing the keys past them.
+		"prefix-ties": {
+			{"abcdefg", "abcdefgh", "abcdefgh", "abcdefghi"},
+			{"abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghi"},
+			{"abcdefg\x00", "abcdefgh", "abcdefgi"},
+		},
 	}
 	for name, mc := range cases {
 		t.Run(name, func(t *testing.T) { checkMergeMatchesReference(t, mc) })
@@ -377,12 +479,15 @@ func mergeCaseFromBytes(data []byte) mergeCase {
 	return mc
 }
 
+// FuzzMergeStreamsMatchesReference holds MergeStreams and MergeGroups to
+// the reference merge, all streams in memory and mixed with chunked ones.
 func FuzzMergeStreamsMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0x40, 0, 0x40})                   // empty keys across streams, one empty stream
 	f.Add([]byte{1, 'a', 0x42, 'a', 0, 0x43, 'a', 0, 0}) // "a", "a\0", "a\0\0"
 	f.Add([]byte{0x80, 0xc1, 0, 0xc0, 0x81, 'x'})        // keys around the shared prefix
 	f.Add(bytes.Repeat([]byte{0x48, 'u', '1', '2', '3', '4', '5', '6', '7'}, 12))
+	f.Add([]byte{0x81, 'a', 0x81, 'a', 0xc1, 'a', 0x80, 0xc0, 0x81, 'b'}) // groups of keys past the prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkMergeMatchesReference(t, mergeCaseFromBytes(data))
 	})

@@ -116,6 +116,9 @@ type Merger struct {
 	// merge when the worker pool is enabled; a pass rewrites its inputs
 	// verbatim, so inBytes is also the output size.
 	Charge func(p *sim.Proc, inBytes int64)
+
+	// merge is every pass's merge state; a merger's passes never overlap.
+	merge kv.MergeScratch
 }
 
 // NewMerger returns a merger writing merged runs under prefix on store.
@@ -173,8 +176,10 @@ func (m *Merger) MergePass(p *sim.Proc) *Run {
 		// A merge pass rewrites its inputs verbatim, so the output is
 		// exactly inBytes — allocate it once.
 		out = make([]byte, 0, inBytes)
-		kv.MergeStreams(streams, &cmps, func(k, v []byte) {
-			out = kv.AppendPair(out, k, v)
+		kv.MergeGroups(streams, &cmps, &m.merge, func(k []byte, vals [][]byte) {
+			for _, v := range vals {
+				out = kv.AppendPair(out, k, v)
+			}
 		})
 	})
 	if m.Charge != nil {

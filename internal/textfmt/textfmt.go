@@ -54,29 +54,42 @@ func parseUint32(b []byte) (uint32, bool) {
 // ParseClickText parses one text line (without requiring the trailing
 // newline). The returned URL aliases line.
 func ParseClickText(line []byte) (Click, error) {
-	line = bytes.TrimSuffix(line, []byte("\n"))
-	sp1 := bytes.IndexByte(line, ' ')
-	if sp1 < 0 {
-		return Click{}, fmt.Errorf("textfmt: malformed click %q", line)
+	c, _, _, err := ParseClickFields(line)
+	return c, err
+}
+
+// ParseClickFields is ParseClickText that also returns the text of the
+// timestamp and user ("u<id>") fields, which alias line. A field is
+// accepted when it is all digits (after the user's 'u') and its value is at
+// most MaxUint32, leading zeros allowed; the line is read in one pass, each
+// number up to the space that must end it.
+func ParseClickFields(line []byte) (c Click, timeText, userText []byte, err error) {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
 	}
-	sp2 := bytes.IndexByte(line[sp1+1:], ' ')
-	if sp2 < 0 {
-		return Click{}, fmt.Errorf("textfmt: malformed click %q", line)
+	ts, sp1, ok := leadingUint32(line)
+	if !ok || sp1+1 == len(line) || line[sp1+1] != 'u' {
+		return Click{}, nil, nil, fmt.Errorf("textfmt: malformed click %q", line)
 	}
-	sp2 += sp1 + 1
-	ts, ok := parseUint32(line[:sp1])
+	user, n, ok := leadingUint32(line[sp1+2:])
 	if !ok {
-		return Click{}, fmt.Errorf("textfmt: bad timestamp in %q", line)
+		return Click{}, nil, nil, fmt.Errorf("textfmt: malformed click %q", line)
 	}
-	userField := line[sp1+1 : sp2]
-	if len(userField) < 2 || userField[0] != 'u' {
-		return Click{}, fmt.Errorf("textfmt: bad user in %q", line)
+	sp2 := sp1 + 2 + n
+	return Click{Time: ts, User: user, URL: line[sp2+1:]}, line[:sp1], line[sp1+1 : sp2], nil
+}
+
+// leadingUint32 parses the digits at the front of b as a base-10 uint32,
+// as parseUint32 does, and returns the offset of the byte after them, which
+// must be a space.
+func leadingUint32(b []byte) (n uint32, sp int, ok bool) {
+	var v uint64
+	for ; sp < len(b) && b[sp]-'0' <= 9; sp++ {
+		if v = v*10 + uint64(b[sp]-'0'); v > math.MaxUint32 {
+			return 0, 0, false
+		}
 	}
-	user, ok := parseUint32(userField[1:])
-	if !ok {
-		return Click{}, fmt.Errorf("textfmt: bad user in %q", line)
-	}
-	return Click{Time: ts, User: user, URL: line[sp2+1:]}, nil
+	return uint32(v), sp, sp > 0 && sp < len(b) && b[sp] == ' '
 }
 
 // AppendClickBinary appends the binary encoding:

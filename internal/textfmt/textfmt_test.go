@@ -100,16 +100,70 @@ func TestDocTextMalformed(t *testing.T) {
 	}
 }
 
-// FuzzParseClickText parses arbitrary lines: it must not panic, an accepted
-// line re-encoded by AppendClickText must parse to the same Click, and when
-// the line's timestamp and user are written as AppendClickText writes them,
-// the re-encoding is the line itself (with its newline, if it had none).
+// clickEdgeLines are text click lines around the parser's accept/reject
+// boundary.
+var clickEdgeLines = []string{
+	"869769600 u12345 /en/page/678\n",
+	"0 u0 ",
+	"0100 u007 /a b\n\n",
+	"4294967296 u1 /x",
+	"4294967295 u4294967295 /max",
+	"00000000000000000001 u01 /long-leading-zeros",
+	"12345678901 u1 /eleven-digits",
+	"1 u42949672950 /x",
+	"1 u1",
+	"1 u1\n",
+	"1  u1 /x",
+	"1 u /x",
+	"1 u",
+	"1 ",
+	"1u1 /x",
+	" u1 /x",
+	"12x3 u1 /x",
+	"1 u1x /x",
+	"1 x1 /x",
+	"+1 u1 /x",
+	"1 u1 /x\r",
+	"\n",
+	"",
+}
+
+// checkParseClick holds ParseClickFields to the former parser on line: the
+// same lines accepted, the same Click, and the fields' own text.
+func checkParseClick(t *testing.T, line []byte) {
+	t.Helper()
+	c, timeText, userText, err := ParseClickFields(line)
+	want, wantErr := refParseClickText(line)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("ParseClickFields(%q) error %v; former parser %v", line, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	fields := bytes.SplitN(bytes.TrimSuffix(line, []byte("\n")), []byte(" "), 3)
+	if c.Time != want.Time || c.User != want.User || !bytes.Equal(c.URL, want.URL) ||
+		!bytes.Equal(timeText, fields[0]) || !bytes.Equal(userText, fields[1]) {
+		t.Fatalf("ParseClickFields(%q) = %+v, %q, %q; former parser %+v", line, c, timeText, userText, want)
+	}
+}
+
+func TestParseClickMatchesReference(t *testing.T) {
+	for _, line := range clickEdgeLines {
+		checkParseClick(t, []byte(line))
+	}
+}
+
+// FuzzParseClickText parses arbitrary lines: it must not panic, it must
+// agree with the former parser (refParseClickText), an accepted line
+// re-encoded by AppendClickText must parse to the same Click, and when the
+// line's timestamp and user are written as AppendClickText writes them, the
+// re-encoding is the line itself (with its newline, if it had none).
 func FuzzParseClickText(f *testing.F) {
-	f.Add([]byte("869769600 u12345 /en/page/678\n"))
-	f.Add([]byte("0 u0 "))
-	f.Add([]byte("0100 u007 /a b\n\n"))
-	f.Add([]byte("4294967296 u1 /x"))
+	for _, line := range clickEdgeLines {
+		f.Add([]byte(line))
+	}
 	f.Fuzz(func(t *testing.T, line []byte) {
+		checkParseClick(t, line)
 		c, err := ParseClickText(line)
 		if err != nil {
 			return

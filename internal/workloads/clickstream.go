@@ -27,14 +27,14 @@ func Sessionization(cfg gen.ClickConfig) *Workload {
 		Reader:      clickReader(cfg),
 		BinaryInput: cfg.Binary,
 		Map: func(rec []byte, emit engine.Emit) {
-			c, ok := parseClick(rec, cfg.Binary)
-			if !ok {
+			var c clickFields
+			if !readClick(&c, rec, cfg.Binary) {
 				return
 			}
 			// key = user, value = "ts url" — everything needed to rebuild
 			// the ordered session stream.
-			keyBuf = appendUser(keyBuf[:0], c.User)
-			valBuf = appendUint(valBuf[:0], uint64(c.Time))
+			keyBuf = c.appendUser(keyBuf[:0])
+			valBuf = c.appendTime(valBuf[:0])
 			valBuf = append(valBuf, ' ')
 			valBuf = append(valBuf, c.URL...)
 			emit(keyBuf, valBuf)
@@ -64,18 +64,31 @@ func Sessionization(cfg gen.ClickConfig) *Workload {
 // reads "100@/a" as ever. A group with a timestamp of 2³² or more, or with
 // 2³² values, sorts plain index words through a comparator instead.
 //
-// The scratch — the words and each value's space offset — holds no
-// pointers, so it cannot pin the reduce side's input buffers that vals
-// alias, and GC does not scan it. It persists across keys and grows
-// straight to the size a group needs: a hot user's group is a large share
-// of its partition, and reaching it by append's growth steps allocates
-// several times its size — once per copy of the reducer (Job.Fresh).
+// A group of at least countingSortMin clicks whose timestamps span at most
+// countingSortSpan seconds per click is ordered by a stable counting sort on
+// the timestamp offset instead. The hottest users' groups are like that —
+// their clicks arrive as ascending runs, one per map block, over a short
+// stretch of time — and hold about 40 % of the values of the bench's 8 MB
+// sessionization (DESIGN.md §10). Words are built in index order, so
+// the counting sort yields what slices.Sort would: the one ascending order
+// of distinct words.
+//
+// The scratch — the words, each value's space offset and the counting
+// sort's counts and destinations — holds no pointers, so it cannot pin the
+// reduce side's input buffers that vals alias, and GC does not scan it. It
+// persists across keys and grows straight to the size a group needs: a hot
+// user's group is a large share of its partition, and reaching it by
+// append's growth steps allocates several times its size — once per copy of
+// the reducer (Job.Fresh).
 func sessionizeReducer() engine.ReduceFunc {
 	var words []uint64
 	// spaces[i] is the offset of the ' ' in vals[i], complemented (^sp)
 	// when the timestamp before it must be re-formatted. Offsets fit: a
 	// pair is far smaller than 2 GiB.
 	var spaces []int32
+	// counts and dest are the counting sort's scratch: a slot per second of
+	// the group's span, a slot per word.
+	var counts, dest []uint32
 	var out []byte
 	return func(key []byte, vals [][]byte, emit engine.Emit) {
 		if cap(words) < len(vals) {
@@ -85,6 +98,7 @@ func sessionizeReducer() engine.ReduceFunc {
 		words = words[:0]
 		wide := uint64(len(vals)) > math.MaxUint32
 		outLen := 0 // a click is written as long as it was read: ' ' becomes '@', plus a separator
+		first, last := uint64(math.MaxUint64), uint64(0)
 		for i, v := range vals {
 			ts, sp, verbatim := scanClick(v)
 			if sp < 0 {
@@ -95,6 +109,7 @@ func sessionizeReducer() engine.ReduceFunc {
 				spaces[i] = ^int32(sp)
 			}
 			wide = wide || ts > math.MaxUint32
+			first, last = min(first, ts), max(last, ts)
 			words = append(words, ts<<32|uint64(i))
 			outLen += len(v) + 1
 		}
@@ -119,7 +134,18 @@ func sessionizeReducer() engine.ReduceFunc {
 				return cmp.Or(cmp.Compare(ta, tb), bytes.Compare(url(a), url(b)))
 			})
 		} else {
-			slices.Sort(words)
+			if n := uint64(len(words)); n >= countingSortMin && last-first < countingSortSpan*n {
+				span := int(last-first) + 1
+				if cap(counts) < span {
+					counts = make([]uint32, span)
+				}
+				if cap(dest) < len(words) {
+					dest = make([]uint32, cap(words))
+				}
+				countingSort(words, first, counts[:span], dest[:len(words)])
+			} else {
+				slices.Sort(words)
+			}
 			for lo := 0; lo < len(words); {
 				hi := lo + 1
 				for hi < len(words) && words[hi]>>32 == words[lo]>>32 {
@@ -166,6 +192,40 @@ func sessionizeReducer() engine.ReduceFunc {
 	}
 }
 
+// A group is counting-sorted when it has at least countingSortMin clicks
+// and its timestamps span at most countingSortSpan seconds per click.
+const (
+	countingSortMin  = 64
+	countingSortSpan = 4
+)
+
+// countingSort orders words, whose timestamps lie in [first,
+// first+len(counts)), by timestamp in place, keeping the order of words with
+// equal timestamps. counts and dest are scratch.
+func countingSort(words []uint64, first uint64, counts, dest []uint32) {
+	clear(counts)
+	for _, w := range words {
+		counts[w>>32-first]++
+	}
+	var at uint32
+	for d, c := range counts {
+		counts[d] = at
+		at += c
+	}
+	for k, w := range words {
+		d := w>>32 - first
+		dest[k] = counts[d]
+		counts[d]++
+	}
+	// Move each word to its destination: every swap settles one word.
+	for k := range words {
+		for j := dest[k]; j != uint32(k); j = dest[k] {
+			words[k], words[j] = words[j], words[k]
+			dest[k], dest[j] = dest[j], j
+		}
+	}
+}
+
 // scanClick finds the ' ' in click value v (sp < 0 if there is none) and
 // parses the timestamp text t before it as parseUint(t) does: digits up to
 // the first non-digit, wrapping on overflow. verbatim reports whether
@@ -208,14 +268,14 @@ func WindowedSessionization(cfg gen.ClickConfig, window uint32) *Workload {
 		Reader:      clickReader(cfg),
 		BinaryInput: cfg.Binary,
 		Map: func(rec []byte, emit engine.Emit) {
-			c, ok := parseClick(rec, cfg.Binary)
-			if !ok {
+			var c clickFields
+			if !readClick(&c, rec, cfg.Binary) {
 				return
 			}
-			keyBuf = appendUser(keyBuf[:0], c.User)
+			keyBuf = c.appendUser(keyBuf[:0])
 			keyBuf = append(keyBuf, '@')
 			keyBuf = appendUint(keyBuf, uint64(c.Time/window))
-			valBuf = appendUint(valBuf[:0], uint64(c.Time))
+			valBuf = c.appendTime(valBuf[:0])
 			valBuf = append(valBuf, ' ')
 			valBuf = append(valBuf, c.URL...)
 			emit(keyBuf, valBuf)
@@ -230,7 +290,7 @@ func WindowedSessionization(cfg gen.ClickConfig, window uint32) *Workload {
 // PageFrequency counts visits per URL (SELECT COUNT(*) GROUP BY url) — the
 // canonical combiner-friendly workload with tiny intermediate data.
 func PageFrequency(cfg gen.ClickConfig) *Workload {
-	return countingWorkload("page-frequency", cfg, func(dst []byte, c textfmt.Click) []byte {
+	return countingWorkload("page-frequency", cfg, func(dst []byte, c clickFields) []byte {
 		return append(dst, c.URL...)
 	}, 60)
 }
@@ -238,15 +298,15 @@ func PageFrequency(cfg gen.ClickConfig) *Workload {
 // PerUserCount counts clicks per user — Table II's second column: a map
 // function so light that sorting takes nearly half the map-phase CPU.
 func PerUserCount(cfg gen.ClickConfig) *Workload {
-	return countingWorkload("per-user-count", cfg, func(dst []byte, c textfmt.Click) []byte {
-		return appendUser(dst, c.User)
+	return countingWorkload("per-user-count", cfg, func(dst []byte, c clickFields) []byte {
+		return c.appendUser(dst)
 	}, 60)
 }
 
 // one is the shared count value; emit targets copy, never mutate.
 var one = []byte{'1'}
 
-func countingWorkload(name string, cfg gen.ClickConfig, key func(dst []byte, c textfmt.Click) []byte, mapNs float64) *Workload {
+func countingWorkload(name string, cfg gen.ClickConfig, key func(dst []byte, c clickFields) []byte, mapNs float64) *Workload {
 	w := &Workload{Name: name, Gen: cfg.Block, Clicks: true}
 	var keyBuf []byte
 	w.Job = engine.Job{
@@ -254,8 +314,8 @@ func countingWorkload(name string, cfg gen.ClickConfig, key func(dst []byte, c t
 		Reader:      clickReader(cfg),
 		BinaryInput: cfg.Binary,
 		Map: func(rec []byte, emit engine.Emit) {
-			c, ok := parseClick(rec, cfg.Binary)
-			if !ok {
+			var c clickFields
+			if !readClick(&c, rec, cfg.Binary) {
 				return
 			}
 			keyBuf = key(keyBuf[:0], c)
@@ -299,4 +359,54 @@ func parseClick(rec []byte, binary bool) (textfmt.Click, bool) {
 func appendUser(dst []byte, user uint32) []byte {
 	dst = append(dst, 'u')
 	return appendUint(dst, uint64(user))
+}
+
+// clickFields is a parsed click that keeps the record's own text of its
+// timestamp and user fields where that text is canonical — exactly what
+// appendUint and appendUser write back for the parsed values — so the text
+// click maps copy those fields instead of re-formatting them.
+type clickFields struct {
+	textfmt.Click
+	timeText, userText []byte // nil: format the parsed value
+}
+
+// readClick parses rec into c as parseClick does, reporting false where
+// parseClick would. ParseClickText accepts a number field only when it is
+// all digits and at most MaxUint32, so a field it accepted is canonical
+// exactly when it has no leading zero; a text record keeps the text of such
+// fields.
+func readClick(c *clickFields, rec []byte, binary bool) bool {
+	if binary {
+		click, ok := parseClick(rec, true)
+		*c = clickFields{Click: click}
+		return ok
+	}
+	click, timeText, userText, err := textfmt.ParseClickFields(rec)
+	*c = clickFields{Click: click}
+	if err != nil {
+		return false
+	}
+	if timeText[0] != '0' || len(timeText) == 1 {
+		c.timeText = timeText
+	}
+	if userText[1] != '0' || len(userText) == 2 {
+		c.userText = userText
+	}
+	return true
+}
+
+// appendTime appends the timestamp as appendUint writes it.
+func (c *clickFields) appendTime(dst []byte) []byte {
+	if c.timeText != nil {
+		return append(dst, c.timeText...)
+	}
+	return appendUint(dst, uint64(c.Time))
+}
+
+// appendUser appends "u<user>" as appendUser writes it.
+func (c *clickFields) appendUser(dst []byte) []byte {
+	if c.userText != nil {
+		return append(dst, c.userText...)
+	}
+	return appendUser(dst, c.User)
 }

@@ -64,3 +64,38 @@ func refSessionizeReducer() engine.ReduceFunc {
 		clear(clicks)
 	}
 }
+
+// refClickMaps are the former text click maps, which parse every record
+// and re-format its timestamp and user: the oracle for the maps that copy
+// canonical fields verbatim (FuzzClickMapVerbatim). Each maps one record
+// to its one emitted pair, ok=false where the record is skipped.
+var refClickMaps = map[string]func(rec []byte) (key, val []byte, ok bool){
+	"sessionization": func(rec []byte) ([]byte, []byte, bool) {
+		c, ok := parseClick(rec, false)
+		if !ok {
+			return nil, nil, false
+		}
+		val := appendUint(nil, uint64(c.Time))
+		val = append(val, ' ')
+		return appendUser(nil, c.User), append(val, c.URL...), true
+	},
+	"windowed-sessionization": func(rec []byte) ([]byte, []byte, bool) {
+		c, ok := parseClick(rec, false)
+		if !ok {
+			return nil, nil, false
+		}
+		key := appendUser(nil, c.User)
+		key = append(key, '@')
+		key = appendUint(key, uint64(c.Time/DefaultSessionWindow))
+		val := appendUint(nil, uint64(c.Time))
+		val = append(val, ' ')
+		return key, append(val, c.URL...), true
+	},
+	"per-user-count": func(rec []byte) ([]byte, []byte, bool) {
+		c, ok := parseClick(rec, false)
+		if !ok {
+			return nil, nil, false
+		}
+		return appendUser(nil, c.User), []byte{'1'}, true
+	},
+}

@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"onepass/internal/engine"
@@ -71,6 +73,9 @@ func TestSessionizeReducerMatchesReference(t *testing.T) {
 		}
 		check("edge group", vals)
 	}
+	for _, g := range countingSortEdgeGroups() {
+		check("counting-sort edge", g)
+	}
 	keys, groups := clickGroups(8)
 	rng := rand.New(rand.NewSource(1998))
 	for g, vals := range groups {
@@ -81,10 +86,51 @@ func TestSessionizeReducerMatchesReference(t *testing.T) {
 	}
 }
 
+// countingSortEdgeGroups are groups at the counting sort's limits: the
+// smallest group it takes, with its timestamps spanning exactly the most it
+// takes and one second more, shuffled and with repeated timestamps and
+// clicks; and one click short of the size floor.
+func countingSortEdgeGroups() [][][]byte {
+	rng := rand.New(rand.NewSource(36))
+	var out [][][]byte
+	for _, n := range []int{countingSortMin - 1, countingSortMin, 3 * countingSortMin} {
+		for _, span := range []int{countingSortSpan * n, countingSortSpan*n + 1, 1} {
+			vals := make([][]byte, n)
+			for i := range vals {
+				ts := 869769600 + rng.Intn(span)
+				if i < 2 {
+					ts = 869769600 + i*(span-1) // pin both ends of the span
+				}
+				vals[i] = []byte(fmt.Sprintf("%d /p%d", ts, rng.Intn(3)))
+			}
+			rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			out = append(out, vals)
+		}
+	}
+	return out
+}
+
+// narrowGroup spreads a fuzz group into a group the counting sort takes:
+// each input byte becomes a click at one of 64 seconds, enough of them to
+// pass the size floor, so timestamps tie and clicks repeat.
+func narrowGroup(group []byte) [][]byte {
+	if len(group) == 0 {
+		return nil
+	}
+	var vals [][]byte
+	for len(vals) < countingSortMin || len(vals) < len(group) {
+		c := group[len(vals)%len(group)]
+		vals = append(vals, []byte(fmt.Sprintf("%d /%c", 1000+int(c)%64, 'a'+c%4)))
+	}
+	return vals
+}
+
 // FuzzSessionizeReducerMatchesReference cuts the input into groups at 0x00
 // and each group into values at '\n', and requires the reducer and the
 // former reducer to emit the same bytes for every group, through one
-// instance of each so scratch carries over between groups.
+// instance of each so scratch carries over between groups. Each group also
+// runs replicated past the counting sort's size floor and spread into a
+// narrow-span group by narrowGroup.
 func FuzzSessionizeReducerMatchesReference(f *testing.F) {
 	for _, g := range sessionizeEdgeGroups {
 		var in []byte
@@ -99,8 +145,11 @@ func FuzzSessionizeReducerMatchesReference(f *testing.F) {
 		reduce, ref := sessionizeReducer(), refSessionizeReducer()
 		for _, group := range bytes.Split(in, []byte{0}) {
 			vals := bytes.Split(group, []byte{'\n'})
-			if got, want := sessionize(reduce, vals), sessionize(ref, vals); got != want {
-				t.Fatalf("group %q: reducer %q, reference %q", group, got, want)
+			replicated := slices.Repeat(vals, countingSortMin/len(vals)+1)
+			for _, vals := range [][][]byte{vals, replicated, narrowGroup(group)} {
+				if got, want := sessionize(reduce, vals), sessionize(ref, vals); got != want {
+					t.Fatalf("group %q (%d values): reducer %q, reference %q", group, len(vals), got, want)
+				}
 			}
 		}
 	})
