@@ -75,16 +75,19 @@ func (st *stateTable) restart() {
 	st.stateBytes, st.keyBytes = 0, 0
 }
 
-// fold incorporates one payload for key. It returns true when the key was
-// newly inserted.
-func (st *stateTable) fold(key, payload []byte, f form) bool {
+// fold incorporates one payload for key and returns the bytes it added to
+// the table: the key's when it was newly inserted, plus by how much the key's
+// element grew.
+func (st *stateTable) fold(key, payload []byte, f form) (added int64) {
 	e, isNew := st.tbl.Slot(key)
-	st.stateBytes += int64(st.agg.Into(st.tbl, e, isNew, payload, f == formState))
+	added = int64(st.agg.Into(st.tbl, e, isNew, payload, f == formState))
+	st.stateBytes += added
 	if isNew {
 		st.stateBytes += stateSliceOverhead
 		st.keyBytes += int64(len(key))
+		added += int64(len(key))
 	}
-	return isNew
+	return added
 }
 
 // get returns the current state for key.

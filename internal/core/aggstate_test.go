@@ -139,11 +139,11 @@ func newTestStateTable() *stateTable {
 
 func TestStateTableFoldRawValues(t *testing.T) {
 	st := newTestStateTable()
-	if !st.fold([]byte("a"), []byte("5"), formIncoming) {
-		t.Fatal("first fold should report new")
+	if added := st.fold([]byte("a"), []byte("5"), formIncoming); added != 2 {
+		t.Fatalf("first fold added %d bytes, want 2: the key and its element", added)
 	}
-	if st.fold([]byte("a"), []byte("7"), formIncoming) {
-		t.Fatal("second fold should not report new")
+	if added := st.fold([]byte("a"), []byte("7"), formIncoming); added != 1 {
+		t.Fatalf("second fold added %d bytes, want 1: the element's growth from 5 to 12", added)
 	}
 	s, ok := st.get([]byte("a"))
 	if !ok || workloads.CountState(s) != 12 {

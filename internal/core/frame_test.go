@@ -150,27 +150,31 @@ func TestSmallBlockFaultedRunMatchesClean(t *testing.T) {
 // to an option's default: a job over small blocks with many reducers used to
 // clear a ChunkBytes-sized buffer per partition per block and a 256 KB arena
 // slab per state table, and the hot-key sketch its full counter set per
-// reducer. These cases measure 3-6.5x their input plus map-output bytes (keys
-// and states in arena slabs); with per-key heap states they measured 3.5-8x,
-// and before allocation followed the data 40-200x.
+// reducer. These cases measure 1.3-6.2x their input plus map-output bytes
+// (keys and states in arena slabs); with per-key heap states they measured
+// 3.5-8x, and before allocation followed the data 40-200x.
 func TestAllocationProportionalToData(t *testing.T) {
 	perUser := func() *workloads.Workload { return workloads.PerUserCount(smallClicks()) }
 	sessions := func() *workloads.Workload { return workloads.Sessionization(smallClicks()) }
+	// Each case has its own bound, a margin above what it reads: a declared
+	// job's map output goes from emit to frame in one copy (4.0x and 1.3x),
+	// an undeclared one's through a map-output buffer (6.1-6.2x).
 	for _, tc := range []struct {
 		name     string
 		mode     Mode
 		mk       func() *workloads.Workload
 		block    int64
 		reducers int
+		bound    float64
 	}{
-		{"per-user-count/16KB/10", Incremental, perUser, 16 << 10, 10},
-		{"per-user-count/128KB/20", Incremental, perUser, 128 << 10, 20},
-		{"sessionization/16KB/10", HotKey, sessions, 16 << 10, 10},
-		{"sessionization/128KB/20", HybridHash, sessions, 128 << 10, 20},
+		{"per-user-count/16KB/10", Incremental, perUser, 16 << 10, 10, 5},
+		{"per-user-count/128KB/20", Incremental, perUser, 128 << 10, 20, 2},
+		{"sessionization/16KB/10", HotKey, sessions, 16 << 10, 10, 8},
+		{"sessionization/128KB/20", HybridHash, sessions, 128 << 10, 20, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			enginetest.CheckAllocationProportional(t, tc.mk(), enginetest.Config{
-				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, 8,
+				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, tc.bound,
 				func(f *enginetest.Fixture) (*engine.Result, error) {
 					return Run(f.RT, f.Job, tc.mode, engine.Options{})
 				})

@@ -17,10 +17,12 @@ import (
 // runMapTask is the hash engine's map side (§V's two options): (1) with no
 // combiner, one scan partitions output with no grouping effort at all;
 // (2) with a combiner, an in-memory hash table per partition performs
-// partial aggregation (hybrid hash degrades to streaming flushes if the
-// table outgrows the task budget). Either way there is no sort — that is
-// the whole point. Output is persisted for fault tolerance (as in stock
-// Hadoop) and then pushed eagerly to the reducers.
+// partial aggregation on each pair as Map emits it (hybrid hash degrades to
+// streaming flushes if the table outgrows the task budget), and the tables
+// drain straight into the partition frame: one copy from emit to frame.
+// Either way there is no sort — that is the whole point. Output is persisted
+// for fault tolerance (as in stock Hadoop) and then pushed eagerly to the
+// reducers.
 func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 	rt, job, costs := hj.RT, hj.Job, hj.Costs
 	frame := hj.buildMapChunks(p, node, b)
@@ -104,92 +106,141 @@ func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 	// packing) is pure data work, so it rides inside the map task's pooled
 	// closure and overlaps the parse charge. The CPU charges and the
 	// CombineFlush trace events land after the join.
-	// A free-monoid element is no smaller than the values in it, so only a
-	// declared job combines before the shuffle.
-	mapCombined := job.Monoid != nil
-	R := job.Reducers
-	grouping := rt.TaskMemory(job)
-	var n int
-	var flushCounts []int
-	var frame *kv.PartitionFrame
-	var finalPairBytes int64
-	buf, err := rt.ExecuteMapWith(p, node, job, b, hj.Partition, func(wj *engine.Job, buf *kv.Buffer) {
-		// Option (1), no combiner: the frame's single partitioning scan, no
-		// grouping at all. Option (2): the same scan over the combined pairs.
-		out := buf
-		if mapCombined {
-			n = buf.Len()
-			out, flushCounts = combineMapOutput(buf, R, wj.Fold(), grouping)
+	R, chunkBytes, grouping := job.Reducers, hj.Opts.ChunkBytes, rt.TaskMemory(job)
+	// Option (2), a combiner: a declared job's pairs fold into the combine
+	// tables as Map emits them, and no buffer is filled. A free-monoid
+	// element is no smaller than the values in it, so only a declared job
+	// combines before the shuffle.
+	var mc *mapCombiner
+	var into func(wj *engine.Job) engine.MapSink
+	if job.Monoid != nil {
+		into = func(wj *engine.Job) engine.MapSink {
+			mc = newMapCombiner(R, wj.Fold(), grouping, chunkBytes)
+			return mc.add
 		}
-		finalPairBytes = out.Bytes()
-		frame = kv.PackPartitions(out, R, hj.Opts.ChunkBytes)
+	}
+	var frame *kv.PartitionFrame
+	buf, n, err := rt.ExecuteMapWith(p, node, job, b, hj.Partition, into, func(_ *engine.Job, buf *kv.Buffer) {
+		if mc != nil {
+			frame = mc.finish()
+		} else {
+			// Option (1), no combiner: the frame's single partitioning scan,
+			// no grouping at all.
+			frame = kv.PackPartitions(buf, R, chunkBytes)
+		}
 	})
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}
-	if mapCombined {
+	if mc != nil {
 		node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord), engine.PhaseCombine)
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
 		if rt.Tracing() {
-			for _, flushed := range flushCounts {
+			for _, flushed := range mc.flushes {
 				rt.Emit(trace.CombineFlush, "map-combine", node.ID, b.Index, 0,
 					trace.Num("states", float64(flushed)))
 			}
 		}
-	}
-	if rt.Auditing() {
-		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
-		if mapCombined {
-			rt.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
+		if rt.Auditing() {
+			rt.Audit.MapFinalPairs(b.Index, mc.frame.PairBytes())
+			rt.Audit.CombineSaved(b.Index, mc.saved)
 		}
+	} else if rt.Auditing() {
+		rt.Audit.MapFinalPairs(b.Index, buf.Bytes())
 	}
 	rt.ReleaseBuffer(buf) // the frame is an encoded copy
 	return frame
 }
 
-// combineMapOutput is map-side hash aggregation: real hash tables, real
-// states, one table per partition on one task-scoped arena. It folds buf's
-// pairs and returns the (key, state) pairs the tables flushed — whenever
-// they outgrew the grouping budget, and at the end — with each flush's
-// state count. Hybrid hash thus degrades to streaming flushes rather than
-// failing when the block's key set does not fit.
-func combineMapOutput(buf *kv.Buffer, R int, fold *engine.Fold, grouping int64) (*kv.Buffer, []int) {
-	arena := memtable.NewArena(0)
-	tables := make([]*stateTable, R)
-	for r := range tables {
-		tables[r] = newStateTable(hashAtShared(1), arena, fold)
+// mapCombiner is map-side hash aggregation: real hash tables, real states,
+// one table per partition on one task-scoped arena. Its add is the map
+// task's sink, so each pair folds the moment Map emits it. Whenever the
+// tables outgrow the grouping budget they are drained into the frame
+// builder's staging buffer and refilled — hybrid hash thus degrades to
+// streaming flushes rather than failing when the block's key set does not
+// fit — and at the end of the input finish drains them straight into the
+// partition frame. Tables, arena and builder belong to one map task and die
+// with it.
+type mapCombiner struct {
+	tables   []*stateTable
+	arena    *memtable.Arena
+	grouping int64
+	frame    *kv.FrameBuilder
+	pairs    int
+	// flushes holds each drain's state count, the final drain's last.
+	flushes []int
+	// saved is what the folds elided: the pair bytes they took in, less
+	// the key and element bytes they added to the tables.
+	saved int64
+}
+
+func newMapCombiner(R int, fold *engine.Fold, grouping, chunkBytes int64) *mapCombiner {
+	mc := &mapCombiner{
+		tables:   make([]*stateTable, R),
+		arena:    memtable.NewArena(0),
+		grouping: grouping,
+		frame:    kv.NewFrameBuilder(R, chunkBytes),
 	}
-	used := func() int64 {
-		var t int64
-		for _, tb := range tables {
-			t += tb.usedBytes()
-		}
-		return t
+	for r := range mc.tables {
+		mc.tables[r] = newStateTable(hashAtShared(1), mc.arena, fold)
 	}
-	out := kv.NewBuffer(0)
-	var flushCounts []int
-	flushTables := func() {
-		flushed := 0
-		for r, tb := range tables {
-			tb.iterate(func(k, s []byte) bool {
-				out.Add(r, k, s)
-				flushed++
-				return true
-			})
-			tb.reset()
-		}
-		arena.Reset()
-		flushCounts = append(flushCounts, flushed)
+	return mc
+}
+
+// add folds one emitted pair into its partition's table, staging the tables
+// when they have outgrown the budget (checked every 1024 pairs).
+func (mc *mapCombiner) add(part int, key, val []byte) {
+	mc.saved += int64(len(key)+len(val)) - mc.tables[part].fold(key, val, formIncoming)
+	mc.pairs++
+	if mc.pairs%1024 == 0 && mc.used() > mc.grouping {
+		mc.flushes = append(mc.flushes, mc.states())
+		mc.drain(mc.frame.Stage)
+		mc.reset()
 	}
-	for i, n := 0, buf.Len(); i < n; i++ {
-		tables[buf.Partition(i)].fold(buf.Key(i), buf.Val(i), formIncoming)
-		if i%1024 == 1023 && used() > grouping {
-			flushTables()
-		}
+}
+
+func (mc *mapCombiner) used() int64 {
+	var t int64
+	for _, tb := range mc.tables {
+		t += tb.usedBytes()
 	}
-	flushTables()
-	return out, flushCounts
+	return t
+}
+
+// states returns the number of keys the tables hold.
+func (mc *mapCombiner) states() int {
+	n := 0
+	for _, tb := range mc.tables {
+		n += tb.len()
+	}
+	return n
+}
+
+// drain hands every table's (key, state) pairs to add, partition by
+// partition, each table in slot order.
+func (mc *mapCombiner) drain(add func(part int, key, state []byte)) {
+	for r, tb := range mc.tables {
+		tb.iterate(func(k, s []byte) bool {
+			add(r, k, s)
+			return true
+		})
+	}
+}
+
+// reset empties the tables and their arena for a refill.
+func (mc *mapCombiner) reset() {
+	for _, tb := range mc.tables {
+		tb.reset()
+	}
+	mc.arena.Reset()
+}
+
+// finish lays out the task's frame: the staged pairs, then the tables'
+// final drain, written straight into the slab.
+func (mc *mapCombiner) finish() *kv.PartitionFrame {
+	mc.flushes = append(mc.flushes, mc.states())
+	return mc.frame.Finish(mc.drain)
 }
 
 // reexecMapOutput re-runs a lost map task's data path on node and builds a

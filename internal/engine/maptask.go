@@ -15,6 +15,10 @@ import (
 // Partitioner assigns a key to one of n reduce partitions.
 type Partitioner func(key []byte, n int) int
 
+// MapSink takes one pair the map function emitted, with its partition. The
+// key and value are only the sink's for the duration of the call.
+type MapSink func(part int, key, val []byte)
+
 // ExecuteMap performs the data-path of one map task shared by every
 // engine: read the block (DFS I/O), iterate its records (parse CPU), run
 // the map function (CPU), and partition the emitted pairs into a buffer
@@ -22,39 +26,63 @@ type Partitioner func(key []byte, n int) int
 // the returned buffer, which the caller hands back with ReleaseBuffer once it
 // has been encoded.
 func (rt *Runtime) ExecuteMap(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner) (*kv.Buffer, error) {
-	return rt.ExecuteMapWith(p, node, job, b, part, nil)
+	buf, _, err := rt.ExecuteMapWith(p, node, job, b, part, nil, nil)
+	return buf, err
 }
 
-// ExecuteMapWith is ExecuteMap with an engine-supplied post step: pure data
-// work over the finished buffer (sort, combine, chunk encoding) that runs
-// inside the same dispatched closure as the map loop, so with the worker
-// pool enabled it overlaps other tasks' virtual I/O and compute. post must
-// follow the StartWork ownership rules — no Runtime, Proc, or shared-
-// scratch access — and reach the job's functions and Fold only through the
-// wj it is handed (see StartJobWork). The CPU charges for whatever post did
-// are the caller's responsibility, after this returns.
-func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner, post func(wj *Job, buf *kv.Buffer)) (*kv.Buffer, error) {
+// ExecuteMapWith is ExecuteMap with the pairs' destination and an
+// engine-supplied post step left to the engine. With into nil every emitted
+// pair is copied into a map-output buffer from the free list, acquired once
+// the block is read and returned for the caller to release — the sort-merge
+// engines' path, and an undeclared job's. Otherwise into is called once, in
+// the map closure with the worker's job, and the sink it returns takes each
+// pair the moment Map emits it: a declared job's combine tables fold it there
+// and no buffer is filled (the returned buffer is nil). What into builds is
+// the task's alone, neither pooled nor kept past the task. Either way pairs
+// counts what Map emitted, and the counters, the partition-hash charge and
+// the audit's raw map-output bytes come from that emission.
+//
+// post is pure data work over the finished output (sort, combine, chunk
+// encoding) that runs inside the same dispatched closure as the map loop, so
+// with the worker pool enabled it overlaps other tasks' virtual I/O and
+// compute; buf is nil when into was given. into, its sink and post follow the
+// StartWork ownership rules — no Runtime, Proc, or shared-scratch access —
+// and reach the job's functions and Fold only through the wj they are handed
+// (see StartJobWork). The CPU charges for whatever they did are the caller's
+// responsibility, after this returns.
+func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner, into func(wj *Job) MapSink, post func(wj *Job, buf *kv.Buffer)) (buf *kv.Buffer, pairs int, err error) {
 	costs := job.Costs.Merged()
 	data, err := rt.DFS.ReadBlock(p, b, node.ID)
 	if err != nil {
-		return nil, fmt.Errorf("map task %s[%d]: %w", b.Path, b.Index, err)
+		return nil, 0, fmt.Errorf("map task %s[%d]: %w", b.Path, b.Index, err)
 	}
 	rt.Counters.Add(CtrMapInputBytes, float64(len(data)))
 
 	// The record loop is pure data work: it reads only the fetched block and
-	// writes only the task-owned buffer, two locals, and a task-owned
+	// writes only the task-owned destination, three locals, and a task-owned
 	// counter delta. Dispatch it (plus the engine's post step) to the pool,
 	// overlapping the parse charge below, which depends only on len(data).
 	// Serially the closure runs inline here — either way it executes zero
 	// virtual operations, so the event schedule is identical in both modes.
-	buf := rt.AcquireBuffer(len(data))
+	if into == nil {
+		buf = rt.AcquireBuffer(len(data))
+	}
 	records := 0
 	var outBytes int64
 	var delta metrics.Delta
 	work := rt.StartJobWork(p, job, func(wj *Job) {
+		var sink MapSink
+		if into != nil {
+			sink = into(wj)
+		}
 		emit := func(key, val []byte) {
 			pt := part(key, job.Reducers)
-			buf.Add(pt, key, val)
+			if sink != nil {
+				sink(pt, key, val)
+			} else {
+				buf.Add(pt, key, val)
+			}
+			pairs++
 			outBytes += int64(len(key) + len(val))
 		}
 		wj.Reader(data, func(rec []byte) {
@@ -68,7 +96,7 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 		// shared Counters bag, whose summation order would then depend on
 		// real-goroutine interleaving — and merge at the join below.
 		delta.Add(CtrMapInputRecords, float64(records))
-		delta.Add(CtrMapOutputRecords, float64(buf.Len()))
+		delta.Add(CtrMapOutputRecords, float64(pairs))
 		delta.Add(CtrMapOutputBytes, float64(outBytes))
 	})
 
@@ -85,12 +113,12 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 		Dur(float64(outBytes), costs.MapNsPerOutputByte), PhaseMapFn)
 	node.Compute(p, Dur(float64(records), costs.FrameworkNsPerRecord), PhaseFramework)
 	// Partition decisions (one hash per emitted pair).
-	node.Compute(p, Dur(float64(buf.Len()), costs.HashNs), PhaseHash)
-	rt.Counters.Add(CtrHashOps, float64(buf.Len()))
+	node.Compute(p, Dur(float64(pairs), costs.HashNs), PhaseHash)
+	rt.Counters.Add(CtrHashOps, float64(pairs))
 	if rt.Auditing() {
 		rt.Audit.MapRawPairs(b.Index, outBytes)
 	}
-	return buf, nil
+	return buf, pairs, nil
 }
 
 // CombineSorted applies combine (a task's Fold.Combiner) to each

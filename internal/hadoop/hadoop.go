@@ -61,7 +61,7 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 		combined = rt.AcquireBuffer(0)
 	}
 	combineInputs := 0
-	buf, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
+	buf, _, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, nil, func(wj *engine.Job, buf *kv.Buffer) {
 		buf.SortByPartitionKey(&cmps)
 		rawBytes = buf.Bytes()
 		if combined != nil {

@@ -211,7 +211,7 @@ func stashPush(j *engine.JobRun) engine.PushFunc {
 // charge; the bills land at each chunk's delivery point.
 func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int)) {
 	var encoded []encodedChunk
-	buf, err := j.RT.ExecuteMapWith(p, node, j.Job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
+	buf, _, err := j.RT.ExecuteMapWith(p, node, j.Job, b, j.Partition, nil, func(wj *engine.Job, buf *kv.Buffer) {
 		combine := wj.Fold().Combiner()
 		mapChunks(buf, j.Job.Reducers, j.Opts.ChunkBytes, func(r, seq int, idxs []int) {
 			if already != nil && seq < already[r] {

@@ -250,3 +250,60 @@ func FuzzFrameChunksMatchReference(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFrameBuilderMatchesPackPartitions splits a buffer's pairs at a random
+// point: the pairs before it are staged, as a combine table's budget flush
+// stages them, and the rest come from the final drain. The frame must be the
+// one PackPartitions lays out over the whole buffer.
+func FuzzFrameBuilderMatchesPackPartitions(f *testing.F) {
+	f.Add([]byte{}, uint8(4), uint16(0))
+	f.Add([]byte{0, 0, 1, 0}, uint8(2), uint16(1))                            // empty keys and values
+	f.Add([]byte{0x0b, 3, 'a', 0x83, 200, 0x0b, 3, 'b'}, uint8(5), uint16(2)) // an 8000-byte pair staged
+	f.Add(bytes.Repeat([]byte{0x12, 60, 'u', '1'}, 80), uint8(1), uint16(37)) // one partition, many chunks
+	f.Add(bytes.Repeat([]byte{0x09, 90, 'k', 0x0a, 70, 'j'}, 40), uint8(7), uint16(41))
+	f.Fuzz(func(t *testing.T, data []byte, parts uint8, split uint16) {
+		R := 1 + int(parts)%20
+		buf := frameCaseFromBytes(data, R)
+		at := int(split) % (buf.Len() + 1)
+		for _, cb := range frameChunkSizes {
+			fb := NewFrameBuilder(R, cb)
+			for i := 0; i < at; i++ {
+				fb.Stage(buf.Partition(i), buf.Key(i), buf.Val(i))
+			}
+			got := fb.Finish(func(add func(part int, key, val []byte)) {
+				for i := at; i < buf.Len(); i++ {
+					add(buf.Partition(i), buf.Key(i), buf.Val(i))
+				}
+			})
+			checkFramesEqual(t, got, PackPartitions(buf, R, cb))
+			if fb.PairBytes() != buf.Bytes() {
+				t.Fatalf("chunkBytes=%d split %d: builder counted %d pair bytes, buffer holds %d", cb, at, fb.PairBytes(), buf.Bytes())
+			}
+		}
+	})
+}
+
+// checkFramesEqual demands the same slab, partition index and chunks — in
+// the same seal order, each with its capacity clipped to its length.
+func checkFramesEqual(t *testing.T, got, want *PartitionFrame) {
+	t.Helper()
+	if !bytes.Equal(got.Data, want.Data) {
+		t.Fatalf("Data differs:\n got %q\nwant %q", got.Data, want.Data)
+	}
+	if fmt.Sprint(got.PartLen) != fmt.Sprint(want.PartLen) {
+		t.Fatalf("PartLen %v, want %v", got.PartLen, want.PartLen)
+	}
+	if len(got.Chunks) != len(want.Chunks) {
+		t.Fatalf("%d chunks, want %d", len(got.Chunks), len(want.Chunks))
+	}
+	for i, c := range got.Chunks {
+		w := want.Chunks[i]
+		if c.Part != w.Part || c.Seq != w.Seq || !bytes.Equal(c.Data, w.Data) {
+			t.Fatalf("chunk %d is (part %d, seq %d, %d bytes), want (part %d, seq %d, %d bytes) with the same contents",
+				i, c.Part, c.Seq, len(c.Data), w.Part, w.Seq, len(w.Data))
+		}
+		if cap(c.Data) != len(c.Data) {
+			t.Fatalf("chunk %d capacity %d exceeds its length %d", i, cap(c.Data), len(c.Data))
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package resident
 
 import (
+	"slices"
+
 	"onepass/internal/engine"
 	"onepass/internal/kv"
 )
@@ -51,4 +53,34 @@ func refChunks(buf *kv.Buffer, R int, fold *engine.Fold, chunkBytes int64) []kv.
 		}
 	}
 	return kv.PackPartitions(out, R, chunkBytes).Chunks
+}
+
+// refTwoPassChunks is the former declared-job map side of buildChunks, kept
+// as the oracle for the table that folds as Map emits and drains straight
+// into the frame: it folded a filled map-output buffer into the one-table
+// fold, drained the table into a second buffer, packed that, and put the
+// chunks in push order — full chunks partition-major, then the tails —
+// dropping those below the delivery frontier already.
+func refTwoPassChunks(buf *kv.Buffer, R int, fold *engine.Fold, chunkBytes int64, already []int) []kv.Chunk {
+	table := newFoldTable(fold)
+	for i := 0; i < buf.Len(); i++ {
+		table.fold(buf.Key(i), buf.Val(i), buf.Partition(i))
+	}
+	out := kv.NewBuffer(0)
+	table.tbl.InOrder(func(k, elem []byte, part uint64) bool {
+		out.Add(int(part), k, elem)
+		return true
+	})
+	chunks := kv.PackPartitions(out, R, chunkBytes).Chunks
+	rank := func(c kv.Chunk) int {
+		if int64(len(c.Data)) < chunkBytes {
+			return R + c.Part
+		}
+		return c.Part
+	}
+	slices.SortStableFunc(chunks, func(a, b kv.Chunk) int { return rank(a) - rank(b) })
+	if already != nil {
+		chunks = slices.DeleteFunc(chunks, func(c kv.Chunk) bool { return c.Seq < already[c.Part] })
+	}
+	return chunks
 }

@@ -82,50 +82,51 @@ var Plan = &engine.Plan{
 	},
 }
 
-// buildChunks runs the map-side data path: for a declared job, records are
-// folded into one insertion-ordered fold table and its (key, element) pairs
-// are chunked; otherwise raw pairs are chunked in production order. Either
-// way the pairs are packed once into a partition frame whose chunks —
-// sub-slices of it — are the push units.
-// Everything is deterministic in the block, so a recovery attempt
-// regenerates byte-identical chunks under the same (partition, seq)
+// buildChunks runs the map-side data path and returns the task's push
+// chunks: sub-slices of one partition frame, into which the pairs are
+// encoded once. A declared job's pairs fold into one insertion-ordered fold
+// table as Map emits them, and the table drains straight into the frame;
+// otherwise the raw pairs go to a map-output buffer and are packed in
+// production order. Everything is deterministic in the block, so a recovery
+// attempt regenerates byte-identical chunks under the same (partition, seq)
 // identities: buildChunks is the engine's engine.Regen, folding the whole
-// block again (the tables cannot be rebuilt in part) and dropping the chunks
+// block again (the table cannot be rebuilt in part) and dropping the chunks
 // below the delivery frontier already; a first attempt passes already nil,
 // keeps every chunk and enters the task in the combine ledger. The fold and
-// packing are pure data work riding the map task's pooled closure; the
-// hash/update charges land here after the join, and charge(i) bills chunk
-// i's serialization on node at its delivery point.
+// packing are pure data work riding the map task's pooled closure, and the
+// table dies with the task; the hash/update charges land here after the
+// join, and charge(i) bills chunk i's serialization on node at its delivery
+// point.
 func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int)) {
 	rt, job, costs := j.RT, j.Job, j.Costs
-	declared := job.Monoid != nil
-	R := job.Reducers
-	var n int
-	var finalPairBytes int64
-	buf, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, func(wj *engine.Job, buf *kv.Buffer) {
-		out := buf
-		if declared {
-			// Map-side folding: an insertion-ordered hash table of elements
-			// — the resident analogue of the hash engines' map-side
-			// combining, lit up for every workload that declares a monoid.
-			// One table serves every partition: a key has one partition,
-			// kept as its table value, and PackPartitions regroups the
-			// buffer partition-major in buffer order, so each partition's
-			// pairs come out in the order its keys first appeared.
-			table := newFoldTable(wj.Fold())
-			n = buf.Len()
-			for i := 0; i < n; i++ {
-				table.fold(buf.Key(i), buf.Val(i), buf.Partition(i))
+	R, chunkBytes := job.Reducers, j.Opts.ChunkBytes
+	// Map-side folding — the resident analogue of the hash engines' map-side
+	// combining, lit up for every workload that declares a monoid. One table
+	// serves every partition: a key has one partition, kept as its table
+	// value, and the frame regroups the drained pairs partition-major in
+	// drain order, so each partition's pairs come out in the order its keys
+	// first appeared. saved counts what the folds elided: the pair bytes
+	// they took in, less the key and element bytes they added.
+	var table *foldTable
+	var saved int64
+	var into func(wj *engine.Job) engine.MapSink
+	if job.Monoid != nil {
+		into = func(wj *engine.Job) engine.MapSink {
+			table = newFoldTable(wj.Fold())
+			return func(part int, key, val []byte) {
+				saved += int64(len(key)+len(val)) - table.fold(key, val, part)
 			}
-			out = kv.NewBuffer(0)
-			table.tbl.InOrder(func(k, elem []byte, part uint64) bool {
-				out.Add(int(part), k, elem)
-				return true
-			})
 		}
-		finalPairBytes = out.Bytes()
-		chunks = kv.PackPartitions(out, R, j.Opts.ChunkBytes).Chunks
-		if declared {
+	}
+	var finalPairBytes int64
+	buf, n, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, into, func(_ *engine.Job, buf *kv.Buffer) {
+		if table == nil {
+			chunks = kv.PackPartitions(buf, R, chunkBytes).Chunks
+			finalPairBytes = buf.Bytes()
+		} else {
+			fb := kv.NewFrameBuilder(R, chunkBytes)
+			chunks = fb.Finish(table.drain).Chunks
+			finalPairBytes = fb.PairBytes()
 			// Chunks come back in the order a streaming chunker seals them,
 			// and they are pushed in that order, which makes it part of the
 			// virtual schedule. The order to keep is that of a fill that
@@ -133,7 +134,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 			// then the partitions' unsealed tails. A fill in first-appearance
 			// order seals the same chunks interleaved.
 			rank := func(c kv.Chunk) int {
-				if int64(len(c.Data)) < j.Opts.ChunkBytes {
+				if int64(len(c.Data)) < chunkBytes {
 					return R + c.Part // a tail: sealed by the end of the fill
 				}
 				return c.Part
@@ -147,7 +148,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 	if err != nil {
 		panic(fmt.Sprintf("resident: %v", err))
 	}
-	if declared {
+	if table != nil {
 		node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord), engine.PhaseCombine)
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
@@ -155,7 +156,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 	if already == nil && rt.Auditing() {
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		// Zero for a job that did not fold: its raw pairs are its final ones.
-		rt.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
+		rt.Audit.CombineSaved(b.Index, saved)
 	}
 	rt.ReleaseBuffer(buf) // the frame is an encoded copy
 	return chunks, func(i int) {
@@ -196,14 +197,26 @@ func newFoldTable(agg *engine.Fold) *foldTable {
 }
 
 // fold folds one raw map value into key's element, remembering part as the
-// key's table value when the key is new. The element is the arena's copy:
-// val may alias a chunk buffer that is recycled after the call.
-func (t *foldTable) fold(key, val []byte, part int) {
+// key's table value when the key is new, and returns the bytes it added to
+// the table: the key's when it is new, plus by how much the element grew.
+// The element is the arena's copy: val may alias a chunk buffer that is
+// recycled after the call.
+func (t *foldTable) fold(key, val []byte, part int) (added int64) {
 	e, isNew := t.tbl.Slot(key)
 	if isNew {
 		t.tbl.SetVal(e, uint64(part))
+		added = int64(len(key))
 	}
-	t.agg.Into(t.tbl, e, isNew, val, false)
+	return added + int64(t.agg.Into(t.tbl, e, isNew, val, false))
+}
+
+// drain hands add every key, its element and its partition, in insertion
+// order.
+func (t *foldTable) drain(add func(part int, key, elem []byte)) {
+	t.tbl.InOrder(func(key, elem []byte, part uint64) bool {
+		add(int(part), key, elem)
+		return true
+	})
 }
 
 // emitAll finalizes the table in insertion order, charging reduce CPU per

@@ -3,6 +3,7 @@ package resident
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"onepass/internal/cluster"
@@ -212,22 +213,84 @@ func TestOneTableChunksMatchPerPartitionTables(t *testing.T) {
 	}
 }
 
+// A declared job's pairs fold into the one table as Map emits them, and the
+// table drains straight into the frame. The chunks must be the former
+// two-pass fold's — fill a buffer, fold it, drain the table into a second
+// buffer, pack that — in the same push order, for any reducer count, on a
+// first attempt and when a recovery rebuilds the block past a delivery
+// frontier; and the fold's own counts must conserve the map output's bytes.
+func TestChunksMatchTwoPassFold(t *testing.T) {
+	docs := gen.DefaultDocConfig()
+	docs.Vocab = 400
+	docs.WordsPerDoc = 60
+	for _, w := range []*workloads.Workload{
+		workloads.PerUserCount(smallClicks()),
+		workloads.PageFrequency(smallClicks()),
+		workloads.InvertedIndex(docs),
+	} {
+		for _, R := range []int{1, 7, 20} {
+			t.Run(fmt.Sprintf("%s/R=%d", w.Name, R), func(t *testing.T) {
+				f := enginetest.New(t, w, enginetest.Config{Reducers: R})
+				f.RT.Audit = engine.NewAudit()
+				job := f.Job
+				j := &engine.JobRun{RT: f.RT, Job: &job, Opts: engine.Options{ChunkBytes: 128},
+					Costs: job.Costs.Merged(), Partition: engine.HashPartitioner()}
+				blocks, err := f.RT.DFS.Blocks(job.InputPath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.RT.Env.Go("map", func(p *sim.Proc) {
+					node := f.RT.Cluster.Node(0)
+					for _, b := range blocks {
+						buf, err := f.RT.ExecuteMap(p, node, &job, b, j.Partition)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						// Partition r had its first r%3 chunks delivered.
+						already := make([]int, R)
+						for r := range already {
+							already[r] = r % 3
+						}
+						for _, frontier := range [][]int{nil, already} {
+							want := refTwoPassChunks(buf, R, job.Fold(), j.Opts.ChunkBytes, frontier)
+							got, _ := buildChunks(j, p, node, b, frontier)
+							if !slices.EqualFunc(got, want, func(a, b kv.Chunk) bool {
+								return a.Part == b.Part && a.Seq == b.Seq && bytes.Equal(a.Data, b.Data)
+							}) {
+								t.Fatalf("block %d, delivered %v: %d chunks differ from the two-pass fold's %d", b.Index, frontier, len(got), len(want))
+							}
+						}
+					}
+				})
+				f.RT.Env.Run()
+				if failures := f.RT.Audit.Finish(nil); len(failures) != 0 {
+					t.Fatalf("map side's ledger:\n%s", engine.FormatAuditFailures(failures))
+				}
+			})
+		}
+	}
+}
+
 // The resident engine's map side shares the packed partition frame with the
-// hash engines: its allocation must follow the data, not ChunkBytes. These
-// cases measure 5.5-6x their input plus map-output bytes.
+// hash engines: its allocation must follow the data, not ChunkBytes.
 func TestAllocationProportionalToData(t *testing.T) {
+	// Each case has its own bound, a margin above what it reads: a declared
+	// job's pairs go from emit to frame in one copy (3.7x), an undeclared
+	// one's through a map-output buffer (6.0x).
 	for _, tc := range []struct {
 		name     string
 		w        *workloads.Workload
 		block    int64
 		reducers int
+		bound    float64
 	}{
-		{"per-user-count/16KB/10", workloads.PerUserCount(smallClicks()), 16 << 10, 10},
-		{"sessionization/128KB/20", workloads.Sessionization(smallClicks()), 128 << 10, 20},
+		{"per-user-count/16KB/10", workloads.PerUserCount(smallClicks()), 16 << 10, 10, 4.5},
+		{"sessionization/128KB/20", workloads.Sessionization(smallClicks()), 128 << 10, 20, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			enginetest.CheckAllocationProportional(t, tc.w, enginetest.Config{
-				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, 8,
+				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, tc.bound,
 				func(f *enginetest.Fixture) (*engine.Result, error) { return Run(f.RT, f.Job, engine.Options{}) })
 		})
 	}
