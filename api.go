@@ -223,8 +223,9 @@ type Config struct {
 	HotKeyCounters   int
 	ApproximateEarly bool
 	ChunkBytes       int64
-	// RetainOutput keeps output pairs on the Result; DiscardOutput drops
-	// payloads entirely (sink mode for large benchmark runs).
+	// RetainOutput keeps output pairs on the Result; DiscardOutput never
+	// encodes payloads, and their I/O is charged from their sizes (sink mode
+	// for large benchmark runs).
 	//
 	// Precedence: job-level settings win. A Job that sets its own
 	// MemoryPerTask keeps it, and a Job that sets RetainOutput or

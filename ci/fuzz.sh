@@ -23,7 +23,8 @@ echo "fuzzed $targets targets for $fuzztime each"
 # internal/textfmt (FuzzParseSize, FuzzParseClickText) two each; and
 # internal/memtable (FuzzTableMatchesReference), internal/sortmerge
 # (FuzzStreamMatchesReference), internal/sketch
-# (FuzzSpaceSavingMatchesReference), internal/faults (FuzzFaultsParse) and
-# cmd/jobserve (FuzzParseTenant) one each; finding fewer than 18 means
+# (FuzzSpaceSavingMatchesReference), internal/engine
+# (FuzzStagedSizedMatchesUnits), internal/faults (FuzzFaultsParse) and
+# cmd/jobserve (FuzzParseTenant) one each; finding fewer than 19 means
 # discovery broke, not that the tree got safer.
-[ "$targets" -ge 18 ]
+[ "$targets" -ge 19 ]

@@ -353,16 +353,24 @@ func (h *hashReducer) emitApproximateEarly(p *sim.Proc) {
 	if err != nil {
 		panic(fmt.Sprintf("core: early output: %v", err))
 	}
-	pairs := 0
+	// Discarded early output is never encoded: only its size is written.
+	pairs, size := 0, 0
 	var buf []byte
 	h.tables[0].iterate(func(k, s []byte) bool {
 		rc.finish(k, s, func(kk, vv []byte) {
-			buf = kv.AppendPair(buf, kk, vv)
+			if !rc.job.DiscardOutput {
+				buf = kv.AppendPair(buf, kk, vv)
+			}
+			size += kv.EncodedSize(kk, vv)
 			pairs++
 		})
 		return true
 	})
-	if len(buf) > 0 {
+	switch {
+	case size == 0:
+	case rc.job.DiscardOutput:
+		w.AppendSize(p, int64(size))
+	default:
 		w.Append(p, buf)
 	}
 	rc.oc.NoteSnapshot(p.Now(), 1.0, pairs)

@@ -272,8 +272,9 @@ type Writer struct {
 	buf []byte
 }
 
-// CreateWriter opens path for writing from node. If discard is true, block
-// payloads are not retained (sink mode for large benchmark outputs).
+// CreateWriter opens path for writing from node. If discard is true, the
+// file keeps no payload (sink mode for large benchmark outputs): it is written
+// through AppendSize, which charges the I/O of bytes nobody encodes.
 func (d *DFS) CreateWriter(path string, node int, discard bool) (*Writer, error) {
 	if _, ok := d.files[path]; ok {
 		return nil, fmt.Errorf("dfs: file %q already exists", path)
@@ -302,21 +303,36 @@ func (d *DFS) CreateWriter(path string, node int, discard bool) (*Writer, error)
 
 // Append writes data to the file through the replication pipeline.
 func (w *Writer) Append(p *sim.Proc, data []byte) {
+	if w.meta.discard {
+		panic("dfs: Append on a discarding writer: its bytes were encoded for nothing")
+	}
 	n := int64(len(data))
+	w.charge(p, n)
+	// Retained output is modelled as a single logical block on the primary
+	// target, which is all tests need to verify contents.
+	if len(w.meta.blocks) == 0 {
+		b := &Block{Path: w.meta.path, Index: 0, replicas: append([]int(nil), w.targets...)}
+		b.gen = func() []byte { return w.buf }
+		w.meta.blocks = append(w.meta.blocks, b)
+	}
+	w.buf = append(w.buf, data...)
+	w.meta.blocks[0].Size += n
+}
+
+// AppendSize writes n bytes to a discarding writer's file: the same
+// pipeline I/O Append charges for n bytes, with no payload behind it.
+func (w *Writer) AppendSize(p *sim.Proc, n int64) {
+	if !w.meta.discard {
+		panic("dfs: AppendSize on a writer that keeps its payload")
+	}
+	w.charge(p, n)
+}
+
+// charge moves n bytes through the replication pipeline.
+func (w *Writer) charge(p *sim.Proc, n int64) {
 	for _, t := range w.targets {
 		w.dfs.cluster.Net.Transfer(p, w.node, t, n)
 		w.dfs.cluster.Node(t).DFSDevice().Write(p, n, true)
 	}
 	w.meta.size += n
-	if !w.meta.discard {
-		// Retained output is modelled as a single logical block on the
-		// primary target, which is all tests need to verify contents.
-		if len(w.meta.blocks) == 0 {
-			b := &Block{Path: w.meta.path, Index: 0, replicas: append([]int(nil), w.targets...)}
-			b.gen = func() []byte { return w.buf }
-			w.meta.blocks = append(w.meta.blocks, b)
-		}
-		w.buf = append(w.buf, data...)
-		w.meta.blocks[0].Size += n
-	}
 }

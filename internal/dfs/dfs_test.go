@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -235,7 +236,7 @@ func TestWriterReplicationPipeline(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		w.Append(p, make([]byte, 500))
+		w.AppendSize(p, 500)
 	})
 	env.Run()
 	if got := c.DiskBytesWritten(); got != 1000 {
@@ -255,7 +256,7 @@ func TestWriterFromComputeNodeInSplitTopology(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		w.Append(p, make([]byte, 100))
+		w.AppendSize(p, 100)
 	})
 	env.Run()
 	// Output must land on a storage node's disk, over the network.
@@ -264,6 +265,82 @@ func TestWriterFromComputeNodeInSplitTopology(t *testing.T) {
 	}
 	if got := c.Node(3).DFSDevice().BytesWritten(); got != 0 {
 		t.Fatalf("compute node wrote %v locally, want 0", got)
+	}
+}
+
+// A discarding writer is charged from sizes alone: the same instants, device
+// writes, network bytes and file size as the payload Append would have kept.
+func TestAppendSizeChargesAsAppend(t *testing.T) {
+	sizes := []int{0, 1, 700, 1000, 2500}
+	type charged struct {
+		at          []sim.Time
+		disk, net   float64
+		size        int64
+		blocks      int
+		dev1Written float64
+	}
+	run := func(discard bool) charged {
+		env, c := newTestCluster(3, false)
+		d := New(c, 1000, 2)
+		var got charged
+		env.Go("w", func(p *sim.Proc) {
+			w, err := d.CreateWriter("out", 1, discard)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, n := range sizes {
+				if discard {
+					w.AppendSize(p, int64(n))
+				} else {
+					w.Append(p, make([]byte, n))
+				}
+				got.at = append(got.at, p.Now())
+			}
+		})
+		env.Run()
+		got.disk, got.net = c.DiskBytesWritten(), c.Net.BytesTransferred()
+		got.size, _ = d.Size("out")
+		blocks, _ := d.Blocks("out")
+		got.blocks = len(blocks)
+		got.dev1Written = c.Node(1).DFSDevice().BytesWritten()
+		return got
+	}
+	kept, discarded := run(false), run(true)
+	if discarded.blocks != 0 {
+		t.Fatalf("discarding writer kept %d blocks", discarded.blocks)
+	}
+	kept.blocks = 0
+	if !reflect.DeepEqual(kept, discarded) {
+		t.Fatalf("AppendSize charged %+v, Append %+v", discarded, kept)
+	}
+}
+
+// Append on a discarding writer means a caller encoded bytes nobody reads;
+// AppendSize on a keeping one would leave a file shorter than its size.
+func TestWriterModesAreExclusive(t *testing.T) {
+	for _, tc := range []struct {
+		discard bool
+		write   func(p *sim.Proc, w *Writer)
+	}{
+		{true, func(p *sim.Proc, w *Writer) { w.Append(p, []byte("x")) }},
+		{false, func(p *sim.Proc, w *Writer) { w.AppendSize(p, 1) }},
+	} {
+		env, c := newTestCluster(2, false)
+		d := New(c, 1000, 1)
+		w, err := d.CreateWriter("out", 0, tc.discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		panicked := false
+		env.Go("w", func(p *sim.Proc) {
+			defer func() { panicked = recover() != nil }()
+			tc.write(p, w)
+		})
+		env.Run()
+		if !panicked {
+			t.Errorf("discard=%v: the wrong append did not panic", tc.discard)
+		}
 	}
 }
 

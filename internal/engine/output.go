@@ -24,18 +24,27 @@ type OutputCollector struct {
 	// job retains its output; Materialize turns it into Result.Output once.
 	retained []byte
 
-	// NewSink, when set, replaces the DFS writer for each partition: the
-	// returned append function receives every flushed write-behind buffer.
-	// The resident engine uses it to land reduce output in memory (then
-	// publishes it via dfs.RegisterResident) while keeping the checksum,
-	// serialize charges, retained output, and counters identical to the
-	// disk path.
+	// NewSink, when set, replaces the DFS writer for each partition of kept
+	// output: the returned append function receives every flushed
+	// write-behind buffer. The resident engine uses it to land reduce output
+	// in memory (then publishes it via dfs.RegisterResident) while keeping
+	// the checksum, serialize charges, retained output, and counters
+	// identical to the disk path. It is never called for discarded output,
+	// which then lands nowhere and costs no I/O.
 	NewSink func(r, nodeID int) func(p *sim.Proc, data []byte)
 }
 
+// dfsWriterRef is one reducer's write-behind state. Kept output is encoded
+// into buf and handed to append at each flush; discarded output is never
+// encoded — pending counts its bytes and appendSize, when the output has a
+// file to charge, takes the count.
 type dfsWriterRef struct {
-	append func(p *sim.Proc, data []byte)
-	buf    []byte
+	append     func(p *sim.Proc, data []byte)
+	appendSize func(p *sim.Proc, n int64)
+	buf        []byte
+	// pending is the encoded size of the pairs since the last flush, whether
+	// or not buf holds them.
+	pending int
 }
 
 // outputFlushBytes is the per-reducer write-behind buffer for job output —
@@ -60,15 +69,21 @@ func (rt *Runtime) NewOutputCollector(job *Job, res *Result) *OutputCollector {
 func (oc *OutputCollector) writer(r, nodeID int) *dfsWriterRef {
 	w := oc.writers[r]
 	if w == nil {
-		if oc.NewSink != nil {
-			w = &dfsWriterRef{append: oc.NewSink(r, nodeID)}
-		} else {
+		w = &dfsWriterRef{}
+		switch {
+		case oc.NewSink == nil:
 			path := fmt.Sprintf("%s/part-r-%05d", oc.job.OutputPath, r)
 			dw, err := oc.rt.DFS.CreateWriter(path, nodeID, oc.job.DiscardOutput)
 			if err != nil {
 				panic(fmt.Sprintf("engine: creating output %s: %v", path, err))
 			}
-			w = &dfsWriterRef{append: dw.Append}
+			if oc.job.DiscardOutput {
+				w.appendSize = dw.AppendSize
+			} else {
+				w.append = dw.Append
+			}
+		case !oc.job.DiscardOutput:
+			w.append = oc.NewSink(r, nodeID)
 		}
 		oc.writers[r] = w
 	}
@@ -80,27 +95,27 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 	w := oc.writer(r, nodeID)
 	// Consume key and val completely before the first blocking call: callers
 	// pass scratch buffers that other processes may overwrite while this one
-	// is suspended inside Compute or a DFS append. The pair is encoded
+	// is suspended inside Compute or a DFS append. Kept output is encoded
 	// straight into the write-behind buffer (dfs.Writer.Append copies, so the
-	// buffer is reused across flushes) and its checksum is staged now.
-	before := len(w.buf)
-	w.buf = kv.AppendPair(w.buf, key, val)
-	oc.emitted(p, r, nodeID, w, len(w.buf)-before, pairHash(key, val))
+	// buffer is reused across flushes), and the checksum is staged now.
+	if w.append != nil {
+		w.buf = kv.AppendPair(w.buf, key, val)
+	}
+	if oc.job.RetainOutput {
+		oc.retained = kv.AppendPair(oc.retained, key, val)
+	}
+	oc.emitted(p, r, nodeID, w, kv.EncodedSize(key, val), pairHash(key, val))
 }
 
-// emitted accounts one output pair whose encLen encoded bytes end w.buf:
-// the retained copy is those bytes again, then the serialize charge, the
-// write-behind flush once the buffer reaches outputFlushBytes, and the
-// checksum applied after the charge to keep event ordering identical.
+// emitted accounts one output pair of encLen encoded bytes, already in
+// w.buf if the output is kept: the serialize charge, the write-behind flush
+// once the pending bytes reach outputFlushBytes, and the checksum applied
+// after the charge to keep event ordering identical.
 func (oc *OutputCollector) emitted(p *sim.Proc, r, nodeID int, w *dfsWriterRef, encLen int, sum uint64) {
-	if oc.job.RetainOutput {
-		oc.retained = append(oc.retained, w.buf[len(w.buf)-encLen:]...)
-	}
 	node := oc.rt.Cluster.Node(nodeID)
 	node.Compute(p, Dur(float64(encLen), oc.serializeNs), PhaseReduce)
-	if len(w.buf) >= outputFlushBytes {
-		w.append(p, w.buf)
-		w.buf = w.buf[:0]
+	if w.pending += encLen; w.pending >= outputFlushBytes {
+		w.flush(p)
 	}
 
 	if !oc.res.haveFirst {
@@ -116,12 +131,28 @@ func (oc *OutputCollector) emitted(p *sim.Proc, r, nodeID int, w *dfsWriterRef, 
 	oc.res.OutputChecksum += sum
 }
 
-// Staged is one reducer's whole output, encoded once by the pooled closure
-// that reduced it, already cut into the write-behind units Emit would have
-// flushed: a unit seals at the first pair boundary at or past
-// outputFlushBytes. One closure builds it through Add; after the join it is
-// read-only and Replay hands its units to the writer uncopied.
+// flush hands the pending bytes to the part file or sink: kept output as
+// its encoded buffer, discarded output as a size.
+func (w *dfsWriterRef) flush(p *sim.Proc) {
+	switch {
+	case w.append != nil:
+		w.append(p, w.buf)
+		w.buf = w.buf[:0]
+	case w.appendSize != nil:
+		w.appendSize(p, int64(w.pending))
+	}
+	w.pending = 0
+}
+
+// Staged is one reducer's whole output, built by the pooled closure that
+// reduced it and replayed by the collector after the join. Output that is
+// kept is encoded once, already cut into the write-behind units Emit would
+// have flushed: a unit seals at the first pair boundary at or past
+// outputFlushBytes, and Replay hands the units to the writer uncopied.
+// Output nobody reads stages only each pair's size and checksum term. One
+// closure builds it through Add; after the join it is read-only.
 type Staged struct {
+	sized bool     // no units: the collector never encodes this output
 	units [][]byte // sealed units, then the open one
 	pairs []stagedPair
 }
@@ -132,30 +163,38 @@ type stagedPair struct {
 	sum    uint64
 }
 
+// Stage returns an empty Staged for this collector's output: sized when
+// the output is discarded and not retained, so no pair is encoded.
+func (oc *OutputCollector) Stage() Staged {
+	return Staged{sized: oc.job.DiscardOutput && !oc.job.RetainOutput}
+}
+
 // Add stages one output pair; it is an Emit for reduce functions.
 func (s *Staged) Add(key, val []byte) {
-	last := len(s.units) - 1
-	if last < 0 || len(s.units[last]) >= outputFlushBytes {
-		// A reducer that filled one unit opens the next at full size.
-		var next []byte
-		if last >= 0 {
-			next = make([]byte, 0, unitCap)
-		}
-		s.units = append(s.units, next)
-		last++
-	}
 	encLen := kv.EncodedSize(key, val)
-	s.units[last] = kv.AppendPair(GrowUnit(s.units[last], encLen), key, val)
+	if !s.sized {
+		last := len(s.units) - 1
+		if last < 0 || len(s.units[last]) >= outputFlushBytes {
+			// A reducer that filled one unit opens the next at full size.
+			var next []byte
+			if last >= 0 {
+				next = make([]byte, 0, unitCap)
+			}
+			s.units = append(s.units, next)
+			last++
+		}
+		s.units[last] = kv.AppendPair(growUnit(s.units[last], encLen), key, val)
+	}
 	if len(s.pairs) == cap(s.pairs) {
 		s.pairs = slices.Grow(s.pairs, len(s.pairs)+1) // double, as kv.Grouper does
 	}
 	s.pairs = append(s.pairs, stagedPair{encLen, pairHash(key, val)})
 }
 
-// GrowUnit returns buf with room for n more bytes. A write-behind buffer is
+// growUnit returns buf with room for n more bytes. A write-behind buffer is
 // sized by the data: it doubles from 4 KB up to unitCap, then grows to
 // exactly what the pair that seals it needs.
-func GrowUnit(buf []byte, n int) []byte {
+func growUnit(buf []byte, n int) []byte {
 	need := len(buf) + n
 	if need <= cap(buf) {
 		return buf
@@ -166,21 +205,37 @@ func GrowUnit(buf []byte, n int) []byte {
 
 // Replay emits every staged pair from reducer r running on node: the same
 // per-pair charge, flush, first-output and checksum steps as one Emit per
-// pair, in the same order, with the writer's buffer a window over the staged
-// unit instead of a second encoding. Reducer r must have nothing buffered.
+// pair, in the same order. Kept output's buffer is a window over the staged
+// unit instead of a second encoding; a sized Staged replays sizes alone.
+// Reducer r must have nothing buffered.
 func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 	if len(s.pairs) == 0 {
 		return
 	}
 	w := oc.writer(r, nodeID)
-	if len(w.buf) != 0 {
+	if w.pending != 0 {
 		panic("engine: Replay over a reducer with buffered output")
+	}
+	if s.sized {
+		if w.append != nil || oc.job.RetainOutput {
+			panic("engine: Replay of sizes into output that keeps its bytes")
+		}
+		for _, sp := range s.pairs {
+			oc.emitted(p, r, nodeID, w, sp.encLen, sp.sum)
+		}
+		return
 	}
 	pairs := s.pairs
 	for _, unit := range s.units {
 		for off := 0; off < len(unit); pairs = pairs[1:] {
+			start := off
 			off += pairs[0].encLen
-			w.buf = unit[:off]
+			if w.append != nil {
+				w.buf = unit[:off]
+			}
+			if oc.job.RetainOutput {
+				oc.retained = append(oc.retained, unit[start:off]...)
+			}
 			oc.emitted(p, r, nodeID, w, pairs[0].encLen, pairs[0].sum)
 		}
 	}
@@ -215,12 +270,9 @@ func (oc *OutputCollector) Materialize() {
 // Close flushes reducer r's buffered output; every engine's reduce task
 // calls it once after its last emit.
 func (oc *OutputCollector) Close(p *sim.Proc, r int) {
-	w := oc.writers[r]
-	if w == nil || len(w.buf) == 0 {
-		return
+	if w := oc.writers[r]; w != nil && w.pending > 0 {
+		w.flush(p)
 	}
-	w.append(p, w.buf)
-	w.buf = w.buf[:0]
 }
 
 // NoteSnapshot records an early-answer snapshot on the result.

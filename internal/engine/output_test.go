@@ -16,22 +16,30 @@ type outputRun struct {
 	res     Result
 	events  []trace.Event
 	appends []string // NewSink: "reducer@time:len:bytes-hash" per flushed buffer
+	flushes []string // "reducer@time:len" per flush handed to a file or sink
 	files   []string // DFS: each part file's bytes
+	encoded int      // capacity of every write-behind buffer and staged unit
 	end     sim.Time
+}
+
+// collectorMode is what a collector does with its output.
+type collectorMode struct {
+	name                  string
+	retain, discard, sink bool
 }
 
 // runCollector drives two reducers' pairs through a fresh collector at once
 // — they interleave at every charge — either one Emit per pair or staged
 // first and replayed, and closes both.
-func runCollector(t *testing.T, pairs [2][][2][]byte, retain, sink, replay bool) outputRun {
+func runCollector(t *testing.T, pairs [2][][2][]byte, mode collectorMode, replay bool) outputRun {
 	t.Helper()
 	rt := testRuntime(2)
 	log := trace.NewLog()
 	rt.Tracer = log
-	job := &Job{Name: "out", OutputPath: "out", Reducers: 2, RetainOutput: retain}
+	job := &Job{Name: "out", OutputPath: "out", Reducers: 2, RetainOutput: mode.retain, DiscardOutput: mode.discard}
 	var run outputRun
 	oc := rt.NewOutputCollector(job, &run.res)
-	if sink {
+	if mode.sink {
 		oc.NewSink = func(r, nodeID int) func(p *sim.Proc, data []byte) {
 			return func(p *sim.Proc, data []byte) {
 				p.Sleep(sim.Duration(len(data))) // a sink that blocks, as a DFS append does
@@ -39,18 +47,47 @@ func runCollector(t *testing.T, pairs [2][][2][]byte, retain, sink, replay bool)
 			}
 		}
 	}
+	// observe opens reducer r's writer — at the instant its first Emit or
+	// Replay would — and logs every flush it hands on.
+	observe := func(p *sim.Proc, r int) {
+		w := oc.writer(r, r)
+		if app := w.append; app != nil {
+			w.append = func(p *sim.Proc, data []byte) {
+				run.flushes = append(run.flushes, fmt.Sprintf("%d@%d:%d", r, p.Now(), len(data)))
+				app(p, data)
+			}
+		}
+		if size := w.appendSize; size != nil {
+			w.appendSize = func(p *sim.Proc, n int64) {
+				run.flushes = append(run.flushes, fmt.Sprintf("%d@%d:%d", r, p.Now(), n))
+				size(p, n)
+			}
+		}
+	}
 	for r := range pairs {
 		rt.Env.Go(fmt.Sprintf("reduce-%d", r), func(p *sim.Proc) {
 			if replay {
-				var st Staged
+				st := oc.Stage()
 				for _, kvp := range pairs[r] {
 					st.Add(kvp[0], kvp[1])
 				}
+				for _, u := range st.units {
+					run.encoded += cap(u)
+				}
+				if len(pairs[r]) > 0 {
+					observe(p, r)
+				}
 				oc.Replay(p, r, r, &st)
 			} else {
-				for _, kvp := range pairs[r] {
+				for i, kvp := range pairs[r] {
+					if i == 0 {
+						observe(p, r)
+					}
 					oc.Emit(p, r, r, kvp[0], kvp[1])
 				}
+			}
+			if w := oc.writers[r]; w != nil && !replay {
+				run.encoded += cap(w.buf)
 			}
 			oc.Close(p, r)
 		})
@@ -58,7 +95,7 @@ func runCollector(t *testing.T, pairs [2][][2][]byte, retain, sink, replay bool)
 	rt.Env.Run()
 	oc.Materialize()
 	run.events, run.end = log.Events(), rt.Env.Now()
-	if !sink {
+	if !mode.sink {
 		for r := range pairs {
 			path := fmt.Sprintf("out/part-r-%05d", r)
 			if !rt.DFS.Exists(path) {
@@ -73,7 +110,8 @@ func runCollector(t *testing.T, pairs [2][][2][]byte, retain, sink, replay bool)
 			for _, b := range blocks {
 				data = append(data, b.Peek()...)
 			}
-			run.files = append(run.files, string(data))
+			size, _ := rt.DFS.Size(path)
+			run.files = append(run.files, fmt.Sprintf("%d:%s", size, data))
 		}
 	}
 	return run
@@ -125,14 +163,19 @@ func TestReplayMatchesEmit(t *testing.T) {
 			{pair("first-and-only", outputFlushBytes+1)}}},
 		{"many-units", [2][][2][]byte{small("a", 30000), small("b", 12000)}},
 	}
+	modes := []collectorMode{
+		{"dfs", false, false, false}, {"retain", true, false, false},
+		{"sink", false, false, true}, {"sink-retain", true, false, true},
+		{"discard", false, true, false}, {"discard-retain", true, true, false},
+		{"sink-discard", false, true, true},
+	}
 	for _, tc := range cases {
-		for _, mode := range []struct {
-			name         string
-			retain, sink bool
-		}{{"dfs", false, false}, {"retain", true, false}, {"sink", false, true}, {"sink-retain", true, true}} {
+		replays := map[string]outputRun{}
+		for _, mode := range modes {
 			t.Run(tc.name+"/"+mode.name, func(t *testing.T) {
-				want := runCollector(t, tc.pairs, mode.retain, mode.sink, false)
-				got := runCollector(t, tc.pairs, mode.retain, mode.sink, true)
+				want := runCollector(t, tc.pairs, mode, false)
+				got := runCollector(t, tc.pairs, mode, true)
+				replays[mode.name] = got
 				if !reflect.DeepEqual(got.res, want.res) {
 					t.Errorf("Result differs:\nreplay %+v\nemit   %+v", got.res, want.res)
 				}
@@ -141,6 +184,9 @@ func TestReplayMatchesEmit(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got.appends, want.appends) {
 					t.Errorf("sink appends differ:\nreplay %v\nemit   %v", got.appends, want.appends)
+				}
+				if !reflect.DeepEqual(got.flushes, want.flushes) {
+					t.Errorf("flushes differ:\nreplay %v\nemit   %v", got.flushes, want.flushes)
 				}
 				if !reflect.DeepEqual(got.files, want.files) {
 					t.Error("part files differ")
@@ -151,10 +197,29 @@ func TestReplayMatchesEmit(t *testing.T) {
 				if n := len(tc.pairs[0]) + len(tc.pairs[1]); want.res.OutputPairs != n {
 					t.Fatalf("emit path counted %d pairs of %d", want.res.OutputPairs, n)
 				}
-				if mode.sink && want.res.OutputBytes >= outputFlushBytes && len(want.appends) < 2 {
+				if mode.sink && !mode.discard && want.res.OutputBytes >= outputFlushBytes && len(want.appends) < 2 {
 					t.Fatalf("%d output bytes reached the sink in %d appends", want.res.OutputBytes, len(want.appends))
 				}
+				if mode.discard && !mode.retain && (got.encoded != 0 || want.encoded != 0) {
+					t.Fatalf("discarded output encoded into %d bytes of units (replay), %d of buffer (emit)", got.encoded, want.encoded)
+				}
 			})
+		}
+		// Discarding output drops its bytes and nothing else: the same flush
+		// sizes at the same instants, first output, Result and trace as the
+		// encoded replay into a file that keeps them. (A discarding sink has
+		// no I/O to compare: the test sink's blocking is the kept path's.)
+		for _, pair := range [][2]string{{"discard", "dfs"}, {"discard-retain", "retain"}} {
+			got, want := replays[pair[0]], replays[pair[1]]
+			if !reflect.DeepEqual(got.res, want.res) || !reflect.DeepEqual(got.events, want.events) ||
+				!reflect.DeepEqual(got.flushes, want.flushes) || got.end != want.end {
+				t.Errorf("%s/%s differs from %s:\nresult %+v\nwant   %+v\nflushes %v\nwant    %v",
+					tc.name, pair[0], pair[1], got.res, want.res, got.flushes, want.flushes)
+			}
+		}
+		if got, want := replays["sink-discard"].res, replays["sink"].res; got.OutputBytes != want.OutputBytes ||
+			got.OutputChecksum != want.OutputChecksum || got.FirstOutputAt != want.FirstOutputAt {
+			t.Errorf("%s/sink-discard: %+v, sink %+v", tc.name, got, want)
 		}
 	}
 }
@@ -184,4 +249,76 @@ func TestStagedSizedByData(t *testing.T) {
 	if data := 5000 * 110; total > 2*data {
 		t.Fatalf("units hold %d bytes of capacity for %d bytes of output", total, data)
 	}
+}
+
+// Discarded output costs no allocation per pair: Emit counts into the
+// writer state, and a sized Staged replays without touching a buffer.
+func TestDiscardAllocatesNothingPerPair(t *testing.T) {
+	rt := testRuntime(1)
+	oc := rt.NewOutputCollector(&Job{Name: "d", OutputPath: "d", Reducers: 1, DiscardOutput: true}, &Result{})
+	key, val := []byte("user-0001"), bytes.Repeat([]byte("v"), 90)
+	st := oc.Stage()
+	for i := 0; i < 4000; i++ { // three write-behind flushes' worth
+		st.Add(key, val)
+	}
+	if st.units != nil {
+		t.Fatalf("a discarding collector's Staged holds %d units", len(st.units))
+	}
+	rt.Env.Go("reduce", func(p *sim.Proc) {
+		oc.Emit(p, 0, 0, key, val) // opens the writer
+		if avg := testing.AllocsPerRun(5000, func() { oc.Emit(p, 0, 0, key, val) }); avg != 0 {
+			t.Errorf("discarding Emit allocates %.1f/pair, budget 0", avg)
+		}
+		oc.Close(p, 0)
+		if avg := testing.AllocsPerRun(20, func() {
+			oc.Replay(p, 0, 0, &st)
+			oc.Close(p, 0)
+		}); avg != 0 {
+			t.Errorf("discarding Replay of %d pairs allocates %.1f, budget 0", len(st.pairs), avg)
+		}
+	})
+	rt.Env.Run()
+	if oc.writers[0].buf != nil {
+		t.Fatalf("discarded output encoded into a %d-byte buffer", cap(oc.writers[0].buf))
+	}
+}
+
+// FuzzStagedSizedMatchesUnits holds a sized Staged — sizes and checksum
+// terms, no units — to the encoded units it stands for. Each three bytes
+// draw one pair: its reducer, a key length and a value length, scaled up
+// (to 320 KB) when the top bit is set, so pairs straddle and exceed
+// outputFlushBytes. Replayed through a keeping and a discarding collector,
+// the pairs must flush the same sizes at the same instants and leave the
+// same Result.
+func FuzzStagedSizedMatchesUnits(f *testing.F) {
+	f.Add([]byte{0x01, 0x00, 0x40, 0x42, 0x10, 0x00})
+	f.Add(bytes.Repeat([]byte{0x83, 0x66, 0x66, 0x05, 0x00, 0x70}, 6))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x40, 0x00, 0x01, 0x00, 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pairs [2][][2][]byte
+		total := 0
+		for i := 0; i+3 <= len(data) && total < 2<<20; i += 3 {
+			klen := int(data[i] & 0x1f)
+			vlen := int(data[i+1])<<8 | int(data[i+2])
+			if data[i]&0x80 != 0 {
+				vlen *= 5
+			}
+			r := int(data[i]>>6) & 1
+			key := bytes.Repeat([]byte{byte(i)}, klen)
+			val := bytes.Repeat([]byte{data[i+1] ^ byte(i)}, vlen)
+			pairs[r] = append(pairs[r], [2][]byte{key, val})
+			total += kv.EncodedSize(key, val)
+		}
+		kept := runCollector(t, pairs, collectorMode{name: "dfs"}, true)
+		sized := runCollector(t, pairs, collectorMode{name: "discard", discard: true}, true)
+		if sized.encoded != 0 {
+			t.Fatalf("discarding collector staged %d bytes of units", sized.encoded)
+		}
+		if !reflect.DeepEqual(sized.flushes, kept.flushes) {
+			t.Fatalf("flushes differ:\nsized   %v\nencoded %v", sized.flushes, kept.flushes)
+		}
+		if !reflect.DeepEqual(sized.res, kept.res) || sized.end != kept.end {
+			t.Fatalf("sized replay %+v ending %v, encoded %+v ending %v", sized.res, sized.end, kept.res, kept.end)
+		}
+	})
 }

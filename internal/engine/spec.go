@@ -60,8 +60,8 @@ type Job struct {
 
 	Reducers   int
 	OutputPath string
-	// DiscardOutput drops output payloads (I/O still charged) — sink mode
-	// for large benchmark runs.
+	// DiscardOutput never encodes output payloads; their I/O is charged
+	// from their sizes — sink mode for large benchmark runs.
 	DiscardOutput bool
 	// RetainOutput additionally keeps an in-memory copy of all output pairs
 	// on the Result for verification. Mutually exclusive with DiscardOutput

@@ -166,6 +166,6 @@ func CheckAllocationProportional(t *testing.T, w *workloads.Workload, cfg Config
 	alloc := float64(after.TotalAlloc - before.TotalAlloc)
 	t.Logf("allocated %.0f bytes for %.0f bytes of input + map output: %.1fx", alloc, data, alloc/data)
 	if alloc > bound*data {
-		t.Fatalf("allocated %.1fx the input + map-output bytes, bound %.0fx", alloc/data, bound)
+		t.Fatalf("allocated %.1fx the input + map-output bytes, bound %gx", alloc/data, bound)
 	}
 }

@@ -306,27 +306,27 @@ func TestMidShuffleFailureMatchesCleanChecksum(t *testing.T) {
 }
 
 // Sort-merge allocation must follow the data too: a reduce-side byte is
-// allocated when its run is merged and when its output unit is staged, not at
-// every hand-off between them, and a reducer with a few pairs of output (the
-// 16 KB cases) stages kilobytes, not a flush unit. These cases measure 4.6-5.1x
-// their input plus map-output bytes; with run files copied on write and on
-// read-back and reduce output staged flat and then encoded again, the
-// sessionization cases measured 6.4-6.6x.
+// allocated when its run is merged, not at every hand-off after it, a
+// reducer with a few pairs of output (the 16 KB cases) stages kilobytes, not
+// a flush unit, and discarded output stages only its pairs' sizes. Each case
+// has its own bound, a margin above what it reads: sessionization 4.0x and
+// 3.8x its input plus map-output bytes, per-user-count 4.6x and 5.0x.
 func TestAllocationProportionalToData(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		w        *workloads.Workload
 		block    int64
 		reducers int
+		bound    float64
 	}{
-		{"sessionization/128KB/20", workloads.Sessionization(smallClicks()), 128 << 10, 20},
-		{"sessionization/16KB/10", workloads.Sessionization(smallClicks()), 16 << 10, 10},
-		{"per-user-count/128KB/20", workloads.PerUserCount(smallClicks()), 128 << 10, 20},
-		{"per-user-count/16KB/10", workloads.PerUserCount(smallClicks()), 16 << 10, 10},
+		{"sessionization/128KB/20", workloads.Sessionization(smallClicks()), 128 << 10, 20, 4.5},
+		{"sessionization/16KB/10", workloads.Sessionization(smallClicks()), 16 << 10, 10, 4.5},
+		{"per-user-count/128KB/20", workloads.PerUserCount(smallClicks()), 128 << 10, 20, 6},
+		{"per-user-count/16KB/10", workloads.PerUserCount(smallClicks()), 16 << 10, 10, 6},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			enginetest.CheckAllocationProportional(t, tc.w, enginetest.Config{
-				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, 8,
+				Nodes: 4, BlockSize: tc.block, InputSize: 16 * tc.block, Reducers: tc.reducers}, tc.bound,
 				func(f *enginetest.Fixture) (*engine.Result, error) {
 					return Run(f.RT, f.Job, engine.Options{})
 				})

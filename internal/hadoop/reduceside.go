@@ -34,9 +34,6 @@ type ReduceSide struct {
 	// wider: a snapshot merge suspends inside Stream.Peek while another
 	// reducer's merge runs on the same loop.
 	merge kv.MergeScratch
-	// SnapshotBuf is HOP's snapshot write-behind buffer, kept from one of
-	// the reducer's snapshots to the next.
-	SnapshotBuf []byte
 }
 
 // NewReduceSide builds the spill/merge state for reducer r on node. Its
@@ -182,7 +179,8 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 	}
 	// Read the remaining runs up front so the final merge + reduce scan is
 	// pure in-memory work a pooled closure can own; the output pairs stage
-	// as write-behind units the collector replays after the join.
+	// for the collector to replay after the join — as write-behind units when
+	// the output is kept, as sizes when it is discarded.
 	datas := rs.Merger.ReadRuns(p)
 	segs := rs.Acc.TakeSegments()
 	// The reduce and framework charges depend only on the total input pair
@@ -195,7 +193,7 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 	for _, s := range segs {
 		inputs += kv.CountPairs(s)
 	}
-	var staged engine.Staged
+	staged := oc.Stage()
 	var cmps int64
 	work := rs.rt.StartJobWork(p, rs.job, func(wj *engine.Job) {
 		streams := make([]kv.PairStream, 0, len(datas)+len(segs))

@@ -299,7 +299,7 @@ func emitSnapshot(j *engine.JobRun, p *sim.Proc, node *cluster.Node, rs *hadoop.
 	}
 	streams = append(streams, rs.Acc.PeekStreams()...)
 	pairs := 0
-	sink := newSnapshotSink(rt, p, node, j.Job, r, frac, rs.SnapshotBuf)
+	sink := newSnapshotSink(rt, p, node, j.Job, r, frac)
 	// This merge runs on the event loop (its streams charge disk reads as they
 	// refill), so it reduces through the job itself: pooled closures only ever
 	// exercise their workers' clones.
@@ -308,7 +308,6 @@ func emitSnapshot(j *engine.JobRun, p *sim.Proc, node *cluster.Node, rs *hadoop.
 		sink.write(k, v)
 	})
 	sink.flush()
-	rs.SnapshotBuf = sink.buf
 	node.Compute(p, engine.Dur(float64(cmps), costs.CompareNs), engine.PhaseMerge)
 	node.Compute(p, engine.Dur(float64(inputs), costs.ReduceNsPerRecord), engine.PhaseReduce)
 	rt.Counters.Add(engine.CtrMergeComparisons, float64(cmps))
@@ -321,37 +320,37 @@ func emitSnapshot(j *engine.JobRun, p *sim.Proc, node *cluster.Node, rs *hadoop.
 	}
 }
 
-// snapshotSink writes snapshot output to its own DFS file (discarded
-// payloads — only sizes matter) so snapshots don't pollute the final
-// output.
+// snapshotSink writes snapshot output to its own DFS file so snapshots
+// don't pollute the final output. Nothing reads a snapshot file's payload,
+// so no pair is encoded: the sink counts each pair's encoded size and
+// charges the file in write-behind flushes, sealed at the first pair
+// boundary at or past 128 KB.
 type snapshotSink struct {
-	p      *sim.Proc
-	append func(p *sim.Proc, data []byte)
-	buf    []byte
+	p       *sim.Proc
+	w       *dfs.Writer
+	pending int64
 }
 
-// newSnapshotSink opens the snapshot's file; buf is the reducer's (empty)
-// write-behind buffer from its previous snapshot.
-func newSnapshotSink(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job, r int, frac float64, buf []byte) *snapshotSink {
+// newSnapshotSink opens the snapshot's file.
+func newSnapshotSink(rt *engine.Runtime, p *sim.Proc, node *cluster.Node, job *engine.Job, r int, frac float64) *snapshotSink {
 	path := fmt.Sprintf("%s/snapshot-%03.0f/part-r-%05d", job.OutputPath, frac*100, r)
 	w, err := rt.DFS.CreateWriter(path, node.ID, true)
 	if err != nil {
 		panic(fmt.Sprintf("hop: snapshot writer: %v", err))
 	}
-	return &snapshotSink{p: p, append: w.Append, buf: buf}
+	return &snapshotSink{p: p, w: w}
 }
 
 func (s *snapshotSink) write(k, v []byte) {
-	s.buf = kv.AppendPair(engine.GrowUnit(s.buf, kv.EncodedSize(k, v)), k, v)
-	if len(s.buf) >= 128<<10 {
+	if s.pending += int64(kv.EncodedSize(k, v)); s.pending >= 128<<10 {
 		s.flush()
 	}
 }
 
 func (s *snapshotSink) flush() {
-	if len(s.buf) == 0 {
+	if s.pending == 0 {
 		return
 	}
-	s.append(s.p, s.buf)
-	s.buf = s.buf[:0]
+	s.w.AppendSize(s.p, s.pending)
+	s.pending = 0
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -257,28 +258,56 @@ func (c *Counters) UnmarshalJSON(b []byte) error {
 }
 
 // CPUAccount attributes CPU seconds to named phases ("map-fn", "sort",
-// "merge", ...), reproducing the paper's Table II accounting.
+// "merge", ...), reproducing the paper's Table II accounting. The phases are
+// a handful of fixed names and every Node.Compute charges one, so they live
+// in a short slice kept sorted by name and found by scanning it, not in a
+// map that would hash the name on every charge.
 type CPUAccount struct {
-	seconds map[string]float64
+	phases []phaseSeconds
+}
+
+// phaseSeconds is one phase's CPU seconds.
+type phaseSeconds struct {
+	name    string
+	seconds float64
 }
 
 // NewCPUAccount returns an empty account.
-func NewCPUAccount() *CPUAccount { return &CPUAccount{seconds: make(map[string]float64)} }
+func NewCPUAccount() *CPUAccount { return &CPUAccount{} }
+
+// slot returns phase's seconds, entering the phase at its sorted place on
+// first use.
+func (a *CPUAccount) slot(phase string) *float64 {
+	for i := range a.phases {
+		if a.phases[i].name == phase {
+			return &a.phases[i].seconds
+		}
+	}
+	i := sort.Search(len(a.phases), func(i int) bool { return a.phases[i].name > phase })
+	a.phases = slices.Insert(a.phases, i, phaseSeconds{name: phase})
+	return &a.phases[i].seconds
+}
 
 // Add charges d of CPU time to phase.
-func (a *CPUAccount) Add(phase string, d sim.Duration) { a.seconds[phase] += d.Seconds() }
+func (a *CPUAccount) Add(phase string, d sim.Duration) { *a.slot(phase) += d.Seconds() }
 
 // Seconds returns the CPU seconds charged to phase.
-func (a *CPUAccount) Seconds(phase string) float64 { return a.seconds[phase] }
+func (a *CPUAccount) Seconds(phase string) float64 {
+	for _, ps := range a.phases {
+		if ps.name == phase {
+			return ps.seconds
+		}
+	}
+	return 0
+}
 
 // Total returns the CPU seconds across all phases. Summation follows the
 // sorted phase order: float addition is order-sensitive in its last bits,
-// and map iteration order would make byte-identical runs report totals
-// differing by ULPs.
+// so a fixed order keeps byte-identical runs reporting identical totals.
 func (a *CPUAccount) Total() float64 {
 	t := 0.0
-	for _, phase := range a.Phases() {
-		t += a.seconds[phase]
+	for _, ps := range a.phases {
+		t += ps.seconds
 	}
 	return t
 }
@@ -289,23 +318,22 @@ func (a *CPUAccount) Share(phase string) float64 {
 	if t == 0 {
 		return 0
 	}
-	return a.seconds[phase] / t
+	return a.Seconds(phase) / t
 }
 
 // Phases returns all phase names, sorted.
 func (a *CPUAccount) Phases() []string {
-	names := make([]string, 0, len(a.seconds))
-	for n := range a.seconds {
-		names = append(names, n)
+	names := make([]string, len(a.phases))
+	for i, ps := range a.phases {
+		names[i] = ps.name
 	}
-	sort.Strings(names)
 	return names
 }
 
 // Merge adds every phase of other into a.
 func (a *CPUAccount) Merge(other *CPUAccount) {
-	for phase, s := range other.seconds {
-		a.seconds[phase] += s
+	for _, ps := range other.phases {
+		*a.slot(ps.name) += ps.seconds
 	}
 }
 
@@ -319,14 +347,18 @@ func (a *CPUAccount) Clone() *CPUAccount {
 // Sub subtracts a baseline from every phase (for per-job accounting on a
 // shared cluster).
 func (a *CPUAccount) Sub(base *CPUAccount) {
-	for phase, s := range base.seconds {
-		a.seconds[phase] -= s
+	for _, ps := range base.phases {
+		*a.slot(ps.name) -= ps.seconds
 	}
 }
 
 // MarshalJSON encodes the account as a phase→seconds object.
 func (a *CPUAccount) MarshalJSON() ([]byte, error) {
-	return json.Marshal(a.seconds)
+	seconds := make(map[string]float64, len(a.phases))
+	for _, ps := range a.phases {
+		seconds[ps.name] = ps.seconds
+	}
+	return json.Marshal(seconds)
 }
 
 // UnmarshalJSON replaces the account's contents.
@@ -335,7 +367,10 @@ func (a *CPUAccount) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &seconds); err != nil {
 		return err
 	}
-	a.seconds = seconds
+	a.phases = nil
+	for name, s := range seconds {
+		*a.slot(name) = s
+	}
 	return nil
 }
 

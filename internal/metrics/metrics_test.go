@@ -1,7 +1,11 @@
 package metrics
 
 import (
+	"encoding/json"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -330,5 +334,102 @@ func TestCPUAccountCloneSub(t *testing.T) {
 	}
 	if base.Seconds("x") != 5 {
 		t.Fatal("clone aliased the original")
+	}
+}
+
+// refCPUAccount is the former map-keyed account: each phase adds the same
+// float terms in the same order, and totals and JSON follow sorted names.
+type refCPUAccount map[string]float64
+
+func (r refCPUAccount) total() float64 {
+	names := make([]string, 0, len(r))
+	for n := range r {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	t := 0.0
+	for _, n := range names {
+		t += r[n]
+	}
+	return t
+}
+
+// The slice-backed account must read bit-identically to the map it
+// replaced through every operation: Seconds, Phases, Total, Merge, Sub,
+// Clone and the JSON bytes.
+func TestCPUAccountMatchesMap(t *testing.T) {
+	phases := []string{"parse", "map-fn", "sort", "combine", "merge", "reduce-fn", "hash", "state-update", "framework"}
+	rng := rand.New(rand.NewSource(7))
+	var accts []*CPUAccount
+	var refs []refCPUAccount
+	for n := 0; n < 4; n++ {
+		a, ref := NewCPUAccount(), refCPUAccount{}
+		for i := 0; i < 500; i++ {
+			phase := phases[rng.Intn(len(phases)-n)] // later accounts use fewer phases
+			d := sim.Duration(rng.Int63n(int64(sim.Second)))
+			a.Add(phase, d)
+			ref[phase] += d.Seconds()
+		}
+		accts, refs = append(accts, a), append(refs, ref)
+	}
+	merged, mref := accts[3].Clone(), refCPUAccount{}
+	for p, s := range refs[3] {
+		mref[p] += s
+	}
+	for i := 0; i < 3; i++ {
+		merged.Merge(accts[i])
+		for p, s := range refs[i] {
+			mref[p] += s
+		}
+	}
+	merged.Sub(accts[1])
+	for p, s := range refs[1] {
+		mref[p] -= s
+	}
+	accts, refs = append(accts, merged), append(refs, mref)
+	for i, a := range accts {
+		ref := refs[i]
+		want := make([]string, 0, len(ref))
+		for p := range ref {
+			want = append(want, p)
+		}
+		sort.Strings(want)
+		if got := a.Phases(); !slices.Equal(got, want) {
+			t.Fatalf("account %d phases %v, want %v", i, got, want)
+		}
+		for _, p := range phases {
+			if got := a.Seconds(p); math.Float64bits(got) != math.Float64bits(ref[p]) {
+				t.Fatalf("account %d %s = %v, want %v", i, p, got, ref[p])
+			}
+		}
+		if got, want := a.Total(), ref.total(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("account %d total %v, want %v", i, got, want)
+		}
+		got, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, _ := json.Marshal(map[string]float64(ref))
+		if string(got) != string(wantJSON) {
+			t.Fatalf("account %d JSON %s, want %s", i, got, wantJSON)
+		}
+		back := NewCPUAccount()
+		if err := json.Unmarshal(got, back); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(back.phases, a.phases) {
+			t.Fatalf("account %d JSON round trip %v, want %v", i, back.phases, a.phases)
+		}
+	}
+}
+
+// Node.Compute charges the account on every call: a known phase costs no
+// allocation.
+func TestCPUAccountAddAllocatesNothing(t *testing.T) {
+	a := NewCPUAccount()
+	a.Add("merge", sim.Second)
+	a.Add("sort", sim.Second)
+	if avg := testing.AllocsPerRun(1000, func() { a.Add("sort", sim.Millisecond) }); avg != 0 {
+		t.Fatalf("Add allocates %.1f/op", avg)
 	}
 }

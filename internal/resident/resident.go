@@ -62,16 +62,14 @@ var Plan = &engine.Plan{
 	FrameworkNsPerRecord: FrameworkNsPerRecord,
 	Setup: func(j *engine.JobRun) (engine.Tasks, error) {
 		job := j.Job
-		// Reduce output lands in per-partition memory buffers instead of DFS
-		// writers; the collector keeps the checksum, serialize charges, and
-		// retained output identical to the disk path.
+		// Kept reduce output lands in per-partition memory buffers instead of
+		// DFS writers; the collector keeps the checksum, serialize charges, and
+		// retained output identical to the disk path. Discarded output lands
+		// nowhere: the collector never opens a sink for it.
 		sinks := make([]*partSink, job.Reducers)
 		j.OC.NewSink = func(r, nodeID int) func(p *sim.Proc, data []byte) {
 			s := &partSink{node: nodeID}
 			sinks[r] = s
-			if job.DiscardOutput {
-				return func(*sim.Proc, []byte) {}
-			}
 			return func(_ *sim.Proc, data []byte) { s.data = append(s.data, data...) }
 		}
 		return engine.Tasks{
@@ -278,7 +276,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 	// memory — the zero-disk hand-off the chained-iteration experiments
 	// measure. Reducers that emitted nothing create no file, matching the
 	// disk path's lazy writer creation.
-	if s := sinks[r]; s != nil && !job.DiscardOutput {
+	if s := sinks[r]; s != nil {
 		path := fmt.Sprintf("%s/part-r-%05d", job.OutputPath, r)
 		if err := rt.DFS.RegisterResident(path, s.node, s.data); err != nil {
 			panic(fmt.Sprintf("resident: publishing %s: %v", path, err))

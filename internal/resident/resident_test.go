@@ -277,7 +277,7 @@ func TestChunksMatchTwoPassFold(t *testing.T) {
 func TestAllocationProportionalToData(t *testing.T) {
 	// Each case has its own bound, a margin above what it reads: a declared
 	// job's pairs go from emit to frame in one copy (3.7x), an undeclared
-	// one's through a map-output buffer (6.0x).
+	// one's through a map-output buffer (5.1x).
 	for _, tc := range []struct {
 		name     string
 		w        *workloads.Workload
@@ -286,7 +286,7 @@ func TestAllocationProportionalToData(t *testing.T) {
 		bound    float64
 	}{
 		{"per-user-count/16KB/10", workloads.PerUserCount(smallClicks()), 16 << 10, 10, 4.5},
-		{"sessionization/128KB/20", workloads.Sessionization(smallClicks()), 128 << 10, 20, 8},
+		{"sessionization/128KB/20", workloads.Sessionization(smallClicks()), 128 << 10, 20, 5.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			enginetest.CheckAllocationProportional(t, tc.w, enginetest.Config{
