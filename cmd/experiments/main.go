@@ -59,9 +59,10 @@ Each simulation can additionally run its own pure data work (map parse
 loops, sorts, combine flushes, reducer folds, merge passes) on a bounded
 intra-run worker pool: ` + "`-parallel-intra N`" + ` on this command, ` + "`runjob`" + `, and
 ` + "`check`" + `, or ` + "`ONEPASS_PARALLEL=N`" + ` in the environment. Every report, trace,
-and counter is byte-identical at any width — CI's parallel-determinism job
-replays golden runs and a fixed-seed checker slice serial and pooled and
-diffs the bytes — so the knob is purely a wall-clock lever. The nightly
+and counter is byte-identical at any width — ` + "`TestFingerprint`" + ` runs each
+engine's default sessionization case serial and pooled against the same
+pinned line, and CI's parallel-determinism job diffs a fixed-seed checker
+slice serial and pooled — so the knob is purely a wall-clock lever. The nightly
 parallel-speedup job times ` + "`runjob`" + ` serial vs its default width
 and uploads a benchstat comparison; see README "Intra-run parallelism" for
 the measured per-engine closure shares that bound the speedup.
@@ -75,12 +76,10 @@ RunProfile JSON per run — the deterministic post-run analysis from
 makespan attribution (cpu / iowait / disk-queue / network / barrier-wait /
 scheduler-idle, summing exactly to the makespan), per-phase duration
 histograms and skew, shuffle partition balance, and per-node utilization.
-The same analysis prints from ` + "`runjob -profile`" + ` and gates in CI: the
-profile-smoke job requires the fixed-config profile to match
-` + "`ci/profile-golden.json`" + ` byte for byte and runs ` + "`cmd/profilediff`" + `
-(makespan ±5 %, attribution and critical-path shares ±5 points, two-sided)
-so a run whose shape drifts — or quietly improves — fails until the golden
-is refreshed with ` + "`profilediff -update`" + `.
+The same analysis prints from ` + "`runjob -profile`" + `, and ` + "`TestFingerprint`" + `
+pins the profile JSON of every case in ` + "`testdata/fingerprint.txt`" + ` byte for
+byte, so a run whose shape drifts — or quietly improves — fails until the
+fingerprint is re-pinned with ` + "`go test . -run TestFingerprint -update-golden`" + `.
 
 Resident (iterative) is the chained-computation case the paper leaves on
 the table and M3R (Shinnar et al., VLDB 2012) makes: the same PageRank

@@ -414,9 +414,13 @@ func TestCombineSorted(t *testing.T) {
 	buf.Add(1, []byte("b"), []byte{7})
 	buf.SortByPartitionKey(nil)
 	out := kv.NewBuffer(0)
-	inputs := CombineSorted(job.Fold().Combiner(), buf, out)
+	inputs, saved := CombineSorted(job.Fold().Combiner(), buf, out)
 	if inputs != 4 {
 		t.Fatalf("inputs = %d", inputs)
+	}
+	// Only partition 0's "a" group shrank: two 2-byte pairs became one.
+	if saved != 2 {
+		t.Fatalf("saved = %d bytes, want 2", saved)
 	}
 	if out.Len() != 3 {
 		t.Fatalf("combined pairs = %d", out.Len())
@@ -490,9 +494,6 @@ func TestOutputCollectorBuffersAndFlushes(t *testing.T) {
 	oc.Materialize()
 	if res.OutputPairs != 2 || len(res.Output) != 2 || res.Output["k1"] != "v1" || res.Output["k2"] != "v2" {
 		t.Fatalf("result output = %+v", res.Output)
-	}
-	if !res.haveFirst {
-		t.Fatal("first output not recorded")
 	}
 }
 

@@ -123,14 +123,20 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 
 // CombineSorted applies combine (a task's Fold.Combiner) to each
 // (partition, key) group of an already-sorted buffer, adding the combined
-// pairs to out, and returns the number of input values consumed (for CPU
-// charging).
-func CombineSorted(combine ReduceFunc, buf, out *kv.Buffer) int {
-	inputs := 0
+// pairs to out. It returns the number of input values consumed (for CPU
+// charging) and the pair bytes combining saved — each group's input pair
+// bytes less the pair bytes it emitted, counted group by group for the
+// combine-conservation audit.
+func CombineSorted(combine ReduceFunc, buf, out *kv.Buffer) (inputs int, saved int64) {
+	var p int
+	emit := func(k, v []byte) {
+		out.Add(p, k, v)
+		saved -= int64(len(k) + len(v))
+	}
 	i := 0
 	var vals [][]byte // reused across groups; the combiner must not retain it
 	for i < buf.Len() {
-		p := buf.Partition(i)
+		p = buf.Partition(i)
 		key := buf.Key(i)
 		j := i + 1
 		for j < buf.Len() && buf.Partition(j) == p && kv.Compare(buf.Key(j), key, nil) == 0 {
@@ -139,12 +145,13 @@ func CombineSorted(combine ReduceFunc, buf, out *kv.Buffer) int {
 		vals = vals[:0]
 		for k := i; k < j; k++ {
 			vals = append(vals, buf.Val(k))
+			saved += int64(len(key) + len(buf.Val(k)))
 		}
 		inputs += len(vals)
-		combine(key, vals, func(k, v []byte) { out.Add(p, k, v) })
+		combine(key, vals, emit)
 		i = j
 	}
-	return inputs
+	return inputs, saved
 }
 
 // WriteMapOutput persists a (sorted or partition-grouped) buffer as one

@@ -118,8 +118,7 @@ func (oc *OutputCollector) emitted(p *sim.Proc, r, nodeID int, w *dfsWriterRef, 
 		w.flush(p)
 	}
 
-	if !oc.res.haveFirst {
-		oc.res.haveFirst = true
+	if oc.res.OutputPairs == 0 {
 		oc.res.FirstOutputAt = p.Now()
 		oc.rt.Emit(trace.FirstOutput, "first-output", nodeID, r, 0)
 	}

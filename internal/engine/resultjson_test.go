@@ -9,7 +9,7 @@ import (
 )
 
 // sampleResult builds a Result with every field populated the way a real
-// run populates them, including the unexported first-output marker.
+// run populates them, an audited run's failures included.
 func sampleResult() *Result {
 	cpu := metrics.NewCPUAccount()
 	cpu.Add(PhaseMapFn, 1500*sim.Millisecond)
@@ -30,13 +30,14 @@ func sampleResult() *Result {
 		Job: "per-user-count", Engine: "hash-incremental",
 		Makespan:    3 * sim.Second,
 		Output:      map[string]string{"u1": "7"},
-		OutputPairs: 1, OutputBytes: 42,
-		FirstOutputAt: sim.Time(int64(sim.Second)), haveFirst: true,
-		Snapshots: []Snapshot{{At: sim.Time(int64(sim.Second)), Fraction: 0.25, Pairs: 3}},
-		CPU:       cpu, Counters: ctr,
+		OutputPairs: 1, OutputBytes: 42, OutputChecksum: 4649452963127832407,
+		FirstOutputAt: sim.Time(int64(sim.Second)),
+		Snapshots:     []Snapshot{{At: sim.Time(int64(sim.Second)), Fraction: 0.25, Pairs: 3}},
+		CPU:           cpu, Counters: ctr,
 		CPUUtil: series("cpu-util"), Iowait: series("cpu-iowait"),
 		BytesRead: series("disk-bytes-read"), BytesWritten: series("disk-bytes-written"),
 		NetBytes: series("net-bytes"), Timeline: tl,
+		AuditFailures: []AuditFailure{{Invariant: "combine-conservation", Where: "map task 0", Detail: "raw 100 bytes != combiner-elided 40 + final 61"}},
 	}
 }
 
@@ -54,12 +55,19 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if got.Makespan != res.Makespan || got.Job != res.Job || got.Engine != res.Engine {
 		t.Fatalf("headline mismatch: %s vs %s", got.Summary(), res.Summary())
 	}
-	if got.FirstOutputAt != res.FirstOutputAt || got.haveFirst != res.haveFirst {
-		t.Fatalf("first-output marker lost: %v/%v vs %v/%v",
-			got.FirstOutputAt, got.haveFirst, res.FirstOutputAt, res.haveFirst)
+	if got.FirstOutputAt != res.FirstOutputAt {
+		t.Fatalf("first output at %v, want %v", got.FirstOutputAt, res.FirstOutputAt)
 	}
 	if got.OutputPairs != res.OutputPairs || got.Output["u1"] != "7" {
 		t.Fatalf("output lost: %+v", got)
+	}
+	// The checksum is how discarded-output runs compare answers, so a cached
+	// or printed result without it compares nothing.
+	if got.OutputChecksum != res.OutputChecksum {
+		t.Fatalf("output checksum %d, want %d", got.OutputChecksum, res.OutputChecksum)
+	}
+	if len(got.AuditFailures) != 1 || got.AuditFailures[0] != res.AuditFailures[0] {
+		t.Fatalf("audit failures %+v, want %+v", got.AuditFailures, res.AuditFailures)
 	}
 	if len(got.Snapshots) != 1 || got.Snapshots[0] != res.Snapshots[0] {
 		t.Fatalf("snapshots lost: %+v", got.Snapshots)

@@ -309,49 +309,51 @@ func (w *WaitGroup) Wait(p *sim.Proc) {
 func (w *WaitGroup) Pending() int { return w.n }
 
 // Result is everything a job run reports: the paper's tables come from the
-// counters and CPU account, the figures from the series and timeline.
+// counters and CPU account, the figures from the series and timeline. Its
+// JSON form is what the experiment run cache persists and `runjob -json`
+// prints; it round-trips exactly.
 type Result struct {
-	Job    string
-	Engine string
+	Job    string `json:"job"`
+	Engine string `json:"engine"`
 
-	Makespan sim.Duration
+	Makespan sim.Duration `json:"makespan"`
 
 	// Output holds the job's output pairs when Job.RetainOutput is set.
-	Output      map[string]string
-	OutputPairs int
-	OutputBytes int64
+	Output      map[string]string `json:"output,omitempty"`
+	OutputPairs int               `json:"outputPairs"`
+	OutputBytes int64             `json:"outputBytes"`
 	// OutputChecksum is an order-independent digest of every output pair
 	// (sum of per-pair FNV hashes), so runs that discard output payloads can
 	// still be compared for semantic equality — the chaos sweep's proof that
 	// recovery reproduced the fault-free answer.
-	OutputChecksum uint64
+	OutputChecksum uint64 `json:"outputChecksum"`
 
 	// FirstOutputAt is when the first output pair was produced — the
-	// incremental-processing latency metric. Zero time means no output.
-	FirstOutputAt sim.Time
-	haveFirst     bool
-	Snapshots     []Snapshot
+	// incremental-processing latency metric. It is meaningful only when
+	// OutputPairs > 0.
+	FirstOutputAt sim.Time   `json:"firstOutputAt"`
+	Snapshots     []Snapshot `json:"snapshots,omitempty"`
 
 	// Progress is the progress-vs-accuracy series for engines that answer
 	// early (hash-hotkey, threshold queries): one point per emission batch
 	// relating map progress to output coverage and spill volume.
-	Progress []ProgressPoint
+	Progress []ProgressPoint `json:"progress,omitempty"`
 
-	CPU      *metrics.CPUAccount
-	Counters *metrics.Counters
+	CPU      *metrics.CPUAccount `json:"cpu"`
+	Counters *metrics.Counters   `json:"counters"`
 
-	CPUUtil      *metrics.Series
-	Iowait       *metrics.Series
-	BytesRead    *metrics.Series
-	BytesWritten *metrics.Series
-	NetBytes     *metrics.Series
-	PerNode      []*NodeSeries
-	Timeline     *metrics.Timeline
+	CPUUtil      *metrics.Series   `json:"cpuUtil"`
+	Iowait       *metrics.Series   `json:"iowait"`
+	BytesRead    *metrics.Series   `json:"bytesRead"`
+	BytesWritten *metrics.Series   `json:"bytesWritten"`
+	NetBytes     *metrics.Series   `json:"netBytes"`
+	PerNode      []*NodeSeries     `json:"perNode,omitempty"`
+	Timeline     *metrics.Timeline `json:"timeline"`
 
 	// AuditFailures holds the invariants an armed audit found violated
 	// (empty or nil after a clean audited run; always nil when the run was
-	// not audited). Excluded from cache serialization when empty so audited
-	// and unaudited runs persist identically.
+	// not audited). Omitted from JSON when empty so audited and unaudited
+	// runs persist identically.
 	AuditFailures []AuditFailure `json:"AuditFailures,omitempty"`
 
 	// Pool reports the intra-run worker pool's real-time activity: closures

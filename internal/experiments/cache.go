@@ -13,7 +13,7 @@ import (
 // cacheVersion guards the run-cache file format; bump it when runSpec,
 // Result serialization, or any simulation behaviour changes in a way that
 // invalidates persisted results.
-const cacheVersion = 4
+const cacheVersion = 5
 
 // cacheFile is the persisted run cache: every completed run keyed by its
 // spec, stamped with the scale it was produced at. Repeated sweeps and CI

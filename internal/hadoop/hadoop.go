@@ -52,8 +52,7 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 	// Table II's "Sorting" row, measured from real comparisons — and apply
 	// the combiner, all inside the map-task closure; the charges land after
 	// the join, in the same order as before.
-	var cmps int64
-	var rawBytes int64
+	var cmps, saved int64
 	var combined *kv.Buffer
 	if job.Monoid != nil {
 		// Taken here, on the event loop: the closure below may not touch the
@@ -63,9 +62,8 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 	combineInputs := 0
 	buf, _, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, nil, func(wj *engine.Job, buf *kv.Buffer) {
 		buf.SortByPartitionKey(&cmps)
-		rawBytes = buf.Bytes()
 		if combined != nil {
-			combineInputs = engine.CombineSorted(wj.Fold().Combiner(), buf, combined)
+			combineInputs, saved = engine.CombineSorted(wj.Fold().Combiner(), buf, combined)
 		}
 	})
 	if err != nil {
@@ -79,7 +77,7 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 		node.Compute(p, engine.Dur(float64(combineInputs), costs.CombineNsPerRecord), engine.PhaseCombine)
 		final = combined
 		if rt.Auditing() {
-			rt.Audit.CombineSaved(b.Index, rawBytes-final.Bytes())
+			rt.Audit.CombineSaved(b.Index, saved)
 		}
 	}
 	out := rt.WriteMapOutput(p, node, job, b.Index, final)

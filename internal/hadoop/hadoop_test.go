@@ -1,6 +1,7 @@
 package hadoop
 
 import (
+	"fmt"
 	"testing"
 
 	"onepass/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"onepass/internal/enginetest"
 	"onepass/internal/faults"
 	"onepass/internal/gen"
+	"onepass/internal/kv"
 	"onepass/internal/sim"
 	"onepass/internal/workloads"
 )
@@ -331,5 +333,39 @@ func TestAllocationProportionalToData(t *testing.T) {
 					return Run(f.RT, f.Job, engine.Options{})
 				})
 		})
+	}
+}
+
+// The combine-conservation audit holds a map task's raw bytes to what its
+// combine step elided, counted group by group in engine.CombineSorted, plus
+// the combined buffer the task writes. A combine step that skips a group
+// loses that group's pairs, and the audit must say so.
+func TestCombineConservationCatchesASkippedGroup(t *testing.T) {
+	combine := workloads.PerUserCount(smallClicks()).Job.Fold().Combiner()
+	ledger := func(skip string) []engine.AuditFailure {
+		buf := kv.NewBuffer(0)
+		var raw int64
+		for i := 0; i < 400; i++ {
+			key, val := fmt.Sprintf("user-%03d", i%60), fmt.Sprint(1+i%3)
+			raw += int64(len(key) + len(val))
+			if key != skip {
+				buf.Add(i%4, []byte(key), []byte(val))
+			}
+		}
+		buf.SortByPartitionKey(nil)
+		combined := kv.NewBuffer(0)
+		_, saved := engine.CombineSorted(combine, buf, combined)
+		a := engine.NewAudit()
+		a.MapRawPairs(0, raw)
+		a.CombineSaved(0, saved)
+		a.MapFinalPairs(0, combined.Bytes())
+		return a.Finish(nil)
+	}
+	if failures := ledger(""); len(failures) != 0 {
+		t.Fatalf("every group combined, yet the audit failed:\n%s", engine.FormatAuditFailures(failures))
+	}
+	failures := ledger("user-007")
+	if len(failures) != 1 || failures[0].Invariant != "combine-conservation" {
+		t.Fatalf("one group skipped: want one combine-conservation failure, got:\n%s", engine.FormatAuditFailures(failures))
 	}
 }

@@ -101,11 +101,13 @@ func mapChunks(buf *kv.Buffer, reducers int, chunkBytes int64, deliver func(r, s
 type encodedChunk struct {
 	kv.Chunk
 	cmps int64
-	// pairBytes is the chunk's key+val byte volume after combining (equal
-	// to the raw volume without a combiner) — the unit of the combine-
-	// conservation ledger. combineInputs counts values the combiner folded.
-	pairBytes     int64
-	combineInputs int
+	// pairBytes is the chunk's key+val byte volume as sealed (equal to the
+	// raw volume without a combiner), and saved the pair bytes its combine
+	// step elided, counted group by group — the two map-side terms of the
+	// combine-conservation ledger. combineInputs counts values the combiner
+	// folded.
+	pairBytes, saved int64
+	combineInputs    int
 }
 
 // sortEncodeChunk sorts one chunk by key, applies the task's combiner to
@@ -142,11 +144,14 @@ func sortEncodeChunk(buf *kv.Buffer, idxs []int, combine engine.ReduceFunc) (c e
 			j++
 		}
 		vals = vals[:0]
+		sealed := c.pairBytes
 		for k := i; k < j; k++ {
 			vals = append(vals, buf.Val(idxs[k]))
+			c.saved += int64(len(key) + len(buf.Val(idxs[k])))
 		}
 		c.combineInputs += len(vals)
 		combine(key, vals, emit)
+		c.saved -= c.pairBytes - sealed
 		i = j
 	}
 	return c
@@ -226,17 +231,15 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		panic(fmt.Sprintf("hop: %v", err))
 	}
 	chunks = make([]kv.Chunk, len(encoded))
-	var finalPairBytes int64
+	var finalPairBytes, saved int64
 	for i := range encoded {
 		chunks[i] = encoded[i].Chunk
 		finalPairBytes += encoded[i].pairBytes
+		saved += encoded[i].saved
 	}
 	if already == nil && j.RT.Auditing() {
-		// Without a combiner every raw pair lands in exactly one chunk, so
-		// the final pair bytes equal the raw emission and nothing was saved;
-		// with one, the difference is what chunk-granular combining elided.
 		j.RT.Audit.MapFinalPairs(b.Index, finalPairBytes)
-		j.RT.Audit.CombineSaved(b.Index, buf.Bytes()-finalPairBytes)
+		j.RT.Audit.CombineSaved(b.Index, saved)
 	}
 	j.RT.ReleaseBuffer(buf) // every chunk is an encoded copy
 	return chunks, func(i int) { chargeChunk(j.RT, p, node, j.Costs, &encoded[i]) }

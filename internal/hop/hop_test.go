@@ -1,6 +1,7 @@
 package hop
 
 import (
+	"fmt"
 	"testing"
 
 	"onepass/internal/cluster"
@@ -236,5 +237,37 @@ func TestSnapshotWriteAllocatesNothing(t *testing.T) {
 	}
 	if want := int64(5001 * kv.EncodedSize(key, val)); size != want {
 		t.Fatalf("snapshot file charged %d bytes, want %d", size, want)
+	}
+}
+
+// The combine-conservation audit holds a map task's raw bytes to what its
+// chunks' combine steps elided, counted group by group in sortEncodeChunk,
+// plus the pair bytes the sealed chunks hold. A chunk whose combine step
+// skips a group loses that group's pairs, and the audit must say so.
+func TestCombineConservationCatchesASkippedGroup(t *testing.T) {
+	combine := workloads.PerUserCount(smallClicks()).Job.Fold().Combiner()
+	ledger := func(skip string) []engine.AuditFailure {
+		buf := kv.NewBuffer(0)
+		var idxs []int
+		for i := 0; i < 400; i++ {
+			key := fmt.Sprintf("user-%03d", i%60)
+			buf.Add(0, []byte(key), []byte(fmt.Sprint(1+i%3)))
+			if key != skip {
+				idxs = append(idxs, i)
+			}
+		}
+		c := sortEncodeChunk(buf, idxs, combine)
+		a := engine.NewAudit()
+		a.MapRawPairs(0, buf.Bytes())
+		a.CombineSaved(0, c.saved)
+		a.MapFinalPairs(0, c.pairBytes)
+		return a.Finish(nil)
+	}
+	if failures := ledger(""); len(failures) != 0 {
+		t.Fatalf("every group combined, yet the audit failed:\n%s", engine.FormatAuditFailures(failures))
+	}
+	failures := ledger("user-007")
+	if len(failures) != 1 || failures[0].Invariant != "combine-conservation" {
+		t.Fatalf("one group skipped: want one combine-conservation failure, got:\n%s", engine.FormatAuditFailures(failures))
 	}
 }
