@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strconv"
 	"testing"
+
+	"onepass/internal/engine"
 )
 
 // TestChainedTopK runs the full two-stage pipeline — page-frequency count,
@@ -142,5 +144,39 @@ func TestTrendingPipelineAcrossEngines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChainReadsOnlyPartFiles: a chained job reads the part files directly
+// under its predecessor's output path. The hot-key engine's approximate
+// early answers live in <output>/early/ and repeat keys the part files
+// hold; read as input, they would count those keys twice.
+func TestChainReadsOnlyPartFiles(t *testing.T) {
+	cfg := tinyConfig(HashHotKey)
+	cfg.ApproximateEarly = true
+	cfg.MemoryPerTask = 16 << 10
+	cl := NewCluster(cfg)
+	w := PageFrequency(tinyClicks())
+	if err := cl.Register(Dataset{Path: "in", Size: 256 << 10, Gen: w.Gen}); err != nil {
+		t.Fatal(err)
+	}
+	count := w.Job
+	count.InputPath = "in"
+	count.OutputPath = "counts"
+	res1, err := cl.RunJob(count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.Counters.Get("core.hotkey.early.pairs") == 0 {
+		t.Fatal("the counting job wrote no early answers: the case tests nothing")
+	}
+	top := TopK(3)
+	top.InputPath = "counts"
+	res2, err := cl.RunJob(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res2.Counters.Get(engine.CtrMapInputRecords); got != float64(res1.OutputPairs) {
+		t.Fatalf("chained job read %.0f records; its input's part files hold %d pairs", got, res1.OutputPairs)
 	}
 }

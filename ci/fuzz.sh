@@ -24,7 +24,8 @@ echo "fuzzed $targets targets for $fuzztime each"
 # internal/memtable (FuzzTableMatchesReference), internal/sortmerge
 # (FuzzStreamMatchesReference), internal/sketch
 # (FuzzSpaceSavingMatchesReference), internal/engine
-# (FuzzStagedSizedMatchesUnits), internal/faults (FuzzFaultsParse) and
-# cmd/jobserve (FuzzParseTenant) one each; finding fewer than 19 means
-# discovery broke, not that the tree got safer.
-[ "$targets" -ge 19 ]
+# (FuzzStagedSizedMatchesUnits), internal/dfs (FuzzCommitMatchesAppend),
+# internal/faults (FuzzFaultsParse) and cmd/jobserve (FuzzParseTenant) one
+# each; finding fewer than 20 means discovery broke, not that the tree got
+# safer.
+[ "$targets" -ge 20 ]

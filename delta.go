@@ -133,9 +133,10 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 		return nil, fmt.Errorf("onepass: %w", err)
 	}
 
-	// The capture jobs' part files are the preserved partials and must keep
-	// their contents whatever the caller asked for its own output; the
-	// capture and merge wrappers set their own retention.
+	// The capture and merge jobs' part files are read back — the preserved
+	// partials, the answers — and must keep their contents whatever the
+	// caller asked for its own output; no job of the path retains a second
+	// copy of them.
 	cfg.RetainOutput, cfg.DiscardOutput = false, false
 	c := NewCluster(cfg)
 	blockSize := c.dfs.BlockSize()
@@ -259,7 +260,9 @@ func (c *Cluster) partFiles(outputPath string) [][]byte {
 // runMerge encodes the preserved state for the given affected-key set
 // (nil = every key), publishes it, and re-reduces it with a real engine
 // job, returning the merge result, the number of live keys and the encoded
-// state size.
+// state size. The result's Output is read back from the merge job's part
+// files: each key is emitted once, so no reducer's answer can shadow
+// another's, and the DFS already holds the bytes.
 func runMerge(c *Cluster, job Job, state *incr.State, affected *incr.Affected, statePath, outPath string) (res *Result, keys, stateBytes int, err error) {
 	input, keys, err := state.Merge(affected)
 	if err != nil {
@@ -269,7 +272,11 @@ func runMerge(c *Cluster, job Job, state *incr.State, affected *incr.Affected, s
 		return nil, 0, 0, err
 	}
 	res, err = c.RunJob(mergeJob(job, statePath, outPath))
-	return res, keys, len(input), err
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	res.Output = engine.OutputMap(c.partFiles(outPath), res.OutputPairs)
+	return res, keys, len(input), nil
 }
 
 // publishState persists the encoded merge input into the cluster's DFS. The
@@ -286,7 +293,9 @@ func publishState(c *Cluster, path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	c.env.Go("delta-state-write", func(p *sim.Proc) { w.Append(p, data) })
+	// The file adopts data: the merge input is built for it, or is the live
+	// run, which nothing writes into.
+	c.env.Go("delta-state-write", func(p *sim.Proc) { w.Commit(p, data) })
 	c.env.Run()
 	return nil
 }
@@ -375,9 +384,8 @@ func mergeJob(inner Job, statePath, outPath string) Job {
 		Reduce:      mergeReducer(inner),
 		Reducers:    inner.Reducers,
 		OutputPath:  outPath,
-		// The merged answer is the run's deliverable: retained for checksum
-		// comparison and finals caching.
-		RetainOutput:  true,
+		// The merged answer is the run's deliverable, kept in its part files
+		// for finals caching and read back from them into Result.Output.
 		Costs:         inner.Costs,
 		MemoryPerTask: inner.MemoryPerTask,
 	}

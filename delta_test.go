@@ -2,6 +2,7 @@ package onepass
 
 import (
 	"encoding/binary"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -20,12 +21,18 @@ func tinyDelta(cc ClickConfig, seed uint64, frac float64) Delta {
 // returning the result and the cluster's total disk bytes read.
 func fullRerun(t *testing.T, cfg Config, data Dataset, job Job, d Delta) (*Result, float64) {
 	t.Helper()
+	return plainRun(t, cfg, DeltaDataset(data, d, cfg.BlockSize), job)
+}
+
+// plainRun runs the plain job over data on a fresh cluster, keeping its
+// output, and returns the result and the cluster's total disk bytes read.
+func plainRun(t *testing.T, cfg Config, data Dataset, job Job) (*Result, float64) {
+	t.Helper()
 	c := NewCluster(cfg)
-	v2 := DeltaDataset(data, d, cfg.BlockSize)
-	if err := c.Register(v2); err != nil {
+	if err := c.Register(data); err != nil {
 		t.Fatal(err)
 	}
-	job.InputPath = v2.Path
+	job.InputPath = data.Path
 	job.RetainOutput = true
 	res, err := c.RunJob(job)
 	if err != nil {
@@ -37,7 +44,8 @@ func fullRerun(t *testing.T, cfg Config, data Dataset, job Job, d Delta) (*Resul
 // TestIncrementalEqualsFullRerunAcrossEngines is the tentpole oracle: on
 // every engine, for monoid and holistic delta-capable workloads, the
 // incremental re-run after a delta is byte-identical (same OutputChecksum
-// and same retained pairs) to a full re-run over the evolved dataset.
+// and same retained pairs) to a full re-run over the evolved dataset, and
+// the primed base answer to a plain run over the base.
 func TestIncrementalEqualsFullRerunAcrossEngines(t *testing.T) {
 	cc := tinyClicks()
 	const inputSize = 256 << 10
@@ -65,6 +73,11 @@ func TestIncrementalEqualsFullRerunAcrossEngines(t *testing.T) {
 			dr, err := RunDelta(cfg, data, w.Job, d)
 			if err != nil {
 				t.Fatalf("%s on %v: %v", tc.name, e, err)
+			}
+			base, _ := plainRun(t, cfg, data, w.Job)
+			if dr.Base.OutputChecksum != base.OutputChecksum || !maps.Equal(dr.Base.Output, base.Output) {
+				t.Fatalf("%s on %v: base answer %d keys, checksum %016x; plain run %d keys, %016x",
+					tc.name, e, len(dr.Base.Output), dr.Base.OutputChecksum, len(base.Output), base.OutputChecksum)
 			}
 			full, fullBytes := fullRerun(t, cfg, data, w.Job, d)
 			if dr.Incremental.OutputChecksum != full.OutputChecksum {
@@ -301,9 +314,36 @@ func TestDeltaIgnoresCallerOutputRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Incremental.OutputChecksum != want.Incremental.OutputChecksum || got.Stats != want.Stats ||
-		len(got.Incremental.Output) != len(want.Incremental.Output) || len(got.Base.Output) != len(want.Base.Output) {
+		!maps.Equal(got.Incremental.Output, want.Incremental.Output) || !maps.Equal(got.Base.Output, want.Base.Output) {
 		t.Fatalf("discarding caller: %+v (%d keys), retaining caller: %+v (%d keys)",
 			got.Stats, len(got.Incremental.Output), want.Stats, len(want.Incremental.Output))
+	}
+}
+
+// TestDeltaReadsOnlyPartFiles: the hot-key engine's approximate early
+// answers live in <output>/early/, beside a job's part files. With them on
+// and eviction forced, RunDelta captures and caches only the part files —
+// the early answers repeat their keys — and its answers equal a full
+// re-run's.
+func TestDeltaReadsOnlyPartFiles(t *testing.T) {
+	cc := tinyClicks()
+	w := PerUserCount(cc)
+	cfg := tinyConfig(HashHotKey)
+	cfg.ApproximateEarly = true
+	cfg.MemoryPerTask = 16 << 10
+	data := Dataset{Path: "input/" + w.Name, Size: 256 << 10, Gen: w.Gen}
+	d := tinyDelta(cc, 11, 0.25)
+	dr, err := RunDelta(cfg, data, w.Job, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr.Base.Counters.Get("core.hotkey.early.pairs") == 0 {
+		t.Fatal("the base merge wrote no early answers: the case tests nothing")
+	}
+	full, _ := fullRerun(t, cfg, data, w.Job, d)
+	if dr.Incremental.OutputChecksum != full.OutputChecksum || !maps.Equal(dr.Incremental.Output, full.Output) {
+		t.Fatalf("incremental: %d keys, checksum %016x; full re-run: %d keys, %016x",
+			len(dr.Incremental.Output), dr.Incremental.OutputChecksum, len(full.Output), full.OutputChecksum)
 	}
 }
 

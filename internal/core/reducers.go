@@ -371,7 +371,7 @@ func (h *hashReducer) emitApproximateEarly(p *sim.Proc) {
 	case rc.job.DiscardOutput:
 		w.AppendSize(p, int64(size))
 	default:
-		w.Append(p, buf)
+		w.Commit(p, buf) // the file keeps the fresh buffer
 	}
 	rc.oc.NoteSnapshot(p.Now(), 1.0, pairs)
 	rc.rt.Counters.Add("core.hotkey.early.pairs", float64(pairs))

@@ -12,6 +12,7 @@ package dfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -140,13 +141,15 @@ func (d *DFS) Blocks(path string) ([]*Block, error) {
 	return meta.blocks, nil
 }
 
-// BlocksUnder returns the blocks of every file whose path starts with
-// prefix + "/", in path order — how a chained job reads the part files a
-// previous job wrote under its output path.
+// BlocksUnder returns the blocks of every file directly under the directory
+// prefix, in path order — how a chained job reads the part files a previous
+// job wrote under its output path. Files in subdirectories are not the
+// job's part files (the hot-key engine's early answers live in
+// <output>/early/) and are left out.
 func (d *DFS) BlocksUnder(prefix string) ([]*Block, error) {
 	var paths []string
 	for p := range d.files {
-		if strings.HasPrefix(p, prefix+"/") {
+		if name, ok := strings.CutPrefix(p, prefix+"/"); ok && !strings.Contains(name, "/") {
 			paths = append(paths, p)
 		}
 	}
@@ -267,9 +270,11 @@ type Writer struct {
 	meta    *fileMeta
 	node    int
 	targets []int
-	// buf accumulates retained content; the file's single logical block
-	// aliases it, so appends stay amortized-linear.
-	buf []byte
+	// data is the file's kept contents; the file's single logical block
+	// aliases it. Spare capacity is the writer's own: Append grows into it,
+	// so appends stay amortized-linear, while a slice Commit adopts has its
+	// capacity clipped, so the next Append copies it.
+	data []byte
 }
 
 // CreateWriter opens path for writing from node. If discard is true, the
@@ -301,21 +306,41 @@ func (d *DFS) CreateWriter(path string, node int, discard bool) (*Writer, error)
 	return w, nil
 }
 
-// Append writes data to the file through the replication pipeline.
+// Append writes a copy of data to the file through the replication
+// pipeline: the file's contents grow by data, then are committed.
 func (w *Writer) Append(p *sim.Proc, data []byte) {
+	w.commit(p, append(w.data, data...))
+}
+
+// Commit extends the file to data, whose first Size bytes are the file's
+// current contents, writing the rest through the replication pipeline at
+// the charge Append makes for them. The file adopts the slice instead of
+// copying it: nobody may write through data[:len(data)] afterwards, but the
+// caller may keep encoding past it, since the capacity is clipped — the
+// next Commit hands over the longer slice, or a new array holding it.
+func (w *Writer) Commit(p *sim.Proc, data []byte) {
+	w.commit(p, slices.Clip(data))
+}
+
+// commit charges the bytes data adds to the file and installs data as its
+// contents.
+func (w *Writer) commit(p *sim.Proc, data []byte) {
 	if w.meta.discard {
-		panic("dfs: Append on a discarding writer: its bytes were encoded for nothing")
+		panic("dfs: payload written to a discarding writer: its bytes were encoded for nothing")
 	}
-	n := int64(len(data))
+	n := int64(len(data)) - w.meta.size
+	if n < 0 {
+		panic(fmt.Sprintf("dfs: commit of %d bytes to %q, which holds %d", len(data), w.meta.path, w.meta.size))
+	}
 	w.charge(p, n)
-	// Retained output is modelled as a single logical block on the primary
+	// Kept output is modelled as a single logical block on the primary
 	// target, which is all tests need to verify contents.
 	if len(w.meta.blocks) == 0 {
 		b := &Block{Path: w.meta.path, Index: 0, replicas: append([]int(nil), w.targets...)}
-		b.gen = func() []byte { return w.buf }
+		b.gen = func() []byte { return w.data }
 		w.meta.blocks = append(w.meta.blocks, b)
 	}
-	w.buf = append(w.buf, data...)
+	w.data = data
 	w.meta.blocks[0].Size += n
 }
 

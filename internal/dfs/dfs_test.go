@@ -455,3 +455,124 @@ func TestBlocksUnderPrefix(t *testing.T) {
 		t.Fatal("missing prefix must error")
 	}
 }
+
+// A job's part files are the files directly under its output path: the
+// hot-key engine's early answers in <output>/early/ are not among them.
+func TestBlocksUnderSkipsSubdirectories(t *testing.T) {
+	_, c := newTestCluster(3, false)
+	d := New(c, 1000, 1)
+	d.RegisterGenerated("out/early/part-0", 500, blockGen)
+	d.RegisterGenerated("out/part-0", 800, blockGen)
+	blocks, err := d.BlocksUnder("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) != 1 || blocks[0].Path != "out/part-0" {
+		t.Fatalf("blocks under out: %d, first %q; want out/part-0's alone", len(blocks), blocks[0].Path)
+	}
+	if _, err := d.BlocksUnder("out/early"); err != nil {
+		t.Fatalf("the early answers are a directory of their own: %v", err)
+	}
+}
+
+// Commit adopts the caller's bytes: the file aliases them, the caller may
+// keep writing past the committed length without the file seeing it, and
+// an Append after a Commit copies rather than growing into the caller's
+// array.
+func TestCommitAdoptsAndClips(t *testing.T) {
+	env, c := newTestCluster(3, false)
+	d := New(c, 1000, 1)
+	buf := make([]byte, 0, 64)
+	env.Go("w", func(p *sim.Proc) {
+		w, err := d.CreateWriter("out", 1, false)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf = append(buf, "hello"...)
+		w.Commit(p, buf)
+		buf = append(buf, " world"...)
+		w.Append(p, []byte("!"))
+	})
+	env.Run()
+	blocks, _ := d.Blocks("out")
+	got := blocks[0].Peek()
+	if string(got) != "hello!" || string(buf) != "hello world" {
+		t.Fatalf("file %q, caller's buffer %q", got, buf)
+	}
+	if sz, _ := d.Size("out"); sz != 6 || blocks[0].Size != 6 {
+		t.Fatalf("size %d, block size %d, want 6", sz, blocks[0].Size)
+	}
+}
+
+// FuzzCommitMatchesAppend holds Commit to Append's charge path: a sequence
+// of commits, each extending the file by some bytes the caller encoded
+// past its last commit (in place, or in a grown array), charges the same
+// pipeline I/O — the instant each write ends, device and network bytes —
+// and leaves the same bytes as Appending each increment. Each input byte is
+// one step: its low six bits are the increment's length (times 97 when
+// bit 6 is set), and its top bit makes the step an Append on both sides.
+// After every step each file must Peek as exactly what was written.
+func FuzzCommitMatchesAppend(f *testing.F) {
+	f.Add([]byte{0x05, 0x45, 0x00, 0x85, 0x3f})
+	f.Add([]byte{0x7f, 0x7f, 0x81, 0x01, 0x7f})
+	f.Add([]byte{0x80, 0x80, 0x00, 0x40})
+	type charged struct {
+		at        []sim.Time
+		disk, net float64
+		dev1      float64
+		size      int64
+	}
+	run := func(t *testing.T, steps []byte, commit bool) charged {
+		env, c := newTestCluster(3, false)
+		d := New(c, 1000, 2)
+		var got charged
+		env.Go("w", func(p *sim.Proc) {
+			w, err := d.CreateWriter("out", 1, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var want, buf []byte
+			for i, step := range steps {
+				n := int(step & 0x3f)
+				if step&0x40 != 0 {
+					n *= 97
+				}
+				inc := make([]byte, n)
+				for j := range inc {
+					inc[j] = byte(i*7 + j)
+				}
+				want = append(want, inc...)
+				switch {
+				case !commit || step&0x80 != 0:
+					w.Append(p, inc)
+					buf = append(buf, inc...)
+				default:
+					buf = append(buf, inc...)
+					w.Commit(p, buf)
+				}
+				got.at = append(got.at, p.Now())
+				if blocks, _ := d.Blocks("out"); len(blocks) != 1 || !bytes.Equal(blocks[0].Peek(), want) ||
+					blocks[0].Size != int64(len(want)) {
+					t.Errorf("step %d (commit=%v): the file does not hold the %d bytes written", i, commit, len(want))
+					return
+				}
+			}
+		})
+		env.Run()
+		got.disk, got.net = c.DiskBytesWritten(), c.Net.BytesTransferred()
+		got.dev1 = c.Node(1).DFSDevice().BytesWritten()
+		got.size, _ = d.Size("out")
+		return got
+	}
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		if len(steps) > 64 {
+			steps = steps[:64]
+		}
+		appended, committed := run(t, steps, false), run(t, steps, true)
+		if !reflect.DeepEqual(appended, committed) {
+			t.Fatalf("Commit charged %+v, Append %+v", committed, appended)
+		}
+	})
+}

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 
 	"onepass/internal/kv"
 	"onepass/internal/sim"
@@ -25,21 +27,24 @@ type OutputCollector struct {
 	retained []byte
 
 	// NewSink, when set, replaces the DFS writer for each partition of kept
-	// output: the returned append function receives every flushed
-	// write-behind buffer. The resident engine uses it to land reduce output
-	// in memory (then publishes it via dfs.RegisterResident) while keeping
-	// the checksum, serialize charges, retained output, and counters
+	// output: the returned commit function receives, at every flush, the
+	// partition's whole output so far, capacity clipped, and may keep it, as
+	// dfs.Writer.Commit does. The resident engine uses it to land reduce
+	// output in memory (then publishes it via dfs.RegisterResident) while
+	// keeping the checksum, serialize charges, retained output, and counters
 	// identical to the disk path. It is never called for discarded output,
 	// which then lands nowhere and costs no I/O.
 	NewSink func(r, nodeID int) func(p *sim.Proc, data []byte)
 }
 
 // dfsWriterRef is one reducer's write-behind state. Kept output is encoded
-// into buf and handed to append at each flush; discarded output is never
-// encoded — pending counts its bytes and appendSize, when the output has a
-// file to charge, takes the count.
+// straight into buf, which is the part file's contents: each flush commits
+// all of buf, and the file or sink keeps it, so buf is never rewound — the
+// next pairs land past the committed bytes, or in a doubled array.
+// Discarded output is never encoded — pending counts its bytes and
+// appendSize, when the output has a file to charge, takes the count.
 type dfsWriterRef struct {
-	append     func(p *sim.Proc, data []byte)
+	commit     func(p *sim.Proc, data []byte)
 	appendSize func(p *sim.Proc, n int64)
 	buf        []byte
 	// pending is the encoded size of the pairs since the last flush, whether
@@ -80,10 +85,10 @@ func (oc *OutputCollector) writer(r, nodeID int) *dfsWriterRef {
 			if oc.job.DiscardOutput {
 				w.appendSize = dw.AppendSize
 			} else {
-				w.append = dw.Append
+				w.commit = dw.Commit
 			}
 		case !oc.job.DiscardOutput:
-			w.append = oc.NewSink(r, nodeID)
+			w.commit = oc.NewSink(r, nodeID)
 		}
 		oc.writers[r] = w
 	}
@@ -95,16 +100,16 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 	w := oc.writer(r, nodeID)
 	// Consume key and val completely before the first blocking call: callers
 	// pass scratch buffers that other processes may overwrite while this one
-	// is suspended inside Compute or a DFS append. Kept output is encoded
-	// straight into the write-behind buffer (dfs.Writer.Append copies, so the
-	// buffer is reused across flushes), and the checksum is staged now.
-	if w.append != nil {
-		w.buf = kv.AppendPair(w.buf, key, val)
+	// is suspended inside Compute or a DFS commit. Kept output is encoded
+	// straight into the part file's bytes, and the checksum is staged now.
+	encLen := kv.EncodedSize(key, val)
+	if w.commit != nil {
+		w.buf = kv.AppendPair(grow(w.buf, encLen, math.MaxInt), key, val)
 	}
 	if oc.job.RetainOutput {
 		oc.retained = kv.AppendPair(oc.retained, key, val)
 	}
-	oc.emitted(p, r, nodeID, w, kv.EncodedSize(key, val), pairHash(key, val))
+	oc.emitted(p, r, nodeID, w, encLen, pairHash(key, val))
 }
 
 // emitted accounts one output pair of encLen encoded bytes, already in
@@ -130,13 +135,13 @@ func (oc *OutputCollector) emitted(p *sim.Proc, r, nodeID int, w *dfsWriterRef, 
 	oc.res.OutputChecksum += sum
 }
 
-// flush hands the pending bytes to the part file or sink: kept output as
-// its encoded buffer, discarded output as a size.
+// flush hands the pending bytes to the part file or sink: kept output by
+// committing the file's bytes through the last pair, discarded output as a
+// size.
 func (w *dfsWriterRef) flush(p *sim.Proc) {
 	switch {
-	case w.append != nil:
-		w.append(p, w.buf)
-		w.buf = w.buf[:0]
+	case w.commit != nil:
+		w.commit(p, slices.Clip(w.buf))
 	case w.appendSize != nil:
 		w.appendSize(p, int64(w.pending))
 	}
@@ -182,7 +187,7 @@ func (s *Staged) Add(key, val []byte) {
 			s.units = append(s.units, next)
 			last++
 		}
-		s.units[last] = kv.AppendPair(growUnit(s.units[last], encLen), key, val)
+		s.units[last] = kv.AppendPair(grow(s.units[last], encLen, unitCap), key, val)
 	}
 	if len(s.pairs) == cap(s.pairs) {
 		s.pairs = slices.Grow(s.pairs, len(s.pairs)+1) // double, as kv.Grouper does
@@ -190,23 +195,26 @@ func (s *Staged) Add(key, val []byte) {
 	s.pairs = append(s.pairs, stagedPair{encLen, pairHash(key, val)})
 }
 
-// growUnit returns buf with room for n more bytes. A write-behind buffer is
-// sized by the data: it doubles from 4 KB up to unitCap, then grows to
-// exactly what the pair that seals it needs.
-func growUnit(buf []byte, n int) []byte {
+// grow returns buf with room for n more bytes. A buffer is sized by the
+// data: it doubles from 4 KB up to ceiling, then grows to exactly what the
+// pair being added needs (a staged unit's ceiling is unitCap; a kept part
+// file's is none).
+func grow(buf []byte, n, ceiling int) []byte {
 	need := len(buf) + n
 	if need <= cap(buf) {
 		return buf
 	}
-	size := max(need, min(max(2*cap(buf), 4<<10), unitCap))
+	size := max(need, min(max(2*cap(buf), 4<<10), ceiling))
 	return append(make([]byte, 0, size), buf...)
 }
 
 // Replay emits every staged pair from reducer r running on node: the same
 // per-pair charge, flush, first-output and checksum steps as one Emit per
-// pair, in the same order. Kept output's buffer is a window over the staged
-// unit instead of a second encoding; a sized Staged replays sizes alone.
-// Reducer r must have nothing buffered.
+// pair, in the same order. Kept output is copied at most once: a lone unit
+// replayed into an empty part file becomes the file, and otherwise the file
+// grows once, to its exact final size, and takes the units' bytes; the
+// buffer each flush commits is a window over it. A sized Staged replays
+// sizes alone. Reducer r must have nothing buffered.
 func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 	if len(s.pairs) == 0 {
 		return
@@ -216,7 +224,7 @@ func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 		panic("engine: Replay over a reducer with buffered output")
 	}
 	if s.sized {
-		if w.append != nil || oc.job.RetainOutput {
+		if w.commit != nil || oc.job.RetainOutput {
 			panic("engine: Replay of sizes into output that keeps its bytes")
 		}
 		for _, sp := range s.pairs {
@@ -224,13 +232,22 @@ func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 		}
 		return
 	}
-	pairs := s.pairs
+	var file []byte
+	switch {
+	case w.commit == nil:
+	case len(s.units) == 1 && len(w.buf) == 0:
+		file = s.units[0] // adopted: the Staged is dead after its replay
+	default:
+		file = slices.Concat(append([][]byte{w.buf}, s.units...)...)
+	}
+	at, pairs := len(w.buf), s.pairs
 	for _, unit := range s.units {
 		for off := 0; off < len(unit); pairs = pairs[1:] {
 			start := off
 			off += pairs[0].encLen
-			if w.append != nil {
-				w.buf = unit[:off]
+			if w.commit != nil {
+				at += pairs[0].encLen
+				w.buf = file[:at]
 			}
 			if oc.job.RetainOutput {
 				oc.retained = append(oc.retained, unit[start:off]...)
@@ -244,9 +261,7 @@ func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 // job's output bytes to the CtrOutputBytes counter — one addition of the sum
 // Emit kept in the Result, which is the value per-pair additions reach, since
 // integers this size add exactly in any grouping — and builds Result.Output
-// from the retained pairs: one string holds every pair's bytes, keys and
-// values are substrings of it, and the map is sized up front. A key emitted
-// twice keeps its later value.
+// from the retained pairs.
 func (oc *OutputCollector) Materialize() {
 	if oc.res.OutputBytes > 0 {
 		oc.rt.Counters.Add(CtrOutputBytes, float64(oc.res.OutputBytes))
@@ -254,16 +269,37 @@ func (oc *OutputCollector) Materialize() {
 	if !oc.job.RetainOutput {
 		return
 	}
-	slab := string(oc.retained)
-	out := make(map[string]string, oc.res.OutputPairs)
-	for off := 0; off < len(slab); {
-		key, val, n := kv.DecodePair(oc.retained[off:])
-		off += n
-		valAt := off - len(val)
-		out[slab[valAt-len(key):valAt]] = slab[valAt:off]
-	}
-	oc.res.Output = out
+	oc.res.Output = OutputMap([][]byte{oc.retained}, oc.res.OutputPairs)
 	oc.retained = nil
+}
+
+// OutputMap decodes encoded output pairs — retained output, or a job's part
+// files — into a Result.Output map sized for pairs: one string holds every
+// pair's bytes, and keys and values are substrings of it. A key emitted
+// twice keeps its later value.
+func OutputMap(parts [][]byte, pairs int) map[string]string {
+	size := 0
+	for _, part := range parts {
+		size += len(part)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for _, part := range parts {
+		sb.Write(part)
+	}
+	slab := sb.String()
+	out := make(map[string]string, pairs)
+	base := 0
+	for _, part := range parts {
+		for off := 0; off < len(part); {
+			key, val, n := kv.DecodePair(part[off:])
+			off += n
+			valAt := base + off - len(val)
+			out[slab[valAt-len(key):valAt]] = slab[valAt : base+off]
+		}
+		base += len(part)
+	}
+	return out
 }
 
 // Close flushes reducer r's buffered output; every engine's reduce task

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"onepass/internal/kv"
 	"onepass/internal/sim"
@@ -15,11 +17,17 @@ import (
 type outputRun struct {
 	res     Result
 	events  []trace.Event
-	appends []string // NewSink: "reducer@time:len:bytes-hash" per flushed buffer
+	appends []string // NewSink: "reducer@time:len:bytes-hash" per flush's new bytes
 	flushes []string // "reducer@time:len" per flush handed to a file or sink
-	files   []string // DFS: each part file's bytes
+	files   []string // each part file's (or kept sink's) bytes
 	encoded int      // capacity of every write-behind buffer and staged unit
 	end     sim.Time
+	// units are each reducer's staged units (replay only), and kept each
+	// reducer's part-file or sink bytes after Close.
+	units [2][][]byte
+	kept  [2][]byte
+	// arrays holds, per reducer, the backing array of each commit.
+	arrays [2][]*byte
 }
 
 // collectorMode is what a collector does with its output.
@@ -42,19 +50,25 @@ func runCollector(t *testing.T, pairs [2][][2][]byte, mode collectorMode, replay
 	if mode.sink {
 		oc.NewSink = func(r, nodeID int) func(p *sim.Proc, data []byte) {
 			return func(p *sim.Proc, data []byte) {
-				p.Sleep(sim.Duration(len(data))) // a sink that blocks, as a DFS append does
-				run.appends = append(run.appends, fmt.Sprintf("%d@%d:%d:%x", r, p.Now(), len(data), pairHash(data, nil)))
+				added := data[len(run.kept[r]):]
+				p.Sleep(sim.Duration(len(added))) // a sink that blocks, as a DFS commit does
+				run.appends = append(run.appends, fmt.Sprintf("%d@%d:%d:%x", r, p.Now(), len(added), pairHash(added, nil)))
+				run.kept[r] = data
 			}
 		}
 	}
 	// observe opens reducer r's writer — at the instant its first Emit or
-	// Replay would — and logs every flush it hands on.
+	// Replay would — and logs every flush it hands on: the bytes a commit
+	// adds to the file, or the size handed to a discarding one.
 	observe := func(p *sim.Proc, r int) {
 		w := oc.writer(r, r)
-		if app := w.append; app != nil {
-			w.append = func(p *sim.Proc, data []byte) {
-				run.flushes = append(run.flushes, fmt.Sprintf("%d@%d:%d", r, p.Now(), len(data)))
-				app(p, data)
+		if commit := w.commit; commit != nil {
+			committed := 0
+			w.commit = func(p *sim.Proc, data []byte) {
+				run.flushes = append(run.flushes, fmt.Sprintf("%d@%d:%d", r, p.Now(), len(data)-committed))
+				run.arrays[r] = append(run.arrays[r], unsafe.SliceData(data))
+				committed = len(data)
+				commit(p, data)
 			}
 		}
 		if size := w.appendSize; size != nil {
@@ -74,6 +88,7 @@ func runCollector(t *testing.T, pairs [2][][2][]byte, mode collectorMode, replay
 				for _, u := range st.units {
 					run.encoded += cap(u)
 				}
+				run.units[r] = st.units
 				if len(pairs[r]) > 0 {
 					observe(p, r)
 				}
@@ -106,12 +121,18 @@ func runCollector(t *testing.T, pairs [2][][2][]byte, mode collectorMode, replay
 			if err != nil {
 				t.Fatal(err)
 			}
-			var data []byte
-			for _, b := range blocks {
-				data = append(data, b.Peek()...)
+			switch {
+			case len(blocks) > 1:
+				t.Fatalf("%s: %d blocks, want one logical block", path, len(blocks))
+			case len(blocks) == 1:
+				run.kept[r] = blocks[0].Peek()
 			}
 			size, _ := rt.DFS.Size(path)
-			run.files = append(run.files, fmt.Sprintf("%d:%s", size, data))
+			run.files = append(run.files, fmt.Sprintf("%d:%s", size, run.kept[r]))
+		}
+	} else {
+		for r := range pairs {
+			run.files = append(run.files, fmt.Sprintf("sink:%s", run.kept[r]))
 		}
 	}
 	return run
@@ -220,6 +241,88 @@ func TestReplayMatchesEmit(t *testing.T) {
 		if got, want := replays["sink-discard"].res, replays["sink"].res; got.OutputBytes != want.OutputBytes ||
 			got.OutputChecksum != want.OutputChecksum || got.FirstOutputAt != want.FirstOutputAt {
 			t.Errorf("%s/sink-discard: %+v, sink %+v", tc.name, got, want)
+		}
+	}
+}
+
+// Replay copies kept output at most once, and leaves the part file (or
+// sink) holding the bytes one Emit per pair writes: a lone staged unit
+// becomes the file as it is, and several units are copied once, into one
+// array that every flush of the replay commits.
+func TestReplayCopiesKeptOutputOnce(t *testing.T) {
+	small := func(prefix string, n int) (out [][2][]byte) {
+		for i := 0; i < n; i++ {
+			out = append(out, [2][]byte{[]byte(fmt.Sprintf("%s-%05d", prefix, i)), []byte(fmt.Sprintf("value-%d", i*i))})
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		pairs [2][][2][]byte
+		units int // reducer 0's staged units
+	}{
+		{"one-adopted-unit", [2][][2][]byte{small("a", 500), small("b", 3000)}, 1},
+		{"several-units", [2][][2][]byte{small("a", 30000), small("b", 12000)}, 6},
+	}
+	modes := []collectorMode{{name: "dfs"}, {name: "retain", retain: true}, {name: "sink", sink: true}}
+	for _, tc := range cases {
+		for _, mode := range modes {
+			want := runCollector(t, tc.pairs, mode, false)
+			got := runCollector(t, tc.pairs, mode, true)
+			if n := len(got.units[0]); n != tc.units {
+				t.Fatalf("%s/%s: reducer 0 staged %d units, want %d", tc.name, mode.name, n, tc.units)
+			}
+			for r := range tc.pairs {
+				if len(want.kept[r]) == 0 || !bytes.Equal(got.kept[r], want.kept[r]) {
+					t.Errorf("%s/%s: reducer %d's file after Replay differs from Emit's (%d bytes, %d)",
+						tc.name, mode.name, r, len(got.kept[r]), len(want.kept[r]))
+				}
+				units, arrays := got.units[r], got.arrays[r]
+				for _, a := range arrays {
+					if a != unsafe.SliceData(got.kept[r]) {
+						t.Fatalf("%s/%s: reducer %d's replay committed %d arrays, want one", tc.name, mode.name, r, len(arrays))
+					}
+				}
+				if adopted := arrays[0] == unsafe.SliceData(units[0]); adopted != (len(units) == 1) {
+					t.Errorf("%s/%s: reducer %d: %d staged units, adopted as the file: %v", tc.name, mode.name, r, len(units), adopted)
+				}
+			}
+		}
+	}
+}
+
+// Kept output is encoded once, into its part file: a buffer that doubles
+// from 4 KB and is never rewound. The arrays it passes through sum to less
+// than twice the last, which the file keeps, and the last is less than
+// twice the output, so kept Emit allocates less than 4x its output bytes,
+// plus 4 KB of first buffer and 1 KB of file metadata per reducer. Just past
+// a doubling (2,600 pairs) it reads 3.98x; mid-way (2,000) 2.58x. The
+// rewound write-behind buffer whose flushes the file copied into an
+// append-grown slice read 4.2x and 5.2x there.
+func TestKeptEmitAllocation(t *testing.T) {
+	const reducers = 2
+	key, val := []byte("user-0001"), bytes.Repeat([]byte("v"), 90)
+	pairLen := kv.EncodedSize(key, val)
+	for _, n := range []int{1, 300, 2000, 2600} {
+		rt := testRuntime(reducers)
+		oc := rt.NewOutputCollector(&Job{Name: "kept", OutputPath: "kept", Reducers: reducers}, &Result{})
+		for r := 0; r < reducers; r++ {
+			rt.Env.Go(fmt.Sprintf("reduce-%d", r), func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					oc.Emit(p, r, r, key, val)
+				}
+				oc.Close(p, r)
+			})
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rt.Env.Run()
+		runtime.ReadMemStats(&after)
+		out := reducers * n * pairLen
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d pairs per reducer: %d bytes allocated for %d output bytes: %.2fx", n, alloc, out, float64(alloc)/float64(out))
+		if bound := 4*out + reducers*(4<<10+1<<10); alloc >= uint64(bound) {
+			t.Errorf("%d pairs per reducer: kept Emit allocated %d bytes for %d output bytes, bound %d", n, alloc, out, bound)
 		}
 	}
 }

@@ -64,13 +64,15 @@ var Plan = &engine.Plan{
 		job := j.Job
 		// Kept reduce output lands in per-partition memory buffers instead of
 		// DFS writers; the collector keeps the checksum, serialize charges, and
-		// retained output identical to the disk path. Discarded output lands
-		// nowhere: the collector never opens a sink for it.
+		// retained output identical to the disk path. A sink keeps the
+		// partition's bytes the collector encoded, uncopied: each commit is
+		// the whole output so far. Discarded output lands nowhere: the
+		// collector never opens a sink for it.
 		sinks := make([]*partSink, job.Reducers)
 		j.OC.NewSink = func(r, nodeID int) func(p *sim.Proc, data []byte) {
 			s := &partSink{node: nodeID}
 			sinks[r] = s
-			return func(_ *sim.Proc, data []byte) { s.data = append(s.data, data...) }
+			return func(_ *sim.Proc, data []byte) { s.data = data }
 		}
 		return engine.Tasks{
 			Map:       func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b) },
