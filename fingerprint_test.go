@@ -72,15 +72,8 @@ func TestFingerprint(t *testing.T) {
 				if *updateGolden || c.got == c.want {
 					return
 				}
-				moved := movedFields(c.want, c.got)
-				hint := ""
-				// The map-side sort's comparator calls depend only on the data
-				// and the sort algorithm; a merge's also on arrival order.
-				if strings.Contains(moved, "sort") && !strings.Contains(moved, "checksum") {
-					hint = "\n  the sort comparison counts moved and the answer did not: a Go toolchain bump (pdqsort) moves them, and every cost after them"
-				}
-				t.Errorf("moved %s%s\n  replacement line:\n%s | %s\n  re-pin every case with: go test . -run TestFingerprint -update-golden",
-					moved, hint, c.flags, c.got)
+				t.Errorf("moved %s\n  replacement line:\n%s | %s\n  re-pin every case with: go test . -run TestFingerprint -update-golden",
+					movedFields(c.want, c.got), c.flags, c.got)
 			})
 		}
 	})

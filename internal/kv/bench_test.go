@@ -20,11 +20,22 @@ func BenchmarkAppendDecodePair(b *testing.B) {
 	}
 }
 
-func BenchmarkBufferSort64K(b *testing.B) {
+// Eight-byte keys tie on every prefix and fall back to comparing key bytes;
+// short keys, "u" and at most six digits as the click workloads emit, are
+// decided by their prefixes alone.
+const (
+	longBenchKey  = "u%07d"
+	shortBenchKey = "u%d"
+)
+
+func BenchmarkBufferSort64K(b *testing.B)          { benchBufferSort64K(b, longBenchKey, 1<<20) }
+func BenchmarkBufferSort64KShortKeys(b *testing.B) { benchBufferSort64K(b, shortBenchKey, 1_000_000) }
+
+func benchBufferSort64K(b *testing.B, format string, users int) {
 	rng := rand.New(rand.NewSource(7))
 	keys := make([][]byte, 1<<16)
 	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("u%07d", rng.Intn(1<<20)))
+		keys[i] = []byte(fmt.Sprintf(format, rng.Intn(users)))
 	}
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -39,13 +50,13 @@ func BenchmarkBufferSort64K(b *testing.B) {
 }
 
 // mergeBenchRuns returns eight sorted runs of 4096 random user keys each.
-func mergeBenchRuns() [][]byte {
+func mergeBenchRuns(format string, users int) [][]byte {
 	rng := rand.New(rand.NewSource(9))
 	runs := make([][]byte, 8)
 	for r := range runs {
 		keys := make([]string, 4096)
 		for i := range keys {
-			keys[i] = fmt.Sprintf("u%07d", rng.Intn(1<<20))
+			keys[i] = fmt.Sprintf(format, rng.Intn(users))
 		}
 		sort.Strings(keys)
 		var enc []byte
@@ -58,7 +69,7 @@ func mergeBenchRuns() [][]byte {
 }
 
 func BenchmarkMergeStreams8Way(b *testing.B) {
-	runs := mergeBenchRuns()
+	runs := mergeBenchRuns(longBenchKey, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		streams := make([]PairStream, len(runs))
@@ -76,8 +87,13 @@ func BenchmarkMergeStreams8Way(b *testing.B) {
 // BenchmarkMergeGroups8Way is BenchmarkMergeStreams8Way's merge handing
 // whole key groups to the callback through one kept scratch, as a reducer
 // runs it.
-func BenchmarkMergeGroups8Way(b *testing.B) {
-	runs := mergeBenchRuns()
+func BenchmarkMergeGroups8Way(b *testing.B) { benchMergeGroups8Way(b, longBenchKey, 1<<20) }
+func BenchmarkMergeGroups8WayShortKeys(b *testing.B) {
+	benchMergeGroups8Way(b, shortBenchKey, 1_000_000)
+}
+
+func benchMergeGroups8Way(b *testing.B, format string, users int) {
+	runs := mergeBenchRuns(format, users)
 	var s MergeScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,10 +2,11 @@ package kv
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
-	"slices"
+	"math/bits"
 )
+
+//go:generate go run gen_sort.go
 
 // Buffer is the map-side output buffer: raw pair bytes in one flat array
 // plus one reference per pair carrying its partition — the byte-array
@@ -54,6 +55,16 @@ func keyPrefix(k []byte) uint64 {
 		p |= uint64(c) << (56 - 8*uint(i))
 	}
 	return p
+}
+
+// prefixAt returns keyPrefix(buf[off:off+n]). Where buf holds eight bytes
+// from off it loads them as one word and masks off what follows the key, so
+// a short key costs no byte loop.
+func prefixAt(buf []byte, off, n int) uint64 {
+	if n >= 8 || off+8 > len(buf) {
+		return keyPrefix(buf[off : off+n])
+	}
+	return binary.BigEndian.Uint64(buf[off:])&^(^uint64(0)>>(8*uint(n))) | uint64(n)
 }
 
 // prefixDecides reports whether p holds its whole key (at most seven bytes),
@@ -109,10 +120,12 @@ func (b *Buffer) Reset() {
 // map-side sorting. Pairs equal on both keep insertion order.
 func (b *Buffer) SortByPartitionKey(counter *int64) {
 	es := b.entries(len(b.refs))
+	var all uint64
 	for i := range es {
 		es[i] = b.entry(i)
+		all |= es[i].prefix
 	}
-	b.sortEntries(es, counter)
+	b.sortEntries(es, prefixDecides(all), counter)
 	// Apply the permutation in place: position i takes the ref at es[i].idx.
 	// Each cycle is walked once; a visited entry is marked by pointing it at
 	// itself.
@@ -139,10 +152,12 @@ func (b *Buffer) SortByPartitionKey(counter *int64) {
 // itself untouched: MapReduce Online's per-chunk sort.
 func (b *Buffer) SortIndices(idxs []int, counter *int64) {
 	es := b.entries(len(idxs))
+	var all uint64
 	for i, idx := range idxs {
 		es[i] = b.entry(idx)
+		all |= es[i].prefix
 	}
-	b.sortEntries(es, counter)
+	b.sortEntries(es, prefixDecides(all), counter)
 	for i, e := range es {
 		idxs[i] = int(e.idx)
 	}
@@ -151,7 +166,7 @@ func (b *Buffer) SortIndices(idxs []int, counter *int64) {
 // entry builds pair i's sort entry.
 func (b *Buffer) entry(i int) sortEntry {
 	r := b.refs[i]
-	return sortEntry{prefix: keyPrefix(b.data[r.off : r.off+r.klen]), part: r.part, idx: int32(i)}
+	return sortEntry{prefix: prefixAt(b.data, int(r.off), int(r.klen)), part: r.part, idx: int32(i)}
 }
 
 // entries returns n sort entries of scratch, grown to the refs capacity so
@@ -163,30 +178,71 @@ func (b *Buffer) entries(n int) []sortEntry {
 	return b.ents[:n]
 }
 
-// sortEntries is the one comparator of the sort-merge path's map side. The
-// comparator call sequence is the cost model (one charged comparison per
-// call), so it must stay the pdqsort that sort.Slice and slices.SortFunc
-// are both stamped from; only what one call costs may change. The index
-// tie-break makes the order total, hence equal to a stable sort's.
-func (b *Buffer) sortEntries(es []sortEntry, counter *int64) {
-	var calls int64
-	slices.SortFunc(es, func(x, y sortEntry) int {
-		calls++
-		if x.part != y.part {
-			return cmp.Compare(x.part, y.part)
-		}
-		if x.prefix != y.prefix {
-			return cmp.Compare(x.prefix, y.prefix)
-		}
-		if !prefixDecides(x.prefix) {
-			rx, ry := b.refs[x.idx], b.refs[y.idx]
-			if c := bytes.Compare(b.data[rx.off:rx.off+rx.klen], b.data[ry.off:ry.off+ry.klen]); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(x.idx, y.idx)
-	})
-	if counter != nil {
-		*counter += calls
+// sortEntries sorts es by (partition, key, index) with kv's own pdqsort:
+// zsort.go, generated by gen_sort.go from the Go 1.24.0 standard library's.
+// The comparator call sequence is the cost model (one charged comparison
+// per call), so that algorithm and its call order may not change; what one
+// call costs may. short says every key fits its prefix (the OR of all
+// prefixes has a length byte below 8), so (partition, prefix, index)
+// decides every comparison inline; otherwise a prefix tie on long keys
+// compares the key bytes. The index tie-break makes the order total, hence
+// equal to a stable sort's.
+func (b *Buffer) sortEntries(es []sortEntry, short bool, counter *int64) {
+	s := entrySorter{b: b}
+	if short {
+		s.pdqsortShort(es, 0, len(es), bits.Len(uint(len(es))))
+	} else {
+		s.pdqsortLong(es, 0, len(es), bits.Len(uint(len(es))))
 	}
+	if counter != nil {
+		*counter += s.calls
+	}
+}
+
+// entrySorter is one sort's comparator state: the buffer behind the
+// entries and the comparisons made so far.
+type entrySorter struct {
+	b     *Buffer
+	calls int64
+}
+
+// lessShort orders entries whose keys all fit their prefixes, where equal
+// prefixes are equal keys. It is small enough to inline into every loop of
+// pdqsortShort.
+func (s *entrySorter) lessShort(x, y sortEntry) bool {
+	s.calls++
+	if x.part != y.part {
+		return x.part < y.part
+	}
+	if x.prefix != y.prefix {
+		return x.prefix < y.prefix
+	}
+	return x.idx < y.idx
+}
+
+// lessLong is lessShort for a buffer holding keys longer than the prefix:
+// a prefix tie on such keys is broken by the key bytes.
+func (s *entrySorter) lessLong(x, y sortEntry) bool {
+	s.calls++
+	if x.part != y.part {
+		return x.part < y.part
+	}
+	if x.prefix != y.prefix {
+		return x.prefix < y.prefix
+	}
+	if !prefixDecides(x.prefix) {
+		return s.keyLess(x, y)
+	}
+	return x.idx < y.idx
+}
+
+// keyLess orders two entries of one partition with equal, undeciding
+// prefixes by key bytes, then index.
+func (s *entrySorter) keyLess(x, y sortEntry) bool {
+	b := s.b
+	rx, ry := b.refs[x.idx], b.refs[y.idx]
+	if c := bytes.Compare(b.data[rx.off:rx.off+rx.klen], b.data[ry.off:ry.off+ry.klen]); c != 0 {
+		return c < 0
+	}
+	return x.idx < y.idx
 }

@@ -75,6 +75,20 @@ func DecodePair(buf []byte) (key, val []byte, n int) {
 	return key, val, total
 }
 
+// shortPair is DecodePair's common case, the pair whose lengths both fit
+// one varint byte, for a hot loop to inline ahead of the DecodePair call;
+// n is 0 where DecodePair has to decide. (DecodePair keeps its own copy:
+// calling this from it costs the codec ~10 %.)
+func shortPair(buf []byte) (key, val []byte, n int) {
+	if len(buf) >= 2 && buf[0] < 0x80 && buf[1] < 0x80 {
+		kl, total := 2+int(buf[0]), 2+int(buf[0])+int(buf[1])
+		if total <= len(buf) {
+			return buf[2:kl], buf[kl:total], total
+		}
+	}
+	return nil, nil, 0
+}
+
 // CountPairs returns the number of complete encoded pairs at the front of
 // buf — a cheap pre-scan (length fields only, no payload work) that lets
 // charge sites know record counts before a pooled closure has processed
@@ -190,32 +204,43 @@ type heapEntry struct {
 	i      int
 }
 
-// load caches stream i's next pair in its head and returns the pair's key,
-// reporting false at end of stream.
-func (s *MergeScratch) load(i int) (key []byte, ok bool) {
+// load caches stream i's next pair in its head and returns its key's
+// normalized prefix, reporting false at end of stream.
+func (s *MergeScratch) load(i int) (prefix uint64, ok bool) {
 	hd := &s.heads[i]
-	var k, v []byte
 	if hd.src != nil {
-		if k, v, ok = hd.src.Peek(); !ok {
-			return nil, false
+		k, v, ok := hd.src.Peek()
+		if !ok {
+			return 0, false
 		}
-	} else {
-		var n int
-		if k, v, n = DecodePair(hd.rest); n == 0 {
-			return nil, false
-		}
-		hd.rest = hd.rest[n:]
+		hd.key, hd.val = k, v
+		return keyPrefix(k), true
 	}
-	hd.key, hd.val = k, v
-	return k, true
+	r := hd.rest
+	k, v, n := shortPair(r)
+	if n > 0 {
+		hd.key, hd.val, hd.rest = k, v, r[n:]
+		return prefixAt(r, 2, len(k)), true
+	}
+	if k, v, n = DecodePair(r); n == 0 {
+		return 0, false
+	}
+	hd.key, hd.val, hd.rest = k, v, r[n:]
+	return keyPrefix(k), true
 }
 
 // less is the heap order: key, then stream index. Every call is one charged
-// comparison, counted by the caller.
+// comparison, counted by the caller. Unequal prefixes decide it inline; only
+// a prefix tie pays a call.
 func (s *MergeScratch) less(a, b heapEntry) bool {
 	if a.prefix != b.prefix {
 		return a.prefix < b.prefix
 	}
+	return s.tie(a, b)
+}
+
+// tie is less for two entries with equal prefixes.
+func (s *MergeScratch) tie(a, b heapEntry) bool {
 	if !prefixDecides(a.prefix) {
 		if c := bytes.Compare(s.heads[a.i].key, s.heads[b.i].key); c != 0 {
 			return c < 0
@@ -224,30 +249,37 @@ func (s *MergeScratch) less(a, b heapEntry) bool {
 	return a.i < b.i
 }
 
-// down sifts slot i down and returns the comparisons it made.
+// down sifts slot i down and returns the comparisons it made. The sifted
+// entry stays in hand and is stored once, where it comes to rest; each
+// level compares the left child with it, then the right child with the
+// smaller of the two.
 func (s *MergeScratch) down(i int) (calls int64) {
 	h := s.heap
+	x := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) {
-			calls++
-			if s.less(h[l], h[small]) {
-				small = l
-			}
+		l := 2*i + 1
+		if l >= len(h) {
+			break
 		}
-		if r < len(h) {
+		small, sv := i, x
+		calls++
+		if s.less(h[l], x) {
+			small, sv = l, h[l]
+		}
+		if r := l + 1; r < len(h) {
 			calls++
-			if s.less(h[r], h[small]) {
-				small = r
+			if s.less(h[r], sv) {
+				small, sv = r, h[r]
 			}
 		}
 		if small == i {
-			return calls
+			break
 		}
-		h[i], h[small] = h[small], h[i]
+		h[i] = sv
 		i = small
 	}
+	h[i] = x
+	return calls
 }
 
 // up sifts slot i up and returns the comparisons it made.
@@ -290,19 +322,20 @@ func MergeGroups(streams []PairStream, counter *int64, s *MergeScratch, fn func(
 	for i, st := range streams {
 		hd := &s.heads[i]
 		*hd = mergeHead{src: st}
-		var k []byte
+		var prefix uint64
 		var ok bool
 		if ss, isSlice := st.(*SliceStream); isSlice {
 			// Take the stream over: yield its pending pair, then decode what
 			// follows it here.
-			k, hd.val, ok = ss.Peek()
-			hd.key, hd.src, hd.rest = k, nil, ss.dec.buf[ss.dec.off:]
+			hd.key, hd.val, ok = ss.Peek()
+			hd.src, hd.rest = nil, ss.dec.buf[ss.dec.off:]
 			ss.dec.off, ss.valid, ss.exhausted = len(ss.dec.buf), false, true
+			prefix = keyPrefix(hd.key)
 		} else {
-			k, ok = s.load(i)
+			prefix, ok = s.load(i)
 		}
 		if ok {
-			s.heap = append(s.heap, heapEntry{keyPrefix(k), i})
+			s.heap = append(s.heap, heapEntry{prefix, i})
 			calls += s.up(len(s.heap) - 1)
 		}
 	}
@@ -321,8 +354,8 @@ func MergeGroups(streams []PairStream, counter *int64, s *MergeScratch, fn func(
 			if hd.src != nil {
 				hd.src.Advance()
 			}
-			if k, ok := s.load(top.i); ok {
-				s.heap[0].prefix = keyPrefix(k)
+			if prefix, ok := s.load(top.i); ok {
+				s.heap[0].prefix = prefix
 				calls += s.down(0)
 			} else {
 				last := len(s.heap) - 1

@@ -15,6 +15,12 @@ import (
 // sort.Slice over the refs with a payload-dereferencing comparator, and a
 // heap that calls Peek twice per comparison. Every test and fuzz target in
 // this file demands the same output order AND the same counter value.
+//
+// The sort oracles run the installed Go's sort.Slice, while kv sorts with
+// its own copy of Go 1.24.0's pdqsort (zsort.go). Should a toolchain change
+// the standard library's pdqsort, the counter checks here fail while
+// TestSortCountsPinned, which pins kv's counts as numbers, still passes:
+// the oracle moved, not kv's sort.
 
 // refSortByPartitionKey is the former Buffer.SortByPartitionKey.
 func refSortByPartitionKey(b *Buffer, counter *int64) {
@@ -224,7 +230,8 @@ func TestSortMatchesReference(t *testing.T) {
 }
 
 // Property: random buffers drawn from the adversarial key set, at sizes on
-// both sides of pdqsort's insertion-sort and ninther thresholds.
+// both sides of pdqsort's insertion-sort and ninther thresholds, then large
+// buffers on each of the sort's two comparators.
 func TestSortMatchesReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 300; trial++ {
@@ -240,6 +247,38 @@ func TestSortMatchesReferenceProperty(t *testing.T) {
 				key = fmt.Sprintf("u%d", rng.Intn(1+n/4))
 			}
 			pairs[i] = testPair{rng.Intn(parts), key, fmt.Sprint(i)}
+		}
+		checkSortMatchesReference(t, pairs)
+	}
+	// Large buffers whose keys all fit the prefix take the call-free
+	// comparator past the ninther threshold; one long key among them sends
+	// the same buffer down the key-comparing path. Where a few more long
+	// keys tie on its prefix, a sort that kept the call-free comparator
+	// would order them by index, not by key.
+	var short []string
+	for _, k := range adversarialKeys {
+		if len(k) < 8 {
+			short = append(short, k)
+		}
+	}
+	for trial := 0; trial < 24; trial++ {
+		n := 2000 + rng.Intn(3000)
+		parts := 1 + rng.Intn(5)
+		pairs := make([]testPair, n)
+		for i := range pairs {
+			key := short[rng.Intn(len(short))]
+			if rng.Intn(2) == 0 {
+				key = fmt.Sprintf("u%d", rng.Intn(1+n/4))
+			}
+			pairs[i] = testPair{rng.Intn(parts), key, fmt.Sprint(i)}
+		}
+		if trial%2 == 1 {
+			pairs[rng.Intn(n)].key = adversarialKeys[rng.Intn(len(adversarialKeys))] + "-past-the-prefix"
+		}
+		if trial%4 == 3 {
+			for j := 0; j < 8; j++ {
+				pairs[rng.Intn(n)].key = fmt.Sprintf("u123456-%d", rng.Intn(4))
+			}
 		}
 		checkSortMatchesReference(t, pairs)
 	}

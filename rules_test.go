@@ -101,6 +101,19 @@ var codeRules = []codeRule{
 		msg:     "fold map output at emit (ExecuteMapWith's into) and drain the tables into a kv.FrameBuilder",
 		bad:     `	buf := kv.NewBuffer(len(data))`,
 	},
+	// The sort-merge path's comparator calls are the cost model, so the
+	// sort issuing them is kv's own pdqsort (zsort.go), not whichever one
+	// the installed Go ships. A standard-library sort on the counted path
+	// makes every sort count and makespan after it a property of the
+	// toolchain. The reference tests' sort.Slice oracles are what the
+	// in-repo sort is held to, so tests stay exempt.
+	{
+		name:    "one counted sort",
+		pattern: `\b(slices\.Sort|sort\.(Slice|Sort|Stable))`,
+		in:      []string{"internal/kv/*.go", "internal/sortmerge/*.go", "internal/hadoop/*.go", "internal/hop/*.go"},
+		msg:     "sort on the counted path with kv's pdqsort (Buffer.SortByPartitionKey, Buffer.SortIndices)",
+		bad:     `	slices.SortFunc(es, func(x, y sortEntry) int {`,
+	},
 	// An experiment is its renderer: the specs it runs are the Session.Run
 	// calls in it, and RunAll overlaps whole experiments. A Specs/After
 	// field or a function returning an experiment's specs is a second
