@@ -223,9 +223,10 @@ type Config struct {
 	HotKeyCounters   int
 	ApproximateEarly bool
 	ChunkBytes       int64
-	// RetainOutput keeps output pairs on the Result; DiscardOutput never
-	// encodes payloads, and their I/O is charged from their sizes (sink mode
-	// for large benchmark runs).
+	// RetainOutput decodes the job's part files into Result.Output;
+	// DiscardOutput never encodes payloads, and their I/O is charged from
+	// their sizes (sink mode for large benchmark runs). A job that ends up
+	// with both is rejected.
 	//
 	// Precedence: job-level settings win. A Job that sets its own
 	// MemoryPerTask keeps it, and a Job that sets RetainOutput or

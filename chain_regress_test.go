@@ -168,3 +168,26 @@ func TestJobLevelSettingsWin(t *testing.T) {
 		t.Fatalf("job-level MemoryPerTask ignored: 64KB budget spilled %v bytes, 8MB config budget spilled %v", got, want)
 	}
 }
+
+// TestConfigRetainingDiscardedOutputRejected: a job that leaves output
+// retention to a Config that both retains and discards its output is
+// refused by Run and Cluster.RunJob alike, naming the job; discarded output
+// has no part files to decode into Result.Output.
+func TestConfigRetainingDiscardedOutputRejected(t *testing.T) {
+	w := PerUserCount(tinyClicks())
+	cfg := tinyConfig(Hadoop)
+	cfg.RetainOutput, cfg.DiscardOutput = true, true
+	data := Dataset{Path: "input/clicks", Size: 256 << 10, Gen: w.Gen}
+	if _, err := Run(cfg, data, w.Job); err == nil || !strings.Contains(err.Error(), w.Job.Name) {
+		t.Fatalf("Run: error %v, want one naming job %q", err, w.Job.Name)
+	}
+	c := NewCluster(cfg)
+	if err := c.Register(data); err != nil {
+		t.Fatal(err)
+	}
+	job := w.Job
+	job.InputPath, job.OutputPath = data.Path, "out/clicks"
+	if _, err := c.RunJob(job); err == nil || !strings.Contains(err.Error(), job.Name) {
+		t.Fatalf("Cluster.RunJob: error %v, want one naming job %q", err, job.Name)
+	}
+}

@@ -135,8 +135,8 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 
 	// The capture and merge jobs' part files are read back — the preserved
 	// partials, the answers — and must keep their contents whatever the
-	// caller asked for its own output; no job of the path retains a second
-	// copy of them.
+	// caller asked for its own output; only the merge job retains its
+	// output, decoded from those same part files.
 	cfg.RetainOutput, cfg.DiscardOutput = false, false
 	c := NewCluster(cfg)
 	blockSize := c.dfs.BlockSize()
@@ -260,9 +260,8 @@ func (c *Cluster) partFiles(outputPath string) [][]byte {
 // runMerge encodes the preserved state for the given affected-key set
 // (nil = every key), publishes it, and re-reduces it with a real engine
 // job, returning the merge result, the number of live keys and the encoded
-// state size. The result's Output is read back from the merge job's part
-// files: each key is emitted once, so no reducer's answer can shadow
-// another's, and the DFS already holds the bytes.
+// state size. The merge job retains its output, so the result's Output is
+// decoded from the part files the job wrote.
 func runMerge(c *Cluster, job Job, state *incr.State, affected *incr.Affected, statePath, outPath string) (res *Result, keys, stateBytes int, err error) {
 	input, keys, err := state.Merge(affected)
 	if err != nil {
@@ -275,7 +274,6 @@ func runMerge(c *Cluster, job Job, state *incr.State, affected *incr.Affected, s
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	res.Output = engine.OutputMap(c.partFiles(outPath), res.OutputPairs)
 	return res, keys, len(input), nil
 }
 
@@ -385,7 +383,8 @@ func mergeJob(inner Job, statePath, outPath string) Job {
 		Reducers:    inner.Reducers,
 		OutputPath:  outPath,
 		// The merged answer is the run's deliverable, kept in its part files
-		// for finals caching and read back from them into Result.Output.
+		// for finals caching and decoded from them into Result.Output.
+		RetainOutput:  true,
 		Costs:         inner.Costs,
 		MemoryPerTask: inner.MemoryPerTask,
 	}

@@ -3,7 +3,11 @@ package onepass
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"testing"
+
+	"onepass/internal/engine"
+	"onepass/internal/workloads"
 )
 
 // Discarded output is measured, never encoded: on every engine a run that
@@ -72,5 +76,51 @@ func TestDiscardMatchesKeep(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Retained output is the part files: on every engine Result.Output is what
+// decoding the job's part files (the resident engine's memory-resident
+// ones) gives. Sessionization's reducers each write past several
+// write-behind flushes; hash-incremental with EmitWhen emits its threshold
+// answers mid-job, before the rest of its output.
+func TestRetainedOutputIsThePartFiles(t *testing.T) {
+	type run struct {
+		name    string
+		engine  Engine
+		w       *Workload
+		flushes bool
+	}
+	var runs []run
+	for _, e := range Engines() {
+		runs = append(runs, run{e.String() + "/sessionization", e, Sessionization(tinyClicks()), true})
+	}
+	early := PerUserCount(tinyClicks())
+	early.Job.EmitWhen = func(_, state []byte) bool { return workloads.CountState(state) >= 3 }
+	runs = append(runs, run{"hash-incremental/per-user-count-emitwhen", HashIncremental, early, false})
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			cfg := tinyConfig(r.engine)
+			c := NewCluster(cfg)
+			if err := c.Register(Dataset{Path: "input/" + r.w.Name, Size: 1 << 20, Gen: r.w.Gen}); err != nil {
+				t.Fatal(err)
+			}
+			job := r.w.Job
+			job.InputPath, job.OutputPath = "input/"+r.w.Name, "out/"+r.w.Name
+			res, err := c.RunJob(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.flushes && res.OutputBytes < int64(cfg.Reducers)<<17 {
+				t.Fatalf("emitted %d bytes: too few to cross the flush boundaries", res.OutputBytes)
+			}
+			if !r.flushes && res.FirstOutputAt.Seconds() >= res.Makespan.Seconds() {
+				t.Fatalf("first output at %v, job end %v: no threshold answer left early", res.FirstOutputAt, res.Makespan)
+			}
+			want := engine.OutputMap(c.partFiles(job.OutputPath), res.OutputPairs)
+			if len(res.Output) == 0 || !maps.Equal(res.Output, want) {
+				t.Fatalf("Result.Output has %d keys; the part files decode to %d, or differ", len(res.Output), len(want))
+			}
+		})
 	}
 }

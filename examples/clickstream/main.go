@@ -7,6 +7,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"strings"
 
 	"onepass"
@@ -43,14 +45,12 @@ func main() {
 	}
 
 	fmt.Printf("\nAll engines agree on %d users' sessions. A sample:\n", len(sessions))
-	shown := 0
-	for user, s := range sessions {
+	users := slices.Sorted(maps.Keys(sessions))
+	for _, user := range users[:min(5, len(users))] {
+		s := sessions[user]
 		nSessions := strings.Count(s, "|") + 1
 		nClicks := strings.Count(s, ",") + nSessions
 		fmt.Printf("  %-10s %3d sessions over %4d clicks\n", user, nSessions, nClicks)
-		if shown++; shown == 5 {
-			break
-		}
 	}
 }
 

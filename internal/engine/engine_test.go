@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"onepass/internal/cluster"
@@ -435,9 +436,9 @@ func TestCombineSorted(t *testing.T) {
 	}
 }
 
-// TestMaterializeRetainedOutput: Result.Output is built once from the
-// retained pair bytes — a later duplicate wins, empty keys and values
-// survive, and a retaining job that emitted nothing still gets a map.
+// TestMaterializeRetainedOutput: Result.Output is built once from the part
+// files' bytes — a later duplicate wins, empty keys and values survive, and
+// a retaining job that emitted nothing still gets a map.
 func TestMaterializeRetainedOutput(t *testing.T) {
 	rt := testRuntime(2)
 	job := &Job{Name: "t", OutputPath: "out", RetainOutput: true, Reducers: 2}
@@ -467,6 +468,21 @@ func TestMaterializeRetainedOutput(t *testing.T) {
 	rt.NewOutputCollector(&Job{Name: "d", OutputPath: "out-d", DiscardOutput: true}, discarded).Materialize()
 	if discarded.Output != nil {
 		t.Fatalf("non-retaining job grew an output map: %v", discarded.Output)
+	}
+}
+
+// A job cannot retain output it discards: discarded output has no bytes to
+// decode into Result.Output.
+func TestValidateRejectsRetainedDiscardedOutput(t *testing.T) {
+	job := Job{Name: "both", InputPath: "in", Reader: func([]byte, func([]byte)) {},
+		Map: func([]byte, Emit) {}, Reduce: func([]byte, [][]byte, Emit) {},
+		Reducers: 1, RetainOutput: true}
+	if err := job.Validate(); err != nil {
+		t.Fatalf("retaining job rejected: %v", err)
+	}
+	job.DiscardOutput = true
+	if err := job.Validate(); err == nil || !strings.Contains(err.Error(), `"both"`) {
+		t.Fatalf("job retaining and discarding its output: error %v, want one naming the job", err)
 	}
 }
 

@@ -21,10 +21,10 @@ type OutputCollector struct {
 	// serializeNs is the job's resolved per-byte serialize cost: every emit
 	// charges it, so it is merged with the defaults once, not per pair.
 	serializeNs float64
-	writers     []*dfsWriterRef // by reducer
-	// retained is every emitted pair, encoded, in emission order, when the
-	// job retains its output; Materialize turns it into Result.Output once.
-	retained []byte
+	// writers is each reducer's write-behind state; a kept reducer's buf is
+	// its part file's bytes, which Materialize decodes into Result.Output
+	// when the job retains its output.
+	writers []*dfsWriterRef
 
 	// NewSink, when set, replaces the DFS writer for each partition of kept
 	// output: the returned commit function receives, at every flush, the
@@ -106,9 +106,6 @@ func (oc *OutputCollector) Emit(p *sim.Proc, r int, nodeID int, key, val []byte)
 	if w.commit != nil {
 		w.buf = kv.AppendPair(grow(w.buf, encLen, math.MaxInt), key, val)
 	}
-	if oc.job.RetainOutput {
-		oc.retained = kv.AppendPair(oc.retained, key, val)
-	}
 	oc.emitted(p, r, nodeID, w, encLen, pairHash(key, val))
 }
 
@@ -168,9 +165,9 @@ type stagedPair struct {
 }
 
 // Stage returns an empty Staged for this collector's output: sized when
-// the output is discarded and not retained, so no pair is encoded.
+// the output is discarded, so no pair is encoded.
 func (oc *OutputCollector) Stage() Staged {
-	return Staged{sized: oc.job.DiscardOutput && !oc.job.RetainOutput}
+	return Staged{sized: oc.job.DiscardOutput}
 }
 
 // Add stages one output pair; it is an Emit for reduce functions.
@@ -214,7 +211,8 @@ func grow(buf []byte, n, ceiling int) []byte {
 // replayed into an empty part file becomes the file, and otherwise the file
 // grows once, to its exact final size, and takes the units' bytes; the
 // buffer each flush commits is a window over it. A sized Staged replays
-// sizes alone. Reducer r must have nothing buffered.
+// sizes alone, and only a sized Staged replays into discarded output.
+// Reducer r must have nothing buffered.
 func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 	if len(s.pairs) == 0 {
 		return
@@ -223,45 +221,33 @@ func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 	if w.pending != 0 {
 		panic("engine: Replay over a reducer with buffered output")
 	}
+	if s.sized != (w.commit == nil) {
+		panic("engine: Replay of sizes into kept output, or of bytes into discarded output")
+	}
 	if s.sized {
-		if w.commit != nil || oc.job.RetainOutput {
-			panic("engine: Replay of sizes into output that keeps its bytes")
-		}
 		for _, sp := range s.pairs {
 			oc.emitted(p, r, nodeID, w, sp.encLen, sp.sum)
 		}
 		return
 	}
-	var file []byte
-	switch {
-	case w.commit == nil:
-	case len(s.units) == 1 && len(w.buf) == 0:
-		file = s.units[0] // adopted: the Staged is dead after its replay
-	default:
+	file := s.units[0] // adopted: the Staged is dead after its replay
+	if len(s.units) > 1 || len(w.buf) > 0 {
 		file = slices.Concat(append([][]byte{w.buf}, s.units...)...)
 	}
-	at, pairs := len(w.buf), s.pairs
-	for _, unit := range s.units {
-		for off := 0; off < len(unit); pairs = pairs[1:] {
-			start := off
-			off += pairs[0].encLen
-			if w.commit != nil {
-				at += pairs[0].encLen
-				w.buf = file[:at]
-			}
-			if oc.job.RetainOutput {
-				oc.retained = append(oc.retained, unit[start:off]...)
-			}
-			oc.emitted(p, r, nodeID, w, pairs[0].encLen, pairs[0].sum)
-		}
+	at := len(w.buf)
+	for _, sp := range s.pairs {
+		at += sp.encLen
+		w.buf = file[:at]
+		oc.emitted(p, r, nodeID, w, sp.encLen, sp.sum)
 	}
 }
 
 // Materialize completes the Result once, when the job is done. It posts the
 // job's output bytes to the CtrOutputBytes counter — one addition of the sum
 // Emit kept in the Result, which is the value per-pair additions reach, since
-// integers this size add exactly in any grouping — and builds Result.Output
-// from the retained pairs.
+// integers this size add exactly in any grouping — and, when the job retains
+// its output, builds Result.Output from the part files' bytes, in reducer
+// order.
 func (oc *OutputCollector) Materialize() {
 	if oc.res.OutputBytes > 0 {
 		oc.rt.Counters.Add(CtrOutputBytes, float64(oc.res.OutputBytes))
@@ -269,12 +255,17 @@ func (oc *OutputCollector) Materialize() {
 	if !oc.job.RetainOutput {
 		return
 	}
-	oc.res.Output = OutputMap([][]byte{oc.retained}, oc.res.OutputPairs)
-	oc.retained = nil
+	parts := make([][]byte, 0, len(oc.writers))
+	for _, w := range oc.writers {
+		if w != nil {
+			parts = append(parts, w.buf)
+		}
+	}
+	oc.res.Output = OutputMap(parts, oc.res.OutputPairs)
 }
 
-// OutputMap decodes encoded output pairs — retained output, or a job's part
-// files — into a Result.Output map sized for pairs: one string holds every
+// OutputMap decodes encoded output pairs — a job's part files, in reducer
+// order — into a Result.Output map sized for pairs: one string holds every
 // pair's bytes, and keys and values are substrings of it. A key emitted
 // twice keeps its later value.
 func OutputMap(parts [][]byte, pairs int) map[string]string {

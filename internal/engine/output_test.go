@@ -187,8 +187,7 @@ func TestReplayMatchesEmit(t *testing.T) {
 	modes := []collectorMode{
 		{"dfs", false, false, false}, {"retain", true, false, false},
 		{"sink", false, false, true}, {"sink-retain", true, false, true},
-		{"discard", false, true, false}, {"discard-retain", true, true, false},
-		{"sink-discard", false, true, true},
+		{"discard", false, true, false}, {"sink-discard", false, true, true},
 	}
 	for _, tc := range cases {
 		replays := map[string]outputRun{}
@@ -221,7 +220,10 @@ func TestReplayMatchesEmit(t *testing.T) {
 				if mode.sink && !mode.discard && want.res.OutputBytes >= outputFlushBytes && len(want.appends) < 2 {
 					t.Fatalf("%d output bytes reached the sink in %d appends", want.res.OutputBytes, len(want.appends))
 				}
-				if mode.discard && !mode.retain && (got.encoded != 0 || want.encoded != 0) {
+				if mode.retain && !reflect.DeepEqual(want.res.Output, OutputMap(want.kept[:], want.res.OutputPairs)) {
+					t.Errorf("retained output is not the part files' pairs")
+				}
+				if mode.discard && (got.encoded != 0 || want.encoded != 0) {
 					t.Fatalf("discarded output encoded into %d bytes of units (replay), %d of buffer (emit)", got.encoded, want.encoded)
 				}
 			})
@@ -230,13 +232,10 @@ func TestReplayMatchesEmit(t *testing.T) {
 		// sizes at the same instants, first output, Result and trace as the
 		// encoded replay into a file that keeps them. (A discarding sink has
 		// no I/O to compare: the test sink's blocking is the kept path's.)
-		for _, pair := range [][2]string{{"discard", "dfs"}, {"discard-retain", "retain"}} {
-			got, want := replays[pair[0]], replays[pair[1]]
-			if !reflect.DeepEqual(got.res, want.res) || !reflect.DeepEqual(got.events, want.events) ||
-				!reflect.DeepEqual(got.flushes, want.flushes) || got.end != want.end {
-				t.Errorf("%s/%s differs from %s:\nresult %+v\nwant   %+v\nflushes %v\nwant    %v",
-					tc.name, pair[0], pair[1], got.res, want.res, got.flushes, want.flushes)
-			}
+		if got, want := replays["discard"], replays["dfs"]; !reflect.DeepEqual(got.res, want.res) ||
+			!reflect.DeepEqual(got.events, want.events) || !reflect.DeepEqual(got.flushes, want.flushes) || got.end != want.end {
+			t.Errorf("%s/discard differs from dfs:\nresult %+v\nwant   %+v\nflushes %v\nwant    %v",
+				tc.name, got.res, want.res, got.flushes, want.flushes)
 		}
 		if got, want := replays["sink-discard"].res, replays["sink"].res; got.OutputBytes != want.OutputBytes ||
 			got.OutputChecksum != want.OutputChecksum || got.FirstOutputAt != want.FirstOutputAt {
@@ -424,4 +423,34 @@ func FuzzStagedSizedMatchesUnits(f *testing.F) {
 			t.Fatalf("sized replay %+v ending %v, encoded %+v ending %v", sized.res, sized.end, kept.res, kept.end)
 		}
 	})
+}
+
+// Replay takes a Staged of its collector's kind: sizes only into discarded
+// output, bytes only into output that keeps them. Retained output is read
+// from the part files, so a mismatch would lose bytes or encode discarded
+// ones.
+func TestReplayRejectsMismatchedStaged(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		discard, sized bool // the collector's output, the Staged
+	}{
+		{"sizes-into-kept", false, true},
+		{"bytes-into-discarded", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := testRuntime(1)
+			oc := rt.NewOutputCollector(&Job{Name: "r", OutputPath: "r", Reducers: 1, DiscardOutput: tc.discard}, &Result{})
+			st := Staged{sized: tc.sized}
+			st.Add([]byte("key"), []byte("value"))
+			var got any
+			rt.Env.Go("reduce", func(p *sim.Proc) {
+				defer func() { got = recover() }()
+				oc.Replay(p, 0, 0, &st)
+			})
+			rt.Env.Run()
+			if got == nil {
+				t.Fatal("Replay accepted a Staged of the other kind")
+			}
+		})
+	}
 }

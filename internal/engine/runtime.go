@@ -310,15 +310,16 @@ func (w *WaitGroup) Pending() int { return w.n }
 
 // Result is everything a job run reports: the paper's tables come from the
 // counters and CPU account, the figures from the series and timeline. Its
-// JSON form is what the experiment run cache persists and `runjob -json`
-// prints; it round-trips exactly.
+// JSON form is what `runjob -json` prints and the behaviour fingerprint
+// digests; it is printed, never decoded back.
 type Result struct {
 	Job    string `json:"job"`
 	Engine string `json:"engine"`
 
 	Makespan sim.Duration `json:"makespan"`
 
-	// Output holds the job's output pairs when Job.RetainOutput is set.
+	// Output holds the job's output pairs when Job.RetainOutput is set,
+	// decoded from its part files (or resident sinks) once the job is done.
 	Output      map[string]string `json:"output,omitempty"`
 	OutputPairs int               `json:"outputPairs"`
 	OutputBytes int64             `json:"outputBytes"`
@@ -353,7 +354,7 @@ type Result struct {
 	// AuditFailures holds the invariants an armed audit found violated
 	// (empty or nil after a clean audited run; always nil when the run was
 	// not audited). Omitted from JSON when empty so audited and unaudited
-	// runs persist identically.
+	// runs print identically.
 	AuditFailures []AuditFailure `json:"AuditFailures,omitempty"`
 
 	// Pool reports the intra-run worker pool's real-time activity: closures

@@ -63,9 +63,9 @@ type Job struct {
 	// DiscardOutput never encodes output payloads; their I/O is charged
 	// from their sizes — sink mode for large benchmark runs.
 	DiscardOutput bool
-	// RetainOutput additionally keeps an in-memory copy of all output pairs
-	// on the Result for verification. Mutually exclusive with DiscardOutput
-	// having any effect on verification.
+	// RetainOutput decodes the part files into Result.Output when the job
+	// is done, for verification. A job may not set it with DiscardOutput:
+	// discarded output has no bytes to decode.
 	RetainOutput bool
 
 	Costs CostModel
@@ -131,6 +131,8 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("engine: job %q needs a reduce function", j.Name)
 	case j.Reducers <= 0:
 		return fmt.Errorf("engine: job %q needs a positive reducer count", j.Name)
+	case j.RetainOutput && j.DiscardOutput:
+		return fmt.Errorf("engine: job %q both retains and discards its output", j.Name)
 	}
 	return nil
 }

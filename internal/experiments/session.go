@@ -21,12 +21,13 @@ import (
 	"onepass/internal/workloads"
 )
 
-// runSpec fully determines one experiment run (and is its cache key).
+// runSpec fully determines one experiment run (and is its key in the
+// session's run cache).
 type runSpec struct {
 	Workload string
 	// Engine is a name or alias from internal/engines ("hadoop",
 	// "mapreduce-online", ...); the alias "hop" is the spelling baked into
-	// existing specs and cache keys.
+	// existing specs and artifact names.
 	Engine  string
 	InputGB float64
 	// Topology deltas.
@@ -48,7 +49,7 @@ type runSpec struct {
 	StreamPerMinute float64 `json:",omitempty"`
 	// Faults, when non-empty, is a fault schedule in the faults.Parse
 	// grammar, injected into the run on any engine. Like every other field
-	// it is part of the cache key.
+	// it is part of the run's key.
 	Faults string `json:",omitempty"`
 }
 

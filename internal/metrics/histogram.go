@@ -204,9 +204,8 @@ func (h *Histogram) P95() int64 { return h.Quantile(0.95) }
 // P99 returns the 99th percentile.
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
-// histogramJSON is the persisted form: sparse [index, count] pairs in
-// ascending index order, so encoding is deterministic and merging two
-// decoded histograms equals decoding a merged one.
+// histogramJSON is the encoded form: sparse [index, count] pairs in
+// ascending index order, so encoding is deterministic.
 type histogramJSON struct {
 	Count   int64      `json:"count"`
 	Sum     int64      `json:"sum"`
@@ -223,28 +222,6 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 		hj.Buckets = append(hj.Buckets, [2]int64{int64(idx), h.buckets[idx]})
 	}
 	return json.Marshal(hj)
-}
-
-// UnmarshalJSON decodes a histogram persisted by MarshalJSON.
-func (h *Histogram) UnmarshalJSON(b []byte) error {
-	var hj histogramJSON
-	if err := json.Unmarshal(b, &hj); err != nil {
-		return err
-	}
-	h.count, h.sum, h.min, h.max = hj.Count, hj.Sum, hj.Min, hj.Max
-	h.buckets = make(map[int]int64, len(hj.Buckets))
-	var total int64
-	for _, p := range hj.Buckets {
-		if p[1] <= 0 {
-			return fmt.Errorf("metrics: histogram bucket %d has non-positive count %d", p[0], p[1])
-		}
-		h.buckets[int(p[0])] += p[1]
-		total += p[1]
-	}
-	if total != h.count {
-		return fmt.Errorf("metrics: histogram bucket counts sum to %d, header says %d", total, h.count)
-	}
-	return nil
 }
 
 // Summary renders the headline statistics on one line, durations formatted

@@ -172,7 +172,7 @@ func (s *Series) Downsample(factor int) *Series {
 	return out
 }
 
-// seriesJSON is the persisted form of a Series.
+// seriesJSON is the encoded form of a Series.
 type seriesJSON struct {
 	Name   string       `json:"name"`
 	Unit   string       `json:"unit"`
@@ -180,22 +180,10 @@ type seriesJSON struct {
 	Vals   []float64    `json:"vals"`
 }
 
-// MarshalJSON encodes the series with its bucket width, for run caching.
+// MarshalJSON encodes the series with its bucket width, as Result JSON
+// prints it.
 func (s *Series) MarshalJSON() ([]byte, error) {
 	return json.Marshal(seriesJSON{Name: s.Name, Unit: s.Unit, Bucket: s.Bucket, Vals: s.vals})
-}
-
-// UnmarshalJSON decodes a series persisted by MarshalJSON.
-func (s *Series) UnmarshalJSON(b []byte) error {
-	var sj seriesJSON
-	if err := json.Unmarshal(b, &sj); err != nil {
-		return err
-	}
-	if sj.Bucket <= 0 {
-		return fmt.Errorf("metrics: series %q has non-positive bucket %d", sj.Name, sj.Bucket)
-	}
-	s.Name, s.Unit, s.Bucket, s.vals = sj.Name, sj.Unit, sj.Bucket, sj.Vals
-	return nil
 }
 
 // Counters is a bag of named cumulative counters (bytes spilled, records
@@ -243,18 +231,6 @@ func (c *Counters) MarshalJSON() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return json.Marshal(c.vals)
-}
-
-// UnmarshalJSON replaces the bag's contents.
-func (c *Counters) UnmarshalJSON(b []byte) error {
-	vals := make(map[string]float64)
-	if err := json.Unmarshal(b, &vals); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.vals = vals
-	c.mu.Unlock()
-	return nil
 }
 
 // CPUAccount attributes CPU seconds to named phases ("map-fn", "sort",
@@ -359,19 +335,6 @@ func (a *CPUAccount) MarshalJSON() ([]byte, error) {
 		seconds[ps.name] = ps.seconds
 	}
 	return json.Marshal(seconds)
-}
-
-// UnmarshalJSON replaces the account's contents.
-func (a *CPUAccount) UnmarshalJSON(b []byte) error {
-	seconds := make(map[string]float64)
-	if err := json.Unmarshal(b, &seconds); err != nil {
-		return err
-	}
-	a.phases = nil
-	for name, s := range seconds {
-		*a.slot(name) = s
-	}
-	return nil
 }
 
 // FormatBytes renders a byte count with a binary-ish human suffix.

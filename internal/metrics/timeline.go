@@ -218,8 +218,6 @@ func (tl *Timeline) Render(bucket sim.Duration, end sim.Time, maxWidth int) stri
 }
 
 // MarshalJSON encodes the timeline as its span list, in recorded order.
-// Persisted timelines are closed: FinishResult closes every span first.
+// A Result's timeline is closed when it is printed: FinishResult closes
+// every span first.
 func (tl *Timeline) MarshalJSON() ([]byte, error) { return json.Marshal(tl.spans) }
-
-// UnmarshalJSON decodes a timeline persisted by MarshalJSON.
-func (tl *Timeline) UnmarshalJSON(b []byte) error { return json.Unmarshal(b, &tl.spans) }

@@ -176,6 +176,17 @@ var codeRules = []codeRule{
 		msg:     "a run-configuration value needs a non-test caller",
 		bad:     `	cfg.NetBandwidth = 125e6`,
 	},
+	// A Result is printed (runjob -json, the behaviour fingerprint), never
+	// decoded back: results are kept once, where the run made them. A
+	// decoder outside the benchmark harness is the persisted run cache, or
+	// a second copy of some output, coming back.
+	{
+		name:    "results are printed, never decoded",
+		pattern: `\bUnmarshalJSON\b|json\.Unmarshal\(`,
+		exempt:  []string{"bench/"},
+		msg:     "keep a result where the run made it; do not decode Result JSON back",
+		bad:     `func (s *Series) UnmarshalJSON(b []byte) error {`,
+	},
 }
 
 // TestCodeRules holds every Go file of the module to codeRules.
