@@ -120,13 +120,15 @@ func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 		}
 	}
 	var frame *kv.PartitionFrame
-	buf, n, err := rt.ExecuteMapWith(p, node, job, b, hj.Partition, into, func(_ *engine.Job, buf *kv.Buffer) {
+	var rawBytes int64
+	n, err := rt.ExecuteMapWith(p, node, job, b, hj.Partition, into, func(_ *engine.Job, buf *kv.Buffer) {
 		if mc != nil {
 			frame = mc.finish()
 		} else {
 			// Option (1), no combiner: the frame's single partitioning scan,
 			// no grouping at all.
 			frame = kv.PackPartitions(buf, R, chunkBytes)
+			rawBytes = buf.Bytes()
 		}
 	})
 	if err != nil {
@@ -147,9 +149,8 @@ func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 			rt.Audit.CombineSaved(b.Index, mc.saved)
 		}
 	} else if rt.Auditing() {
-		rt.Audit.MapFinalPairs(b.Index, buf.Bytes())
+		rt.Audit.MapFinalPairs(b.Index, rawBytes)
 	}
-	rt.ReleaseBuffer(buf) // the frame is an encoded copy
 	return frame
 }
 

@@ -54,27 +54,32 @@ func TestMapSideMatchesReference(t *testing.T) {
 				f.RT.Env.Go("map", func(p *sim.Proc) {
 					node := f.RT.Cluster.Node(0)
 					for _, b := range blocks {
-						buf, err := f.RT.ExecuteMap(p, node, &job, b, hj.Partition)
+						// The references read the mapped buffer in the map
+						// closure's post step, the last code that sees it.
+						var want *kv.PartitionFrame
+						_, err := f.RT.ExecuteMapWith(p, node, &job, b, hj.Partition, nil, func(_ *engine.Job, buf *kv.Buffer) {
+							var wantFlushes []int
+							want, wantFlushes = refMapFrame(buf, R, job.Fold(), grouping, opts.ChunkBytes)
+							most = max(most, len(wantFlushes)-1)
+
+							// The combiner on its own: same frame, same flushes, and
+							// its own counts conserve the pair bytes it was handed.
+							mc := newMapCombiner(R, job.Fold(), grouping, opts.ChunkBytes)
+							for i := 0; i < buf.Len(); i++ {
+								mc.add(buf.Partition(i), buf.Key(i), buf.Val(i))
+							}
+							sameFrame(t, fmt.Sprintf("block %d combiner", b.Index), mc.finish(), want)
+							if !slices.Equal(mc.flushes, wantFlushes) {
+								t.Errorf("block %d: flushed %v states, reference %v", b.Index, mc.flushes, wantFlushes)
+							}
+							if got := mc.saved + mc.frame.PairBytes(); got != buf.Bytes() {
+								t.Errorf("block %d: elided %d + final %d = %d bytes, raw %d",
+									b.Index, mc.saved, mc.frame.PairBytes(), got, buf.Bytes())
+							}
+						})
 						if err != nil {
 							t.Error(err)
 							return
-						}
-						want, wantFlushes := refMapFrame(buf, R, job.Fold(), grouping, opts.ChunkBytes)
-						most = max(most, len(wantFlushes)-1)
-
-						// The combiner on its own: same frame, same flushes, and
-						// its own counts conserve the pair bytes it was handed.
-						mc := newMapCombiner(R, job.Fold(), grouping, opts.ChunkBytes)
-						for i := 0; i < buf.Len(); i++ {
-							mc.add(buf.Partition(i), buf.Key(i), buf.Val(i))
-						}
-						sameFrame(t, fmt.Sprintf("block %d combiner", b.Index), mc.finish(), want)
-						if !slices.Equal(mc.flushes, wantFlushes) {
-							t.Errorf("block %d: flushed %v states, reference %v", b.Index, mc.flushes, wantFlushes)
-						}
-						if got := mc.saved + mc.frame.PairBytes(); got != buf.Bytes() {
-							t.Errorf("block %d: elided %d + final %d = %d bytes, raw %d",
-								b.Index, mc.saved, mc.frame.PairBytes(), got, buf.Bytes())
 						}
 
 						// The engine's path, first attempt.

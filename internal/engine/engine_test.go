@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -339,13 +340,15 @@ func TestExecuteMapCountsAndCharges(t *testing.T) {
 	}
 	rt.Env.Go("m", func(p *sim.Proc) {
 		node := rt.Cluster.Node(blocks[0].Replicas()[0])
-		buf, err := rt.ExecuteMap(p, node, job, blocks[0], func(k []byte, n int) int { return int(k[0]) % n })
+		buffered := -1
+		pairs, err := rt.ExecuteMapWith(p, node, job, blocks[0], func(k []byte, n int) int { return int(k[0]) % n }, nil,
+			func(_ *Job, buf *kv.Buffer) { buffered = buf.Len() })
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if buf.Len() != 3 {
-			t.Errorf("pairs = %d", buf.Len())
+		if pairs != 3 || buffered != 3 {
+			t.Errorf("pairs = %d, %d buffered", pairs, buffered)
 		}
 	})
 	rt.Env.Run()
@@ -360,6 +363,75 @@ func TestExecuteMapCountsAndCharges(t *testing.T) {
 	}
 	if rt.Cluster.CPUAccount().Seconds(PhaseFramework) <= 0 {
 		t.Fatal("framework CPU not charged")
+	}
+}
+
+// A map-output buffer lives only as long as its map closure: ExecuteMapWith
+// hands it back to the free list at the join, before the charges that
+// follow. So while unstarted blocks remain the buffer is on the list by the
+// time ExecuteMapWith returns, and a task that starts while the first is
+// still being charged for its records maps into the very same buffer.
+func TestMapBufferFreedAtTheJoin(t *testing.T) {
+	setup := func() (*Runtime, *Job, []*dfs.Block) {
+		rt := testRuntime(1)
+		// Two 64 KB blocks of 8-byte lines.
+		rt.DFS.RegisterGenerated("in", 2*64<<10, func(b int, s int64) []byte {
+			return bytes.Repeat([]byte("aa 0001\n"), int(s)/8)
+		})
+		blocks, _ := rt.DFS.Blocks("in")
+		job := &Job{
+			Name: "t", InputPath: "in", Reducers: 2,
+			Reader: func(block []byte, yield func([]byte)) {
+				for _, line := range bytes.Split(bytes.TrimSpace(block), []byte("\n")) {
+					yield(line)
+				}
+			},
+			Map: func(rec []byte, emit Emit) { emit(rec[:2], rec[3:]) },
+			// A millisecond of map-function charge per record, eight
+			// seconds a block: the join comes long before the task is done.
+			Costs: CostModel{MapNsPerRecord: 1e6},
+		}
+		// Blocks are left for later tasks, as RunMaps would record.
+		rt.unstartedMaps = len(blocks)
+		return rt, job, blocks
+	}
+	mapBlock := func(rt *Runtime, p *sim.Proc, job *Job, b *dfs.Block) (buf *kv.Buffer) {
+		part := func(k []byte, n int) int { return int(k[0]) % n }
+		if _, err := rt.ExecuteMapWith(p, rt.Cluster.Node(0), job, b, part, nil,
+			func(_ *Job, mapped *kv.Buffer) { buf = mapped }); err != nil {
+			t.Error(err)
+		}
+		return buf
+	}
+
+	rt, job, blocks := setup()
+	rt.Env.Go("first", func(p *sim.Proc) {
+		buf := mapBlock(rt, p, job, blocks[0])
+		if !slices.Contains(rt.freeBufs, buf) {
+			t.Errorf("ExecuteMapWith returned at %v with its buffer off the free list", p.Now())
+		}
+	})
+	rt.Env.Run()
+
+	rt, job, blocks = setup()
+	var first, second *kv.Buffer
+	var firstDone sim.Time
+	rt.Env.Go("first", func(p *sim.Proc) {
+		first = mapBlock(rt, p, job, blocks[0])
+		firstDone = p.Now()
+	})
+	rt.Env.Go("second", func(p *sim.Proc) {
+		// Well past the first task's read and parse, well inside the eight
+		// seconds it is charged for its records after the join.
+		p.Sleep(sim.Second)
+		second = mapBlock(rt, p, job, blocks[1])
+	})
+	rt.Env.Run()
+	if firstDone <= sim.Time(sim.Second) {
+		t.Fatalf("the first task returned at %v, before the second started", firstDone)
+	}
+	if first == nil || second != first {
+		t.Fatalf("a task started during the first task's charges mapped into %p, the first task's buffer is %p", second, first)
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
@@ -19,42 +18,46 @@ type Partitioner func(key []byte, n int) int
 // key and value are only the sink's for the duration of the call.
 type MapSink func(part int, key, val []byte)
 
-// ExecuteMap performs the data-path of one map task shared by every
-// engine: read the block (DFS I/O), iterate its records (parse CPU), run
-// the map function (CPU), and partition the emitted pairs into a buffer
-// (hash CPU). Sorting/combining/writing are engine-specific and happen on
-// the returned buffer, which the caller hands back with ReleaseBuffer once it
-// has been encoded.
-func (rt *Runtime) ExecuteMap(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner) (*kv.Buffer, error) {
-	buf, _, err := rt.ExecuteMapWith(p, node, job, b, part, nil, nil)
-	return buf, err
+// ExecuteMap runs the map data path shared by every engine with no
+// engine step after it: read the block, map its records and partition the
+// emitted pairs into a buffer that goes back to the free list at the join.
+// It returns the number of pairs emitted. The bench's map-function probe
+// times it; engines call ExecuteMapWith.
+func (rt *Runtime) ExecuteMap(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner) (pairs int, err error) {
+	return rt.ExecuteMapWith(p, node, job, b, part, nil, nil)
 }
 
-// ExecuteMapWith is ExecuteMap with the pairs' destination and an
-// engine-supplied post step left to the engine. With into nil every emitted
-// pair is copied into a map-output buffer from the free list, acquired once
-// the block is read and returned for the caller to release — the sort-merge
-// engines' path, and an undeclared job's. Otherwise into is called once, in
-// the map closure with the worker's job, and the sink it returns takes each
-// pair the moment Map emits it: a declared job's combine tables fold it there
-// and no buffer is filled (the returned buffer is nil). What into builds is
-// the task's alone, neither pooled nor kept past the task. Either way pairs
-// counts what Map emitted, and the counters, the partition-hash charge and
-// the audit's raw map-output bytes come from that emission.
+// ExecuteMapWith performs the data path of one map task shared by every
+// engine: read the block (DFS I/O), iterate its records (parse CPU), run the
+// map function (CPU), and send each emitted pair to its partition (hash
+// CPU), returning how many pairs Map emitted. Where the pairs go is the
+// engine's. With into nil every emitted pair is copied into a map-output
+// buffer from the free list, acquired once the block is read — the
+// sort-merge engines' path, and an undeclared job's. Otherwise into is
+// called once, in the map closure with the worker's job, and the sink it
+// returns takes each pair the moment Map emits it: a declared job's combine
+// tables fold it there and no buffer is filled (post is handed nil). What
+// into builds is the task's alone, neither pooled nor kept past the task.
+// Either way the counters, the partition-hash charge and the audit's raw
+// map-output bytes come from the emission.
 //
-// post is pure data work over the finished output (sort, combine, chunk
-// encoding) that runs inside the same dispatched closure as the map loop, so
-// with the worker pool enabled it overlaps other tasks' virtual I/O and
-// compute; buf is nil when into was given. into, its sink and post follow the
-// StartWork ownership rules — no Runtime, Proc, or shared-scratch access —
-// and reach the job's functions and Fold only through the wj they are handed
-// (see StartJobWork). The CPU charges for whatever they did are the caller's
-// responsibility, after this returns.
-func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner, into func(wj *Job) MapSink, post func(wj *Job, buf *kv.Buffer)) (buf *kv.Buffer, pairs int, err error) {
+// post is pure data work over the finished output (sort, combine, chunk or
+// frame encoding) that runs inside the same dispatched closure as the map
+// loop, so with the worker pool enabled it overlaps other tasks' virtual I/O
+// and compute. It is the last code to see the buffer: ExecuteMapWith hands
+// the buffer back to the free list at the join, before any charge after it,
+// so a task that starts while this one is still being charged reuses it.
+// Whatever post keeps must therefore be a copy — an encoded frame or chunk,
+// a byte count — never a slice aliasing the buffer. into, its sink and post
+// follow the StartWork ownership rules — no Runtime, Proc, or shared-scratch
+// access — and reach the job's functions and Fold only through the wj they
+// are handed (see StartJobWork). The CPU charges for whatever they did are
+// the caller's responsibility, after this returns.
+func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.Block, part Partitioner, into func(wj *Job) MapSink, post func(wj *Job, buf *kv.Buffer)) (pairs int, err error) {
 	costs := job.Costs.Merged()
 	data, err := rt.DFS.ReadBlock(p, b, node.ID)
 	if err != nil {
-		return nil, 0, fmt.Errorf("map task %s[%d]: %w", b.Path, b.Index, err)
+		return 0, fmt.Errorf("map task %s[%d]: %w", b.Path, b.Index, err)
 	}
 	rt.Counters.Add(CtrMapInputBytes, float64(len(data)))
 
@@ -64,6 +67,7 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	// overlapping the parse charge below, which depends only on len(data).
 	// Serially the closure runs inline here — either way it executes zero
 	// virtual operations, so the event schedule is identical in both modes.
+	var buf *kv.Buffer
 	if into == nil {
 		buf = rt.AcquireBuffer(len(data))
 	}
@@ -107,6 +111,9 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	}
 	node.Compute(p, Dur(float64(len(data)), parseNs), PhaseParse)
 	work.Wait()
+	// The closure is done with the buffer; the charges below need only its
+	// counts, so the next task may have it while they run.
+	rt.ReleaseBuffer(buf)
 	delta.ApplyTo(rt.Counters)
 
 	node.Compute(p, Dur(float64(records), costs.MapNsPerRecord)+
@@ -118,7 +125,7 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	if rt.Auditing() {
 		rt.Audit.MapRawPairs(b.Index, outBytes)
 	}
-	return buf, pairs, nil
+	return pairs, nil
 }
 
 // CombineSorted applies combine (a task's Fold.Combiner) to each
@@ -154,15 +161,13 @@ func CombineSorted(combine ReduceFunc, buf, out *kv.Buffer) (inputs int, saved i
 	return inputs, saved
 }
 
-// WriteMapOutput persists a (sorted or partition-grouped) buffer as one
+// WriteMapOutput persists a map task's partition frame as one
 // partition-indexed scratch file on the node's scratch store — the
-// synchronous map-output write required for fault tolerance (§III.B.2).
-// It returns the MapOutput for shuffle registration.
-func (rt *Runtime) WriteMapOutput(p *sim.Proc, node *cluster.Node, job *Job, taskID int, buf *kv.Buffer) *MapOutput {
+// synchronous map-output write required for fault tolerance (§III.B.2). The
+// file adopts frame.Data. It returns the MapOutput for shuffle registration.
+func (rt *Runtime) WriteMapOutput(p *sim.Proc, node *cluster.Node, job *Job, taskID int, frame *kv.PartitionFrame) *MapOutput {
 	writeStart := p.Now()
 	costs := job.Costs.Merged()
-	// One chunk per partition: only the frame's layout is wanted here.
-	frame := kv.PackPartitions(buf, job.Reducers, math.MaxInt64)
 	out := NewMapOutput(p, node.ScratchStore(),
 		fmt.Sprintf("%s/map-%05d/file.out", job.Name, taskID),
 		taskID, node.ID, frame.Data, frame.PartLen)

@@ -150,18 +150,17 @@ func (w *dfsWriterRef) flush(p *sim.Proc) {
 // kept is encoded once, already cut into the write-behind units Emit would
 // have flushed: a unit seals at the first pair boundary at or past
 // outputFlushBytes, and Replay hands the units to the writer uncopied.
-// Output nobody reads stages only each pair's size and checksum term. One
-// closure builds it through Add; after the join it is read-only.
+// Output nobody reads stages only each pair's size. One closure builds it
+// through Add; after the join it is read-only.
 type Staged struct {
 	sized bool     // no units: the collector never encodes this output
 	units [][]byte // sealed units, then the open one
-	pairs []stagedPair
-}
-
-// stagedPair is what Replay needs of a pair without decoding it.
-type stagedPair struct {
-	encLen int
-	sum    uint64
+	// encLens is each pair's encoded size, all Replay needs of a pair
+	// without decoding it (a pair's size fits 32 bits, as kv.Buffer's refs
+	// assume). sum is the sum of the pairs' checksum terms: the checksum is
+	// a sum modulo 2^64, so Replay adds it once instead of per pair.
+	encLens []uint32
+	sum     uint64
 }
 
 // Stage returns an empty Staged for this collector's output: sized when
@@ -186,10 +185,11 @@ func (s *Staged) Add(key, val []byte) {
 		}
 		s.units[last] = kv.AppendPair(grow(s.units[last], encLen, unitCap), key, val)
 	}
-	if len(s.pairs) == cap(s.pairs) {
-		s.pairs = slices.Grow(s.pairs, len(s.pairs)+1) // double, as kv.Grouper does
+	if len(s.encLens) == cap(s.encLens) {
+		s.encLens = slices.Grow(s.encLens, len(s.encLens)+1) // double, as kv.Grouper does
 	}
-	s.pairs = append(s.pairs, stagedPair{encLen, pairHash(key, val)})
+	s.encLens = append(s.encLens, uint32(encLen))
+	s.sum += pairHash(key, val)
 }
 
 // grow returns buf with room for n more bytes. A buffer is sized by the
@@ -206,15 +206,16 @@ func grow(buf []byte, n, ceiling int) []byte {
 }
 
 // Replay emits every staged pair from reducer r running on node: the same
-// per-pair charge, flush, first-output and checksum steps as one Emit per
-// pair, in the same order. Kept output is copied at most once: a lone unit
-// replayed into an empty part file becomes the file, and otherwise the file
-// grows once, to its exact final size, and takes the units' bytes; the
-// buffer each flush commits is a window over it. A sized Staged replays
+// per-pair charge, flush and first-output steps as one Emit per pair, in the
+// same order, and the pairs' checksum terms added as one sum, which leaves
+// the checksum as per-pair additions would. Kept output is copied at most
+// once: a lone unit replayed into an empty part file becomes the file, and
+// otherwise the file grows once, to its exact final size, and takes the
+// units' bytes; the buffer each flush commits is a window over it. A sized Staged replays
 // sizes alone, and only a sized Staged replays into discarded output.
 // Reducer r must have nothing buffered.
 func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
-	if len(s.pairs) == 0 {
+	if len(s.encLens) == 0 {
 		return
 	}
 	w := oc.writer(r, nodeID)
@@ -224,9 +225,10 @@ func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 	if s.sized != (w.commit == nil) {
 		panic("engine: Replay of sizes into kept output, or of bytes into discarded output")
 	}
+	oc.res.OutputChecksum += s.sum
 	if s.sized {
-		for _, sp := range s.pairs {
-			oc.emitted(p, r, nodeID, w, sp.encLen, sp.sum)
+		for _, n := range s.encLens {
+			oc.emitted(p, r, nodeID, w, int(n), 0)
 		}
 		return
 	}
@@ -235,10 +237,10 @@ func (oc *OutputCollector) Replay(p *sim.Proc, r int, nodeID int, s *Staged) {
 		file = slices.Concat(append([][]byte{w.buf}, s.units...)...)
 	}
 	at := len(w.buf)
-	for _, sp := range s.pairs {
-		at += sp.encLen
+	for _, n := range s.encLens {
+		at += int(n)
 		w.buf = file[:at]
-		oc.emitted(p, r, nodeID, w, sp.encLen, sp.sum)
+		oc.emitted(p, r, nodeID, w, int(n), 0)
 	}
 }
 

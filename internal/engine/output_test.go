@@ -376,7 +376,7 @@ func TestDiscardAllocatesNothingPerPair(t *testing.T) {
 			oc.Replay(p, 0, 0, &st)
 			oc.Close(p, 0)
 		}); avg != 0 {
-			t.Errorf("discarding Replay of %d pairs allocates %.1f, budget 0", len(st.pairs), avg)
+			t.Errorf("discarding Replay of %d pairs allocates %.1f, budget 0", len(st.encLens), avg)
 		}
 	})
 	rt.Env.Run()
@@ -385,11 +385,11 @@ func TestDiscardAllocatesNothingPerPair(t *testing.T) {
 	}
 }
 
-// FuzzStagedSizedMatchesUnits holds a sized Staged — sizes and checksum
-// terms, no units — to the encoded units it stands for. Each three bytes
-// draw one pair: its reducer, a key length and a value length, scaled up
-// (to 320 KB) when the top bit is set, so pairs straddle and exceed
-// outputFlushBytes. Replayed through a keeping and a discarding collector,
+// FuzzStagedSizedMatchesUnits holds a sized Staged — sizes and the sum of
+// the checksum terms, no units — to the encoded units it stands for. Each
+// three bytes draw one pair: its reducer, a key length and a value length,
+// scaled up (to 320 KB) when the top bit is set, so pairs straddle and
+// exceed outputFlushBytes. Replayed through a keeping and a discarding collector,
 // the pairs must flush the same sizes at the same instants and leave the
 // same Result.
 func FuzzStagedSizedMatchesUnits(f *testing.F) {

@@ -11,6 +11,7 @@ package hadoop
 
 import (
 	"fmt"
+	"math"
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
@@ -49,22 +50,25 @@ var Plan = &engine.Plan{
 func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) *engine.MapOutput {
 	rt, job, costs := j.RT, j.Job, j.Costs
 	// Sort the map output buffer on (partition, key) — the CPU cost of
-	// Table II's "Sorting" row, measured from real comparisons — and apply
-	// the combiner, all inside the map-task closure; the charges land after
-	// the join, in the same order as before.
-	var cmps, saved int64
-	var combined *kv.Buffer
-	if job.Monoid != nil {
-		// Taken here, on the event loop: the closure below may not touch the
-		// runtime's free list.
-		combined = rt.AcquireBuffer(0)
-	}
+	// Table II's "Sorting" row, measured from real comparisons — apply the
+	// combiner into the buffer's own combine scratch, and lay the result out
+	// as the map-output file's frame, all inside the map-task closure: the
+	// buffer goes back to the free list at the join, and the charges land
+	// after it, in the same order as before.
+	combine := job.Monoid != nil
+	var cmps, saved, finalBytes int64
+	var frame *kv.PartitionFrame
 	combineInputs := 0
-	buf, _, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, nil, func(wj *engine.Job, buf *kv.Buffer) {
+	_, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, nil, func(wj *engine.Job, buf *kv.Buffer) {
 		buf.SortByPartitionKey(&cmps)
-		if combined != nil {
-			combineInputs, saved = engine.CombineSorted(wj.Fold().Combiner(), buf, combined)
+		final := buf
+		if combine {
+			final = buf.Combined()
+			combineInputs, saved = engine.CombineSorted(wj.Fold().Combiner(), buf, final)
 		}
+		finalBytes = final.Bytes()
+		// One chunk per partition: only the frame's layout is wanted here.
+		frame = kv.PackPartitions(final, job.Reducers, math.MaxInt64)
 	})
 	if err != nil {
 		panic(fmt.Sprintf("hadoop: %v", err))
@@ -72,26 +76,21 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 	node.Compute(p, engine.Dur(float64(cmps), costs.CompareNs), engine.PhaseSort)
 	rt.Counters.Add(engine.CtrSortComparisons, float64(cmps))
 
-	final := buf
-	if combined != nil {
+	if combine {
 		node.Compute(p, engine.Dur(float64(combineInputs), costs.CombineNsPerRecord), engine.PhaseCombine)
-		final = combined
 		if rt.Auditing() {
 			rt.Audit.CombineSaved(b.Index, saved)
 		}
 	}
-	out := rt.WriteMapOutput(p, node, job, b.Index, final)
+	out := rt.WriteMapOutput(p, node, job, b.Index, frame)
 	if rt.Auditing() {
-		rt.Audit.MapFinalPairs(b.Index, final.Bytes())
+		rt.Audit.MapFinalPairs(b.Index, finalBytes)
 		// Pull shuffle moves whole partitions: record each as one unit so
 		// Registry.Pull deliveries must balance against it.
 		for r, n := range out.PartLen {
 			rt.Audit.ShuffleProduced(node.ID, b.Index, r, -1, n)
 		}
 	}
-	// The output file holds copies; both buffers can serve the next task.
-	rt.ReleaseBuffer(buf)
-	rt.ReleaseBuffer(combined)
 	return out
 }
 

@@ -56,9 +56,10 @@ var Plan = &engine.Plan{
 // chunkBytes, so a recovery attempt over the same block regenerates
 // byte-identical chunks under the same (task, seq) identities.
 func mapChunks(buf *kv.Buffer, reducers int, chunkBytes int64, deliver func(r, seq int, idxs []int)) {
-	// Every chunk's index list is cut from one slab: a counting pass gives
-	// partition r the region slab[open[r]:…], which its chunks divide in
-	// order, each one open[r]:end[r] while it fills.
+	// Every chunk's index list is cut from one slab, the buffer's index
+	// scratch, which recycles with it: a counting pass gives partition r the
+	// region slab[open[r]:…], which its chunks divide in order, each one
+	// open[r]:end[r] while it fills.
 	n := buf.Len()
 	open := make([]int, reducers)
 	end := make([]int, reducers)
@@ -70,7 +71,7 @@ func mapChunks(buf *kv.Buffer, reducers int, chunkBytes int64, deliver func(r, s
 		open[r], end[r] = off, off
 		off += count
 	}
-	slab := make([]int, n)
+	slab := buf.Indices(n)
 	bytesByPart := make([]int64, reducers)
 	seqByPart := make([]int, reducers)
 	seal := func(r int) {
@@ -216,7 +217,7 @@ func stashPush(j *engine.JobRun) engine.PushFunc {
 // charge; the bills land at each chunk's delivery point.
 func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int)) {
 	var encoded []encodedChunk
-	buf, _, err := j.RT.ExecuteMapWith(p, node, j.Job, b, j.Partition, nil, func(wj *engine.Job, buf *kv.Buffer) {
+	_, err := j.RT.ExecuteMapWith(p, node, j.Job, b, j.Partition, nil, func(wj *engine.Job, buf *kv.Buffer) {
 		combine := wj.Fold().Combiner()
 		mapChunks(buf, j.Job.Reducers, j.Opts.ChunkBytes, func(r, seq int, idxs []int) {
 			if already != nil && seq < already[r] {
@@ -241,7 +242,6 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		j.RT.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		j.RT.Audit.CombineSaved(b.Index, saved)
 	}
-	j.RT.ReleaseBuffer(buf) // every chunk is an encoded copy
 	return chunks, func(i int) { chargeChunk(j.RT, p, node, j.Costs, &encoded[i]) }
 }
 

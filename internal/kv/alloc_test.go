@@ -42,6 +42,40 @@ func TestAllocBudgetBufferAdd(t *testing.T) {
 	}
 }
 
+// A recycled buffer's scratch recycles with it: once a buffer has been
+// filled, sorted, index-listed and combined into, the same work on the same
+// volume after Reset allocates nothing, and the combine buffer comes back
+// empty.
+func TestAllocBudgetBufferScratch(t *testing.T) {
+	b := NewBuffer(1 << 20)
+	key := []byte("user-0012345")
+	val := []byte("1")
+	var cmps int64
+	cycle := func() {
+		b.Reset()
+		for i := 0; i < 64; i++ {
+			b.Add(i%4, key, val)
+		}
+		idxs := b.Indices(b.Len())
+		for i := range idxs {
+			idxs[i] = i
+		}
+		b.SortIndices(idxs, &cmps)
+		b.SortByPartitionKey(&cmps)
+		c := b.Combined()
+		if c.Len() != 0 {
+			t.Fatalf("combine buffer came back holding %d pairs", c.Len())
+		}
+		for i := 0; i < b.Len(); i++ {
+			c.Add(b.Partition(i), b.Key(i), b.Val(i))
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("a recycled buffer's scratch allocates %.1f/op, budget 0", avg)
+	}
+}
+
 func TestAllocBudgetGrouper(t *testing.T) {
 	keys := [][]byte{[]byte("aa"), []byte("bb"), []byte("cc")}
 	val := []byte("1")

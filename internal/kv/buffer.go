@@ -18,8 +18,11 @@ type Buffer struct {
 
 	// ents is the sort scratch, built at sort time and kept across Reset so
 	// a recycled buffer sorts without allocating; engines that never sort
-	// never pay for it.
-	ents []sortEntry
+	// never pay for it. idxs (Indices) and combined (Combined) are scratch
+	// of the same kind, made on first use and recycled with the buffer.
+	ents     []sortEntry
+	idxs     []int
+	combined *Buffer
 }
 
 type ref struct {
@@ -108,11 +111,34 @@ func (b *Buffer) Val(i int) []byte {
 // Partition returns the i-th pair's partition.
 func (b *Buffer) Partition(i int) int { return int(b.refs[i].part) }
 
-// Reset clears the buffer for reuse, keeping capacity (sort scratch
+// Reset clears the buffer for reuse, keeping capacity (all scratch
 // included).
 func (b *Buffer) Reset() {
 	b.data = b.data[:0]
 	b.refs = b.refs[:0]
+}
+
+// Indices returns n ints of scratch for lists of pair indices (a chunk's,
+// for SortIndices), grown to the refs capacity like the sort entries and
+// kept across Reset, so a recycled buffer stops allocating after its first
+// use. Their contents are undefined, and they alias the scratch a later
+// Indices call returns.
+func (b *Buffer) Indices(n int) []int {
+	if cap(b.idxs) < n {
+		b.idxs = make([]int, n, max(n, cap(b.refs)))
+	}
+	return b.idxs[:n]
+}
+
+// Combined returns an empty second buffer held by b, for the pairs a
+// combiner derives from b's: it is kept across Reset, so it recycles with b
+// and is b's owner's for exactly as long as b is.
+func (b *Buffer) Combined() *Buffer {
+	if b.combined == nil {
+		b.combined = NewBuffer(0)
+	}
+	b.combined.Reset()
+	return b.combined
 }
 
 // SortByPartitionKey sorts pairs by (partition, key), counting key

@@ -119,7 +119,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		}
 	}
 	var finalPairBytes int64
-	buf, n, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, into, func(_ *engine.Job, buf *kv.Buffer) {
+	n, err := rt.ExecuteMapWith(p, node, job, b, j.Partition, into, func(_ *engine.Job, buf *kv.Buffer) {
 		if table == nil {
 			chunks = kv.PackPartitions(buf, R, chunkBytes).Chunks
 			finalPairBytes = buf.Bytes()
@@ -158,7 +158,6 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		// Zero for a job that did not fold: its raw pairs are its final ones.
 		rt.Audit.CombineSaved(b.Index, saved)
 	}
-	rt.ReleaseBuffer(buf) // the frame is an encoded copy
 	return chunks, func(i int) {
 		node.Compute(p, engine.Dur(float64(len(chunks[i].Data)), costs.SerializeNsPerByte), engine.PhaseMapFn)
 	}

@@ -180,12 +180,14 @@ func TestOneTableChunksMatchPerPartitionTables(t *testing.T) {
 			f.RT.Env.Go("map", func(p *sim.Proc) {
 				node := f.RT.Cluster.Node(0)
 				for _, b := range blocks {
-					buf, err := f.RT.ExecuteMap(p, node, &job, b, j.Partition)
+					var want []kv.Chunk
+					_, err := f.RT.ExecuteMapWith(p, node, &job, b, j.Partition, nil, func(_ *engine.Job, buf *kv.Buffer) {
+						want = refChunks(buf, job.Reducers, job.Fold(), j.Opts.ChunkBytes)
+					})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					want := refChunks(buf, job.Reducers, job.Fold(), j.Opts.ChunkBytes)
 					got, _ := buildChunks(j, p, node, b, nil)
 					same(fmt.Sprintf("block %d", b.Index), got, want)
 
@@ -242,18 +244,24 @@ func TestChunksMatchTwoPassFold(t *testing.T) {
 				f.RT.Env.Go("map", func(p *sim.Proc) {
 					node := f.RT.Cluster.Node(0)
 					for _, b := range blocks {
-						buf, err := f.RT.ExecuteMap(p, node, &job, b, j.Partition)
-						if err != nil {
-							t.Error(err)
-							return
-						}
 						// Partition r had its first r%3 chunks delivered.
 						already := make([]int, R)
 						for r := range already {
 							already[r] = r % 3
 						}
-						for _, frontier := range [][]int{nil, already} {
-							want := refTwoPassChunks(buf, R, job.Fold(), j.Opts.ChunkBytes, frontier)
+						frontiers := [][]int{nil, already}
+						wants := make([][]kv.Chunk, len(frontiers))
+						_, err := f.RT.ExecuteMapWith(p, node, &job, b, j.Partition, nil, func(_ *engine.Job, buf *kv.Buffer) {
+							for i, frontier := range frontiers {
+								wants[i] = refTwoPassChunks(buf, R, job.Fold(), j.Opts.ChunkBytes, frontier)
+							}
+						})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i, frontier := range frontiers {
+							want := wants[i]
 							got, _ := buildChunks(j, p, node, b, frontier)
 							if !slices.EqualFunc(got, want, func(a, b kv.Chunk) bool {
 								return a.Part == b.Part && a.Seq == b.Seq && bytes.Equal(a.Data, b.Data)

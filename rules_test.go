@@ -101,6 +101,18 @@ var codeRules = []codeRule{
 		msg:     "fold map output at emit (ExecuteMapWith's into) and drain the tables into a kv.FrameBuilder",
 		bad:     `	buf := kv.NewBuffer(len(data))`,
 	},
+	// A map-output buffer lives only as long as its map closure (DESIGN.md
+	// §10): ExecuteMapWith takes it from the free list once the block is
+	// read and hands it back at the join, and the engine's post step is the
+	// last code to see it. An engine that fetches or returns a buffer
+	// itself is holding one past the closure, through the task's charges.
+	{
+		name:    "one map-buffer owner",
+		pattern: `\.(AcquireBuffer|ReleaseBuffer)\(`,
+		exempt:  []string{"internal/engine/"},
+		msg:     "finish with the map-output buffer in ExecuteMapWith's post step; the runtime frees it at the join",
+		bad:     `	rt.ReleaseBuffer(buf) // the frame is an encoded copy`,
+	},
 	// The sort-merge path's comparator calls are the cost model, so the
 	// sort issuing them is kv's own pdqsort (zsort.go), not whichever one
 	// the installed Go ships. A standard-library sort on the counted path
