@@ -7,6 +7,7 @@
 //	runjob -workload sessionization -engine hash-hotkey -trace run.json
 //	runjob -workload per-user-count -engine resident -delta 0.01
 //	runjob -workload sessionization -engine hadoop -cpuprofile cpu.pprof
+//	runjob -workload per-user-count -engine hash-incremental -exectrace exec.trace
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"runtime"
 	rtmetrics "runtime/metrics"
 	"runtime/pprof"
+	"runtime/trace"
 	"strings"
 	"time"
 
@@ -60,6 +62,8 @@ func main() {
 		"write a host CPU profile of the job run to this file (go tool pprof); with -delta, of RunDelta alone, not the full re-run it is compared against")
 	memProfile := flag.String("memprofile", "",
 		"write a host allocation profile, taken after the job run, to this file; with -delta, taken when RunDelta returns")
+	execTrace := flag.String("exectrace", "",
+		"write a Go execution trace of the job run to this file (go tool trace); with -delta, of RunDelta alone, like -cpuprofile")
 	flag.Parse()
 
 	cfg := onepass.DefaultConfig()
@@ -120,7 +124,7 @@ func main() {
 			log.Fatalf("-delta requires a click workload, not %q", *workload)
 		}
 		runDeltaCompare(cfg, data, w.Job, onepass.DefaultDelta(cc, *deltaSeed, *deltaFrac),
-			startProfiles(*cpuProfile, *memProfile))
+			startProfiles(*cpuProfile, *memProfile, *execTrace))
 		return
 	}
 	job := w.Job
@@ -149,7 +153,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chaos schedule (seed %d): %s\n", *faultSeed, cfg.Faults.String())
 	}
 	stopMeter := startHostMeter()
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles := startProfiles(*cpuProfile, *memProfile, *execTrace)
 	res, err := onepass.Run(cfg, data, job)
 	stopProfiles()
 	host := stopMeter()
@@ -271,10 +275,11 @@ func main() {
 
 // startProfiles begins the host-clock profiles asked for (an empty path
 // skips one) and returns the function that ends them: it stops the CPU
-// profile and writes the allocation profile, so both cover exactly the
-// calls made in between — the job, not input set-up or report rendering.
-func startProfiles(cpuPath, memPath string) (stop func()) {
-	var cpuFile *os.File
+// profile and the execution trace and writes the allocation profile, so all
+// three cover exactly the calls made in between — the job, not input set-up
+// or report rendering.
+func startProfiles(cpuPath, memPath, tracePath string) (stop func()) {
+	var cpuFile, traceFile *os.File
 	if cpuPath != "" {
 		var err error
 		if cpuFile, err = os.Create(cpuPath); err != nil {
@@ -284,7 +289,22 @@ func startProfiles(cpuPath, memPath string) (stop func()) {
 			log.Fatalf("-cpuprofile: %v", err)
 		}
 	}
+	if tracePath != "" {
+		var err error
+		if traceFile, err = os.Create(tracePath); err != nil {
+			log.Fatalf("-exectrace: %v", err)
+		}
+		if err := trace.Start(traceFile); err != nil {
+			log.Fatalf("-exectrace: %v", err)
+		}
+	}
 	return func() {
+		if traceFile != nil {
+			trace.Stop()
+			if err := traceFile.Close(); err != nil {
+				log.Fatalf("-exectrace: %v", err)
+			}
+		}
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			if err := cpuFile.Close(); err != nil {

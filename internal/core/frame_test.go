@@ -157,8 +157,9 @@ func TestAllocationProportionalToData(t *testing.T) {
 	perUser := func() *workloads.Workload { return workloads.PerUserCount(smallClicks()) }
 	sessions := func() *workloads.Workload { return workloads.Sessionization(smallClicks()) }
 	// Each case has its own bound, a margin above what it reads: a declared
-	// job's map output goes from emit to frame in one copy (4.0x and 1.3x),
-	// an undeclared one's through a map-output buffer (4.7x and 5.1x).
+	// job's map output goes from emit to frame in one copy (3.7x and 1.3x),
+	// an undeclared one's through a map-output buffer (4.7x and 5.1x). The
+	// first read 4.0x while a growing table copied its entries.
 	for _, tc := range []struct {
 		name     string
 		mode     Mode
@@ -167,7 +168,7 @@ func TestAllocationProportionalToData(t *testing.T) {
 		reducers int
 		bound    float64
 	}{
-		{"per-user-count/16KB/10", Incremental, perUser, 16 << 10, 10, 5},
+		{"per-user-count/16KB/10", Incremental, perUser, 16 << 10, 10, 4.5},
 		{"per-user-count/128KB/20", Incremental, perUser, 128 << 10, 20, 2},
 		{"sessionization/16KB/10", HotKey, sessions, 16 << 10, 10, 5.5},
 		{"sessionization/128KB/20", HybridHash, sessions, 128 << 10, 20, 5.5},

@@ -2,7 +2,9 @@ package memtable
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"onepass/internal/hashlib"
 )
@@ -58,5 +60,53 @@ func TestAllocBudgetUpdateAndGet(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("update+get allocates %.1f/op, budget 0", avg)
+	}
+}
+
+// A growing table allocates each entry once: a full table adds a segment as
+// large as all the others together and copies nothing, so filling a fresh
+// table allocates its final entry capacity — not the sum of every capacity
+// it passed through, twice that — plus its index's doublings, the directory
+// once the table outgrows head, and the Table itself. The arena is warmed
+// first, so its slabs come back from Reset and the keys cost nothing.
+func TestAllocBudgetTableGrowth(t *testing.T) {
+	keys := allocKeys(4096)
+	h, arena := hashlib.NewFamily(1).New(), NewArena(0)
+	warm := NewTable(h, arena, 64)
+	for _, k := range keys {
+		warm.Add(k, 1)
+	}
+	arena.Reset()
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tb := NewTable(h, arena, 64)
+	first, _ := tb.Slot(keys[0])
+	entry0 := tb.at(first)
+	for _, k := range keys[1:] {
+		tb.Add(k, 1)
+	}
+	runtime.ReadMemStats(&after)
+
+	if e, inserted := tb.Slot(keys[0]); inserted || e != first || tb.at(e) != entry0 {
+		t.Fatalf("first key's entry moved: number %d → %d (inserted %v), same entry %v", first, e, inserted, tb.at(e) == entry0)
+	}
+	entries := tb.capacity() * int(unsafe.Sizeof(entry{}))
+	index := 0
+	for slots := 64; slots <= len(tb.index); slots *= 2 {
+		index += 4 * slots
+	}
+	directory := 0
+	if cap(tb.segs) > len(tb.head) { // appends that outgrew head: at most twice the last
+		directory = 2 * cap(tb.segs) * int(unsafe.Sizeof([]entry{}))
+	}
+	// Size classes round a segment up by a few percent at most.
+	budget := entries + entries/64 + index + directory + int(unsafe.Sizeof(Table{}))
+	got := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("filling a table with %d keys allocated %d bytes, budget %d", len(keys), got, budget)
+	if got > budget {
+		t.Fatalf("filling a table with %d keys allocated %d bytes, budget %d (%d B of entries, %d B of index, %d B of directory)",
+			len(keys), got, budget, entries, index, directory)
 	}
 }

@@ -24,6 +24,22 @@ func BenchmarkTableAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkTableGrow fills a fresh table with 64K keys: every growth of the
+// entry segments and of the index, on an arena recycled between runs, so
+// B/op is the table's own memory.
+func BenchmarkTableGrow(b *testing.B) {
+	keys := benchKeys(1 << 16)
+	h, arena := hashlib.NewFamily(1).New(), NewArena(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb := NewTable(h, arena, 64)
+		for _, k := range keys {
+			tb.Add(k, 1)
+		}
+		arena.Reset()
+	}
+}
+
 func BenchmarkTableGet(b *testing.B) {
 	keys := benchKeys(1 << 14)
 	tb := NewTable(hashlib.NewFamily(1).New(), NewArena(0), 1<<14)

@@ -16,6 +16,12 @@ import (
 // arena by offset. Deletion uses tombstones so the hot-key engine can evict
 // cold keys.
 //
+// The entries sit in segments that double in size and never move: segment 0
+// holds entries 0-7 and segment k ≥ 1 entries 8<<(k-1) up to 8<<k, so a
+// full table grows by one segment and copies nothing. An entry number, and a
+// pointer to its entry, stay good across inserts until a compaction
+// renumbers the entries (see Slot).
+//
 // Two orders are observable. Slot order (Iterate, Elems) is the order of the
 // probe index and depends only on the hash function and the sequence of
 // inserts, deletes and growths — the hash engines' chunk contents and spill
@@ -29,12 +35,17 @@ type Table struct {
 	// anything else an entry number plus one. Growing the table rehashes
 	// these four bytes a slot; entries never move for it.
 	index []uint32
-	// entries holds every key inserted since the last Reset in insertion
-	// order, deleted ones included until compact squeezes them out: all but
-	// live of them are dead.
-	entries []entry
-	live    int
-	tombs   int
+	// segs is the segment directory. It starts out in head, so a table of up
+	// to 256 entries (most of a map task's combine tables) allocates nothing
+	// for it; append moves it to the heap when the table outgrows that.
+	segs [][]entry
+	head [6][]entry
+	// n counts the entries: every key inserted since the last Reset in
+	// insertion order, deleted ones included until compact squeezes them
+	// out. All but live of them are dead.
+	n     int
+	live  int
+	tombs int
 	// initial is the index the table was created with, kept so Restart can
 	// return to it after growth.
 	initial []uint32
@@ -44,7 +55,7 @@ const (
 	tombstone = ^uint32(0)
 	// deadKey in entry.klen marks a deleted entry.
 	deadKey = ^uint32(0)
-	// minEntries is the first capacity of a table's entry array.
+	// minEntries is the size of segments 0 and 1.
 	minEntries = 8
 )
 
@@ -69,7 +80,17 @@ func NewTable(h *hashlib.Func, arena *Arena, initialCap int) *Table {
 		capacity *= 2
 	}
 	index := make([]uint32, capacity)
-	return &Table{h: h, arena: arena, index: index, initial: index}
+	t := &Table{h: h, arena: arena, index: index, initial: index}
+	t.segs = t.head[:0]
+	return t
+}
+
+// at returns entry e. Segment k has a power-of-two length and starts at the
+// one power of two its entries share, 8<<(k-1) (0 for segment 0), so the
+// offset is e's low bits.
+func (t *Table) at(e int) *entry {
+	s := t.segs[bits.Len(uint(e)/minEntries)]
+	return &s[e&(len(s)-1)]
 }
 
 // Len returns the number of live keys.
@@ -94,7 +115,7 @@ func (t *Table) probe(hash uint32, key []byte) (slot int, found bool) {
 				firstTomb = int(i)
 			}
 		default:
-			e := &t.entries[v-1]
+			e := t.at(int(v - 1))
 			if e.hash == hash && bytes.Equal(t.key(e), key) {
 				return int(i), true
 			}
@@ -119,7 +140,10 @@ func (t *Table) find(key []byte) (e int, found bool) {
 
 // Slot returns key's entry number, inserting the key — value 0, no element —
 // if it is absent. The number addresses the entry in Elem, Room, SetElem and
-// SetVal until the next insert or Reset; it is not kept across either.
+// SetVal across later inserts — a growth adds a segment and moves no entry —
+// until a compaction, Reset or Restart. A compaction runs inside an insert
+// into a full table at least half of whose entries are deleted, so a caller
+// that deletes must not keep a number across an insert.
 func (t *Table) Slot(key []byte) (e int, inserted bool) {
 	t.maybeGrow()
 	hash := uint32(t.h.Hash(key))
@@ -130,14 +154,16 @@ func (t *Table) Slot(key []byte) (e int, inserted bool) {
 	if t.index[slot] == tombstone {
 		t.tombs--
 	}
-	if len(t.entries) == cap(t.entries) {
+	if t.n == t.capacity() {
 		t.makeRoom()
 	}
 	k, _ := t.arena.copyRef(key)
-	t.entries = append(t.entries, entry{hash: hash, key: k, klen: uint32(len(key))})
-	t.index[slot] = uint32(len(t.entries))
+	e = t.n
+	*t.at(e) = entry{hash: hash, key: k, klen: uint32(len(key))}
+	t.n++
+	t.index[slot] = uint32(t.n)
 	t.live++
-	return len(t.entries) - 1, true
+	return e, true
 }
 
 // Get returns the value for key.
@@ -146,28 +172,30 @@ func (t *Table) Get(key []byte) (uint64, bool) {
 	if !found {
 		return 0, false
 	}
-	return t.entries[e].val, true
+	return t.at(e).val, true
 }
 
 // Put inserts or overwrites key with val.
 func (t *Table) Put(key []byte, val uint64) {
 	e, _ := t.Slot(key)
-	t.entries[e].val = val
+	t.at(e).val = val
 }
 
 // Upsert applies f to the current value (or to 0 with exists=false) and
 // stores the result. It returns true if the key was newly inserted.
 func (t *Table) Upsert(key []byte, f func(old uint64, exists bool) uint64) bool {
 	e, inserted := t.Slot(key)
-	t.entries[e].val = f(t.entries[e].val, !inserted)
+	en := t.at(e)
+	en.val = f(en.val, !inserted)
 	return inserted
 }
 
 // Add adds delta to key's value (starting from 0) and returns the new value.
 func (t *Table) Add(key []byte, delta uint64) uint64 {
 	e, _ := t.Slot(key)
-	t.entries[e].val += delta
-	return t.entries[e].val
+	en := t.at(e)
+	en.val += delta
+	return en.val
 }
 
 // SetValue overwrites the value of an existing key; it reports whether the
@@ -175,13 +203,13 @@ func (t *Table) Add(key []byte, delta uint64) uint64 {
 func (t *Table) SetValue(key []byte, val uint64) bool {
 	e, found := t.find(key)
 	if found {
-		t.entries[e].val = val
+		t.at(e).val = val
 	}
 	return found
 }
 
 // SetVal overwrites entry e's value.
-func (t *Table) SetVal(e int, val uint64) { t.entries[e].val = val }
+func (t *Table) SetVal(e int, val uint64) { t.at(e).val = val }
 
 // Delete removes key, leaving a tombstone. It reports whether the key was
 // present. The key's arena bytes are not reclaimed until the arena resets —
@@ -193,7 +221,7 @@ func (t *Table) Delete(key []byte) bool {
 	if !found {
 		return false
 	}
-	en := &t.entries[t.index[slot]-1]
+	en := t.at(int(t.index[slot] - 1))
 	t.arena.release(en.elem, en.ecap)
 	en.klen, en.ecap = deadKey, 0
 	t.index[slot] = tombstone
@@ -207,7 +235,7 @@ func (t *Table) Delete(key []byte) bool {
 // and one that does not leaves the arena; either way SetElem records the
 // result. The slice is good until the table's next Room, SetElem or Delete,
 // any of which may hand the region to another element.
-func (t *Table) Elem(e int) []byte { return t.elem(&t.entries[e]) }
+func (t *Table) Elem(e int) []byte { return t.elem(t.at(e)) }
 
 // GetElem returns key's element, as Elem does.
 func (t *Table) GetElem(key []byte) ([]byte, bool) {
@@ -221,7 +249,7 @@ func (t *Table) GetElem(key []byte) ([]byte, bool) {
 // Room returns entry e's element with capacity for at least need more
 // bytes, moving it if its region is too small.
 func (t *Table) Room(e, need int) []byte {
-	en := &t.entries[e]
+	en := t.at(e)
 	if want := int(en.elen) + need; want > int(en.ecap) {
 		t.place(en, t.elem(en), want)
 	}
@@ -234,7 +262,7 @@ func (t *Table) Room(e, need int) []byte {
 // fresh storage, a first element — is copied into the region, or into a new
 // one if it does not fit.
 func (t *Table) SetElem(e int, elem []byte) {
-	en := &t.entries[e]
+	en := t.at(e)
 	if len(elem) > int(en.ecap) {
 		t.place(en, elem, len(elem))
 	} else if region := t.arena.at(en.elem, en.ecap, en.ecap); len(elem) > 0 && &elem[0] != &region[0] {
@@ -266,7 +294,7 @@ func (t *Table) Iterate(f func(key []byte, val uint64) bool) {
 		if v == 0 || v == tombstone {
 			continue
 		}
-		e := &t.entries[v-1]
+		e := t.at(int(v - 1))
 		if !f(t.key(e), e.val) {
 			return
 		}
@@ -280,7 +308,7 @@ func (t *Table) Elems(f func(key, elem []byte) bool) {
 		if v == 0 || v == tombstone {
 			continue
 		}
-		e := &t.entries[v-1]
+		e := t.at(int(v - 1))
 		if !f(t.key(e), t.elem(e)) {
 			return
 		}
@@ -291,8 +319,8 @@ func (t *Table) Elems(f func(key, elem []byte) bool) {
 // order — a key deleted and inserted again counts from its second insert —
 // until f returns false. The slices alias arena memory, as in Iterate.
 func (t *Table) InOrder(f func(key, elem []byte, val uint64) bool) {
-	for i := range t.entries {
-		e := &t.entries[i]
+	for i := range t.n {
+		e := t.at(i)
 		if e.klen == deadKey {
 			continue
 		}
@@ -303,14 +331,13 @@ func (t *Table) InOrder(f func(key, elem []byte, val uint64) bool) {
 }
 
 // Reset empties the table in place: the index is cleared and kept at its
-// grown capacity, as is the entry array, so a reused table refills without
-// reallocating. The arena is not touched — tables may share one, so whoever
-// owns it calls Arena.Reset once every table drawing on it has been reset.
-// Keys and elements previously returned must not be retained.
+// grown capacity, and the entry segments are kept, so a reused table refills
+// without reallocating. The arena is not touched — tables may share one, so
+// whoever owns it calls Arena.Reset once every table drawing on it has been
+// reset. Keys and elements previously returned must not be retained.
 func (t *Table) Reset() {
 	clear(t.index)
-	t.entries = t.entries[:0]
-	t.live, t.tombs = 0, 0
+	t.n, t.live, t.tombs = 0, 0, 0
 }
 
 // Restart empties the table back to its initial capacity, dropping any
@@ -340,7 +367,7 @@ func (t *Table) maybeGrow() {
 		if v == 0 || v == tombstone {
 			continue
 		}
-		i := t.entries[v-1].hash & mask
+		i := t.at(int(v-1)).hash & mask
 		for t.index[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -348,18 +375,25 @@ func (t *Table) maybeGrow() {
 	}
 }
 
-// makeRoom is called with the entry array full: it squeezes out deleted
-// entries when they are at least half of it — an evicting reducer inserts
+// capacity returns how many entries the segments hold.
+func (t *Table) capacity() int {
+	if len(t.segs) == 0 {
+		return 0
+	}
+	return minEntries << (len(t.segs) - 1)
+}
+
+// makeRoom is called with the segments full: it squeezes out deleted
+// entries when they are at least half of them — an evicting reducer inserts
 // and deletes without end, and its table must not grow with its history —
-// and doubles the array otherwise.
+// and adds a segment as large as all the others together otherwise (two of
+// minEntries to start).
 func (t *Table) makeRoom() {
-	if dead := len(t.entries) - t.live; dead > 0 && 2*dead >= len(t.entries) {
+	if dead := t.n - t.live; dead > 0 && 2*dead >= t.n {
 		t.compact()
 		return
 	}
-	grown := make([]entry, len(t.entries), max(minEntries, 2*cap(t.entries)))
-	copy(grown, t.entries)
-	t.entries = grown
+	t.segs = append(t.segs, make([]entry, max(minEntries, t.n)))
 }
 
 // compact renumbers the live entries densely, keeping their order, and
@@ -369,8 +403,8 @@ func (t *Table) makeRoom() {
 func (t *Table) compact() {
 	mask := uint32(len(t.index) - 1)
 	n := 0
-	for i := range t.entries {
-		e := &t.entries[i]
+	for i := range t.n {
+		e := t.at(i)
 		if e.klen == deadKey {
 			continue
 		}
@@ -380,9 +414,9 @@ func (t *Table) compact() {
 				s = (s + 1) & mask
 			}
 			t.index[s] = uint32(n + 1)
-			t.entries[n] = *e
+			*t.at(n) = *e
 		}
 		n++
 	}
-	t.entries = t.entries[:n]
+	t.n = n
 }

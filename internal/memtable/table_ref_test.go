@@ -181,8 +181,8 @@ func checkRegionsDisjoint(t *testing.T, tb *Table, op int) {
 	t.Helper()
 	type span struct{ from, to ref }
 	var spans []span
-	for i := range tb.entries {
-		e := &tb.entries[i]
+	for i := range tb.n {
+		e := tb.at(i)
 		if e.klen == deadKey {
 			continue
 		}
@@ -221,7 +221,22 @@ func tableCorpus() [][]byte {
 	restart = append(restart, opReset, 0)
 	restart = append(restart, insertRun(opAdd, 0, 40)...)
 
+	// Inserts through five segment boundaries (8, 16, 32, 64 and 128
+	// entries), deletes 136 of the 200 keys, fills the six segments to 256
+	// entries, and inserts once more: the full table compacts, moving live
+	// entries down across segments. Then a restart, and a refill.
+	var segments []int
+	segments = append(segments, insertRun(opSlot, 0, 200)...)
+	for k := 0; k < 136; k += 8 {
+		segments = append(segments, opDeleteRun, k)
+	}
+	segments = append(segments, insertRun(opAdd, 200, 56)...)
+	segments = append(segments, insertRun(opSlot, 0, 8)...)
+	segments = append(segments, opRestart, 0)
+	segments = append(segments, insertRun(opSlot, 0, 200)...)
+
 	return [][]byte{
+		tableProgram(segments...),
 		tableProgram(opSlot, 1, opDelete, 1, opSlot, 1, opSlot, 2, opDelete, 2, opAdd, 2, opSetValue, 1),
 		tableProgram(growWithTombs...),
 		tableProgram(churn...),

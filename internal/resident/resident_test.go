@@ -284,8 +284,9 @@ func TestChunksMatchTwoPassFold(t *testing.T) {
 // hash engines: its allocation must follow the data, not ChunkBytes.
 func TestAllocationProportionalToData(t *testing.T) {
 	// Each case has its own bound, a margin above what it reads: a declared
-	// job's pairs go from emit to frame in one copy (3.7x), an undeclared
-	// one's through a map-output buffer (5.1x).
+	// job's pairs go from emit to frame in one copy (3.2x; 3.7x while a
+	// growing table copied its entries), an undeclared one's through a
+	// map-output buffer (4.8x).
 	for _, tc := range []struct {
 		name     string
 		w        *workloads.Workload
@@ -293,7 +294,7 @@ func TestAllocationProportionalToData(t *testing.T) {
 		reducers int
 		bound    float64
 	}{
-		{"per-user-count/16KB/10", workloads.PerUserCount(smallClicks()), 16 << 10, 10, 4.5},
+		{"per-user-count/16KB/10", workloads.PerUserCount(smallClicks()), 16 << 10, 10, 4},
 		{"sessionization/128KB/20", workloads.Sessionization(smallClicks()), 128 << 10, 20, 5.5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
