@@ -9,6 +9,7 @@
 //	jobserve -tenant name=gold,weight=2,rate=6,jobs=12 -tenant name=bronze,rate=6,jobs=12
 //	jobserve -tenant "name=etl,prio=1,rate=20,jobs=30,mix=sessionization@hadoop+per-user-count@hop"
 //	jobserve -arrival constant -audit=false -json
+//	jobserve -cpuprofile cpu.pprof -memprofile mem.pprof -exectrace exec.trace
 package main
 
 import (
@@ -21,6 +22,7 @@ import (
 
 	"onepass/internal/engines"
 	"onepass/internal/gen"
+	"onepass/internal/hostprof"
 	"onepass/internal/loadgen"
 	"onepass/internal/service"
 	"onepass/internal/textfmt"
@@ -135,6 +137,9 @@ func main() {
 	out := flag.String("out", "", "also write the text report to this file")
 	parallel := flag.Int("parallel-intra", 0,
 		"worker goroutines for intra-run data work (0 or 1 = serial; results are byte-identical either way)")
+	cpuProfile := flag.String("cpuprofile", "", "write a host CPU profile of the fleet's run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a host allocation profile, taken after the fleet's run, to this file")
+	execTrace := flag.String("exectrace", "", "write a Go execution trace of the fleet's run to this file (go tool trace)")
 	flag.Parse()
 
 	specs := defaultFleet()
@@ -215,7 +220,9 @@ func main() {
 		log.Fatal(err)
 	}
 
+	stopProfiles := hostprof.Start(*cpuProfile, *memProfile, *execTrace)
 	rep, runErr := svc.Run()
+	stopProfiles()
 	text := rep.Render()
 	if *jsonOut {
 		js, err := rep.JSON()

@@ -1,10 +1,54 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"testing"
 
 	"onepass/internal/loadgen"
 )
+
+// TestMain runs the command itself when the test binary is re-executed with
+// JOBSERVE_MAIN set, so a test drives jobserve's real flag handling without
+// a separate build.
+func TestMain(m *testing.M) {
+	if os.Getenv("JOBSERVE_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// jobserve -exectrace and -memprofile write a Go execution trace and an
+// allocation profile of the fleet's run.
+func TestProfiles(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, memPath := filepath.Join(dir, "exec.trace"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-tenant", "name=a,rate=50,jobs=2", "-size", "256KB", "-block", "64KB", "-nodes", "4", "-reducers", "4",
+		"-exectrace", tracePath, "-memprofile", memPath}
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "JOBSERVE_MAIN=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("jobserve %v: %v\n%s", args, err, out)
+	}
+	b, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header is "go 1.NN trace" padded with NULs to 16 bytes.
+	if len(b) <= 16 || !bytes.HasPrefix(b, []byte("go 1.")) || !bytes.Contains(b[:16], []byte(" trace\x00")) {
+		t.Fatalf("%d-byte trace file starts %q, want a Go execution trace header", len(b), b[:min(len(b), 16)])
+	}
+	// pprof writes its profiles gzipped.
+	if b, err = os.ReadFile(memPath); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+		t.Fatalf("%d-byte allocation profile starts %q, want a gzipped pprof profile", len(b), b[:min(len(b), 2)])
+	}
+}
 
 func TestParseTenantRejectsUnusableRates(t *testing.T) {
 	for _, rate := range []string{"0", "-1", "NaN", "Inf", "-Inf", "1e-10"} {

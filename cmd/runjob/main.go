@@ -16,14 +16,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	rtmetrics "runtime/metrics"
-	"runtime/pprof"
-	"runtime/trace"
 	"strings"
 	"time"
 
 	"onepass"
+	"onepass/internal/hostprof"
 	"onepass/internal/metrics"
 	"onepass/internal/textfmt"
 	"onepass/internal/workloads"
@@ -124,7 +122,7 @@ func main() {
 			log.Fatalf("-delta requires a click workload, not %q", *workload)
 		}
 		runDeltaCompare(cfg, data, w.Job, onepass.DefaultDelta(cc, *deltaSeed, *deltaFrac),
-			startProfiles(*cpuProfile, *memProfile, *execTrace))
+			hostprof.Start(*cpuProfile, *memProfile, *execTrace))
 		return
 	}
 	job := w.Job
@@ -153,7 +151,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chaos schedule (seed %d): %s\n", *faultSeed, cfg.Faults.String())
 	}
 	stopMeter := startHostMeter()
-	stopProfiles := startProfiles(*cpuProfile, *memProfile, *execTrace)
+	stopProfiles := hostprof.Start(*cpuProfile, *memProfile, *execTrace)
 	res, err := onepass.Run(cfg, data, job)
 	stopProfiles()
 	host := stopMeter()
@@ -270,60 +268,6 @@ func main() {
 		fmt.Println("Trace Gantt:")
 		fmt.Print(tl.Gantt(72))
 		fmt.Print(prof.NodeUtilReport())
-	}
-}
-
-// startProfiles begins the host-clock profiles asked for (an empty path
-// skips one) and returns the function that ends them: it stops the CPU
-// profile and the execution trace and writes the allocation profile, so all
-// three cover exactly the calls made in between — the job, not input set-up
-// or report rendering.
-func startProfiles(cpuPath, memPath, tracePath string) (stop func()) {
-	var cpuFile, traceFile *os.File
-	if cpuPath != "" {
-		var err error
-		if cpuFile, err = os.Create(cpuPath); err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-	}
-	if tracePath != "" {
-		var err error
-		if traceFile, err = os.Create(tracePath); err != nil {
-			log.Fatalf("-exectrace: %v", err)
-		}
-		if err := trace.Start(traceFile); err != nil {
-			log.Fatalf("-exectrace: %v", err)
-		}
-	}
-	return func() {
-		if traceFile != nil {
-			trace.Stop()
-			if err := traceFile.Close(); err != nil {
-				log.Fatalf("-exectrace: %v", err)
-			}
-		}
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				log.Fatalf("-cpuprofile: %v", err)
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-			runtime.GC() // flush recent allocations into the profile
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-		}
 	}
 }
 

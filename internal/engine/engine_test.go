@@ -392,7 +392,7 @@ func TestMapBufferFreedAtTheJoin(t *testing.T) {
 			Costs: CostModel{MapNsPerRecord: 1e6},
 		}
 		// Blocks are left for later tasks, as RunMaps would record.
-		rt.unstartedMaps = len(blocks)
+		rt.MapBuffers.Expect(len(blocks))
 		return rt, job, blocks
 	}
 	mapBlock := func(rt *Runtime, p *sim.Proc, job *Job, b *dfs.Block) (buf *kv.Buffer) {
@@ -407,7 +407,7 @@ func TestMapBufferFreedAtTheJoin(t *testing.T) {
 	rt, job, blocks := setup()
 	rt.Env.Go("first", func(p *sim.Proc) {
 		buf := mapBlock(rt, p, job, blocks[0])
-		if !slices.Contains(rt.freeBufs, buf) {
+		if !slices.Contains(rt.MapBuffers.free, buf) {
 			t.Errorf("ExecuteMapWith returned at %v with its buffer off the free list", p.Now())
 		}
 	})
@@ -458,7 +458,7 @@ func TestMapBuffersRecycleWhileBlocksRemain(t *testing.T) {
 	})
 	rt.Env.Go("ctl", func(p *sim.Proc) {
 		wg.Wait(p)
-		retained = len(rt.freeBufs)
+		retained = rt.MapBuffers.Len()
 	})
 	rt.Env.Run()
 	if len(seen) != 2 {

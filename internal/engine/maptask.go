@@ -36,8 +36,9 @@ func (rt *Runtime) ExecuteMap(p *sim.Proc, node *cluster.Node, job *Job, b *dfs.
 // sort-merge engines' path, and an undeclared job's. Otherwise into is
 // called once, in the map closure with the worker's job, and the sink it
 // returns takes each pair the moment Map emits it: a declared job's combine
-// tables fold it there and no buffer is filled (post is handed nil). What
-// into builds is the task's alone, neither pooled nor kept past the task.
+// tables fold it there, no buffer is filled (post is handed nil) and the
+// task passes the free list by (MapBuffers.pass). What into builds is the
+// task's alone, neither pooled nor kept past the task.
 // Either way the counters, the partition-hash charge and the audit's raw
 // map-output bytes come from the emission.
 //
@@ -70,6 +71,8 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	var buf *kv.Buffer
 	if into == nil {
 		buf = rt.AcquireBuffer(len(data))
+	} else {
+		rt.MapBuffers.pass()
 	}
 	records := 0
 	var outBytes int64

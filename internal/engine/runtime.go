@@ -44,13 +44,11 @@ type Runtime struct {
 	jobDone  *sim.Trigger
 	finished bool
 
-	// freeBufs recycles map-output buffers (data, refs and sort scratch)
-	// from one map task to the next; see AcquireBuffer. It never holds more
-	// buffers than unstartedMaps, the number of blocks RunMaps has yet to
-	// hand to a task: a buffer no task is left to reuse would only inflate
-	// the heap through the reduce phase.
-	freeBufs      []*kv.Buffer
-	unstartedMaps int
+	// MapBuffers recycles map-output buffers from one map task to the next
+	// (see AcquireBuffer). NewRuntime gives the runtime a list of its own; a
+	// service running many jobs on one cluster points each job's runtime at
+	// one shared list before Start.
+	MapBuffers *MapBuffers
 
 	// workerJobs[w] is pool worker w's clone of the job (see StartJobWork).
 	// The slice is made on the event loop; slot w is worker w's alone.
@@ -143,6 +141,8 @@ func NewRuntimeSampled(env *sim.Env, c *cluster.Cluster, d *dfs.DFS, sample sim.
 		Counters: metrics.NewCounters(),
 		start:    env.Now(),
 		cpuBase:  c.CPUAccount().Clone(),
+
+		MapBuffers: NewMapBuffers(),
 	}
 	rt.jobDone = env.NewTrigger("job-done")
 	rt.sampler = metrics.NewSampler(env, sample)
@@ -223,18 +223,13 @@ func (w *workerJob) clone(job *Job) *Job {
 	return &wj
 }
 
-// AcquireBuffer returns an empty map-output buffer, recycled from the free
-// list when one is available (capBytes only sizes a fresh one). The list is
-// unlocked: acquire and release on the event loop only — a pooled closure
-// may fill and sort a buffer it was handed, never fetch or return one.
+// AcquireBuffer returns an empty map-output buffer, recycled from the
+// runtime's MapBuffers when one is available (capBytes only sizes a fresh
+// one). The list is unlocked: acquire and release on the event loop only —
+// a pooled closure may fill and sort a buffer it was handed, never fetch or
+// return one.
 func (rt *Runtime) AcquireBuffer(capBytes int) *kv.Buffer {
-	if n := len(rt.freeBufs); n > 0 {
-		b := rt.freeBufs[n-1]
-		rt.freeBufs = rt.freeBufs[:n-1]
-		b.Reset()
-		return b
-	}
-	return kv.NewBuffer(capBytes)
+	return rt.MapBuffers.acquire(capBytes)
 }
 
 // ReleaseBuffer hands b back: to the free list while unstarted map tasks
@@ -243,19 +238,17 @@ func (rt *Runtime) AcquireBuffer(capBytes int) *kv.Buffer {
 // Encoded chunks and map-output files are copies, so releasing after the
 // buffer has been encoded is safe. A nil b is ignored.
 func (rt *Runtime) ReleaseBuffer(b *kv.Buffer) {
-	if b != nil && len(rt.freeBufs) < rt.unstartedMaps {
-		rt.freeBufs = append(rt.freeBufs, b)
-	}
+	rt.MapBuffers.release(b)
 }
 
-// InputBlocks resolves a job's input: a registered file's blocks, or — for
-// chained jobs reading a previous job's output directory — the blocks of
-// every part file under the path.
-func (rt *Runtime) InputBlocks(path string) ([]*dfs.Block, error) {
-	if blocks, err := rt.DFS.Blocks(path); err == nil {
+// InputBlocks resolves a job's input on d: a registered file's blocks, or —
+// for chained jobs reading a previous job's output directory — the blocks
+// of every part file under the path.
+func InputBlocks(d *dfs.DFS, path string) ([]*dfs.Block, error) {
+	if blocks, err := d.Blocks(path); err == nil {
 		return blocks, nil
 	}
-	return rt.DFS.BlocksUnder(path)
+	return d.BlocksUnder(path)
 }
 
 // JobDone marks the job complete, releasing every process parked on the

@@ -76,10 +76,10 @@ func (rt *Runtime) RunMaps(job *Job, blocks []*dfs.Block, task func(p *sim.Proc,
 		}
 		b := pending[pick]
 		pending = append(pending[:pick], pending[pick+1:]...)
-		rt.unstartedMaps = len(pending)
+		rt.MapBuffers.Expect(-1)
 		return b, 0
 	}
-	rt.unstartedMaps = len(pending)
+	rt.MapBuffers.Expect(len(pending))
 	// flight tracks one block's attempts for speculative execution: the
 	// first finished attempt wins; others are wasted work (counted).
 	type flight struct {

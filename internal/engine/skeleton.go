@@ -135,7 +135,7 @@ func Start(rt *Runtime, job Job, opts Options, plan *Plan, done func(p *sim.Proc
 	if err := job.Validate(); err != nil {
 		return err
 	}
-	blocks, err := rt.InputBlocks(job.InputPath)
+	blocks, err := InputBlocks(rt.DFS, job.InputPath)
 	if err != nil {
 		return err
 	}

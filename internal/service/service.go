@@ -30,6 +30,14 @@
 // normalized service under joint backlog stays within ShareTolerance).
 // Everything runs at virtual instants in the single-threaded simulation, so
 // two runs at the same seed produce byte-identical reports.
+//
+// Map-output buffers. Every job the service runs draws its map-output
+// buffers from one engine.MapBuffers list, which counts the map tasks yet to
+// start over the whole service: the blocks the running jobs' RunMaps have
+// yet to hand out plus the input blocks of every queued job, counted from
+// Submit. So a job with fewer blocks than its map slots reuses the buffers
+// earlier jobs released. Only the engine takes and returns buffers; the
+// service moves counts.
 package service
 
 import (
@@ -201,6 +209,8 @@ type job struct {
 	req    JobRequest
 	tenant *tenant
 	plan   *engine.Plan // req.Engine, resolved at Submit
+	run    engine.Job   // the job launch starts, validated at Submit
+	maps   int          // run's input blocks, resolved at Submit
 
 	submitted sim.Time
 	started   sim.Time
@@ -289,6 +299,10 @@ type Service struct {
 
 	audit    *engine.Audit // service-level ledger; nil unless cfg.Audit
 	jobFails []engine.AuditFailure
+
+	// bufs is the map-output buffer list every job's runtime shares; it
+	// counts a queued job's blocks from Submit until launch.
+	bufs *engine.MapBuffers
 }
 
 // New builds the service's private simulation substrate. Register inputs
@@ -311,6 +325,7 @@ func New(cfg Config) (*Service, error) {
 		byName: make(map[string]*tenant),
 		wake:   env.NewTrigger("service-wake"),
 		pairs:  make(map[[2]int]*pairShare),
+		bufs:   engine.NewMapBuffers(),
 	}
 	s.computeNodes = len(cl.ComputeNodes())
 	s.jobUnits = 2 * s.computeNodes
@@ -373,7 +388,8 @@ func (s *Service) SubmitterDone() {
 
 // Submit enqueues a job for req.Tenant at the current virtual instant. It
 // returns an error (and rejects the job) when the tenant is unknown, the
-// engine is unknown, or the tenant's queue is full (MaxQueued admission
+// engine is unknown, the job as launch would run it is invalid, its input
+// has no blocks, or the tenant's queue is full (MaxQueued admission
 // control).
 func (s *Service) Submit(p *sim.Proc, req JobRequest) error {
 	t, ok := s.byName[req.Tenant]
@@ -384,19 +400,48 @@ func (s *Service) Submit(p *sim.Proc, req JobRequest) error {
 	if err != nil {
 		return fmt.Errorf("service: %w", err)
 	}
+	run := s.engineJob(req, s.nextID)
+	if err := run.Validate(); err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
+	blocks, err := engine.InputBlocks(s.d, run.InputPath)
+	if err == nil && len(blocks) == 0 {
+		err = fmt.Errorf("input %q has no blocks", run.InputPath)
+	}
+	if err != nil {
+		return fmt.Errorf("service: %w", err)
+	}
 	if t.cfg.MaxQueued > 0 && len(t.queue) >= t.cfg.MaxQueued {
 		t.rejected++
 		return fmt.Errorf("service: tenant %q queue full (%d)", req.Tenant, t.cfg.MaxQueued)
 	}
 	s.accrueAll(p.Now())
 	j := &job{
-		id: s.nextID, req: req, tenant: t, plan: engines.List[eng].Plan, submitted: p.Now(),
+		id: s.nextID, req: req, tenant: t, plan: engines.List[eng].Plan, run: run, maps: len(blocks), submitted: p.Now(),
 	}
 	s.nextID++
 	t.queue = append(t.queue, j)
 	s.queued++
+	s.bufs.Expect(j.maps)
 	s.wake.Broadcast()
 	return nil
+}
+
+// engineJob is the job the service runs for req under id: the request's
+// template with the service's placement-facing fields.
+func (s *Service) engineJob(req JobRequest, id int) engine.Job {
+	jb := req.Job
+	jb.InputPath = req.InputPath
+	jb.OutputPath = fmt.Sprintf("out/job-%d", id)
+	jb.DiscardOutput = true
+	jb.RetainOutput = false
+	jb.Reducers = s.cfg.Reducers
+	jb.MapSlotsPerNode = 1
+	jb.ReduceSlotsPerNode = 1
+	if s.cfg.MemoryPerTask > 0 {
+		jb.MemoryPerTask = s.cfg.MemoryPerTask
+	}
+	return jb
 }
 
 // accrueAll advances every tenant's slot-second integral — and every
@@ -540,17 +585,11 @@ func (s *Service) launch(p *sim.Proc, t *tenant, j *job) {
 		rt.Audit = engine.NewAudit()
 		rt.Audit.SharedRuntime = true
 	}
-	jb := j.req.Job
-	jb.InputPath = j.req.InputPath
-	jb.OutputPath = fmt.Sprintf("out/job-%d", j.id)
-	jb.DiscardOutput = true
-	jb.RetainOutput = false
-	jb.Reducers = s.cfg.Reducers
-	jb.MapSlotsPerNode = 1
-	jb.ReduceSlotsPerNode = 1
-	if s.cfg.MemoryPerTask > 0 {
-		jb.MemoryPerTask = s.cfg.MemoryPerTask
-	}
+	// The job's blocks leave the queued count here and Start's RunMaps
+	// counts them again before it returns: nothing runs in between, so no
+	// buffer is released against a count that lacks them.
+	rt.MapBuffers = s.bufs
+	s.bufs.Expect(-j.maps)
 	done := func(cp *sim.Proc, res *engine.Result) {
 		// The sampler's final tick is scheduled at this same instant but runs
 		// only after this process blocks; yield once so the series include
@@ -560,10 +599,10 @@ func (s *Service) launch(p *sim.Proc, t *tenant, j *job) {
 		s.complete(cp, j, res)
 	}
 	// Snapshot answers would be discarded with the rest of the output.
-	if err := engine.Start(rt, jb, engine.Options{DisableSnapshots: true}, j.plan, done); err != nil {
-		// Submit pre-validated the request; a Start failure here is a
-		// configuration bug (e.g. unregistered input) that would otherwise
-		// strand the job's slots. Fail loudly.
+	if err := engine.Start(rt, j.run, engine.Options{DisableSnapshots: true}, j.plan, done); err != nil {
+		// Submit validated the job and resolved its input; a Start failure
+		// here is an engine Setup bug that would otherwise strand the job's
+		// slots. Fail loudly.
 		panic(fmt.Sprintf("service: launching job %d (%s/%s): %v", j.id, j.req.Tenant, j.req.Engine, err))
 	}
 }

@@ -302,6 +302,53 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnregisteredInput: a request naming an input nobody
+// registered, or a job its launch could not start, is Submit's error and is
+// never queued. Launching such a job would panic inside the simulation and
+// end every tenant's run.
+func TestSubmitRejectsUnregisteredInput(t *testing.T) {
+	svc, err := service.New(testConfig(service.TenantConfig{Name: "gold"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := register(t, svc, 1<<20)
+	good.Tenant = "gold"
+	missing, noMap := good, good
+	missing.InputPath = "input/missing"
+	noMap.Job.Map = nil
+	var errs []error
+	expected := -1
+	svc.AddSubmitter()
+	svc.Env().Go("probe", func(p *sim.Proc) {
+		defer svc.SubmitterDone()
+		if err := svc.Submit(p, good); err != nil {
+			t.Errorf("good request: %v", err)
+		}
+		errs = append(errs, svc.Submit(p, missing), svc.Submit(p, noMap))
+		expected = svc.MapBuffers().Unstarted()
+	})
+	rep, err := svc.Run()
+	if err != nil {
+		t.Fatalf("run with rejected submissions failed: %v", err)
+	}
+	for i, want := range []string{`no files under "input/missing"`, "needs a map function"} {
+		if errs[i] == nil || !strings.Contains(errs[i].Error(), want) {
+			t.Errorf("submit error %d = %v, want one containing %q", i, errs[i], want)
+		}
+	}
+	if expected != 4 {
+		t.Errorf("after the rejected requests the service expects %d map tasks, want the good job's 4", expected)
+	}
+	if rep.Jobs != 1 || rep.Tenants[0].Rejected != 0 {
+		t.Errorf("%d jobs finished and %d were rejected, want 1 and 0", rep.Jobs, rep.Tenants[0].Rejected)
+	}
+
+	cfg := testConfig(service.TenantConfig{Name: "gold", Weight: 2}, service.TenantConfig{Name: "bronze"})
+	if rep, err := runFleet(t, cfg, twoTenantLoads(service.JobRequest{}, 3)); err != nil || rep.Jobs != 6 {
+		t.Fatalf("the following fleet finished %d of 6 jobs: %v", rep.Jobs, err)
+	}
+}
+
 // TestConfigValidateRejectsUnrepairableValues: a zero field means its
 // default, but a value the defaults cannot repair fails New instead of
 // panicking or hanging later in the run.
