@@ -86,11 +86,11 @@ type (
 	CostModel = engine.CostModel
 	// Emit collects output pairs from user functions.
 	Emit = engine.Emit
-	// Monoid is the declarative aggregation contract (identity + associative,
-	// commutative combine, optionally a Final): jobs that declare one gain
-	// in-node combining on every engine, one-element per-key state on the
-	// hash and resident engines, and one-element preserved partials under
-	// RunDelta.
+	// Monoid is the declarative aggregation contract (an associative,
+	// commutative combine over map values, optionally a Final): jobs that
+	// declare one gain in-node combining on every engine, one-element
+	// per-key state on the hash and resident engines, and one-element
+	// preserved partials under RunDelta.
 	Monoid = kv.Monoid
 	// Workload couples a job template with an input generator.
 	Workload = workloads.Workload
@@ -165,9 +165,6 @@ func ComputeProfile(log *TraceLog, res *Result) (*RunProfile, error) {
 func AttachCounterTracks(log *TraceLog, res *Result) {
 	profile.AttachCounterTracks(log, res)
 }
-
-// NewHistogram returns an empty mergeable histogram.
-func NewHistogram() *Histogram { return metrics.NewHistogram() }
 
 // Workload constructors (the paper's Table I tasks).
 var (

@@ -236,7 +236,6 @@ func main() {
 	baseline := flag.String("baseline", "ci/bench-baseline.txt", "checked-in baseline bench output")
 	current := flag.String("current", "", "bench output to compare (required)")
 	metrics := flag.String("metrics", "allocs/op,B/op", "comma-separated metrics to gate on")
-	metricOld := flag.String("metric", "", "deprecated alias for -metrics (single metric)")
 	threshold := flag.Float64("threshold", 0.25, "fail when |current/baseline - 1| exceeds this")
 	minVal := flag.Float64("min", 8, "skip comparisons where both values are below this (noise floor)")
 	update := flag.Bool("update", false, "rewrite the baseline from -current instead of gating")
@@ -247,9 +246,6 @@ func main() {
 		os.Exit(2)
 	}
 	gateOn := strings.Split(*metrics, ",")
-	if *metricOld != "" {
-		gateOn = []string{*metricOld}
-	}
 
 	cur, err := parseBenchFile(*current)
 	if err != nil {

@@ -133,7 +133,6 @@ func TestIncrementalWithMonoidDisabled(t *testing.T) {
 // (total value bytes, values) and Final emits their quotient.
 type valueBytesMean struct{}
 
-func (valueBytesMean) Identity() []byte { return make([]byte, 16) }
 func (valueBytesMean) Combine(a, b []byte) []byte {
 	for off := 0; off < 16; off += 8 {
 		binary.LittleEndian.PutUint64(a[off:], binary.LittleEndian.Uint64(a[off:])+binary.LittleEndian.Uint64(b[off:]))

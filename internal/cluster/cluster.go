@@ -52,12 +52,11 @@ type Node struct {
 	env   *sim.Env
 	cores *sim.Resource
 
-	// dfsStore holds DFS blocks and job output; scratch holds intermediate
-	// data. They share a device unless the SSD topology is active.
-	dfsDev, scratchDev     *disk.Device
-	dfsStore, scratchStore *disk.Store
-
-	memory int64
+	// dfsDev backs DFS blocks and job output; scratchStore holds
+	// intermediate data. They share a device unless the SSD topology is
+	// active.
+	dfsDev, scratchDev *disk.Device
+	scratchStore       *disk.Store
 
 	cpuByPhase *metrics.CPUAccount
 
@@ -94,7 +93,6 @@ func New(env *sim.Env, cfg Config) *Cluster {
 			ID:         i,
 			env:        env,
 			cores:      env.NewResource(fmt.Sprintf("node%d-cpu", i), cfg.CoresPerNode),
-			memory:     cfg.MemoryPerNode,
 			cpuByPhase: metrics.NewCPUAccount(),
 		}
 		n.cores.OnChange = func(now sim.Time, inUse, _ int) {
@@ -103,17 +101,12 @@ func New(env *sim.Env, cfg Config) *Cluster {
 		}
 		primary := disk.NewDevice(env, fmt.Sprintf("node%d-hdd", i), disk.HDD)
 		n.watchDevice(primary)
-		n.dfsDev = primary
-		n.dfsStore = disk.NewStore(primary)
+		n.dfsDev, n.scratchDev = primary, primary
 		if cfg.SSDIntermediate {
-			ssd := disk.NewDevice(env, fmt.Sprintf("node%d-ssd", i), disk.SSD)
-			n.watchDevice(ssd)
-			n.scratchDev = ssd
-			n.scratchStore = disk.NewStore(ssd)
-		} else {
-			n.scratchDev = primary
-			n.scratchStore = n.dfsStore
+			n.scratchDev = disk.NewDevice(env, fmt.Sprintf("node%d-ssd", i), disk.SSD)
+			n.watchDevice(n.scratchDev)
 		}
+		n.scratchStore = disk.NewStore(n.scratchDev)
 		c.nodes = append(c.nodes, n)
 	}
 	return c
@@ -172,12 +165,6 @@ func (c *Cluster) StorageNodes() []*Node {
 // Cores returns the node's CPU resource capacity.
 func (n *Node) Cores() int { return n.cores.Cap() }
 
-// Memory returns the node's task memory budget in bytes.
-func (n *Node) Memory() int64 { return n.memory }
-
-// DFSStore returns the store holding DFS blocks and job output.
-func (n *Node) DFSStore() *disk.Store { return n.dfsStore }
-
 // ScratchStore returns the store for intermediate data.
 func (n *Node) ScratchStore() *disk.Store { return n.scratchStore }
 
@@ -227,9 +214,6 @@ func (n *Node) Fail() { n.failed = true }
 
 // Failed reports whether the node has been failed.
 func (n *Node) Failed() bool { return n.failed }
-
-// CPUAccount returns the node's per-phase CPU accounting.
-func (n *Node) CPUAccount() *metrics.CPUAccount { return n.cpuByPhase }
 
 // CPUBusyIntegral returns cumulative core-seconds of CPU use on the node.
 func (n *Node) CPUBusyIntegral() float64 { return n.cores.BusyIntegral() }

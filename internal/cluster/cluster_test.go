@@ -15,13 +15,35 @@ func testConfig() Config {
 	return cfg
 }
 
+// profileOf names the disk profile dev serves at: the one under which a
+// fresh device takes as long over the same random read.
+func profileOf(c *Cluster, dev *disk.Device) string {
+	readTime := func(env *sim.Env, d *disk.Device) (took sim.Duration) {
+		env.Go("probe", func(p *sim.Proc) {
+			start := p.Now()
+			d.Read(p, 1<<20, false)
+			took = p.Now().Sub(start)
+		})
+		env.Run()
+		return took
+	}
+	got := readTime(c.Env, dev)
+	for _, prof := range []disk.Profile{disk.HDD, disk.SSD} {
+		env := sim.New()
+		if readTime(env, disk.NewDevice(env, "ref", prof)) == got {
+			return prof.Name
+		}
+	}
+	return "unknown"
+}
+
 func TestTopologyBaseline(t *testing.T) {
 	c := New(sim.New(), testConfig())
 	if len(c.Nodes()) != 4 || len(c.ComputeNodes()) != 4 || len(c.StorageNodes()) != 4 {
 		t.Fatal("baseline topology should use all nodes for everything")
 	}
 	n := c.Node(0)
-	if n.DFSStore() != n.ScratchStore() {
+	if n.DFSDevice() != n.ScratchDevice() {
 		t.Fatal("baseline shares one device between DFS and scratch")
 	}
 	if c.TotalCores() != 8 {
@@ -34,14 +56,14 @@ func TestTopologySSD(t *testing.T) {
 	cfg.SSDIntermediate = true
 	c := New(sim.New(), cfg)
 	n := c.Node(0)
-	if n.DFSStore() == n.ScratchStore() {
+	if n.DFSDevice() == n.ScratchDevice() {
 		t.Fatal("SSD topology must separate scratch from DFS")
 	}
-	if n.ScratchDevice().Profile().Name != "ssd" {
-		t.Fatalf("scratch device = %v", n.ScratchDevice().Profile().Name)
+	if got := profileOf(c, n.ScratchDevice()); got != "ssd" {
+		t.Fatalf("scratch device = %v", got)
 	}
-	if n.DFSDevice().Profile().Name != "hdd" {
-		t.Fatalf("dfs device = %v", n.DFSDevice().Profile().Name)
+	if got := profileOf(c, n.DFSDevice()); got != "hdd" {
+		t.Fatalf("dfs device = %v", got)
 	}
 }
 
@@ -69,10 +91,10 @@ func TestComputeChargesCoreAndPhase(t *testing.T) {
 		n.Compute(p, sim.Second, "sort")
 	})
 	env.Run()
-	if got := n.CPUAccount().Seconds("map-fn"); got != 2 {
+	if got := n.cpuByPhase.Seconds("map-fn"); got != 2 {
 		t.Fatalf("map-fn = %v", got)
 	}
-	if got := n.CPUAccount().Share("sort"); math.Abs(got-1.0/3) > 1e-9 {
+	if got := n.cpuByPhase.Share("sort"); math.Abs(got-1.0/3) > 1e-9 {
 		t.Fatalf("sort share = %v", got)
 	}
 	if got := n.CPUBusyIntegral(); got != 3 {
@@ -171,7 +193,8 @@ func TestDefaultConfigMatchesPaperTestbed(t *testing.T) {
 	if cfg.MemoryPerNode != 1<<30 {
 		t.Fatalf("memory = %d, want 1GB (paper's JVM heap)", cfg.MemoryPerNode)
 	}
-	if got := New(sim.New(), cfg).Node(0).DFSDevice().Profile().Name; got != disk.HDD.Name {
+	c := New(sim.New(), cfg)
+	if got := profileOf(c, c.Node(0).DFSDevice()); got != disk.HDD.Name {
 		t.Fatalf("primary disk = %s, want HDD", got)
 	}
 }

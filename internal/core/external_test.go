@@ -130,7 +130,9 @@ func TestSpillSetSingleOversizedKeyDoesNotRecurseForever(t *testing.T) {
 		}
 		vals := 0
 		ss.processBucket(p, b, nil, func(k, s []byte) {
-			vals = kv.CountFrames(s)
+			for rest, ok := s, true; ok && len(rest) > 0; vals++ {
+				_, rest, ok = kv.NextFrame(rest)
+			}
 		})
 		if vals != 100 {
 			t.Errorf("values = %d, want 100", vals)

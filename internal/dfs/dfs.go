@@ -32,8 +32,7 @@ type Block struct {
 	// zero for preloaded data, staggered for streams. Schedulers must not
 	// start a map task on a block before this instant.
 	AvailableAt sim.Time
-	// replicas are node IDs hosting the block; dead replicas are removed by
-	// failure injection.
+	// replicas are node IDs hosting the block.
 	replicas []int
 	gen      func() []byte
 	// mem marks a memory-resident block (see RegisterResident): reads are
@@ -41,12 +40,6 @@ type Block struct {
 	// the network transfer when the reader is remote.
 	mem bool
 }
-
-// Resident reports whether the block is memory-resident.
-func (b *Block) Resident() bool { return b.mem }
-
-// Replicas returns the IDs of nodes currently holding the block.
-func (b *Block) Replicas() []int { return b.replicas }
 
 // Peek returns the block contents without charging any I/O — for tests and
 // verification only; simulated reads go through DFS.ReadBlock.
@@ -171,31 +164,6 @@ func (d *DFS) BlocksUnder(prefix string) ([]*Block, error) {
 	return out, nil
 }
 
-// Size returns the total size of a file.
-func (d *DFS) Size(path string) (int64, error) {
-	meta, ok := d.files[path]
-	if !ok {
-		return 0, fmt.Errorf("dfs: file %q not found", path)
-	}
-	return meta.size, nil
-}
-
-// Exists reports whether path exists.
-func (d *DFS) Exists(path string) bool {
-	_, ok := d.files[path]
-	return ok
-}
-
-// Paths lists all file paths, sorted.
-func (d *DFS) Paths() []string {
-	out := make([]string, 0, len(d.files))
-	for p := range d.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // IsLocal reports whether the block has a replica on node.
 func (b *Block) IsLocal(node int) bool {
 	for _, r := range b.replicas {
@@ -241,24 +209,6 @@ func (d *DFS) RegisterResident(path string, node int, data []byte) error {
 	b := &Block{Path: path, Index: 0, Size: int64(len(data)), replicas: []int{node}, mem: true}
 	b.gen = func() []byte { return data }
 	d.files[path] = &fileMeta{path: path, size: int64(len(data)), blocks: []*Block{b}}
-	return nil
-}
-
-// KillReplica removes node's replica of block idx of path, simulating a
-// DataNode loss. Reads fall back to surviving replicas.
-func (d *DFS) KillReplica(path string, idx, node int) error {
-	meta, ok := d.files[path]
-	if !ok || idx < 0 || idx >= len(meta.blocks) {
-		return fmt.Errorf("dfs: no block %s[%d]", path, idx)
-	}
-	b := meta.blocks[idx]
-	kept := b.replicas[:0]
-	for _, r := range b.replicas {
-		if r != node {
-			kept = append(kept, r)
-		}
-	}
-	b.replicas = kept
 	return nil
 }
 

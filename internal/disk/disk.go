@@ -6,11 +6,7 @@
 // bytes: the engines re-read exactly what they wrote.
 package disk
 
-import (
-	"fmt"
-
-	"onepass/internal/sim"
-)
+import "onepass/internal/sim"
 
 // Profile describes a device's service characteristics.
 type Profile struct {
@@ -52,7 +48,6 @@ var SSD = Profile{
 // accounting.
 type Device struct {
 	env     *sim.Env
-	name    string
 	profile Profile
 	slot    *sim.Resource
 
@@ -65,14 +60,8 @@ type Device struct {
 
 // NewDevice creates a device owned by env.
 func NewDevice(env *sim.Env, name string, p Profile) *Device {
-	return &Device{env: env, name: name, profile: p, slot: env.NewResource(name, 1), slow: 1}
+	return &Device{env: env, profile: p, slot: env.NewResource(name, 1), slow: 1}
 }
-
-// Name returns the device name.
-func (d *Device) Name() string { return d.name }
-
-// Profile returns the device profile.
-func (d *Device) Profile() Profile { return d.profile }
 
 // SetSlowdown scales all service times by f (>=1). Used for fault/straggler
 // injection in tests.
@@ -88,12 +77,6 @@ func (d *Device) BytesRead() float64 { return d.bytesRead }
 
 // BytesWritten returns cumulative bytes written.
 func (d *Device) BytesWritten() float64 { return d.bytesWritten }
-
-// BusyIntegral returns device busy time in seconds, cumulative.
-func (d *Device) BusyIntegral() float64 { return d.slot.BusyIntegral() }
-
-// QueueIntegral returns request-seconds spent waiting, cumulative.
-func (d *Device) QueueIntegral() float64 { return d.slot.QueueIntegral() }
 
 // Pending returns the number of requests in service or queued right now.
 func (d *Device) Pending() int { return d.slot.InUse() + d.slot.Waiting() }
@@ -138,21 +121,4 @@ func (d *Device) Read(p *sim.Proc, bytes int64, sequential bool) {
 // Write blocks p for the duration of writing bytes to the device.
 func (d *Device) Write(p *sim.Proc, bytes int64, sequential bool) {
 	d.transfer(p, bytes, d.profile.WriteBW, sequential, true)
-}
-
-// String implements fmt.Stringer.
-func (d *Device) String() string {
-	return fmt.Sprintf("%s(%s, read=%s, written=%s)", d.name, d.profile.Name,
-		fmtBytes(d.bytesRead), fmtBytes(d.bytesWritten))
-}
-
-func fmtBytes(b float64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.1fGB", b/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMB", b/(1<<20))
-	default:
-		return fmt.Sprintf("%.0fB", b)
-	}
 }

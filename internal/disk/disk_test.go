@@ -114,8 +114,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		f := s.Create("run0", false)
 		s.Append(p, f, payload[:5])
 		s.Append(p, f, payload[5:])
-		got := s.ReadAll(p, f)
-		if !bytes.Equal(got, payload) {
+		if got := s.NewReader(f, 8).Next(p, f.Size()); !bytes.Equal(got, payload) {
 			t.Errorf("round trip = %q", got)
 		}
 		if f.Size() != int64(len(payload)) {
@@ -173,9 +172,6 @@ func TestStoreOpenMissing(t *testing.T) {
 	if _, err := s.Open("nope"); err == nil {
 		t.Fatal("expected error for missing file")
 	}
-	if s.Exists("nope") {
-		t.Fatal("Exists should be false")
-	}
 }
 
 func TestStoreDeleteAndNames(t *testing.T) {
@@ -186,7 +182,7 @@ func TestStoreDeleteAndNames(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 	s.Delete("a")
-	if s.Exists("a") || len(s.Names()) != 1 {
+	if names := s.Names(); len(names) != 1 || names[0] != "b" {
 		t.Fatal("delete failed")
 	}
 }
@@ -205,8 +201,8 @@ func TestDiscardFileTracksSizeOnly(t *testing.T) {
 		}
 	})
 	env.Run()
-	if s.TotalSize() != 1000 {
-		t.Fatalf("total = %d", s.TotalSize())
+	if f, _ := s.Open("sink"); f.Size() != 1000 {
+		t.Fatalf("stored size = %d", f.Size())
 	}
 }
 
@@ -233,8 +229,8 @@ func TestReaderStreamsAndCharges(t *testing.T) {
 		if !bytes.Equal(got, content) {
 			t.Error("streamed content mismatch")
 		}
-		if r.Remaining() != 0 {
-			t.Errorf("remaining = %d", r.Remaining())
+		if rest := r.Next(p, 1); rest != nil {
+			t.Errorf("%d bytes left after the end", len(rest))
 		}
 	})
 	env.Run()

@@ -88,12 +88,6 @@ func (s *Store) Open(name string) (*File, error) {
 	return f, nil
 }
 
-// Exists reports whether the named file exists.
-func (s *Store) Exists(name string) bool {
-	_, ok := s.files[name]
-	return ok
-}
-
 // Delete removes the named file and frees its contents.
 func (s *Store) Delete(name string) {
 	delete(s.files, name)
@@ -107,21 +101,6 @@ func (s *Store) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalSize returns the sum of all file sizes.
-func (s *Store) TotalSize() int64 {
-	var t int64
-	for _, f := range s.files {
-		t += f.size
-	}
-	return t
-}
-
-// ReadAll reads the whole file sequentially and returns its contents.
-func (s *Store) ReadAll(p *sim.Proc, f *File) []byte {
-	s.dev.Read(p, f.size, true)
-	return f.data
 }
 
 // Reader streams a file in buffered chunks. Each buffer refill charges a
@@ -145,9 +124,6 @@ func (s *Store) NewReader(f *File, bufSize int64) *Reader {
 	}
 	return &Reader{store: s, file: f, bufSize: bufSize}
 }
-
-// Remaining returns the bytes left to consume.
-func (r *Reader) Remaining() int64 { return r.file.size - r.pos }
 
 // Next returns the next n bytes (fewer at EOF; nil when exhausted),
 // charging a device read whenever the buffer needs refilling.

@@ -70,8 +70,8 @@ func TestMapOutputSingleFileIndex(t *testing.T) {
 			data = append(data, bytes.Repeat([]byte{byte('a' + r)}, (r+1)*10)...)
 		}
 		out := NewMapOutput(p, store, "job/map-0/file.out", 0, 0, data, partLen)
-		if out.Parts() != 3 {
-			t.Errorf("parts = %d", out.Parts())
+		if len(out.PartLen) != 3 {
+			t.Errorf("parts = %d", len(out.PartLen))
 		}
 		if out.PartSize(1) != 20 {
 			t.Errorf("part 1 size = %d", out.PartSize(1))
@@ -86,7 +86,7 @@ func TestMapOutputSingleFileIndex(t *testing.T) {
 		for r := 0; r < 3; r++ {
 			out.ConsumePart(r)
 		}
-		if store.Exists("job/map-0/file.out") {
+		if _, err := store.Open("job/map-0/file.out"); err == nil {
 			t.Error("file not deleted after full consumption")
 		}
 	})
@@ -221,11 +221,11 @@ func TestRegistryPullSkipsPushedServesEmptyAndRecovers(t *testing.T) {
 	if reexecs != 1 || rt.Counters.Get(CtrTasksReexecuted) != 1 {
 		t.Errorf("re-executions = %d (counter %v), want 1", reexecs, rt.Counters.Get(CtrTasksReexecuted))
 	}
-	if !rt.Cluster.Node(0).ScratchStore().Exists("m0") {
+	if _, err := rt.Cluster.Node(0).ScratchStore().Open("m0"); err != nil {
 		t.Error("the pushed partition was consumed: Pull must skip it entirely")
 	}
 	for node, name := range map[int]string{0: "m1", 2: "m2/reexec"} {
-		if rt.Cluster.Node(node).ScratchStore().Exists(name) {
+		if _, err := rt.Cluster.Node(node).ScratchStore().Open(name); err == nil {
 			t.Errorf("%s not consumed after its pull", name)
 		}
 	}
@@ -268,8 +268,8 @@ func TestPushChannelBackpressureAndOrder(t *testing.T) {
 			t.Fatalf("order broken: %v", got)
 		}
 	}
-	if pc.QueuedBytes() != 0 {
-		t.Fatalf("queued = %d", pc.QueuedBytes())
+	if pc.queuedBytes != 0 {
+		t.Fatalf("queued = %d", pc.queuedBytes)
 	}
 }
 
@@ -339,7 +339,10 @@ func TestExecuteMapCountsAndCharges(t *testing.T) {
 		Map: func(rec []byte, emit Emit) { emit(rec[:2], rec[3:]) },
 	}
 	rt.Env.Go("m", func(p *sim.Proc) {
-		node := rt.Cluster.Node(blocks[0].Replicas()[0])
+		node := rt.Cluster.Node(0)
+		for !blocks[0].IsLocal(node.ID) {
+			node = rt.Cluster.Node(node.ID + 1)
+		}
 		buffered := -1
 		pairs, err := rt.ExecuteMapWith(p, node, job, blocks[0], func(k []byte, n int) int { return int(k[0]) % n }, nil,
 			func(_ *Job, buf *kv.Buffer) { buffered = buf.Len() })
@@ -472,7 +475,6 @@ func TestMapBuffersRecycleWhileBlocksRemain(t *testing.T) {
 // byteSum is a one-byte counter monoid for the tests here.
 type byteSum struct{}
 
-func (byteSum) Identity() []byte { return []byte{0} }
 func (byteSum) Combine(a, b []byte) []byte {
 	a[0] += b[0]
 	return a

@@ -54,7 +54,7 @@ func (f *Fold) Declared() bool { return f.m != nil }
 // Lift appends to dst the element holding the single raw map value raw.
 func (f *Fold) Lift(dst, raw []byte) []byte {
 	if f.m != nil {
-		// A map value is an element already: Combine(Identity, x) == x.
+		// A map value is an element already (kv.Monoid's contract).
 		return append(dst, raw...)
 	}
 	return kv.AppendFramed(dst, raw)

@@ -12,7 +12,6 @@ import (
 // answer is not its element.
 type meanOfBytes struct{}
 
-func (meanOfBytes) Identity() []byte { return []byte{0, 0} }
 func (meanOfBytes) Combine(a, b []byte) []byte {
 	a[0], a[1] = a[0]+b[0], a[1]+b[1]
 	return a

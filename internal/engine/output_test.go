@@ -113,13 +113,10 @@ func runCollector(t *testing.T, pairs [2][][2][]byte, mode collectorMode, replay
 	if !mode.sink {
 		for r := range pairs {
 			path := fmt.Sprintf("out/part-r-%05d", r)
-			if !rt.DFS.Exists(path) {
-				run.files = append(run.files, "absent")
-				continue
-			}
 			blocks, err := rt.DFS.Blocks(path)
 			if err != nil {
-				t.Fatal(err)
+				run.files = append(run.files, "absent")
+				continue
 			}
 			switch {
 			case len(blocks) > 1:
@@ -127,7 +124,10 @@ func runCollector(t *testing.T, pairs [2][][2][]byte, mode collectorMode, replay
 			case len(blocks) == 1:
 				run.kept[r] = blocks[0].Peek()
 			}
-			size, _ := rt.DFS.Size(path)
+			var size int64
+			for _, b := range blocks {
+				size += b.Size
+			}
 			run.files = append(run.files, fmt.Sprintf("%d:%s", size, run.kept[r]))
 		}
 	} else {

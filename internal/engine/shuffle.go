@@ -67,9 +67,6 @@ func NewMapOutput(p *sim.Proc, store *disk.Store, name string, taskID, node int,
 	return out
 }
 
-// Parts returns the number of reduce partitions.
-func (o *MapOutput) Parts() int { return len(o.PartLen) }
-
 // PartSize returns the byte size of partition part.
 func (o *MapOutput) PartSize(part int) int64 {
 	if o.Leftover != nil && o.Leftover[part] != nil {
@@ -468,9 +465,6 @@ func (pc *PushChannel) PopFresh(p *sim.Proc, node int) (PushChunk, bool) {
 		return c, true
 	}
 }
-
-// QueuedBytes returns the bytes currently enqueued.
-func (pc *PushChannel) QueuedBytes() int64 { return pc.queuedBytes }
 
 // Close marks end of stream and wakes consumers.
 func (pc *PushChannel) Close() {

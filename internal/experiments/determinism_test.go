@@ -16,6 +16,16 @@ import (
 
 // renderAll concatenates every report, mirroring what cmd/experiments
 // writes between header and footer.
+// renderSerially renders every experiment in paper order, one at a time: the
+// reference execution RunAll's output must equal byte for byte.
+func renderSerially(s *Session) []*Report {
+	reps := make([]*Report, 0, len(Experiments()))
+	for _, e := range Experiments() {
+		reps = append(reps, e.Render(s))
+	}
+	return reps
+}
+
 func renderAll(reps []*Report) []byte {
 	var b bytes.Buffer
 	for _, rep := range reps {
@@ -39,7 +49,7 @@ func TestParallelSweepByteIdenticalToSerial(t *testing.T) {
 	scale := testScale()
 
 	serial := NewSession(scale)
-	serialReps := serial.All()
+	serialReps := renderSerially(serial)
 	serialOut := renderAll(serialReps)
 	serialRuns, _ := serial.RunStats()
 	for i, e := range Experiments() {

@@ -48,25 +48,14 @@ func Experiments() []Experiment {
 	}
 }
 
-// All renders every experiment in paper order, serially. Kept as the
-// reference execution path: RunAll's output is defined to be byte-identical
-// to this.
-func (s *Session) All() []*Report {
-	reps := make([]*Report, 0, len(Experiments()))
-	for _, e := range Experiments() {
-		reps = append(reps, e.Render(s))
-	}
-	return reps
-}
-
 // RunAll renders the given experiments, up to workers of them at a time
 // (GOMAXPROCS when workers <= 0), and returns the reports in the order
 // given. Every simulation runs on a private virtual cluster and the session
 // cache shares a spec two experiments both need (the second requester waits
 // for the first's execution), so the reports are byte-identical to a serial
-// s.All() whatever the width or scheduling. A renderer that panics stops
-// further experiments from starting and comes back as an error naming it;
-// so does a cancelled ctx.
+// render of each experiment in turn, whatever the width or scheduling. A
+// renderer that panics stops further experiments from starting and comes
+// back as an error naming it; so does a cancelled ctx.
 func (s *Session) RunAll(ctx context.Context, workers int, exps []Experiment) ([]*Report, error) {
 	reps := make([]*Report, len(exps))
 	err := parallel.ForEach(ctx, workers, len(exps), func(i int) error {

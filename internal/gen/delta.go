@@ -96,9 +96,6 @@ func (d Delta) Validate() error {
 	return nil
 }
 
-// Zero reports whether the delta changes nothing at all.
-func (d Delta) Zero() bool { return d.DirtyFrac <= 0 && d.AppendFrac <= 0 }
-
 // DirtyBlocks returns the sorted base-block indices this delta rewrites:
 // an independent seeded coin per block, forced to at least one block when
 // DirtyFrac is positive so no delta silently degenerates to append-only.

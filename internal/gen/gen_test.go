@@ -131,7 +131,7 @@ func TestDocBlockParsesAndDeterministic(t *testing.T) {
 			break
 		}
 		rest = r
-		d, err := textfmt.ParseDocText(line)
+		d, err := textfmt.ParseDocTextInto(line, nil)
 		if err != nil {
 			t.Fatalf("doc %d: %v", docs, err)
 		}
@@ -159,7 +159,7 @@ func TestDocBlockTinySizeClipsAtTokenBoundary(t *testing.T) {
 	if !ok {
 		t.Fatal("clipped document must end in newline")
 	}
-	if _, err := textfmt.ParseDocText(line); err != nil {
+	if _, err := textfmt.ParseDocTextInto(line, nil); err != nil {
 		t.Fatalf("clipped document must parse: %v", err)
 	}
 }

@@ -9,17 +9,14 @@ import (
 
 func decodeInput(t *testing.T, buf []byte) (keys []string, vals [][]byte) {
 	t.Helper()
-	dec := kv.NewDecoder(buf)
-	for {
-		k, v, ok := dec.Next()
-		if !ok {
-			break
+	for len(buf) > 0 {
+		k, v, n := kv.DecodePair(buf)
+		if n == 0 {
+			t.Fatalf("%d undecoded bytes in merge input", len(buf))
 		}
+		buf = buf[n:]
 		keys = append(keys, string(k))
 		vals = append(vals, append([]byte(nil), v...))
-	}
-	if dec.Remaining() != 0 {
-		t.Fatalf("%d undecoded bytes in merge input", dec.Remaining())
 	}
 	return keys, vals
 }

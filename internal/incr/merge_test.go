@@ -360,14 +360,12 @@ func FuzzBlockFrames(f *testing.F) {
 		var again, prevKey []byte
 		prevBlock := 0
 		pairs, distinct := 0, 0
-		for dec := kv.NewDecoder(run); ; {
-			k, v, ok := dec.Next()
-			if !ok {
-				if dec.Remaining() != 0 {
-					t.Fatalf("run has %d trailing bytes", dec.Remaining())
-				}
-				break
+		for rest := run; len(rest) > 0; {
+			k, v, n := kv.DecodePair(rest)
+			if n == 0 {
+				t.Fatalf("run has %d trailing bytes", len(rest))
 			}
+			rest = rest[n:]
 			b, payload, err := DecodePartial(v)
 			if err != nil || b >= nBlocks {
 				t.Fatalf("run holds value %q for key %q (%v)", v, k, err)

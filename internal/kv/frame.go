@@ -28,26 +28,3 @@ func NextFrame(buf []byte) (b, rest []byte, ok bool) {
 	}
 	return buf[n : n+int(l)], buf[n+int(l):], true
 }
-
-// Frames calls fn for each framed byte string in buf, in order, and reports
-// whether buf is exactly what AppendFramed produces: whole frames, each
-// length in its shortest encoding. It stops at the first byte that is not.
-// The yielded slices alias buf.
-func Frames(buf []byte, fn func(b []byte)) bool {
-	for len(buf) > 0 {
-		b, rest, ok := NextFrame(buf)
-		if !ok {
-			return false
-		}
-		fn(b)
-		buf = rest
-	}
-	return true
-}
-
-// CountFrames returns the number of complete frames at the front of buf.
-func CountFrames(buf []byte) int {
-	n := 0
-	Frames(buf, func([]byte) { n++ })
-	return n
-}

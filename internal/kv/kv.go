@@ -137,9 +137,6 @@ func (d *Decoder) Next() (key, val []byte, ok bool) {
 	return key, val, true
 }
 
-// Remaining returns the undecoded byte count.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
 // PairStream is a peekable stream of key-value pairs, the interface the
 // k-way merge and grouping operators consume.
 type PairStream interface {

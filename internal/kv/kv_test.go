@@ -32,8 +32,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if _, _, ok = d.Next(); ok {
 		t.Fatal("decoder must end")
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("remaining = %d", d.Remaining())
+	if d.off != len(d.buf) {
+		t.Fatalf("%d bytes undecoded", len(d.buf)-d.off)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestAllocBudgetUpdateAndGet(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, func() {
 		for _, k := range keys {
 			tb.Add(k, 1)
-			if _, ok := tb.Get(k); !ok {
+			if _, ok := get(tb, k); !ok {
 				t.Fatal("key lost")
 			}
 		}

@@ -27,11 +27,10 @@ type Arena struct {
 	slabs    [][]byte
 	cur      []byte // what is left of slabs[curSlab]
 	curSlab  int
-	used     int64
 	// free is a stack of slabs recycled by Reset with the earliest-allocated
 	// (smallest) on top, so a refill walks the same sizes in the same order
-	// as the fill that created them. Recycled slabs are dirty: Alloc zeroes
-	// what it hands out, Copy overwrites it.
+	// as the fill that created them. Recycled slabs are dirty: whoever grabs
+	// bytes overwrites them.
 	free [][]byte
 	// regions heads the lists of released regions, by size class: class k
 	// holds capacities in [2^k, 2^(k+1)), as a ref plus one (zero is an empty
@@ -77,19 +76,6 @@ func (a *Arena) at(r ref, n, c uint32) []byte {
 	return a.slabs[r>>32][off : off+n : off+c]
 }
 
-// Alloc returns a zeroed n-byte slice inside the arena.
-func (a *Arena) Alloc(n int) []byte {
-	_, out := a.grab(n)
-	clear(out)
-	return out
-}
-
-// Copy allocates and fills a copy of b.
-func (a *Arena) Copy(b []byte) []byte {
-	_, out := a.copyRef(b)
-	return out
-}
-
 func (a *Arena) copyRef(b []byte) (ref, []byte) {
 	r, out := a.grab(len(b))
 	copy(out, b)
@@ -102,7 +88,6 @@ func (a *Arena) grab(n int) (ref, []byte) {
 	if n <= 0 {
 		return 0, nil
 	}
-	a.used += int64(n)
 	if n > a.slabSize {
 		// Oversized allocation gets a dedicated slab.
 		slab := make([]byte, n)
@@ -159,19 +144,6 @@ func (a *Arena) grabRegion(n int) (ref, uint32) {
 	return r, uint32(n)
 }
 
-// Used returns total bytes taken from slabs since the last Reset; a region
-// that is released and taken over counts once.
-func (a *Arena) Used() int64 { return a.used }
-
-// Footprint returns the capacity of the slabs in use since the last Reset.
-func (a *Arena) Footprint() int64 {
-	var t int64
-	for _, s := range a.slabs {
-		t += int64(len(s))
-	}
-	return t
-}
-
 // Reset discards all allocations. Previously returned slices must no longer
 // be used. Every slab up to the arena's slab size is kept for reuse, as it
 // is — nothing is zeroed; oversized dedicated slabs are released to the
@@ -185,6 +157,5 @@ func (a *Arena) Reset() {
 	}
 	a.slabs = a.slabs[:0]
 	a.cur = nil
-	a.used = 0
 	a.regions = [32]ref{}
 }

@@ -44,11 +44,11 @@ func BenchmarkTableGet(b *testing.B) {
 	keys := benchKeys(1 << 14)
 	tb := NewTable(hashlib.NewFamily(1).New(), NewArena(0), 1<<14)
 	for _, k := range keys {
-		tb.Put(k, 1)
+		tb.Add(k, 1)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.Get(keys[i&(1<<14-1)])
+		tb.GetElem(keys[i&(1<<14-1)])
 	}
 }
 
@@ -74,6 +74,6 @@ func BenchmarkArenaCopy(b *testing.B) {
 		if i&(1<<16-1) == 0 {
 			a.Reset() // bound memory across the run
 		}
-		_ = a.Copy(payload)
+		a.copyRef(payload)
 	}
 }

@@ -20,8 +20,6 @@ type chunk struct {
 
 type listMeta struct {
 	head, tail int32
-	bytes      int64
-	count      int
 }
 
 const (
@@ -43,11 +41,9 @@ func (s *ListStore) NewList() ListID {
 	return ListID(len(s.lists) - 1)
 }
 
-// Lists returns the number of lists created.
-func (s *ListStore) Lists() int { return len(s.lists) }
-
 func (s *ListStore) newChunk(size int) int32 {
-	s.chunks = append(s.chunks, chunk{buf: s.arena.Alloc(size), next: -1})
+	_, buf := s.arena.grab(size)
+	s.chunks = append(s.chunks, chunk{buf: buf, next: -1})
 	return int32(len(s.chunks) - 1)
 }
 
@@ -81,50 +77,4 @@ func (s *ListStore) Append(id ListID, rec []byte) {
 	copy(c.buf[c.used:], hdr[:n])
 	copy(c.buf[c.used+n:], rec)
 	c.used += need
-	m.bytes += int64(len(rec))
-	m.count++
-}
-
-// Iterate visits the list's records in append order until f returns false.
-// Record slices alias arena memory.
-func (s *ListStore) Iterate(id ListID, f func(rec []byte) bool) {
-	m := &s.lists[id]
-	for ci := m.head; ci >= 0; ci = s.chunks[ci].next {
-		c := &s.chunks[ci]
-		off := 0
-		for off < c.used {
-			l, n := binary.Uvarint(c.buf[off:c.used])
-			off += n
-			if !f(c.buf[off : off+int(l)]) {
-				return
-			}
-			off += int(l)
-		}
-	}
-}
-
-// Records returns a copy of all records in the list.
-func (s *ListStore) Records(id ListID) [][]byte {
-	var out [][]byte
-	s.Iterate(id, func(rec []byte) bool {
-		out = append(out, append([]byte(nil), rec...))
-		return true
-	})
-	return out
-}
-
-// ListBytes returns the payload bytes stored in the list.
-func (s *ListStore) ListBytes(id ListID) int64 { return s.lists[id].bytes }
-
-// ListLen returns the number of records in the list.
-func (s *ListStore) ListLen(id ListID) int { return s.lists[id].count }
-
-// UsedBytes returns the arena bytes consumed by this store's chunks. (The
-// arena may be shared; this counts only list chunks.)
-func (s *ListStore) UsedBytes() int64 {
-	var t int64
-	for i := range s.chunks {
-		t += int64(len(s.chunks[i].buf))
-	}
-	return t
 }

@@ -78,6 +78,12 @@ func (t *refTable) probe(hash uint64, key []byte) (idx int, found bool) {
 	}
 }
 
+// arenaCopy copies b into a.
+func arenaCopy(a *Arena, b []byte) []byte {
+	_, out := a.copyRef(b)
+	return out
+}
+
 // Get returns the value for key.
 func (t *refTable) Get(key []byte) (uint64, bool) {
 	idx, found := t.probe(t.h.Hash(key), key)
@@ -106,7 +112,7 @@ func (t *refTable) Upsert(key []byte, f func(old uint64, exists bool) uint64) bo
 	if e.state == refTombstone {
 		t.tombs--
 	}
-	*e = refEntry{hash: hash, key: t.arena.Copy(key), val: f(0, false), state: refOccupied}
+	*e = refEntry{hash: hash, key: arenaCopy(t.arena, key), val: f(0, false), state: refOccupied}
 	t.live++
 	return true
 }

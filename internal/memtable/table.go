@@ -22,7 +22,7 @@ import (
 // pointer to its entry, stay good across inserts until a compaction
 // renumbers the entries (see Slot).
 //
-// Two orders are observable. Slot order (Iterate, Elems) is the order of the
+// Two orders are observable. Slot order (Elems) is the order of the
 // probe index and depends only on the hash function and the sequence of
 // inserts, deletes and growths — the hash engines' chunk contents and spill
 // order are slot order, so it is part of their virtual-time behaviour.
@@ -166,30 +166,6 @@ func (t *Table) Slot(key []byte) (e int, inserted bool) {
 	return e, true
 }
 
-// Get returns the value for key.
-func (t *Table) Get(key []byte) (uint64, bool) {
-	e, found := t.find(key)
-	if !found {
-		return 0, false
-	}
-	return t.at(e).val, true
-}
-
-// Put inserts or overwrites key with val.
-func (t *Table) Put(key []byte, val uint64) {
-	e, _ := t.Slot(key)
-	t.at(e).val = val
-}
-
-// Upsert applies f to the current value (or to 0 with exists=false) and
-// stores the result. It returns true if the key was newly inserted.
-func (t *Table) Upsert(key []byte, f func(old uint64, exists bool) uint64) bool {
-	e, inserted := t.Slot(key)
-	en := t.at(e)
-	en.val = f(en.val, !inserted)
-	return inserted
-}
-
 // Add adds delta to key's value (starting from 0) and returns the new value.
 func (t *Table) Add(key []byte, delta uint64) uint64 {
 	e, _ := t.Slot(key)
@@ -198,23 +174,13 @@ func (t *Table) Add(key []byte, delta uint64) uint64 {
 	return en.val
 }
 
-// SetValue overwrites the value of an existing key; it reports whether the
-// key was present.
-func (t *Table) SetValue(key []byte, val uint64) bool {
-	e, found := t.find(key)
-	if found {
-		t.at(e).val = val
-	}
-	return found
-}
-
 // SetVal overwrites entry e's value.
 func (t *Table) SetVal(e int, val uint64) { t.at(e).val = val }
 
 // Delete removes key, leaving a tombstone. It reports whether the key was
 // present. The key's arena bytes are not reclaimed until the arena resets —
 // the same trade the paper's byte-array design makes — so a key slice that
-// Iterate, Elems or InOrder handed out stays readable until then. The
+// Elems or InOrder handed out stays readable until then. The
 // element's region goes back to the arena for the next element that fits it.
 func (t *Table) Delete(key []byte) bool {
 	slot, found := t.probe(uint32(t.h.Hash(key)), key)
@@ -286,23 +252,9 @@ func (t *Table) place(en *entry, elem []byte, want int) {
 	en.elem, en.elen, en.ecap = r, uint32(len(elem)), c
 }
 
-// Iterate visits live entries in slot order until f returns false. The key
-// slice aliases arena memory: it outlives a Delete of the key, but must not
-// be retained across the arena's Reset.
-func (t *Table) Iterate(f func(key []byte, val uint64) bool) {
-	for _, v := range t.index {
-		if v == 0 || v == tombstone {
-			continue
-		}
-		e := t.at(int(v - 1))
-		if !f(t.key(e), e.val) {
-			return
-		}
-	}
-}
-
 // Elems visits every live key and its element in slot order until f returns
-// false. Both slices alias arena memory, as in Iterate.
+// false. Both slices alias arena memory: a key slice outlives a Delete of the
+// key, but must not be retained across the arena's Reset.
 func (t *Table) Elems(f func(key, elem []byte) bool) {
 	for _, v := range t.index {
 		if v == 0 || v == tombstone {
@@ -317,7 +269,7 @@ func (t *Table) Elems(f func(key, elem []byte) bool) {
 
 // InOrder visits every live key, its element and its value in insertion
 // order — a key deleted and inserted again counts from its second insert —
-// until f returns false. The slices alias arena memory, as in Iterate.
+// until f returns false. The slices alias arena memory, as in Elems.
 func (t *Table) InOrder(f func(key, elem []byte, val uint64) bool) {
 	for i := range t.n {
 		e := t.at(i)

@@ -17,7 +17,7 @@ const (
 	opAdd
 	opGet
 	opDelete
-	opSetValue
+	opSetVal
 	opDeleteRun // delete eight consecutive keys: tombstones in bulk
 	opReset
 	opRestart
@@ -42,8 +42,8 @@ func insertRun(kind, from, n int) (ops []int) {
 }
 
 // checkTableProgram runs prog against Table and the former Table side by
-// side and fails on the first observable difference: Len, any Get, the slot
-// order Iterate and Elems visit, and the insertion order InOrder visits —
+// side and fails on the first observable difference: Len, any key's value,
+// the slot order Elems visits, and the insertion order InOrder visits —
 // checked against a model list, since the former table had no such order —
 // with every element equal to the model's and no two of them, or of the
 // keys, sharing arena bytes.
@@ -99,9 +99,13 @@ func checkTableProgram(t *testing.T, prog []byte) {
 				t.Fatalf("op %d: Delete(%s) = %v, reference %v", pc/2, k, got, want)
 			}
 			forget(string(k))
-		case opSetValue:
-			if got, want := tb.SetValue(k, uint64(pc)), ref.SetValue(k, uint64(pc)); got != want {
-				t.Fatalf("op %d: SetValue(%s) = %v, reference %v", pc/2, k, got, want)
+		case opSetVal:
+			e, found := tb.find(k)
+			if found {
+				tb.SetVal(e, uint64(pc))
+			}
+			if want := ref.SetValue(k, uint64(pc)); found != want {
+				t.Fatalf("op %d: %s found=%v, reference %v", pc/2, k, found, want)
 			}
 		case opDeleteRun:
 			for i := byte(0); i < 8; i++ {
@@ -129,7 +133,7 @@ func checkTableProgram(t *testing.T, prog []byte) {
 		if tb.Len() != ref.Len() {
 			t.Fatalf("op %d: Len = %d, reference %d", pc/2, tb.Len(), ref.Len())
 		}
-		got, ok := tb.Get(k)
+		got, ok := get(tb, k)
 		if want, refOK := ref.Get(k); got != want || ok != refOK {
 			t.Fatalf("op %d: Get(%s) = %d,%v, reference %d,%v", pc/2, k, got, ok, want, refOK)
 		}
@@ -138,7 +142,10 @@ func checkTableProgram(t *testing.T, prog []byte) {
 			v uint64
 		}
 		var slots, refSlots []kv
-		tb.Iterate(func(k []byte, v uint64) bool { slots = append(slots, kv{string(k), v}); return true })
+		for _, k := range slotKeys(tb) {
+			v, _ := get(tb, []byte(k))
+			slots = append(slots, kv{k, v})
+		}
 		ref.Iterate(func(k []byte, v uint64) bool { refSlots = append(refSlots, kv{string(k), v}); return true })
 		if !slices.Equal(slots, refSlots) {
 			t.Fatalf("op %d: slot order differs from the reference:\n got %v\nwant %v", pc/2, slots, refSlots)
@@ -155,7 +162,7 @@ func checkTableProgram(t *testing.T, prog []byte) {
 			return true
 		})
 		if i != len(slots) {
-			t.Fatalf("op %d: Elems visited %d keys, Iterate %d", pc/2, i, len(slots))
+			t.Fatalf("op %d: Elems visited %d keys, then %d", pc/2, i, len(slots))
 		}
 		var inserted []string
 		tb.InOrder(func(k, elem []byte, v uint64) bool {
@@ -237,7 +244,7 @@ func tableCorpus() [][]byte {
 
 	return [][]byte{
 		tableProgram(segments...),
-		tableProgram(opSlot, 1, opDelete, 1, opSlot, 1, opSlot, 2, opDelete, 2, opAdd, 2, opSetValue, 1),
+		tableProgram(opSlot, 1, opDelete, 1, opSlot, 1, opSlot, 2, opDelete, 2, opAdd, 2, opSetVal, 1),
 		tableProgram(growWithTombs...),
 		tableProgram(churn...),
 		tableProgram(restart...),
@@ -268,7 +275,7 @@ func TestTableMatchesReference(t *testing.T) {
 			case r < 85:
 				prog[pc] = opDeleteRun
 			case r < 93:
-				prog[pc] = opSetValue
+				prog[pc] = opSetVal
 			case r < 97:
 				prog[pc] = opGet
 			case r < 99:

@@ -36,6 +36,3 @@ func (d *Delta) ApplyTo(c *Counters) {
 	d.names = d.names[:0]
 	d.vals = d.vals[:0]
 }
-
-// Len returns the number of distinct counters recorded.
-func (d *Delta) Len() int { return len(d.names) }

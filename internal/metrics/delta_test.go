@@ -7,8 +7,8 @@ func TestDeltaAppliesInRecordedOrder(t *testing.T) {
 	d.Add("b", 2)
 	d.Add("a", 1)
 	d.Add("b", 3)
-	if d.Len() != 2 {
-		t.Fatalf("Len = %d, want 2 (repeats fold)", d.Len())
+	if len(d.names) != 2 {
+		t.Fatalf("%d names, want 2 (repeats fold)", len(d.names))
 	}
 	c := NewCounters()
 	d.ApplyTo(c)
@@ -18,8 +18,8 @@ func TestDeltaAppliesInRecordedOrder(t *testing.T) {
 	if got := c.Get("a"); got != 1 {
 		t.Errorf("a = %v, want 1", got)
 	}
-	if d.Len() != 0 {
-		t.Errorf("Len = %d after ApplyTo, want 0 (reset for reuse)", d.Len())
+	if len(d.names) != 0 {
+		t.Errorf("%d names after ApplyTo, want 0 (reset for reuse)", len(d.names))
 	}
 	// Reuse after reset starts clean.
 	d.Add("a", 7)

@@ -2,11 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // Histogram is a mergeable log-bucketed histogram of non-negative int64
@@ -122,9 +120,6 @@ func (h *Histogram) Merge(other *Histogram) {
 // Count returns the number of recorded values.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum returns the exact sum of recorded values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Min returns the exact smallest recorded value (0 when empty).
 func (h *Histogram) Min() int64 {
 	if h.count == 0 {
@@ -135,14 +130,6 @@ func (h *Histogram) Min() int64 {
 
 // Max returns the exact largest recorded value (0 when empty).
 func (h *Histogram) Max() int64 { return h.max }
-
-// Mean returns the exact-sum mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
 
 // sortedIndices returns the occupied bucket indices in ascending order.
 func (h *Histogram) sortedIndices() []int {
@@ -222,17 +209,4 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 		hj.Buckets = append(hj.Buckets, [2]int64{int64(idx), h.buckets[idx]})
 	}
 	return json.Marshal(hj)
-}
-
-// Summary renders the headline statistics on one line, durations formatted
-// by the caller's unit choice (raw integers here — the profiler wraps them
-// as virtual durations).
-func (h *Histogram) Summary() string {
-	if h.count == 0 {
-		return "empty"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d min=%d p50=%d p95=%d p99=%d max=%d mean=%.1f",
-		h.count, h.Min(), h.P50(), h.P95(), h.P99(), h.max, h.Mean())
-	return b.String()
 }

@@ -29,8 +29,8 @@ func TestSeriesJSONEncoding(t *testing.T) {
 	if got.Name != s.Name || got.Unit != s.Unit || got.Bucket != s.Bucket {
 		t.Fatalf("metadata mismatch: %+v vs %+v", got, s)
 	}
-	if !reflect.DeepEqual(got.Vals, s.Values()) {
-		t.Fatalf("values mismatch: %v vs %v", got.Vals, s.Values())
+	if !reflect.DeepEqual(got.Vals, s.vals) {
+		t.Fatalf("values mismatch: %v vs %v", got.Vals, s.vals)
 	}
 	b2, err := json.Marshal(s)
 	if err != nil {

@@ -59,9 +59,6 @@ func (s *Series) Set(t sim.Time, v float64) {
 	s.vals[idx] = v
 }
 
-// Values returns the underlying bucket values.
-func (s *Series) Values() []float64 { return s.vals }
-
 // Len returns the number of buckets recorded.
 func (s *Series) Len() int { return len(s.vals) }
 
@@ -94,15 +91,6 @@ func (s *Series) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.vals))
-}
-
-// Sum returns the total over all buckets.
-func (s *Series) Sum() float64 {
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum
 }
 
 // MeanOver returns the mean over buckets [from, to) clamped to the series.

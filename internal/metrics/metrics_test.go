@@ -47,9 +47,6 @@ func TestSeriesStats(t *testing.T) {
 	if s.Mean() != 3 {
 		t.Fatalf("mean = %v", s.Mean())
 	}
-	if s.Sum() != 9 {
-		t.Fatalf("sum = %v", s.Sum())
-	}
 	if got := s.MeanOver(1, 3); got != 4 {
 		t.Fatalf("meanover = %v", got)
 	}
@@ -75,7 +72,7 @@ func TestSeriesSparkAndDownsample(t *testing.T) {
 		t.Fatalf("downsampled len = %d, want 4", d.Len())
 	}
 	if d.At(0) != 0.5 || d.At(3) != 6.5 {
-		t.Fatalf("downsample values wrong: %v", d.Values())
+		t.Fatalf("downsample values wrong: %v", d.vals)
 	}
 	if (&Series{}).Spark() == "" {
 		t.Fatal("empty spark should render placeholder")
@@ -132,27 +129,22 @@ func TestCPUAccount(t *testing.T) {
 	}
 }
 
-func TestSamplerDeltaAndGauge(t *testing.T) {
+func TestSamplerDelta(t *testing.T) {
 	env := sim.New()
 	s := NewSampler(env, sim.Second)
 	cum := 0.0
-	inst := 0.0
 	deltas := s.TrackDelta("d", "v", func() float64 { return cum }, 1)
-	gauges := s.TrackGauge("g", "v", func() float64 { return inst })
 	s.Start()
 	env.Go("driver", func(p *sim.Proc) {
-		cum, inst = 2, 2
+		cum = 2
 		p.Sleep(sim.Second) // sampler ticks at 1s after this
-		cum, inst = 5, 9
+		cum = 5
 		p.Sleep(sim.Second)
 		s.Stop()
 	})
 	env.Run()
 	if deltas.At(0) != 2 || deltas.At(1) != 3 {
-		t.Fatalf("deltas = %v", deltas.Values())
-	}
-	if gauges.At(0) != 2 || gauges.At(1) != 9 {
-		t.Fatalf("gauges = %v", gauges.Values())
+		t.Fatalf("deltas = %v", deltas.vals)
 	}
 }
 
@@ -174,7 +166,7 @@ func TestSamplerTrackDeltaAfterStart(t *testing.T) {
 	// The first bucket must hold only the delta since registration, not the
 	// probe's whole cumulative history.
 	if late.At(0) != 0 || late.At(1) != 3 {
-		t.Fatalf("late deltas = %v, want [0 3]", late.Values())
+		t.Fatalf("late deltas = %v, want [0 3]", late.vals)
 	}
 }
 
@@ -219,11 +211,11 @@ func TestTimelineCounts(t *testing.T) {
 	counts := tl.Counts(sim.Second, sim.Time(4*sim.Second))
 	maps := counts["map"]
 	if maps.At(0) != 1 || maps.At(1) != 2 || maps.At(2) != 1 || maps.At(3) != 0 {
-		t.Fatalf("map counts = %v", maps.Values())
+		t.Fatalf("map counts = %v", maps.vals)
 	}
 	reduces := counts["reduce"]
 	if reduces.At(1) != 0 || reduces.At(2) != 1 || reduces.At(3) != 1 {
-		t.Fatalf("reduce counts = %v", reduces.Values())
+		t.Fatalf("reduce counts = %v", reduces.vals)
 	}
 }
 
@@ -314,8 +306,11 @@ func TestTimelineCountMassProperty(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		counts := tl.Counts(bucket, end)
-		return int(counts["p"].Sum()) == expected
+		total := 0.0
+		for _, v := range tl.Counts(bucket, end)["p"].vals {
+			total += v
+		}
+		return int(total) == expected
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

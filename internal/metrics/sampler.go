@@ -23,7 +23,6 @@ type probeEntry struct {
 	scale  float64 // multiplier applied to each delta
 	series *Series
 	last   float64
-	gauge  bool // record the instantaneous value rather than the delta
 }
 
 // NewSampler returns a sampler ticking at the given interval.
@@ -46,13 +45,6 @@ func (s *Sampler) TrackDelta(name, unit string, probe Probe, scale float64) *Ser
 		e.last = probe()
 	}
 	s.probes = append(s.probes, e)
-	return series
-}
-
-// TrackGauge records the instantaneous probe value each tick.
-func (s *Sampler) TrackGauge(name, unit string, probe Probe) *Series {
-	series := NewSeries(name, unit, s.interval)
-	s.probes = append(s.probes, probeEntry{probe: probe, scale: 1, series: series, gauge: true})
 	return series
 }
 
@@ -97,10 +89,6 @@ func (s *Sampler) sample(now sim.Time) {
 	for i := range s.probes {
 		e := &s.probes[i]
 		cur := e.probe()
-		if e.gauge {
-			e.series.Set(at, cur)
-			continue
-		}
 		e.series.Add(at, (cur-e.last)*e.scale)
 		e.last = cur
 	}

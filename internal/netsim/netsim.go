@@ -56,14 +56,6 @@ const GigabitEthernet = 125e6
 // (loopback excluded).
 func (n *Network) BytesTransferred() float64 { return n.bytesTransferred }
 
-// Nodes returns the number of attached nodes.
-func (n *Network) Nodes() int { return len(n.nics) }
-
-// IngressBusyIntegral returns busy seconds of node's receive side.
-func (n *Network) IngressBusyIntegral(node int) float64 {
-	return n.nics[node].ingress.BusyIntegral()
-}
-
 // SetDegraded scales transfer times through node's NIC by factor — the
 // link-degradation fault. Factors below 1 reset the NIC to full speed.
 // Transfers already in their current chunk are unaffected; the next chunk

@@ -86,7 +86,7 @@ func TestManyToManyShuffleNoDeadlock(t *testing.T) {
 	if n.BytesTransferred() != float64(nodes*(nodes-1))*10e6 {
 		t.Fatalf("bytes = %v", n.BytesTransferred())
 	}
-	if n.IngressBusyIntegral(0) <= 0 {
+	if n.nics[0].ingress.BusyIntegral() <= 0 {
 		t.Fatal("ingress busy integral should be positive")
 	}
 }

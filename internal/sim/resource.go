@@ -24,9 +24,8 @@ type Resource struct {
 	head         int
 	waitingUnits int
 
-	lastChange    Time
-	busyIntegral  float64 // unit-seconds of use
-	queueIntegral float64 // unit-seconds of waiting
+	lastChange   Time
+	busyIntegral float64 // unit-seconds of use
 
 	// OnChange, if set, is called after every state change with the units in
 	// use and the units waiting. Cluster nodes use it to maintain iowait
@@ -70,7 +69,6 @@ func (r *Resource) advance() {
 	dt := now.Sub(r.lastChange).Seconds()
 	if dt > 0 {
 		r.busyIntegral += float64(r.inUse) * dt
-		r.queueIntegral += float64(r.waitingUnits) * dt
 	}
 	r.lastChange = now
 }
@@ -85,12 +83,6 @@ func (r *Resource) changed() {
 func (r *Resource) BusyIntegral() float64 {
 	r.advance()
 	return r.busyIntegral
-}
-
-// QueueIntegral returns unit-seconds of waiting accrued through now.
-func (r *Resource) QueueIntegral() float64 {
-	r.advance()
-	return r.queueIntegral
 }
 
 // Acquire blocks p until n units are available and takes them.

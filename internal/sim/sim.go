@@ -232,12 +232,6 @@ func (p *Proc) blockedOn() string {
 	}
 }
 
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process runs in.
-func (p *Proc) Env() *Env { return p.env }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 

@@ -88,7 +88,7 @@ func TestWorkJoinHasNoVirtualEffect(t *testing.T) {
 				})
 				p.Sleep(Duration(i+1) * Millisecond)
 				w.Wait()
-				fmt.Fprintf(&log, "%s@%v sum=%d;", p.Name(), p.Now(), sum)
+				fmt.Fprintf(&log, "%s@%v sum=%d;", p.name, p.Now(), sum)
 			})
 		}
 		e.Run()
@@ -207,7 +207,7 @@ func TestSetWorkersDuringRunPanics(t *testing.T) {
 				t.Error("SetWorkers during Run did not panic")
 			}
 		}()
-		p.Env().SetWorkers(4)
+		p.env.SetWorkers(4)
 	})
 	e.Run()
 }

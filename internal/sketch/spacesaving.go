@@ -88,9 +88,6 @@ func NewSpaceSaving(k int) *SpaceSaving {
 // N returns the total weight offered so far.
 func (s *SpaceSaving) N() uint64 { return s.n }
 
-// Tracked returns the number of keys currently monitored.
-func (s *SpaceSaving) Tracked() int { return len(s.counters) }
-
 // Offer feeds one occurrence of key with the given weight (use 1 for plain
 // counting).
 func (s *SpaceSaving) Offer(key []byte, weight uint64) {

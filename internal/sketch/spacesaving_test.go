@@ -21,8 +21,8 @@ func TestExactWhenUnderCapacity(t *testing.T) {
 			t.Fatalf("k%d: c=%d e=%d ok=%v", i, c, e, ok)
 		}
 	}
-	if s.Tracked() != 5 || s.N() != 15 {
-		t.Fatalf("tracked=%d n=%d", s.Tracked(), s.N())
+	if len(s.counters) != 5 || s.N() != 15 {
+		t.Fatalf("tracked=%d n=%d", len(s.counters), s.N())
 	}
 }
 
@@ -67,7 +67,7 @@ func TestEvictionTieBreaksOnKey(t *testing.T) {
 func TestZeroWeightIgnored(t *testing.T) {
 	s := NewSpaceSaving(2)
 	s.Offer([]byte("a"), 0)
-	if s.N() != 0 || s.Tracked() != 0 {
+	if s.N() != 0 || len(s.counters) != 0 {
 		t.Fatal("zero weight must be a no-op")
 	}
 }
@@ -166,8 +166,8 @@ func checkAgainstReference(t *testing.T, k int, stream []offer) {
 	for i, o := range stream {
 		s.Offer(o.key, o.weight)
 		ref.Offer(o.key, o.weight)
-		if s.Tracked() != ref.Tracked() || s.N() != ref.N() {
-			t.Fatalf("k=%d offer %d: Tracked, N = %d, %d, reference %d, %d", k, i, s.Tracked(), s.N(), ref.Tracked(), ref.N())
+		if len(s.counters) != ref.Tracked() || s.N() != ref.N() {
+			t.Fatalf("k=%d offer %d: Tracked, N = %d, %d, reference %d, %d", k, i, len(s.counters), s.N(), ref.Tracked(), ref.N())
 		}
 		same(i, o.key)
 		same(i, stream[i/2].key)

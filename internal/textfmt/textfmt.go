@@ -137,26 +137,10 @@ type Doc struct {
 	Words [][]byte
 }
 
-// AppendDocText appends "d<id> w w w ...\n".
-func AppendDocText(dst []byte, d Doc) []byte {
-	dst = append(dst, 'd')
-	dst = strconv.AppendUint(dst, uint64(d.ID), 10)
-	for _, w := range d.Words {
-		dst = append(dst, ' ')
-		dst = append(dst, w...)
-	}
-	return append(dst, '\n')
-}
-
-// ParseDocText parses one document line. Word slices alias line.
-func ParseDocText(line []byte) (Doc, error) {
-	return ParseDocTextInto(line, nil)
-}
-
-// ParseDocTextInto is ParseDocText with a caller-supplied word slice that is
-// truncated and reused, so a streaming parser allocates nothing per record
-// once the slice has grown to the widest document. The returned Doc.Words
-// aliases both words and line.
+// ParseDocTextInto parses one document line, "d<id> w w w ...", into a
+// caller-supplied word slice that is truncated and reused, so a streaming
+// parser allocates nothing per record once the slice has grown to the widest
+// document. The returned Doc.Words aliases both words and line.
 func ParseDocTextInto(line []byte, words [][]byte) (Doc, error) {
 	line = bytes.TrimSuffix(line, []byte("\n"))
 	if len(line) == 0 || line[0] != 'd' {

@@ -74,9 +74,7 @@ func TestNextLine(t *testing.T) {
 }
 
 func TestDocTextRoundTrip(t *testing.T) {
-	d := Doc{ID: 42, Words: [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}}
-	line := AppendDocText(nil, d)
-	got, err := ParseDocText(line)
+	got, err := ParseDocTextInto([]byte("d42 alpha beta gamma\n"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +84,7 @@ func TestDocTextRoundTrip(t *testing.T) {
 }
 
 func TestDocTextNoWords(t *testing.T) {
-	got, err := ParseDocText(AppendDocText(nil, Doc{ID: 7}))
+	got, err := ParseDocTextInto([]byte("d7\n"), nil)
 	if err != nil || got.ID != 7 || len(got.Words) != 0 {
 		t.Fatalf("got %+v err %v", got, err)
 	}
@@ -94,8 +92,8 @@ func TestDocTextNoWords(t *testing.T) {
 
 func TestDocTextMalformed(t *testing.T) {
 	for _, in := range []string{"", "x42 w", "dxx w"} {
-		if _, err := ParseDocText([]byte(in)); err == nil {
-			t.Errorf("ParseDocText(%q) should fail", in)
+		if _, err := ParseDocTextInto([]byte(in), nil); err == nil {
+			t.Errorf("ParseDocTextInto(%q) should fail", in)
 		}
 	}
 }

@@ -28,6 +28,3 @@ func (l *Log) AddCounterTrack(t CounterTrack) {
 	}
 	l.counters = append(l.counters, t)
 }
-
-// CounterTracks returns the attached counter tracks in attachment order.
-func (l *Log) CounterTracks() []CounterTrack { return l.counters }

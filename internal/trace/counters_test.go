@@ -11,11 +11,11 @@ import (
 func TestAddCounterTrackDropsEmpty(t *testing.T) {
 	l := NewLog()
 	l.AddCounterTrack(CounterTrack{Name: "empty"})
-	if len(l.CounterTracks()) != 0 {
+	if len(l.counters) != 0 {
 		t.Fatal("empty track retained")
 	}
 	l.AddCounterTrack(CounterTrack{Name: "ok", Points: []CounterPoint{{At: 0, Value: 1}}})
-	if len(l.CounterTracks()) != 1 {
+	if len(l.counters) != 1 {
 		t.Fatal("non-empty track dropped")
 	}
 }

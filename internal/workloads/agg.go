@@ -1,10 +1,6 @@
 package workloads
 
-import (
-	"bytes"
-
-	"onepass/internal/kv"
-)
+import "bytes"
 
 // The counting, inverted-index, top-k and PageRank workloads declare their
 // reduces as monoids (kv.Monoid): the element space is the map-output value
@@ -15,13 +11,8 @@ import (
 // gives RunDelta its preserved partials — engine.Job.Fold derives all three.
 
 // CountMonoid is the counting workloads' monoid: elements are ASCII
-// decimal counts, Combine is addition, the identity is "0".
+// decimal counts, Combine is addition.
 type CountMonoid struct{}
-
-var countZero = []byte{'0'}
-
-// Identity returns the ASCII zero count.
-func (CountMonoid) Identity() []byte { return countZero }
 
 // Combine adds two ASCII counts, reusing a's storage.
 func (CountMonoid) Combine(a, b []byte) []byte {
@@ -30,16 +21,13 @@ func (CountMonoid) Combine(a, b []byte) []byte {
 }
 
 // PostingsMonoid is the inverted-index monoid: elements are canonically
-// sorted flat arrays of fixed-width postings, Combine is a sorted merge,
-// the identity is the empty list. A single posting (what the map emits) is
-// trivially sorted, so every fold stays inside the element space and the
-// finished fold equals the canonical sorted list reducePostings produces.
+// sorted flat arrays of fixed-width postings, Combine is a sorted merge. A
+// single posting (what the map emits) is trivially sorted, so every fold
+// stays inside the element space and the finished fold equals the canonical
+// sorted list reducePostings produces.
 // Equal postings are byte-identical, so merge order cannot show in the
 // output.
 type PostingsMonoid struct{}
-
-// Identity returns the empty posting list.
-func (PostingsMonoid) Identity() []byte { return nil }
 
 // Combine merges two sorted posting lists into one sorted list, reusing
 // a's storage: postings emitted in document order hit the O(1) append fast
@@ -74,14 +62,11 @@ func (PostingsMonoid) Combine(a, b []byte) []byte {
 
 // TopKMonoid is the top-k monoid: elements are canonical bounded top-k
 // lists in the encodeTop framing ("count name\n", count descending, ties
-// by name), Combine merges two lists and re-truncates to K, the identity
-// is the empty list. Truncated top-k selection over a total order is
+// by name), Combine merges two lists and re-truncates to K. Truncated
+// top-k selection over a total order is
 // associative and commutative, which is exactly why partial top-k states
 // are mergeable (§IV's open question).
 type TopKMonoid struct{ K int }
-
-// Identity returns the empty candidate list.
-func (TopKMonoid) Identity() []byte { return nil }
 
 // Combine merges two canonical lists, keeping the K largest.
 func (m TopKMonoid) Combine(a, b []byte) []byte {
@@ -92,17 +77,6 @@ func (m TopKMonoid) Combine(a, b []byte) []byte {
 		return append(a, b...)
 	}
 	return encodeTop(mergeTop(m.K, decodeTop(a), decodeTop(b)))
-}
-
-// Monoids returns every monoid the workloads declare, labeled, for the
-// law-checking property tests and the checker's monoid axis.
-func Monoids() map[string]kv.Monoid {
-	return map[string]kv.Monoid{
-		"count":    CountMonoid{},
-		"postings": PostingsMonoid{},
-		"top-k":    TopKMonoid{K: 5},
-		"pagerank": RankMonoid{Nodes: 100},
-	}
 }
 
 // CountState reads a counting state value — the ASCII element of CountMonoid

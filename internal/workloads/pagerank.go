@@ -66,11 +66,6 @@ func prDecode(state []byte) (seenAdj bool, sum uint64, adj []byte) {
 	return state[0] == 1, binary.LittleEndian.Uint64(state[1:9]), state[9:]
 }
 
-var rankZero = prState(false, 0, nil)
-
-// Identity returns the element of a vertex nothing was sent to.
-func (RankMonoid) Identity() []byte { return rankZero }
-
 // Combine folds b into a in place.
 func (RankMonoid) Combine(a, b []byte) []byte {
 	seenA, sumA, adjA := prDecode(a)

@@ -41,14 +41,15 @@ var codeRules = []codeRule{
 	},
 	// A job's aggregation is Reduce plus an optional kv.Monoid, resolved in
 	// one place (engine.Job.Fold). These are the names of the four ways, two
-	// adapters, three resolvers and two switches that contract replaced; a
-	// test that names one is testing a deleted way.
+	// adapters, three resolvers and two switches that contract replaced, and
+	// the identity element a Monoid no longer declares (a fold only combines
+	// non-empty groups); a test that names one is testing a deleted way.
 	{
 		name:    "one aggregation contract",
-		pattern: `\b(Aggregator|EffectiveCombine|DeclaredAgg|HasCombiner|MonoidAgg|OrderInsensitive|DisableMonoid|deltaCapable|NeedsReduce|listAgg|CountAgg|PostingsAgg|CommutativeMonoid|IsCommutative)\b`,
+		pattern: `\b(Aggregator|EffectiveCombine|DeclaredAgg|HasCombiner|MonoidAgg|OrderInsensitive|DisableMonoid|deltaCapable|NeedsReduce|listAgg|CountAgg|PostingsAgg|CommutativeMonoid|IsCommutative)\b|\bIdentity\(\)`,
 		tests:   true,
-		msg:     "declare aggregation as Job.Reduce + Job.Monoid and resolve it with Job.Fold",
-		bad:     `	if job.HasCombiner() {`,
+		msg:     "declare aggregation as Job.Reduce + Job.Monoid and resolve it with Job.Fold; a Monoid has no Identity",
+		bad:     `func (CountMonoid) Identity() []byte {`,
 	},
 	// Per-key state in the hash and resident engines is one memtable.Table:
 	// keys and fold elements in the task's arena, no Go map and no heap

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"onepass/internal/metrics"
 )
 
 // tracedRun executes one traced workload run and returns the result plus the
@@ -113,6 +115,15 @@ func TestTraceChromeShape(t *testing.T) {
 
 // Per-node sampled series must decompose the cluster aggregates: summing a
 // bucket across nodes reproduces the cluster-wide series.
+// seriesValues returns s's buckets in order.
+func seriesValues(s *metrics.Series) []float64 {
+	vals := make([]float64, s.Len())
+	for i := range vals {
+		vals[i] = s.At(i)
+	}
+	return vals
+}
+
 func TestPerNodeSeriesSumToAggregate(t *testing.T) {
 	res, err := RunWorkload(tinyConfig(Hadoop), Sessionization(tinyClicks()), 256<<10)
 	if err != nil {
@@ -137,19 +148,19 @@ func TestPerNodeSeriesSumToAggregate(t *testing.T) {
 		}
 	}
 	checkSum("disk-bytes-read",
-		func(r *Result) []float64 { return r.BytesRead.Values() },
-		func(ns *NodeSeries) []float64 { return ns.BytesRead.Values() })
+		func(r *Result) []float64 { return seriesValues(r.BytesRead) },
+		func(ns *NodeSeries) []float64 { return seriesValues(ns.BytesRead) })
 	checkSum("disk-bytes-written",
-		func(r *Result) []float64 { return r.BytesWritten.Values() },
-		func(ns *NodeSeries) []float64 { return ns.BytesWritten.Values() })
+		func(r *Result) []float64 { return seriesValues(r.BytesWritten) },
+		func(ns *NodeSeries) []float64 { return seriesValues(ns.BytesWritten) })
 	// CPU series are per-core-normalized, so the aggregate is the
 	// core-weighted mean rather than the sum; with equal cores per node the
 	// mean of node utilizations must match the cluster utilization.
-	util := res.CPUUtil.Values()
+	util := seriesValues(res.CPUUtil)
 	for i := range util {
 		mean := 0.0
 		for _, ns := range res.PerNode {
-			vals := ns.CPUUtil.Values()
+			vals := seriesValues(ns.CPUUtil)
 			if i < len(vals) {
 				mean += vals[i]
 			}
