@@ -16,17 +16,22 @@ import (
 // give every engine, spill file and preserved partial one encoding to carry
 // until Reduce runs over them at the end.
 //
-// A Fold keeps scratch between calls, so like the user functions it belongs
-// to the thread that calls it (Runtime.StartJobWork): a pooled closure uses
-// wj.Fold(), its worker's; a task on the event loop resolves its own from the
-// job. Lift, Add and Merge keep no scratch — a kv.Monoid is stateless — so a
+// A Fold keeps scratch between calls — Partial's element and Finish's value
+// lists — so like the user functions it belongs to the thread that calls it
+// (Runtime.StartJobWork): a pooled closure uses wj.Fold(), its worker's; a
+// task on the event loop resolves its own from the job. Lift, Add, Merge and
+// Into keep none on the Fold — a kv.Monoid is stateless, and Into grows an
+// element in scratch its table's arena owns (memtable.Table.Scratch) — so a
 // table built over an event-loop Fold may fold inside pooled closures.
 type Fold struct {
 	m      kv.Monoid
 	final  func(key, elem []byte, emit Emit)
 	reduce ReduceFunc
 	name   string
-	vals   [][]byte
+	// spares is a stack of value lists for Finish, emptied of their values:
+	// each call pops one and pushes it back, so calls that interleave
+	// through a suspending emit each find a list of their own.
+	spares [][][]byte
 	out    []byte
 }
 
@@ -82,7 +87,9 @@ func (f *Fold) Merge(elem, other []byte) []byte {
 // over an element that lives in the table's arena: a key's first element is
 // placed exact-fit, the free monoid reserves what it is about to append (its
 // need is known), and a declared Combine's result is taken as it comes — grown
-// in place, or copied back by SetElem when it left the region.
+// in place, or placed by SetElem when it left the region. A Combine that may
+// outgrow the region works in the arena's scratch (Table.Scratch), so a key's
+// fold allocates nothing but the regions SetElem places it in.
 func (f *Fold) Into(t *memtable.Table, e int, inserted bool, x []byte, isElem bool) (grew int) {
 	var elem []byte
 	switch {
@@ -91,7 +98,7 @@ func (f *Fold) Into(t *memtable.Table, e int, inserted bool, x []byte, isElem bo
 		t.SetElem(e, x)
 		return len(x)
 	case f.m != nil:
-		elem = t.Elem(e)
+		elem = t.Scratch(e, len(x))
 		grew = -len(elem)
 		elem = f.m.Combine(elem, x)
 	case isElem:
@@ -156,20 +163,25 @@ func (f *Fold) Finish(key, elem []byte, emit Emit) (values int, err error) {
 	}
 	// An emit may suspend the calling process with another Finish on this
 	// Fold interleaved (the hash engines' push and pull paths can both emit
-	// a threshold answer), and Reduce may go on reading vals after it: the
-	// scratch is taken for the duration of the call, so an interleaved call
-	// finds none and grows its own.
-	vals := f.vals[:0]
-	f.vals = nil
+	// a threshold answer; RunDelta's merge reducers share one Fold across a
+	// job's reducers), and Reduce may go on reading vals after it: the call
+	// holds a spare list until it returns, so an interleaved call pops
+	// another, and only a deeper interleaving than any before grows one.
+	var vals [][]byte
+	if k := len(f.spares); k > 0 {
+		vals, f.spares = f.spares[k-1], f.spares[:k-1]
+	}
+	defer func() {
+		clear(vals) // a spare pins no value
+		f.spares = append(f.spares, vals[:0])
+	}()
 	for rest := elem; len(rest) > 0; {
 		v, next, ok := kv.NextFrame(rest)
 		if !ok {
-			f.vals = vals
 			return 0, fmt.Errorf("job %q: key %q: value-list state of %d bytes is not a whole number of frames", f.name, key, len(elem))
 		}
 		vals, rest = append(vals, v), next
 	}
 	f.reduce(key, vals, emit)
-	f.vals = vals
 	return len(vals), nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -81,14 +82,24 @@ func benchDelta(b *testing.B) (*State, [][]byte) {
 	return st, benchParts(rand.New(rand.NewSource(2)), []int{benchDirty})
 }
 
+// The runtime's own allocations would count as the op's: starting the
+// world after a stop — ResetTimer's ReadMemStats, a GC cycle — may start an
+// OS thread for an idle P, 5 objects (m, g0, signal stack, two profiling
+// stacks: 5,248 B), and a GC cycle's mark termination may take a sudog.
+// Capture runs on one goroutine, so the op runs on one P, leaving none idle,
+// after a collection that leaves it no cycle to start.
 func BenchmarkCaptureBase128Blocks(b *testing.B) {
 	base, all := benchBase()
+	procs := runtime.GOMAXPROCS(1)
+	runtime.GC()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := New("bench").Capture(base, all, benchBlocks, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.GOMAXPROCS(procs)
 }
 
 func BenchmarkCaptureOneBlockDelta(b *testing.B) {

@@ -130,8 +130,9 @@ func TestAllocBudgetSortRecycledBuffer(t *testing.T) {
 	}
 }
 
-// A merge on a kept scratch allocates only its streams: the heap, heads
-// and group value list are the scratch's from the first merge on.
+// A merge on a kept scratch allocates nothing: the heap, heads and group
+// value list are the scratch's from the first merge on, and a stream holds
+// its decoder by value.
 func TestAllocBudgetMergeGroups(t *testing.T) {
 	var runs [4][]byte
 	for r := range runs {
@@ -145,13 +146,13 @@ func TestAllocBudgetMergeGroups(t *testing.T) {
 	var s MergeScratch
 	merge := func() {
 		for i := range runs {
-			streams[i] = SliceStream{dec: &Decoder{buf: runs[i]}}
+			streams[i] = SliceStream{dec: Decoder{buf: runs[i]}}
 			ifaces[i] = &streams[i]
 		}
 		MergeGroups(ifaces[:], nil, &s, func(key []byte, vals [][]byte) {})
 	}
 	merge()
-	if avg := testing.AllocsPerRun(100, merge); avg > float64(len(runs)) {
-		t.Fatalf("MergeGroups on a kept scratch allocates %.1f/op, budget %d (one decoder per stream)", avg, len(runs))
+	if avg := testing.AllocsPerRun(100, merge); avg != 0 {
+		t.Fatalf("MergeGroups on a kept scratch allocates %.1f/op, budget 0", avg)
 	}
 }

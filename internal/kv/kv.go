@@ -146,16 +146,17 @@ type PairStream interface {
 	Advance()
 }
 
-// SliceStream streams an in-memory encoded buffer.
+// SliceStream streams an in-memory encoded buffer. It holds its decoder by
+// value, so a stream is one allocation.
 type SliceStream struct {
-	dec              *Decoder
+	dec              Decoder
 	curKey, curVal   []byte
 	valid, exhausted bool
 }
 
 // NewSliceStream returns a stream over encoded pairs in buf.
 func NewSliceStream(buf []byte) *SliceStream {
-	return &SliceStream{dec: NewDecoder(buf)}
+	return &SliceStream{dec: Decoder{buf: buf}}
 }
 
 // Peek implements PairStream.

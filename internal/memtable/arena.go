@@ -38,6 +38,12 @@ type Arena struct {
 	// written into the released region itself, so the lists cost nothing
 	// beyond these heads.
 	regions [32]ref
+	// scratch is where a fold grows an element past its region before
+	// SetElem places the result (Table.Scratch). It is heap memory of its
+	// own, not a slab's, grows in powers of two up to minSlabSize as folds
+	// ask for more, and survives Reset: it holds an element only from
+	// Scratch to SetElem.
+	scratch []byte
 }
 
 // minRegion is the smallest region worth releasing: it must hold its list
@@ -80,6 +86,15 @@ func (a *Arena) copyRef(b []byte) (ref, []byte) {
 	r, out := a.grab(len(b))
 	copy(out, b)
 	return r, out
+}
+
+// scratchCopy returns b copied into the arena's scratch, with capacity for
+// at least n bytes; n is at most minSlabSize.
+func (a *Arena) scratchCopy(b []byte, n int) []byte {
+	if cap(a.scratch) < n {
+		a.scratch = make([]byte, 1<<bits.Len(uint(n-1)))
+	}
+	return append(a.scratch[:0], b...)
 }
 
 // grab returns n bytes of arena memory with arbitrary contents, and where

@@ -368,6 +368,64 @@ func TestTableElemsVisitsAllLiveKeys(t *testing.T) {
 	}
 }
 
+// A fold that grows an element through Scratch leaves the arena exactly as
+// one that grows it on the heap from Elem: the same bytes, the same region
+// capacities and the same slab use, step for step — below the scratch bound
+// and past it, for results shorter and longer than len(elem)+need, and with
+// a Reset in between (the scratch survives it).
+func TestScratchPlacesLikeTheHeap(t *testing.T) {
+	viaScratch, viaHeap := newTable(16), newTable(16)
+	keys := []string{"a", "b", "c"}
+	for round := range 2 {
+		for step := range 2100 {
+			k := []byte(keys[step%len(keys)])
+			// Mostly 8-byte growths; every 5th result is 3 bytes longer
+			// than asked for, every 7th 2 bytes shorter than what it held.
+			x := bytes.Repeat([]byte{byte('a' + step%26)}, 8)
+			fold := func(elem []byte) []byte {
+				switch {
+				case step%7 == 6 && len(elem) > 2:
+					return elem[:len(elem)-2]
+				case step%5 == 4:
+					return append(append(elem, x...), "+++"...)
+				}
+				return append(elem, x...)
+			}
+			for _, tb := range []*Table{viaScratch, viaHeap} {
+				e, _ := tb.Slot(k)
+				var elem []byte
+				if tb == viaScratch {
+					elem = tb.Scratch(e, len(x))
+					if n := len(tb.Elem(e)) + len(x); n > cap(tb.Elem(e)) && n <= minSlabSize && cap(elem) < n {
+						t.Fatalf("round %d step %d: scratch capacity %d for a need of %d", round, step, cap(elem), n)
+					}
+				} else {
+					elem = tb.Elem(e)
+				}
+				tb.SetElem(e, fold(elem))
+			}
+			e1, _ := viaScratch.Slot(k)
+			e2, _ := viaHeap.Slot(k)
+			got, want := viaScratch.Elem(e1), viaHeap.Elem(e2)
+			if !bytes.Equal(got, want) || cap(got) != cap(want) {
+				t.Fatalf("round %d step %d: key %s holds %d bytes in a %d-byte region, want %d in %d",
+					round, step, k, len(got), cap(got), len(want), cap(want))
+			}
+			if a, b := viaScratch.arena, viaHeap.arena; len(a.slabs) != len(b.slabs) || len(a.cur) != len(b.cur) {
+				t.Fatalf("round %d step %d: arena at slab %d with %d bytes left, want slab %d with %d",
+					round, step, len(a.slabs), len(a.cur), len(b.slabs), len(b.cur))
+			}
+		}
+		if cap(viaScratch.arena.scratch) != minSlabSize {
+			t.Fatalf("round %d: scratch holds %d bytes, want the %d-byte bound", round, cap(viaScratch.arena.scratch), minSlabSize)
+		}
+		for _, tb := range []*Table{viaScratch, viaHeap} {
+			tb.Reset()
+			tb.arena.Reset()
+		}
+	}
+}
+
 // Property: the table behaves exactly like map[string]uint64 under a random
 // operation sequence of puts, adds, and deletes.
 func TestTableModelProperty(t *testing.T) {

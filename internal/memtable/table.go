@@ -203,6 +203,24 @@ func (t *Table) Delete(key []byte) bool {
 // any of which may hand the region to another element.
 func (t *Table) Elem(e int) []byte { return t.elem(t.at(e)) }
 
+// Scratch returns entry e's element for a fold that may grow it by need
+// bytes and hand the result to SetElem. When the region has the room it is
+// Elem(e). When it does not, and the grown element comes to at most
+// minSlabSize bytes, it is a copy in the arena's scratch with at least that
+// capacity, so the fold grows it there instead of on the heap; a larger need
+// gets Elem(e), and its fold leaves the arena as it would from Elem. Either
+// way SetElem places the result as it places one built on the heap: region
+// sizes, and the order regions are grabbed and released, do not depend on
+// where the fold ran. The slice is good until the next Scratch on any table
+// of the arena, or this table's next Room, SetElem or Delete.
+func (t *Table) Scratch(e, need int) []byte {
+	elem := t.Elem(e)
+	if n := len(elem) + need; n > cap(elem) && n <= minSlabSize {
+		return t.arena.scratchCopy(elem, n)
+	}
+	return elem
+}
+
 // GetElem returns key's element, as Elem does.
 func (t *Table) GetElem(key []byte) ([]byte, bool) {
 	e, found := t.find(key)
