@@ -223,6 +223,9 @@ func main() {
 	stopProfiles := hostprof.Start(*cpuProfile, *memProfile, *execTrace)
 	rep, runErr := svc.Run()
 	stopProfiles()
+	if rep == nil {
+		log.Fatal(runErr)
+	}
 	text := rep.Render()
 	if *jsonOut {
 		js, err := rep.JSON()

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"onepass/internal/dfs"
 	"onepass/internal/engine"
@@ -48,6 +49,12 @@ type DeltaStats struct {
 	// observable the incremental path exists to shrink.
 	BaseDiskReadBytes        float64
 	IncrementalDiskReadBytes float64
+	// BaseSpan and IncrementalSpan are the virtual time of each phase end to
+	// end — capture, state publish and merge — the scope the disk bytes
+	// above are split by. Base.Makespan and Incremental.Makespan cover the
+	// merge jobs alone.
+	BaseSpan        sim.Duration
+	IncrementalSpan sim.Duration
 }
 
 // DeltaResult is a completed incremental re-run: the primed base answer,
@@ -114,11 +121,15 @@ func monoidKey(job Job) string {
 // a monoid element for a job that declares one, the framed value multiset
 // otherwise — and a merge run combines a key's elements in block order and
 // finishes them. That is lawful because a job's answer is independent of
-// fold order (kv.Monoid's laws; a multiset Reduce). For the disk engines the state file is
-// spill-backed — written through the replicated DFS pipeline and read back
-// with charged I/O; for the resident engine it is published as a
-// memory-resident block, persisting the fold tables the way M3R keeps state
-// across jobs.
+// fold order (kv.Monoid's laws; a multiset Reduce). The state is kept and
+// published by merge partition — one part per merge reducer, written from
+// its own storage node — so the merge job maps it in one parallel wave. For
+// the disk engines the parts are spill-backed — written through the
+// replicated DFS pipeline and read back with charged I/O; for the resident
+// engine they are published as memory-resident blocks, persisting the fold
+// tables the way M3R keeps state across jobs, in the memory of the nodes
+// that own it. A task that fails on damaged state ends the run with an
+// *engine.TaskError.
 func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) {
 	if job.EmitWhen != nil {
 		return nil, fmt.Errorf("onepass: job %q sets EmitWhen; early-emit predicates do not compose with preserved state", job.Name)
@@ -152,7 +163,9 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 
 	// Phase 1 — prime: one tagged pass over the whole base captures
 	// per-(block, key) partials, then a merge over all of them produces the
-	// base answer and caches every key's final.
+	// base answer and caches every key's final. The state is laid out by the
+	// merge job's partitions, as its reducers would keep their own.
+	start := c.env.Now()
 	taggedBase := data.Path + ".delta/base"
 	err := c.dfs.RegisterGenerated(taggedBase, int64(nBase)*blockSize, func(b int, _ int64) []byte {
 		return tagBlock(b, data.Gen(b, baseBlockSize(data.Size, blockSize, b)))
@@ -160,7 +173,9 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	state := incr.New(monoidKey(job))
+	reducers := c.reducers(job) // the merge job's: it runs with job.Reducers
+	partition := engine.HashPartitioner()
+	state := incr.NewPartitioned(monoidKey(job), reducers, func(k []byte) int { return partition(k, reducers) })
 	baseBlocks := make([]int, nBase)
 	for b := range baseBlocks {
 		baseBlocks[b] = b
@@ -178,6 +193,7 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 		return nil, err
 	}
 	baseDisk := c.DiskBytesRead()
+	baseEnd := c.env.Now()
 
 	// Phase 2 — incremental: a tagged file holding only the changed blocks
 	// (mutated dirty blocks + appended blocks), a capture pass over it, and
@@ -224,6 +240,8 @@ func RunDelta(cfg Config, data Dataset, job Job, d Delta) (*DeltaResult, error) 
 			StateBytes:               stateBytes,
 			BaseDiskReadBytes:        baseDisk,
 			IncrementalDiskReadBytes: c.DiskBytesRead() - baseDisk,
+			BaseSpan:                 baseEnd.Sub(start),
+			IncrementalSpan:          c.env.Now().Sub(baseEnd),
 		},
 	}, nil
 }
@@ -257,45 +275,71 @@ func (c *Cluster) partFiles(outputPath string) [][]byte {
 	return parts
 }
 
+// reducers is the reduce-task count job runs with on c, defaulted as
+// RunJob defaults it.
+func (c *Cluster) reducers(job Job) int {
+	c.cfg.applyJobDefaults(&job, len(c.cl.ComputeNodes()))
+	return job.Reducers
+}
+
 // runMerge encodes the preserved state for the given affected-key set
-// (nil = every key), publishes it, and re-reduces it with a real engine
-// job, returning the merge result, the number of live keys and the encoded
-// state size. The merge job retains its output, so the result's Output is
-// decoded from the part files the job wrote.
+// (nil = every key), publishes it by merge partition, and re-reduces it
+// with a real engine job, returning the merge result, the number of live
+// keys and the encoded state size. The merge job retains its output, so the
+// result's Output is decoded from the part files the job wrote.
 func runMerge(c *Cluster, job Job, state *incr.State, affected *incr.Affected, statePath, outPath string) (res *Result, keys, stateBytes int, err error) {
-	input, keys, err := state.Merge(affected)
+	parts, keys, err := state.Merge(affected)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if err := publishState(c, statePath, input); err != nil {
+	if err := publishState(c, statePath, parts); err != nil {
 		return nil, 0, 0, err
 	}
 	res, err = c.RunJob(mergeJob(job, statePath, outPath))
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return res, keys, len(input), nil
+	for _, p := range parts {
+		stateBytes += len(p)
+	}
+	return res, keys, stateBytes, nil
 }
 
-// publishState persists the encoded merge input into the cluster's DFS. The
-// disk engines get the spill-backed variant — written through the
-// replicated DFS pipeline, so both the write here and the merge job's read
-// are charged I/O; the resident engine keeps its preserved fold state
-// memory-resident, charging network hand-off only.
-func publishState(c *Cluster, path string, data []byte) error {
-	node := c.cl.StorageNodes()[0].ID
-	if c.cfg.Engine == Resident {
-		return c.dfs.RegisterResident(path, node, data)
+// publishState persists the encoded merge input, one part per merge
+// partition, into the cluster's DFS: part r as path/part-r-%05d, from
+// storage node r mod N, all parts at once — as R reducers would persist
+// their own state. Each part is one block with its replica where it was
+// written, so the merge job's map tasks read their parts in parallel from
+// as many disks. Empty parts are skipped; an empty state is one empty part,
+// so the merge job still has an input. The disk engines get the
+// spill-backed variant — written through the replicated DFS pipeline, so
+// both the write here and the merge job's read are charged I/O; the
+// resident engine keeps each part memory-resident on its node, charging
+// network hand-off only.
+func publishState(c *Cluster, path string, parts [][]byte) error {
+	storage := c.cl.StorageNodes()
+	empty := !slices.ContainsFunc(parts, func(data []byte) bool { return len(data) > 0 })
+	for r, data := range parts {
+		if len(data) == 0 && !(empty && r == 0) {
+			continue
+		}
+		name := fmt.Sprintf("%s/part-r-%05d", path, r)
+		node := storage[r%len(storage)].ID
+		if c.cfg.Engine == Resident {
+			if err := c.dfs.RegisterResident(name, node, data); err != nil {
+				return err
+			}
+			continue
+		}
+		w, err := c.dfs.CreateWriter(name, node, false)
+		if err != nil {
+			return err
+		}
+		// The file adopts data: the merge input is built for it, or is the
+		// live run, which nothing writes into.
+		c.env.Go("delta-state-write-"+strconv.Itoa(r), func(p *sim.Proc) { w.Commit(p, data) })
 	}
-	w, err := c.dfs.CreateWriter(path, node, false)
-	if err != nil {
-		return err
-	}
-	// The file adopts data: the merge input is built for it, or is the live
-	// run, which nothing writes into.
-	c.env.Go("delta-state-write", func(p *sim.Proc) { w.Commit(p, data) })
-	c.env.Run()
-	return nil
+	return engine.Drive(c.env)
 }
 
 // deltaMagic heads every block of a tagged capture input: 4 magic bytes
@@ -342,7 +386,7 @@ func captureJob(inner Job, input, output string) Job {
 	j.Reader = func(data []byte, yield func(rec []byte)) {
 		id, rest, ok := cutTag(data)
 		if !ok {
-			panic(fmt.Sprintf("onepass: capture input block for %q is missing its delta tag", inner.Name))
+			engine.Abort(fmt.Errorf("onepass: capture input block for %q is missing its delta tag", inner.Name))
 		}
 		block = uint64(id)
 		read(rest, yield)
@@ -400,7 +444,7 @@ func pairRecordReader(block []byte, yield func(rec []byte)) {
 	for rest := block; len(rest) > 0; {
 		_, _, n := kv.DecodePair(rest)
 		if n == 0 {
-			panic("onepass: truncated pair in delta merge input")
+			engine.Abort(fmt.Errorf("onepass: truncated pair at byte %d of a delta merge input block", len(block)-len(rest)))
 		}
 		yield(rest[:n])
 		rest = rest[n:]
@@ -441,10 +485,10 @@ func mergeReducer(inner Job) engine.ReduceFunc {
 	)
 	checked := func(k, v []byte) {
 		if !bytes.Equal(k, curKey) {
-			panic(fmt.Sprintf("onepass: delta-capable reduce for %q emitted foreign key %q", curKey, k))
+			engine.Abort(fmt.Errorf("onepass: delta-capable reduce for %q emitted foreign key %q", curKey, k))
 		}
 		if emitted++; emitted > 1 {
-			panic(fmt.Sprintf("onepass: delta-capable reduce for %q emitted more than one pair", curKey))
+			engine.Abort(fmt.Errorf("onepass: delta-capable reduce for %q emitted more than one pair", curKey))
 		}
 		out(k, v)
 	}
@@ -458,7 +502,7 @@ func mergeReducer(inner Job) engine.ReduceFunc {
 		for _, v := range vs {
 			b, payload, err := incr.DecodePartial(v)
 			if err != nil {
-				panic(fmt.Sprintf("onepass: delta merge key %q: %v", key, err))
+				engine.Abort(fmt.Errorf("onepass: delta merge key %q: %w", key, err))
 			}
 			ascending = ascending && (len(parts) == 0 || parts[len(parts)-1].block < b)
 			parts = append(parts, part{block: b, payload: payload})
@@ -477,7 +521,7 @@ func mergeReducer(inner Job) engine.ReduceFunc {
 		}
 		curKey, out, emitted = key, emit, 0
 		if _, err := fold.Finish(key, elem, checked); err != nil {
-			panic(fmt.Sprintf("onepass: delta merge: %v", err))
+			engine.Abort(fmt.Errorf("onepass: delta merge: %w", err))
 		}
 	}
 }

@@ -214,11 +214,11 @@ func (rc *reduceCtx) noteProgress(p *sim.Proc, pairs int) {
 }
 
 // finish emits key's answer from its state. A state that came back from a
-// spill file damaged stops the task by name: engine tasks have no error
-// return.
-func (rc *reduceCtx) finish(key, state []byte, emit engine.Emit) {
+// spill file damaged fails the reduce task (Runtime.Fail): engine tasks
+// have no error return.
+func (rc *reduceCtx) finish(p *sim.Proc, key, state []byte, emit engine.Emit) {
 	if _, err := rc.fold.Finish(key, state, emit); err != nil {
-		panic(fmt.Sprintf("%s: reduce task %d: %v", rc.rt.EngineLabel, rc.r, err))
+		rc.rt.Fail(p, &engine.TaskError{Job: rc.job.Name, Kind: "reduce", Task: rc.r, Err: err})
 	}
 }
 
@@ -228,7 +228,7 @@ func (rc *reduceCtx) emitFinal(p *sim.Proc, key, state []byte) {
 		rc.emitProc = p
 		rc.emit = func(k, v []byte) { rc.oc.Emit(p, rc.r, rc.node.ID, k, v) }
 	}
-	rc.finish(key, state, rc.emit)
+	rc.finish(p, key, state, rc.emit)
 	rc.node.Compute(p, engine.Dur(1, rc.costs.ReduceNsPerRecord)+
 		engine.Dur(float64(len(state)), rc.costs.SerializeNsPerByte), engine.PhaseReduce)
 	rc.join()

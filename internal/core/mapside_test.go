@@ -165,3 +165,35 @@ func sameFrame(t *testing.T, what string, got, want *kv.PartitionFrame) {
 		}
 	}
 }
+
+// chunksByPartition lists each partition's chunks in sequence order, as the
+// push loop delivers them, from a frame whose chunks interleave partitions.
+func TestChunksByPartition(t *testing.T) {
+	const R = 3
+	buf := kv.NewBuffer(0)
+	for i := 0; i < 300; i++ {
+		buf.Add(i*7%R, []byte(fmt.Sprintf("key-%03d", i)), []byte("value"))
+	}
+	frame := kv.PackPartitions(buf, R, 256)
+	flat, ends := chunksByPartition(frame.Chunks, R)
+	if len(ends) != R || ends[R-1] != len(frame.Chunks) || len(flat) != len(frame.Chunks) {
+		t.Fatalf("ends %v over %d chunks", ends, len(frame.Chunks))
+	}
+	lo := 0
+	for r := 0; r < R; r++ {
+		seq := 0
+		for _, c := range frame.Chunks {
+			if c.Part != r {
+				continue
+			}
+			if got := flat[lo+seq]; c.Seq != seq || !bytes.Equal(got, c.Data) {
+				t.Fatalf("partition %d chunk %d: %d bytes listed, chunk %d has %d", r, seq, len(got), c.Seq, len(c.Data))
+			}
+			seq++
+		}
+		if lo+seq != ends[r] || seq < 2 {
+			t.Fatalf("partition %d: %d chunks listed up to %d, ends %v", r, seq, lo+seq, ends)
+		}
+		lo = ends[r]
+	}
+}

@@ -52,6 +52,11 @@ type hashReducer struct {
 	// victims is spillWhere's key scratch. A sweep takes it and puts it back
 	// when done, so a sweep started while another is suspended gets its own.
 	victims [][]byte
+	// foldChunk is the pooled decode+fold of chunk, built once per task.
+	// ingest sets chunk after joining the previous fold and before
+	// dispatching this one; nothing else writes it.
+	chunk     []byte
+	foldChunk func()
 }
 
 func newHashReducer(rc *reduceCtx, mode Mode) *hashReducer {
@@ -85,6 +90,13 @@ func newHashReducer(rc *reduceCtx, mode Mode) *hashReducer {
 	if mode == HotKey {
 		h.sk = sketch.NewSpaceSaving(rc.opts.HotKeyCounters)
 	}
+	add := func(key, val []byte) {
+		if h.sk != nil {
+			h.sk.Offer(key, 1)
+		}
+		h.tables[h.bucketOf(key)].fold(key, val, formIncoming)
+	}
+	h.foldChunk = func() { engine.DecodePairs(h.chunk, add) }
 	return h
 }
 
@@ -117,14 +129,8 @@ func (h *hashReducer) ingest(p *sim.Proc, chunk []byte) {
 		// the same point in both modes, so serial and parallel runs evict
 		// the same states at the same virtual instants.
 		n, bytes := engine.CountChunk(chunk)
-		h.rc.foldChunk(p, n, bytes, func() {
-			engine.DecodePairs(chunk, func(key, val []byte) {
-				if h.sk != nil {
-					h.sk.Offer(key, 1)
-				}
-				h.tables[h.bucketOf(key)].fold(key, val, formIncoming)
-			})
-		})
+		h.chunk = chunk
+		h.rc.foldChunk(p, n, bytes, h.foldChunk)
 	} else {
 		// A demoted bucket's traffic streams to disk, and a threshold emit
 		// reads each state the instant it folds and may emit mid-loop:
@@ -357,7 +363,7 @@ func (h *hashReducer) emitApproximateEarly(p *sim.Proc) {
 	pairs, size := 0, 0
 	var buf []byte
 	h.tables[0].iterate(func(k, s []byte) bool {
-		rc.finish(k, s, func(kk, vv []byte) {
+		rc.finish(p, k, s, func(kk, vv []byte) {
 			if !rc.job.DiscardOutput {
 				buf = kv.AppendPair(buf, kk, vv)
 			}

@@ -81,6 +81,11 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 		var sink MapSink
 		if into != nil {
 			sink = into(wj)
+		} else if job.BinaryInput {
+			// A pair-encoded block states its pair count: a forwarding map
+			// (a chained stage, a delta merge) emits one pair per pair read,
+			// so the buffer's references are sized once.
+			buf.ReservePairs(kv.CountPairs(data))
 		}
 		emit := func(key, val []byte) {
 			pt := part(key, job.Reducers)

@@ -107,6 +107,7 @@ func (rt *Runtime) RunMaps(job *Job, blocks []*dfs.Block, task func(p *sim.Proc,
 			rt.Env.Go(fmt.Sprintf("map-slot-n%d-%d", node.ID, s), func(p *sim.Proc) {
 				run := func(fl *flight) {
 					attempt := fl.attempts - 1
+					defer rt.nameFailure(p, job, "map", fl.b.Index, attempt)
 					if rt.Auditing() {
 						rt.Audit.TaskLaunched("map")
 					}
@@ -174,6 +175,7 @@ func (rt *Runtime) RunReduces(job *Job, task func(p *sim.Proc, node *cluster.Nod
 		r := r
 		node := nodes[r%len(nodes)]
 		rt.Env.Go(fmt.Sprintf("reduce-%d-n%d", r, node.ID), func(p *sim.Proc) {
+			defer rt.nameFailure(p, job, "reduce", r, 0)
 			slot := slots[node.ID]
 			slot.Acquire(p, 1)
 			if rt.Auditing() {

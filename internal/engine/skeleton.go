@@ -191,13 +191,17 @@ func Start(rt *Runtime, job Job, opts Options, plan *Plan, done func(p *sim.Proc
 	return nil
 }
 
-// Run executes job on rt under plan, alone on rt's environment.
+// Run executes job on rt under plan, alone on rt's environment. A task
+// that fails (Runtime.Fail, Abort) ends the run with its *TaskError.
 func Run(rt *Runtime, job Job, opts Options, plan *Plan) (*Result, error) {
 	var res *Result
 	if err := Start(rt, job, opts, plan, func(_ *sim.Proc, r *Result) { res = r }); err != nil {
 		return nil, err
 	}
-	rt.Env.Run()
+	if err := Drive(rt.Env); err != nil {
+		err.(*TaskError).fill(rt.EngineLabel, job.Name)
+		return nil, err
+	}
 	rt.FinishResult(res)
 	return res, nil
 }

@@ -10,7 +10,6 @@
 package hadoop
 
 import (
-	"fmt"
 	"math"
 
 	"onepass/internal/cluster"
@@ -71,7 +70,7 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 		frame = kv.PackPartitions(final, job.Reducers, math.MaxInt64)
 	})
 	if err != nil {
-		panic(fmt.Sprintf("hadoop: %v", err))
+		rt.Fail(p, err)
 	}
 	node.Compute(p, engine.Dur(float64(cmps), costs.CompareNs), engine.PhaseSort)
 	rt.Counters.Add(engine.CtrSortComparisons, float64(cmps))

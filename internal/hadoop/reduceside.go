@@ -87,10 +87,7 @@ func (rs *ReduceSide) Spill(p *sim.Proc) {
 	combineInputs := 0
 	combines := rs.job.Monoid != nil
 	work := rs.rt.StartJobWork(p, rs.job, func(wj *engine.Job) {
-		streams := make([]kv.PairStream, len(segs))
-		for i, s := range segs {
-			streams[i] = kv.NewSliceStream(s)
-		}
+		streams := kv.SliceStreams(segs)
 		// The spill can never exceed the buffered bytes (combining only
 		// shrinks it), so size the output once instead of growing it.
 		out = make([]byte, 0, bufBytes)
@@ -196,14 +193,7 @@ func (rs *ReduceSide) Finish(p *sim.Proc, oc *engine.OutputCollector) {
 	staged := oc.Stage()
 	var cmps int64
 	work := rs.rt.StartJobWork(p, rs.job, func(wj *engine.Job) {
-		streams := make([]kv.PairStream, 0, len(datas)+len(segs))
-		for _, d := range datas {
-			streams = append(streams, kv.NewSliceStream(d))
-		}
-		for _, s := range segs {
-			streams = append(streams, kv.NewSliceStream(s))
-		}
-		cmps, _ = rs.MergeGroupReduce(streams, wj, staged.Add)
+		cmps, _ = rs.MergeGroupReduce(kv.SliceStreams(datas, segs), wj, staged.Add)
 	})
 	rs.node.Compute(p, engine.Dur(float64(inputs), rs.costs.ReduceNsPerRecord), engine.PhaseReduce)
 	rs.node.Compute(p, engine.Dur(float64(inputs), rs.costs.FrameworkNsPerRecord), engine.PhaseFramework)

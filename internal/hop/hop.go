@@ -229,7 +229,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		})
 	})
 	if err != nil {
-		panic(fmt.Sprintf("hop: %v", err))
+		j.RT.Fail(p, err)
 	}
 	chunks = make([]kv.Chunk, len(encoded))
 	var finalPairBytes, saved int64

@@ -61,7 +61,7 @@ func benchDelta(b *testing.B) (*State, [][]byte) {
 	if err := st.Capture(base, all, benchBlocks, nil); err != nil {
 		b.Fatal(err)
 	}
-	input, _, err := st.Merge(nil)
+	input, err := st.MergeInput(nil)
 	if err != nil {
 		b.Fatal(err)
 	}

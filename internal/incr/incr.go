@@ -2,11 +2,13 @@
 // re-run path (i2MapReduce-style): per-(block, key) partial aggregates
 // captured from a tagged run, plus the per-key finals of the last merge.
 // Both live the way the paper keeps per-key state (§IV) and MRBG-Store
-// keeps preserved state: in the order the merge reads them. Every live
-// partial sits in one run of encoded pairs ordered by (key, block), already
-// in the merge input's encoding, and the finals are one key-sorted run
-// beside it. A capture costs one sort of its own pairs; installing it and
-// every merge are linear merge-joins over those runs, never lookups. The
+// keeps preserved state: in the order the merge reads them, partitioned by
+// the merge's reduce task. Every live partial sits in one run of encoded
+// pairs ordered by (partition, key, block), already in the merge input's
+// encoding, and the finals are one (partition, key)-sorted run beside it, so
+// each merge partition's input is one contiguous slice of a run. A capture
+// costs one sort of its own pairs; installing it and every merge are linear
+// merge-joins over those runs, partition by partition, never lookups. The
 // structures are pure data — the root package's delta runner decides how
 // they are produced (a capture job), persisted (a spill-backed DFS write for
 // the disk engines, a memory-resident block for the resident engine), and
@@ -43,13 +45,48 @@ const (
 // input that was published).
 type State struct {
 	monoidKey string
-	live      []byte // every live partial, (key, 'P' uvarint(block) payload), (key, block) ascending
+	// partition maps a key to its merge partition; nil when there is one.
+	partition func(key []byte) int
+	live      []byte // every live partial, (key, 'P' uvarint(block) payload), (partition, key, block) ascending
+	liveEnds  []int  // liveEnds[r] is where partition r's run ends in live
 	keys      int    // distinct keys in live
-	finals    []byte // key-sorted (key, final) run of the last merge
+	finals    []byte // (partition, key)-sorted (key, final) run of the last merge
+	finalEnds []int  // finalEnds[r] is where partition r's run ends in finals
+	// one holds both ends lists of a one-partition state, as
+	// memtable.Table holds its first segments.
+	one [2]int
 }
 
-// New returns empty state bound to an aggregation law's identity string.
-func New(monoidKey string) *State { return &State{monoidKey: monoidKey} }
+// New returns empty state bound to an aggregation law's identity string,
+// with every key in one merge partition.
+func New(monoidKey string) *State { return NewPartitioned(monoidKey, 1, nil) }
+
+// NewPartitioned returns empty state whose runs are laid out by merge
+// partition: partition maps a key to one of n partitions, as the merge job's
+// partitioner does, so Merge can hand each reduce task its own input. With
+// n < 2 (or a nil partition) every key is in partition 0.
+func NewPartitioned(monoidKey string, n int, partition func(key []byte) int) *State {
+	s := &State{monoidKey: monoidKey, partition: partition}
+	if n < 2 || partition == nil {
+		s.partition, s.liveEnds, s.finalEnds = nil, s.one[:1:1], s.one[1:2:2]
+	} else {
+		ends := make([]int, 2*n)
+		s.liveEnds, s.finalEnds = ends[:n:n], ends[n:]
+	}
+	return s
+}
+
+// partitions returns the number of merge partitions the runs are laid out by.
+func (s *State) partitions() int { return len(s.liveEnds) }
+
+// span returns where segment r of a partition-major list with the given
+// segment ends lies: [lo, hi).
+func span(ends []int, r int) (lo, hi int) {
+	if r > 0 {
+		lo = ends[r-1]
+	}
+	return lo, ends[r]
+}
 
 // CheckKey rejects partials produced under a different aggregation law.
 func (s *State) CheckKey(monoidKey string) error {
@@ -60,12 +97,14 @@ func (s *State) CheckKey(monoidKey string) error {
 	return nil
 }
 
-// sortedPairs is the pairs of a set of part files in (key, block) order,
-// located in the part files rather than copied out of them.
+// sortedPairs is the pairs of a set of part files in (partition, key,
+// block) order, located in the part files rather than copied out of them.
 type sortedPairs struct {
 	parts [][]byte
 	pairs []pair  // in part-file order
-	order []entry // (key, block) ascending; pairs equal on both are adjacent
+	order []entry // (partition, key, block) ascending; pairs equal on all three are adjacent
+	ends  []int   // ends[r] is where partition r's entries end in order
+	one   [1]int  // ends of a one-partition sort
 }
 
 // pair locates one part-file pair: its key is parts[part][off:off+klen]
@@ -116,20 +155,29 @@ func keyPrefix(k []byte) uint64 {
 	return p
 }
 
-// sortParts decodes every pair of every part file and sorts them by (key,
-// block). fn names each pair's block and how many leading key bytes are not
-// part of its key; a truncated pair or an error from fn is attributed to its
-// part and byte offset.
-func sortParts(parts [][]byte, fn func(k, v []byte) (strip int, block uint32, err error)) (*sortedPairs, error) {
+// sortParts decodes every pair of every part file and sorts them by
+// (partition, key, block): one counting pass places each pair in its
+// partition's segment, then each segment is sorted on its own. fn names each
+// pair's block and how many leading key bytes are not part of its key; a
+// truncated pair or an error from fn is attributed to its part and byte
+// offset.
+func (s *State) sortParts(parts [][]byte, fn func(k, v []byte) (strip int, block uint32, err error)) (*sortedPairs, error) {
 	count := 0
 	for _, part := range parts {
 		count += kv.CountPairs(part)
 	}
-	s := &sortedPairs{parts: parts, pairs: make([]pair, 0, count), order: make([]entry, 0, count)}
+	n := s.partitions()
+	sp := &sortedPairs{parts: parts, pairs: make([]pair, 0, count), order: make([]entry, 0, count)}
+	sp.ends = sp.one[:]
+	var of []uint32 // each pair's partition, when there is more than one
+	if n > 1 {
+		sp.ends = make([]int, n)
+		of = make([]uint32, 0, count)
+	}
 	for i, part := range parts {
 		for off := 0; off < len(part); {
-			k, v, n := kv.DecodePair(part[off:])
-			if n == 0 {
+			k, v, m := kv.DecodePair(part[off:])
+			if m == 0 {
 				return nil, fmt.Errorf("part %d: truncated pair at byte %d", i, off)
 			}
 			strip, block, err := fn(k, v)
@@ -137,21 +185,46 @@ func sortParts(parts [][]byte, fn func(k, v []byte) (strip int, block uint32, er
 				return nil, fmt.Errorf("part %d, byte %d: %w", i, off, err)
 			}
 			key := k[strip:]
-			s.order = append(s.order, entry{prefix: keyPrefix(key), block: block, idx: uint32(len(s.pairs))})
-			s.pairs = append(s.pairs, pair{
-				part: uint32(i), off: uint32(off + n - len(v) - len(key)),
+			if of != nil {
+				r := s.partition(key)
+				of = append(of, uint32(r))
+				sp.ends[r]++
+			}
+			sp.order = append(sp.order, entry{prefix: keyPrefix(key), block: block, idx: uint32(len(sp.pairs))})
+			sp.pairs = append(sp.pairs, pair{
+				part: uint32(i), off: uint32(off + m - len(v) - len(key)),
 				klen: uint32(len(key)), vlen: uint32(len(v)),
 			})
-			off += n
+			off += m
 		}
 	}
-	slices.SortFunc(s.order, func(x, y entry) int {
-		if x.prefix != y.prefix { // most comparisons, decided without a call
-			return cmp.Compare(x.prefix, y.prefix)
+	if of == nil {
+		sp.ends[0] = len(sp.order)
+	} else {
+		// The counts become each segment's start, and each start its end as
+		// the segment fills: a stable placement in part-file order.
+		start := 0
+		for r, c := range sp.ends {
+			sp.ends[r], start = start, start+c
 		}
-		return s.compare(x, y)
-	})
-	return s, nil
+		placed := make([]entry, len(sp.order))
+		for _, e := range sp.order {
+			r := of[e.idx]
+			placed[sp.ends[r]] = e
+			sp.ends[r]++
+		}
+		sp.order = placed
+	}
+	for r := range sp.ends {
+		lo, hi := span(sp.ends, r)
+		slices.SortFunc(sp.order[lo:hi], func(x, y entry) int {
+			if x.prefix != y.prefix { // most comparisons, decided without a call
+				return cmp.Compare(x.prefix, y.prefix)
+			}
+			return sp.compare(x, y)
+		})
+	}
+	return sp, nil
 }
 
 // compare orders two entries by (key, block), reading the keys only when
@@ -169,7 +242,7 @@ func (s *sortedPairs) compare(x, y entry) int {
 }
 
 // duplicate returns the first entry equal on (key, block) to the one
-// before it, if any.
+// before it, if any. Equal keys share a partition, so they are adjacent.
 func (s *sortedPairs) duplicate() (entry, bool) {
 	for i := 1; i < len(s.order); i++ {
 		if s.compare(s.order[i-1], s.order[i]) == 0 {
@@ -206,7 +279,7 @@ func (s *State) Capture(parts [][]byte, blocks []int, nBlocks int, affected *Aff
 		}
 		in[b] = true
 	}
-	sp, err := sortParts(parts, func(k, v []byte) (int, uint32, error) {
+	sp, err := s.sortParts(parts, func(k, v []byte) (int, uint32, error) {
 		b, n := binary.Uvarint(k)
 		switch {
 		case n <= 0:
@@ -229,18 +302,23 @@ func (s *State) Capture(parts [][]byte, blocks []int, nBlocks int, affected *Aff
 }
 
 // install is Capture's merge-join: one pass over the live run with the new
-// pairs slotted in, both (key, block) ascending. A live partial of a block
-// marked in replaced is dropped and every other pair is kept in order.
+// pairs slotted in, both (partition, key, block) ascending, partition by
+// partition. A live partial of a block marked in replaced is dropped and
+// every other pair is kept in order.
 func (s *State) install(sp *sortedPairs, replaced []bool, affected *Affected) {
-	old, order := s.live, sp.order
 	// A new pair is its part-file pair with the 'P' marker added and the
 	// block moved from key to value, which lengthens its two length fields
 	// by at most one byte: the run never outgrows this.
-	run := make([]byte, 0, len(old)+totalLen(sp.parts)+2*len(order))
-	var touched [][]byte // this install's affected keys, ascending
+	run := make([]byte, 0, len(s.live)+totalLen(sp.parts)+2*len(sp.order))
+	var touched [][]byte // this install's affected keys, by partition, ascending
+	var touchedEnds []int
+	if affected != nil {
+		touchedEnds = make([]int, len(s.liveEnds))
+	}
 	keys := 0
 	var last []byte // the key run ends with
-	// counted counts the key of the pair run now ends with.
+	// counted counts the key of the pair run now ends with. Equal keys share
+	// a partition, so a key never straddles a partition boundary.
 	counted := func(klen, vlen int) []byte {
 		k := run[len(run)-vlen-klen : len(run)-vlen]
 		if keys == 0 || !bytes.Equal(last, k) {
@@ -249,10 +327,8 @@ func (s *State) install(sp *sortedPairs, replaced []bool, affected *Affected) {
 		last = k
 		return k
 	}
-	var head []byte // the key of order[0]
-	if len(order) > 0 {
-		head = sp.key(order[0])
-	}
+	var order []entry // the current partition's new pairs still to insert
+	var head []byte   // the key of order[0]
 	var val []byte
 	insert := func() {
 		e := order[0]
@@ -267,28 +343,43 @@ func (s *State) install(sp *sortedPairs, replaced []bool, affected *Affected) {
 			head = sp.key(order[0])
 		}
 	}
-	for off := 0; off < len(old); {
-		k, v, n := kv.DecodePair(old[off:])
-		b, _ := binary.Uvarint(v[1:])
-		for len(order) > 0 && precedes(head, order[0].block, k, b) {
+	// The ends are rewritten in place, each read before it is overwritten.
+	lo := 0
+	for r, hi := range s.liveEnds {
+		old := s.live[lo:hi]
+		lo = hi
+		olo, ohi := span(sp.ends, r)
+		order = sp.order[olo:ohi]
+		if len(order) > 0 {
+			head = sp.key(order[0])
+		}
+		for off := 0; off < len(old); {
+			k, v, n := kv.DecodePair(old[off:])
+			b, _ := binary.Uvarint(v[1:])
+			for len(order) > 0 && precedes(head, order[0].block, k, b) {
+				insert()
+			}
+			if b < uint64(len(replaced)) && replaced[b] {
+				if affected != nil {
+					touched = appendDistinct(touched, k)
+				}
+			} else {
+				run = append(run, old[off:off+n]...)
+				counted(len(k), len(v))
+			}
+			off += n
+		}
+		for len(order) > 0 {
 			insert()
 		}
-		if b < uint64(len(replaced)) && replaced[b] {
-			if affected != nil {
-				touched = appendDistinct(touched, k)
-			}
-		} else {
-			run = append(run, old[off:off+n]...)
-			counted(len(k), len(v))
+		s.liveEnds[r] = len(run)
+		if affected != nil {
+			touchedEnds[r] = len(touched)
 		}
-		off += n
-	}
-	for len(order) > 0 {
-		insert()
 	}
 	s.live, s.keys = run, keys
 	if affected != nil {
-		affected.add(touched)
+		affected.add(touched, touchedEnds)
 	}
 }
 
@@ -298,7 +389,7 @@ func precedes(kx []byte, bx uint32, ky []byte, by uint64) bool {
 	return c < 0 || c == 0 && uint64(bx) < by
 }
 
-// appendDistinct appends k to ascending keys unless it is already the last.
+// appendDistinct appends k to keys unless it is already the last.
 func appendDistinct(keys [][]byte, k []byte) [][]byte {
 	if len(keys) > 0 && bytes.Equal(keys[len(keys)-1], k) {
 		return keys
@@ -324,10 +415,11 @@ func (s *State) ReplaceBlock(b int, partials map[string][]byte, affected *Affect
 
 // SetFinals replaces the cached finals wholesale with the part files of a
 // merge run — called after a merge so unaffected keys can be served from
-// cache on the next delta. The pairs are sorted into one key-ordered run by
-// the same sort Capture uses; a key with two finals is an error.
+// cache on the next delta. The pairs are sorted into one (partition,
+// key)-ordered run by the same sort Capture uses; a key with two finals is
+// an error.
 func (s *State) SetFinals(parts [][]byte) error {
-	sp, err := sortParts(parts, func(k, v []byte) (int, uint32, error) { return 0, 0, nil })
+	sp, err := s.sortParts(parts, func(k, v []byte) (int, uint32, error) { return 0, 0, nil })
 	if err != nil {
 		return fmt.Errorf("incr: merge output: %w", err)
 	}
@@ -335,8 +427,12 @@ func (s *State) SetFinals(parts [][]byte) error {
 		return fmt.Errorf("incr: merge output: duplicate key %q", sp.key(e))
 	}
 	finals := make([]byte, 0, totalLen(parts)) // the same pairs, reordered
-	for _, e := range sp.order {
-		finals = kv.AppendPair(finals, sp.key(e), sp.payload(e))
+	for r := range s.finalEnds {
+		lo, hi := span(sp.ends, r)
+		for _, e := range sp.order[lo:hi] {
+			finals = kv.AppendPair(finals, sp.key(e), sp.payload(e))
+		}
+		s.finalEnds[r] = len(finals)
 	}
 	s.finals = finals
 	return nil
@@ -345,57 +441,81 @@ func (s *State) SetFinals(parts [][]byte) error {
 // Keys returns the number of distinct keys with live partials.
 func (s *State) Keys() int { return s.keys }
 
-// MergeInput is Merge without the key count.
+// MergeInput is Merge's partitions as the one run they are slices of,
+// without the key count.
 func (s *State) MergeInput(affected *Affected) ([]byte, error) {
-	input, _, err := s.Merge(affected)
+	input, _, err := s.merge(affected)
 	return input, err
 }
 
-// Merge encodes the merge job's input: one kv pair per (key, source), keys
-// ascending, and returns it with the number of distinct live keys. An
-// affected key contributes its partials — one 'P' value per holding block,
-// blocks ascending. An unaffected key contributes its single cached 'F'
-// final. affected == nil means every key is affected (the priming run,
-// before any final exists).
+// Merge encodes the merge job's input, one run per merge partition, and
+// returns it with the number of distinct live keys. A partition's run holds
+// one kv pair per (key, source) of the keys in that partition, keys
+// ascending. An affected key contributes its partials — one 'P' value per
+// holding block, blocks ascending. An unaffected key contributes its single
+// cached 'F' final. affected == nil means every key is affected (the
+// priming run, before any final exists).
 //
-// Every key affected is the live run as it stands, returned without a copy:
-// it must not be modified. Otherwise the input is one forward pass of a
-// three-way merge-join over key-ordered inputs — the live run, the affected
-// keys and the finals run.
-func (s *State) Merge(affected *Affected) (input []byte, keys int, err error) {
+// The runs are consecutive slices of one slab, capacities clipped. Every
+// key affected is the live run as it stands, handed out without a copy: it
+// must not be modified. Otherwise each partition's run is one forward pass
+// of a three-way merge-join over that partition's key-ordered inputs — its
+// live run, its affected keys and its finals.
+func (s *State) Merge(affected *Affected) (parts [][]byte, keys int, err error) {
+	input, ends, err := s.merge(affected)
+	if err != nil {
+		return nil, 0, err
+	}
+	parts = make([][]byte, len(ends))
+	for r := range parts {
+		lo, hi := span(ends, r)
+		parts[r] = input[lo:hi:hi]
+	}
+	return parts, s.keys, nil
+}
+
+// merge builds Merge's slab and the end of each partition's run in it.
+func (s *State) merge(affected *Affected) (input []byte, ends []int, err error) {
 	if affected == nil {
-		return s.live, s.keys, nil
+		return s.live, s.liveEnds, nil
 	}
-	aff := affected.Keys()
 	input = make([]byte, 0, len(s.finals)+len(s.finals)/8)
-	finals := kv.NewDecoder(s.finals)
-	fk, fv, fok := finals.Next()
-	var prev []byte
-	refold := false // whether the current key is affected
-	for off := 0; off < len(s.live); {
-		k, _, n := kv.DecodePair(s.live[off:])
-		if off == 0 || !bytes.Equal(prev, k) {
-			prev = k
-			for len(aff) > 0 && bytes.Compare(aff[0], k) < 0 {
-				aff = aff[1:]
-			}
-			refold = len(aff) > 0 && bytes.Equal(aff[0], k)
-			if !refold {
-				for fok && bytes.Compare(fk, k) < 0 {
-					fk, fv, fok = finals.Next()
+	ends = make([]int, len(s.liveEnds))
+	for r := range ends {
+		lo, hi := span(s.liveEnds, r)
+		live := s.live[lo:hi]
+		aff := affected.partition(r)
+		flo, fhi := span(s.finalEnds, r)
+		finals := kv.NewDecoder(s.finals[flo:fhi])
+		fk, fv, fok := finals.Next()
+		var prev []byte
+		refold := false // whether the current key is affected
+		for off := 0; off < len(live); {
+			k, _, n := kv.DecodePair(live[off:])
+			if off == 0 || !bytes.Equal(prev, k) {
+				prev = k
+				for len(aff) > 0 && bytes.Compare(aff[0], k) < 0 {
+					aff = aff[1:]
 				}
-				if !fok || !bytes.Equal(fk, k) {
-					return nil, 0, fmt.Errorf("incr: key %q unaffected but has no cached final", k)
+				refold = len(aff) > 0 && bytes.Equal(aff[0], k)
+				if !refold {
+					for fok && bytes.Compare(fk, k) < 0 {
+						fk, fv, fok = finals.Next()
+					}
+					if !fok || !bytes.Equal(fk, k) {
+						return nil, nil, fmt.Errorf("incr: key %q unaffected but has no cached final", k)
+					}
+					input = kv.AppendTaggedPair(input, k, MarkFinal, fv)
 				}
-				input = kv.AppendTaggedPair(input, k, MarkFinal, fv)
 			}
+			if refold {
+				input = append(input, live[off:off+n]...)
+			}
+			off += n
 		}
-		if refold {
-			input = append(input, s.live[off:off+n]...)
-		}
-		off += n
+		ends[r] = len(input)
 	}
-	return input, s.keys, nil
+	return input, ends, nil
 }
 
 // Affected is the key set a delta touched: every key that lost or gained a
@@ -403,19 +523,35 @@ func (s *State) Merge(affected *Affected) (input []byte, keys int, err error) {
 // must be re-folded, including keys the delta removed from every block. The
 // zero value is empty; a nil *Affected passed to Merge means every key.
 type Affected struct {
-	keys [][]byte // ascending, duplicate-free
+	keys [][]byte // by merge partition, ascending and duplicate-free within each
+	ends []int    // ends[r] is where partition r's keys end; nil: one partition
 }
 
-// Keys returns the affected keys in ascending order, each once.
+// Keys returns the affected keys in the order the state lays them out: by
+// merge partition, ascending within each — so ascending under one
+// partition. Each key is listed once.
 func (a *Affected) Keys() [][]byte { return a.keys }
 
 // Len returns the number of affected keys.
 func (a *Affected) Len() int { return len(a.keys) }
 
-// add unions an ascending, duplicate-free key list into the set. The keys
-// are copied into one slab first: they point into runs, and an Affected must
-// not keep a replaced run reachable.
-func (a *Affected) add(keys [][]byte) {
+// partition returns partition r's affected keys.
+func (a *Affected) partition(r int) [][]byte {
+	if a.ends == nil {
+		if r == 0 {
+			return a.keys
+		}
+		return nil
+	}
+	lo, hi := span(a.ends, r)
+	return a.keys[lo:hi]
+}
+
+// add unions keys — by partition with the given segment ends, ascending and
+// duplicate-free within each — into the set. The keys are copied into one
+// slab first: they point into runs, and an Affected must not keep a
+// replaced run reachable.
+func (a *Affected) add(keys [][]byte, ends []int) {
 	n := 0
 	for _, k := range keys {
 		n += len(k)
@@ -425,12 +561,20 @@ func (a *Affected) add(keys [][]byte) {
 		slab = append(slab, k...)
 		keys[i] = slab[len(slab)-len(k) : len(slab) : len(slab)]
 	}
-	if len(a.keys) > 0 {
-		keys = append(a.keys, keys...)
-		slices.SortFunc(keys, bytes.Compare)
-		keys = slices.CompactFunc(keys, bytes.Equal)
+	if len(a.keys) == 0 {
+		a.keys, a.ends = keys, ends
+		return
 	}
-	a.keys = keys
+	union := make([][]byte, 0, len(a.keys)+len(keys))
+	unionEnds := make([]int, len(ends))
+	for r := range ends {
+		lo, hi := span(ends, r)
+		seg := append(append(union[len(union):], a.partition(r)...), keys[lo:hi]...)
+		slices.SortFunc(seg, bytes.Compare)
+		union = append(union, slices.CompactFunc(seg, bytes.Equal)...)
+		unionEnds[r] = len(union)
+	}
+	a.keys, a.ends = union, unionEnds
 }
 
 // appendPartial appends block's 'P'-marked merge value for payload to dst.

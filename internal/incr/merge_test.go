@@ -38,13 +38,64 @@ func drawPartials(d draw) map[string][]byte {
 	return partials
 }
 
-// affectedOf builds an Affected holding exactly keys.
-func affectedOf(keys map[string]bool) *Affected {
+// byteSum spreads keys over n merge partitions: any function of the key
+// will do.
+func byteSum(n int) func(key []byte) int {
+	return func(key []byte) int {
+		sum := len(key)
+		for _, c := range key {
+			sum += int(c)
+		}
+		return sum % n
+	}
+}
+
+// partitionOf is key's merge partition in st.
+func partitionOf(st *State, key []byte) int {
+	if st.partition == nil {
+		return 0
+	}
+	return st.partition(key)
+}
+
+// layout orders keys as st lays them out, by partition and ascending within
+// each, and returns the end of each partition's keys.
+func layout(st *State, keys map[string]bool) ([]string, []int) {
+	var out []string
+	ends := make([]int, st.partitions())
+	for r := range ends {
+		for _, k := range sortedKeys(keys) {
+			if partitionOf(st, []byte(k)) == r {
+				out = append(out, k)
+			}
+		}
+		ends[r] = len(out)
+	}
+	return out, ends
+}
+
+// affectedOf builds an Affected of st's layout holding exactly keys.
+func affectedOf(st *State, keys map[string]bool) *Affected {
 	a := new(Affected)
-	for _, k := range sortedKeys(keys) {
+	sorted, ends := layout(st, keys)
+	for _, k := range sorted {
 		a.keys = append(a.keys, []byte(k))
 	}
+	a.ends = ends
 	return a
+}
+
+// splitRun splits an encoded run by its keys' partitions in st, each pair
+// keeping its place among its partition's.
+func splitRun(st *State, run []byte) [][]byte {
+	parts := make([][]byte, st.partitions())
+	for rest := run; len(rest) > 0; {
+		k, _, n := kv.DecodePair(rest)
+		r := partitionOf(st, k)
+		parts[r] = append(parts[r], rest[:n]...)
+		rest = rest[n:]
+	}
+	return parts
 }
 
 func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
@@ -92,16 +143,45 @@ func captureParts(blocks map[int]map[string][]byte, d draw) [][]byte {
 }
 
 // sameMerge demands the run state and the map oracle produce the same
-// merge input — or fail with the same error.
+// merge input — or fail with the same error. A partitioned state's input is
+// the oracle's split by partition: each partition's run holds exactly that
+// partition's pairs of the one-run input, in the same order.
 func sameMerge(t *testing.T, what string, st *State, aff *Affected, ref *refState, refAff map[string]bool) {
 	t.Helper()
 	want, wantErr := ref.MergeInput(refAff)
-	got, keys, gotErr := st.Merge(aff)
+	if wantErr != nil {
+		// The merge reports the first key it meets without a final, and a
+		// partitioned state meets keys partition by partition.
+		live := map[string]bool{}
+		for _, partials := range ref.blocks {
+			for k := range partials {
+				live[k] = true
+			}
+		}
+		keys, _ := layout(st, live)
+		for _, k := range keys {
+			if _, ok := ref.finals[k]; !ok && !refAff[k] {
+				wantErr = fmt.Errorf("incr: key %q unaffected but has no cached final", k)
+				break
+			}
+		}
+	}
+	parts, keys, gotErr := st.Merge(aff)
 	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 		t.Fatalf("%s: error %v, oracle %v", what, gotErr, wantErr)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: merge input differs from the oracle's\n got %q\nwant %q", what, got, want)
+	if gotErr == nil {
+		if len(parts) != st.partitions() {
+			t.Fatalf("%s: %d merge partitions, want %d", what, len(parts), st.partitions())
+		}
+		for r, wantPart := range splitRun(st, want) {
+			if !bytes.Equal(parts[r], wantPart) {
+				t.Fatalf("%s: partition %d of the merge input differs from the oracle's\n got %q\nwant %q", what, r, parts[r], wantPart)
+			}
+		}
+		if input, _ := st.MergeInput(aff); !bytes.Equal(input, slices.Concat(parts...)) {
+			t.Fatalf("%s: MergeInput is not Merge's partitions back to back", what)
+		}
 	}
 	if wantErr == nil && keys != ref.Keys() {
 		t.Fatalf("%s: Merge counted %d keys, oracle has %d", what, keys, ref.Keys())
@@ -111,11 +191,11 @@ func sameMerge(t *testing.T, what string, st *State, aff *Affected, ref *refStat
 	}
 }
 
-// sameAffected demands the recorded affected keys equal the oracle's set:
-// ascending and duplicate-free.
-func sameAffected(t *testing.T, what string, aff *Affected, refAff map[string]bool) {
+// sameAffected demands the recorded affected keys equal the oracle's set,
+// duplicate-free, in st's layout: by partition, ascending within each.
+func sameAffected(t *testing.T, what string, st *State, aff *Affected, refAff map[string]bool) {
 	t.Helper()
-	want := sortedKeys(refAff)
+	want, _ := layout(st, refAff)
 	got := aff.Keys()
 	if len(got) != len(want) || aff.Len() != len(want) {
 		t.Fatalf("%s: affected keys %q, oracle %q", what, got, want)
@@ -168,8 +248,11 @@ func captureBoth(t *testing.T, d draw, st *State, ref *refState, nBlocks int, af
 // blocks — each one capture, both recorded in one Affected — merging after
 // each under the recorded set, then merge under nil and under an arbitrary
 // key set, and finally reject a capture naming a block outside its input.
-func mergeScenario(t *testing.T, d draw) {
-	st, ref := New("law"), newRefState()
+//
+// The state has one merge partition or, with partitions > 1, its runs are
+// laid out by byteSum(partitions).
+func mergeScenario(t *testing.T, d draw, partitions int) {
+	st, ref := NewPartitioned("law", partitions, byteSum(partitions)), newRefState()
 	nBlocks := captureBoth(t, d, st, ref, d(8), nil, nil)
 	sameMerge(t, "priming merge", st, nil, ref, nil)
 
@@ -193,7 +276,7 @@ func mergeScenario(t *testing.T, d draw) {
 	for step := 1; step <= 2; step++ {
 		nBlocks = captureBoth(t, d, st, ref, nBlocks, aff, refAff)
 		what := fmt.Sprintf("delta %d", step)
-		sameAffected(t, what, aff, refAff)
+		sameAffected(t, what, st, aff, refAff)
 		sameMerge(t, what+" merge", st, aff, ref, refAff)
 	}
 	sameMerge(t, "delta merge, every key", st, nil, ref, nil)
@@ -202,7 +285,7 @@ func mergeScenario(t *testing.T, d draw) {
 	for n := d(6); n > 0; n-- {
 		some[keyUniverse[d(len(keyUniverse))]] = true
 	}
-	sameMerge(t, "arbitrary affected set", st, affectedOf(some), ref, some)
+	sameMerge(t, "arbitrary affected set", st, affectedOf(st, some), ref, some)
 
 	// A capture whose output names a block it did not read is rejected
 	// whole: nothing installed, nothing recorded.
@@ -221,28 +304,38 @@ func mergeScenario(t *testing.T, d draw) {
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d, which is not in the capture's input", outside)) {
 		t.Fatalf("capture naming block %d outside input %v: %v", outside, input, err)
 	}
-	sameAffected(t, "rejected capture", aff, refAff)
+	sameAffected(t, "rejected capture", st, aff, refAff)
 	sameMerge(t, "after a rejected capture", st, nil, ref, nil)
 }
 
 func TestMergeMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 400; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { mergeScenario(t, rng.Intn) })
+	for _, partitions := range []int{1, 3} {
+		name := "seed"
+		if partitions > 1 {
+			name = fmt.Sprintf("partitions%d-seed", partitions)
+		}
+		for seed := int64(0); seed < 400; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			t.Run(fmt.Sprint(name, seed), func(t *testing.T) { mergeScenario(t, rng.Intn, partitions) })
+		}
 	}
 }
 
 func FuzzMergeMatchesReference(f *testing.F) {
-	// The seed corpus is in testdata/fuzz: each file is a script of draws.
+	// The seed corpus is in testdata/fuzz: each file is a script of draws,
+	// played once on one partition and once on three.
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mergeScenario(t, func(n int) int {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return int(b) % n
-		})
+		for _, partitions := range []int{1, 3} {
+			script := data
+			mergeScenario(t, func(n int) int {
+				if len(script) == 0 {
+					return 0
+				}
+				b := script[0]
+				script = script[1:]
+				return int(b) % n
+			}, partitions)
+		}
 	})
 }
 
@@ -353,10 +446,11 @@ func FuzzBlockFrames(f *testing.F) {
 		if st.Capture([][]byte{data}, every, nBlocks, nil) != nil {
 			return
 		}
-		run, keys, err := st.Merge(nil)
+		parts, keys, err := st.Merge(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		run := parts[0]
 		var again, prevKey []byte
 		prevBlock := 0
 		pairs, distinct := 0, 0
@@ -389,7 +483,7 @@ func FuzzBlockFrames(f *testing.F) {
 		if err := st2.Capture([][]byte{again}, every, nBlocks, nil); err != nil {
 			t.Fatalf("re-encoded run rejected: %v", err)
 		}
-		if run2, _, _ := st2.Merge(nil); !bytes.Equal(run, run2) {
+		if run2, _ := st2.MergeInput(nil); !bytes.Equal(run, run2) {
 			t.Fatal("run does not survive a round trip through the part-file encoding")
 		}
 	})

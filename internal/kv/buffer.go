@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 //go:generate go run gen_sort.go
@@ -89,6 +90,10 @@ func (b *Buffer) Add(p int, key, val []byte) {
 	b.data = append(b.data, val...)
 	b.refs = append(b.refs, ref{part: int32(p), off: off, klen: int32(len(key)), vlen: int32(len(val))})
 }
+
+// ReservePairs makes room for n more pairs' references, so a buffer whose
+// pair count is known up front fills without regrowing them.
+func (b *Buffer) ReservePairs(n int) { b.refs = slices.Grow(b.refs, n) }
 
 // Len returns the number of pairs buffered.
 func (b *Buffer) Len() int { return len(b.refs) }

@@ -173,6 +173,27 @@ func (s *SliceStream) Peek() ([]byte, []byte, bool) {
 // Advance implements PairStream.
 func (s *SliceStream) Advance() { s.valid = false }
 
+// SliceStreams returns one stream per buffer, the buffers of each list in
+// order: every stream in one slab beside the list that holds them, two
+// allocations however many buffers there are.
+func SliceStreams(bufs ...[][]byte) []PairStream {
+	n := 0
+	for _, list := range bufs {
+		n += len(list)
+	}
+	slab := make([]SliceStream, n)
+	out := make([]PairStream, n)
+	i := 0
+	for _, list := range bufs {
+		for _, buf := range list {
+			slab[i].dec.buf = buf
+			out[i] = &slab[i]
+			i++
+		}
+	}
+	return out
+}
+
 // MergeScratch is the reusable state of MergeGroups: the heap, each
 // stream's cached head and the current group's values. One scratch serves
 // any number of merges that never overlap; a merge suspended inside a

@@ -373,3 +373,38 @@ func TestBufferSortProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// SliceStreams streams each buffer as NewSliceStream does, lists in order,
+// in two allocations however many buffers there are.
+func TestSliceStreamsMatchNewSliceStream(t *testing.T) {
+	var runs [][]byte
+	for i := 0; i < 5; i++ {
+		var run []byte
+		for j := 0; j < i; j++ {
+			run = AppendPair(run, []byte(fmt.Sprintf("k%d-%d", i, j)), []byte{byte(j)})
+		}
+		runs = append(runs, run)
+	}
+	drain := func(s PairStream) (pairs []string) {
+		for {
+			k, v, ok := s.Peek()
+			if !ok {
+				return pairs
+			}
+			pairs = append(pairs, fmt.Sprintf("%s=%x", k, v))
+			s.Advance()
+		}
+	}
+	streams := SliceStreams(runs[:2], runs[2:])
+	if len(streams) != len(runs) {
+		t.Fatalf("%d streams for %d buffers", len(streams), len(runs))
+	}
+	for i, s := range streams {
+		if got, want := drain(s), drain(NewSliceStream(runs[i])); !reflect.DeepEqual(got, want) {
+			t.Fatalf("stream %d: %q, want %q", i, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { SliceStreams(runs[:2], runs[2:]) }); n != 2 {
+		t.Fatalf("SliceStreams allocates %.1f objects for %d buffers, want 2", n, len(runs))
+	}
+}

@@ -8,31 +8,56 @@ package metrics
 // applies it after the join, at a deterministic point in virtual order.
 // Increments apply in the order they were recorded, so repeated runs sum
 // identically.
+//
+// The first few names live in an array inside the Delta, as
+// memtable.Table keeps its first segments: a map task records three, and
+// a batch that size allocates nothing.
 type Delta struct {
-	names []string
-	vals  []float64
+	n    int                   // names recorded
+	head [deltaHead]deltaEntry // the first names
+	rest []deltaEntry          // the names past head
+}
+
+const deltaHead = 4
+
+type deltaEntry struct {
+	name string
+	val  float64
+}
+
+// entry returns the i-th recorded name's entry.
+func (d *Delta) entry(i int) *deltaEntry {
+	if i < deltaHead {
+		return &d.head[i]
+	}
+	return &d.rest[i-deltaHead]
 }
 
 // Add accumulates v into name. Repeats of a name fold into the earlier
 // entry, keeping application order independent of how many times a closure
 // touched the counter.
 func (d *Delta) Add(name string, v float64) {
-	for i, n := range d.names {
-		if n == name {
-			d.vals[i] += v
+	for i := 0; i < d.n; i++ {
+		if e := d.entry(i); e.name == name {
+			e.val += v
 			return
 		}
 	}
-	d.names = append(d.names, name)
-	d.vals = append(d.vals, v)
+	if d.n < deltaHead {
+		d.head[d.n] = deltaEntry{name, v}
+	} else {
+		d.rest = append(d.rest, deltaEntry{name, v})
+	}
+	d.n++
 }
 
 // ApplyTo drains the delta into c in recorded order and resets it for
 // reuse.
 func (d *Delta) ApplyTo(c *Counters) {
-	for i, n := range d.names {
-		c.Add(n, d.vals[i])
+	for i := 0; i < d.n; i++ {
+		e := d.entry(i)
+		c.Add(e.name, e.val)
 	}
-	d.names = d.names[:0]
-	d.vals = d.vals[:0]
+	d.n = 0
+	d.rest = d.rest[:0]
 }

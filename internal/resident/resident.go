@@ -146,7 +146,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		}
 	})
 	if err != nil {
-		panic(fmt.Sprintf("resident: %v", err))
+		rt.Fail(p, err)
 	}
 	if table != nil {
 		node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
@@ -238,6 +238,36 @@ func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostMo
 	})
 }
 
+// chunkFold folds a reduce task's arriving chunks into its table. The
+// decode+fold is pure data work: it rides the worker pool and overlaps the
+// pre-counted CPU charge, exactly like the hash engines' reduce ingest. Its
+// closure is built once per task and folds data, which is set before each
+// dispatch and stays put until the join.
+type chunkFold struct {
+	data []byte
+	run  func()
+}
+
+func newChunkFold(table *foldTable, r int) *chunkFold {
+	in := &chunkFold{}
+	add := func(k, v []byte) { table.fold(k, v, r) }
+	in.run = func() { engine.DecodePairs(in.data, add) }
+	return in
+}
+
+// ingest folds one chunk and charges it.
+func (in *chunkFold) ingest(p *sim.Proc, rt *engine.Runtime, node *cluster.Node, costs engine.CostModel, data []byte) {
+	n, bytes := engine.CountChunk(data)
+	in.data = data
+	work := p.StartWork(in.run)
+	node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
+	node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord)+
+		engine.Dur(float64(bytes), costs.SerializeNsPerByte), engine.PhaseUpdate)
+	node.Compute(p, engine.Dur(float64(n), costs.FrameworkNsPerRecord), engine.PhaseFramework)
+	rt.Counters.Add(engine.CtrHashOps, float64(n))
+	work.Wait()
+}
+
 // runReduceTask drains the push channel into the fold table, then emits the
 // table in insertion order and publishes the partition's output as a
 // memory-resident DFS file for the next job in the chain to map over.
@@ -247,25 +277,13 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 	// only the finish touches the Fold's scratch, so the task's own serves both.
 	table := newFoldTable(job.Fold())
 	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
+	in := newChunkFold(table, r)
 	for {
 		chunk, ok := pc.PopFresh(p, node.ID)
 		if !ok {
 			break
 		}
-		// The decode+fold is pure data work: dispatch it to the worker pool
-		// and overlap the pre-counted CPU charge, exactly like the hash
-		// engines' reduce ingest.
-		n, bytes := engine.CountChunk(chunk.Data)
-		data := chunk.Data
-		work := p.StartWork(func() {
-			engine.DecodePairs(data, func(k, v []byte) { table.fold(k, v, r) })
-		})
-		node.Compute(p, engine.Dur(float64(n), costs.HashNs), engine.PhaseHash)
-		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord)+
-			engine.Dur(float64(bytes), costs.SerializeNsPerByte), engine.PhaseUpdate)
-		node.Compute(p, engine.Dur(float64(n), costs.FrameworkNsPerRecord), engine.PhaseFramework)
-		rt.Counters.Add(engine.CtrHashOps, float64(n))
-		work.Wait()
+		in.ingest(p, rt, node, costs, chunk.Data)
 	}
 	rt.End(shuffleSpan)
 

@@ -427,3 +427,24 @@ func TestEmitAllAllocatesNothingPerKey(t *testing.T) {
 		t.Fatalf("emitted %d pairs, want %d", pairs, 11*500)
 	}
 }
+
+// A reduce task folds each arriving chunk in a pooled closure built once
+// per task and re-aimed at the chunk, so a chunk of known keys allocates
+// nothing.
+func TestChunkFoldAllocatesNothingPerChunk(t *testing.T) {
+	env := sim.New()
+	cl := cluster.New(env, cluster.DefaultConfig())
+	rt := engine.NewRuntime(env, cl, dfs.New(cl, 64<<10, 1))
+	in := newChunkFold(newFoldTable((&engine.Job{Monoid: workloads.CountMonoid{}}).Fold()), 0)
+	var chunk []byte
+	for i := 0; i < 64; i++ {
+		chunk = kv.AppendPair(chunk, []byte(fmt.Sprintf("user-%04d", i)), []byte("1"))
+	}
+	env.Go("t", func(p *sim.Proc) {
+		in.ingest(p, rt, cl.Node(0), engine.DefaultCosts(), chunk) // the keys' first fold
+		if avg := testing.AllocsPerRun(100, func() { in.ingest(p, rt, cl.Node(0), engine.DefaultCosts(), chunk) }); avg != 0 {
+			t.Errorf("a chunk's fold allocates %.1f objects at steady state, budget 0", avg)
+		}
+	})
+	env.Run()
+}

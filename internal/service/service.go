@@ -672,10 +672,14 @@ func (s *Service) scheduler(p *sim.Proc) {
 // Run drives the simulation to completion and returns the service report.
 // The returned error is non-nil when any armed invariant — per-job
 // conservation, scheduler fairness, or the end-of-run leak sweep — failed;
-// the report is returned either way.
+// the report is returned either way. A job task that fails
+// (*engine.TaskError) ends every tenant's run: Run returns that error and
+// no report.
 func (s *Service) Run() (*Report, error) {
 	s.env.Go("service-scheduler", s.scheduler)
-	s.env.Run()
+	if err := engine.Drive(s.env); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	s.accrueAll(s.env.Now())
 	if s.audit != nil {
 		if s.freeMap != s.capMap || s.freeReduce != s.capReduce {

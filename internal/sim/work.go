@@ -39,11 +39,17 @@ type Work struct {
 	p    *Proc // nil once joined
 	fn   func()
 	fnOn func(worker int)
-	// done carries the worker's completion signal; capacity 1, so the worker
-	// never blocks on it, and it is recycled with the handle.
-	done chan struct{}
+	// done is the worker's completion signal, one count per dispatch: the
+	// worker never blocks on it, and it is recycled with the handle.
+	done sync.WaitGroup
 	err  interface{}
 }
+
+// workSlab is how many handles a dispatch that finds none free allocates
+// at once: a run whose processes keep many closures in flight — more the
+// slower the host's workers drain them — pays one object per slab, not
+// two per handle.
+const workSlab = 16
 
 // joined is the handle of every closure that ran inline: Wait only reads a
 // handle whose p is nil, so one value serves all of them, on any goroutine.
@@ -198,7 +204,7 @@ func (e *Env) execute(w *Work, id int) {
 		if r := recover(); r != nil {
 			w.err = r
 		}
-		w.done <- struct{}{}
+		w.done.Done()
 	}()
 	if w.fnOn != nil {
 		w.fnOn(id)
@@ -240,9 +246,14 @@ func (p *Proc) dispatch(fn func(), fnOn func(worker int)) *Work {
 		w = e.freeWork[n-1]
 		e.freeWork = e.freeWork[:n-1]
 	} else {
-		w = &Work{done: make(chan struct{}, 1)}
+		slab := make([]Work, workSlab)
+		for i := range slab[1:] {
+			e.freeWork = append(e.freeWork, &slab[i+1])
+		}
+		w = &slab[0]
 	}
 	w.p, w.fn, w.fnOn = p, fn, fnOn
+	w.done.Add(1)
 	p.unjoined++
 	e.pendingWork++
 	if e.pool == nil {
@@ -269,7 +280,7 @@ func (w *Work) Wait() {
 	if w.p == nil {
 		return
 	}
-	<-w.done
+	w.done.Wait()
 	p, err := w.p, w.err
 	w.p, w.fn, w.fnOn, w.err = nil, nil, nil, nil
 	p.unjoined--

@@ -169,10 +169,7 @@ func (m *Merger) MergePass(p *sim.Proc) *Run {
 	var out []byte
 	var cmps int64
 	work := p.StartWork(func() {
-		streams := make([]kv.PairStream, len(datas))
-		for i, d := range datas {
-			streams[i] = kv.NewSliceStream(d)
-		}
+		streams := kv.SliceStreams(datas)
 		// A merge pass rewrites its inputs verbatim, so the output is
 		// exactly inBytes — allocate it once.
 		out = make([]byte, 0, inBytes)
@@ -291,9 +288,5 @@ func (a *Accumulator) TakeSegments() [][]byte {
 // PeekStreams opens the segments without clearing them — used for HOP's
 // snapshot re-merges, which must leave the buffered data in place.
 func (a *Accumulator) PeekStreams() []kv.PairStream {
-	out := make([]kv.PairStream, len(a.segs))
-	for i, seg := range a.segs {
-		out[i] = kv.NewSliceStream(seg)
-	}
-	return out
+	return kv.SliceStreams(a.segs)
 }
