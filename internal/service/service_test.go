@@ -1,10 +1,12 @@
 package service_test
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"onepass/internal/engine"
 	"onepass/internal/gen"
 	"onepass/internal/loadgen"
 	"onepass/internal/service"
@@ -379,5 +381,44 @@ func TestConfigValidateRejectsUnrepairableValues(t *testing.T) {
 				t.Fatal("accepted")
 			}
 		})
+	}
+}
+
+// A job task that fails on its data (engine.Abort) ends the fleet's run:
+// Run returns the *engine.TaskError, naming the failed job's task, and no
+// report, and no process of any tenant is left behind. Failing the one job
+// alone is the next step.
+func TestTaskFailureEndsTheRunWithItsError(t *testing.T) {
+	svc, err := service.New(testConfig(service.TenantConfig{Name: "a"}, service.TenantConfig{Name: "b"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := register(t, svc, 1<<20)
+	good.Tenant = "a"
+	bad := good
+	bad.Tenant = "b"
+	bad.Job.Name, bad.Job.Fresh = "damaged", nil
+	bad.Job.Map = func(rec []byte, emit engine.Emit) {
+		engine.Abort(errors.New("record does not parse"))
+	}
+	svc.AddSubmitter()
+	svc.Env().Go("submit", func(p *sim.Proc) {
+		defer svc.SubmitterDone()
+		for _, req := range []service.JobRequest{good, bad, good} {
+			if err := svc.Submit(p, req); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	rep, err := svc.Run()
+	var te *engine.TaskError
+	if !errors.As(err, &te) || rep != nil {
+		t.Fatalf("run with a failing job: report %v, error %v", rep != nil, err)
+	}
+	if te.Job != "damaged" || te.Kind != "map" || !strings.Contains(err.Error(), "record does not parse") {
+		t.Errorf("error names %s %s task %d: %v", te.Job, te.Kind, te.Task, err)
+	}
+	if n := svc.Env().LiveCount(); n != 0 {
+		t.Fatalf("%d processes live after the failed run", n)
 	}
 }
