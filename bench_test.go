@@ -12,11 +12,11 @@ import (
 	"onepass/internal/service"
 )
 
-// BenchmarkHashSmallBlocks runs the small-job fleet's job shape so
-// bench-smoke's B/op ratchet covers the regime the kernel benchmarks miss:
-// blocks far smaller than a push chunk (16 KB against 512 KB) over 10
-// reducers, where a buffer sized to an option's default instead of to the
-// data costs 20-80x the bytes it holds.
+// BenchmarkHashSmallBlocks runs the small-job fleet's job shape, the regime
+// the kernel benchmarks miss: blocks far smaller than a push chunk (16 KB
+// against 512 KB) over 10 reducers, where a buffer sized to an option's
+// default instead of to the data costs 20-80x the bytes it holds.
+// internal/core's TestAllocationProportionalToData bounds its bytes.
 func BenchmarkHashSmallBlocks(b *testing.B) {
 	clicks := onepass.DefaultClickConfig()
 	benchSmallBlocks(b, 128<<10,
@@ -25,10 +25,10 @@ func BenchmarkHashSmallBlocks(b *testing.B) {
 }
 
 // BenchmarkSortMergeSmallBlocks runs the sort-merge engines' map side with
-// more blocks than map slots (64 blocks of 16 KB on 20 slots), so
-// bench-smoke's B/op ratchet covers map-output buffer reuse: a buffer goes
-// back to the free list at its map closure's join, and a task starting
-// while an earlier one is still being charged maps into it.
+// more blocks than map slots (64 blocks of 16 KB on 20 slots), for
+// map-output buffer reuse: a buffer goes back to the free list at its map
+// closure's join, and a task starting while an earlier one is still being
+// charged maps into it. TestMapBufferAllocationPerRecord bounds its bytes.
 func BenchmarkSortMergeSmallBlocks(b *testing.B) {
 	clicks := onepass.DefaultClickConfig()
 	benchSmallBlocks(b, 1<<20,
@@ -38,9 +38,10 @@ func BenchmarkSortMergeSmallBlocks(b *testing.B) {
 
 // BenchmarkServiceSmallJobs runs a three-tenant fleet of 8-block jobs (128
 // KB in 16 KB blocks, fewer blocks than a job's 10 map slots) on hadoop,
-// mapreduce-online and hash-incremental, so bench-smoke's B/op ratchet
-// covers map-output buffer reuse across jobs: the service's jobs share one
-// free list, and a small job maps into the buffers earlier ones released.
+// mapreduce-online and hash-incremental, for map-output buffer reuse across
+// jobs: the service's jobs share one free list, and a small job maps into
+// the buffers earlier ones released. internal/service's
+// TestFleetReusesMapBuffersAcrossJobs bounds its bytes.
 func BenchmarkServiceSmallJobs(b *testing.B) {
 	clicks := onepass.DefaultClickConfig()
 	mix := []smallBlockJob{

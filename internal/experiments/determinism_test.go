@@ -14,8 +14,6 @@ import (
 	"onepass/internal/parallel"
 )
 
-// renderAll concatenates every report, mirroring what cmd/experiments
-// writes between header and footer.
 // renderSerially renders every experiment in paper order, one at a time: the
 // reference execution RunAll's output must equal byte for byte.
 func renderSerially(s *Session) []*Report {
@@ -26,6 +24,8 @@ func renderSerially(s *Session) []*Report {
 	return reps
 }
 
+// renderAll concatenates every report, mirroring what cmd/experiments
+// writes after its header.
 func renderAll(reps []*Report) []byte {
 	var b bytes.Buffer
 	for _, rep := range reps {

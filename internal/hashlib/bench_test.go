@@ -7,6 +7,25 @@ import (
 
 var hashSink uint64
 
+// shortKeys returns the keys the workloads hash: 2- to 8-byte user ("u<n>")
+// and word ("w<n>") keys.
+func shortKeys() [][]byte {
+	var keys [][]byte
+	for n := 1; n < 1e7; n *= 7 {
+		keys = append(keys, []byte(fmt.Sprintf("u%d", n)), []byte(fmt.Sprintf("w%d", n)))
+	}
+	return keys
+}
+
+// bucketKeys returns 64 11-byte user keys.
+func bucketKeys() [][]byte {
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("user-%06d", i))
+	}
+	return keys
+}
+
 func BenchmarkHash16B(b *testing.B) {
 	h := NewFamily(1).New()
 	key := []byte("user-123456-page")
@@ -27,14 +46,10 @@ func BenchmarkHash64B(b *testing.B) {
 	}
 }
 
-// BenchmarkHashShortKeys hashes the keys the workloads hash: 2- to 8-byte
-// user ("u<n>") and word ("w<n>") keys. It reports ns per key.
+// BenchmarkHashShortKeys hashes shortKeys. It reports ns per key.
 func BenchmarkHashShortKeys(b *testing.B) {
 	h := NewFamily(1).New()
-	var keys [][]byte
-	for n := 1; n < 1e7; n *= 7 {
-		keys = append(keys, []byte(fmt.Sprintf("u%d", n)), []byte(fmt.Sprintf("w%d", n)))
-	}
+	keys := shortKeys()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, k := range keys {
@@ -46,10 +61,7 @@ func BenchmarkHashShortKeys(b *testing.B) {
 
 func BenchmarkBucket(b *testing.B) {
 	h := NewFamily(1).New()
-	keys := make([][]byte, 64)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("user-%06d", i))
-	}
+	keys := bucketKeys()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = h.Bucket(keys[i&63], 60)

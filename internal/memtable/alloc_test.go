@@ -110,3 +110,20 @@ func TestAllocBudgetTableGrowth(t *testing.T) {
 			len(keys), got, budget, entries, index, directory)
 	}
 }
+
+// An arena that copies 64K payloads between Resets, as BenchmarkArenaCopy
+// does, gets every slab back from Reset: a copy allocates nothing.
+func TestAllocBudgetArenaCopy(t *testing.T) {
+	a := NewArena(0)
+	payload := make([]byte, 48)
+	cycle := func() {
+		a.Reset()
+		for i := 0; i < 1<<16; i++ {
+			a.copyRef(payload)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(5, cycle); avg != 0 {
+		t.Fatalf("a Reset and 64K copies allocate %.1f, budget 0", avg)
+	}
+}
