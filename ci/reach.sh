@@ -43,14 +43,26 @@ run_fails() {
   fi
 }
 
-# Every behaviour-fingerprint case, as runjob flags.
+# Every behaviour-fingerprint case, dispatched on its command word. A runjob
+# line writes the artifacts TestFingerprint pins; a -delta line takes none of
+# those flags.
 n=0
 while IFS= read -r line; do
   case $line in ''|'#'*) continue ;; esac
   n=$((n + 1))
-  # shellcheck disable=SC2086 # the flags are space-separated words
-  run "fingerprint-$n" "$bin/runjob" ${line%%|*} -json -trace "$out/run/fp.trace" \
-    -profile-json "$out/run/fp.profile"
+  read -r cmd args <<< "${line%%|*}"
+  case $cmd in
+  runjob)
+    case " $args " in
+    *' -delta '*) extra=() ;;
+    *) extra=(-json -trace "$out/run/fp.trace" -profile-json "$out/run/fp.profile") ;;
+    esac ;;
+  jobserve) extra=(-json) ;;
+  check) extra=(-q -out "$out/run/fp.md") ;;
+  *) echo "reach: unknown command in testdata/fingerprint.txt: $line" >&2; exit 1 ;;
+  esac
+  # shellcheck disable=SC2086 # the arguments are space-separated words
+  run "fingerprint-$n" "$bin/$cmd" $args "${extra[@]}"
 done < testdata/fingerprint.txt
 
 # The README's commands, at sizes that keep the run short.

@@ -8,46 +8,11 @@
 //
 //	go run ./cmd/check [-seeds N] [-seed BASE] [-out report.md] [-q]
 //
-// Exit status is non-zero if any tuple fails; -out writes a Markdown report
-// of the failing tuples (the CI artifact).
+// The body is cli.Check. Exit status is 1 if any tuple fails and 2 for a
+// command line that does not parse; -out writes a Markdown report: the
+// counts, a digest of every run, and the failing tuples.
 package main
 
-import (
-	"flag"
-	"fmt"
-	"io"
-	"log"
-	"os"
+import "onepass/internal/cli"
 
-	"onepass/internal/check"
-)
-
-func main() {
-	log.SetFlags(0)
-	seeds := flag.Int("seeds", 25, "number of fuzzed tuples to check")
-	seed := flag.Int64("seed", 1, "base seed (tuple i uses seed+i)")
-	out := flag.String("out", "", "write a Markdown report to this file")
-	parallel := flag.Int("parallel-intra", 0,
-		"worker goroutines for intra-run data work (0 or 1 = serial; reports are byte-identical either way)")
-	quiet := flag.Bool("q", false, "suppress per-tuple progress")
-	flag.Parse()
-
-	var progress io.Writer = os.Stderr
-	if *quiet {
-		progress = nil
-	}
-	rep := check.Run(check.Options{Seeds: *seeds, Seed: *seed, Parallelism: *parallel, Log: progress})
-
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(rep.Markdown(*seed)), 0o644); err != nil {
-			log.Fatalf("check: writing report: %v", err)
-		}
-	}
-	if len(rep.Failures) > 0 {
-		for _, f := range rep.Failures {
-			fmt.Fprintln(os.Stderr, f)
-		}
-		log.Fatalf("check: %d tuples, %d runs, %d FAILURE(S)", rep.Tuples, rep.Runs, len(rep.Failures))
-	}
-	fmt.Printf("check: %d tuples, %d runs, all engines agree, all audits clean\n", rep.Tuples, rep.Runs)
-}
+func main() { cli.Main(cli.Check) }

@@ -2,24 +2,14 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
 
+	"onepass/internal/cli"
 	"onepass/internal/loadgen"
 )
-
-// TestMain runs the command itself when the test binary is re-executed with
-// JOBSERVE_MAIN set, so a test drives jobserve's real flag handling without
-// a separate build.
-func TestMain(m *testing.M) {
-	if os.Getenv("JOBSERVE_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 // jobserve -exectrace and -memprofile write a Go execution trace and an
 // allocation profile of the fleet's run.
@@ -28,10 +18,9 @@ func TestProfiles(t *testing.T) {
 	tracePath, memPath := filepath.Join(dir, "exec.trace"), filepath.Join(dir, "mem.pprof")
 	args := []string{"-tenant", "name=a,rate=50,jobs=2", "-size", "256KB", "-block", "64KB", "-nodes", "4", "-reducers", "4",
 		"-exectrace", tracePath, "-memprofile", memPath}
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "JOBSERVE_MAIN=1")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("jobserve %v: %v\n%s", args, err, out)
+	var stderr bytes.Buffer
+	if err := cli.Jobserve(args, io.Discard, &stderr); err != nil {
+		t.Fatalf("jobserve %v: %v\n%s", args, err, stderr.Bytes())
 	}
 	b, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -52,16 +41,16 @@ func TestProfiles(t *testing.T) {
 
 func TestParseTenantRejectsUnusableRates(t *testing.T) {
 	for _, rate := range []string{"0", "-1", "NaN", "Inf", "-Inf", "1e-10"} {
-		if _, err := parseTenant("name=a,rate=" + rate); err == nil {
+		if _, err := cli.ParseTenant("name=a,rate=" + rate); err == nil {
 			t.Errorf("rate=%s accepted", rate)
 		}
 	}
-	if _, err := parseTenant("name=a,rate=1e-9"); err != nil {
+	if _, err := cli.ParseTenant("name=a,rate=1e-9"); err != nil {
 		t.Errorf("rate=1e-9 rejected: %v", err)
 	}
 }
 
-// FuzzParseTenant: a spec parseTenant accepts builds both arrival
+// FuzzParseTenant: a spec ParseTenant accepts builds both arrival
 // processes without panicking, and every gap they draw is non-negative.
 func FuzzParseTenant(f *testing.F) {
 	for _, seed := range []string{
@@ -76,17 +65,17 @@ func FuzzParseTenant(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		ts, err := parseTenant(spec)
+		ts, err := cli.ParseTenant(spec)
 		if err != nil {
 			return
 		}
-		if ts.cfg.Name == "" {
+		if ts.Config.Name == "" {
 			t.Fatal("accepted a tenant with no name")
 		}
-		for _, arr := range []loadgen.Arrival{loadgen.Poisson(1, ts.rate), loadgen.Constant(ts.rate)} {
+		for _, arr := range []loadgen.Arrival{loadgen.Poisson(1, ts.Rate), loadgen.Constant(ts.Rate)} {
 			for i := 0; i < 16; i++ {
 				if g := arr.Next(); g < 0 {
-					t.Fatalf("rate %g: gap %d = %v", ts.rate, i, g)
+					t.Fatalf("rate %g: gap %d = %v", ts.Rate, i, g)
 				}
 			}
 		}

@@ -2,22 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"testing"
-)
 
-// TestMain runs the command itself when the test binary is re-executed with
-// RUNJOB_MAIN set, so a test drives runjob's real flag handling without a
-// separate build.
-func TestMain(m *testing.M) {
-	if os.Getenv("RUNJOB_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
+	"onepass/internal/cli"
+)
 
 // runjob -exectrace writes a Go execution trace of the job run, on the plain
 // path and, with -delta, of RunDelta alone.
@@ -31,10 +22,9 @@ func TestExecTrace(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "exec.trace")
-			cmd := exec.Command(os.Args[0], append(tc.args, "-exectrace", path)...)
-			cmd.Env = append(os.Environ(), "RUNJOB_MAIN=1")
-			if out, err := cmd.CombinedOutput(); err != nil {
-				t.Fatalf("runjob %v: %v\n%s", tc.args, err, out)
+			var stderr bytes.Buffer
+			if err := cli.Runjob(append(tc.args, "-exectrace", path), io.Discard, &stderr); err != nil {
+				t.Fatalf("runjob %v: %v\n%s", tc.args, err, stderr.Bytes())
 			}
 			b, err := os.ReadFile(path)
 			if err != nil {

@@ -1,43 +1,64 @@
-package onepass
+package onepass_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"onepass/internal/cli"
 	"onepass/internal/engine"
-	"onepass/internal/textfmt"
-	"onepass/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/fingerprint.txt from this run")
 
 const fingerprintFile = "testdata/fingerprint.txt"
 
+// fingerprints maps a fingerprint line's command word to the function that
+// renders what the command writes as the line's fields. Each runs the
+// command through the function its main calls, cli.Runjob, cli.Jobserve or
+// cli.Check, with the line's arguments and the output flags it reads.
+var fingerprints = map[string]func(t *testing.T, args []string) string{
+	"runjob":   runjobFingerprint,
+	"jobserve": jobserveFingerprint,
+	"check":    checkFingerprint,
+}
+
 // TestFingerprint is the behaviour pin. Every number this reproduction
 // reports is exact — sort CPU is counted comparator calls, every figure a
 // deterministic virtual makespan — so each line of testdata/fingerprint.txt
-// names one run by the runjob flags that reproduce it and pins what it must
-// produce: makespan, comparison counts, output checksum, and the SHA-256 of
-// the Result JSON, the Chrome trace and the profile JSON, byte for byte as
-// `runjob -json`, `-trace` and `-profile-json` write them. A change that
-// moves any cost, trace or answer fails here, naming the case and the
-// artifact; one meant to move them re-pins with
+// names one command line and pins what it must write: for runjob the
+// makespan, comparison counts, output checksum and the SHA-256 of the Result
+// JSON, the Chrome trace and the profile JSON; for a runjob -delta line the
+// figures its report's exact line prints and the report's SHA-256; for
+// jobserve the SHA-256 of its -json report; for check the SHA-256 of its
+// Markdown report, whose runs digest covers every run of the sweep. A
+// change that moves any cost, trace or answer fails here, naming the case
+// and the fields; one meant to move them re-pins with
 //
 //	go test . -run TestFingerprint -update-golden
 //
-// The default sessionization cases also run with a 4-wide intra-run pool,
-// which must reproduce the serial fingerprint exactly.
+// A case runs with -parallel-intra 1. Every jobserve and check case, and
+// runjob's default sessionization case of each engine, runs again with
+// -parallel-intra 4 and must write the same bytes.
 func TestFingerprint(t *testing.T) {
 	raw, err := os.ReadFile(fingerprintFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type fpCase struct{ flags, want, got string }
+	type fpCase struct {
+		command string
+		args    []string
+		want    string
+		got     string
+	}
 	var cases []*fpCase
 	var out []any // comment lines as strings, cases as pointers, in file order
 	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
@@ -45,8 +66,12 @@ func TestFingerprint(t *testing.T) {
 			out = append(out, line)
 			continue
 		}
-		flags, want, _ := strings.Cut(line, "|")
-		c := &fpCase{flags: strings.TrimSpace(flags), want: strings.TrimSpace(want)}
+		cmdline, want, _ := strings.Cut(line, "|")
+		fields := strings.Fields(cmdline)
+		c := &fpCase{command: fields[0], args: fields[1:], want: strings.TrimSpace(want)}
+		if fingerprints[c.command] == nil {
+			t.Fatalf("%s: %q: unknown command %q", fingerprintFile, line, c.command)
+		}
 		cases = append(cases, c)
 		out = append(out, c)
 	}
@@ -56,24 +81,22 @@ func TestFingerprint(t *testing.T) {
 
 	t.Run("case", func(t *testing.T) {
 		for _, c := range cases {
-			t.Run(c.flags, func(t *testing.T) {
+			args := strings.Join(c.args, " ")
+			t.Run(args, func(t *testing.T) {
 				t.Parallel()
-				run, err := parseFingerprintFlags(c.flags)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.got = run.fingerprint(t, 1)
-				if run.pooled() {
-					if pooled := run.fingerprint(t, 4); pooled != c.got {
-						t.Errorf("at Parallelism 4 the run moved %s:\n  serial: %s\n  pooled: %s",
+				fingerprint := fingerprints[c.command]
+				c.got = fingerprint(t, withWidth(c.args, 1))
+				if c.command != "runjob" || strings.HasSuffix(args, "-workload sessionization -size 8MB") {
+					if pooled := fingerprint(t, withWidth(c.args, 4)); pooled != c.got {
+						t.Errorf("at -parallel-intra 4 the run moved %s:\n  serial: %s\n  pooled: %s",
 							movedFields(c.got, pooled), c.got, pooled)
 					}
 				}
 				if *updateGolden || c.got == c.want {
 					return
 				}
-				t.Errorf("moved %s\n  replacement line:\n%s | %s\n  re-pin every case with: go test . -run TestFingerprint -update-golden",
-					movedFields(c.want, c.got), c.flags, c.got)
+				t.Errorf("moved %s\n  replacement line:\n%s %s | %s\n  re-pin every case with: go test . -run TestFingerprint -update-golden",
+					movedFields(c.want, c.got), c.command, args, c.got)
 			})
 		}
 	})
@@ -84,7 +107,7 @@ func TestFingerprint(t *testing.T) {
 	var b strings.Builder
 	for _, o := range out {
 		if c, ok := o.(*fpCase); ok {
-			fmt.Fprintf(&b, "%s | %s\n", c.flags, c.got)
+			fmt.Fprintf(&b, "%s %s | %s\n", c.command, strings.Join(c.args, " "), c.got)
 		} else {
 			fmt.Fprintln(&b, o)
 		}
@@ -94,122 +117,88 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
-// fingerprintRun is one case's configuration, parsed from runjob's flags
-// with runjob's defaults.
-type fingerprintRun struct {
-	engine, workload, size, block, taskmem, fault string
-	delta                                         float64
+// withWidth returns args with the intra-run pool width set to width.
+func withWidth(args []string, width int) []string {
+	return append(slices.Clip(args), "-parallel-intra", strconv.Itoa(width))
 }
 
-func parseFingerprintFlags(args string) (*fingerprintRun, error) {
-	var r fingerprintRun
-	fs := flag.NewFlagSet("runjob", flag.ContinueOnError)
-	fs.StringVar(&r.engine, "engine", "hadoop", "")
-	fs.StringVar(&r.workload, "workload", "sessionization", "")
-	fs.StringVar(&r.size, "size", "32MB", "")
-	fs.StringVar(&r.block, "block", "1MB", "")
-	fs.StringVar(&r.taskmem, "taskmem", "", "")
-	fs.StringVar(&r.fault, "fault", "", "")
-	fs.Float64Var(&r.delta, "delta", 0, "")
-	if err := fs.Parse(strings.Fields(args)); err != nil {
-		return nil, err
-	}
-	if fs.NArg() > 0 {
-		return nil, fmt.Errorf("stray arguments %q", fs.Args())
-	}
-	return &r, nil
-}
-
-// pooled reports whether the case also runs with a 4-wide pool: the
-// default sessionization run of each engine.
-func (r *fingerprintRun) pooled() bool {
-	return r.workload == "sessionization" && r.block == "1MB" && r.taskmem == "" && r.fault == "" && r.delta == 0
-}
-
-// fingerprint runs the case the way runjob does — DefaultConfig, 20
-// reducers, discarded output — at the given pool width and renders what it
-// produced as the key=value fields of a fingerprint line. A -delta case pins
-// the incremental run, the base run's makespan and the DeltaStats; it writes
-// no trace or profile, as runjob's -delta writes none.
-func (r *fingerprintRun) fingerprint(t *testing.T, parallelism int) string {
+// runCommand runs cmd over args and returns what it wrote to stdout; a
+// command that fails fails the test with what it wrote to stderr.
+func runCommand(t *testing.T, cmd cli.Command, args []string) []byte {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Reducers = 20
-	cfg.DiscardOutput = true
-	cfg.Parallelism = parallelism
-	var err error
-	if cfg.Engine, err = ParseEngine(r.engine); err != nil {
-		t.Fatal(err)
+	var stdout, stderr bytes.Buffer
+	if err := cmd(args, &stdout, &stderr); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.Bytes())
 	}
-	if cfg.BlockSize, err = textfmt.ParseSize(r.block); err != nil {
-		t.Fatal(err)
-	}
-	if r.taskmem != "" {
-		if cfg.MemoryPerTask, err = textfmt.ParseSize(r.taskmem); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cfg.Faults, err = ParseFaults(r.fault); err != nil {
-		t.Fatal(err)
-	}
-	size, err := textfmt.ParseSize(r.size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := DefaultClickConfig()
-	w, err := workloads.ByName(r.workload, cc, DefaultDocConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := Dataset{Path: "input/" + w.Name, Size: size, Gen: w.Gen}
-
-	if r.delta != 0 {
-		cfg.DiscardOutput = false
-		dr, err := RunDelta(cfg, data, w.Job, DefaultDelta(cc, 42, r.delta))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := json.Marshal(dr.Stats)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resultFields(t, dr.Incremental) +
-			fmt.Sprintf(" base=%d stats=%x", int64(dr.Base.Makespan), sha256.Sum256(stats))
-	}
-
-	tl := NewTraceLog()
-	cfg.Trace = tl
-	res, err := Run(cfg, data, w.Job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	AttachCounterTracks(tl, res)
-	prof, err := ComputeProfile(tl, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := sha256.New()
-	if err := tl.WriteChrome(trace); err != nil {
-		t.Fatal(err)
-	}
-	profJSON, err := prof.MarshalIndentJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resultFields(t, res) +
-		fmt.Sprintf(" trace=%x profile=%x", trace.Sum(nil), sha256.Sum256(profJSON))
+	return stdout.Bytes()
 }
 
-// resultFields renders the fields every case pins from its Result.
-func resultFields(t *testing.T, res *Result) string {
+// runjobFingerprint pins a runjob run by what -json prints under "result"
+// (its fields and the SHA-256 of its compact form, json.Marshal's bytes) and
+// by the SHA-256 of the files -trace and -profile-json write. A -delta run
+// takes none of those flags: it pins the fields of its report's exact line
+// and the SHA-256 of the whole report.
+func runjobFingerprint(t *testing.T, args []string) string {
 	t.Helper()
-	rj, err := json.Marshal(res)
+	if slices.Contains(args, "-delta") {
+		report := runCommand(t, cli.Runjob, args)
+		for _, line := range strings.Split(string(report), "\n") {
+			if exact, ok := strings.CutPrefix(strings.TrimSpace(line), "exact:"); ok {
+				return fmt.Sprintf("%s report=%x", strings.TrimSpace(exact), sha256.Sum256(report))
+			}
+		}
+		t.Fatalf("the -delta report has no exact line:\n%s", report)
+		return ""
+	}
+	dir := t.TempDir()
+	tracePath, profilePath := filepath.Join(dir, "trace.json"), filepath.Join(dir, "profile.json")
+	stdout := runCommand(t, cli.Runjob, append(slices.Clip(args), "-json", "-trace", tracePath, "-profile-json", profilePath))
+	var doc struct {
+		Result json.RawMessage `json:"result"`
+	}
+	var res struct {
+		Makespan       int64              `json:"makespan"`
+		OutputChecksum uint64             `json:"outputChecksum"`
+		Counters       map[string]float64 `json:"counters"`
+	}
+	var result bytes.Buffer
+	if err := json.Unmarshal(stdout, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&result, doc.Result); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("makespan=%d sort=%.0f merge=%.0f checksum=%016x result=%x trace=%x profile=%x",
+		res.Makespan, res.Counters[engine.CtrSortComparisons], res.Counters[engine.CtrMergeComparisons],
+		res.OutputChecksum, sha256.Sum256(result.Bytes()), fileSum(t, tracePath), fileSum(t, profilePath))
+}
+
+// jobserveFingerprint pins a fleet by the SHA-256 of its -json report.
+func jobserveFingerprint(t *testing.T, args []string) string {
+	t.Helper()
+	return fmt.Sprintf("report=%x", sha256.Sum256(runCommand(t, cli.Jobserve, append(slices.Clip(args), "-json"))))
+}
+
+// checkFingerprint pins a checker sweep by the SHA-256 of the Markdown
+// report -out writes.
+func checkFingerprint(t *testing.T, args []string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "check.md")
+	runCommand(t, cli.Check, append(slices.Clip(args), "-q", "-out", path))
+	return fmt.Sprintf("report=%x", fileSum(t, path))
+}
+
+// fileSum returns the SHA-256 of the file at path.
+func fileSum(t *testing.T, path string) [sha256.Size]byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("makespan=%d sort=%.0f merge=%.0f checksum=%016x result=%x",
-		int64(res.Makespan), res.Counters.Get(engine.CtrSortComparisons),
-		res.Counters.Get(engine.CtrMergeComparisons), res.OutputChecksum, sha256.Sum256(rj))
+	return sha256.Sum256(b)
 }
 
 // movedFields names the fields of got whose values differ from want's.

@@ -13,6 +13,7 @@
 package check
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 
@@ -29,8 +30,8 @@ type Options struct {
 	Seed int64
 	// Parallelism is the intra-run worker pool width applied to every run
 	// (Config.Parallelism). 0 or 1 keeps runs serial; reports are
-	// byte-identical at any width — CI runs the same slice serial and
-	// parallel and diffs the reports.
+	// byte-identical at any width — the behaviour fingerprint pins one
+	// sweep's report at widths 1 and 4.
 	Parallelism int
 	// Log, when non-nil, receives one progress line per tuple.
 	Log io.Writer
@@ -56,6 +57,10 @@ type Report struct {
 	Tuples   int
 	Runs     int
 	Failures []Failure
+	// Digest is the SHA-256 over every run's engine, stage, output checksum
+	// and makespan, in run order: two sweeps that made any run differently
+	// differ here even when both pass.
+	Digest [sha256.Size]byte
 }
 
 // Run executes the sweep described by opts.
@@ -67,65 +72,93 @@ func Run(opts Options) *Report {
 		opts.Seed = 1
 	}
 	rep := &Report{}
+	digest := sha256.New()
 	for i := 0; i < opts.Seeds; i++ {
-		seed := opts.Seed + int64(i)
-		runs, fails := CheckSeed(seed, opts.Parallelism)
+		c := &seedCheck{t: FuzzTuple(opts.Seed + int64(i)), digest: digest}
+		c.t.Cfg.Parallelism = opts.Parallelism
+		c.run()
 		rep.Tuples++
-		rep.Runs += runs
-		rep.Failures = append(rep.Failures, fails...)
+		rep.Runs += c.runs
+		rep.Failures = append(rep.Failures, c.fails...)
 		if opts.Log != nil {
 			status := "ok"
-			if len(fails) > 0 {
-				status = fmt.Sprintf("%d FAILURES", len(fails))
+			if len(c.fails) > 0 {
+				status = fmt.Sprintf("%d FAILURES", len(c.fails))
 			}
-			fmt.Fprintf(opts.Log, "seed %d: %d runs, %s\n", seed, runs, status)
+			fmt.Fprintf(opts.Log, "seed %d: %d runs, %s\n", c.t.Seed, c.runs, status)
 		}
 	}
+	digest.Sum(rep.Digest[:0])
 	return rep
 }
 
-// CheckSeed runs every check for one fuzzed tuple: the clean all-engine
-// differential with reference agreement always; for monoid workloads a
-// per-engine monoid-off rerun that must reproduce the clean checksum
-// byte-for-byte (the combining layer is an optimization, never an answer
-// change); on even seeds a per-engine chaos-faulted rerun (single stage, so
-// node failures are survivable — the input is regenerable); on odd seeds a
-// chained two-stage pipeline, clean and under a degradation-only schedule
-// (stage-1 output is written data a node failure could strand, so chained
-// runs degrade rather than kill). parallelism sets each run's intra-run
-// worker pool width (0 = serial).
-func CheckSeed(seed int64, parallelism int) (runs int, fails []Failure) {
-	t := FuzzTuple(seed)
-	t.Cfg.Parallelism = parallelism
-	add := func(eng, stage, format string, args ...any) {
-		fails = append(fails, Failure{
-			Seed: seed, Engine: eng, Stage: stage,
-			Detail: fmt.Sprintf(format, args...), Tuple: t.String(),
-		})
-	}
+// seedCheck is one fuzzed tuple's checks in progress: the runs made so far,
+// each folded into the sweep's digest as it ends, and the failures found.
+type seedCheck struct {
+	t      Tuple
+	runs   int
+	fails  []Failure
+	digest io.Writer
+}
 
+// fail records a failure of engine eng at stage.
+func (c *seedCheck) fail(eng, stage, format string, args ...any) {
+	c.fails = append(c.fails, Failure{
+		Seed: c.t.Seed, Engine: eng, Stage: stage,
+		Detail: fmt.Sprintf(format, args...), Tuple: c.t.String(),
+	})
+}
+
+// ran counts one run of engine eng at stage and folds it into the digest;
+// res is nil for a run that failed.
+func (c *seedCheck) ran(eng, stage string, res *onepass.Result) {
+	c.runs++
+	var sum uint64
+	var makespan int64
+	if res != nil {
+		sum, makespan = res.OutputChecksum, int64(res.Makespan)
+	}
+	fmt.Fprintf(c.digest, "%s %s %016x %d\n", eng, stage, sum, makespan)
+}
+
+// config is the tuple's configuration on engine e.
+func (c *seedCheck) config(e onepass.Engine) onepass.Config {
+	cfg := c.t.Cfg
+	cfg.Engine = e
+	return cfg
+}
+
+// run runs every check for the tuple: the clean all-engine differential with
+// reference agreement always; for monoid workloads a per-engine monoid-off
+// rerun that must reproduce the clean checksum byte-for-byte (the combining
+// layer is an optimization, never an answer change); on even seeds a
+// per-engine chaos-faulted rerun (single stage, so node failures are
+// survivable — the input is regenerable); on odd seeds a chained two-stage
+// pipeline, clean and under a degradation-only schedule (stage-1 output is
+// written data a node failure could strand, so chained runs degrade rather
+// than kill).
+func (c *seedCheck) run() {
+	t := c.t
 	ref := workloads.Reference(t.Workload, ReferenceBlocks(t.Workload, t.Input, t.Cfg.BlockSize))
 
 	clean := make(map[onepass.Engine]*onepass.Result)
 	var wantSum uint64
 	var wantEngine string
 	for _, e := range onepass.Engines() {
-		cfg := t.Cfg
-		cfg.Engine = e
-		res, err := onepass.RunWorkload(cfg, t.Workload, t.Input)
-		runs++
+		res, err := onepass.RunWorkload(c.config(e), t.Workload, t.Input)
+		c.ran(e.String(), "clean", res)
 		if err != nil {
-			add(e.String(), "clean", "%v", err)
+			c.fail(e.String(), "clean", "%v", err)
 			continue
 		}
 		clean[e] = res
 		if diff := diffOutput(res.Output, ref); diff != "" {
-			add(e.String(), "reference", "output disagrees with reference: %s", diff)
+			c.fail(e.String(), "reference", "output disagrees with reference: %s", diff)
 		}
 		if wantEngine == "" {
 			wantSum, wantEngine = res.OutputChecksum, e.String()
 		} else if res.OutputChecksum != wantSum {
-			add(e.String(), "clean", "checksum %016x != %s's %016x", res.OutputChecksum, wantEngine, wantSum)
+			c.fail(e.String(), "clean", "checksum %016x != %s's %016x", res.OutputChecksum, wantEngine, wantSum)
 		}
 	}
 
@@ -141,132 +174,128 @@ func CheckSeed(seed int64, parallelism int) (runs int, fails []Failure) {
 			if base == nil {
 				continue
 			}
-			cfg := t.Cfg
-			cfg.Engine = e
-			res, err := onepass.RunWorkload(cfg, &stripped, t.Input)
-			runs++
+			res, err := onepass.RunWorkload(c.config(e), &stripped, t.Input)
+			c.ran(e.String(), "monoid-off", res)
 			if err != nil {
-				add(e.String(), "monoid-off", "%v", err)
+				c.fail(e.String(), "monoid-off", "%v", err)
 				continue
 			}
 			if res.OutputChecksum != base.OutputChecksum {
-				add(e.String(), "monoid-off", "checksum %016x != monoid-on %016x: combining changed the answer",
+				c.fail(e.String(), "monoid-off", "checksum %016x != monoid-on %016x: combining changed the answer",
 					res.OutputChecksum, base.OutputChecksum)
 			}
 			if diff := diffOutput(res.Output, ref); diff != "" {
-				add(e.String(), "monoid-off", "output disagrees with reference: %s", diff)
+				c.fail(e.String(), "monoid-off", "output disagrees with reference: %s", diff)
 			}
 		}
 	}
 
 	if t.Delta != nil {
-		runs += checkDelta(t, add)
+		c.delta()
 	}
 
-	if seed%2 == 0 {
+	if t.Seed%2 == 0 {
 		for _, e := range onepass.Engines() {
 			base := clean[e]
 			if base == nil {
 				continue
 			}
-			cfg := t.Cfg
-			cfg.Engine = e
-			cfg.Faults = onepass.ChaosFaults(seed, cfg.Nodes, base.Makespan)
+			cfg := c.config(e)
+			cfg.Faults = onepass.ChaosFaults(t.Seed, cfg.Nodes, base.Makespan)
 			res, err := onepass.RunWorkload(cfg, t.Workload, t.Input)
-			runs++
+			c.ran(e.String(), "faulted", res)
 			if err != nil {
-				add(e.String(), "faulted", "%v", err)
+				c.fail(e.String(), "faulted", "%v", err)
 				continue
 			}
 			if res.OutputChecksum != base.OutputChecksum {
-				add(e.String(), "faulted", "checksum %016x diverged from clean %016x under %v",
+				c.fail(e.String(), "faulted", "checksum %016x diverged from clean %016x under %v",
 					res.OutputChecksum, base.OutputChecksum, cfg.Faults)
 			}
 			if res.Counters.Get(engine.CtrFaultsInjected) == 0 {
-				add(e.String(), "faulted", "schedule %v injected no faults (schedule dropped?)", cfg.Faults)
+				c.fail(e.String(), "faulted", "schedule %v injected no faults (schedule dropped?)", cfg.Faults)
 			}
 		}
 	} else {
-		runs += checkChained(t, add)
+		c.chained()
 	}
-	return runs, fails
 }
 
-// checkDelta is the delta equivalence axis: one engine per seed (rotating
+// delta is the delta equivalence axis: one engine per seed (rotating
 // through the registry so the sweep covers all of them) applies the tuple's
 // fuzzed delta incrementally — priming preserved state on the base, then
 // re-running over changed blocks only — and must reproduce a plain full run
 // over the evolved dataset byte for byte, checksum and grouped output both.
-func checkDelta(t Tuple, add func(eng, stage, format string, args ...any)) (runs int) {
+func (c *seedCheck) delta() {
+	t := c.t
 	engines := onepass.Engines()
 	e := engines[int(t.Seed)%len(engines)]
-	cfg := t.Cfg
-	cfg.Engine = e
+	eng := e.String()
+	cfg := c.config(e)
 	data := onepass.Dataset{Path: "input/" + t.Workload.Name, Size: t.Input, Gen: t.Workload.Gen}
 	dr, err := onepass.RunDelta(cfg, data, t.Workload.Job, *t.Delta)
-	runs += 2 // base prime + incremental re-run
 	if err != nil {
-		add(e.String(), "delta", "%v", err)
-		return runs
+		c.ran(eng, "delta-base", nil)
+		c.ran(eng, "delta-incremental", nil)
+		c.fail(eng, "delta", "%v", err)
+		return
 	}
+	c.ran(eng, "delta-base", dr.Base)
+	c.ran(eng, "delta-incremental", dr.Incremental)
 	cl := onepass.NewCluster(cfg)
 	v2 := onepass.DeltaDataset(data, *t.Delta, cfg.BlockSize)
 	if err := cl.Register(v2); err != nil {
-		add(e.String(), "delta", "registering evolved dataset: %v", err)
-		return runs
+		c.fail(eng, "delta", "registering evolved dataset: %v", err)
+		return
 	}
 	job := t.Workload.Job
 	job.InputPath = v2.Path
 	job.RetainOutput = true
 	full, err := cl.RunJob(job)
-	runs++
+	c.ran(eng, "delta-full", full)
 	if err != nil {
-		add(e.String(), "delta", "full re-run: %v", err)
-		return runs
+		c.fail(eng, "delta", "full re-run: %v", err)
+		return
 	}
 	if dr.Incremental.OutputChecksum != full.OutputChecksum {
-		add(e.String(), "delta", "incremental checksum %016x != full re-run %016x",
+		c.fail(eng, "delta", "incremental checksum %016x != full re-run %016x",
 			dr.Incremental.OutputChecksum, full.OutputChecksum)
 	}
 	if diff := diffOutput(dr.Incremental.Output, full.Output); diff != "" {
-		add(e.String(), "delta", "incremental output disagrees with full re-run: %s", diff)
+		c.fail(eng, "delta", "incremental output disagrees with full re-run: %s", diff)
 	}
-	return runs
 }
 
-// checkChained runs the two-stage page-count -> top-k pipeline on every
-// engine: clean with a trace sink (both stages must record spans), then
-// under a degradation-only fault schedule (both stages' checksums must
-// match the clean run and the schedule must actually fire). This is the
-// differential form of the chained-job regression: an engine runner that
-// drops the trace, audit, or fault schedule on Cluster.RunJob fails here.
-func checkChained(t Tuple, add func(eng, stage, format string, args ...any)) (runs int) {
+// chained runs the two-stage page-count -> top-k pipeline on every engine:
+// clean with a trace sink (both stages must record spans), then under a
+// degradation-only fault schedule (both stages' checksums must match the
+// clean run and the schedule must actually fire). This is the differential
+// form of the chained-job regression: an engine runner that drops the
+// trace, audit, or fault schedule on Cluster.RunJob fails here.
+func (c *seedCheck) chained() {
 	type pair struct{ count, top uint64 }
 	clean := make(map[onepass.Engine]*chainedRun)
 	var want pair
 	var wantEngine string
 	for _, e := range onepass.Engines() {
-		cfg := t.Cfg
-		cfg.Engine = e
 		tl := onepass.NewTraceLog()
-		cr, err := runChained(cfg, t.Clicks, t.Input, tl)
-		runs += cr.runs
+		cr, err := c.runChained(c.config(e), "chained", tl)
 		if err != nil {
-			add(e.String(), "chained", "%v", err)
+			c.fail(e.String(), "chained", "%v", err)
 			continue
 		}
 		clean[e] = cr
 		if cr.span1 == 0 {
-			add(e.String(), "chained", "stage 1 recorded no trace events")
+			c.fail(e.String(), "chained", "stage 1 recorded no trace events")
 		}
 		if tl.Len() <= cr.span1 {
-			add(e.String(), "chained", "stage 2 recorded no trace events (%d after stage 1, %d after stage 2): trace sink dropped between jobs", cr.span1, tl.Len())
+			c.fail(e.String(), "chained", "stage 2 recorded no trace events (%d after stage 1, %d after stage 2): trace sink dropped between jobs", cr.span1, tl.Len())
 		}
 		got := pair{cr.count.OutputChecksum, cr.top.OutputChecksum}
 		if wantEngine == "" {
 			want, wantEngine = got, e.String()
 		} else if got != want {
-			add(e.String(), "chained", "stage checksums (%016x,%016x) != %s's (%016x,%016x)",
+			c.fail(e.String(), "chained", "stage checksums (%016x,%016x) != %s's (%016x,%016x)",
 				got.count, got.top, wantEngine, want.count, want.top)
 		}
 	}
@@ -276,8 +305,7 @@ func checkChained(t Tuple, add func(eng, stage, format string, args ...any)) (ru
 		if base == nil {
 			continue
 		}
-		cfg := t.Cfg
-		cfg.Engine = e
+		cfg := c.config(e)
 		// Degradations land well inside stage 1's clean makespan so the
 		// schedule is guaranteed to fire; offsets re-arm per stage.
 		ms := base.count.Makespan
@@ -286,42 +314,42 @@ func checkChained(t Tuple, add func(eng, stage, format string, args ...any)) (ru
 			{Kind: onepass.NetDegrade, Node: 1, At: ms / 4, For: ms / 2, Factor: 4},
 			{Kind: onepass.Straggler, Node: 2, At: ms / 3, For: ms / 2, Factor: 3},
 		}}
-		cr, err := runChained(cfg, t.Clicks, t.Input, nil)
-		runs += cr.runs
+		cr, err := c.runChained(cfg, "chained-faulted", nil)
 		if err != nil {
-			add(e.String(), "chained-faulted", "%v", err)
+			c.fail(e.String(), "chained-faulted", "%v", err)
 			continue
 		}
 		if cr.count.OutputChecksum != base.count.OutputChecksum {
-			add(e.String(), "chained-faulted", "stage 1 checksum %016x diverged from clean %016x",
+			c.fail(e.String(), "chained-faulted", "stage 1 checksum %016x diverged from clean %016x",
 				cr.count.OutputChecksum, base.count.OutputChecksum)
 		}
 		if cr.top.OutputChecksum != base.top.OutputChecksum {
-			add(e.String(), "chained-faulted", "stage 2 checksum %016x diverged from clean %016x",
+			c.fail(e.String(), "chained-faulted", "stage 2 checksum %016x diverged from clean %016x",
 				cr.top.OutputChecksum, base.top.OutputChecksum)
 		}
 		if cr.count.Counters.Get(engine.CtrFaultsInjected) == 0 {
-			add(e.String(), "chained-faulted", "stage 1 injected no faults (RunJob dropped the schedule?)")
+			c.fail(e.String(), "chained-faulted", "stage 1 injected no faults (RunJob dropped the schedule?)")
 		}
 	}
-	return runs
 }
 
 // chainedRun holds both stages' results of one pipeline execution.
 type chainedRun struct {
 	count, top *onepass.Result
 	span1      int // trace events recorded by the end of stage 1
-	runs       int // jobs actually executed (for run accounting)
 }
 
-func runChained(cfg onepass.Config, cc onepass.ClickConfig, input int64, tl *onepass.TraceLog) (*chainedRun, error) {
+// runChained runs the pipeline once, recording each stage's job as a run
+// of the given stage.
+func (c *seedCheck) runChained(cfg onepass.Config, stage string, tl *onepass.TraceLog) (*chainedRun, error) {
 	if tl != nil {
 		cfg.Trace = tl
 	}
+	eng := cfg.Engine.String()
 	cr := &chainedRun{}
 	cl := onepass.NewCluster(cfg)
-	count := onepass.PageFrequency(cc)
-	if err := cl.Register(onepass.Dataset{Path: "input/clicks", Size: input, Gen: count.Gen}); err != nil {
+	count := onepass.PageFrequency(c.t.Clicks)
+	if err := cl.Register(onepass.Dataset{Path: "input/clicks", Size: c.t.Input, Gen: count.Gen}); err != nil {
 		return cr, err
 	}
 	stage1 := count.Job
@@ -329,7 +357,7 @@ func runChained(cfg onepass.Config, cc onepass.ClickConfig, input int64, tl *one
 	stage1.OutputPath = "out/counts"
 	stage1.RetainOutput = true
 	res1, err := cl.RunJob(stage1)
-	cr.runs++
+	c.ran(eng, stage+"-count", res1)
 	if err != nil {
 		return cr, fmt.Errorf("stage 1: %w", err)
 	}
@@ -341,7 +369,7 @@ func runChained(cfg onepass.Config, cc onepass.ClickConfig, input int64, tl *one
 	stage2.InputPath = "out/counts"
 	stage2.RetainOutput = true
 	res2, err := cl.RunJob(stage2)
-	cr.runs++
+	c.ran(eng, stage+"-top", res2)
 	if err != nil {
 		return cr, fmt.Errorf("stage 2: %w", err)
 	}
@@ -376,8 +404,8 @@ func truncate(s string) string {
 
 // Markdown renders the report as the artifact cmd/check uploads from CI.
 func (r *Report) Markdown(baseSeed int64) string {
-	out := fmt.Sprintf("# Differential check report\n\nbase seed %d, %d tuples, %d runs, %d failure(s)\n",
-		baseSeed, r.Tuples, r.Runs, len(r.Failures))
+	out := fmt.Sprintf("# Differential check report\n\nbase seed %d, %d tuples, %d runs, %d failure(s)\nruns digest (SHA-256 of each run's engine, stage, output checksum and makespan, in run order): %x\n",
+		baseSeed, r.Tuples, r.Runs, len(r.Failures), r.Digest)
 	if len(r.Failures) == 0 {
 		return out + "\nAll engines agree on every tuple; all audits clean.\n"
 	}

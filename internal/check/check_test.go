@@ -24,25 +24,6 @@ func TestFuzzTupleDeterministic(t *testing.T) {
 	}
 }
 
-// TestCheckSeeds runs one odd (chained) and one even (chaos-faulted) seed
-// end to end: every registered engine, audits armed, no failures — serial,
-// then with the intra-run worker pool on (the pool must not perturb any
-// run).
-func TestCheckSeeds(t *testing.T) {
-	for _, parallelism := range []int{0, 4} {
-		for _, seed := range []int64{1, 2} {
-			runs, fails := CheckSeed(seed, parallelism)
-			if len(fails) > 0 {
-				t.Fatalf("seed %d (parallelism %d): %d failures, first: %s",
-					seed, parallelism, len(fails), fails[0])
-			}
-			if runs < 10 {
-				t.Fatalf("seed %d (parallelism %d): only %d runs", seed, parallelism, runs)
-			}
-		}
-	}
-}
-
 // TestReportMarkdown: the failing-tuples artifact must carry the seed, the
 // tuple, and a per-failure table row.
 func TestReportMarkdown(t *testing.T) {

@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -35,26 +38,49 @@ func renderAll(reps []*Report) []byte {
 	return b.Bytes()
 }
 
+var updateGolden = flag.Bool("update-golden", false, "re-render the registry serially and rewrite "+sweepPinFile)
+
+// sweepPinFile pins the serial test-scale render of the whole registry.
+const sweepPinFile = "testdata/sweep.txt"
+
 // TestParallelSweepByteIdenticalToSerial is the determinism regression
 // gate: the full registry rendered on 4 workers must be byte-identical to
 // the serial reference path and execute exactly the runs it executes — the
 // session cache, not a second list of specs, is what keeps a run two
-// experiments share from executing twice. One width suffices: a driver that
-// stores reports in completion order, or lets two renderers execute the
-// same spec, fails at 4 workers.
+// experiments share from executing twice. The serial render is pinned as
+// its SHA-256 and run count in testdata/sweep.txt, so the test renders once;
+// one meant to move the report re-pins with a serial render:
+//
+//	go test ./internal/experiments -run TestParallelSweepByteIdenticalToSerial -update-golden
+//
+// One width suffices: a driver that stores reports in completion order, or
+// lets two renderers execute the same spec, fails at 4 workers.
 func TestParallelSweepByteIdenticalToSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full sweeps in -short mode")
+		t.Skip("a full sweep in -short mode")
 	}
 	scale := testScale()
-
-	serial := NewSession(scale)
-	serialReps := renderSerially(serial)
-	serialOut := renderAll(serialReps)
-	serialRuns, _ := serial.RunStats()
-	for i, e := range Experiments() {
-		if serialReps[i].ID != e.ID {
-			t.Errorf("experiment %q renders as %q: -exp filters on one, EXPERIMENTS.md shows the other", e.ID, serialReps[i].ID)
+	if *updateGolden {
+		serial := NewSession(scale)
+		report := renderAll(renderSerially(serial))
+		runs, _ := serial.RunStats()
+		pin := sweepPin(report, runs)
+		header := "# The serial test-scale render of the experiments registry, checked by\n" +
+			"# TestParallelSweepByteIdenticalToSerial: SHA-256 of the report bytes and\n" +
+			"# the number of runs executed. Re-pin with a serial render:\n" +
+			"#   go test ./internal/experiments -run TestParallelSweepByteIdenticalToSerial -update-golden\n"
+		if err := os.WriteFile(sweepPinFile, []byte(header+pin+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(sweepPinFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			want = line
 		}
 	}
 
@@ -63,30 +89,23 @@ func TestParallelSweepByteIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parOut := renderAll(reps); !bytes.Equal(serialOut, parOut) {
-		d := diffLine(serialOut, parOut)
-		t.Fatalf("4-worker sweep output differs from serial at line %d:\nserial: %s\nparallel: %s",
-			d.line, d.a, d.b)
-	}
-	if parRuns, _ := par.RunStats(); parRuns != serialRuns {
-		t.Errorf("4-worker session executed %d runs, serial %d — duplicate or missing executions", parRuns, serialRuns)
-	}
-}
-
-type lineDiff struct {
-	line int
-	a, b string
-}
-
-func diffLine(a, b []byte) lineDiff {
-	al := strings.Split(string(a), "\n")
-	bl := strings.Split(string(b), "\n")
-	for i := 0; i < len(al) && i < len(bl); i++ {
-		if al[i] != bl[i] {
-			return lineDiff{line: i + 1, a: al[i], b: bl[i]}
+	for i, e := range Experiments() {
+		if reps[i].ID != e.ID {
+			t.Errorf("experiment %q renders as %q: -exp filters on one, EXPERIMENTS.md shows the other", e.ID, reps[i].ID)
 		}
 	}
-	return lineDiff{line: len(al), a: "<end>", b: "<end>"}
+	parRuns, _ := par.RunStats()
+	if got := sweepPin(renderAll(reps), parRuns); got != want {
+		t.Errorf("4-worker sweep renders %s; the serial render is pinned as %s in %s. "+
+			"If the change means to move the report, re-pin with a serial render (-update-golden); "+
+			"if the pin then still differs, the pool or the session cache moved it",
+			got, want, sweepPinFile)
+	}
+}
+
+// sweepPin renders a sweep's report and run count as the pin line.
+func sweepPin(report []byte, runs int) string {
+	return fmt.Sprintf("sha256=%x runs=%d", sha256.Sum256(report), runs)
 }
 
 // runAllWithin fails the test if RunAll has not returned after a few

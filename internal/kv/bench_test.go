@@ -37,6 +37,7 @@ func benchBufferSort64K(b *testing.B, format string, users int) {
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf(format, rng.Intn(users)))
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		buf := NewBuffer(1 << 20)
