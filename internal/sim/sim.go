@@ -2,12 +2,14 @@
 //
 // The engines in this repository do real data processing (real records,
 // real sorts, real hash tables) but run inside a simulated cluster whose
-// notion of time is virtual. sim supplies that virtual time: processes are
-// runtime coroutines (iter.Pull) that advance the clock only through explicit
-// operations (Sleep, resource acquisition), and exactly one process executes
-// at any instant, which makes every run fully deterministic and free of data
-// races by construction. Run resumes them in (at, seq) order by a direct
-// switch, which a process that is its own next event skips (see Sleep).
+// notion of time is virtual. sim supplies that virtual time: processes run
+// on runtime coroutines (iter.Pull) and advance the clock only through
+// explicit operations (Sleep, resource acquisition), and exactly one process
+// executes at any instant, which makes every run fully deterministic and free
+// of data races by construction. Run resumes them in (at, seq) order by a
+// direct switch, which a process that is its own next event skips (see
+// Sleep). A coroutine whose process has returned parks and carries the next
+// process to start (see carrier), so a spawn costs its Proc alone.
 package sim
 
 import (
@@ -131,6 +133,11 @@ type Env struct {
 	// resources lists every Resource ever created on this environment, in
 	// creation order, so leak audits can verify all units were released.
 	resources []*Resource
+	// The Run's carriers (see carrier): first is the storage of the first,
+	// so a Run of one process allocates no more than its coroutine, and
+	// parked heads the list of those waiting for a process to carry.
+	first  carrier
+	parked *carrier
 	// Worker pool for pure data work (see work.go). workers <= 1 means
 	// inline; pool is the running Run's goroutines, nil until its first
 	// pooled dispatch; pendingWork counts dispatched-but-unjoined closures
@@ -195,11 +202,10 @@ const (
 type Proc struct {
 	env  *Env
 	name string
-	// The coroutine: Run resumes the body with next and ends a suspended one
-	// with stop; the body suspends with yield, which returns false once stopped.
-	next    func() (struct{}, bool)
-	stop    func()
-	yield   func(struct{}) bool
+	// fn is the body, until a carrier c takes the process at its first
+	// resume and runs it; c is nil again once the body has returned.
+	fn      func(p *Proc)
+	c       *carrier
 	stopped bool
 	// What the process is waiting for; used in deadlock diagnostics and
 	// formatted lazily (see blockedOn).
@@ -239,31 +245,90 @@ func (p *Proc) Now() Time { return p.env.now }
 // process; the new process starts at the current virtual time, after the
 // caller next blocks.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name}
+	p := &Proc{env: e, name: name, fn: fn}
 	e.live[p] = struct{}{}
 	e.schedule(p, e.now, nil)
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		// A stopped process unwinds by panic (see block). Any other panic is
-		// left to iter.Pull, which re-raises it from next, on Run's goroutine.
-		defer func() {
-			if p.stopped {
-				_ = recover()
-			}
-		}()
-		fn(p)
-		if p.unjoined != 0 {
-			panic(fmt.Sprintf("sim: process %s exited with %d unjoined StartWork dispatches", p.name, p.unjoined))
-		}
-	})
 	return p
+}
+
+// carrier is a coroutine that runs processes one after another: a process
+// takes a parked carrier, or a new one, at its first resume, and when its
+// body returns the carrier parks to carry the next. A process suspends and
+// resumes exactly as on a coroutine of its own, so which process runs when
+// is unchanged; what a spawn no longer costs is a coroutine. Carriers belong
+// to a Run: one whose process panics or is stopped ends with it, and Run
+// stops the parked ones before it returns.
+type carrier struct {
+	// Run resumes the carrier with next and ends it with stop; the carrier
+	// suspends with yield, which returns false once stopped.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc    // the process it carries; nil while parked
+	below *carrier // the next one down Env's parked list
+}
+
+// carry hands p a parked carrier, or a new one, and returns it.
+func (e *Env) carry(p *Proc) *carrier {
+	c := e.parked
+	if c != nil {
+		e.parked, c.below = c.below, nil
+	} else {
+		c = &e.first
+		if c.next != nil {
+			c = &carrier{}
+		}
+		c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			for c.run(e) {
+				c.below, e.parked = e.parked, c
+				if !yield(struct{}{}) {
+					return
+				}
+			}
+		})
+	}
+	c.p, p.c = p, c
+	return c
+}
+
+// run runs c's process until its body returns and reports whether c may
+// carry another: not if the process was stopped. A stopped process unwinds
+// by panic (see block), which run recovers. Any other panic ends the carrier
+// and is left to iter.Pull, which re-raises it from next, on Run's goroutine.
+func (c *carrier) run(e *Env) (reusable bool) {
+	p := c.p
+	defer func() {
+		if p.stopped {
+			_ = recover()
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	if p.unjoined != 0 {
+		panic(fmt.Sprintf("sim: process %s exited with %d unjoined StartWork dispatches", p.name, p.unjoined))
+	}
+	delete(e.live, p)
+	c.p, p.c = nil, nil
+	return !p.stopped
+}
+
+// end ends p: a process suspended in a block unwinds from it, running its
+// deferred calls, and its carrier ends with it; one never resumed just goes.
+func (e *Env) end(p *Proc) {
+	delete(e.live, p)
+	if p.c != nil {
+		p.c.stop()
+	}
 }
 
 // Run executes events until none remain. It panics if processes are still
 // blocked when the event queue drains (a deadlock) so that engine bugs
 // surface loudly in tests, and re-raises a process's panic or Goexit on the
 // caller's goroutine; either way it first unwinds and ends every other one,
-// then stops the worker goroutines StartWork started.
+// then stops the parked carriers and the worker goroutines StartWork
+// started.
 func (e *Env) Run() {
 	if e.inRun {
 		panic("sim: Run called reentrantly")
@@ -272,9 +337,13 @@ func (e *Env) Run() {
 	defer func() {
 		e.inRun = false
 		for p := range e.live {
-			delete(e.live, p)
-			p.stop()
+			e.end(p)
 		}
+		for c := e.parked; c != nil; c = e.parked {
+			e.parked = c.below
+			c.stop()
+		}
+		e.first = carrier{}
 		e.stopWorkers()
 	}()
 	for len(e.events) > 0 {
@@ -283,9 +352,11 @@ func (e *Env) Run() {
 			continue
 		}
 		e.now = ev.at
-		if _, suspended := ev.p.next(); !suspended {
-			delete(e.live, ev.p)
+		c := ev.p.c
+		if c == nil {
+			c = e.carry(ev.p)
 		}
+		c.next()
 	}
 	if e.pendingWork != 0 {
 		panic(fmt.Sprintf("sim: run drained with %d unjoined StartWork dispatches", e.pendingWork))
@@ -304,9 +375,9 @@ func (e *Env) Run() {
 // kind/name/arg triple describes the wait for deadlock diagnostics.
 func (p *Proc) block(kind blockKind, name string, arg int64) {
 	p.blockKind, p.blockName, p.blockArg = kind, name, arg
-	if !p.yield(struct{}{}) {
+	if !p.c.yield(struct{}{}) {
 		p.stopped = true
-		panic("sim: process stopped") // recovered in Go
+		panic("sim: process stopped") // recovered in carrier.run
 	}
 	p.blockKind, p.blockName, p.blockArg = blockNone, "", 0
 }

@@ -132,7 +132,7 @@ func TestPerNodeSeriesSumToAggregate(t *testing.T) {
 	if len(res.PerNode) != 4 {
 		t.Fatalf("PerNode has %d entries, want one per node", len(res.PerNode))
 	}
-	checkSum := func(name string, agg func(*Result) []float64, per func(*NodeSeries) []float64) {
+	checkSum := func(name string, agg func(*Result) []float64, per func(NodeSeries) []float64) {
 		total := agg(res)
 		for i := range total {
 			sum := 0.0
@@ -149,10 +149,10 @@ func TestPerNodeSeriesSumToAggregate(t *testing.T) {
 	}
 	checkSum("disk-bytes-read",
 		func(r *Result) []float64 { return seriesValues(r.BytesRead) },
-		func(ns *NodeSeries) []float64 { return seriesValues(ns.BytesRead) })
+		func(ns NodeSeries) []float64 { return seriesValues(ns.BytesRead) })
 	checkSum("disk-bytes-written",
 		func(r *Result) []float64 { return seriesValues(r.BytesWritten) },
-		func(ns *NodeSeries) []float64 { return seriesValues(ns.BytesWritten) })
+		func(ns NodeSeries) []float64 { return seriesValues(ns.BytesWritten) })
 	// CPU series are per-core-normalized, so the aggregate is the
 	// core-weighted mean rather than the sum; with equal cores per node the
 	// mean of node utilizations must match the cluster utilization.
