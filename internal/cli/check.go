@@ -19,6 +19,9 @@ func Check(args []string, stdout, stderr io.Writer) error {
 	parallel := fs.Int("parallel-intra", 0,
 		"worker goroutines for intra-run data work (0 or 1 = serial; reports are byte-identical either way)")
 	quiet := fs.Bool("q", false, "suppress per-tuple progress")
+	cpuProfile := fs.String("cpuprofile", "", "write a host CPU profile of the sweep to this file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a host allocation profile, taken after the sweep, to this file")
+	execTrace := fs.String("exectrace", "", "write a Go execution trace of the sweep to this file (go tool trace)")
 	if err := parse(fs, args); err != nil {
 		return err
 	}
@@ -27,7 +30,14 @@ func Check(args []string, stdout, stderr io.Writer) error {
 	if *quiet {
 		progress = nil
 	}
+	stopProfiles, err := startHostProfiles(*cpuProfile, *memProfile, *execTrace)
+	if err != nil {
+		return err
+	}
 	rep := check.Run(check.Options{Seeds: *seeds, Seed: *seed, Parallelism: *parallel, Log: progress})
+	if err := stopProfiles(); err != nil {
+		return err
+	}
 
 	if *out != "" {
 		if err := os.WriteFile(*out, []byte(rep.Markdown(*seed)), 0o644); err != nil {

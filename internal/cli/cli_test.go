@@ -3,6 +3,8 @@ package cli
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,6 +62,27 @@ func TestDeltaRejectsFlagsItIgnores(t *testing.T) {
 		}
 		if stdout.Len() > 0 {
 			t.Errorf("runjob %s ran and printed %q", strings.Join(args, " "), stdout.String())
+		}
+	}
+}
+
+// TestCheckWritesProfiles: check -cpuprofile and -memprofile write pprof
+// profiles of the sweep, gzipped as pprof writes them.
+func TestCheckWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpuPath, memPath := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	args := []string{"-seeds", "1", "-q", "-cpuprofile", cpuPath, "-memprofile", memPath}
+	var stderr bytes.Buffer
+	if err := Check(args, io.Discard, &stderr); err != nil {
+		t.Fatalf("check %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	for _, path := range []string{cpuPath, memPath} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte{0x1f, 0x8b}) {
+			t.Errorf("%s: %d bytes starting %q, want a gzipped pprof profile", filepath.Base(path), len(b), b[:min(len(b), 2)])
 		}
 	}
 }

@@ -527,11 +527,6 @@ type Affected struct {
 	ends []int    // ends[r] is where partition r's keys end; nil: one partition
 }
 
-// Keys returns the affected keys in the order the state lays them out: by
-// merge partition, ascending within each — so ascending under one
-// partition. Each key is listed once.
-func (a *Affected) Keys() [][]byte { return a.keys }
-
 // Len returns the number of affected keys.
 func (a *Affected) Len() int { return len(a.keys) }
 

@@ -7,6 +7,11 @@ import (
 	"onepass/internal/kv"
 )
 
+// Keys returns the affected keys in the order the state lays them out: by
+// merge partition, ascending within each — so ascending under one
+// partition. Each key is listed once.
+func (a *Affected) Keys() [][]byte { return a.keys }
+
 func decodeInput(t *testing.T, buf []byte) (keys []string, vals [][]byte) {
 	t.Helper()
 	for len(buf) > 0 {
