@@ -129,6 +129,18 @@ func TestCPUAccount(t *testing.T) {
 	}
 }
 
+// probe is a Source of one quantity, read by calling it.
+type probe func() float64
+
+func (f probe) Cumulative(int) float64 { return f() }
+
+// TrackDelta tracks f's quantity into a new series.
+func (s *Sampler) TrackDelta(name, unit string, f func() float64, scale float64) *Series {
+	series := new(Series)
+	s.Track(series, name, unit, probe(f), 0, scale)
+	return series
+}
+
 func TestSamplerDelta(t *testing.T) {
 	env := sim.New()
 	s := NewSampler(env, sim.Second)
