@@ -147,25 +147,6 @@ func TestStreamingDatasetViaAPI(t *testing.T) {
 	}
 }
 
-func TestSpeculationAcrossPushShuffles(t *testing.T) {
-	w := PerUserCount(tinyClicks())
-	job := w.Job
-	job.Speculation = true
-	// HOP dedups pushed chunks on (map task, seq), so speculation is safe.
-	res, err := Run(tinyConfig(MapReduceOnline), Dataset{Path: "a", Size: 64 << 10, Gen: w.Gen}, job)
-	if err != nil {
-		t.Fatalf("HOP speculation should work: %v", err)
-	}
-	if len(res.Output) == 0 {
-		t.Fatal("no output")
-	}
-	// The hash engine's pulled leftover blobs carry no seq framing, so
-	// speculation is rejected there.
-	if _, err := Run(tinyConfig(HashIncremental), Dataset{Path: "b", Size: 64 << 10, Gen: w.Gen}, job); err == nil {
-		t.Fatal("hash engine must reject speculation")
-	}
-}
-
 func TestDeterministicAcrossIdenticalRuns(t *testing.T) {
 	for _, eng := range []Engine{Hadoop, HashHotKey} {
 		run := func() *Result {

@@ -47,8 +47,8 @@
 // runs through the same code with its values kept as a framed list.
 //
 // Streaming arrivals (Dataset.ArrivalRate), threshold queries
-// (Job.EmitWhen), fault injection, speculative execution, and iterated
-// graph queries (PageRankIter) are covered in examples/ and DESIGN.md §6.
+// (Job.EmitWhen), fault injection and recovery, and iterated graph queries
+// (PageRankIter) are covered in examples/ and DESIGN.md §6.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.

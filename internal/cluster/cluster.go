@@ -21,9 +21,6 @@ type Config struct {
 	// head node; the head node is implicit here).
 	Nodes        int
 	CoresPerNode int
-	// MemoryPerNode bounds per-task buffers (map output buffer, reducer
-	// merge buffer, hash table budgets).
-	MemoryPerNode int64
 	// SSDIntermediate adds a second, SSD device per node and directs
 	// intermediate data (map output, spills, merges) to it (§III.C).
 	SSDIntermediate bool
@@ -36,13 +33,17 @@ type Config struct {
 // node's HDD primary device, it is the paper's testbed on every cluster.
 const netLatency = 200 * sim.Microsecond
 
+// NodeMemory is every node's memory, the paper's 1 GB JVM heap. A quarter
+// of it bounds each task's buffers (map output buffer, reducer merge
+// buffer, hash table budgets) unless the job sets its own.
+const NodeMemory int64 = 1 << 30
+
 // DefaultConfig mirrors the paper's testbed at simulation scale: 10 worker
-// nodes, 4 cores each, 1 GbE, one HDD per node, 1 GB task memory.
+// nodes, 4 cores each, 1 GbE, one HDD and NodeMemory per node.
 func DefaultConfig() Config {
 	return Config{
-		Nodes:         10,
-		CoresPerNode:  4,
-		MemoryPerNode: 1 << 30,
+		Nodes:        10,
+		CoresPerNode: 4,
 	}
 }
 
@@ -136,9 +137,6 @@ func (n *Node) advance(now sim.Time) {
 	}
 	n.lastChange = now
 }
-
-// Config returns the cluster's configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Nodes returns all nodes.
 func (c *Cluster) Nodes() []*Node { return c.nodes }

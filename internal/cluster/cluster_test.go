@@ -190,8 +190,8 @@ func TestDefaultConfigMatchesPaperTestbed(t *testing.T) {
 	if cfg.Nodes != 10 {
 		t.Fatalf("nodes = %d, want 10 (paper's cluster)", cfg.Nodes)
 	}
-	if cfg.MemoryPerNode != 1<<30 {
-		t.Fatalf("memory = %d, want 1GB (paper's JVM heap)", cfg.MemoryPerNode)
+	if NodeMemory != 1<<30 {
+		t.Fatalf("memory = %d, want 1GB (paper's JVM heap)", NodeMemory)
 	}
 	c := New(sim.New(), cfg)
 	if got := profileOf(c, c.Node(0).DFSDevice()); got != disk.HDD.Name {

@@ -69,9 +69,6 @@ func Plan(m Mode) *engine.Plan {
 		// land the paper's "up to 48% of CPU cycles" saving.
 		FrameworkNsPerRecord: HashFrameworkNsPerRecord,
 		Setup: func(j *engine.JobRun) (engine.Tasks, error) {
-			if j.Job.Speculation {
-				return engine.Tasks{}, fmt.Errorf("core: speculative execution is not supported — duplicate push attempts would double-deliver chunks")
-			}
 			hj := &hashJob{JobRun: j, mode: m}
 			// Chunk building is deterministic, so the recovered output serves
 			// exactly the chunks that were never push-delivered.

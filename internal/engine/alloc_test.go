@@ -48,5 +48,5 @@ func TestAllocBudgetNewRuntime(t *testing.T) {
 	cfg.Nodes = 10
 	c := cluster.New(env, cfg)
 	d := dfs.New(c, 64<<10, 1)
-	allocBudget(t, 100, func() { NewRuntime(env, c, d) }, 13, 6408)
+	allocBudget(t, 100, func() { NewRuntime(env, c, d) }, 12, 6384)
 }

@@ -48,9 +48,9 @@ type auditChunkKey struct {
 type Audit struct {
 	// Shuffle ledger: bytes handed to the shuffle per chunk at the point of
 	// actual transfer, vs bytes a reducer accepted. produced is first-wins
-	// with an equality assertion (re-records come from speculative or
-	// re-executed attempts, which must be deterministic); ingested
-	// accumulates, since duplicate-delivery bugs must surface as imbalance.
+	// with an equality assertion (re-records come from re-executed attempts,
+	// which must be deterministic); ingested accumulates, since
+	// duplicate-delivery bugs must surface as imbalance.
 	produced map[auditChunkKey]int64
 	prodNode map[auditChunkKey]int
 	ingested map[auditChunkKey]int64
@@ -66,12 +66,10 @@ type Audit struct {
 	spillWritten map[int]int64
 	spillRead    map[int]int64
 
-	// Task accounting, per kind ("map", "reduce"): every attempt launched
-	// must be accounted for as the committed completion or a wasted
-	// speculative/re-executed duplicate.
+	// Task accounting, per kind ("map", "reduce"): a task runs once, so
+	// every attempt launched must commit.
 	launched  map[string]int
 	completed map[string]int
-	wasted    map[string]int
 
 	// SharedRuntime marks the runtime as one of several multiplexed over a
 	// shared environment (internal/service): Finish then skips the
@@ -97,7 +95,6 @@ func NewAudit() *Audit {
 		spillRead:    make(map[int]int64),
 		launched:     make(map[string]int),
 		completed:    make(map[string]int),
-		wasted:       make(map[string]int),
 	}
 }
 
@@ -116,9 +113,8 @@ func (a *Audit) Fail(invariant, where, detail string) { a.fail(invariant, where,
 func (a *Audit) Failures() []AuditFailure { return a.failures }
 
 // recordOnce implements first-wins-with-equality for per-task byte figures:
-// a second attempt at the same task (speculation, re-execution) must
-// reproduce the first attempt's bytes exactly or the engine is
-// nondeterministic.
+// a re-executed attempt at the same task must reproduce the first attempt's
+// bytes exactly or the engine is nondeterministic.
 func (a *Audit) recordOnce(m map[int]int64, invariant, what string, task int, n int64) {
 	if prev, ok := m[task]; ok {
 		if prev != n {
@@ -178,9 +174,6 @@ func (a *Audit) TaskLaunched(kind string) { a.launched[kind]++ }
 
 // TaskCompleted records the attempt that committed the task's output.
 func (a *Audit) TaskCompleted(kind string) { a.completed[kind]++ }
-
-// TaskWasted records an attempt whose output lost to an earlier committer.
-func (a *Audit) TaskWasted(kind string) { a.wasted[kind]++ }
 
 func (a *Audit) where(k auditChunkKey) string {
 	unit := "part"
@@ -272,8 +265,7 @@ func (a *Audit) checkConservation() {
 		}
 	}
 
-	// Tasks: every launched attempt is either the committed completion or a
-	// wasted duplicate.
+	// Tasks: every launched attempt is the committed completion.
 	kinds := make([]string, 0, len(a.launched))
 	for k := range a.launched {
 		kinds = append(kinds, k)
@@ -285,10 +277,9 @@ func (a *Audit) checkConservation() {
 	}
 	sort.Strings(kinds)
 	for _, k := range kinds {
-		if a.launched[k] != a.completed[k]+a.wasted[k] {
+		if a.launched[k] != a.completed[k] {
 			a.fail("task-accounting", fmt.Sprintf("%s tasks", k),
-				fmt.Sprintf("launched %d != completed %d + wasted %d",
-					a.launched[k], a.completed[k], a.wasted[k]))
+				fmt.Sprintf("launched %d != completed %d", a.launched[k], a.completed[k]))
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // whose combiner elided 40 of 100 raw bytes, whose 60 final bytes were
 // shuffled as one pushed chunk and one leftover partition and fully
 // ingested, 500 spill bytes written and read back, and clean task
-// accounting including one wasted speculative attempt.
+// accounting.
 func balancedAudit() *Audit {
 	a := NewAudit()
 	a.MapRawPairs(0, 100)
@@ -22,9 +22,7 @@ func balancedAudit() *Audit {
 	a.SpillWritten(2, 500)
 	a.SpillRead(2, 500)
 	a.TaskLaunched("map")
-	a.TaskLaunched("map")
 	a.TaskCompleted("map")
-	a.TaskWasted("map")
 	a.TaskLaunched("reduce")
 	a.TaskCompleted("reduce")
 	return a
@@ -95,10 +93,10 @@ func TestAuditSpillConservationFires(t *testing.T) {
 }
 
 func TestAuditTaskAccountingFires(t *testing.T) {
-	// A launched attempt that neither committed nor lost a speculative race.
+	// A launched attempt that never committed.
 	a := balancedAudit()
 	a.TaskLaunched("reduce")
-	wantInvariant(t, a.Finish(nil), "task-accounting", "launched 2 != completed 1 + wasted 0")
+	wantInvariant(t, a.Finish(nil), "task-accounting", "launched 2 != completed 1")
 }
 
 func TestAuditErrorFormatting(t *testing.T) {

@@ -273,6 +273,41 @@ func TestPushChannelBackpressureAndOrder(t *testing.T) {
 	}
 }
 
+// A map task commits once and pushes only while its reducer's queue is
+// open: recovery rewrites a lost output in place and re-pushes before the
+// queues close, so a second commit or a late push is a broken invariant.
+func TestMapTaskRunsOnceInvariants(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		op         func(p *sim.Proc, rt *Runtime)
+	}{
+		{"second commit of one task", "map task 0 committed twice", func(p *sim.Proc, rt *Runtime) {
+			reg := rt.NewRegistry(2)
+			store := rt.Cluster.Node(0).ScratchStore()
+			reg.Complete(NewMapOutput(p, store, "m0", 0, 0, []byte("a"), []int64{1}))
+			reg.Complete(NewMapOutput(p, store, "m0/again", 0, 0, []byte("a"), []int64{1}))
+		}},
+		{"push after close", "push to reducer 0 after its queue closed", func(p *sim.Proc, rt *Runtime) {
+			pc := rt.NewPushChannels(1, 100)[0]
+			pc.Close()
+			pc.TryPush(p, 0, 1, 0, 0, []byte("a"))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := testRuntime(2)
+			var got any
+			rt.Env.Go("map", func(p *sim.Proc) {
+				defer func() { got = recover() }()
+				tc.op(p, rt)
+			})
+			rt.Env.Run()
+			if msg, _ := got.(string); !strings.Contains(msg, tc.want) {
+				t.Fatalf("recovered %v, want a panic naming %q", got, tc.want)
+			}
+		})
+	}
+}
+
 func TestRunMapsPrefersLocalBlocks(t *testing.T) {
 	rt := testRuntime(4)
 	if err := rt.DFS.RegisterGenerated("in", 8*64<<10, func(b int, s int64) []byte {

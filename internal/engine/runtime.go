@@ -142,7 +142,7 @@ func NewRuntimeSampled(env *sim.Env, c *cluster.Cluster, d *dfs.DFS, sample sim.
 		Timeline: metrics.NewTimeline(),
 		Counters: metrics.NewCounters(),
 		start:    env.Now(),
-		cpuBase:  c.CPUAccount().Clone(),
+		cpuBase:  c.CPUAccount(),
 
 		MapBuffers: NewMapBuffers(),
 	}
@@ -499,10 +499,6 @@ const (
 	// CtrTasksReexecuted counts map tasks re-run after their output was
 	// lost to a node failure.
 	CtrTasksReexecuted = "tasks.reexecuted"
-	// CtrMapTasksSpeculative counts speculative (backup) attempts launched;
-	// the Wasted variant counts attempts that lost the commit race.
-	CtrMapTasksSpeculative       = "map.tasks.speculative"
-	CtrMapTasksSpeculativeWasted = "map.tasks.speculative.wasted"
 	// CtrFaultsInjected counts faults the injector actually fired (faults
 	// scheduled past job completion are canceled, not injected).
 	CtrFaultsInjected = "faults.injected"

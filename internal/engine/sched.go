@@ -37,7 +37,7 @@ func (rt *Runtime) TaskMemory(j *Job) int64 {
 	if j.MemoryPerTask > 0 {
 		return j.MemoryPerTask
 	}
-	return rt.Cluster.Config().MemoryPerNode / 4
+	return cluster.NodeMemory / 4
 }
 
 // RunMaps schedules one map task per input block across compute-node map
@@ -80,79 +80,37 @@ func (rt *Runtime) RunMaps(job *Job, blocks []*dfs.Block, task func(p *sim.Proc,
 		return b, 0
 	}
 	rt.MapBuffers.Expect(len(pending))
-	// flight tracks one block's attempts for speculative execution: the
-	// first finished attempt wins; others are wasted work (counted).
-	type flight struct {
-		b        *dfs.Block
-		start    sim.Time
-		done     bool
-		attempts int
-	}
-	var inFlight []*flight
-	pickStraggler := func() *flight {
-		var oldest *flight
-		for _, fl := range inFlight {
-			if fl.done || fl.attempts > 1 {
-				continue
-			}
-			if oldest == nil || fl.start < oldest.start {
-				oldest = fl
-			}
-		}
-		return oldest
-	}
 	for _, node := range rt.Cluster.ComputeNodes() {
 		node := node
 		for s := 0; s < job.mapSlots(); s++ {
 			rt.Env.Go(fmt.Sprintf("map-slot-n%d-%d", node.ID, s), func(p *sim.Proc) {
-				run := func(fl *flight) {
-					attempt := fl.attempts - 1
-					defer rt.nameFailure(p, job, "map", fl.b.Index, attempt)
+				run := func(b *dfs.Block) {
+					defer rt.nameFailure(p, job, "map", b.Index, 0)
 					if rt.Auditing() {
 						rt.Audit.TaskLaunched("map")
 					}
-					span := rt.Begin(metrics.Span{Name: SpanMap, Node: node.ID, Task: fl.b.Index, Attempt: attempt})
-					task(p, node, fl.b)
+					span := rt.Begin(metrics.Span{Name: SpanMap, Node: node.ID, Task: b.Index})
+					task(p, node, b)
 					rt.End(span)
-					if !fl.done {
-						fl.done = true
-						rt.Counters.Add(CtrMapTasks, 1)
-						if rt.Auditing() {
-							rt.Audit.TaskCompleted("map")
-						}
-						wg.Done()
-						if job.Progress != nil {
-							job.Progress("map", len(blocks)-wg.Pending(), len(blocks))
-						}
+					rt.Counters.Add(CtrMapTasks, 1)
+					if rt.Auditing() {
+						rt.Audit.TaskCompleted("map")
+					}
+					wg.Done()
+					if job.Progress != nil {
+						job.Progress("map", len(blocks)-wg.Pending(), len(blocks))
 					}
 				}
-				for {
-					if node.Failed() {
-						return
-					}
+				for !node.Failed() {
 					b, wait := take(node.ID)
-					if b != nil {
-						fl := &flight{b: b, start: p.Now(), attempts: 1}
-						inFlight = append(inFlight, fl)
-						run(fl)
-						continue
-					}
-					if wait > 0 {
+					switch {
+					case b != nil:
+						run(b)
+					case wait > 0:
 						p.Sleep(wait)
-						continue
-					}
-					// Queue drained: optionally back up the oldest
-					// still-running attempt (speculative execution).
-					if !job.Speculation {
+					default:
 						return
 					}
-					fl := pickStraggler()
-					if fl == nil {
-						return
-					}
-					fl.attempts++
-					rt.Counters.Add(CtrMapTasksSpeculative, 1)
-					run(fl)
 				}
 			})
 		}

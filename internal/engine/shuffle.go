@@ -153,18 +153,12 @@ func (rt *Runtime) NewRegistry(totalMaps int) *Registry {
 	}
 }
 
-// Complete registers a finished map task and wakes waiting fetchers. It is
-// idempotent per task id: a speculative attempt that loses the race has its
-// output discarded, exactly like Hadoop killing the backup task's commit.
-// It reports whether this attempt won.
-func (g *Registry) Complete(out *MapOutput) bool {
+// Complete registers a finished map task and wakes waiting fetchers. A map
+// task commits once: recovery rewrites a lost output in place and never
+// comes here, so a second commit of one task id is a broken invariant.
+func (g *Registry) Complete(out *MapOutput) {
 	if g.byTask[out.TaskID] {
-		out.ReleaseFile()
-		g.rt.Counters.Add(CtrMapTasksSpeculativeWasted, 1)
-		if g.rt.Auditing() {
-			g.rt.Audit.TaskWasted("map")
-		}
-		return false
+		panic(fmt.Sprintf("engine: map task %d committed twice", out.TaskID))
 	}
 	g.byTask[out.TaskID] = true
 	out.CompletedAt = g.rt.Env.Now()
@@ -178,7 +172,6 @@ func (g *Registry) Complete(out *MapOutput) bool {
 		panic("engine: more map completions than map tasks")
 	}
 	g.trig.Broadcast()
-	return true
 }
 
 // FailNode marks every completed output persisted on node as lost.
@@ -333,7 +326,7 @@ type PushChunk struct {
 	// Seq numbers the chunk within its (map task, reducer) stream. The map
 	// function is deterministic, so a re-pushed chunk carries identical
 	// content under the same (MapTask, Seq) — reducers dedup on that pair
-	// when recovery or speculation can re-deliver.
+	// when recovery can re-deliver.
 	Seq  int
 	Data []byte
 }
@@ -379,11 +372,9 @@ func (rt *Runtime) NewPushChannels(reducers int, limit int64) []*PushChannel {
 // recovery path instead.
 func (pc *PushChannel) TryPush(p *sim.Proc, fromNode, toNode, mapTask, seq int, data []byte) bool {
 	if pc.closed {
-		// Only a losing attempt (speculation or recovery racing the
-		// winner) can still be pushing after the reducer closed its
-		// queue; the winner already delivered this (MapTask, Seq)
-		// identity, so the chunk is a duplicate — drop it as accepted.
-		return true
+		// The queue closes after the map barrier and recovery's re-pushes,
+		// so nothing may push into it afterwards.
+		panic(fmt.Sprintf("engine: push to reducer %d after its queue closed", pc.reducer))
 	}
 	if pc.queuedBytes >= pc.limit {
 		return false
@@ -399,8 +390,8 @@ func (pc *PushChannel) TryPush(p *sim.Proc, fromNode, toNode, mapTask, seq int, 
 	pc.rt.Counters.Add(CtrShuffleBytes, float64(len(data)))
 	if pc.rt.Auditing() {
 		// The one point where a pushed chunk has actually crossed the wire:
-		// refused, dropped-as-duplicate, and died-mid-transfer attempts never
-		// reach here, so the produced ledger records real transfers only.
+		// refused and died-mid-transfer attempts never reach here, so the
+		// produced ledger records real transfers only.
 		pc.rt.Audit.ShuffleProduced(fromNode, mapTask, pc.reducer, seq, int64(len(data)))
 	}
 	if pc.rt.Tracing() {
@@ -440,10 +431,10 @@ func (pc *PushChannel) Pop(p *sim.Proc) (PushChunk, bool) {
 }
 
 // PopFresh is Pop for the reducer (running on node) of a push-only engine,
-// where recovery re-pushes and speculative attempts may both re-deliver a
-// chunk: the map data path is deterministic, so a repeated (map task, seq)
-// identity carries identical content and is dropped, counted, here. Fresh
-// chunks enter the audit's ingest ledger.
+// where recovery may re-push a chunk a dead mapper already delivered: the
+// map data path is deterministic, so a repeated (map task, seq) identity
+// carries identical content and is dropped, counted, here. Fresh chunks
+// enter the audit's ingest ledger.
 func (pc *PushChannel) PopFresh(p *sim.Proc, node int) (PushChunk, bool) {
 	for {
 		c, ok := pc.Pop(p)

@@ -91,16 +91,6 @@ type Job struct {
 	// system-utilities column.
 	Progress func(phase string, done, total int)
 
-	// Speculation enables speculative execution of straggling map tasks:
-	// once the task queue drains, idle slots re-run the oldest in-flight
-	// tasks and the first attempt to finish wins (Hadoop's backup tasks;
-	// the improved strategy of [Zaharia et al., OSDI'08] is cited by the
-	// paper's related work). Duplicate attempts commit idempotently through
-	// the map-output registry, and MapReduce Online dedups pushed chunks on
-	// (map task, seq); the hash engines reject it, since their pulled
-	// leftover tails carry no seq framing.
-	Speculation bool
-
 	// Fresh, when set, returns an independently-constructed copy of this job
 	// whose user functions (Reader, Map, Reduce, Monoid) share no
 	// scratch state with any other copy. Parallel intra-run execution uses it

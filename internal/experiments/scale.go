@@ -7,8 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 
 	"onepass/internal/gen"
 	"onepass/internal/sim"
@@ -31,18 +29,11 @@ type Scale struct {
 	SampleInterval sim.Duration
 }
 
-// DefaultScale returns the bench-friendly scale; cmd/experiments can pass a
-// larger factor for closer shape fidelity. The ONEPASS_SCALE environment
-// variable (e.g. "0.001") overrides Factor.
+// DefaultScale returns the bench-friendly scale; cmd/experiments -scale
+// sets a larger Factor for closer shape fidelity.
 func DefaultScale() Scale {
-	s := Scale{Factor: 1.0 / 4000, BlockSize: 1 << 20, Nodes: 10, Reducers: 20,
+	return Scale{Factor: 1.0 / 4000, BlockSize: 1 << 20, Nodes: 10, Reducers: 20,
 		SampleInterval: 250 * sim.Millisecond}
-	if v := os.Getenv("ONEPASS_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			s.Factor = f
-		}
-	}
-	return s
 }
 
 // Bytes scales a paper size in GB to simulation bytes.

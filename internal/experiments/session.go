@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -91,8 +90,7 @@ type Session struct {
 	Audit bool
 	// Parallelism sets the intra-run worker pool width on every executed
 	// run (sim.Env.SetWorkers). 0 or 1 keeps task data work inline; any
-	// width yields byte-identical results. NewSession seeds it from the
-	// ONEPASS_PARALLEL environment variable.
+	// width yields byte-identical results.
 	Parallelism int
 
 	mu      sync.Mutex
@@ -108,17 +106,9 @@ type Session struct {
 	logMu sync.Mutex
 }
 
-// NewSession returns a session at the given scale. The ONEPASS_PARALLEL
-// environment variable (e.g. "4") seeds the intra-run worker pool width,
-// mirroring how ONEPASS_SCALE seeds the scale factor.
+// NewSession returns a session at the given scale.
 func NewSession(s Scale) *Session {
-	sess := &Session{Scale: s, results: make(map[runSpec]*runEntry)}
-	if v := os.Getenv("ONEPASS_PARALLEL"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			sess.Parallelism = n
-		}
-	}
-	return sess
+	return &Session{Scale: s, results: make(map[runSpec]*runEntry)}
 }
 
 func (s *Session) logf(format string, args ...interface{}) {

@@ -37,7 +37,7 @@ const (
 	// over the window — a renegotiated link or an oversubscribed uplink.
 	NetDegrade
 	// Straggler scales the node's CPU time by Factor over the window — the
-	// classic slow-node case speculative execution targets.
+	// classic slow-node case that delays every task placed on it.
 	Straggler
 )
 

@@ -44,8 +44,8 @@ var Plan = &engine.Plan{
 
 // executeMapAttempt is the stock map-side path — map, buffer-sort on
 // (partition, key), optional combine, synchronous map-output write — without
-// committing, so the same code serves first attempts, speculative backups,
-// and post-failure re-execution.
+// committing, so the same code serves first attempts and post-failure
+// re-execution.
 func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) *engine.MapOutput {
 	rt, job, costs := j.RT, j.Job, j.Costs
 	// Sort the map output buffer on (partition, key) — the CPU cost of

@@ -224,49 +224,6 @@ func TestNodeFailureBeforeAnyMapsStillCorrect(t *testing.T) {
 	}
 }
 
-func TestSpeculativeExecutionOnStraggler(t *testing.T) {
-	w := workloads.Sessionization(smallClicks())
-	// SSD topology separates scratch from DFS, so slowing node 3's scratch
-	// makes only its *computation side* straggle — the case speculation
-	// addresses (the data itself stays readable at full speed).
-	f := enginetest.New(t, w, enginetest.Config{Nodes: 4, InputSize: 16 * 64 << 10,
-		Cluster: func(c *cluster.Config) { c.SSDIntermediate = true }})
-	f.Job.Speculation = true
-	f.RT.Cluster.Node(3).ScratchDevice().SetSlowdown(100)
-	res, err := Run(f.RT, f.Job, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.CheckOutput(t, w, res)
-	if res.Counters.Get(engine.CtrMapTasksSpeculative) == 0 {
-		t.Fatal("no speculative attempts launched against the straggler")
-	}
-}
-
-func TestSpeculationReducesStragglerLatency(t *testing.T) {
-	run := func(speculate bool) *engine.Result {
-		w := workloads.Sessionization(smallClicks())
-		f := enginetest.New(t, w, enginetest.Config{Nodes: 4, InputSize: 16 * 64 << 10,
-			Cluster: func(c *cluster.Config) { c.SSDIntermediate = true }})
-		f.Job.Speculation = speculate
-		f.RT.Cluster.Node(3).ScratchDevice().SetSlowdown(100)
-		res, err := Run(f.RT, f.Job, engine.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.CheckOutput(t, w, res)
-		return res
-	}
-	plain := run(false)
-	spec := run(true)
-	// Makespans round to the sampler tick at this scale; first output is
-	// un-rounded and, for sort-merge, gated on the last (straggling) map.
-	if spec.FirstOutputAt >= plain.FirstOutputAt {
-		t.Fatalf("speculation did not improve first-answer latency: %v vs %v",
-			spec.FirstOutputAt, plain.FirstOutputAt)
-	}
-}
-
 func TestReduceSideCombineDuringSpill(t *testing.T) {
 	// The paper (§II.A): "It can be further applied in a reducer when its
 	// data buffer fills up." With the segment-count trigger forcing spills

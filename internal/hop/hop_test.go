@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"onepass/internal/cluster"
 	"onepass/internal/engine"
 	"onepass/internal/enginetest"
 	"onepass/internal/faults"
@@ -167,25 +166,6 @@ func TestNodeFailureRepushesLostChunks(t *testing.T) {
 	}
 	if res.Counters.Get(engine.CtrTasksReexecuted) == 0 {
 		t.Fatal("no lost map task was recovered")
-	}
-}
-
-func TestSpeculationDedupsDuplicateChunks(t *testing.T) {
-	w := workloads.PerUserCount(smallClicks())
-	f := enginetest.New(t, w, enginetest.Config{Nodes: 4, InputSize: 16 * 64 << 10,
-		Cluster: func(c *cluster.Config) { c.SSDIntermediate = true }})
-	f.Job.Speculation = true
-	// A crippled scratch disk makes node 3's map attempts straggle, so the
-	// drained queue backs them up on other nodes; both attempts push the
-	// same (map task, seq) chunks and reducers must drop the duplicates.
-	f.RT.Cluster.Node(3).ScratchDevice().SetSlowdown(100)
-	res, err := Run(f.RT, f.Job, engine.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.CheckOutput(t, w, res)
-	if res.Counters.Get(engine.CtrMapTasksSpeculative) == 0 {
-		t.Fatal("no speculative attempt launched")
 	}
 }
 

@@ -301,13 +301,6 @@ func (a *CPUAccount) Merge(other *CPUAccount) {
 	}
 }
 
-// Clone returns a copy of the account.
-func (a *CPUAccount) Clone() *CPUAccount {
-	out := NewCPUAccount()
-	out.Merge(a)
-	return out
-}
-
 // Sub subtracts a baseline from every phase (for per-job accounting on a
 // shared cluster).
 func (a *CPUAccount) Sub(base *CPUAccount) {

@@ -329,6 +329,13 @@ func TestTimelineCountMassProperty(t *testing.T) {
 	}
 }
 
+// Clone returns a copy of the account; only these tests need one.
+func (a *CPUAccount) Clone() *CPUAccount {
+	out := NewCPUAccount()
+	out.Merge(a)
+	return out
+}
+
 func TestCPUAccountCloneSub(t *testing.T) {
 	a := NewCPUAccount()
 	a.Add("x", 5*sim.Second)

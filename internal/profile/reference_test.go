@@ -161,8 +161,8 @@ func TestReferencePairingFlagsDefects(t *testing.T) {
 // and the counter tracks read — must be exactly the spans the former
 // extractor pairs out of the same run's trace, with no defect, on every
 // engine, clean and through re-execution after a node failure, serial and
-// pooled, and on the paths that open extra attempts or merges: speculation,
-// HOP snapshots and hot-key approximate early answers.
+// pooled, and on the paths that open extra merges: HOP snapshots and
+// hot-key approximate early answers.
 func TestRecordedSpansMatchTracePairs(t *testing.T) {
 	const input = 32 * 64 << 10 // 32 blocks, so node 1 has map outputs to lose
 	fail, err := onepass.ParseFaults("fail@0.02s:n1")
@@ -172,7 +172,6 @@ func TestRecordedSpansMatchTracePairs(t *testing.T) {
 	type variant struct {
 		name string
 		cfg  onepass.Config
-		job  func(*onepass.Job)
 		// ran proves the variant exercised what it is named for.
 		ran func(*onepass.Result) bool
 	}
@@ -192,9 +191,6 @@ func TestRecordedSpansMatchTracePairs(t *testing.T) {
 	approx := profCfg(onepass.HashHotKey, 4)
 	approx.ApproximateEarly = true
 	variants = append(variants,
-		variant{name: "hadoop/speculation", cfg: profCfg(onepass.Hadoop, 4),
-			job: func(j *onepass.Job) { j.Speculation = true },
-			ran: func(r *onepass.Result) bool { return r.Counters.Get(engine.CtrMapTasksSpeculative) > 0 }},
 		variant{name: "mapreduce-online/snapshots", cfg: snapshots,
 			ran: func(r *onepass.Result) bool { return len(r.Snapshots) > 0 }},
 		variant{name: "hash-hotkey/approximate-early", cfg: approx,
@@ -203,9 +199,6 @@ func TestRecordedSpansMatchTracePairs(t *testing.T) {
 
 	for _, v := range variants {
 		w := onepass.Sessionization(clicks())
-		if v.job != nil {
-			v.job(&w.Job)
-		}
 		tl := onepass.NewTraceLog()
 		v.cfg.Trace = tl
 		res, err := onepass.RunWorkload(v.cfg, w, input)

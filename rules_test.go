@@ -181,11 +181,16 @@ var codeRules = []codeRule{
 	},
 	// Every run-configuration knob has a non-test caller. These are the
 	// names of values no launcher set, deleted with the test-only paths they
-	// selected. One coming back is a knob that doubles the configurations
-	// to check. TestConfigHasNoDeletedKnob covers onepass.Config's fields.
+	// selected: among them speculative execution (a map task runs once and
+	// re-runs only to recover), node memory (cluster.NodeMemory) and the
+	// environment's second spellings of experiments -scale and
+	// -parallel-intra. One coming back is a knob that doubles the
+	// configurations to check. TestConfigHasNoDeletedKnob covers
+	// onepass.Config's fields.
 	{
 		name:    "every knob has a caller",
-		pattern: `\b(DisablePush|FreshWindow|SkewedUsers|FaultNodeAtFrac|BaselineMS|NetBandwidth|NetLatency|DiskProfile)\b`,
+		pattern: `\b(DisablePush|FreshWindow|SkewedUsers|FaultNodeAtFrac|BaselineMS|NetBandwidth|NetLatency|DiskProfile|Speculation|TaskWasted|MemoryPerNode)\b|MapTasksSpeculative|ONEPASS_(SCALE|PARALLEL)`,
+		tests:   true,
 		msg:     "a run-configuration value needs a non-test caller",
 		bad:     `	cfg.NetBandwidth = 125e6`,
 	},
