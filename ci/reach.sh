@@ -5,8 +5,9 @@
 # It builds runjob, jobserve, check, experiments, datagen and every example
 # with `go build -cover -coverpkg=./...`, runs the command set below with
 # GOCOVERDIR set, and reads the result with `go tool covdata func`. The
-# per-function listing is left in <outdir>/func.txt (a temporary directory by
-# default). bench/ is the benchmark harness, not a command, and
+# per-function listing is left in <outdir>/func.txt and the statement-level
+# profile (`go tool covdata textfmt`) in <outdir>/stmt.txt, in a temporary
+# directory by default. bench/ is the benchmark harness, not a command, and
 # internal/kv/zsort.go is generated, so neither is judged.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -126,6 +127,7 @@ run experiments-artifacts "$x" -scale 0.00003125 -exp 'Table I' -parallel 2 -q -
   -trace-dir "$out/run/traces" -profile-dir "$out/run/profiles" -out "$out/run/table.md"
 
 go tool covdata func -i "$GOCOVERDIR" > "$out/func.txt"
+go tool covdata textfmt -i "$GOCOVERDIR" -o "$out/stmt.txt"
 total=$(awk '$1 == "total"' "$out/func.txt")
 
 # Each unreached function as "<package path> <Func or Recv.Method>": the

@@ -255,7 +255,7 @@ func (hj *hashJob) runReduceTask(p *sim.Proc, node *cluster.Node, r int) {
 	})
 
 	for {
-		chunk, ok := pc.PopFresh(p, node.ID)
+		chunk, ok := pc.Pop(p)
 		if !ok {
 			break
 		}

@@ -20,26 +20,30 @@ import (
 // partial aggregation on each pair as Map emits it (hybrid hash degrades to
 // streaming flushes if the table outgrows the task budget), and the tables
 // drain straight into the partition frame: one copy from emit to frame.
-// Either way there is no sort — that is the whole point. Output is persisted
-// for fault tolerance (as in stock Hadoop) and then pushed eagerly to the
-// reducers.
+// Either way there is no sort — that is the whole point. The task is billed
+// stock Hadoop's synchronous map-output write, then pushes eagerly to the
+// reducers. No copy of the output is kept: a partition leaves the task
+// either pushed or staged as a leftover file, and a lost output is rebuilt
+// from its DFS block (reexecMapOutput).
 func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 	rt, job, costs := hj.RT, hj.Job, hj.Costs
 	frame := hj.buildMapChunks(p, node, b)
 	R := job.Reducers
-	// Persist the map output for fault tolerance as one indexed file
-	// (charging the synchronous write), then push. The file adopts the frame
-	// and the pushed chunks alias it: one copy of the output serves both.
+	// The synchronous write §III.B.2 measures, charged as one sequential
+	// write of the whole frame. The pushed chunks and the leftover files
+	// alias the frame: one copy of the output serves both.
 	store := node.ScratchStore()
-	out := engine.NewMapOutput(p, store,
-		fmt.Sprintf("%s/hashmap-%05d/file.out", job.Name, b.Index),
-		b.Index, node.ID, frame.Data, frame.PartLen)
-	outBytes := out.File.Size()
+	outBytes := int64(len(frame.Data))
+	store.Device().Write(p, outBytes, true)
 	node.Compute(p, engine.Dur(float64(outBytes), costs.SerializeNsPerByte), engine.PhaseMapFn)
 	rt.Counters.Add(engine.CtrMapWrittenBytes, float64(outBytes))
 	if rt.Tracing() {
 		rt.Emit(trace.OutputWrite, "map-output", node.ID, b.Index, 0,
 			trace.Num("bytes", float64(outBytes)))
+	}
+	out := &engine.MapOutput{
+		TaskID: b.Index, Node: node.ID, Store: store, PartLen: frame.PartLen,
+		Leftover: make([]*disk.File, R), Pushed: make([]bool, R), Delivered: make([]int, R),
 	}
 	// Completion is registered only after the push loop below resolves
 	// which partitions were fully delivered, so pull-side reducers never
@@ -50,12 +54,13 @@ func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 	// refuses a chunk, the rest of that partition — a contiguous tail of the
 	// frame — is staged as a "leftover" file the reducer pulls later. The
 	// mapper never stalls — unlike HOP's adaptive wait, the hash engine's
-	// push is best-effort because the persisted copy already guarantees
-	// delivery.
-	out.Leftover = make([]*disk.File, R)
+	// push is best-effort because the leftover file guarantees delivery.
 	chunks, ends := chunksByPartition(frame.Chunks, R)
+	var off int64
 	for r := 0; r < R; r++ {
 		toNode := rt.ReducerNode(r).ID
+		partOff := off
+		off += frame.PartLen[r]
 		// Delivered counts gate what a re-execution regenerates: a recovered
 		// output serves only the undelivered tail.
 		sent := int64(0)
@@ -75,7 +80,7 @@ func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 			out.Pushed[r] = true
 			continue
 		}
-		leftover := frame.Data[out.PartOff[r]+sent : out.PartOff[r]+out.PartLen[r]]
+		leftover := frame.Data[partOff+sent : off]
 		lf := store.Create(fmt.Sprintf("%s/hashmap-%05d/leftover-%05d", job.Name, b.Index, r), false)
 		store.Put(p, lf, leftover)
 		rt.Counters.Add(engine.CtrMapSpillBytes, float64(len(leftover)))
@@ -91,10 +96,6 @@ func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 		}
 		out.Leftover[r] = lf
 	}
-	// Every partition is now either push-delivered or staged in a leftover
-	// file; the persisted copy served its fault-tolerance write and can be
-	// released to bound host memory.
-	out.ReleaseFile()
 }
 
 // chunksByPartition lists the chunks' data by partition, each partition's

@@ -318,12 +318,7 @@ func (a *Audit) CheckSim(env *sim.Env, cl *cluster.Cluster) {
 			continue
 		}
 		for _, name := range node.ScratchStore().Names() {
-			f, err := node.ScratchStore().Open(name)
-			if err != nil || f.Size() == 0 {
-				// Zero-size files are pipelining progress markers (HOP keeps
-				// one per map task for its registry), not leaked data.
-				continue
-			}
+			f, _ := node.ScratchStore().Open(name)
 			a.fail("scratch-leak", fmt.Sprintf("node %d", node.ID),
 				fmt.Sprintf("scratch file %q holds %d undeleted bytes after run", name, f.Size()))
 		}

@@ -3,6 +3,8 @@ package engine
 import (
 	"strings"
 	"testing"
+
+	"onepass/internal/sim"
 )
 
 // balancedAudit builds a ledger in which every invariant holds: one map task
@@ -65,6 +67,44 @@ func TestAuditShuffleDuplicateDeliveryFires(t *testing.T) {
 	a := balancedAudit()
 	a.ShuffleIngested(2, 0, 0, 0, 50)
 	wantInvariant(t, a.Finish(nil), "shuffle-conservation", "ingested 100")
+}
+
+// A chunk pushed twice under one (task, seq) identity reaches its reducer
+// twice, and the ingest ledger Pop keeps counts both: nothing between the
+// queue and the ledger hides a re-delivery from shuffle-conservation.
+func TestPushedTwiceFailsShuffleConservation(t *testing.T) {
+	rt := testRuntime(2)
+	rt.Audit = NewAudit()
+	pc := rt.NewPushChannels(1, 1<<20)[0]
+	rt.Env.Go("mapper", func(p *sim.Proc) {
+		for range 2 {
+			if !pc.TryPush(p, 0, 1, 7, 0, []byte("chunk")) {
+				t.Error("push refused")
+			}
+		}
+		pc.Close()
+	})
+	popped := 0
+	rt.Env.Go("reducer", func(p *sim.Proc) {
+		for _, ok := pc.Pop(p); ok; _, ok = pc.Pop(p) {
+			popped++
+		}
+	})
+	rt.Env.Run()
+	if popped != 2 {
+		t.Fatalf("reducer popped %d chunks, want both deliveries", popped)
+	}
+	wantInvariant(t, rt.Audit.Finish(rt), "shuffle-conservation", "produced 5 bytes but reducers ingested 10")
+}
+
+// Any file left on a live node's scratch store is a leak, an empty one
+// included; a failed node's files are recovery's to abandon.
+func TestAuditEmptyScratchFileLeaks(t *testing.T) {
+	rt := testRuntime(2)
+	rt.Cluster.Node(1).ScratchStore().Create("t/map-00000/marker", false)
+	rt.Cluster.Node(0).ScratchStore().Create("t/map-00001/file.out", false)
+	rt.Cluster.Node(0).Fail()
+	wantInvariant(t, NewAudit().Finish(rt), "scratch-leak", `"t/map-00000/marker" holds 0 undeleted bytes`)
 }
 
 func TestAuditNondeterministicAttemptFires(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
 	"onepass/internal/kv"
-	"onepass/internal/metrics"
 	"onepass/internal/sim"
 	"onepass/internal/trace"
 )
@@ -63,9 +62,9 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	rt.Counters.Add(CtrMapInputBytes, float64(len(data)))
 
 	// The record loop is pure data work: it reads only the fetched block and
-	// writes only the task-owned destination, three locals, and a task-owned
-	// counter delta. Dispatch it (plus the engine's post step) to the pool,
-	// overlapping the parse charge below, which depends only on len(data).
+	// writes only the task-owned destination and three locals. Dispatch it
+	// (plus the engine's post step) to the pool, overlapping the parse
+	// charge below, which depends only on len(data).
 	// Serially the closure runs inline here — either way it executes zero
 	// virtual operations, so the event schedule is identical in both modes.
 	var buf *kv.Buffer
@@ -76,7 +75,6 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	}
 	records := 0
 	var outBytes int64
-	var delta metrics.Delta
 	work := rt.StartJobWork(p, job, func(wj *Job) {
 		var sink MapSink
 		if into != nil {
@@ -104,12 +102,6 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 		if post != nil {
 			post(wj, buf)
 		}
-		// Counter increments stay in the closure's own delta — never the
-		// shared Counters bag, whose summation order would then depend on
-		// real-goroutine interleaving — and merge at the join below.
-		delta.Add(CtrMapInputRecords, float64(records))
-		delta.Add(CtrMapOutputRecords, float64(pairs))
-		delta.Add(CtrMapOutputBytes, float64(outBytes))
 	})
 
 	// Parse: charge per input byte at the format's rate.
@@ -122,7 +114,12 @@ func (rt *Runtime) ExecuteMapWith(p *sim.Proc, node *cluster.Node, job *Job, b *
 	// The closure is done with the buffer; the charges below need only its
 	// counts, so the next task may have it while they run.
 	rt.ReleaseBuffer(buf)
-	delta.ApplyTo(rt.Counters)
+	// The closure counts into locals, never the shared Counters bag, whose
+	// summation order would then depend on real-goroutine interleaving;
+	// the counts enter it here, in virtual order.
+	rt.Counters.Add(CtrMapInputRecords, float64(records))
+	rt.Counters.Add(CtrMapOutputRecords, float64(pairs))
+	rt.Counters.Add(CtrMapOutputBytes, float64(outBytes))
 
 	node.Compute(p, Dur(float64(records), costs.MapNsPerRecord)+
 		Dur(float64(outBytes), costs.MapNsPerOutputByte), PhaseMapFn)

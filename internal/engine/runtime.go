@@ -505,10 +505,6 @@ const (
 	// CtrShuffleRetries counts pull fetches abandoned mid-transfer because
 	// the source died, then retried after backoff.
 	CtrShuffleRetries = "shuffle.retries"
-	// CtrShuffleDupChunks counts push chunks a reducer discarded as
-	// duplicates of a (map task, seq) pair it already ingested — recovery
-	// re-pushes overlapping with the original delivery.
-	CtrShuffleDupChunks = "shuffle.duplicate.chunks"
 )
 
 // CtrTimelineForceClosed counts spans an engine left open at FinishResult

@@ -8,10 +8,14 @@ import (
 	"onepass/internal/trace"
 )
 
-// MapOutput is one completed map task's partitioned output, persisted on
-// the mapper node's scratch store as a single partition-ordered file plus
-// an index — Hadoop's file.out/file.out.index layout, whose synchronous
-// write the paper measures in §III.B.2.
+// MapOutput is one completed map task's partitioned output. A pull engine
+// persists it on the mapper node's scratch store as a single
+// partition-ordered file plus an index — Hadoop's file.out/file.out.index
+// layout, whose synchronous write the paper measures in §III.B.2 — and a
+// recovered hash output is such a file too. A push delivery keeps only
+// what a reader uses: the hash engines stage the tails they could not push
+// as Leftover files, and a push-only engine's output is no file at all,
+// just the recovery bookkeeping in Pushed and Delivered.
 type MapOutput struct {
 	TaskID int
 	Node   int
@@ -88,27 +92,25 @@ func (o *MapOutput) PartData(part int) []byte {
 	return o.File.Data()[off:end:end]
 }
 
-// ConsumePart releases partition part after its one consumer fetched it;
-// when every partition is consumed the backing file is deleted so host
-// memory stays bounded across large runs.
+// ConsumePart releases partition part after its one consumer fetched it.
+// Every partition not push-delivered has one such consumer; once each has
+// consumed its own the backing file is deleted, so host memory stays
+// bounded across large runs. The count lives on the output a recovery
+// rewrites in place, so partitions consumed before the loss count too.
 func (o *MapOutput) ConsumePart(part int) {
+	o.consumed++
 	if o.Leftover != nil && o.Leftover[part] != nil {
 		o.Store.Delete(o.Leftover[part].Name())
 		o.Leftover[part] = nil
-		return
 	}
-	o.consumed++
-	if o.consumed >= len(o.PartLen) && o.File != nil {
-		o.Store.Delete(o.File.Name())
+	pulled := len(o.PartLen)
+	for _, pushed := range o.Pushed {
+		if pushed {
+			pulled--
+		}
 	}
-}
-
-// ReleaseFile drops the persisted copy early (hash engine: everything was
-// pushed, the file existed only for fault tolerance).
-func (o *MapOutput) ReleaseFile() {
-	if o.File != nil {
+	if o.consumed == pulled && o.File != nil {
 		o.Store.Delete(o.File.Name())
-		o.File = nil
 	}
 }
 
@@ -321,12 +323,12 @@ func (g *Registry) Pull(p *sim.Proc, readerNode, part int, ingest func(data []by
 // PushChunk is one eagerly-pushed piece of map output (HOP-style pipelining
 // and the hash engine's push shuffle).
 type PushChunk struct {
-	FromNode int
-	MapTask  int
+	MapTask int
 	// Seq numbers the chunk within its (map task, reducer) stream. The map
-	// function is deterministic, so a re-pushed chunk carries identical
-	// content under the same (MapTask, Seq) — reducers dedup on that pair
-	// when recovery can re-deliver.
+	// function is deterministic, so a chunk recovery re-pushes carries the
+	// lost attempt's content under the same (MapTask, Seq). Recovery pushes
+	// only past the delivery frontier, so no identity arrives twice; the
+	// audit's ingest ledger would report one that did.
 	Seq  int
 	Data []byte
 }
@@ -346,8 +348,6 @@ type PushChannel struct {
 	limit       int64
 	trig        *sim.Trigger
 	closed      bool
-	// seen holds the (map task, seq) identities PopFresh has handed out.
-	seen map[[2]int]struct{}
 }
 
 // NewPushChannels returns one channel per reducer with the given
@@ -399,14 +399,15 @@ func (pc *PushChannel) TryPush(p *sim.Proc, fromNode, toNode, mapTask, seq int, 
 			trace.Str("mode", "push"), trace.Num("reducer", float64(pc.reducer)),
 			trace.Num("bytes", float64(len(data))))
 	}
-	pc.queue = append(pc.queue, PushChunk{FromNode: fromNode, MapTask: mapTask, Seq: seq, Data: data})
+	pc.queue = append(pc.queue, PushChunk{MapTask: mapTask, Seq: seq, Data: data})
 	pc.queuedBytes += int64(len(data))
 	pc.trig.Broadcast()
 	return true
 }
 
 // Pop blocks p until a chunk is available or the channel is closed and
-// drained; ok=false means end of stream.
+// drained; ok=false means end of stream. The chunk enters the audit's
+// ingest ledger at the reducer's node.
 func (pc *PushChannel) Pop(p *sim.Proc) (PushChunk, bool) {
 	for pc.head == len(pc.queue) {
 		if pc.closed {
@@ -427,34 +428,10 @@ func (pc *PushChannel) Pop(p *sim.Proc) (PushChunk, bool) {
 	}
 	pc.queuedBytes -= int64(len(c.Data))
 	pc.trig.Broadcast() // wake throttled producers polling for space
-	return c, true
-}
-
-// PopFresh is Pop for the reducer (running on node) of a push-only engine,
-// where recovery may re-push a chunk a dead mapper already delivered: the
-// map data path is deterministic, so a repeated (map task, seq) identity
-// carries identical content and is dropped, counted, here. Fresh chunks
-// enter the audit's ingest ledger.
-func (pc *PushChannel) PopFresh(p *sim.Proc, node int) (PushChunk, bool) {
-	for {
-		c, ok := pc.Pop(p)
-		if !ok {
-			return c, false
-		}
-		id := [2]int{c.MapTask, c.Seq}
-		if _, dup := pc.seen[id]; dup {
-			pc.rt.Counters.Add(CtrShuffleDupChunks, 1)
-			continue
-		}
-		if pc.seen == nil {
-			pc.seen = make(map[[2]int]struct{})
-		}
-		pc.seen[id] = struct{}{}
-		if pc.rt.Auditing() {
-			pc.rt.Audit.ShuffleIngested(node, c.MapTask, pc.reducer, c.Seq, int64(len(c.Data)))
-		}
-		return c, true
+	if pc.rt.Auditing() {
+		pc.rt.Audit.ShuffleIngested(pc.rt.ReducerNode(pc.reducer).ID, c.MapTask, pc.reducer, c.Seq, int64(len(c.Data)))
 	}
+	return c, true
 }
 
 // Close marks end of stream and wakes consumers.

@@ -272,7 +272,7 @@ func (j *JobRun) PushChunk(p *sim.Proc, node *cluster.Node, task int, c kv.Chunk
 // offers it. Once node has failed its NIC delivers nothing, so the rest are
 // dropped unbilled and counted in push.chunks.lost; RepushLost re-pushes
 // them from a survivor after the map wave.
-func (j *JobRun) PushOutput(p *sim.Proc, node *cluster.Node, task int, name string,
+func (j *JobRun) PushOutput(p *sim.Proc, node *cluster.Node, task int,
 	chunks []kv.Chunk, charge func(i int), push PushFunc) {
 	sealed := make([]int, j.Job.Reducers)
 	delivered := make([]int, j.Job.Reducers)
@@ -284,7 +284,7 @@ func (j *JobRun) PushOutput(p *sim.Proc, node *cluster.Node, task int, name stri
 		}
 		deliver(p, node, task, i, c, charge, push, delivered)
 	}
-	j.CompletePushed(p, node, name, task, delivered, sealed)
+	j.CompletePushed(node, task, delivered, sealed)
 }
 
 // PushFunc offers chunk c of map task task from node to its reducer and
@@ -304,14 +304,12 @@ func deliver(p *sim.Proc, node *cluster.Node, task, i int, c kv.Chunk,
 	return true
 }
 
-// CompletePushed registers a push-only map task: the data lives only in the
-// push stream, so the output is a zero-size progress file named name — the
-// progress signal for snapshot fractions plus the recovery bookkeeping:
-// delivered[r] chunks of the sealed[r] the task produced for reducer r
-// reached it.
-func (j *JobRun) CompletePushed(p *sim.Proc, node *cluster.Node, name string, task int, delivered, sealed []int) {
-	out := NewMapOutput(p, node.ScratchStore(), name, task, node.ID, nil, make([]int64, len(sealed)))
-	out.Delivered = delivered
+// CompletePushed registers a push-only map task. The data lives only in
+// the push stream, so the output is no file, only the progress signal for
+// snapshot fractions and the recovery bookkeeping: delivered[r] chunks of
+// the sealed[r] the task produced for reducer r reached it.
+func (j *JobRun) CompletePushed(node *cluster.Node, task int, delivered, sealed []int) {
+	out := &MapOutput{TaskID: task, Node: node.ID, Pushed: make([]bool, len(sealed)), Delivered: delivered}
 	for r := range out.Pushed {
 		out.Pushed[r] = delivered[r] == sealed[r]
 	}
@@ -329,9 +327,9 @@ type Regen func(j *JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, alread
 // RepushLost is a push-only engine's degraded-mode recovery, run after the
 // map wave with the channels still open: every map output lost with its node
 // before all its chunks were delivered is regenerated on a surviving node
-// and the undelivered chunks re-pushed under their original identities;
-// reducers suppress any duplicates. If the recovery node itself dies
-// mid-way, the next survivor resumes from the advanced frontier.
+// and only the undelivered chunks re-pushed, under their original
+// identities, so no reducer receives a chunk twice. If the recovery node
+// itself dies mid-way, the next survivor resumes from the advanced frontier.
 func (j *JobRun) RepushLost(p *sim.Proc, regen Regen) {
 	rt := j.RT
 	for i := 0; i < j.Reg.Completed(); i++ {
@@ -340,8 +338,8 @@ func (j *JobRun) RepushLost(p *sim.Proc, regen Regen) {
 			continue
 		}
 		if !slices.Contains(out.Pushed, false) {
-			// Everything was delivered before the node died; only the
-			// (empty) progress file is gone.
+			// Everything was delivered before the node died; nothing
+			// is left to recover.
 			out.Lost = false
 			continue
 		}

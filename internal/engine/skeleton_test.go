@@ -181,9 +181,9 @@ func TestRepushLostSkipsDeliveredAndResumesFromFrontier(t *testing.T) {
 	}
 	rt.Env.Go("controller", func(p *sim.Proc) {
 		dead, alive := rt.Cluster.Node(1), rt.Cluster.Node(3)
-		j.CompletePushed(p, dead, "t/0/progress", 0, []int{1, 1, 1, 4}, sealed)  // all delivered
-		j.CompletePushed(p, dead, "t/1/progress", 1, []int{1, 1, 1, 1}, sealed)  // 3 chunks short
-		j.CompletePushed(p, alive, "t/2/progress", 2, []int{1, 1, 1, 0}, sealed) // short, but not lost
+		j.CompletePushed(dead, 0, []int{1, 1, 1, 4}, sealed)  // all delivered
+		j.CompletePushed(dead, 1, []int{1, 1, 1, 1}, sealed)  // 3 chunks short
+		j.CompletePushed(alive, 2, []int{1, 1, 1, 0}, sealed) // short, but not lost
 		dead.Fail()
 		j.Reg.FailNode(dead.ID)
 		j.RepushLost(p, regen)
@@ -196,9 +196,9 @@ func TestRepushLostSkipsDeliveredAndResumesFromFrontier(t *testing.T) {
 	}
 	var got []PushChunk
 	for _, c := range j.Channels[3].queue {
-		got = append(got, PushChunk{FromNode: c.FromNode, MapTask: c.MapTask, Seq: c.Seq})
+		got = append(got, PushChunk{MapTask: c.MapTask, Seq: c.Seq})
 	}
-	wantChunks := []PushChunk{{FromNode: 0, MapTask: 1, Seq: 1}, {FromNode: 2, MapTask: 1, Seq: 2}, {FromNode: 2, MapTask: 1, Seq: 3}}
+	wantChunks := []PushChunk{{MapTask: 1, Seq: 1}, {MapTask: 1, Seq: 2}, {MapTask: 1, Seq: 3}}
 	if !reflect.DeepEqual(got, wantChunks) {
 		t.Fatalf("re-pushed chunks = %+v, want %+v", got, wantChunks)
 	}

@@ -45,11 +45,10 @@ func (s *Session) ChaosSweep() *Report {
 			Paper: "(not evaluated; §III.B.2 motivates recoverable map output)",
 			Measured: fmt.Sprintf("%s; makespan %s vs %s", verdict,
 				fmtDur(base.Makespan), fmtDur(faulted.Makespan)),
-			Note: fmt.Sprintf("faults=%.0f reexec=%.0f retries=%.0f dup-chunks=%.0f [%s]",
+			Note: fmt.Sprintf("faults=%.0f reexec=%.0f retries=%.0f [%s]",
 				faulted.Counters.Get(engine.CtrFaultsInjected),
 				faulted.Counters.Get(engine.CtrTasksReexecuted),
 				faulted.Counters.Get(engine.CtrShuffleRetries),
-				faulted.Counters.Get(engine.CtrShuffleDupChunks),
 				spec.Faults),
 		})
 	}

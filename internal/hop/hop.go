@@ -255,7 +255,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 // sealed order on the event loop after the join.
 func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, push engine.PushFunc) {
 	chunks, charge := buildChunks(j, p, node, b, nil)
-	j.PushOutput(p, node, b.Index, fmt.Sprintf("%s/hop-map-%05d/progress", j.Job.Name, b.Index), chunks, charge, push)
+	j.PushOutput(p, node, b.Index, chunks, charge, push)
 }
 
 // runReduceTask drains the push channel, spilling and merging exactly like
@@ -271,7 +271,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {
 	snapIdx := 0
 	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
 	for {
-		chunk, ok := pc.PopFresh(p, node.ID)
+		chunk, ok := pc.Pop(p)
 		if !ok {
 			break
 		}

@@ -168,7 +168,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 // (no disk staging — the whole point of the engine).
 func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 	chunks, charge := buildChunks(j, p, node, b, nil)
-	j.PushOutput(p, node, b.Index, fmt.Sprintf("%s/res-map-%05d/progress", j.Job.Name, b.Index), chunks, charge, j.PushChunk)
+	j.PushOutput(p, node, b.Index, chunks, charge, j.PushChunk)
 }
 
 // foldTable is an insertion-ordered in-memory table of fold elements, one
@@ -279,7 +279,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
 	in := newChunkFold(table, r)
 	for {
-		chunk, ok := pc.PopFresh(p, node.ID)
+		chunk, ok := pc.Pop(p)
 		if !ok {
 			break
 		}

@@ -161,10 +161,9 @@ var codeRules = []codeRule{
 		bad:     `type hotReducer struct {`,
 	},
 	// A reducer reads a completed map's partition through one pull loop
-	// (engine.Registry.Pull), drains its push queue through
-	// PushChannel.PopFresh, and a push-only mapper delivers through one loop
-	// (engine.JobRun.PushOutput) (DESIGN.md §3). A registry call or a raw
-	// Pop in an engine package is a hand-written shuffle endpoint.
+	// (engine.Registry.Pull), and a push-only mapper delivers through one
+	// loop (engine.JobRun.PushOutput) (DESIGN.md §3). A registry call in an
+	// engine package is a hand-written shuffle endpoint.
 	{
 		name:    "one shuffle endpoint: pull and push-only delivery",
 		pattern: `\b(WaitBeyond|FetchPart|ConsumePart|CompletePushed)\(`,
@@ -172,12 +171,19 @@ var codeRules = []codeRule{
 		msg:     "pull through Registry.Pull and deliver push-only output through JobRun.PushOutput",
 		bad:     `	data := j.Reg.FetchPart(p, node.ID, m, r)`,
 	},
+	// Push delivery keeps only what a reader uses. Recovery re-pushes only
+	// past the delivery frontier, so a chunk reaches its reducer once and
+	// PushChannel.Pop is the one drain: no duplicate set (PopFresh and its
+	// counter), no sender node on a chunk. A push-only output is no file
+	// (no "progress" marker) and a hash map task keeps no copy of its
+	// output (nothing to release early). The pooled map loop counts into
+	// locals, so no counter batch (metrics.Delta) stands between it and
+	// the Counters bag.
 	{
-		name:    "one shuffle endpoint: push queue",
-		pattern: `\.Pop\(`,
-		in:      []string{"internal/core/*.go"},
-		msg:     "drain the hash reducer's push queue through PushChannel.PopFresh",
-		bad:     `	chunk, ok := pc.Pop(p)`,
+		name:    "push delivery keeps only what a reader uses",
+		pattern: `\b(PopFresh|ReleaseFile|FromNode)\b|ShuffleDupChunks|shuffle\.duplicate\.chunks|metrics\.Delta\b|/progress"`,
+		msg:     "drain pushed chunks with PushChannel.Pop and keep no scratch file no reader opens",
+		bad:     `		chunk, ok := pc.PopFresh(p, node.ID)`,
 	},
 	// Every run-configuration knob has a non-test caller. These are the
 	// names of values no launcher set, deleted with the test-only paths they
