@@ -29,7 +29,8 @@ const (
 // stateTable maps keys to aggregation states — the elements of the job's
 // engine.Fold — with byte-accurate memory accounting. Keys and states both
 // live in a memtable arena (the paper's byte-array memory management), behind
-// one memtable.Table; what this type adds is the budget bookkeeping.
+// one memtable.Table; what this type adds is the budget bookkeeping, summed
+// over the table's partitions.
 type stateTable struct {
 	tbl        *memtable.Table
 	stateBytes int64
@@ -46,18 +47,24 @@ type stateTable struct {
 // per key — not a measurement of the table's layout.
 const stateSliceOverhead = 24
 
-// tableSlots is every state table's initial slot count. Iteration is slot
-// order, and a map task's chunk contents are its tables' iteration order, so
-// a table that is reused where a fresh one used to be built must come back
-// at this capacity and grow through the same doublings (restart), or a
-// re-executed map attempt stops matching the attempt it replaces.
+// tableSlots is every state table partition's initial slot count. Iteration
+// is slot order, and a map task's chunk contents are its table's iteration
+// order, partition by partition, so a table that is reused where a fresh one
+// used to be built must come back at this capacity and grow through the same
+// doublings (restart), or a re-executed map attempt stops matching the
+// attempt it replaces.
 const tableSlots = 64
 
-// newStateTable returns an empty table whose keys and states live in arena.
-// Tables of one task share an arena; the arena's owner resets it, never the
-// table.
+// newStateTable returns an empty one-partition table whose keys and states
+// live in arena. Tables of one task share an arena; the arena's owner resets
+// it, never the table.
 func newStateTable(h *hashlib.Func, arena *memtable.Arena, fold *engine.Fold) *stateTable {
-	return &stateTable{tbl: memtable.NewTable(h, arena, tableSlots), agg: fold}
+	return newPartitionedStateTable(h, arena, fold, 1)
+}
+
+// newPartitionedStateTable returns an empty table of parts partitions.
+func newPartitionedStateTable(h *hashlib.Func, arena *memtable.Arena, fold *engine.Fold, parts int) *stateTable {
+	return &stateTable{tbl: memtable.NewPartitionedTable(h, arena, parts, tableSlots), agg: fold}
 }
 
 // reset empties the table for a refill at its grown capacity (the map-side
@@ -75,11 +82,16 @@ func (st *stateTable) restart() {
 	st.stateBytes, st.keyBytes = 0, 0
 }
 
-// fold incorporates one payload for key and returns the bytes it added to
-// the table: the key's when it was newly inserted, plus by how much the key's
-// element grew.
-func (st *stateTable) fold(key, payload []byte, f form) (added int64) {
-	e, isNew := st.tbl.Slot(key)
+// fold is foldIn(0, key, payload, f).
+func (st *stateTable) fold(key, payload []byte, f form) int64 {
+	return st.foldIn(0, key, payload, f)
+}
+
+// foldIn incorporates one payload for key into partition p and returns the
+// bytes it added to the table: the key's when it was newly inserted, plus by
+// how much the key's element grew.
+func (st *stateTable) foldIn(p int, key, payload []byte, f form) (added int64) {
+	e, isNew := st.tbl.SlotIn(p, key)
 	added = int64(st.agg.Into(st.tbl, e, isNew, payload, f == formState))
 	st.stateBytes += added
 	if isNew {
@@ -93,7 +105,7 @@ func (st *stateTable) fold(key, payload []byte, f form) (added int64) {
 // get returns the current state for key.
 func (st *stateTable) get(key []byte) ([]byte, bool) { return st.tbl.GetElem(key) }
 
-// len returns the number of live keys.
+// len returns the number of live keys, over all partitions.
 func (st *stateTable) len() int { return st.tbl.Len() }
 
 // entrySlotCost approximates the hash-table slot plus arena bookkeeping per

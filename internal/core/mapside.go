@@ -16,10 +16,11 @@ import (
 
 // runMapTask is the hash engine's map side (§V's two options): (1) with no
 // combiner, one scan partitions output with no grouping effort at all;
-// (2) with a combiner, an in-memory hash table per partition performs
-// partial aggregation on each pair as Map emits it (hybrid hash degrades to
-// streaming flushes if the table outgrows the task budget), and the tables
-// drain straight into the partition frame: one copy from emit to frame.
+// (2) with a combiner, an in-memory hash table — one probe index per
+// partition — performs partial aggregation on each pair as Map emits it
+// (hybrid hash degrades to streaming flushes if the table outgrows the task
+// budget), and the table drains straight into the partition frame: one copy
+// from emit to frame.
 // Either way there is no sort — that is the whole point. The task is billed
 // stock Hadoop's synchronous map-output write, then pushes eagerly to the
 // reducers. No copy of the output is kept: a partition leaves the task
@@ -132,7 +133,7 @@ func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 	// CombineFlush trace events land after the join.
 	R, chunkBytes, grouping := job.Reducers, hj.Opts.ChunkBytes, rt.TaskMemory(job)
 	// Option (2), a combiner: a declared job's pairs fold into the combine
-	// tables as Map emits them, and no buffer is filled. A free-monoid
+	// table as Map emits them, and no buffer is filled. A free-monoid
 	// element is no smaller than the values in it, so only a declared job
 	// combines before the shuffle.
 	var mc *mapCombiner
@@ -178,17 +179,21 @@ func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 	return frame
 }
 
-// mapCombiner is map-side hash aggregation: real hash tables, real states,
-// one table per partition on one task-scoped arena. Its add is the map
-// task's sink, so each pair folds the moment Map emits it. Whenever the
-// tables outgrow the grouping budget they are drained into the frame
-// builder's staging buffer and refilled — hybrid hash thus degrades to
-// streaming flushes rather than failing when the block's key set does not
-// fit — and at the end of the input finish drains them straight into the
-// partition frame. Tables, arena and builder belong to one map task and die
-// with it.
+// mapCombiner is map-side hash aggregation: a real hash table, real states,
+// on one task-scoped arena. The table has one partition per reducer, each a
+// probe index of its own over the shared entries, so every partition's slot
+// order — and with it every chunk's bytes — is what a table of its own would
+// give. Its add is the map task's sink, so each pair folds the moment Map
+// emits it. Whenever the table outgrows the grouping budget it is drained
+// into the frame builder's staging buffer and refilled — hybrid hash thus
+// degrades to streaming flushes rather than failing when the block's key set
+// does not fit — and at the end of the input finish drains it straight into
+// the partition frame. Table, arena and builder belong to one map task and
+// die with it.
 type mapCombiner struct {
-	tables   []*stateTable
+	table *stateTable
+	// parts is how many partitions drain walks: the table's.
+	parts    int
 	arena    *memtable.Arena
 	grouping int64
 	frame    *kv.FrameBuilder
@@ -201,70 +206,49 @@ type mapCombiner struct {
 }
 
 func newMapCombiner(R int, fold *engine.Fold, grouping, chunkBytes int64) *mapCombiner {
-	mc := &mapCombiner{
-		tables:   make([]*stateTable, R),
-		arena:    memtable.NewArena(0),
+	arena := memtable.NewArena(0)
+	return &mapCombiner{
+		table:    newPartitionedStateTable(hashAtShared(1), arena, fold, R),
+		parts:    R,
+		arena:    arena,
 		grouping: grouping,
 		frame:    kv.NewFrameBuilder(R, chunkBytes),
 	}
-	for r := range mc.tables {
-		mc.tables[r] = newStateTable(hashAtShared(1), mc.arena, fold)
-	}
-	return mc
 }
 
-// add folds one emitted pair into its partition's table, staging the tables
-// when they have outgrown the budget (checked every 1024 pairs).
+// add folds one emitted pair into its partition, staging the table when it
+// has outgrown the budget (checked every 1024 pairs).
 func (mc *mapCombiner) add(part int, key, val []byte) {
-	mc.saved += int64(len(key)+len(val)) - mc.tables[part].fold(key, val, formIncoming)
+	mc.saved += int64(len(key)+len(val)) - mc.table.foldIn(part, key, val, formIncoming)
 	mc.pairs++
-	if mc.pairs%1024 == 0 && mc.used() > mc.grouping {
-		mc.flushes = append(mc.flushes, mc.states())
+	if mc.pairs%1024 == 0 && mc.table.usedBytes() > mc.grouping {
+		mc.flushes = append(mc.flushes, mc.table.len())
 		mc.drain(mc.frame.Stage)
 		mc.reset()
 	}
 }
 
-func (mc *mapCombiner) used() int64 {
-	var t int64
-	for _, tb := range mc.tables {
-		t += tb.usedBytes()
-	}
-	return t
-}
-
-// states returns the number of keys the tables hold.
-func (mc *mapCombiner) states() int {
-	n := 0
-	for _, tb := range mc.tables {
-		n += tb.len()
-	}
-	return n
-}
-
-// drain hands every table's (key, state) pairs to add, partition by
-// partition, each table in slot order.
+// drain hands the table's (key, state) pairs to add, partition by
+// partition, each in slot order.
 func (mc *mapCombiner) drain(add func(part int, key, state []byte)) {
-	for r, tb := range mc.tables {
-		tb.iterate(func(k, s []byte) bool {
+	for r := range mc.parts {
+		mc.table.tbl.ElemsIn(r, func(k, s []byte) bool {
 			add(r, k, s)
 			return true
 		})
 	}
 }
 
-// reset empties the tables and their arena for a refill.
+// reset empties the table and its arena for a refill.
 func (mc *mapCombiner) reset() {
-	for _, tb := range mc.tables {
-		tb.reset()
-	}
+	mc.table.reset()
 	mc.arena.Reset()
 }
 
-// finish lays out the task's frame: the staged pairs, then the tables'
+// finish lays out the task's frame: the staged pairs, then the table's
 // final drain, written straight into the slab.
 func (mc *mapCombiner) finish() *kv.PartitionFrame {
-	mc.flushes = append(mc.flushes, mc.states())
+	mc.flushes = append(mc.flushes, mc.table.len())
 	return mc.frame.Finish(mc.drain)
 }
 

@@ -118,8 +118,8 @@ func TestMapSideMatchesReference(t *testing.T) {
 
 // The combine-conservation audit holds a map task's raw bytes to what its
 // folds elided plus what its drain laid out, each counted where it happens.
-// A combiner that leaves a table undrained loses that table's pairs, and the
-// audit must say so.
+// A combiner that leaves a partition undrained loses that partition's pairs,
+// and the audit must say so.
 func TestCombineConservationCatchesAnUndrainedTable(t *testing.T) {
 	job := workloads.PerUserCount(smallClicks()).Job
 	ledger := func(drained int) []engine.AuditFailure {
@@ -130,7 +130,7 @@ func TestCombineConservationCatchesAnUndrainedTable(t *testing.T) {
 			mc.add(i%4, key, val)
 			raw += int64(len(key) + len(val))
 		}
-		mc.tables = mc.tables[:drained]
+		mc.parts = drained
 		mc.finish()
 		a := engine.NewAudit()
 		a.MapRawPairs(0, raw)
@@ -139,11 +139,11 @@ func TestCombineConservationCatchesAnUndrainedTable(t *testing.T) {
 		return a.Finish(nil)
 	}
 	if failures := ledger(4); len(failures) != 0 {
-		t.Fatalf("every table drained, yet the audit failed:\n%s", engine.FormatAuditFailures(failures))
+		t.Fatalf("every partition drained, yet the audit failed:\n%s", engine.FormatAuditFailures(failures))
 	}
 	failures := ledger(3)
 	if len(failures) != 1 || failures[0].Invariant != "combine-conservation" {
-		t.Fatalf("one table left undrained: want one combine-conservation failure, got:\n%s", engine.FormatAuditFailures(failures))
+		t.Fatalf("one partition left undrained: want one combine-conservation failure, got:\n%s", engine.FormatAuditFailures(failures))
 	}
 }
 

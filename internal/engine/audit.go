@@ -158,8 +158,8 @@ func (a *Audit) ShuffleProduced(node, task, part, seq int, n int64) {
 	a.prodNode[k] = node
 }
 
-// ShuffleIngested records bytes a reducer on node accepted for the chunk.
-func (a *Audit) ShuffleIngested(node, task, part, seq int, n int64) {
+// ShuffleIngested records bytes a reducer accepted for the chunk.
+func (a *Audit) ShuffleIngested(task, part, seq int, n int64) {
 	a.ingested[auditChunkKey{task: task, part: part, seq: seq}] += n
 }
 

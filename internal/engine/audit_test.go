@@ -18,9 +18,9 @@ func balancedAudit() *Audit {
 	a.CombineSaved(0, 40)
 	a.MapFinalPairs(0, 60)
 	a.ShuffleProduced(1, 0, 0, 0, 50)
-	a.ShuffleIngested(2, 0, 0, 0, 50)
+	a.ShuffleIngested(0, 0, 0, 50)
 	a.ShuffleProduced(1, 0, 1, -1, 10)
-	a.ShuffleIngested(3, 0, 1, -1, 10)
+	a.ShuffleIngested(0, 1, -1, 10)
 	a.SpillWritten(2, 500)
 	a.SpillRead(2, 500)
 	a.TaskLaunched("map")
@@ -65,7 +65,7 @@ func TestAuditShuffleConservationFires(t *testing.T) {
 func TestAuditShuffleDuplicateDeliveryFires(t *testing.T) {
 	// The same chunk ingested twice — dedup logic broken on the reduce side.
 	a := balancedAudit()
-	a.ShuffleIngested(2, 0, 0, 0, 50)
+	a.ShuffleIngested(0, 0, 0, 50)
 	wantInvariant(t, a.Finish(nil), "shuffle-conservation", "ingested 100")
 }
 

@@ -309,7 +309,7 @@ func (g *Registry) Pull(p *sim.Proc, readerNode, part int, ingest func(data []by
 			}
 			data := g.FetchPart(p, readerNode, out, part)
 			if g.rt.Auditing() {
-				g.rt.Audit.ShuffleIngested(readerNode, out.TaskID, part, -1, int64(len(data)))
+				g.rt.Audit.ShuffleIngested(out.TaskID, part, -1, int64(len(data)))
 			}
 			ingest(data)
 			out.ConsumePart(part)
@@ -429,7 +429,7 @@ func (pc *PushChannel) Pop(p *sim.Proc) (PushChunk, bool) {
 	pc.queuedBytes -= int64(len(c.Data))
 	pc.trig.Broadcast() // wake throttled producers polling for space
 	if pc.rt.Auditing() {
-		pc.rt.Audit.ShuffleIngested(pc.rt.ReducerNode(pc.reducer).ID, c.MapTask, pc.reducer, c.Seq, int64(len(c.Data)))
+		pc.rt.Audit.ShuffleIngested(c.MapTask, pc.reducer, c.Seq, int64(len(c.Data)))
 	}
 	return c, true
 }

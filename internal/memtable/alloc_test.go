@@ -3,6 +3,7 @@ package memtable
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"unsafe"
 
@@ -12,6 +13,32 @@ import (
 // Allocation budgets for the per-record table paths. Insert exercises the
 // Reset-recycling contract: once slots and arena slabs exist, a fill/reset
 // cycle must allocate nothing.
+
+// allocBudget is testing.AllocsPerRun with a byte bound: after one warm-up
+// call of f, it averages runs calls on one P, so that no OS thread starts in
+// between, and with collection off, so that no collector's object counts,
+// and fails t unless a call allocates exactly objects heap objects and at
+// most a tenth more than bytes.
+func allocBudget(t *testing.T, runs int, f func(), objects, bytes uint64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	gotObjects := (after.Mallocs - before.Mallocs) / uint64(runs)
+	gotBytes := (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+	if gotObjects != objects || gotBytes > bytes+bytes/10 {
+		t.Errorf("%d objects, %d B per op; budget %d objects, %d B + 10%%", gotObjects, gotBytes, objects, bytes)
+	}
+}
+
+// raceEnabled is set when the race detector is built in (race_test.go).
+var raceEnabled bool
 
 func allocKeys(n int) [][]byte {
 	keys := make([][]byte, n)
@@ -94,7 +121,7 @@ func TestAllocBudgetTableGrowth(t *testing.T) {
 	}
 	entries := tb.capacity() * int(unsafe.Sizeof(entry{}))
 	index := 0
-	for slots := 64; slots <= len(tb.index); slots *= 2 {
+	for slots := 64; slots <= len(tb.parts[0].index); slots *= 2 {
 		index += 4 * slots
 	}
 	directory := 0
@@ -126,4 +153,25 @@ func TestAllocBudgetArenaCopy(t *testing.T) {
 	if avg := testing.AllocsPerRun(5, cycle); avg != 0 {
 		t.Fatalf("a Reset and 64K copies allocate %.1f, budget 0", avg)
 	}
+}
+
+// tableSink keeps a built table on the heap, as a caller's would be.
+var tableSink *Table
+
+// A partition is a probe index, not a table: building a table costs the same
+// objects at 2 and at 20 partitions — the Table, its partition list and one
+// allocation holding every partition's initial index — and a one-partition
+// table, whose partition sits in the Table, one fewer. Only the index bytes
+// grow with the partitions.
+func TestAllocBudgetPartitionedTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the program")
+	}
+	h, arena := hashlib.NewFamily(1).New(), NewArena(0)
+	build := func(parts int) func() {
+		return func() { tableSink = NewPartitionedTable(h, arena, parts, 64) }
+	}
+	t.Run("1", func(t *testing.T) { allocBudget(t, 100, build(1), 2, 544) })
+	t.Run("2", func(t *testing.T) { allocBudget(t, 100, build(2), 3, 928) })
+	t.Run("20", func(t *testing.T) { allocBudget(t, 100, build(20), 3, 7072) })
 }

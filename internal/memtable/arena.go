@@ -1,7 +1,9 @@
 // Package memtable is the paper's byte-array memory-management library
 // (§V): an arena allocator, an open-addressing hash table whose keys and
-// per-key fold elements live in arena slabs behind pointer-free entries, and
-// a chunked list store for per-key growable state. The point in the paper
+// per-key fold elements live in arena slabs behind pointer-free entries —
+// one shared entry store under one or more partitions, each a probe index
+// whose slot order is a separate table's — and a chunked list store for
+// per-key growable state. The point in the paper
 // was to avoid per-object JVM overhead; here it gives the same flat-memory
 // layout plus the exact byte accounting the hash engines need to decide when
 // a reducer's in-memory state exceeds its budget and something must spill.

@@ -16,39 +16,58 @@ import (
 // arena by offset. Deletion uses tombstones so the hot-key engine can evict
 // cold keys.
 //
+// A table has one or more partitions, each a probe index of its own over the
+// one shared entry store and arena: a map task's combine state is one table
+// whose partitions are the task's reduce partitions. A partition grows on its
+// own count of live keys and tombstones, exactly as a separate table would,
+// so its slot order is the one a separate table fed the same operations
+// has. Slot, Add, GetElem and Delete address partition 0, which is the whole
+// of a one-partition table (NewTable).
+//
 // The entries sit in segments that double in size and never move: segment 0
 // holds entries 0-7 and segment k ≥ 1 entries 8<<(k-1) up to 8<<k, so a
 // full table grows by one segment and copies nothing. An entry number, and a
 // pointer to its entry, stay good across inserts until a compaction
 // renumbers the entries (see Slot).
 //
-// Two orders are observable. Slot order (Elems) is the order of the
-// probe index and depends only on the hash function and the sequence of
-// inserts, deletes and growths — the hash engines' chunk contents and spill
-// order are slot order, so it is part of their virtual-time behaviour.
-// Insertion order (InOrder) is the order of the entries.
+// Two orders are observable. Slot order (ElemsIn, Elems) is the order of a
+// partition's probe index and depends only on the hash function and the
+// sequence of inserts, deletes and growths in that partition — the hash
+// engines' chunk contents and spill order are slot order, so it is part of
+// their virtual-time behaviour. Insertion order (InOrder) is the order of
+// the entries, across partitions.
 type Table struct {
 	h     *hashlib.Func
 	arena *Arena
 
-	// index is the probe array: 0 is an empty slot, tombstone a deleted one,
-	// anything else an entry number plus one. Growing the table rehashes
-	// these four bytes a slot; entries never move for it.
-	index []uint32
+	// parts is the partitions' probe indexes. A one-partition table keeps
+	// its partition in one and allocates no list.
+	parts []partition
+	one   [1]partition
 	// segs is the segment directory. It starts out in head, so a table of up
-	// to 256 entries (most of a map task's combine tables) allocates nothing
-	// for it; append moves it to the heap when the table outgrows that.
+	// to 256 entries allocates nothing for it; append moves it to the heap
+	// when the table outgrows that.
 	segs [][]entry
 	head [6][]entry
 	// n counts the entries: every key inserted since the last Reset in
 	// insertion order, deleted ones included until compact squeezes them
 	// out. All but live of them are dead.
-	n     int
-	live  int
-	tombs int
-	// initial is the index the table was created with, kept so Restart can
-	// return to it after growth.
+	n    int
+	live int
+}
+
+// partition is one probe index over the table's entries.
+type partition struct {
+	// index is the probe array: 0 is an empty slot, tombstone a deleted one,
+	// anything else an entry number plus one. Growing the partition rehashes
+	// these four bytes a slot; entries never move for it.
+	index []uint32
+	// initial is the index the partition was created with, kept so Restart
+	// can return to it after growth. Every partition's lies in one
+	// allocation.
 	initial []uint32
+	live    int
+	tombs   int
 }
 
 const (
@@ -72,15 +91,31 @@ type entry struct {
 	ecap uint32
 }
 
-// NewTable returns a table using hash function h and key and element storage
-// in arena, which several tables may share.
+// NewTable returns a one-partition table using hash function h and key and
+// element storage in arena, which several tables may share.
 func NewTable(h *hashlib.Func, arena *Arena, initialCap int) *Table {
+	return NewPartitionedTable(h, arena, 1, initialCap)
+}
+
+// NewPartitionedTable returns a table of parts partitions, each starting
+// with the index a NewTable of initialCap would. However many partitions
+// there are, it costs three allocations — the Table, the partition list and
+// one holding every partition's index — and two for one partition.
+func NewPartitionedTable(h *hashlib.Func, arena *Arena, parts, initialCap int) *Table {
 	capacity := 16
 	for capacity < initialCap {
 		capacity *= 2
 	}
-	index := make([]uint32, capacity)
-	t := &Table{h: h, arena: arena, index: index, initial: index}
+	indexes := make([]uint32, parts*capacity)
+	t := &Table{h: h, arena: arena}
+	t.parts = t.one[:]
+	if parts > 1 {
+		t.parts = make([]partition, parts)
+	}
+	for p := range t.parts {
+		index := indexes[p*capacity : (p+1)*capacity : (p+1)*capacity]
+		t.parts[p] = partition{index: index, initial: index}
+	}
 	t.segs = t.head[:0]
 	return t
 }
@@ -96,15 +131,15 @@ func (t *Table) at(e int) *entry {
 // Len returns the number of live keys.
 func (t *Table) Len() int { return t.live }
 
-// probe returns the index slot holding key, or the slot an insert of key
+// probe returns the slot of index holding key, or the slot an insert of key
 // takes: the first tombstone on its probe path, else the empty slot that
 // ended it.
-func (t *Table) probe(hash uint32, key []byte) (slot int, found bool) {
-	mask := uint32(len(t.index) - 1)
+func (t *Table) probe(index []uint32, hash uint32, key []byte) (slot int, found bool) {
+	mask := uint32(len(index) - 1)
 	i := hash & mask
 	firstTomb := -1
 	for {
-		switch v := t.index[i]; v {
+		switch v := index[i]; v {
 		case 0:
 			if firstTomb >= 0 {
 				return firstTomb, false
@@ -129,30 +164,36 @@ func (t *Table) probe(hash uint32, key []byte) (slot int, found bool) {
 func (t *Table) key(e *entry) []byte  { return t.arena.at(e.key, e.klen, e.klen) }
 func (t *Table) elem(e *entry) []byte { return t.arena.at(e.elem, e.elen, e.ecap) }
 
-// find returns key's entry number.
+// find returns key's entry number in partition 0.
 func (t *Table) find(key []byte) (e int, found bool) {
-	slot, found := t.probe(uint32(t.h.Hash(key)), key)
+	index := t.parts[0].index
+	slot, found := t.probe(index, uint32(t.h.Hash(key)), key)
 	if !found {
 		return 0, false
 	}
-	return int(t.index[slot] - 1), true
+	return int(index[slot] - 1), true
 }
 
-// Slot returns key's entry number, inserting the key — value 0, no element —
-// if it is absent. The number addresses the entry in Elem, Room, SetElem and
-// SetVal across later inserts — a growth adds a segment and moves no entry —
-// until a compaction, Reset or Restart. A compaction runs inside an insert
-// into a full table at least half of whose entries are deleted, so a caller
-// that deletes must not keep a number across an insert.
-func (t *Table) Slot(key []byte) (e int, inserted bool) {
-	t.maybeGrow()
+// Slot is SlotIn(0, key).
+func (t *Table) Slot(key []byte) (e int, inserted bool) { return t.SlotIn(0, key) }
+
+// SlotIn returns key's entry number in partition p, inserting the key —
+// value 0, no element — if it is absent there. The number addresses the
+// entry in Elem, Room, SetElem and SetVal across later inserts — a growth
+// adds a segment and moves no entry — until a compaction, Reset or Restart.
+// A compaction runs inside an insert into a full table at least half of
+// whose entries are deleted, so a caller that deletes must not keep a number
+// across an insert.
+func (t *Table) SlotIn(p int, key []byte) (e int, inserted bool) {
+	pt := &t.parts[p]
+	pt.maybeGrow(t)
 	hash := uint32(t.h.Hash(key))
-	slot, found := t.probe(hash, key)
+	slot, found := t.probe(pt.index, hash, key)
 	if found {
-		return int(t.index[slot] - 1), false
+		return int(pt.index[slot] - 1), false
 	}
-	if t.index[slot] == tombstone {
-		t.tombs--
+	if pt.index[slot] == tombstone {
+		pt.tombs--
 	}
 	if t.n == t.capacity() {
 		t.makeRoom()
@@ -161,7 +202,8 @@ func (t *Table) Slot(key []byte) (e int, inserted bool) {
 	e = t.n
 	*t.at(e) = entry{hash: hash, key: k, klen: uint32(len(key))}
 	t.n++
-	t.index[slot] = uint32(t.n)
+	pt.index[slot] = uint32(t.n)
+	pt.live++
 	t.live++
 	return e, true
 }
@@ -177,22 +219,28 @@ func (t *Table) Add(key []byte, delta uint64) uint64 {
 // SetVal overwrites entry e's value.
 func (t *Table) SetVal(e int, val uint64) { t.at(e).val = val }
 
-// Delete removes key, leaving a tombstone. It reports whether the key was
-// present. The key's arena bytes are not reclaimed until the arena resets —
-// the same trade the paper's byte-array design makes — so a key slice that
-// Elems or InOrder handed out stays readable until then. The
-// element's region goes back to the arena for the next element that fits it.
-func (t *Table) Delete(key []byte) bool {
-	slot, found := t.probe(uint32(t.h.Hash(key)), key)
+// Delete is DeleteIn(0, key).
+func (t *Table) Delete(key []byte) bool { return t.DeleteIn(0, key) }
+
+// DeleteIn removes key from partition p, leaving a tombstone. It reports
+// whether the key was present. The key's arena bytes are not reclaimed until
+// the arena resets — the same trade the paper's byte-array design makes — so
+// a key slice that Elems or InOrder handed out stays readable until then.
+// The element's region goes back to the arena for the next element that fits
+// it.
+func (t *Table) DeleteIn(p int, key []byte) bool {
+	pt := &t.parts[p]
+	slot, found := t.probe(pt.index, uint32(t.h.Hash(key)), key)
 	if !found {
 		return false
 	}
-	en := t.at(int(t.index[slot] - 1))
+	en := t.at(int(pt.index[slot] - 1))
 	t.arena.release(en.elem, en.ecap)
 	en.klen, en.ecap = deadKey, 0
-	t.index[slot] = tombstone
+	pt.index[slot] = tombstone
+	pt.live--
+	pt.tombs++
 	t.live--
-	t.tombs++
 	return true
 }
 
@@ -221,7 +269,7 @@ func (t *Table) Scratch(e, need int) []byte {
 	return elem
 }
 
-// GetElem returns key's element, as Elem does.
+// GetElem returns key's element in partition 0, as Elem does.
 func (t *Table) GetElem(key []byte) ([]byte, bool) {
 	e, found := t.find(key)
 	if !found {
@@ -270,19 +318,31 @@ func (t *Table) place(en *entry, elem []byte, want int) {
 	en.elem, en.elen, en.ecap = r, uint32(len(elem)), c
 }
 
-// Elems visits every live key and its element in slot order until f returns
-// false. Both slices alias arena memory: a key slice outlives a Delete of the
-// key, but must not be retained across the arena's Reset.
+// Elems visits every live key and its element, partition by partition, each
+// in slot order, until f returns false.
 func (t *Table) Elems(f func(key, elem []byte) bool) {
-	for _, v := range t.index {
+	for p := range t.parts {
+		if !t.ElemsIn(p, f) {
+			return
+		}
+	}
+}
+
+// ElemsIn visits every live key of partition p and its element in slot order
+// until f returns false, and reports whether f never did. Both slices alias
+// arena memory: a key slice outlives a Delete of the key, but must not be
+// retained across the arena's Reset.
+func (t *Table) ElemsIn(p int, f func(key, elem []byte) bool) bool {
+	for _, v := range t.parts[p].index {
 		if v == 0 || v == tombstone {
 			continue
 		}
 		e := t.at(int(v - 1))
 		if !f(t.key(e), t.elem(e)) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // InOrder visits every live key, its element and its value in insertion
@@ -300,14 +360,18 @@ func (t *Table) InOrder(f func(key, elem []byte, val uint64) bool) {
 	}
 }
 
-// Reset empties the table in place: the index is cleared and kept at its
+// Reset empties the table in place: every index is cleared and kept at its
 // grown capacity, and the entry segments are kept, so a reused table refills
 // without reallocating. The arena is not touched — tables may share one, so
 // whoever owns it calls Arena.Reset once every table drawing on it has been
 // reset. Keys and elements previously returned must not be retained.
 func (t *Table) Reset() {
-	clear(t.index)
-	t.n, t.live, t.tombs = 0, 0, 0
+	for p := range t.parts {
+		pt := &t.parts[p]
+		clear(pt.index)
+		pt.live, pt.tombs = 0, 0
+	}
+	t.n, t.live = 0, 0
 }
 
 // Restart empties the table back to its initial capacity, dropping any
@@ -315,33 +379,35 @@ func (t *Table) Reset() {
 // the keys of a given insert sequence exactly as a newly built one does —
 // which Reset, keeping the grown capacity, does not.
 func (t *Table) Restart() {
-	t.index = t.initial
+	for p := range t.parts {
+		t.parts[p].index = t.parts[p].initial
+	}
 	t.Reset()
 }
 
 // maybeGrow doubles the index when live keys and tombstones fill 70 % of it,
 // re-inserting the live entries in old slot order: slot order after a growth
 // is a function of slot order before it, whatever the entries' numbers.
-func (t *Table) maybeGrow() {
-	if (t.live+t.tombs)*10 < len(t.index)*7 {
+func (pt *partition) maybeGrow(t *Table) {
+	if (pt.live+pt.tombs)*10 < len(pt.index)*7 {
 		return
 	}
-	old := t.index
+	old := pt.index
 	if len(old) >= 1<<31 {
 		panic("memtable: table index cannot grow past 2^31 slots")
 	}
-	t.index = make([]uint32, len(old)*2)
-	t.tombs = 0
-	mask := uint32(len(t.index) - 1)
+	pt.index = make([]uint32, len(old)*2)
+	pt.tombs = 0
+	mask := uint32(len(pt.index) - 1)
 	for _, v := range old {
 		if v == 0 || v == tombstone {
 			continue
 		}
 		i := t.at(int(v-1)).hash & mask
-		for t.index[i] != 0 {
+		for pt.index[i] != 0 {
 			i = (i + 1) & mask
 		}
-		t.index[i] = v
+		pt.index[i] = v
 	}
 }
 
@@ -368,10 +434,11 @@ func (t *Table) makeRoom() {
 
 // compact renumbers the live entries densely, keeping their order, and
 // points each one's index slot at its new number. An entry only moves down,
-// past numbers already rewritten, so the slot holding its old number is
-// unambiguous.
+// past numbers already rewritten, so the one slot of any partition holding
+// its old number is its own. An entry does not record its partition: the
+// probe path from its hash reaches that slot in its own partition, and an
+// empty slot first in every other.
 func (t *Table) compact() {
-	mask := uint32(len(t.index) - 1)
 	n := 0
 	for i := range t.n {
 		e := t.at(i)
@@ -379,14 +446,25 @@ func (t *Table) compact() {
 			continue
 		}
 		if i != n {
-			s := e.hash & mask
-			for t.index[s] != uint32(i+1) {
-				s = (s + 1) & mask
-			}
-			t.index[s] = uint32(n + 1)
+			t.renumber(e.hash, uint32(i+1), uint32(n+1))
 			*t.at(n) = *e
 		}
 		n++
 	}
 	t.n = n
+}
+
+// renumber rewrites the index slot holding old, on old's probe path from
+// hash, to renumbered.
+func (t *Table) renumber(hash, old, renumbered uint32) {
+	for p := range t.parts {
+		index := t.parts[p].index
+		mask := uint32(len(index) - 1)
+		for s := hash & mask; index[s] != 0; s = (s + 1) & mask {
+			if index[s] == old {
+				index[s] = renumbered
+				return
+			}
+		}
+	}
 }

@@ -102,6 +102,17 @@ var codeRules = []codeRule{
 		msg:     "fold map output at emit (ExecuteMapWith's into) and drain the tables into a kv.FrameBuilder",
 		bad:     `	buf := kv.NewBuffer(len(data))`,
 	},
+	// A map task's combine state is one memtable.Table whose partitions are
+	// probe indexes over one entry store (DESIGN.md §10). A state table
+	// built per partition, or a list of them, is the R tables per task — R
+	// sets of entry segments, directories and wrappers — coming back.
+	{
+		name:    "one combine table per map task",
+		pattern: `newStateTable\(|\[\]\*stateTable`,
+		in:      []string{"internal/core/mapside.go"},
+		msg:     "fold a map task's pairs into one partitioned table (newPartitionedStateTable), not a table per partition",
+		bad:     `		mc.tables[r] = newStateTable(hashAtShared(1), mc.arena, fold)`,
+	},
 	// A map-output buffer lives only as long as its map closure (DESIGN.md
 	// §10): ExecuteMapWith takes it from the free list once the block is
 	// read and hands it back at the join, and the engine's post step is the
