@@ -45,9 +45,8 @@ var fingerprints = map[string]func(t *testing.T, args []string) string{
 //
 //	go test . -run TestFingerprint -update-golden
 //
-// A case runs with -parallel-intra 1. Every jobserve and check case, and
-// runjob's default sessionization case of each engine, runs again with
-// -parallel-intra 4 and must write the same bytes.
+// A case runs with -parallel-intra 1. The cases pooledCase names run again
+// with -parallel-intra 4 and must write the same bytes.
 func TestFingerprint(t *testing.T) {
 	raw, err := os.ReadFile(fingerprintFile)
 	if err != nil {
@@ -86,7 +85,7 @@ func TestFingerprint(t *testing.T) {
 				t.Parallel()
 				fingerprint := fingerprints[c.command]
 				c.got = fingerprint(t, withWidth(c.args, 1))
-				if c.command != "runjob" || strings.HasSuffix(args, "-workload sessionization -size 8MB") {
+				if pooledCase(c.command, args) {
 					if pooled := fingerprint(t, withWidth(c.args, 4)); pooled != c.got {
 						t.Errorf("at -parallel-intra 4 the run moved %s:\n  serial: %s\n  pooled: %s",
 							movedFields(c.got, pooled), c.got, pooled)
@@ -115,6 +114,18 @@ func TestFingerprint(t *testing.T) {
 	if err := os.WriteFile(fingerprintFile, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pooledCase reports whether a case also runs at -parallel-intra 4: every
+// jobserve and check case, and of runjob's, each engine's default
+// sessionization case, every -delta case (the merge job finishes preserved
+// state on the pool) and the hash engines' -taskmem 256KB -block 128KB cases
+// (their reducers spill, so keys finish at the leaves of the external hash).
+func pooledCase(command, args string) bool {
+	return command != "runjob" ||
+		strings.HasSuffix(args, "-workload sessionization -size 8MB") ||
+		strings.Contains(args, " -delta ") ||
+		strings.HasPrefix(args, "-engine hash-") && strings.HasSuffix(args, "-size 8MB -taskmem 256KB -block 128KB")
 }
 
 // withWidth returns args with the intra-run pool width set to width.

@@ -1,4 +1,5 @@
-// Package cli holds the bodies of the commands runjob, jobserve and check.
+// Package cli holds the bodies of the commands runjob, jobserve, check and
+// experiments.
 // Each is one function that parses its own flags from an argument list,
 // writes to the streams it is handed and returns an error instead of ending
 // the process, so a test that calls it runs exactly what the binary runs;

@@ -9,11 +9,11 @@ import (
 	"runtime/trace"
 )
 
-// startHostProfiles begins the host-clock profiles runjob, jobserve and
-// check offer as -cpuprofile and -exectrace (an empty path skips one) and
-// returns the function that ends them and writes the -memprofile allocation
-// profile, so all three cover exactly the calls made in between — a
-// command's run, not its input set-up or report rendering. An error names
+// startHostProfiles begins the host-clock profiles runjob, jobserve, check
+// and experiments offer as -cpuprofile and -exectrace (an empty path skips
+// one) and returns the function that ends them and writes the -memprofile
+// allocation profile, so all three cover exactly the calls made in between —
+// a command's run, not its input set-up or report rendering. An error names
 // the flag whose file failed.
 func startHostProfiles(cpuPath, memPath, tracePath string) (stop func() error, err error) {
 	var cpuFile, traceFile *os.File

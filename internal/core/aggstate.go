@@ -123,6 +123,13 @@ func (st *stateTable) usedBytes() int64 {
 // victims, then remove them, then use them.
 func (st *stateTable) iterate(f func(key, state []byte) bool) { st.tbl.Elems(f) }
 
+// Walk is iterate in pieces, which makes a one-partition table an
+// engine.KeyWalk: it resumes at slot from and returns the slot after the key
+// visit stopped at, or -1 (memtable.Table.ElemsInFrom).
+func (st *stateTable) Walk(from int, visit func(key, state []byte) bool) int {
+	return st.tbl.ElemsInFrom(0, from, visit)
+}
+
 // remove deletes key (its state bytes stop counting against the budget).
 func (st *stateTable) remove(key []byte) {
 	s, ok := st.tbl.GetElem(key)

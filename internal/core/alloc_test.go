@@ -6,6 +6,8 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"onepass/internal/engine"
+	"onepass/internal/sim"
 	"onepass/internal/workloads"
 )
 
@@ -79,4 +81,54 @@ func TestAllocBudgetMapCombiner(t *testing.T) {
 	}
 	t.Run("R=1", func(t *testing.T) { allocBudget(t, 20, combine(1), r1, 70986) })
 	t.Run("R=20", func(t *testing.T) { allocBudget(t, 20, combine(20), r20, 71882) })
+}
+
+// A reducer's finalize walks its table on the pool through recycled batches
+// (engine.OutputCollector.Finalize): finalizing a table of 200 keys inline
+// allocates nothing once warm, whatever the reduce. Discarded output is
+// sized only; kept output grows the part file's bytes, as one Emit per pair
+// grows them — by doubling, which here averages to under one object per
+// finalize. Each figure is the one the event-loop finalize this replaced
+// allocated (measured on a copy of that tree).
+func TestAllocBudgetFinalize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates beside the program")
+	}
+	const keys, vals = 200, 4
+	for _, tc := range []struct {
+		name      string
+		job       engine.Job
+		val       func(v int) []byte
+		keptBytes uint64
+	}{
+		{"per-user-count", workloads.PerUserCount(smallClicks()).Job, func(int) []byte { return []byte("1") }, 6144},
+		{"sessionization", workloads.Sessionization(smallClicks()).Job,
+			func(v int) []byte { return []byte(fmt.Sprintf("%d /page-%d", 100*v, v)) }, 24582},
+	} {
+		for _, discard := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/discard=%v", tc.name, discard), func(t *testing.T) {
+				env, rc := newTestReduceCtx(t, 1<<30, 4)
+				job := tc.job
+				job.Name, job.Reducers, job.OutputPath, job.DiscardOutput = "finalize", 1, "out", discard
+				rc.job, rc.fold = &job, job.Fold()
+				rc.oc = rc.rt.NewOutputCollector(&job, &engine.Result{})
+				h := newHashReducer(rc, Incremental)
+				for i := range keys {
+					key := []byte(fmt.Sprintf("user-%04d", i))
+					for v := range vals {
+						h.tables[0].fold(key, tc.val(v), formIncoming)
+					}
+				}
+				bytes := tc.keptBytes
+				if discard {
+					bytes = 0
+				}
+				env.Go("t", func(p *sim.Proc) {
+					allocBudget(t, 20, func() { h.finalize(p) }, 0, bytes)
+					rc.oc.Close(p, 0)
+				})
+				env.Run()
+			})
+		}
+	}
 }

@@ -114,10 +114,10 @@ type reduceCtx struct {
 	// arrival paths share the single-threaded reducer state, so any access
 	// to that state must join first.
 	pending *sim.Work
-	// emit is emitFinal's output callback, bound to emitProc. Finalization
-	// calls emitFinal once per key, nearly always from one process (a
-	// threshold emit on the pull path is the exception), so the closure is
-	// rebuilt only when the calling process changes, not per key.
+	// emit is emitFinal's output callback, bound to emitProc. A threshold
+	// emit calls emitFinal once per answering key, nearly always from one
+	// process (the pull path is the exception), so the closure is rebuilt
+	// only when the calling process changes, not per key.
 	emit     func(k, v []byte)
 	emitProc *sim.Proc
 }
@@ -219,7 +219,16 @@ func (rc *reduceCtx) finish(p *sim.Proc, key, state []byte, emit engine.Emit) {
 	}
 }
 
-// emitFinal emits one key's result and charges finalization CPU.
+// finalize finishes every key of keys and emits the answers, charging each
+// key's finalization CPU as emitFinal does, with the finishing done on the
+// worker pool (engine.OutputCollector.Finalize).
+func (rc *reduceCtx) finalize(p *sim.Proc, keys engine.KeyWalk) {
+	rc.oc.Finalize(p, rc.r, rc.node.ID, rc.fold, keys,
+		engine.KeyCost{PerKeyNs: rc.costs.ReduceNsPerRecord, PerStateByteNs: rc.costs.SerializeNsPerByte})
+}
+
+// emitFinal emits one key's result and charges finalization CPU on the
+// event loop: a threshold emit, which answers mid-ingest.
 func (rc *reduceCtx) emitFinal(p *sim.Proc, key, state []byte) {
 	if rc.emitProc != p {
 		rc.emitProc = p

@@ -123,10 +123,11 @@ type entry struct {
 
 // processBucket loads bucket b plus the given in-memory entries into the
 // reducer's state table for the next hash level — restarted, so it behaves
-// as a freshly built one — and calls final for every key. If the table
-// outgrows the budget mid-load, the remainder (and the table) divert into a
-// child spill set one level down, which is then processed recursively.
-func (ss *spillSet) processBucket(p *sim.Proc, b int, extra []entry, final func(key, state []byte)) {
+// as a freshly built one — and hands the loaded table to final, which
+// finishes every key. If the table outgrows the budget mid-load, the
+// remainder (and the table) divert into a child spill set one level down,
+// which is then processed recursively.
+func (ss *spillSet) processBucket(p *sim.Proc, b int, extra []entry, final func(keys engine.KeyWalk)) {
 	ss.flushBucket(p, b)
 	if ss.rc.rt.Tracing() {
 		ss.rc.rt.Emit(trace.MergePass, "external-bucket", ss.rc.node.ID, ss.rc.r, 0,
@@ -203,8 +204,5 @@ func (ss *spillSet) processBucket(p *sim.Proc, b int, extra []entry, final func(
 		}
 		return
 	}
-	st.iterate(func(k, s []byte) bool {
-		final(k, s)
-		return true
-	})
+	final(st)
 }

@@ -33,6 +33,17 @@ func newTestReduceCtx(t *testing.T, budget int64, buckets int) (*sim.Env, *reduc
 	return env, rc
 }
 
+// eachKey is a processBucket final that calls f for every key of the table
+// it is handed, in its order, instead of finishing them.
+func eachKey(f func(key, state []byte)) func(engine.KeyWalk) {
+	return func(keys engine.KeyWalk) {
+		keys.Walk(0, func(k, s []byte) bool {
+			f(k, s)
+			return true
+		})
+	}
+}
+
 func TestSpillSetRoundTripThroughBuckets(t *testing.T) {
 	env, rc := newTestReduceCtx(t, 1<<20, 4)
 	env.Go("t", func(p *sim.Proc) {
@@ -51,9 +62,9 @@ func TestSpillSetRoundTripThroughBuckets(t *testing.T) {
 			if !ss.hasData(b) {
 				continue
 			}
-			ss.processBucket(p, b, nil, func(k, s []byte) {
+			ss.processBucket(p, b, nil, eachKey(func(k, s []byte) {
 				got[string(k)] = workloads.CountState(s)
-			})
+			}))
 		}
 		if len(got) != len(want) {
 			t.Errorf("keys = %d, want %d", len(got), len(want))
@@ -77,7 +88,7 @@ func TestSpillSetExtraEntriesMergeWithFile(t *testing.T) {
 		resident := []byte("35")
 		var got uint64
 		ss.processBucket(p, b, []entry{{key: key, payload: resident, f: formState}},
-			func(k, s []byte) { got = workloads.CountState(s) })
+			eachKey(func(k, s []byte) { got = workloads.CountState(s) }))
 		if got != 42 {
 			t.Errorf("merged count = %d, want 42", got)
 		}
@@ -99,9 +110,9 @@ func TestSpillSetRecursionOnOversizedBucket(t *testing.T) {
 		got := map[string]uint64{}
 		for b := 0; b < 2; b++ {
 			if ss.hasData(b) {
-				ss.processBucket(p, b, nil, func(k, s []byte) {
+				ss.processBucket(p, b, nil, eachKey(func(k, s []byte) {
 					got[string(k)] += workloads.CountState(s)
-				})
+				}))
 			}
 		}
 		if len(got) != len(want) {
@@ -129,11 +140,11 @@ func TestSpillSetSingleOversizedKeyDoesNotRecurseForever(t *testing.T) {
 			ss.add(p, b, key, []byte(fmt.Sprintf("%d /page", i)), formIncoming)
 		}
 		vals := 0
-		ss.processBucket(p, b, nil, func(k, s []byte) {
+		ss.processBucket(p, b, nil, eachKey(func(k, s []byte) {
 			for rest, ok := s, true; ok && len(rest) > 0; vals++ {
 				_, rest, ok = kv.NextFrame(rest)
 			}
-		})
+		}))
 		if vals != 100 {
 			t.Errorf("values = %d, want 100", vals)
 		}
@@ -154,7 +165,7 @@ func TestSpillSetDeletesFilesAfterProcessing(t *testing.T) {
 		}
 		for b := 0; b < 2; b++ {
 			if ss.hasData(b) {
-				ss.processBucket(p, b, nil, func(k, s []byte) {})
+				ss.processBucket(p, b, nil, eachKey(func(k, s []byte) {}))
 			}
 		}
 		if n := len(rc.node.ScratchStore().Names()); n != 0 {

@@ -16,8 +16,9 @@ import (
 func TestDamagedSpillReadIsAnError(t *testing.T) {
 	env, rc := newTestReduceCtx(t, 1<<20, 2)
 	job := workloads.Sessionization(smallClicks()).Job
-	job.Name = "ext-test"
+	job.Name, job.Reducers = "ext-test", 1
 	rc.job, rc.fold = &job, job.Fold()
+	rc.oc = rc.rt.NewOutputCollector(&job, &engine.Result{})
 	rc.rt.EngineLabel = "hash-incremental"
 	state := rc.fold.Add(rc.fold.Lift(nil, []byte("10 /a")), []byte("20 /b"))
 	finished := false
@@ -27,7 +28,7 @@ func TestDamagedSpillReadIsAnError(t *testing.T) {
 		b := ss.bucketOf(key)
 		ss.add(p, b, key, state[:len(state)-2], formState)
 		ss.flushBucket(p, b)
-		ss.processBucket(p, b, nil, func(k, s []byte) { rc.emitFinal(p, k, s) })
+		ss.processBucket(p, b, nil, func(keys engine.KeyWalk) { rc.finalize(p, keys) })
 		finished = true
 	})
 	env.Go("bystander", func(p *sim.Proc) { p.Sleep(sim.Second) })

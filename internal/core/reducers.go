@@ -308,19 +308,17 @@ func (h *hashReducer) spillWhere(p *sim.Proc, tb *stateTable, victim func(key []
 // finalize emits every key exactly once, after the last chunk: with nothing
 // spilled, straight from the tables in order (the zero-I/O fast path);
 // otherwise buckets with spilled data are externally hashed with their
-// resident states folded in, and the others emit from memory.
+// resident states folded in, and the others emit from memory. Each run of
+// keys finishes on the worker pool while the event loop charges the keys
+// before it (reduceCtx.finalize); both arrival paths are done, so nothing
+// folds into a table meanwhile.
 func (h *hashReducer) finalize(p *sim.Proc) {
 	if h.sk != nil && h.rc.opts.ApproximateEarly && h.tables[0].len() > 0 {
 		h.emitApproximateEarly(p)
 	}
-	final := func(k, s []byte) { h.rc.emitFinal(p, k, s) }
+	final := func(keys engine.KeyWalk) { h.rc.finalize(p, keys) }
 	if !h.spill.anySpilled() {
-		for _, tb := range h.tables { // none demoted: a demotion spills
-			tb.iterate(func(k, s []byte) bool {
-				final(k, s)
-				return true
-			})
-		}
+		final((*tableWalk)(&h.tables)) // none demoted: a demotion spills
 	} else {
 		residents := make([][]entry, h.rc.opts.SpillBuckets)
 		for _, tb := range h.tables {
@@ -335,9 +333,7 @@ func (h *hashReducer) finalize(p *sim.Proc) {
 		}
 		for b, res := range residents {
 			if !h.spill.hasData(b) {
-				for _, e := range res {
-					final(e.key, e.payload)
-				}
+				final((*entryWalk)(&residents[b]))
 				continue
 			}
 			h.spill.processBucket(p, b, res, final)
@@ -347,6 +343,32 @@ func (h *hashReducer) finalize(p *sim.Proc) {
 		// Completion point: exact pairs out, final spill volume.
 		h.rc.noteProgress(p, h.rc.oc.OutputPairs())
 	}
+}
+
+// tableWalk walks a reducer's tables one after another, each in slot order:
+// a cursor holds the table's number above bit 32 and the slot below it.
+type tableWalk []*stateTable
+
+func (w *tableWalk) Walk(from int, visit func(key, state []byte) bool) int {
+	for t := from >> 32; t < len(*w); t++ {
+		if next := (*w)[t].Walk(from&(1<<32-1), visit); next >= 0 {
+			return t<<32 | next
+		}
+		from = 0
+	}
+	return -1
+}
+
+// entryWalk walks resident states in the order finalize collected them.
+type entryWalk []entry
+
+func (w *entryWalk) Walk(from int, visit func(key, state []byte) bool) int {
+	for i := from; i < len(*w); i++ {
+		if e := (*w)[i]; !visit(e.key, e.payload) {
+			return i + 1
+		}
+	}
+	return -1
 }
 
 // emitApproximateEarly writes the hot keys' early, possibly-approximate

@@ -280,16 +280,28 @@ func (rt *Runtime) trackSeries(c *cluster.Cluster, interval float64) {
 // touches. A job without Fresh makes no such promise about its functions, so
 // its closures run inline.
 func (rt *Runtime) StartJobWork(p *sim.Proc, job *Job, fn func(wj *Job)) *sim.Work {
-	switch {
-	case job.Fresh == nil:
+	if job.Fresh == nil {
 		return sim.Do(func() { fn(job) })
-	case rt.Env.Workers() <= 1:
-		return p.StartWork(func() { fn(job) })
 	}
-	if rt.workerJobs == nil {
+	return rt.startWorkOn(p, func(worker int) { fn(rt.jobOn(worker, job)) })
+}
+
+// startWorkOn dispatches fn, a closure of a job with Fresh, once the
+// workers' clones can be handed out: fn finds its job with jobOn.
+func (rt *Runtime) startWorkOn(p *sim.Proc, fn func(worker int)) *sim.Work {
+	if rt.workerJobs == nil && rt.Env.Workers() > 1 {
 		rt.workerJobs = make([]workerJob, rt.Env.Workers())
 	}
-	return p.StartWorkOn(func(worker int) { fn(rt.workerJobs[worker].clone(job)) })
+	return p.StartWorkOn(fn)
+}
+
+// jobOn returns the job a closure executing on worker calls through: the
+// worker's clone of job on the pool, job itself inline.
+func (rt *Runtime) jobOn(worker int, job *Job) *Job {
+	if rt.workerJobs == nil {
+		return job
+	}
+	return rt.workerJobs[worker].clone(job)
 }
 
 // workerJob is one pool worker's clone of a job. Only that worker touches it.

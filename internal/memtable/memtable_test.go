@@ -368,6 +368,48 @@ func TestTableElemsVisitsAllLiveKeys(t *testing.T) {
 	}
 }
 
+// A walk in pieces — ElemsInFrom and InOrderFrom resumed at each returned
+// cursor, stopping after every k keys — visits what one ElemsIn or InOrder
+// visits, in its order, over a grown table with deleted keys, and ends with
+// -1 from the piece that reaches the end.
+func TestWalkInPiecesMatchesWholeWalk(t *testing.T) {
+	tb := newTable(4)
+	for i := range 300 {
+		e, _ := tb.Slot([]byte(fmt.Sprintf("k%03d", i)))
+		tb.SetElem(e, []byte(fmt.Sprint(i)))
+	}
+	for i := 0; i < 300; i += 7 {
+		tb.Delete([]byte(fmt.Sprintf("k%03d", i)))
+	}
+	var slots, order []string
+	tb.ElemsIn(0, func(k, elem []byte) bool { slots = append(slots, string(k)+"="+string(elem)); return true })
+	tb.InOrder(func(k, elem []byte, _ uint64) bool { order = append(order, string(k)+"="+string(elem)); return true })
+	for _, k := range []int{1, 5, 64, len(slots), 1000} {
+		walk := func(piece func(from int, visit func(k, elem []byte) bool) int) (got []string) {
+			for from, pieces := 0, 0; from >= 0; pieces++ {
+				n := 0
+				from = piece(from, func(key, elem []byte) bool {
+					got = append(got, string(key)+"="+string(elem))
+					n++
+					return n < k
+				})
+				if pieces > len(slots) {
+					t.Fatalf("k=%d: the walk does not end", k)
+				}
+			}
+			return got
+		}
+		if got := walk(func(from int, visit func(k, elem []byte) bool) int { return tb.ElemsInFrom(0, from, visit) }); !reflect.DeepEqual(got, slots) {
+			t.Errorf("k=%d: ElemsInFrom in pieces visited %d keys, ElemsIn %d, or in another order", k, len(got), len(slots))
+		}
+		if got := walk(func(from int, visit func(k, elem []byte) bool) int {
+			return tb.InOrderFrom(from, func(key, elem []byte, _ uint64) bool { return visit(key, elem) })
+		}); !reflect.DeepEqual(got, order) {
+			t.Errorf("k=%d: InOrderFrom in pieces visited %d keys, InOrder %d, or in another order", k, len(got), len(order))
+		}
+	}
+}
+
 // A fold that grows an element through Scratch leaves the arena exactly as
 // one that grows it on the heap from Elem: the same bytes, the same region
 // capacities and the same slab use, step for step — below the scratch bound

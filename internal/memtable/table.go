@@ -333,31 +333,49 @@ func (t *Table) Elems(f func(key, elem []byte) bool) {
 // arena memory: a key slice outlives a Delete of the key, but must not be
 // retained across the arena's Reset.
 func (t *Table) ElemsIn(p int, f func(key, elem []byte) bool) bool {
-	for _, v := range t.parts[p].index {
+	return t.ElemsInFrom(p, 0, f) < 0
+}
+
+// ElemsInFrom is ElemsIn resumed at slot from: it visits partition p's live
+// keys from that slot on and returns the slot after the key f returned false
+// for, or -1 once it has visited the last one. A table nothing modifies is
+// walked in pieces by starting at 0 and resuming at each returned slot.
+func (t *Table) ElemsInFrom(p, from int, f func(key, elem []byte) bool) (next int) {
+	index := t.parts[p].index
+	for i := from; i < len(index); i++ {
+		v := index[i]
 		if v == 0 || v == tombstone {
 			continue
 		}
 		e := t.at(int(v - 1))
 		if !f(t.key(e), t.elem(e)) {
-			return false
+			return i + 1
 		}
 	}
-	return true
+	return -1
 }
 
 // InOrder visits every live key, its element and its value in insertion
 // order — a key deleted and inserted again counts from its second insert —
 // until f returns false. The slices alias arena memory, as in Elems.
 func (t *Table) InOrder(f func(key, elem []byte, val uint64) bool) {
-	for i := range t.n {
+	t.InOrderFrom(0, f)
+}
+
+// InOrderFrom is InOrder resumed at entry from, returning where to resume as
+// ElemsInFrom does: the entry after the key f returned false for, or -1 once
+// it has visited the last one.
+func (t *Table) InOrderFrom(from int, f func(key, elem []byte, val uint64) bool) (next int) {
+	for i := from; i < t.n; i++ {
 		e := t.at(i)
 		if e.klen == deadKey {
 			continue
 		}
 		if !f(t.key(e), t.elem(e), e.val) {
-			return
+			return i + 1
 		}
 	}
+	return -1
 }
 
 // Reset empties the table in place: every index is cleared and kept at its

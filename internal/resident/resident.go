@@ -218,24 +218,23 @@ func (t *foldTable) drain(add func(part int, key, elem []byte)) {
 	})
 }
 
-// emitAll finalizes the table in insertion order, charging reduce CPU per
-// key: per value Reduce folded for an undeclared job, per element and its
-// bytes for a declared one. Keys and elements are handed out where they lie
-// in the arena: like every engine's, they are only the callee's for the
-// duration of the call.
-func (t *foldTable) emitAll(p *sim.Proc, node *cluster.Node, costs engine.CostModel, emit engine.Emit) {
-	t.tbl.InOrder(func(key, state []byte, _ uint64) bool {
-		n, err := t.agg.Finish(key, state, emit)
-		if err != nil {
-			panic(fmt.Sprintf("resident: %v", err))
-		}
-		cost := engine.Dur(float64(n), costs.ReduceNsPerRecord)
-		if t.agg.Declared() {
-			cost += engine.Dur(float64(len(state)), costs.SerializeNsPerByte)
-		}
-		node.Compute(p, cost, engine.PhaseReduce)
-		return true
-	})
+// Walk makes the table an engine.KeyWalk in insertion order
+// (memtable.Table.InOrderFrom).
+func (t *foldTable) Walk(from int, visit func(key, state []byte) bool) int {
+	return t.tbl.InOrderFrom(from, func(key, state []byte, _ uint64) bool { return visit(key, state) })
+}
+
+// emitAll finalizes the table in insertion order as reducer r on node,
+// charging reduce CPU per key: per value Reduce folded for an undeclared
+// job, per element and its bytes for a declared one. The finishing runs on
+// the worker pool (engine.OutputCollector.Finalize), and a state that does
+// not finish fails the task.
+func (t *foldTable) emitAll(p *sim.Proc, oc *engine.OutputCollector, r int, node *cluster.Node, costs engine.CostModel) {
+	cost := engine.KeyCost{PerValueNs: costs.ReduceNsPerRecord}
+	if t.agg.Declared() {
+		cost.PerStateByteNs = costs.SerializeNsPerByte
+	}
+	oc.Finalize(p, r, node.ID, t.agg, t, cost)
 }
 
 // chunkFold folds a reduce task's arriving chunks into its table. The
@@ -273,8 +272,9 @@ func (in *chunkFold) ingest(p *sim.Proc, rt *engine.Runtime, node *cluster.Node,
 // memory-resident DFS file for the next job in the chain to map over.
 func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sinks []*partSink) {
 	rt, job, costs, oc, pc := j.RT, j.Job, j.Costs, j.OC, j.Channels[r]
-	// The table folds inside pooled closures and finishes on the event loop;
-	// only the finish touches the Fold's scratch, so the task's own serves both.
+	// The table folds and finishes inside pooled closures. Folding keeps no
+	// scratch on the Fold, and a pooled finish goes through its worker's, so
+	// the task's own serves the folds and an inline finish.
 	table := newFoldTable(job.Fold())
 	shuffleSpan := rt.Begin(metrics.Span{Name: engine.SpanShuffle, Phase: true, Node: node.ID, Task: r})
 	in := newChunkFold(table, r)
@@ -288,7 +288,7 @@ func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int, sin
 	rt.End(shuffleSpan)
 
 	reduceSpan := rt.Begin(metrics.Span{Name: engine.SpanReduce, Phase: true, Node: node.ID, Task: r})
-	table.emitAll(p, node, costs, func(k, v []byte) { oc.Emit(p, r, node.ID, k, v) })
+	table.emitAll(p, oc, r, node, costs)
 	oc.Close(p, r)
 	// Publish the partition into the DFS namespace as a memory-resident
 	// block hosted here: a chained job's map tasks read it locally from

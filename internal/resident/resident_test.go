@@ -2,8 +2,10 @@ package resident
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"onepass/internal/cluster"
@@ -408,23 +410,25 @@ func TestChainedIterationsReadNoDisk(t *testing.T) {
 func TestEmitAllAllocatesNothingPerKey(t *testing.T) {
 	env := sim.New()
 	cl := cluster.New(env, cluster.DefaultConfig())
-	table := newFoldTable((&engine.Job{Monoid: workloads.CountMonoid{}}).Fold())
+	rt := engine.NewRuntime(env, cl, dfs.New(cl, 64<<10, 1))
+	job := &engine.Job{Name: "count", Monoid: workloads.CountMonoid{}, Reducers: 1, OutputPath: "out", DiscardOutput: true}
+	res := &engine.Result{}
+	oc := rt.NewOutputCollector(job, res)
+	table := newFoldTable(job.Fold())
 	for i := 0; i < 500; i++ {
 		table.fold([]byte(fmt.Sprintf("user-%04d", i)), []byte("1"), 0)
 	}
-	pairs := 0
-	emit := func(k, v []byte) { pairs++ }
 	env.Go("t", func(p *sim.Proc) {
 		avg := testing.AllocsPerRun(10, func() {
-			table.emitAll(p, cl.Node(0), engine.DefaultCosts(), emit)
+			table.emitAll(p, oc, 0, cl.Node(0), engine.DefaultCosts())
 		})
 		if avg != 0 {
 			t.Errorf("emitAll allocates %.0f objects over 500 keys, budget 0", avg)
 		}
 	})
 	env.Run()
-	if pairs != 11*500 {
-		t.Fatalf("emitted %d pairs, want %d", pairs, 11*500)
+	if res.OutputPairs != 11*500 {
+		t.Fatalf("emitted %d pairs, want %d", res.OutputPairs, 11*500)
 	}
 }
 
@@ -447,4 +451,47 @@ func TestChunkFoldAllocatesNothingPerChunk(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// A value-list state that does not finish fails its reduce task the way the
+// hash engines' does: an *engine.TaskError through Runtime.Fail, which Drive
+// returns as an error, raised after the keys before it have emitted, and
+// every process of the run — a bystander blocked on a timer too — has ended.
+func TestDamagedStateIsATaskError(t *testing.T) {
+	env := sim.New()
+	cl := cluster.New(env, cluster.DefaultConfig())
+	rt := engine.NewRuntime(env, cl, dfs.New(cl, 64<<10, 1))
+	rt.EngineLabel = "resident"
+	job := workloads.Sessionization(smallClicks()).Job
+	job.Name, job.Reducers, job.OutputPath = "damaged", 1, "out"
+	res := &engine.Result{}
+	oc := rt.NewOutputCollector(&job, res)
+	table := newFoldTable(job.Fold())
+	table.fold([]byte("user-a"), []byte("10 /a"), 0)
+	state := table.agg.Add(table.agg.Lift(nil, []byte("10 /a")), []byte("20 /b"))
+	e, _ := table.tbl.Slot([]byte("hot-user"))
+	table.tbl.SetElem(e, state[:len(state)-2])
+	finished := false
+	env.Go("reduce", func(p *sim.Proc) {
+		table.emitAll(p, oc, 0, cl.Node(0), engine.DefaultCosts())
+		finished = true
+	})
+	env.Go("bystander", func(p *sim.Proc) { p.Sleep(sim.Second) })
+	err := engine.Drive(env)
+	var te *engine.TaskError
+	if !errors.As(err, &te) {
+		t.Fatalf("damaged state: %v, want a *engine.TaskError", err)
+	}
+	if te.Engine != "resident" || te.Kind != "reduce" || te.Task != 0 || te.Job != "damaged" {
+		t.Errorf("task error names %s/%s %s task %d", te.Engine, te.Job, te.Kind, te.Task)
+	}
+	if !strings.Contains(err.Error(), "not a whole number of frames") || !strings.Contains(err.Error(), `"hot-user"`) {
+		t.Errorf("error %q does not say what was damaged", err)
+	}
+	if res.OutputPairs != 1 {
+		t.Errorf("%d pairs out before the failure, want user-a's 1", res.OutputPairs)
+	}
+	if finished || env.LiveCount() != 0 {
+		t.Fatalf("after the failure: task finished %v, %d processes live", finished, env.LiveCount())
+	}
 }

@@ -38,6 +38,10 @@ func TestPooledAllocationParity(t *testing.T) {
 		}
 		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 	}
+	// A reducer's finalize takes its batches from finalizers recycled
+	// process-wide (engine.OutputCollector.Finalize): build as many as a run
+	// keeps in flight first, so that neither side below pays for them.
+	measure(HashIncremental, PerUserCount(cc), 1)
 	for _, tc := range cases {
 		inlineBytes, inlineObjects := measure(tc.engine, tc.make(), 1)
 		pooledBytes, pooledObjects := measure(tc.engine, tc.make(), 4)

@@ -4,17 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 // parallelRun executes one audited, traced run at the given intra-run pool
-// width and returns the result, its JSON serialization and the Chrome trace
-// bytes.
-func parallelRun(t *testing.T, e Engine, w *Workload, workers int) (*Result, []byte, []byte) {
+// width and Config.MemoryPerTask and returns the result, its JSON
+// serialization and the Chrome trace bytes.
+func parallelRun(t *testing.T, e Engine, w *Workload, workers int, memory int64) (*Result, []byte, []byte) {
 	t.Helper()
 	cfg := tinyConfig(e)
 	cfg.Audit = true
 	cfg.Parallelism = workers
+	cfg.MemoryPerTask = memory
 	tl := NewTraceLog()
 	cfg.Trace = tl
 	res, err := RunWorkload(cfg, w, 256<<10)
@@ -42,17 +44,28 @@ func TestParallelIntraRunByteIdentical(t *testing.T) {
 	workloads := []struct {
 		name string
 		make func() *Workload
+		// memory is Config.MemoryPerTask; a small one makes every hash
+		// engine's reducers spill.
+		memory int64
 	}{
 		// Sessionization exercises the holistic (list-building) reduce path;
-		// per-user count exercises the map-combine aggregator path.
-		{"sessionization", func() *Workload { return Sessionization(tinyClicks()) }},
-		{"per-user-count", func() *Workload { return PerUserCount(tinyClicks()) }},
+		// per-user count exercises the map-combine aggregator path; windowed
+		// sessionization an undeclared reduce with a heavy Finish.
+		{"sessionization", func() *Workload { return Sessionization(tinyClicks()) }, 0},
+		{"per-user-count", func() *Workload { return PerUserCount(tinyClicks()) }, 0},
+		{"windowed-sessionization", func() *Workload { return WindowedSessionization(tinyClicks(), 0) }, 0},
+		// Keys finish at the leaves of the external hash: spilled states
+		// are read back and finished on the pool.
+		{"sessionization/spilled", func() *Workload { return Sessionization(tinyClicks()) }, 16 << 10},
 	}
 	for _, wl := range workloads {
 		for _, e := range Engines() {
-			_, baseRes, baseTrace := parallelRun(t, e, wl.make(), 1)
+			base, baseRes, baseTrace := parallelRun(t, e, wl.make(), 1, wl.memory)
+			if wl.memory > 0 && strings.HasPrefix(e.String(), "hash-") && base.Counters.Get("reduce.spill.bytes") == 0 {
+				t.Errorf("%v/%s: the reducers spilled nothing", e, wl.name)
+			}
 			for _, workers := range []int{0, 4, DefaultConfig().Parallelism} {
-				_, res, trace := parallelRun(t, e, wl.make(), workers)
+				_, res, trace := parallelRun(t, e, wl.make(), workers, wl.memory)
 				if !bytes.Equal(res, baseRes) {
 					t.Errorf("%v/%s: result at parallelism %d differs from serial:\n  serial:   %s\n  parallel: %s",
 						e, wl.name, workers, firstDiff(baseRes, res), firstDiff(res, baseRes))
@@ -73,7 +86,7 @@ func TestParallelIntraRunByteIdentical(t *testing.T) {
 			t.Fatalf("DefaultConfig().Parallelism = %d, want 1", workers)
 		}
 		for _, e := range Engines() {
-			res, _, _ := parallelRun(t, e, Sessionization(tinyClicks()), workers)
+			res, _, _ := parallelRun(t, e, Sessionization(tinyClicks()), workers, 0)
 			if res.Pool.Dispatched == 0 || res.Pool.MaxInFlight > 1 {
 				t.Errorf("%v: %d closures dispatched, peak %d in flight, want an inline run",
 					e, res.Pool.Dispatched, res.Pool.MaxInFlight)
