@@ -194,7 +194,7 @@ type Config struct {
 	Engine Engine
 
 	// Nodes and CoresPerNode describe the cluster (the paper: 10 nodes);
-	// every node has cluster.DefaultConfig's 1 GB of memory.
+	// every node has cluster.NodeMemory, the paper's 1 GB.
 	Nodes        int
 	CoresPerNode int
 	// SSDIntermediate gives each node an SSD for intermediate data
@@ -348,7 +348,7 @@ func dispatch(cfg Config, rt *engine.Runtime, job Job) (*Result, error) {
 	if cfg.Audit {
 		rt.Audit = engine.NewAudit()
 	}
-	if err := cfg.Faults.Validate(len(rt.Cluster.Nodes())); err != nil {
+	if err := cfg.Faults.Validate(len(rt.Cluster.Nodes()), rt.Cluster.ComputeIDs()); err != nil {
 		return nil, fmt.Errorf("onepass: %w", err)
 	}
 	if cfg.Engine < 0 || int(cfg.Engine) >= len(engines.List) {

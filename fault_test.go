@@ -2,6 +2,7 @@ package onepass
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"onepass/internal/trace"
@@ -160,7 +161,9 @@ func TestDegradationFaultsSlowButDoNotChangeOutput(t *testing.T) {
 }
 
 // TestFaultValidationAtAPI: an invalid schedule is rejected before the run
-// starts rather than panicking inside the simulation.
+// starts rather than panicking inside the simulation, and failures count
+// once per compute node: a schedule that fails every compute node of a
+// split cluster is invalid, one that fails the same node twice is not.
 func TestFaultValidationAtAPI(t *testing.T) {
 	w := PerUserCount(tinyClicks())
 	cfg := tinyConfig(Hadoop)
@@ -168,15 +171,45 @@ func TestFaultValidationAtAPI(t *testing.T) {
 	if _, err := RunWorkload(cfg, w, 64<<10); err == nil {
 		t.Fatal("out-of-range fault node must be rejected")
 	}
+
+	split := tinyConfig(Hadoop)
+	split.SplitStorageCompute = true
+	var err error
+	if split.Faults, err = ParseFaults("fail@0.05s:n2,fail@0.05s:n3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunWorkload(split, w, 64<<10); err == nil || !strings.Contains(err.Error(), "kills all 2 compute nodes") {
+		t.Fatalf("failing both compute nodes of a split cluster: err = %v, want a rejection", err)
+	}
+
+	twoNodes := tinyConfig(Hadoop)
+	twoNodes.Nodes = 2
+	base, err := RunWorkload(twoNodes, w, 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := workEnd(t, base)
+	twoNodes.Faults = FaultSchedule{Faults: []Fault{
+		{Kind: NodeFailure, Node: 1, At: end / 4}, {Kind: NodeFailure, Node: 1, At: end / 2}}}
+	res, err := RunWorkload(twoNodes, w, 256<<10)
+	if err != nil {
+		t.Fatalf("failing n1 twice on two nodes leaves n0, yet: %v", err)
+	}
+	if got := res.Counters.Get("faults.injected"); got != 2 {
+		t.Fatalf("faults.injected = %v, want 2", got)
+	}
+	if res.OutputChecksum != base.OutputChecksum {
+		t.Fatalf("output %016x, fault-free %016x", res.OutputChecksum, base.OutputChecksum)
+	}
 }
 
-// TestRecoveryNodeDiesMidRepush drives the branch of the push engines'
-// shared recovery loop (engine.RepushLost) that a single failure cannot
-// reach: the node re-pushing a dead node's undelivered chunks dies itself
-// half-way through, and the next survivor must resume from the delivery
-// frontier the dead one advanced — same output, every ledger balanced.
-func TestRecoveryNodeDiesMidRepush(t *testing.T) {
-	for _, e := range []Engine{MapReduceOnline, Resident} {
+// TestRecoveryNodeDiesMidRecovery drives the branch of the one recovery
+// loop (engine.JobRun.Recover) that a single failure cannot reach, on every
+// engine: the node regenerating a dead node's lost output dies itself
+// half-way through, and another live node must resume from the frontier
+// the dead one left — same output, every ledger balanced.
+func TestRecoveryNodeDiesMidRecovery(t *testing.T) {
+	for _, e := range Engines() {
 		e := e
 		t.Run(e.String(), func(t *testing.T) {
 			run := func(sched FaultSchedule) (*Result, *TraceLog) {
@@ -200,7 +233,7 @@ func TestRecoveryNodeDiesMidRepush(t *testing.T) {
 			}
 			sched := faultedAt(3, Duration(mapEnd), 0.5)
 
-			// Where and when the one-failure run re-pushes: recovery attempts
+			// Where and when the one-failure run recovers: recovery attempts
 			// are the map spans numbered from 1 (first attempts are 0).
 			_, tl := run(sched)
 			var start, finish trace.Event
@@ -216,7 +249,7 @@ func TestRecoveryNodeDiesMidRepush(t *testing.T) {
 				}
 			}
 			if start.At == 0 || finish.At <= start.At {
-				t.Fatalf("the first failure left nothing to re-push (recovery span %v..%v)", start.At, finish.At)
+				t.Fatalf("the first failure left nothing to recover (recovery span %v..%v)", start.At, finish.At)
 			}
 			sched.Faults = append(sched.Faults, Fault{
 				Kind: NodeFailure, Node: start.Node, At: Duration(start.At + (finish.At-start.At)/2)})
@@ -232,7 +265,7 @@ func TestRecoveryNodeDiesMidRepush(t *testing.T) {
 				}
 			}
 			if !moved {
-				t.Fatalf("map %d was not re-pushed a second time from another node after n%d died mid-recovery",
+				t.Fatalf("map %d was not recovered a second time on another node after n%d died mid-recovery",
 					start.Task, start.Node)
 			}
 			if res.OutputPairs != clean.OutputPairs || res.OutputChecksum != clean.OutputChecksum {

@@ -10,7 +10,8 @@ import (
 )
 
 // TestExitCodes: -h, a command line that does not parse and a flag value
-// the command rejects come back as the errors Main maps to 0, 2 and 1.
+// the command rejects — a fault schedule among them — come back as the
+// errors Main maps to 0, 2 and 1.
 func TestExitCodes(t *testing.T) {
 	commands := map[string]Command{"runjob": Runjob, "jobserve": Jobserve, "check": Check, "experiments": Experiments}
 	for _, tc := range []struct {
@@ -26,6 +27,9 @@ func TestExitCodes(t *testing.T) {
 		{"check", []string{"-seeds", "many"}, 2},
 		{"runjob", []string{"-size", "huge"}, 1},
 		{"runjob", []string{"-engine", "no-such-engine"}, 1},
+		// Both compute nodes of a split cluster fail: no node is left to
+		// recover on, so the schedule is rejected before anything runs.
+		{"runjob", []string{"-split", "-nodes", "4", "-size", "8MB", "-fault", "fail@0.05s:n2,fail@0.05s:n3"}, 1},
 		{"jobserve", []string{"-tenant", "weight=2"}, 1},
 		{"experiments", []string{"-h"}, 0},
 		{"experiments", []string{"-parallel", "two"}, 2},

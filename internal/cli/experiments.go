@@ -44,10 +44,9 @@ Each simulation can additionally run its own pure data work (map parse
 loops, sorts, combine flushes, reducer folds, merge passes) on a bounded
 intra-run worker pool: ` + "`-parallel-intra N`" + ` on this command, ` + "`runjob`" + `, and
 ` + "`check`" + `. Every report, trace,
-and counter is byte-identical at any width — ` + "`TestFingerprint`" + ` runs each
-engine's default sessionization case, and its ` + "`check`" + ` and ` + "`jobserve`" + `
-cases, serial and pooled against the same pinned line — so the knob is
-purely a wall-clock lever. The nightly
+and counter is byte-identical at any width — ` + "`TestFingerprint`" + ` runs the
+cases its ` + "`pooledCase`" + ` names serial and pooled against the same pinned
+line — so the knob is purely a wall-clock lever. The nightly
 parallel-speedup job times ` + "`runjob`" + ` serial vs its default width
 with a 1.2x speedup floor; see README "Intra-run parallelism" for
 the measured per-engine closure shares that bound the speedup.
@@ -87,9 +86,9 @@ knee. Fairness invariants (tenant-starvation, fair-pick,
 slot-conservation, slot-share) are armed on every run through the same
 audit machinery as the conservation ledgers. The interactive version is
 ` + "`cmd/jobserve`" + ` (tenant specs, arrival processes, and fleet shape on the
-command line); CI's service-smoke job reruns a fixed-seed fleet twice and
-requires byte-identical reports, plus a rigged strict-priority fleet that
-the starvation audit must catch.
+command line); CI's service-smoke job runs one audited fixed-seed fleet,
+whose audits must pass, and a rigged strict-priority fleet that the
+starvation audit must catch.
 
 Incremental (delta sweep) measures the i2MapReduce-style extension
 (DESIGN.md §15): after a run primes fine-grained reduce-side state, a

@@ -152,6 +152,16 @@ func (c *Cluster) ComputeNodes() []*Node {
 	return c.nodes
 }
 
+// ComputeIDs returns the ids of the compute nodes, in order.
+func (c *Cluster) ComputeIDs() []int {
+	nodes := c.ComputeNodes()
+	ids := make([]int, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.ID
+	}
+	return ids
+}
+
 // StorageNodes returns the nodes that host DFS blocks.
 func (c *Cluster) StorageNodes() []*Node {
 	if c.cfg.SplitStorage {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 
 	"onepass/internal/cluster"
+	"onepass/internal/dfs"
 	"onepass/internal/engine"
 	"onepass/internal/hashlib"
+	"onepass/internal/kv"
 	"onepass/internal/memtable"
 	"onepass/internal/metrics"
 	"onepass/internal/sim"
@@ -53,7 +55,7 @@ const HashSeed = engine.PartitionSeed
 
 // Plan returns the hash engine with reduce-side technique m: map tasks
 // hash-combine, persist and push best-effort, reducers fold what arrives by
-// either path, and a lost output is recomputed into the undelivered tails.
+// either path, and a lost output is recomputed into the tails still unpulled.
 func Plan(m Mode) *engine.Plan {
 	return &engine.Plan{
 		Label: "hash-" + m.String(),
@@ -70,12 +72,14 @@ func Plan(m Mode) *engine.Plan {
 		FrameworkNsPerRecord: HashFrameworkNsPerRecord,
 		Setup: func(j *engine.JobRun) (engine.Tasks, error) {
 			hj := &hashJob{JobRun: j, mode: m}
-			// Chunk building is deterministic, so the recovered output serves
-			// exactly the chunks that were never push-delivered.
-			j.ReexecWith(hj.reexecMapOutput)
 			return engine.Tasks{
 				Map:    hj.runMapTask,
 				Reduce: hj.runReduceTask,
+				// Chunk building is deterministic, so a recovered output holds
+				// exactly the staged tails no reducer has pulled.
+				Rebuild: func(p *sim.Proc, node *cluster.Node, b *dfs.Block) ([]kv.Chunk, func(int)) {
+					return hj.buildMapChunks(p, node, b).Chunks, nil
+				},
 			}, nil
 		},
 	}

@@ -25,7 +25,7 @@ import (
 // stock Hadoop's synchronous map-output write, then pushes eagerly to the
 // reducers. No copy of the output is kept: a partition leaves the task
 // either pushed or staged as a leftover file, and a lost output is rebuilt
-// from its DFS block (reexecMapOutput).
+// from its DFS block (engine.JobRun.Recover).
 func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 	rt, job, costs := hj.RT, hj.Job, hj.Costs
 	frame := hj.buildMapChunks(p, node, b)
@@ -44,11 +44,11 @@ func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 	}
 	out := &engine.MapOutput{
 		TaskID: b.Index, Node: node.ID, Store: store, PartLen: frame.PartLen,
-		Leftover: make([]*disk.File, R), Pushed: make([]bool, R), Delivered: make([]int, R),
+		Leftover: make([]*disk.File, R), Held: make([]int, R),
 	}
 	// Completion is registered only after the push loop below resolves
 	// which partitions were fully delivered, so pull-side reducers never
-	// see a stale Pushed flag.
+	// see a stale frontier.
 	defer hj.Reg.Complete(out)
 
 	// Eager push with a non-blocking fallback: the moment a reducer's queue
@@ -62,8 +62,8 @@ func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 		toNode := rt.ReducerNode(r).ID
 		partOff := off
 		off += frame.PartLen[r]
-		// Delivered counts gate what a re-execution regenerates: a recovered
-		// output serves only the undelivered tail.
+		// The frontier gates what a recovery regenerates: a recovered
+		// output serves only the tail past it.
 		sent := int64(0)
 		lo := 0
 		if r > 0 {
@@ -71,14 +71,14 @@ func (hj *hashJob) runMapTask(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 		}
 		part := chunks[lo:ends[r]]
 		for _, c := range part {
-			if !hj.Channels[r].TryPush(p, node.ID, toNode, b.Index, out.Delivered[r], c) {
+			if !hj.Channels[r].TryPush(p, node.ID, toNode, b.Index, out.Held[r], c) {
 				break
 			}
-			out.Delivered[r]++
+			out.Held[r]++
 			sent += int64(len(c))
 		}
-		if out.Delivered[r] == len(part) {
-			out.Pushed[r] = true
+		if out.Held[r] == len(part) {
+			out.Held[r] = engine.HeldAll
 			continue
 		}
 		leftover := frame.Data[partOff+sent : off]
@@ -123,7 +123,8 @@ func chunksByPartition(chunks []kv.Chunk, R int) (flat [][]byte, ends []int) {
 // buildMapChunks runs the map-side data path and returns the task's output
 // as a packed partition frame. It is deterministic in the block and options,
 // so a recovery attempt on another node reproduces the exact chunk
-// boundaries and contents of the lost attempt.
+// boundaries and contents of the lost attempt: it is the engine's
+// engine.Tasks.Rebuild.
 func (hj *hashJob) buildMapChunks(p *sim.Proc, node *cluster.Node, b *dfs.Block) *kv.PartitionFrame {
 	rt, job, costs := hj.RT, hj.Job, hj.Costs
 	// Everything the chunk-building walk needs from the runtime is resolved
@@ -250,44 +251,6 @@ func (mc *mapCombiner) reset() {
 func (mc *mapCombiner) finish() *kv.PartitionFrame {
 	mc.flushes = append(mc.flushes, mc.table.len())
 	return mc.frame.Finish(mc.drain)
-}
-
-// reexecMapOutput re-runs a lost map task's data path on node and builds a
-// fresh output holding, per partition, only what the reducers still need:
-// nothing for fully-pushed partitions, and the undelivered chunk tail
-// (everything past lost.Delivered) for the rest.
-func (hj *hashJob) reexecMapOutput(p *sim.Proc, node *cluster.Node, b *dfs.Block, lost *engine.MapOutput) *engine.MapOutput {
-	job := hj.Job
-	frame := hj.buildMapChunks(p, node, b)
-	// Each partition's delivered chunks are a prefix of its run in the frame;
-	// the recovered file is the remaining tails, packed.
-	skip := make([]int64, job.Reducers)
-	for _, c := range frame.Chunks {
-		if lost.WasPushed(c.Part) || c.Seq < lost.Delivered[c.Part] {
-			skip[c.Part] += int64(len(c.Data))
-		}
-	}
-	partLen := make([]int64, job.Reducers)
-	var total int64
-	for r := range partLen {
-		partLen[r] = frame.PartLen[r] - skip[r]
-		total += partLen[r]
-	}
-	tails := make([]byte, 0, total)
-	var off int64
-	for r := range partLen {
-		tails = append(tails, frame.Data[off+skip[r]:off+frame.PartLen[r]]...)
-		off += frame.PartLen[r]
-	}
-	fresh := engine.NewMapOutput(p, node.ScratchStore(),
-		fmt.Sprintf("%s/hashmap-%05d/reexec", job.Name, lost.TaskID),
-		lost.TaskID, node.ID, tails, partLen)
-	node.Compute(p, engine.Dur(float64(fresh.File.Size()), hj.Costs.SerializeNsPerByte), engine.PhaseMapFn)
-	// Chunks delivered before the failure stay delivered; the pull fetch of
-	// the recovered partition covers exactly the rest.
-	fresh.Pushed = append([]bool(nil), lost.Pushed...)
-	fresh.Delivered = append([]int(nil), lost.Delivered...)
-	return fresh
 }
 
 // hashAtShared returns hash family member i from hashlib's immutable

@@ -18,7 +18,7 @@ import (
 // bytes are what a re-executed attempt is matched on, so the frame must be
 // the one the former path — fill a buffer, combine it into a second buffer,
 // pack that — built: same bytes, same chunks in the same seal order, same
-// flushes, on a first attempt and on a recovery re-execution, whether the
+// flushes, on a first attempt and on a recovery's rebuild, whether the
 // budget forces no flush before the input ends, one, or many.
 func TestMapSideMatchesReference(t *testing.T) {
 	const many = 1 << 20
@@ -45,6 +45,10 @@ func TestMapSideMatchesReference(t *testing.T) {
 				opts.ChunkBytes = 256
 				hj := &hashJob{JobRun: &engine.JobRun{RT: f.RT, Job: &job, Opts: opts,
 					Costs: job.Costs.Merged(), Partition: engine.HashPartitioner()}, mode: Incremental}
+				tasks, err := Plan(Incremental).Setup(hj.JobRun)
+				if err != nil {
+					t.Fatal(err)
+				}
 				blocks, err := f.RT.DFS.Blocks(job.InputPath)
 				if err != nil {
 					t.Fatal(err)
@@ -85,24 +89,32 @@ func TestMapSideMatchesReference(t *testing.T) {
 						// The engine's path, first attempt.
 						sameFrame(t, fmt.Sprintf("block %d", b.Index), hj.buildMapChunks(p, node, b), want)
 
-						// Recovery: partition r had its first r%3 chunks delivered,
-						// and every fifth partition was fully pushed.
-						lost := &engine.MapOutput{TaskID: b.Index, Pushed: make([]bool, R), Delivered: make([]int, R)}
-						for r := range lost.Delivered {
-							lost.Delivered[r] = r % 3
-							lost.Pushed[r] = r%5 == 4
+						// Recovery: partition r's reader holds its first r%3
+						// chunks, and every fifth partition whole. The rebuilt
+						// chunks past that frontier are the undelivered tails.
+						held := make([]int, R)
+						for r := range held {
+							held[r] = r % 3
+							if r%5 == 4 {
+								held[r] = engine.HeldAll
+							}
 						}
-						tails := make([][]byte, R)
+						rebuilt, _ := tasks.Rebuild(p, node, b)
+						tails, got := make([][]byte, R), make([][]byte, R)
 						for _, c := range want.Chunks {
-							if !lost.WasPushed(c.Part) && c.Seq >= lost.Delivered[c.Part] {
+							if c.Seq >= held[c.Part] {
 								tails[c.Part] = append(tails[c.Part], c.Data...)
 							}
 						}
-						fresh := hj.reexecMapOutput(p, node, b, lost)
+						for _, c := range rebuilt {
+							if c.Seq >= held[c.Part] {
+								got[c.Part] = append(got[c.Part], c.Data...)
+							}
+						}
 						for r := range tails {
-							if !bytes.Equal(fresh.PartData(r), tails[r]) {
-								t.Fatalf("block %d re-executed: partition %d holds %d bytes, want the %d-byte undelivered tail",
-									b.Index, r, len(fresh.PartData(r)), len(tails[r]))
+							if !bytes.Equal(got[r], tails[r]) {
+								t.Fatalf("block %d rebuilt: partition %d holds %d bytes past its frontier, want the %d-byte undelivered tail",
+									b.Index, r, len(got[r]), len(tails[r]))
 							}
 						}
 					}

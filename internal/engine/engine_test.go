@@ -10,6 +10,7 @@ import (
 
 	"onepass/internal/cluster"
 	"onepass/internal/dfs"
+	"onepass/internal/disk"
 	"onepass/internal/kv"
 	"onepass/internal/sim"
 )
@@ -21,6 +22,14 @@ func testRuntime(nodes int) *Runtime {
 	cfg.CoresPerNode = 2
 	c := cluster.New(env, cfg)
 	return NewRuntime(env, c, dfs.New(c, 64<<10, 1))
+}
+
+// newMapOutput persists data, partitions back to back, as map task
+// taskID's indexed output file on store, on node.
+func newMapOutput(p *sim.Proc, store *disk.Store, name string, taskID, node int, data []byte, partLen []int64) *MapOutput {
+	out := &MapOutput{TaskID: taskID, Held: make([]int, len(partLen))}
+	out.persist(p, store, name, node, data, partLen)
+	return out
 }
 
 func TestWaitGroup(t *testing.T) {
@@ -69,7 +78,7 @@ func TestMapOutputSingleFileIndex(t *testing.T) {
 			partLen[r] = int64(r+1) * 10
 			data = append(data, bytes.Repeat([]byte{byte('a' + r)}, (r+1)*10)...)
 		}
-		out := NewMapOutput(p, store, "job/map-0/file.out", 0, 0, data, partLen)
+		out := newMapOutput(p, store, "job/map-0/file.out", 0, 0, data, partLen)
 		if len(out.PartLen) != 3 {
 			t.Errorf("parts = %d", len(out.PartLen))
 		}
@@ -105,7 +114,7 @@ func TestRegistryPullFlow(t *testing.T) {
 		rt.Env.Go(fmt.Sprintf("mapper%d", i), func(p *sim.Proc) {
 			p.Sleep(sim.Duration(i+1) * sim.Second)
 			store := rt.Cluster.Node(i).ScratchStore()
-			out := NewMapOutput(p, store, fmt.Sprintf("m%d", i), i, i, []byte{byte('0' + i)}, []int64{1})
+			out := newMapOutput(p, store, fmt.Sprintf("m%d", i), i, i, []byte{byte('0' + i)}, []int64{1})
 			reg.Complete(out)
 		})
 	}
@@ -125,13 +134,13 @@ func TestRegistryFreshWindowSkipsSourceDisk(t *testing.T) {
 		reg := rt.NewRegistry(1)
 		rt.Env.Go("mapper", func(p *sim.Proc) {
 			store := rt.Cluster.Node(0).ScratchStore()
-			out := NewMapOutput(p, store, "m0", 0, 0, make([]byte, 100<<10), []int64{100 << 10})
+			out := newMapOutput(p, store, "m0", 0, 0, make([]byte, 100<<10), []int64{100 << 10})
 			reg.Complete(out)
 		})
 		rt.Env.Go("reducer", func(p *sim.Proc) {
 			reg.WaitBeyond(p, 0)
 			p.Sleep(delay)
-			reg.FetchPart(p, 1, reg.Out(0), 0)
+			reg.FetchPart(p, 1, reg.outs[0], 0)
 		})
 		readBefore := 0.0
 		_ = readBefore
@@ -148,22 +157,20 @@ func TestRegistryFreshWindowSkipsSourceDisk(t *testing.T) {
 
 func TestFetchPartRetriesWhenSourceDiesMidTransfer(t *testing.T) {
 	rt := testRuntime(3)
-	reg := rt.NewRegistry(1)
 	payload := bytes.Repeat([]byte{'x'}, 4<<20) // ~30ms transfer: room to die mid-flight
-	reg.Reexec = func(p *sim.Proc, readerNode int, lost *MapOutput) *MapOutput {
-		node := rt.Cluster.Node(2)
-		return NewMapOutput(p, node.ScratchStore(), "m0/reexec", lost.TaskID, node.ID,
-			payload, []int64{int64(len(payload))})
-	}
+	j := recoveringJob(rt, 1, 1, func(*sim.Proc, *cluster.Node, *dfs.Block) ([]kv.Chunk, func(int)) {
+		return []kv.Chunk{{Data: payload}}, nil
+	})
+	reg := j.Reg
 	var fetched []byte
 	rt.Env.Go("mapper", func(p *sim.Proc) {
 		store := rt.Cluster.Node(0).ScratchStore()
-		out := NewMapOutput(p, store, "m0", 0, 0, payload, []int64{int64(len(payload))})
+		out := newMapOutput(p, store, "m0", 0, 0, payload, []int64{int64(len(payload))})
 		reg.Complete(out)
 	})
 	rt.Env.Go("reducer", func(p *sim.Proc) {
 		reg.WaitBeyond(p, 0)
-		out := reg.Out(0)
+		out := reg.outs[0]
 		fetched = append([]byte(nil), reg.FetchPart(p, 1, out, 0)...)
 		out.ConsumePart(0)
 	})
@@ -187,22 +194,22 @@ func TestFetchPartRetriesWhenSourceDiesMidTransfer(t *testing.T) {
 }
 
 // Registry.Pull skips a push-delivered partition, still hands over, consumes
-// and audits an empty one, and serves a lost output from its one
-// re-executed attempt.
+// and audits an empty one, and serves a lost output from its one recovery,
+// which rewrites it on a live node.
 func TestRegistryPullSkipsPushedServesEmptyAndRecovers(t *testing.T) {
 	rt := testRuntime(4)
 	rt.Audit = NewAudit()
-	reg := rt.NewRegistry(3)
 	reexecs := 0
-	reg.Reexec = func(p *sim.Proc, readerNode int, lost *MapOutput) *MapOutput {
+	j := recoveringJob(rt, 1, 3, func(*sim.Proc, *cluster.Node, *dfs.Block) ([]kv.Chunk, func(int)) {
 		reexecs++
-		return NewMapOutput(p, rt.Cluster.Node(2).ScratchStore(), "m2/reexec", lost.TaskID, 2, []byte("new"), []int64{3})
-	}
+		return []kv.Chunk{{Data: []byte("new")}}, nil
+	})
+	reg := j.Reg
 	rt.Env.Go("mappers", func(p *sim.Proc) {
-		pushed := NewMapOutput(p, rt.Cluster.Node(0).ScratchStore(), "m0", 0, 0, []byte("pushed"), []int64{6})
-		pushed.Pushed[0] = true
-		empty := NewMapOutput(p, rt.Cluster.Node(0).ScratchStore(), "m1", 1, 0, nil, []int64{0})
-		lost := NewMapOutput(p, rt.Cluster.Node(1).ScratchStore(), "m2", 2, 1, []byte("old"), []int64{3})
+		pushed := newMapOutput(p, rt.Cluster.Node(0).ScratchStore(), "m0", 0, 0, []byte("pushed"), []int64{6})
+		pushed.Held[0] = HeldAll
+		empty := newMapOutput(p, rt.Cluster.Node(0).ScratchStore(), "m1", 1, 0, nil, []int64{0})
+		lost := newMapOutput(p, rt.Cluster.Node(1).ScratchStore(), "m2", 2, 1, []byte("old"), []int64{3})
 		for _, out := range []*MapOutput{pushed, empty, lost} {
 			reg.Complete(out)
 		}
@@ -224,7 +231,11 @@ func TestRegistryPullSkipsPushedServesEmptyAndRecovers(t *testing.T) {
 	if _, err := rt.Cluster.Node(0).ScratchStore().Open("m0"); err != nil {
 		t.Error("the pushed partition was consumed: Pull must skip it entirely")
 	}
-	for node, name := range map[int]string{0: "m1", 2: "m2/reexec"} {
+	// Task 2's recovery runs on the live compute nodes [0 2 3] at 2 mod 3.
+	if out := reg.outs[2]; out.Node != 3 {
+		t.Errorf("task 2 recovered on node %d, want 3", out.Node)
+	}
+	for node, name := range map[int]string{0: "m1", 3: "t/map-00002/file.out"} {
 		if _, err := rt.Cluster.Node(node).ScratchStore().Open(name); err == nil {
 			t.Errorf("%s not consumed after its pull", name)
 		}
@@ -284,8 +295,8 @@ func TestMapTaskRunsOnceInvariants(t *testing.T) {
 		{"second commit of one task", "map task 0 committed twice", func(p *sim.Proc, rt *Runtime) {
 			reg := rt.NewRegistry(2)
 			store := rt.Cluster.Node(0).ScratchStore()
-			reg.Complete(NewMapOutput(p, store, "m0", 0, 0, []byte("a"), []int64{1}))
-			reg.Complete(NewMapOutput(p, store, "m0/again", 0, 0, []byte("a"), []int64{1}))
+			reg.Complete(newMapOutput(p, store, "m0", 0, 0, []byte("a"), []int64{1}))
+			reg.Complete(newMapOutput(p, store, "m0/again", 0, 0, []byte("a"), []int64{1}))
 		}},
 		{"push after close", "push to reducer 0 after its queue closed", func(p *sim.Proc, rt *Runtime) {
 			pc := rt.NewPushChannels(1, 100)[0]

@@ -22,7 +22,7 @@ func (rt *Runtime) InstallFaults(sched faults.Schedule, onNodeFail func(node int
 	if sched.Empty() {
 		return
 	}
-	if err := sched.Validate(len(rt.Cluster.Nodes())); err != nil {
+	if err := sched.Validate(len(rt.Cluster.Nodes()), rt.Cluster.ComputeIDs()); err != nil {
 		panic(err)
 	}
 	for i, f := range sched.Faults {

@@ -166,16 +166,17 @@ func CombineSorted(combine ReduceFunc, buf, out *kv.Buffer) (inputs int, saved i
 	return inputs, saved
 }
 
-// WriteMapOutput persists a map task's partition frame as one
-// partition-indexed scratch file on the node's scratch store — the
-// synchronous map-output write required for fault tolerance (§III.B.2). The
-// file adopts frame.Data. It returns the MapOutput for shuffle registration.
-func (rt *Runtime) WriteMapOutput(p *sim.Proc, node *cluster.Node, job *Job, taskID int, frame *kv.PartitionFrame) *MapOutput {
+// WriteMapOutput persists data — partitions back to back, partLen[r] bytes
+// each — as out's one partition-indexed file on node's scratch store,
+// moving out to node: the synchronous map-output write required for fault
+// tolerance (§III.B.2), on a first attempt and on a recovery alike. The
+// file adopts data. Each partition its reader does not yet hold enters the
+// audit's shuffle ledger as one whole-partition unit, which Registry.Pull
+// deliveries must balance.
+func (rt *Runtime) WriteMapOutput(p *sim.Proc, node *cluster.Node, job *Job, out *MapOutput, data []byte, partLen []int64) {
 	writeStart := p.Now()
 	costs := job.Costs.Merged()
-	out := NewMapOutput(p, node.ScratchStore(),
-		fmt.Sprintf("%s/map-%05d/file.out", job.Name, taskID),
-		taskID, node.ID, frame.Data, frame.PartLen)
+	out.persist(p, node.ScratchStore(), fmt.Sprintf("%s/map-%05d/file.out", job.Name, out.TaskID), node.ID, data, partLen)
 	total := out.File.Size()
 	node.Compute(p, Dur(float64(total), costs.SerializeNsPerByte), PhaseMapFn)
 	rt.Counters.Add(CtrMapWrittenBytes, float64(total))
@@ -183,9 +184,15 @@ func (rt *Runtime) WriteMapOutput(p *sim.Proc, node *cluster.Node, job *Job, tas
 	// the whole map task (the paper measured 1.3 s of 21.6 s ≈ 6%).
 	rt.Counters.Add(CtrMapOutputWriteSeconds, p.Now().Sub(writeStart).Seconds())
 	if rt.Tracing() {
-		rt.Emit(trace.OutputWrite, "map-output", node.ID, taskID, 0,
+		rt.Emit(trace.OutputWrite, "map-output", node.ID, out.TaskID, 0,
 			trace.Num("bytes", float64(total)),
 			trace.Num("seconds", p.Now().Sub(writeStart).Seconds()))
 	}
-	return out
+	if rt.Auditing() {
+		for r, n := range partLen {
+			if out.Held[r] != HeldAll {
+				rt.Audit.ShuffleProduced(node.ID, out.TaskID, r, -1, n)
+			}
+		}
+	}
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"onepass/internal/disk"
 	"onepass/internal/sim"
@@ -12,14 +14,17 @@ import (
 // persists it on the mapper node's scratch store as a single
 // partition-ordered file plus an index — Hadoop's file.out/file.out.index
 // layout, whose synchronous write the paper measures in §III.B.2 — and a
-// recovered hash output is such a file too. A push delivery keeps only
+// recovered pulled output is such a file too. A push delivery keeps only
 // what a reader uses: the hash engines stage the tails they could not push
 // as Leftover files, and a push-only engine's output is no file at all,
-// just the recovery bookkeeping in Pushed and Delivered.
+// just its frontier in Held.
 type MapOutput struct {
 	TaskID int
 	Node   int
-	Store  *disk.Store
+	// Store holds the output's file and leftovers; it is nil for a push-only
+	// output, whose partitions reach their readers only by push, as its
+	// recovery's do.
+	Store *disk.Store
 
 	// File holds all partitions back to back; PartOff/PartLen index them.
 	File    *disk.File
@@ -31,44 +36,38 @@ type MapOutput struct {
 	Leftover []*disk.File
 
 	CompletedAt sim.Time
-	// Pushed marks partitions already delivered through push shuffle, so
-	// pull-side fetchers skip them.
-	Pushed []bool
-	// Delivered counts push chunks successfully delivered per partition.
-	// Re-execution after a node failure regenerates only the undelivered
-	// tail, so recovered pulls never duplicate chunks a reducer already
-	// ingested.
-	Delivered []int
-	// Lost marks the output as unavailable (its node failed); fetches
-	// trigger re-execution of the map task.
+	// Held is each partition's frontier: what its reader already holds. It
+	// counts the partition's push chunks delivered, a prefix in seal order,
+	// and is HeldAll once the reader holds the whole partition — every chunk
+	// pushed, or the staged leftover or pulled partition consumed. A
+	// recovery regenerates only past it, and Pull skips a partition held.
+	Held []int
+	// Lost marks the output as unavailable: its node failed before every
+	// reader held its partition. Its one recovery (JobRun.Recover) is in
+	// flight, and a fetcher waits for it.
 	Lost bool
-
-	consumed int
 }
 
-// NewMapOutput persists data — the task's partitions laid out back to back,
-// partLen[r] bytes each (a kv.PartitionFrame's Data and PartLen) — as one
-// indexed file on node's scratch store. The file adopts data rather than
-// copying it, so the caller must not write through the slice afterwards.
-// Callers charge serialization CPU themselves.
-func NewMapOutput(p *sim.Proc, store *disk.Store, name string, taskID, node int,
-	data []byte, partLen []int64) *MapOutput {
-	parts := len(partLen)
-	out := &MapOutput{
-		TaskID: taskID, Node: node, Store: store,
-		PartOff: make([]int64, parts), PartLen: partLen,
-		Pushed: make([]bool, parts), Delivered: make([]int, parts),
-	}
+// HeldAll is the frontier of a partition whose reader holds all of it.
+const HeldAll = math.MaxInt
+
+// persist writes data — the task's partitions laid out back to back,
+// partLen[r] bytes each (a kv.PartitionFrame's Data and PartLen) — as the
+// output's one indexed file on store, on node, in place of whatever file
+// and leftovers the output had. The file adopts data rather than copying
+// it, so the caller must not write through the slice afterwards.
+func (o *MapOutput) persist(p *sim.Proc, store *disk.Store, name string, node int, data []byte, partLen []int64) {
+	o.Node, o.Store, o.Leftover = node, store, nil
+	o.PartOff, o.PartLen = make([]int64, len(partLen)), partLen
 	var off int64
 	for r, n := range partLen {
-		out.PartOff[r] = off
+		o.PartOff[r] = off
 		off += n
 	}
-	out.File = store.Create(name, false)
+	o.File = store.Create(name, false)
 	if len(data) > 0 {
-		store.Put(p, out.File, data)
+		store.Put(p, o.File, data)
 	}
-	return out
 }
 
 // PartSize returns the byte size of partition part.
@@ -92,52 +91,43 @@ func (o *MapOutput) PartData(part int) []byte {
 	return o.File.Data()[off:end:end]
 }
 
-// ConsumePart releases partition part after its one consumer fetched it.
-// Every partition not push-delivered has one such consumer; once each has
-// consumed its own the backing file is deleted, so host memory stays
-// bounded across large runs. The count lives on the output a recovery
-// rewrites in place, so partitions consumed before the loss count too.
+// ConsumePart records that partition part's one reader fetched it and now
+// holds it whole. Its staged leftover is deleted at once, the backing file
+// once every partition is held, so host memory stays bounded across large
+// runs.
 func (o *MapOutput) ConsumePart(part int) {
-	o.consumed++
+	o.Held[part] = HeldAll
 	if o.Leftover != nil && o.Leftover[part] != nil {
 		o.Store.Delete(o.Leftover[part].Name())
 		o.Leftover[part] = nil
 	}
-	pulled := len(o.PartLen)
-	for _, pushed := range o.Pushed {
-		if pushed {
-			pulled--
-		}
-	}
-	if o.consumed == pulled && o.File != nil {
+	if o.File != nil && o.allHeld() {
 		o.Store.Delete(o.File.Name())
 	}
 }
 
-// WasPushed reports whether partition part was already push-delivered.
-func (o *MapOutput) WasPushed(part int) bool {
-	return o.Pushed != nil && o.Pushed[part]
+// allHeld reports whether every partition's reader holds all of it.
+func (o *MapOutput) allHeld() bool {
+	return !slices.ContainsFunc(o.Held, func(h int) bool { return h != HeldAll })
 }
 
 // Registry is the pull-shuffle rendezvous: the centralized service reducers
 // poll for completed mappers (§II.A). Completions are broadcast so waiting
 // fetchers wake immediately rather than on a poll interval — the paper's
-// "data transfer happens soon after a mapper completes".
+// "data transfer happens soon after a mapper completes". It is also where a
+// loss is noticed: FailNode and Complete start the lost output's recovery.
 type Registry struct {
 	rt        *Runtime
 	totalMaps int
 	outs      []*MapOutput
 	byTask    map[int]bool
 	trig      *sim.Trigger
-	// Reexec, when set, re-runs a lost map task and returns its fresh
-	// output — the fault-tolerance path that justifies persisting map
-	// output in the first place (§III.B.2). It receives the lost output so
-	// push engines can regenerate only the chunks that were never
-	// delivered (lost.Delivered / lost.Pushed).
-	Reexec func(p *sim.Proc, readerNode int, lost *MapOutput) *MapOutput
-	// reexecWait serializes recovery: the first fetcher of a lost output
-	// re-runs the task, later fetchers wait for it instead of piling on.
-	reexecWait map[int]*sim.Trigger
+	// job regenerates a lost output (JobRun.Recover). recovering counts the
+	// recoveries in flight, and recovered, made at the first loss,
+	// broadcasts the end of each.
+	job        *JobRun
+	recovering int
+	recovered  *sim.Trigger
 }
 
 // freshWindow is how long a completed map output is assumed to remain in
@@ -147,41 +137,67 @@ const freshWindow = 30 * sim.Second
 // NewRegistry returns a registry expecting totalMaps completions.
 func (rt *Runtime) NewRegistry(totalMaps int) *Registry {
 	return &Registry{
-		rt:         rt,
-		totalMaps:  totalMaps,
-		byTask:     make(map[int]bool),
-		trig:       rt.Env.NewTrigger("map-completions"),
-		reexecWait: make(map[int]*sim.Trigger),
+		rt:        rt,
+		totalMaps: totalMaps,
+		byTask:    make(map[int]bool),
+		trig:      rt.Env.NewTrigger("map-completions"),
 	}
 }
 
 // Complete registers a finished map task and wakes waiting fetchers. A map
 // task commits once: recovery rewrites a lost output in place and never
-// comes here, so a second commit of one task id is a broken invariant.
+// comes here, so a second commit of one task id is a broken invariant. An
+// output that finished on a node already dead is lost at once.
 func (g *Registry) Complete(out *MapOutput) {
 	if g.byTask[out.TaskID] {
 		panic(fmt.Sprintf("engine: map task %d committed twice", out.TaskID))
 	}
 	g.byTask[out.TaskID] = true
 	out.CompletedAt = g.rt.Env.Now()
-	if g.rt.Cluster.Node(out.Node).Failed() {
-		// The task finished writing to a machine that just died: the bytes
-		// are gone; the first fetch will trigger re-execution.
-		out.Lost = true
-	}
 	g.outs = append(g.outs, out)
 	if len(g.outs) > g.totalMaps {
 		panic("engine: more map completions than map tasks")
 	}
+	if g.rt.Cluster.Node(out.Node).Failed() {
+		g.lose(out)
+	}
 	g.trig.Broadcast()
 }
 
-// FailNode marks every completed output persisted on node as lost.
+// FailNode loses every registered output on node.
 func (g *Registry) FailNode(node int) {
 	for _, out := range g.outs {
 		if out.Node == node {
-			out.Lost = true
+			g.lose(out)
 		}
+	}
+}
+
+// lose marks out lost and starts its one recovery, unless a recovery is
+// already in flight or its readers hold every partition.
+func (g *Registry) lose(out *MapOutput) {
+	if out.Lost || out.allHeld() {
+		return
+	}
+	if g.job == nil || g.job.rebuild == nil {
+		panic("engine: lost map output with no recovery path")
+	}
+	out.Lost = true
+	if g.recovered == nil {
+		g.recovered = g.rt.Env.NewTrigger("map-recoveries")
+	}
+	g.recovering++
+	g.rt.Env.Go(fmt.Sprintf("recover-map-%d", out.TaskID), func(p *sim.Proc) {
+		g.job.Recover(p, out)
+		g.recovering--
+		g.recovered.Broadcast()
+	})
+}
+
+// WaitRecoveries blocks p until no recovery is in flight.
+func (g *Registry) WaitRecoveries(p *sim.Proc) {
+	for g.recovering > 0 {
+		g.recovered.Wait(p)
 	}
 }
 
@@ -193,9 +209,6 @@ func (g *Registry) TotalMaps() int { return g.totalMaps }
 
 // AllDone reports whether every map task has completed.
 func (g *Registry) AllDone() bool { return len(g.outs) == g.totalMaps }
-
-// Out returns the i-th completed map output (completion order).
-func (g *Registry) Out(i int) *MapOutput { return g.outs[i] }
 
 // WaitBeyond blocks p until more than seen outputs exist or all maps are
 // done.
@@ -222,37 +235,15 @@ func fetchBackoff(attempt int) sim.Duration {
 
 // FetchPart transfers partition part of a completed map output to
 // readerNode, charging the source disk (unless still fresh in cache) and
-// the network, and returns the encoded pair bytes. A source that dies
-// mid-transfer voids the fetch: the fetcher backs off and retries against
-// the re-executed attempt rather than returning bytes from a dead machine.
-// The caller must ConsumePart afterwards.
+// the network, and returns the encoded pair bytes. A lost output is fetched
+// once its recovery has rewritten it. A source that dies mid-transfer voids
+// the fetch: the fetcher backs off and retries against the recovered output
+// rather than returning bytes from a dead machine. The caller must
+// ConsumePart afterwards.
 func (g *Registry) FetchPart(p *sim.Proc, readerNode int, out *MapOutput, part int) []byte {
 	for attempt := 0; ; attempt++ {
 		for out.Lost {
-			if g.Reexec == nil {
-				panic("engine: lost map output with no re-execution path")
-			}
-			if tr, inFlight := g.reexecWait[out.TaskID]; inFlight {
-				// Another reducer is already recovering this task.
-				tr.Wait(p)
-				continue
-			}
-			tr := g.rt.Env.NewTrigger(fmt.Sprintf("reexec-%d", out.TaskID))
-			g.reexecWait[out.TaskID] = tr
-			fresh := g.Reexec(p, readerNode, out)
-			out.Store = fresh.Store
-			out.File = fresh.File
-			out.PartOff, out.PartLen = fresh.PartOff, fresh.PartLen
-			out.Leftover = fresh.Leftover
-			out.Pushed, out.Delivered = fresh.Pushed, fresh.Delivered
-			out.Node = fresh.Node
-			out.CompletedAt = p.Now()
-			out.Lost = false
-			delete(g.reexecWait, out.TaskID)
-			tr.Broadcast()
-			g.rt.Counters.Add(CtrTasksReexecuted, 1)
-			g.rt.Emit(trace.Fault, "map-reexec", readerNode, -1, 0,
-				trace.Num("map", float64(out.TaskID)))
+			g.recovered.Wait(p)
 		}
 		size := out.PartSize(part)
 		if size == 0 {
@@ -268,7 +259,7 @@ func (g *Registry) FetchPart(p *sim.Proc, readerNode int, out *MapOutput, part i
 		if out.Lost {
 			// The source died while we were mid-fetch: the connection is
 			// gone and the bytes cannot be trusted. Back off, then loop back
-			// into the re-execution path above.
+			// to wait for the recovery above.
 			g.rt.Counters.Add(CtrShuffleRetries, 1)
 			g.rt.Emit(trace.Fault, "shuffle-retry", readerNode, part, attempt,
 				trace.Num("map", float64(out.TaskID)))
@@ -294,7 +285,7 @@ func (g *Registry) FetchPart(p *sim.Proc, readerNode int, out *MapOutput, part i
 
 // Pull is a reducer's pull shuffle: it hands partition part of every
 // completed map output to ingest, in completion order, until all maps are
-// done. Partitions already push-delivered are skipped; every other one —
+// done. Partitions their reader already holds are skipped; every other one —
 // empty ones included — is fetched to readerNode, entered in the audit's
 // ingest ledger as one whole-partition unit, handed over, then consumed.
 // ingest owns data read-only: it is a slice of the map output's immutable
@@ -304,7 +295,7 @@ func (g *Registry) Pull(p *sim.Proc, readerNode, part int, ingest func(data []by
 		g.WaitBeyond(p, seen)
 		for ; seen < len(g.outs); seen++ {
 			out := g.outs[seen]
-			if out.WasPushed(part) {
+			if out.Held[part] == HeldAll {
 				continue
 			}
 			data := g.FetchPart(p, readerNode, out, part)

@@ -70,7 +70,8 @@ type Plan struct {
 	// Label is stamped on every trace event and is the Result's Engine.
 	Label string
 	// Push gives the job one PushChannel per reducer (JobRun.Channels),
-	// bounded by Options.BackpressureBytes and closed once AfterMaps returns.
+	// bounded by Options.BackpressureBytes and closed after the map barrier
+	// once no recovery is in flight.
 	Push bool
 	// Defaults replaces zero numeric Options fields.
 	Defaults Options
@@ -88,10 +89,14 @@ type Tasks struct {
 	Map func(p *sim.Proc, node *cluster.Node, b *dfs.Block)
 	// Reduce runs reduce task r; phase spans inside it are the engine's.
 	Reduce func(p *sim.Proc, node *cluster.Node, r int)
-	// AfterMaps, when set, runs in the job controller between the map
-	// barrier and the reduce barrier, with the push channels still open:
-	// push-only engines re-push lost chunks (JobRun.RepushLost) here.
-	AfterMaps func(p *sim.Proc)
+	// Rebuild re-runs block b's map on node, charging its map-side work, and
+	// returns the task's output chunks in seal order, each partition's in
+	// ascending Seq, with charge(i), chunk i's bill at its push (nil when the
+	// engine bills nothing per chunk). Chunk building is deterministic in the
+	// block, so the chunks carry the first attempt's bytes under its (task,
+	// seq) identities. JobRun.Recover calls it; a job that loses no map
+	// output never does.
+	Rebuild func(p *sim.Proc, node *cluster.Node, b *dfs.Block) (chunks []kv.Chunk, charge func(i int))
 }
 
 // JobRun is the state of one launched job that every engine needs and none
@@ -110,7 +115,9 @@ type JobRun struct {
 	// Channels is each reducer's inbound push queue; nil unless Plan.Push.
 	Channels []*PushChannel
 
-	blocks map[int]*dfs.Block
+	// blocks and rebuild are what a recovery regenerates a lost output from.
+	blocks  map[int]*dfs.Block
+	rebuild func(p *sim.Proc, node *cluster.Node, b *dfs.Block) ([]kv.Chunk, func(int))
 }
 
 // PartitionSeed fixes the hash partitioner across all engines so a key maps
@@ -126,7 +133,7 @@ func HashPartitioner() Partitioner {
 // Start launches job on rt under plan without driving the simulation: it
 // spawns the fault injectors, the map and reduce slot processes and the job
 // controller, then returns. The controller invokes done at the virtual
-// instant the job completes (after AfterMaps, JobDone and stopping the metrics sampler); the
+// instant the job completes (after JobDone and stopping the metrics sampler); the
 // caller owns running rt.Env and calling rt.FinishResult on the Result done
 // receives. Run wraps Start for the one-job-per-simulation case;
 // internal/service uses Start to multiplex concurrent jobs over one shared
@@ -156,7 +163,7 @@ func Start(rt *Runtime, job Job, opts Options, plan *Plan, done func(p *sim.Proc
 		OC:        rt.NewOutputCollector(&job, res),
 		Reg:       rt.NewRegistry(len(blocks)),
 		// Fault tolerance: a lost map output is recomputed from its DFS
-		// block (replicas permitting), found again by task id.
+		// block, found again by task id.
 		blocks: make(map[int]*dfs.Block, len(blocks)),
 	}
 	for _, b := range blocks {
@@ -169,6 +176,8 @@ func Start(rt *Runtime, job Job, opts Options, plan *Plan, done func(p *sim.Proc
 	if err != nil {
 		return err
 	}
+	j.rebuild = tasks.Rebuild
+	j.Reg.job = j
 	rt.InstallFaults(j.Opts.Faults, j.Reg.FailNode)
 
 	rt.sampler.Start()
@@ -176,9 +185,8 @@ func Start(rt *Runtime, job Job, opts Options, plan *Plan, done func(p *sim.Proc
 	redsWG := rt.RunReduces(&job, tasks.Reduce)
 	rt.Env.Go("job-controller", func(p *sim.Proc) {
 		mapsWG.Wait(p)
-		if tasks.AfterMaps != nil {
-			tasks.AfterMaps(p)
-		}
+		// A recovery in flight may still re-push into the channels.
+		j.Reg.WaitRecoveries(p)
 		for _, pc := range j.Channels {
 			pc.Close()
 		}
@@ -206,43 +214,89 @@ func Run(rt *Runtime, job Job, opts Options, plan *Plan) (*Result, error) {
 	return res, nil
 }
 
-// SurvivingNode returns the first compute node that has not failed: where a
-// lost map task is re-executed when no better-placed node is alive.
-func (rt *Runtime) SurvivingNode() *cluster.Node {
+// recoveryNode returns the live compute node a lost map task's recovery
+// runs on: the live compute nodes in id order, picked by task id modulo
+// their count, so the outputs one failure loses are regenerated across
+// the survivors. Fault schedules that kill every compute node are rejected
+// before a run starts (faults.Schedule.Validate), so finding none is a
+// broken invariant.
+func (rt *Runtime) recoveryNode(task int) *cluster.Node {
+	var live []*cluster.Node
 	for _, n := range rt.Cluster.ComputeNodes() {
 		if !n.Failed() {
-			return n
+			live = append(live, n)
 		}
 	}
-	panic("engine: no surviving compute node for recovery")
-}
-
-// recoveryAttempt spans one re-execution of a lost map task like the real
-// map task it is, so the profiler's span DAG stays connected through fault
-// recovery and its critical path sees the re-executed work instead of an
-// unexplained hole inside whoever asked for it.
-func (rt *Runtime) recoveryAttempt(node *cluster.Node, task, attempt int, body func()) {
-	span := rt.Begin(metrics.Span{Name: SpanMap, Node: node.ID, Task: task, Attempt: attempt})
-	body()
-	rt.End(span)
-}
-
-// ReexecWith installs the pull-shuffle recovery path: the first fetch of a
-// lost output re-runs its map task through attempt — on the node that asked
-// for it, or on a survivor when that node is itself dead — and serves the
-// output attempt returns. lost carries what push already delivered, so
-// attempt can regenerate only the rest.
-func (j *JobRun) ReexecWith(attempt func(p *sim.Proc, node *cluster.Node, b *dfs.Block, lost *MapOutput) *MapOutput) {
-	j.Reg.Reexec = func(p *sim.Proc, readerNode int, lost *MapOutput) (out *MapOutput) {
-		node := j.RT.Cluster.Node(readerNode)
-		if node.Failed() {
-			node = j.RT.SurvivingNode()
-		}
-		j.RT.recoveryAttempt(node, lost.TaskID, 1, func() {
-			out = attempt(p, node, j.blocks[lost.TaskID], lost)
-		})
-		return out
+	if len(live) == 0 {
+		panic("engine: no surviving compute node for recovery")
 	}
+	return live[task%len(live)]
+}
+
+// Recover regenerates the lost output out on a live compute node and sends
+// each partition the rest past its frontier out.Held by the path its reader
+// still uses: a push-only output re-pushes its chunks under their original
+// (task, seq) identities, so no reducer receives a chunk twice; any other
+// is rewritten as one scratch file of the rests, which its readers pull.
+// The registry runs it once per loss (Registry.FailNode, Registry.Complete),
+// and each attempt is spanned as map attempt n >= 1. If the recovery node
+// dies mid-way, the next attempt resumes from the frontier the dead one
+// advanced.
+func (j *JobRun) Recover(p *sim.Proc, out *MapOutput) {
+	rt := j.RT
+	for attempt := 1; out.Lost; attempt++ {
+		node := rt.recoveryNode(out.TaskID)
+		span := rt.Begin(metrics.Span{Name: SpanMap, Node: node.ID, Task: out.TaskID, Attempt: attempt})
+		chunks, charge := j.rebuild(p, node, j.blocks[out.TaskID])
+		switch {
+		case out.Store == nil:
+			out.Lost = !j.repush(p, node, out, chunks, charge)
+		case out.allHeld():
+			// The last readers finished with partitions fetched before the
+			// loss while this attempt rebuilt them: no one needs a file.
+			out.Lost = false
+		default:
+			data, partLen := rests(chunks, out.Held)
+			rt.WriteMapOutput(p, node, j.Job, out, data, partLen)
+			out.Lost = node.Failed()
+		}
+		rt.End(span)
+	}
+	out.CompletedAt = p.Now()
+	rt.Counters.Add(CtrTasksReexecuted, 1)
+	rt.Emit(trace.Fault, "map-reexec", out.Node, out.TaskID, 0)
+}
+
+// repush pushes the chunks past out's frontier from node, advancing the
+// frontier chunk by chunk, and reports whether all arrived: then the
+// readers hold the whole output. false means node failed first.
+func (j *JobRun) repush(p *sim.Proc, node *cluster.Node, out *MapOutput, chunks []kv.Chunk, charge func(i int)) bool {
+	for i, c := range chunks {
+		if c.Seq >= out.Held[c.Part] && !deliver(p, node, out.TaskID, i, c, charge, j.PushChunk, out.Held) {
+			return false
+		}
+	}
+	out.Node = node.ID
+	for r := range out.Held {
+		out.Held[r] = HeldAll
+	}
+	return true
+}
+
+// rests lays out, partition by partition, the bytes of the chunks past each
+// partition's frontier held: what its reader still lacks.
+func rests(chunks []kv.Chunk, held []int) (data []byte, partLen []int64) {
+	parts := make([][]byte, len(held))
+	for _, c := range chunks {
+		if c.Seq >= held[c.Part] {
+			parts[c.Part] = append(parts[c.Part], c.Data...)
+		}
+	}
+	partLen = make([]int64, len(held))
+	for r, b := range parts {
+		partLen[r] = int64(len(b))
+	}
+	return slices.Concat(parts...), partLen
 }
 
 // CtrPushChunksLost counts push chunks that never left a failed node.
@@ -268,23 +322,28 @@ func (j *JobRun) PushChunk(p *sim.Proc, node *cluster.Node, task int, c kv.Chunk
 
 // PushOutput is a push-only map task's delivery: it offers chunks — the
 // task's whole output, in seal order — to their reducers, then registers
-// the task. Each chunk is billed by charge(i) on node just before push
-// offers it. Once node has failed its NIC delivers nothing, so the rest are
-// dropped unbilled and counted in push.chunks.lost; RepushLost re-pushes
-// them from a survivor after the map wave.
+// the task with the frontier the pushes reached. Each chunk is billed by
+// charge(i) on node just before push offers it. Once node has failed its
+// NIC delivers nothing, so the rest are dropped unbilled and counted in
+// push.chunks.lost; the output's recovery re-pushes them.
 func (j *JobRun) PushOutput(p *sim.Proc, node *cluster.Node, task int,
 	chunks []kv.Chunk, charge func(i int), push PushFunc) {
+	out := &MapOutput{TaskID: task, Node: node.ID, Held: make([]int, j.Job.Reducers)}
 	sealed := make([]int, j.Job.Reducers)
-	delivered := make([]int, j.Job.Reducers)
 	for i, c := range chunks {
 		sealed[c.Part] = c.Seq + 1
 		if node.Failed() {
 			j.RT.Counters.Add(CtrPushChunksLost, 1)
 			continue
 		}
-		deliver(p, node, task, i, c, charge, push, delivered)
+		deliver(p, node, task, i, c, charge, push, out.Held)
 	}
-	j.CompletePushed(node, task, delivered, sealed)
+	for r, n := range sealed {
+		if out.Held[r] == n {
+			out.Held[r] = HeldAll
+		}
+	}
+	j.Reg.Complete(out)
 }
 
 // PushFunc offers chunk c of map task task from node to its reducer and
@@ -293,75 +352,15 @@ func (j *JobRun) PushOutput(p *sim.Proc, node *cluster.Node, task int,
 type PushFunc func(p *sim.Proc, node *cluster.Node, task int, c kv.Chunk) bool
 
 // deliver is the one charge-then-push step of push-only delivery: it bills
-// chunk i, offers it, and on arrival advances delivered past it.
+// chunk i, offers it, and on arrival advances the frontier held past it.
 func deliver(p *sim.Proc, node *cluster.Node, task, i int, c kv.Chunk,
-	charge func(i int), push PushFunc, delivered []int) bool {
+	charge func(i int), push PushFunc, held []int) bool {
 	charge(i)
 	if !push(p, node, task, c) {
 		return false
 	}
-	delivered[c.Part] = c.Seq + 1
+	held[c.Part] = c.Seq + 1
 	return true
-}
-
-// CompletePushed registers a push-only map task. The data lives only in
-// the push stream, so the output is no file, only the progress signal for
-// snapshot fractions and the recovery bookkeeping: delivered[r] chunks of
-// the sealed[r] the task produced for reducer r reached it.
-func (j *JobRun) CompletePushed(node *cluster.Node, task int, delivered, sealed []int) {
-	out := &MapOutput{TaskID: task, Node: node.ID, Pushed: make([]bool, len(sealed)), Delivered: delivered}
-	for r := range out.Pushed {
-		out.Pushed[r] = delivered[r] == sealed[r]
-	}
-	j.Reg.Complete(out)
-}
-
-// Regen re-runs block b's map for job j on node and returns, in the
-// original seal order, the chunks at or past the delivery frontier
-// already[part] — the chunks no reducer has — with their bill, charge(i)
-// on node. Chunk building is deterministic in the block, so the chunks
-// carry the lost attempt's bytes under its (task, seq) identities. Regen
-// only reads already, and RepushLost advances it only after Regen returns.
-type Regen func(j *JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int))
-
-// RepushLost is a push-only engine's degraded-mode recovery, run after the
-// map wave with the channels still open: every map output lost with its node
-// before all its chunks were delivered is regenerated on a surviving node
-// and only the undelivered chunks re-pushed, under their original
-// identities, so no reducer receives a chunk twice. If the recovery node
-// itself dies mid-way, the next survivor resumes from the advanced frontier.
-func (j *JobRun) RepushLost(p *sim.Proc, regen Regen) {
-	rt := j.RT
-	for i := 0; i < j.Reg.Completed(); i++ {
-		out := j.Reg.Out(i)
-		if !out.Lost {
-			continue
-		}
-		if !slices.Contains(out.Pushed, false) {
-			// Everything was delivered before the node died; nothing
-			// is left to recover.
-			out.Lost = false
-			continue
-		}
-		for attempt := 1; out.Lost; attempt++ {
-			node := rt.SurvivingNode()
-			rt.recoveryAttempt(node, out.TaskID, attempt, func() {
-				chunks, charge := regen(j, p, node, j.blocks[out.TaskID], out.Delivered)
-				for k, c := range chunks {
-					if !deliver(p, node, out.TaskID, k, c, charge, j.PushChunk, out.Delivered) {
-						return
-					}
-				}
-				out.Node = node.ID
-				out.Lost = false
-			})
-		}
-		for r := range out.Pushed {
-			out.Pushed[r] = true
-		}
-		rt.Counters.Add(CtrTasksReexecuted, 1)
-		rt.Emit(trace.Fault, "map-repush", out.Node, out.TaskID, 0)
-	}
 }
 
 // DecodePairs walks an encoded chunk and returns its pair count.

@@ -77,40 +77,50 @@ func TestStartFailsBeforeSpawning(t *testing.T) {
 	}
 }
 
-// The controller's sequence is maps → AfterMaps → reduces → JobDone → done,
-// and done fires exactly once; the plan's label and defaults reach the run.
+// The controller's sequence is maps → recoveries still in flight → push
+// channels closed → reduces → JobDone → done, and done fires exactly once;
+// the plan's label and defaults reach the run. Block 0's map finishes on a
+// node that has just died, so its recovery re-pushes into a channel the
+// controller must keep open past the map barrier.
 func TestSkeletonSequenceLabelAndDefaults(t *testing.T) {
 	rt := testRuntime(2)
 	registerLines(t, rt, "in", 3*64<<10)
 	var events []string
 	var seen *JobRun
+	received := 0
 	plan := &Plan{
 		Label:                "fake",
+		Push:                 true,
 		Defaults:             Options{FanIn: 7, ChunkBytes: 1 << 10, BackpressureBytes: 2 << 10, SpillBuckets: 3, HotKeyCounters: 5},
 		FrameworkNsPerRecord: 123,
 		Setup: func(j *JobRun) (Tasks, error) {
 			seen = j
-			release := j.RT.Env.NewTrigger("after-maps")
-			released := false
 			return Tasks{
-				Map: func(p *sim.Proc, _ *cluster.Node, b *dfs.Block) {
+				Map: func(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
 					p.Sleep(sim.Duration(b.Index+1) * sim.Millisecond)
 					events = append(events, "map")
+					out := &MapOutput{TaskID: b.Index, Node: node.ID, Held: []int{HeldAll, HeldAll}}
+					if b.Index == 0 {
+						node.Fail()
+						out.Held[0] = 0
+					}
+					j.Reg.Complete(out)
 				},
-				// Like a push engine's reducer, a reduce task cannot end
-				// before AfterMaps has closed its stream.
-				Reduce: func(p *sim.Proc, _ *cluster.Node, _ int) {
-					for !released {
-						release.Wait(p)
+				// A reduce task ends when the controller closes its stream.
+				Reduce: func(p *sim.Proc, _ *cluster.Node, r int) {
+					for {
+						if _, ok := j.Channels[r].Pop(p); !ok {
+							break
+						}
+						received++
 					}
 					p.Sleep(sim.Millisecond)
 					events = append(events, "reduce")
 				},
-				AfterMaps: func(p *sim.Proc) {
-					p.Sleep(sim.Millisecond)
-					events = append(events, "after-maps")
-					released = true
-					release.Broadcast()
+				Rebuild: func(p *sim.Proc, _ *cluster.Node, b *dfs.Block) ([]kv.Chunk, func(int)) {
+					p.Sleep(10 * sim.Millisecond) // well past the map barrier
+					events = append(events, "recover")
+					return []kv.Chunk{{Part: 0, Seq: 0, Data: []byte("a")}}, func(int) {}
 				},
 			}, nil
 		},
@@ -129,9 +139,12 @@ func TestSkeletonSequenceLabelAndDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.Env.Run()
-	want := []string{"map", "map", "map", "after-maps", "reduce", "reduce", "done"}
+	want := []string{"map", "map", "map", "recover", "reduce", "reduce", "done"}
 	if !reflect.DeepEqual(events, want) {
 		t.Fatalf("sequence = %v, want %v", events, want)
+	}
+	if received != 1 || rt.Counters.Get(CtrTasksReexecuted) != 1 {
+		t.Fatalf("reducers received %d chunks after %v recoveries, want the one re-pushed chunk", received, rt.Counters.Get(CtrTasksReexecuted))
 	}
 	if dones != 1 {
 		t.Fatalf("done fired %d times", dones)
@@ -148,51 +161,68 @@ func TestSkeletonSequenceLabelAndDefaults(t *testing.T) {
 	}
 }
 
-// RepushLost leaves a lost output alone when everything it sealed had been
-// delivered, regenerates the others from their delivery frontier, and — when
-// the recovery node itself dies mid-way — resumes on the next survivor from
-// the frontier the dead one advanced.
-func TestRepushLostSkipsDeliveredAndResumesFromFrontier(t *testing.T) {
-	const R = 4
-	rt := testRuntime(4)
+// recoveringJob is a job of R reducers whose registry recovers lost outputs
+// through JobRun.Recover with rebuild, over blocks 0..n-1.
+func recoveringJob(rt *Runtime, R, n int, rebuild func(p *sim.Proc, node *cluster.Node, b *dfs.Block) ([]kv.Chunk, func(int))) *JobRun {
 	job := lineJob("in")
 	job.Reducers = R
-	j := &JobRun{RT: rt, Job: &job, Reg: rt.NewRegistry(3), Channels: rt.NewPushChannels(R, 1<<20),
-		blocks: map[int]*dfs.Block{0: {Index: 0}, 1: {Index: 1}, 2: {Index: 2}}}
-	sealed := []int{1, 1, 1, 4}
+	j := &JobRun{RT: rt, Job: &job, Reg: rt.NewRegistry(n), Channels: rt.NewPushChannels(R, 1<<20),
+		blocks: map[int]*dfs.Block{}, rebuild: rebuild}
+	for b := 0; b < n; b++ {
+		j.blocks[b] = &dfs.Block{Index: b}
+	}
+	j.Reg.job = j
+	return j
+}
 
+// A node failure recovers, at once, each of the node's outputs whose
+// readers lack some partition: an output whose every chunk was delivered
+// is left alone, and a push-only one is regenerated and re-pushed from its
+// frontier. When the recovery node itself dies mid-way, the next attempt
+// resumes on another live node from the frontier the dead one advanced.
+func TestRecoverSkipsHeldAndResumesFromFrontier(t *testing.T) {
+	const R = 4
+	rt := testRuntime(4)
+	sealed := 4 // partition 3's chunks; the others' one chunk each is held
 	type call struct {
 		node, task int
-		already    []int
+		held       []int
 	}
 	var calls []call
-	regen := func(_ *JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) ([]kv.Chunk, func(int)) {
-		calls = append(calls, call{node.ID, b.Index, append([]int(nil), already...)})
+	var j *JobRun
+	j = recoveringJob(rt, R, 3, func(p *sim.Proc, node *cluster.Node, b *dfs.Block) ([]kv.Chunk, func(int)) {
+		calls = append(calls, call{node.ID, b.Index, append([]int(nil), j.Reg.outs[b.Index].Held...)})
 		var chunks []kv.Chunk
-		for seq := already[3]; seq < sealed[3]; seq++ {
+		for r := 0; r < 3; r++ {
+			chunks = append(chunks, kv.Chunk{Part: r, Seq: 0, Data: []byte{byte(r)}})
+		}
+		for seq := 0; seq < sealed; seq++ {
 			chunks = append(chunks, kv.Chunk{Part: 3, Seq: seq, Data: []byte{byte(seq)}})
 		}
-		charge := func(i int) {
-			if len(calls) == 1 && i == 1 {
+		first := len(calls) == 1
+		return chunks, func(i int) {
+			if first && i == 5 {
 				node.Fail() // the first recovery node dies after one chunk
 			}
 		}
-		return chunks, charge
-	}
+	})
 	rt.Env.Go("controller", func(p *sim.Proc) {
 		dead, alive := rt.Cluster.Node(1), rt.Cluster.Node(3)
-		j.CompletePushed(dead, 0, []int{1, 1, 1, 4}, sealed)  // all delivered
-		j.CompletePushed(dead, 1, []int{1, 1, 1, 1}, sealed)  // 3 chunks short
-		j.CompletePushed(alive, 2, []int{1, 1, 1, 0}, sealed) // short, but not lost
+		all := HeldAll
+		j.Reg.Complete(&MapOutput{TaskID: 0, Node: dead.ID, Held: []int{all, all, all, all}}) // all delivered
+		j.Reg.Complete(&MapOutput{TaskID: 1, Node: dead.ID, Held: []int{all, all, all, 1}})   // 3 chunks short
+		j.Reg.Complete(&MapOutput{TaskID: 2, Node: alive.ID, Held: []int{all, all, all, 0}})  // short, but not lost
 		dead.Fail()
 		j.Reg.FailNode(dead.ID)
-		j.RepushLost(p, regen)
 	})
 	rt.Env.Run()
 
-	wantCalls := []call{{0, 1, []int{1, 1, 1, 1}}, {2, 1, []int{1, 1, 1, 2}}}
+	// Task 1 goes to the live compute nodes [0 2 3] at 1 mod 3, then, with
+	// node 2 dead, to [0 3] at 1 mod 2.
+	all := HeldAll
+	wantCalls := []call{{2, 1, []int{all, all, all, 1}}, {3, 1, []int{all, all, all, 2}}}
 	if !reflect.DeepEqual(calls, wantCalls) {
-		t.Fatalf("regen calls = %+v, want %+v", calls, wantCalls)
+		t.Fatalf("rebuild calls = %+v, want %+v", calls, wantCalls)
 	}
 	var got []PushChunk
 	for _, c := range j.Channels[3].queue {
@@ -203,13 +233,13 @@ func TestRepushLostSkipsDeliveredAndResumesFromFrontier(t *testing.T) {
 		t.Fatalf("re-pushed chunks = %+v, want %+v", got, wantChunks)
 	}
 	for i := 0; i < 2; i++ {
-		if out := j.Reg.Out(i); out.Lost {
+		if out := j.Reg.outs[i]; out.Lost {
 			t.Errorf("task %d still lost after recovery", out.TaskID)
 		}
 	}
-	rec := j.Reg.Out(1)
-	if rec.Node != 2 || !reflect.DeepEqual(rec.Delivered, sealed) || !reflect.DeepEqual(rec.Pushed, []bool{true, true, true, true}) {
-		t.Errorf("recovered output: node %d delivered %v pushed %v", rec.Node, rec.Delivered, rec.Pushed)
+	rec := j.Reg.outs[1]
+	if rec.Node != 3 || !reflect.DeepEqual(rec.Held, []int{all, all, all, all}) {
+		t.Errorf("recovered output: node %d held %v", rec.Node, rec.Held)
 	}
 	if n := rt.Counters.Get(CtrTasksReexecuted); n != 1 {
 		t.Errorf("%s = %v, want 1: the fully-delivered output needs no re-execution", CtrTasksReexecuted, n)

@@ -230,7 +230,7 @@ func (s *Session) FaultTolerance() *Report {
 				Name:     "map tasks re-executed",
 				Paper:    "-",
 				Measured: fmt.Sprintf("%.0f of %.0f", faulted.Counters.Get(engine.CtrTasksReexecuted), faulted.Counters.Get(engine.CtrMapTasks)),
-				Note:     "lost outputs recomputed on the fetching reducer's node",
+				Note:     "lost outputs regenerated at the loss, spread over the live nodes",
 			},
 		},
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -105,9 +106,13 @@ func (s Schedule) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Validate checks every fault against a cluster of n nodes.
-func (s Schedule) Validate(nodes int) error {
-	fails := 0
+// Validate checks every fault against a cluster of n nodes whose compute
+// nodes — the ones that run tasks, and so recover lost map output — are
+// compute. A schedule that fails every compute node leaves no node to
+// recover on, so it is rejected; a node counts once however many failures
+// name it, and a storage node's failure does not count.
+func (s Schedule) Validate(nodes int, compute []int) error {
+	failed := make(map[int]bool)
 	for _, f := range s.Faults {
 		if _, ok := kindNames[f.Kind]; !ok {
 			return fmt.Errorf("faults: unknown kind %d", int(f.Kind))
@@ -126,12 +131,12 @@ func (s Schedule) Validate(nodes int) error {
 		if !f.Kind.Terminal() && (!(f.Factor >= 1) || math.IsInf(f.Factor, 0)) {
 			return fmt.Errorf("faults: %s needs a finite factor >= 1, got %g", f.Kind, f.Factor)
 		}
-		if f.Kind.Terminal() {
-			fails++
+		if f.Kind.Terminal() && slices.Contains(compute, f.Node) {
+			failed[f.Node] = true
 		}
 	}
-	if fails >= nodes {
-		return fmt.Errorf("faults: schedule kills all %d nodes", nodes)
+	if len(failed) > 0 && len(failed) == len(compute) {
+		return fmt.Errorf("faults: schedule kills all %d compute nodes", len(compute))
 	}
 	return nil
 }

@@ -65,22 +65,46 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// allNodes lists node ids 0..n-1: a cluster whose every node computes.
+func allNodes(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
 func TestValidate(t *testing.T) {
 	ok := Schedule{Faults: []Fault{
 		{Kind: NodeFailure, Node: 1, At: sim.Seconds(2)},
 		{Kind: DiskSlow, Node: 0, At: 0, Factor: 4},
 	}}
-	if err := ok.Validate(4); err != nil {
+	if err := ok.Validate(4, allNodes(4)); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)
 	}
-	bad := []Schedule{
-		{Faults: []Fault{{Kind: NodeFailure, Node: 9, At: 0}}},                        // node range
-		{Faults: []Fault{{Kind: NodeFailure, Node: 0, At: -sim.Seconds(1)}}},          // negative time
-		{Faults: []Fault{{Kind: Straggler, Node: 0, At: 0, Factor: 0.5}}},             // factor < 1
-		{Faults: []Fault{{Kind: NodeFailure, Node: 0}, {Kind: NodeFailure, Node: 1}}}, // kills whole cluster
+	// One node failed twice still leaves the other, and on a split cluster
+	// a storage node's failure leaves every compute node.
+	twice := Schedule{Faults: []Fault{{Kind: NodeFailure, Node: 1, At: 0}, {Kind: NodeFailure, Node: 1, At: sim.Seconds(1)}}}
+	if err := twice.Validate(2, allNodes(2)); err != nil {
+		t.Errorf("failing n1 twice on two nodes rejected: %v", err)
 	}
-	for i, s := range bad {
-		if err := s.Validate(2); err == nil {
+	storage := Schedule{Faults: []Fault{{Kind: NodeFailure, Node: 0}, {Kind: NodeFailure, Node: 2}}}
+	if err := storage.Validate(4, []int{2, 3}); err != nil {
+		t.Errorf("failing a storage node and one of two compute nodes rejected: %v", err)
+	}
+	bad := []struct {
+		s       Schedule
+		nodes   int
+		compute []int
+	}{
+		{Schedule{Faults: []Fault{{Kind: NodeFailure, Node: 9, At: 0}}}, 2, allNodes(2)},                        // node range
+		{Schedule{Faults: []Fault{{Kind: NodeFailure, Node: 0, At: -sim.Seconds(1)}}}, 2, allNodes(2)},          // negative time
+		{Schedule{Faults: []Fault{{Kind: Straggler, Node: 0, At: 0, Factor: 0.5}}}, 2, allNodes(2)},             // factor < 1
+		{Schedule{Faults: []Fault{{Kind: NodeFailure, Node: 0}, {Kind: NodeFailure, Node: 1}}}, 2, allNodes(2)}, // kills whole cluster
+		{Schedule{Faults: []Fault{{Kind: NodeFailure, Node: 2}, {Kind: NodeFailure, Node: 3}}}, 4, []int{2, 3}}, // kills every compute node
+	}
+	for i, b := range bad {
+		if err := b.s.Validate(b.nodes, b.compute); err == nil {
 			t.Errorf("bad schedule %d accepted", i)
 		}
 	}
@@ -160,14 +184,14 @@ func TestValidateRejectsNonFiniteAndNegativeWindow(t *testing.T) {
 		{Faults: []Fault{{Kind: NodeFailure, Node: 0, For: -sim.Millisecond}, {Kind: DiskSlow, Node: 1, Factor: 2}}}, // negative window, terminal
 	}
 	for i, s := range bad {
-		if err := s.Validate(4); err == nil {
+		if err := s.Validate(4, allNodes(4)); err == nil {
 			t.Errorf("bad schedule %d accepted: %+v", i, s.Faults)
 		}
 	}
 	// The spelled-out case from the issue: NaN < 1 is false, so the old check
 	// let this through.
 	if s, err := Parse("disk-slow@1s:n0xNaN"); err == nil {
-		if verr := s.Validate(4); verr == nil {
+		if verr := s.Validate(4, allNodes(4)); verr == nil {
 			t.Error("disk-slow@1s:n0xNaN validated — non-finite factor accepted")
 		}
 	}
@@ -192,7 +216,7 @@ func TestChaosDeterministicAndValid(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed gave different schedules:\n%v\n%v", a, b)
 	}
-	if err := a.Validate(10); err != nil {
+	if err := a.Validate(10, allNodes(10)); err != nil {
 		t.Fatalf("chaos schedule invalid: %v", err)
 	}
 	fails := 0

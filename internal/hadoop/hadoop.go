@@ -24,29 +24,32 @@ import (
 func Partitioner() engine.Partitioner { return engine.HashPartitioner() }
 
 // Plan is the stock-Hadoop engine: its map task sorts and persists, its
-// reduce task pulls, and a lost map output is recomputed by the same map
-// attempt on the node that asked for it.
+// reduce task pulls, and a lost map output is rebuilt by the same map path
+// and rewritten with only the partitions no reducer has fetched.
 var Plan = &engine.Plan{
 	Label:    "hadoop",
 	Defaults: engine.Options{FanIn: sortmerge.DefaultFanIn},
 	Setup: func(j *engine.JobRun) (engine.Tasks, error) {
-		j.ReexecWith(func(p *sim.Proc, node *cluster.Node, b *dfs.Block, _ *engine.MapOutput) *engine.MapOutput {
-			return executeMapAttempt(j, p, node, b)
-		})
 		return engine.Tasks{
 			Map: func(p *sim.Proc, node *cluster.Node, b *dfs.Block) {
-				j.Reg.Complete(executeMapAttempt(j, p, node, b))
+				frame := buildFrame(j, p, node, b)
+				out := &engine.MapOutput{TaskID: b.Index, Held: make([]int, j.Job.Reducers)}
+				j.RT.WriteMapOutput(p, node, j.Job, out, frame.Data, frame.PartLen)
+				j.Reg.Complete(out)
 			},
 			Reduce: func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r) },
+			Rebuild: func(p *sim.Proc, node *cluster.Node, b *dfs.Block) ([]kv.Chunk, func(int)) {
+				return buildFrame(j, p, node, b).Chunks, nil
+			},
 		}, nil
 	},
 }
 
-// executeMapAttempt is the stock map-side path — map, buffer-sort on
-// (partition, key), optional combine, synchronous map-output write — without
-// committing, so the same code serves first attempts and post-failure
-// re-execution.
-func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) *engine.MapOutput {
+// buildFrame is the stock map-side path up to the map-output write — map,
+// buffer-sort on (partition, key), optional combine — and returns the
+// output's frame, one chunk per partition, so the same code serves first
+// attempts and recovery.
+func buildFrame(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) *kv.PartitionFrame {
 	rt, job, costs := j.RT, j.Job, j.Costs
 	// Sort the map output buffer on (partition, key) — the CPU cost of
 	// Table II's "Sorting" row, measured from real comparisons — apply the
@@ -81,16 +84,10 @@ func executeMapAttempt(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs
 			rt.Audit.CombineSaved(b.Index, saved)
 		}
 	}
-	out := rt.WriteMapOutput(p, node, job, b.Index, frame)
 	if rt.Auditing() {
 		rt.Audit.MapFinalPairs(b.Index, finalBytes)
-		// Pull shuffle moves whole partitions: record each as one unit so
-		// Registry.Pull deliveries must balance against it.
-		for r, n := range out.PartLen {
-			rt.Audit.ShuffleProduced(node.ID, b.Index, r, -1, n)
-		}
 	}
-	return out
+	return frame
 }
 
 func runReduceTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, r int) {

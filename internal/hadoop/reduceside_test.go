@@ -157,8 +157,8 @@ func TestReduceSideLeavesFetchedFramesIntact(t *testing.T) {
 					}
 					partLen[part] = int64(len(frame) - before)
 				}
-				out := engine.NewMapOutput(p, cl.Node(1).ScratchStore(),
-					fmt.Sprintf("frames/map-%05d/file.out", m), m, 1, frame, partLen)
+				out := &engine.MapOutput{TaskID: m, Held: make([]int, parts)}
+				rt.WriteMapOutput(p, cl.Node(1), job, out, frame, partLen)
 				frames = append(frames, frame)
 				snapshots = append(snapshots, bytes.Clone(frame))
 				rs.Add(p, out.PartData(1))

@@ -30,8 +30,8 @@ var snapshotFractions = []float64{0.25, 0.5, 0.75}
 
 // Plan is the MapReduce Online engine: map tasks push sorted chunks (staging
 // to disk under backpressure), reducers merge them like stock Hadoop between
-// snapshots, and a lost node's undelivered chunks are re-pushed after the
-// map wave.
+// snapshots, and a lost output's undelivered chunks are re-pushed from a
+// survivor.
 var Plan = &engine.Plan{
 	Label: "hop",
 	Push:  true,
@@ -43,9 +43,11 @@ var Plan = &engine.Plan{
 	Setup: func(j *engine.JobRun) (engine.Tasks, error) {
 		push := stashPush(j)
 		return engine.Tasks{
-			Map:       func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b, push) },
-			Reduce:    func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r) },
-			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, buildChunks) },
+			Map:    func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b, push) },
+			Reduce: func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r) },
+			Rebuild: func(p *sim.Proc, node *cluster.Node, b *dfs.Block) ([]kv.Chunk, func(int)) {
+				return buildChunks(j, p, node, b)
+			},
 		}, nil
 	},
 }
@@ -208,21 +210,17 @@ func stashPush(j *engine.JobRun) engine.PushFunc {
 }
 
 // buildChunks maps block b on node and returns its output as sorted,
-// combined, serialized chunks in sealed order, skipping the chunks below the
-// delivery frontier already, with charge(i), chunk i's sort, combine and
-// serialize bill on node. It is the engine's engine.Regen; a first attempt
-// passes already nil, keeps every chunk and enters the task in the combine
-// ledger. Chunk boundaries, sorting, and serialization are pure data work,
-// so they ride inside the map task's pooled closure and overlap the parse
-// charge; the bills land at each chunk's delivery point.
-func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int)) {
+// combined, serialized chunks in sealed order, with charge(i), chunk i's
+// sort, combine and serialize bill on node, and enters the task in the
+// combine ledger. It is the engine's engine.Tasks.Rebuild. Chunk
+// boundaries, sorting, and serialization are pure data work, so they ride
+// inside the map task's pooled closure and overlap the parse charge; the
+// bills land at each chunk's delivery point.
+func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) (chunks []kv.Chunk, charge func(i int)) {
 	var encoded []encodedChunk
 	_, err := j.RT.ExecuteMapWith(p, node, j.Job, b, j.Partition, nil, func(wj *engine.Job, buf *kv.Buffer) {
 		combine := wj.Fold().Combiner()
 		mapChunks(buf, j.Job.Reducers, j.Opts.ChunkBytes, func(r, seq int, idxs []int) {
-			if already != nil && seq < already[r] {
-				return
-			}
 			c := sortEncodeChunk(buf, idxs, combine)
 			c.Part, c.Seq = r, seq
 			encoded = append(encoded, c)
@@ -238,7 +236,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		finalPairBytes += encoded[i].pairBytes
 		saved += encoded[i].saved
 	}
-	if already == nil && j.RT.Auditing() {
+	if j.RT.Auditing() {
 		j.RT.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		j.RT.Audit.CombineSaved(b.Index, saved)
 	}
@@ -254,7 +252,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 // Delivery (network pushes, backpressure stalls, CPU charges) replays in
 // sealed order on the event loop after the join.
 func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, push engine.PushFunc) {
-	chunks, charge := buildChunks(j, p, node, b, nil)
+	chunks, charge := buildChunks(j, p, node, b)
 	j.PushOutput(p, node, b.Index, chunks, charge, push)
 }
 

@@ -59,9 +59,8 @@ func refChunks(buf *kv.Buffer, R int, fold *engine.Fold, chunkBytes int64) []kv.
 // as the oracle for the table that folds as Map emits and drains straight
 // into the frame: it folded a filled map-output buffer into the one-table
 // fold, drained the table into a second buffer, packed that, and put the
-// chunks in push order — full chunks partition-major, then the tails —
-// dropping those below the delivery frontier already.
-func refTwoPassChunks(buf *kv.Buffer, R int, fold *engine.Fold, chunkBytes int64, already []int) []kv.Chunk {
+// chunks in push order — full chunks partition-major, then the tails.
+func refTwoPassChunks(buf *kv.Buffer, R int, fold *engine.Fold, chunkBytes int64) []kv.Chunk {
 	table := newFoldTable(fold)
 	for i := 0; i < buf.Len(); i++ {
 		table.fold(buf.Key(i), buf.Val(i), buf.Partition(i))
@@ -79,8 +78,5 @@ func refTwoPassChunks(buf *kv.Buffer, R int, fold *engine.Fold, chunkBytes int64
 		return c.Part
 	}
 	slices.SortStableFunc(chunks, func(a, b kv.Chunk) int { return rank(a) - rank(b) })
-	if already != nil {
-		chunks = slices.DeleteFunc(chunks, func(c kv.Chunk) bool { return c.Seq < already[c.Part] })
-	}
 	return chunks
 }

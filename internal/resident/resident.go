@@ -17,7 +17,7 @@
 // persisted; like M3R, the engine trades the fault-tolerance writes for
 // speed and recovers from a lost node by re-running the deterministic map
 // and re-pushing only the undelivered chunks under their original
-// (task, seq) identities, exactly like the HOP recovery path.
+// (task, seq) identities (engine.JobRun.Recover, as for HOP).
 //
 // The engine assumes the working set fits in cluster memory — M3R's stated
 // contract — so reduce-side tables never spill.
@@ -53,8 +53,8 @@ type partSink struct {
 
 // Plan is the resident engine: map tasks fold and push from memory, reducers
 // fold into resident tables and publish their output as memory-resident DFS
-// files, and a lost node's undelivered chunks are re-pushed after the map
-// wave, exactly as in the HOP engine.
+// files, and a lost output's undelivered chunks are re-pushed from a
+// survivor, exactly as in the HOP engine.
 var Plan = &engine.Plan{
 	Label:                "resident",
 	Push:                 true,
@@ -75,9 +75,11 @@ var Plan = &engine.Plan{
 			return func(_ *sim.Proc, data []byte) { s.data = data }
 		}
 		return engine.Tasks{
-			Map:       func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b) },
-			Reduce:    func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r, sinks) },
-			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, buildChunks) },
+			Map:    func(p *sim.Proc, node *cluster.Node, b *dfs.Block) { runMapTask(j, p, node, b) },
+			Reduce: func(p *sim.Proc, node *cluster.Node, r int) { runReduceTask(j, p, node, r, sinks) },
+			Rebuild: func(p *sim.Proc, node *cluster.Node, b *dfs.Block) ([]kv.Chunk, func(int)) {
+				return buildChunks(j, p, node, b)
+			},
 		}, nil
 	},
 }
@@ -89,15 +91,12 @@ var Plan = &engine.Plan{
 // otherwise the raw pairs go to a map-output buffer and are packed in
 // production order. Everything is deterministic in the block, so a recovery
 // attempt regenerates byte-identical chunks under the same (partition, seq)
-// identities: buildChunks is the engine's engine.Regen, folding the whole
-// block again (the table cannot be rebuilt in part) and dropping the chunks
-// below the delivery frontier already; a first attempt passes already nil,
-// keeps every chunk and enters the task in the combine ledger. The fold and
-// packing are pure data work riding the map task's pooled closure, and the
-// table dies with the task; the hash/update charges land here after the
-// join, and charge(i) bills chunk i's serialization on node at its delivery
-// point.
-func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block, already []int) (chunks []kv.Chunk, charge func(i int)) {
+// identities: buildChunks is the engine's engine.Tasks.Rebuild, and enters
+// the task in the combine ledger. The fold and packing are pure data work
+// riding the map task's pooled closure, and the table dies with the task;
+// the hash/update charges land here after the join, and charge(i) bills
+// chunk i's serialization on node at its delivery point.
+func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) (chunks []kv.Chunk, charge func(i int)) {
 	rt, job, costs := j.RT, j.Job, j.Costs
 	R, chunkBytes := job.Reducers, j.Opts.ChunkBytes
 	// Map-side folding — the resident analogue of the hash engines' map-side
@@ -141,9 +140,6 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 			}
 			slices.SortStableFunc(chunks, func(a, b kv.Chunk) int { return rank(a) - rank(b) })
 		}
-		if already != nil {
-			chunks = slices.DeleteFunc(chunks, func(c kv.Chunk) bool { return c.Seq < already[c.Part] })
-		}
 	})
 	if err != nil {
 		rt.Fail(p, err)
@@ -153,7 +149,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 		node.Compute(p, engine.Dur(float64(n), costs.UpdateNsPerRecord), engine.PhaseCombine)
 		rt.Counters.Add(engine.CtrHashOps, float64(n))
 	}
-	if already == nil && rt.Auditing() {
+	if rt.Auditing() {
 		rt.Audit.MapFinalPairs(b.Index, finalPairBytes)
 		// Zero for a job that did not fold: its raw pairs are its final ones.
 		rt.Audit.CombineSaved(b.Index, saved)
@@ -167,7 +163,7 @@ func buildChunks(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block
 // result as chunks, holding a chunk in memory while backpressure refuses it
 // (no disk staging — the whole point of the engine).
 func runMapTask(j *engine.JobRun, p *sim.Proc, node *cluster.Node, b *dfs.Block) {
-	chunks, charge := buildChunks(j, p, node, b, nil)
+	chunks, charge := buildChunks(j, p, node, b)
 	j.PushOutput(p, node, b.Index, chunks, charge, j.PushChunk)
 }
 

@@ -145,9 +145,8 @@ func TestSmallBlockFaultedRunMatchesClean(t *testing.T) {
 // The map side folds a block into one table where it used to fill one per
 // partition. The chunks it seals — partition, sequence number and bytes —
 // must be the per-partition tables' chunks exactly, on the first attempt and
-// when buildChunks rebuilds the block past an uneven delivery frontier: a
-// reducer matches a re-pushed chunk against what it already ingested by
-// those identities.
+// when a recovery rebuilds the block: a reducer matches a re-pushed chunk
+// against what it already ingested by those identities.
 func TestOneTableChunksMatchPerPartitionTables(t *testing.T) {
 	docs := gen.DefaultDocConfig()
 	docs.Vocab = 400
@@ -190,23 +189,15 @@ func TestOneTableChunksMatchPerPartitionTables(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					got, _ := buildChunks(j, p, node, b, nil)
+					got, _ := buildChunks(j, p, node, b)
 					same(fmt.Sprintf("block %d", b.Index), got, want)
 
-					// Partition r had its first r%3 chunks delivered.
-					already := make([]int, job.Reducers)
-					var tail []kv.Chunk
-					for r := range already {
-						already[r] = r % 3
-					}
 					for _, c := range want {
 						multi = multi || c.Seq > 0
-						if c.Seq >= already[c.Part] {
-							tail = append(tail, c)
-						}
 					}
-					regen, _ := buildChunks(j, p, node, b, already)
-					same(fmt.Sprintf("block %d regenerated", b.Index), regen, tail)
+					// A recovery's rebuild reproduces every identity.
+					regen, _ := buildChunks(j, p, node, b)
+					same(fmt.Sprintf("block %d rebuilt", b.Index), regen, want)
 				}
 			})
 			f.RT.Env.Run()
@@ -221,8 +212,8 @@ func TestOneTableChunksMatchPerPartitionTables(t *testing.T) {
 // table drains straight into the frame. The chunks must be the former
 // two-pass fold's — fill a buffer, fold it, drain the table into a second
 // buffer, pack that — in the same push order, for any reducer count, on a
-// first attempt and when a recovery rebuilds the block past a delivery
-// frontier; and the fold's own counts must conserve the map output's bytes.
+// first attempt and when a recovery rebuilds the block; and the fold's own
+// counts must conserve the map output's bytes.
 func TestChunksMatchTwoPassFold(t *testing.T) {
 	docs := gen.DefaultDocConfig()
 	docs.Vocab = 400
@@ -246,29 +237,21 @@ func TestChunksMatchTwoPassFold(t *testing.T) {
 				f.RT.Env.Go("map", func(p *sim.Proc) {
 					node := f.RT.Cluster.Node(0)
 					for _, b := range blocks {
-						// Partition r had its first r%3 chunks delivered.
-						already := make([]int, R)
-						for r := range already {
-							already[r] = r % 3
-						}
-						frontiers := [][]int{nil, already}
-						wants := make([][]kv.Chunk, len(frontiers))
+						var want []kv.Chunk
 						_, err := f.RT.ExecuteMapWith(p, node, &job, b, j.Partition, nil, func(_ *engine.Job, buf *kv.Buffer) {
-							for i, frontier := range frontiers {
-								wants[i] = refTwoPassChunks(buf, R, job.Fold(), j.Opts.ChunkBytes, frontier)
-							}
+							want = refTwoPassChunks(buf, R, job.Fold(), j.Opts.ChunkBytes)
 						})
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						for i, frontier := range frontiers {
-							want := wants[i]
-							got, _ := buildChunks(j, p, node, b, frontier)
+						// A first attempt, then a recovery's rebuild.
+						for _, attempt := range []string{"first attempt", "rebuild"} {
+							got, _ := buildChunks(j, p, node, b)
 							if !slices.EqualFunc(got, want, func(a, b kv.Chunk) bool {
 								return a.Part == b.Part && a.Seq == b.Seq && bytes.Equal(a.Data, b.Data)
 							}) {
-								t.Fatalf("block %d, delivered %v: %d chunks differ from the two-pass fold's %d", b.Index, frontier, len(got), len(want))
+								t.Fatalf("block %d, %s: %d chunks differ from the two-pass fold's %d", b.Index, attempt, len(got), len(want))
 							}
 						}
 					}

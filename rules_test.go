@@ -196,6 +196,17 @@ var codeRules = []codeRule{
 		msg:     "drain pushed chunks with PushChannel.Pop and keep no scratch file no reader opens",
 		bad:     `		chunk, ok := pc.PopFresh(p, node.ID)`,
 	},
+	// A lost map output has one recovery path (DESIGN.md §3): the registry
+	// starts engine.JobRun.Recover at the loss, which regenerates the output
+	// through the engine's Tasks.Rebuild and sends each partition the rest
+	// past its frontier. These are the names of the lazy pull path and the
+	// eager push path it replaced, with their hooks and singleflight.
+	{
+		name:    "one recovery path",
+		pattern: `\b(ReexecWith|RepushLost|Regen|AfterMaps|reexecMapOutput|reexecWait)\b|\.Reexec\b`,
+		msg:     "recover a lost map output through engine.JobRun.Recover, started by the registry at the loss",
+		bad:     `			AfterMaps: func(p *sim.Proc) { j.RepushLost(p, buildChunks) },`,
+	},
 	// Every run-configuration knob has a non-test caller. These are the
 	// names of values no launcher set, deleted with the test-only paths they
 	// selected: among them speculative execution (a map task runs once and
